@@ -333,8 +333,11 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             rec = reconstruct(frame, point_samples(f, lat))
             err = _rel_err(pgrid, rec.on_grid(pgrid), f_ref)
         errors.append(err)
+        # every row needs a positive lower bound; the finest must also
+        # meet the error tolerance
+        ok = frame.frame_bounds[0] > 0 and (r != r_list[-1] or err < tol)
         rep.add(r, len(lat), frame.rank, frame.frame_bounds[0],
-                frame.frame_bounds[1], err, True)
+                frame.frame_bounds[1], err, ok)
     rep.check(errors[-1] < tol, "frame.error_at_finest",
               f"r {r_list[-1]}: relative error {errors[-1]:.3e} >= {tol:.0e}")
     mono = all(a > b for a, b in zip(errors, errors[1:]))

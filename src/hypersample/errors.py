@@ -37,5 +37,10 @@ class ConfigError(HypersampleError):
     """Malformed experiment configuration."""
 
 
+class NumericalFailure(HypersampleError, ArithmeticError):
+    """A numerical method missed its own accuracy check (a quadrature residue,
+    a stalled iteration, an unconverged series)."""
+
+
 class IllConditionedWarning(UserWarning):
     """A solve proceeded by pseudo-inverse because the system is ill conditioned."""

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .bandlimited import BandlimitedFunction
-from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
+from .errors import (IllConditionedWarning, MultiplierVanishes, NotAFrame,
+                     NumericalFailure)
 from .geometry import busemann
 from .lattice import Lattice
 from .spectral import Multiplier, SpectralCoeffs, SpectralGrid, apply_multiplier
@@ -194,7 +195,7 @@ def _solve_gram(frame: FrameSystem, rhs: np.ndarray,
                             dtype=complex)
         beta, info = cg(op, rhs, rtol=1e-11, atol=0.0, maxiter=20 * n)
         if info != 0:
-            raise ArithmeticError(f"iterative Gram solve stalled (info={info})")
+            raise NumericalFailure(f"iterative Gram solve stalled (info={info})")
         return beta
     raise ValueError(f"unknown method {method!r}")
 

@@ -20,6 +20,11 @@ a uniform trapezoid grid of n_b angles on the boundary with normalized
 measure db = d(theta)/(2 pi).  SpectralCoeffs hold complex values on that
 grid; all norms are Plancherel-weighted and accumulated with compensated
 summation.
+
+Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
+single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
+them into Chebyshev series once, so they can be evaluated at many points by
+Clenshaw recurrence instead of one exponential per (point, angle, lam).
 """
 
 from __future__ import annotations
@@ -31,14 +36,15 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import dct
 from scipy.special import loggamma
 
-from .errors import MultiplierVanishes
+from .errors import MultiplierVanishes, NumericalFailure
 
 __all__ = [
     "plancherel_density",
     "spherical_function",
-    "spherical_function_matrix",
+    "plane_wave_series",
     "SpectralGrid",
     "build_grid",
     "default_lam_max",
@@ -122,7 +128,7 @@ def _phi_block(lams: np.ndarray, rs: np.ndarray, n_theta: int | None) -> np.ndar
             break
     imag = float(np.max(np.abs(prev.imag))) if prev.size else 0.0
     if imag > 1e-10:
-        raise ArithmeticError(f"spherical_function: imaginary residue {imag:.2e}")
+        raise NumericalFailure(f"spherical_function: imaginary residue {imag:.2e}")
     return prev.real
 
 
@@ -149,29 +155,50 @@ def _phi_pairs(lams: np.ndarray, rs: np.ndarray, n_theta: int | None) -> np.ndar
     return out
 
 
-def spherical_function_matrix(lams: np.ndarray, rs: np.ndarray,
-                              n_theta: int | None = None) -> np.ndarray:
-    """Matrix phi[i, j] = phi_{lams[i]}(rs[j]), for kernel assembly.
+_SERIES_MARGIN = 64
+_SERIES_TAIL = 8
+_SERIES_TOL = 1e-14
+_SERIES_MAX_DEG = 4096
 
-    Single fixed quadrature shared by all entries; node count chosen from the
-    extreme phase lam_max * r_max and the wide-angle scale of r_max.
+
+def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
+    """Chebyshev series of the plane-wave sums h_j(a) = sum_i coeffs[i, j] e^{i lams[i] a}.
+
+    Returns the coefficients of each h_j in the variable a / a_max, shape
+    (deg + 1,) + coeffs.shape[1:], one column per column of coeffs, ready
+    for numpy.polynomial.chebyshev.chebval at |a| <= a_max.  Each h_j has
+    exponential type max|lam|, so its Chebyshev coefficients decay faster
+    than geometrically beyond degree max|lam| * a_max; the interpolant at
+    the deg + 1 first-kind Chebyshev points (a DCT-II of the sampled sums)
+    starts _SERIES_MARGIN degrees past that and is exact to roundoff.
+
+    Tail check: the largest of the last _SERIES_TAIL coefficients, summed
+    over the columns, must stay below _SERIES_TOL of the l1 norm of the
+    whole series.  Otherwise the degree doubles, up to _SERIES_MAX_DEG,
+    where NumericalFailure is raised.
     """
     lams = np.asarray(lams, dtype=float)
-    rs = np.asarray(rs, dtype=float)
-    n = n_theta or _phase_node_count(float(lams.max(initial=0.0)), float(rs.max(initial=0.0)))
-    t = 2.0 * np.pi * np.arange(n) / n
-    out = np.empty((lams.size, rs.size))
-    # chunk the r axis to bound the (n_lam, chunk, n_theta) workspace
-    chunk = max(1, int(3.0e7 / max(1, lams.size * n)))
-    expo = (-0.5 + 1j * lams)[:, None, None]
-    for lo in range(0, rs.size, chunk):
-        rr = rs[lo:lo + chunk]
-        base = np.cosh(rr)[:, None] - np.sinh(rr)[:, None] * np.cos(t)[None, :]
-        vals = np.exp(expo * np.log(base)[None, :, :]).mean(axis=2)
-        if np.max(np.abs(vals.imag)) > 1e-10:
-            raise ArithmeticError("spherical_function_matrix: imaginary residue")
-        out[:, lo:lo + chunk] = vals.real
-    return out
+    coeffs = np.asarray(coeffs)
+    if not a_max > 0:
+        raise ValueError("plane_wave_series needs a_max > 0")
+    lam_top = float(np.max(np.abs(lams)))
+    deg = min(math.ceil(lam_top * a_max) + _SERIES_MARGIN, _SERIES_MAX_DEG)
+    while True:
+        n = deg + 1
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        series = dct(np.exp(1j * a_max * np.outer(x, lams)) @ coeffs,
+                     type=2, axis=0) / n
+        series[0] /= 2.0
+        mags = np.abs(series)
+        tail = float(np.sum(np.max(mags[-_SERIES_TAIL:], axis=0)))
+        norm = float(np.sum(mags))
+        if tail <= _SERIES_TOL * norm:
+            return series
+        if deg >= _SERIES_MAX_DEG:
+            raise NumericalFailure(
+                f"plane-wave series at lam {lam_top:.3g}, |a| <= {a_max:.3g}: "
+                f"tail {tail / norm:.2e} of the l1 norm at degree {deg}")
+        deg = min(2 * deg, _SERIES_MAX_DEG)
 
 
 def default_lam_max(omega: float, rho: float = 0.5) -> float:

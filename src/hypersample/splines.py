@@ -9,7 +9,11 @@ the minimal - ||Delta^k u|| interpolant on the lattice.
 The kernel is tabulated once per order on a radial grid by spectral
 quadrature and then evaluated through a cubic spline; the spectral cutoff
 is chosen from an analytic tail bound so the truncated mass stays below
-tail_tol relative to K(0).
+tail_tol relative to K(0).  The quadrature is a Busemann average: K(t) is
+the boundary-angle mean of e^{rho a} g(a) at a = A(t, b), where
+g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series in a, built once
+and tail-checked by spectral.plane_wave_series and summed by Clenshaw
+recurrence.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
@@ -30,7 +35,7 @@ from .geometry import busemann, distance
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       plancherel_density)
+                       plancherel_density, plane_wave_series)
 
 __all__ = [
     "PolyharmonicKernel",
@@ -114,6 +119,13 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
                         n_b: int | None = None) -> PolyharmonicKernel:
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
 
+    phi_lam(t) is the mean over n_b boundary angles of
+    Re e^{(i lam + rho) A(t, b)} = e^{rho A} cos(lam A), so the lam-sum is
+    one real Chebyshev series in A on |A| <= t_max; the series carries the
+    tail check of spectral.plane_wave_series (NumericalFailure if its
+    trailing coefficients do not reach roundoff).  Since A(t, b) = A(t, -b),
+    only the angles in [0, pi] are evaluated.
+
     The truncation tail beyond lam_max is bounded analytically by
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
     phi bounded by one); TailTooLarge fires when that bound exceeds
@@ -171,16 +183,16 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
 
     if n_b is None:
         n_b = 64 * math.ceil((1.5 * lam_max * t_max + 256.0) / 64.0)
-    angles = 2.0 * np.pi * np.arange(n_b) / n_b
+    # A(t, b) = A(t, -b) on the positive axis: fold the circle onto
+    # 0 <= b <= pi, counting each interior angle twice
+    half = np.arange(n_b // 2 + 1)
+    fold = np.where((half == 0) | (2 * half == n_b), 1.0, 2.0) / n_b
     t = np.linspace(0.0, t_max, n_t)
-    a = busemann(np.tanh(t / 2)[:, None], angles[None, :])
-    values = np.zeros(n_t)
-    chunk = max(1, int(2e6 / (n_t * n_b)))
-    for start in range(0, nodes.size, chunk):
-        lam_c = nodes[start:start + chunk]
-        phi = np.exp((1j * lam_c[:, None, None] + rho) * a[None, :, :]) \
-            .mean(axis=2).real
-        values += coef[start:start + chunk] @ phi
+    a = busemann(np.tanh(t / 2)[:, None], 2.0 * np.pi * half[None, :] / n_b)
+    # Re e^{(i lam + rho) a} = e^{rho a} cos(lam a): the real part of one
+    # series in a carries every lam
+    series = plane_wave_series(nodes, coef, t_max).real
+    values = (np.exp(rho * a) * chebval(a / t_max, series)) @ fold
     interp = CubicSpline(t, values, bc_type=((1, 0.0), "not-a-knot"))
     return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound, tail_tol,
                               multiplier.label if multiplier else "",
@@ -223,9 +235,10 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
                   tail_tol: float = _TAIL_TOL) -> SplineSystem:
     """Kernel matrix K_2k(d(x_j, x_nu)) and its Lagrangian coefficients.
 
-    Positive definiteness is certified by the Cholesky factorization;
-    near-coincident points (or an order too high for double precision)
-    surface as SingularKernel.  One step of iterative refinement pushes the
+    Positive definiteness is certified by the Cholesky factorization and by
+    the smallest eigenvalue clearing N eps of the largest; near-coincident
+    points (or an order too high for double precision) surface as
+    SingularKernel.  One step of iterative refinement pushes the
     interpolation residual to roundoff even for stiff systems.
     """
     if len(lat) == 0:
@@ -245,7 +258,14 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
             f"order-{k} kernel matrix is not positive definite in double "
             f"precision") from exc
     ev = np.linalg.eigvalsh(kmat)
-    condition = float(ev[-1] / ev[0]) if ev[0] > 0 else math.inf
+    # below N eps of the largest eigenvalue the eigensolver's own backward
+    # error decides the sign of the smallest one, so a Cholesky that
+    # happened to succeed certifies nothing (duplicate points land here)
+    if not ev[0] > len(lat) * np.finfo(float).eps * ev[-1]:
+        raise SingularKernel(
+            f"order-{k} kernel matrix has smallest eigenvalue "
+            f"{ev[0]:.3e} against {ev[-1]:.3e}: singular in double precision")
+    condition = float(ev[-1] / ev[0])
     eye = np.eye(len(lat))
     coeffs = cho_solve(cho, eye)
     defect = math.inf

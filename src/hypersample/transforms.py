@@ -27,14 +27,17 @@ with the mode route beyond the geometry primitives.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CalibrationInconsistent, TailMassExceeded
 from .geometry import SpaceParams, as_complex, busemann, distance, random_ball_points
-from .spectral import SpectralCoeffs, SpectralGrid, _phase_node_count, build_grid
+from .spectral import (SpectralCoeffs, SpectralGrid, _phase_node_count,
+                       build_grid, plane_wave_series)
 
 __all__ = [
     "PolarGrid",
@@ -125,7 +128,8 @@ def build_polar_grid(r_max: float, n_r: int, n_theta: int) -> PolarGrid:
 # radial mode tables
 
 
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
+_TABLE_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_TABLE_CACHE_SIZE = 8
 
 
 def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
@@ -184,10 +188,14 @@ def _march_modes(lams: np.ndarray, targets: np.ndarray, m_max: int,
 
 
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.ndarray:
-    """Table Phi[i_lam, m, i_r] over the grid nodes, cached per (grid, pgrid, m_max)."""
+    """Read-only table Phi[i_lam, m, i_r] over the grid nodes.
+
+    Cached per (grid, pgrid, m_max); the cache keeps the _TABLE_CACHE_SIZE
+    most recently used tables."""
     key = (grid.lambda_nodes.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
+        _TABLE_CACHE.move_to_end(key)
         return hit
     lams = grid.lambda_nodes
     rs = pgrid.r_nodes
@@ -197,7 +205,10 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.nd
         table[:, :, near] = _modes_by_quadrature(lams, rs[near], m_max)
     if np.any(~near):
         table[:, :, ~near] = _march_modes(lams, rs[~near], m_max, _SWITCH_RADIUS)
+    table.setflags(write=False)
     _TABLE_CACHE[key] = table
+    if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+        _TABLE_CACHE.popitem(last=False)
     return table
 
 
@@ -276,26 +287,30 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
 
     Sums the plane-wave kernels over the discrete boundary circle, so it
     assumes the coefficient field is mode-resolved by n_b; keep evaluation
-    points well inside the region the grid resolves.
+    points well inside the region the grid resolves.  For each boundary
+    angle the lam-sum is one Chebyshev series in the horocycle distance
+    a = A(z, b) on |a| <= max d(0, z) (spectral.plane_wave_series, with its
+    tail check), evaluated by Clenshaw recurrence; its degree, and so the
+    cost per point, grows with lam_max * max d(0, z).
     """
     grid = coeffs.grid
     pts = as_complex(points)
-    shape = pts.shape
     flat = pts.ravel()
-    angles = grid.boundary_angles
-    lam = grid.lambda_nodes
-    weighted = (grid.lambda_measure[:, None] * coeffs.values) / grid.n_b
     out = np.zeros(flat.size, dtype=complex)
-    chunk = max(1, int(5.0e6 / max(1, lam.size * angles.size)))
+    if flat.size == 0:
+        return out.reshape(pts.shape)
+    angles = grid.boundary_angles
+    far = flat[np.argmax(np.abs(flat))]
+    # A(z, arg z) = d(0, z) bounds |A(z, b)| over the circle
+    a_max = float(busemann(far, np.angle(far))) or 1.0
+    weighted = (grid.lambda_measure[:, None] * coeffs.values) / grid.n_b
+    series = plane_wave_series(grid.lambda_nodes, weighted, a_max)
+    chunk = max(1, int(2.0e5 / angles.size))
     for lo in range(0, flat.size, chunk):
-        zz = flat[lo:lo + chunk]
-        av = busemann(zz[:, None], angles[None, :])
-        acc = np.zeros(zz.size, dtype=complex)
-        for j in range(angles.size):
-            phase = np.exp(np.outer(av[:, j], 1j * lam))
-            acc += np.exp(grid.rho * av[:, j]) * (phase @ weighted[:, j])
-        out[lo:lo + chunk] = acc
-    return out.reshape(shape)
+        av = busemann(flat[lo:lo + chunk, None], angles[None, :])
+        vals = chebval(av / a_max, series, tensor=False)
+        out[lo:lo + chunk] = np.sum(np.exp(grid.rho * av) * vals, axis=1)
+    return out.reshape(pts.shape)
 
 
 # ---------------------------------------------------------------------------

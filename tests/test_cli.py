@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hypersample import spectral
 from hypersample.cli import (
     ExperimentConfig,
     config_to_ini,
@@ -108,6 +109,39 @@ def test_failing_invariant_exits_one(tmp_path, outroot, capsys):
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert "frame.error_at_finest" in err
+
+
+def test_frame_rows_report_their_own_pass_fail(tmp_path, outroot):
+    # the finest row misses the error tolerance, the coarser one need not
+    path = _write(tmp_path, "[experiment]\nscenario = frame_reconstruct\n"
+                            "seeds = 0\nr_values = 0.8, 0.6\n")
+    assert main(["run", str(path)]) == 1
+    outdir = outroot / "frame_reconstruct"
+    lines = (outdir / "results.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    tol = float(next(
+        line.split(" = ")[1] for line in
+        (outdir / "manifest.txt").read_text().splitlines()
+        if line.startswith("tolerance.frame_rel_error_at_finest")))
+    assert len(rows) == 2
+    for i, row in enumerate(rows):
+        ok = float(row["frame_lower"]) > 0 and (
+            i < len(rows) - 1 or float(row["rel_error"]) < tol)
+        assert row["passed"] == ("true" if ok else "false")
+    assert rows[-1]["passed"] == "false"
+
+
+def test_numerical_failure_exits_one_with_message(tmp_path, outroot, capsys,
+                                                  monkeypatch):
+    # a series degree cap too low for any point evaluation to converge
+    monkeypatch.setattr(spectral, "_SERIES_MAX_DEG", 8)
+    path = _write(tmp_path, "[experiment]\nscenario = spherical_avg\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NumericalFailure: plane-wave series")
+    assert "Traceback" not in err
 
 
 def test_lattice_scenario_runs(tmp_path, outroot):

@@ -6,10 +6,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import quad
 
 from hypersample import spectral as sp
-from hypersample.errors import MultiplierVanishes
+from hypersample.errors import MultiplierVanishes, NumericalFailure
 from hypersample.geometry import SpaceParams
 
 
@@ -65,12 +66,33 @@ def test_spherical_function_eigen_ode():
             assert abs(resid) < 1e-5 * (lam**2 + 0.25)
 
 
-def test_spherical_function_matrix_consistency():
-    lams = np.array([0.4, 1.7, 9.0])
-    rs = np.linspace(0.1, 4.0, 17)
-    m = sp.spherical_function_matrix(lams, rs)
-    ref = sp.spherical_function(lams[:, None], rs[None, :])
-    assert np.max(np.abs(m - ref)) < 1e-12
+@pytest.mark.parametrize("lam_max, a_max, cols, deg", [
+    (20.0, 3.0, (3,), 60 + 64),
+    # at lam * a_max = 480 the 64-degree margin leaves a tail above
+    # roundoff, so the degree doubles once
+    (60.0, 8.0, (), 2 * (480 + 64)),
+])
+def test_plane_wave_series_matches_direct_sum(lam_max, a_max, cols, deg):
+    rng = np.random.default_rng(3)
+    lams = np.linspace(0.1, lam_max, 50)
+    coeffs = rng.standard_normal((50,) + cols) \
+        + 1j * rng.standard_normal((50,) + cols)
+    series = sp.plane_wave_series(lams, coeffs, a_max)
+    assert series.shape == (deg + 1,) + cols
+    a = np.linspace(-a_max, a_max, 257)
+    ref = np.exp(1j * np.outer(a, lams)) @ coeffs
+    got = chebval(a / a_max, series).T
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
+def test_plane_wave_series_tail_check_raises_at_degree_cap(monkeypatch):
+    monkeypatch.setattr(sp, "_SERIES_MAX_DEG", 40)
+    lams = np.linspace(0.1, 20.0, 40)
+    with pytest.raises(NumericalFailure, match="degree 40") as info:
+        sp.plane_wave_series(lams, np.ones(40), 3.0)
+    assert isinstance(info.value, ArithmeticError)
+    with pytest.raises(ValueError):
+        sp.plane_wave_series(lams, np.ones(40), 0.0)
 
 
 @pytest.fixture

@@ -20,8 +20,11 @@ from hypersample.geometry import SpaceParams, busemann
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
 from hypersample.spectral import (Multiplier, build_grid,
-                                  identity_multiplier, spherical_function)
-from hypersample.splines import (build_splines, iterated_bernstein_check,
+                                  identity_multiplier, plancherel_density,
+                                  spherical_function)
+from hypersample.sphavg import AverageSpec, average_multiplier
+from hypersample.splines import (_kernel_lambda_grid, build_splines,
+                                 iterated_bernstein_check,
                                  polyharmonic_kernel, spline_band_projection,
                                  spline_interpolate,
                                  spline_reconstruct_deconvolve)
@@ -152,6 +155,29 @@ def test_kernel_tail_guard(space):
         polyharmonic_kernel(space, 1)
     with pytest.raises(TailTooLarge):
         polyharmonic_kernel(space, 2, lam_max=5.0)
+
+
+def _busemann_average(space, kern, m, n_b):
+    """K(t) at the table radii by the plain Busemann average: one
+    exponential per (t, boundary angle, lam)."""
+    lam, w = _kernel_lambda_grid(kern.lam_max)
+    msq = 1.0 if m is None else np.abs(m.fn(lam)) ** 2
+    coef = w * plancherel_density(lam, space.plancherel_scale) * msq \
+        * (lam ** 2 + space.rho ** 2) ** (-2 * kern.k)
+    angles = 2.0 * np.pi * np.arange(n_b) / n_b
+    a = busemann(np.tanh(kern.table_t / 2)[:, None], angles[None, :])
+    waves = np.exp((1j * lam[:, None, None] + space.rho) * a[None, :, :])
+    return coef @ waves.mean(axis=2).real
+
+
+@pytest.mark.parametrize("avg, n_b", [(False, 384), (True, 384),
+                                      (False, 383)])
+def test_kernel_table_matches_busemann_average(space, avg, n_b):
+    m = average_multiplier(space, AverageSpec(tau=0.1)) if avg else None
+    kern = polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m, n_t=25,
+                               n_b=n_b)
+    ref = _busemann_average(space, kern, m, n_b)
+    assert np.max(np.abs(kern.table_values - ref)) <= 1e-13 * kern.at_zero
 
 
 def test_higher_order_kernel_is_flatter(space, kern2):

@@ -2,15 +2,16 @@
 agreement, adjointness, Parseval balance and calibration."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from hypersample import transforms as tr
 from hypersample.errors import CalibrationInconsistent, TailMassExceeded
-from hypersample.geometry import ball_volume, distance, mobius_translate
-from hypersample.spectral import (apply_multiplier, build_grid, laplacian_multiplier,
-                                  spherical_function)
+from hypersample.geometry import ball_volume, busemann, distance, mobius_translate
+from hypersample.spectral import (SpectralCoeffs, apply_multiplier, build_grid,
+                                  laplacian_multiplier, spherical_function)
 
 
 @pytest.fixture
@@ -194,6 +195,48 @@ def test_inverse_transform_matches_grid_route(space, pgrid):
     v_pt = tr.inverse_transform(c, sub)
     v_gr = back[rows][:, ::16].ravel()
     assert np.max(np.abs(v_pt - v_gr)) < 1e-8 * np.max(np.abs(back))
+
+
+def test_inverse_transform_matches_plane_wave_double_sum(space):
+    # oracle: one exponential per (point, lam, b), summed directly
+    grid = build_grid(space, lam_max=12.0, n_lambda=48, n_b=32)
+    rng = np.random.default_rng(11)
+    c = SpectralCoeffs(grid, rng.standard_normal((48, 32))
+                       + 1j * rng.standard_normal((48, 32)))
+    radius = 0.95 * np.sqrt(rng.random(150))
+    radius[0], radius[1] = 0.95, 0.0
+    pts = (radius * np.exp(2j * np.pi * rng.random(150))).reshape(10, 15)
+    a = busemann(pts.ravel()[:, None], grid.boundary_angles[None, :])
+    waves = np.exp((1j * grid.lambda_nodes[:, None, None] + grid.rho)
+                   * a[None, :, :])
+    weighted = grid.lambda_measure[:, None] * c.values / grid.n_b
+    ref = np.einsum("lpb,lb->p", waves, weighted).reshape(pts.shape)
+    got = tr.inverse_transform(c, pts)
+    assert got.shape == pts.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert tr.inverse_transform(c, np.zeros(0)).shape == (0,)
+
+
+def test_mode_table_cache_is_read_only_and_bounded(space, monkeypatch):
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    grid = build_grid(space, lam_max=4.0, n_lambda=8, n_b=8)
+
+    def table(n_r):
+        return tr.radial_mode_table(grid, tr.build_polar_grid(1.0, n_r, 8), 2)
+
+    first = table(4)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 0.0
+    sizes = range(5, 5 + tr._TABLE_CACHE_SIZE + 2)
+    tables = {}
+    for n_r in sizes:
+        tables[n_r] = table(n_r)
+        # a hit refreshes the first table, so it is never the one evicted
+        assert table(4) is first
+        assert len(tr._TABLE_CACHE) <= tr._TABLE_CACHE_SIZE
+    assert table(sizes[-1]) is tables[sizes[-1]]
+    assert table(sizes[0]) is not tables[sizes[0]]
 
 
 def test_laplacian_symbol_end_to_end(space):
