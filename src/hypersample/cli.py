@@ -28,7 +28,7 @@ from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
     synthesize_1d
 from .errors import ConfigError, HypersampleError, IllConditionedWarning, \
     SingularKernel
-from .geometry import SpaceParams, ball_volume, distance
+from .geometry import SpaceParams, distance, multiplicity_bound
 from .lattice import build_lattice, certify_cover, certify_multiplicity
 from .sampling import build_frame, point_samples, reconstruct
 from .spectral import apply_multiplier, build_grid, default_lam_max, \
@@ -100,6 +100,14 @@ class ExperimentConfig:
             raise ConfigError("derivative order n must be nonnegative")
         if min((self.n_lambda, self.n_b, self.n_r, self.n_theta)) < 4:
             raise ConfigError("grid sizes must be at least 4")
+        if self.n_b % 2 or self.n_theta % 2:
+            raise ConfigError("angle counts n_b and n_theta must be even")
+        if self.lam_max != 0 and not self.lam_max > self.omega:
+            raise ConfigError("lam_max must be 0 (automatic) or exceed omega")
+        if not 0 < self.cut < 1:
+            raise ConfigError("cut must lie in (0, 1)")
+        if any(k < 1 for k in self.k_schedule):
+            raise ConfigError("spline orders in k_schedule must be at least 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
 
@@ -296,7 +304,7 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             fresh = float(distance(probes[:, None],
                                    lat.points[None, :]).min(axis=1).max())
             mult = certify_multiplicity(lat)
-        bound = math.ceil(ball_volume(3.0 * r) / ball_volume(r / 4.0))
+        bound = math.ceil(multiplicity_bound(r))
         ok_sep = sep >= r / 2.0 - 1e-12
         ok_cov = cov <= r / 2.0 and fresh <= r / 2.0 + r / 8.0
         ok_mult = mult <= bound

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationFailed
-from .geometry import ball_volume, random_ball_points
+from .geometry import multiplicity_bound, random_ball_points
 
 __all__ = [
     "Lattice",
@@ -162,9 +162,8 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
         raise CertificationFailed("cover gap survived patch insertion")
 
     mult = _measure_multiplicity(points, r, _mult_probes(seed, domain_radius))
-    lat = Lattice(points, float(r), int(mult), float(domain_radius), int(seed))
-    certify_multiplicity(lat)
-    return lat
+    _check_volume_bound(mult, r)
+    return Lattice(points, float(r), int(mult), float(domain_radius), int(seed))
 
 
 def _measure_multiplicity(points: np.ndarray, r: float,
@@ -173,6 +172,13 @@ def _measure_multiplicity(points: np.ndarray, r: float,
         return 1
     counts = _count_within(probes, points, _sep_param(r, 1.0) ** 2)
     return int(counts.max())
+
+
+def _check_volume_bound(measured: int, r: float) -> None:
+    bound = multiplicity_bound(r)
+    if measured > math.ceil(bound):
+        raise CertificationFailed(
+            f"multiplicity {measured} exceeds volume bound {bound:.3f}")
 
 
 def certify_cover(lat: Lattice) -> float:
@@ -202,10 +208,7 @@ def certify_multiplicity(lat: Lattice) -> int:
     """
     measured = _measure_multiplicity(lat.points, lat.r,
                                      _mult_probes(lat.seed, lat.domain_radius))
-    bound = ball_volume(3.0 * lat.r) / ball_volume(lat.r / 4.0)
-    if measured > math.ceil(bound):
-        raise CertificationFailed(
-            f"multiplicity {measured} exceeds volume bound {bound:.3f}")
+    _check_volume_bound(measured, lat.r)
     if measured > lat.n_mult:
         raise CertificationFailed(
             f"multiplicity {measured} exceeds certified field {lat.n_mult}")

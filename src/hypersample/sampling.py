@@ -7,6 +7,15 @@ quadrature measure governs everything: its spectrum certifies stability on
 the sampled span, and solving G beta = samples yields the minimal-norm
 band-limited interpolant (the dual-frame reconstruction).
 
+The boundary integral of e_j conj(e_k) is the spherical function
+phi_lam(d(x_j, x_k)), so the Gram is a zonal kernel of the distance,
+G_jk = K(d(x_j, x_k)) with K(t) = sum over the band of |m|^2 phi_lam(t):
+real and symmetric.  K is summed by the Busemann average that also builds
+the polyharmonic spline kernel (spectral.busemann_average), as one
+tail-checked Chebyshev series in t (spectral.zonal_series) evaluated at
+every lattice pair.  The discrete plane-wave rows are built only where a
+reconstruction is synthesized.
+
 The Gram spectrum of any interesting lattice decays smoothly to machine
 zero: band-limited functions are analytic, so samples on a bounded domain
 pin down only an effectively finite-dimensional slice of the band space.
@@ -22,14 +31,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes, NotAFrame,
                      NumericalFailure)
-from .geometry import busemann
+from .geometry import busemann, distance
 from .lattice import Lattice
-from .spectral import Multiplier, SpectralCoeffs, SpectralGrid, apply_multiplier
+from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
+                       apply_multiplier, zonal_series)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -75,9 +86,9 @@ class FrameSystem:
     omega: float
     grid: SpectralGrid
     multiplier: Multiplier | None
-    gram: np.ndarray
+    gram: np.ndarray                 # real symmetric, K(d(x_j, x_k))
     eigenvalues: np.ndarray          # ascending
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray         # real orthonormal columns
     frame_bounds: tuple[float, float]  # (A, B) on the retained span
     raw_min: float
     threshold: float
@@ -103,30 +114,36 @@ def convolution_samples(f: BandlimitedFunction, lat: Lattice,
 
 
 def _band_data(grid: SpectralGrid, m: Multiplier | None):
+    """Band nodes, multiplier values and the Gram weights measure |m|^2."""
     sl = grid.band_slice
     lam = grid.lambda_nodes[sl]
-    w = grid.lambda_measure[sl] / grid.n_b
     if m is None:
         mv = np.ones_like(lam, dtype=complex)
     else:
         mv = m.values_on(grid).astype(complex)[sl]
-    return lam, w, mv
+    return lam, mv, grid.lambda_measure[sl] * np.abs(mv) ** 2
 
 
 def _kernel_rows(points: np.ndarray, lam: np.ndarray, rho: float,
                  angles: np.ndarray) -> np.ndarray:
     """Rows e_j(lam_i, b_l) flattened to (n_points, n_lam * n_b)."""
     a = busemann(points[:, None], angles[None, :])
-    k = np.exp((1j * lam[:, None, None] + rho) * a[None, :, :])
-    return np.moveaxis(k, 1, 0).reshape(points.size, -1)
+    k = (1j * lam[None, :, None] + rho) * a[:, None, :]
+    return np.exp(k, out=k).reshape(points.size, -1)
 
 
 def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
                 grid: SpectralGrid, cut: float = _PINV_CUT) -> FrameSystem:
     """Gram matrix of the (multiplier-filtered) frame vectors over the band.
 
-    G_jk = integral over [0, omega] x boundary of
-    |m|^2 e_j conj(e_k) density dlam db, by the band-panel quadrature.
+    G_jk = integral over [0, omega] x boundary of |m|^2 e_j conj(e_k)
+    density dlam db.  The boundary integral of e_j conj(e_k) is the
+    spherical function phi_lam(d(x_j, x_k)), so G_jk = K(d(x_j, x_k)) with
+    K(t) = sum over the band nodes of lambda_measure |m|^2 phi_lam(t): a
+    real zonal kernel, summed as a Chebyshev series in t by
+    spectral.zonal_series (the Busemann average of the spline kernel) and
+    evaluated once per pair j < k.  G is real symmetric and factored by a
+    real eigh.
 
     cut fixes the relative eigenvalue threshold below which directions are
     treated as numerically unreachable.  The default keeps the sample span
@@ -138,15 +155,20 @@ def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
         raise ValueError("grid band panel does not match omega")
     if len(lat) == 0:
         raise ValueError("empty lattice")
-    lam, w, mv = _band_data(grid, m)
+    lam, mv, coef = _band_data(grid, m)
     if m is not None and np.min(np.abs(mv)) <= 1e-12:
         raise MultiplierVanishes(
             f"multiplier {m.label!r} vanishes inside the band")
-    kernel = _kernel_rows(lat.points, lam, grid.rho, grid.boundary_angles)
-    sqw = np.sqrt(np.repeat(w * np.abs(mv) ** 2, grid.n_b))
-    psi = kernel * sqw[None, :]
-    gram = psi @ psi.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
+    n = len(lat)
+    rows, cols = np.triu_indices(n, k=1)
+    d = distance(lat.points[rows], lat.points[cols])
+    # a lone point needs only K(0); any interval serves its series
+    t_max = float(d.max()) if d.size else 1.0
+    series = zonal_series(lam, coef, grid.rho, t_max)
+    gram = np.empty((n, n))
+    gram[rows, cols] = gram[cols, rows] = chebval(2.0 * d / t_max - 1.0,
+                                                  series)
+    np.fill_diagonal(gram, chebval(-1.0, series))
     ev, vec = np.linalg.eigh(gram)
     b_top = float(ev[-1])
     if b_top <= 0.0:
@@ -179,13 +201,19 @@ def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
             f"sample multiplier {s_lab!r} does not match frame {f_lab!r}")
 
 
-def _solve_gram(frame: FrameSystem, rhs: np.ndarray,
-                method: str) -> np.ndarray:
+def _solve_gram(frame: FrameSystem, rhs: np.ndarray, method: str,
+                rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if method == "gram":
-        ev, vec = frame.eigenvalues, frame.eigenvectors
-        keep = ev > frame.threshold
-        coef = vec[:, keep].conj().T @ rhs
-        return vec[:, keep] @ (coef / ev[keep])
+        # Rayleigh-Ritz on the retained span V: the Gram is applied there
+        # through the discrete band rows that synthesize the result,
+        # V^H rows diag(weights) rows^H V, so resampling a reconstruction
+        # reproduces its data.  The zonal Gram differs from that discrete
+        # one by the boundary quadrature error (~1e-15 B), which dividing
+        # by its own eigenvalues would amplify by up to 1/A.
+        span = frame.eigenvectors[:, frame.eigenvalues > frame.threshold]
+        proj = span.T @ rows
+        ritz = (proj * weights) @ proj.conj().T
+        return span @ np.linalg.solve(ritz, span.T @ rhs)
     if method == "iterative":
         # conjugate gradients touch only the Krylov space of the data, so
         # this route certifies the eigen-solve when the samples live in the
@@ -205,9 +233,12 @@ def reconstruct(frame: FrameSystem, s: SampleSet,
     """Minimal-norm band-limited interpolant of the samples.
 
     Solves G beta = values, then synthesizes the spectral coefficients
-    conj(m) sum_j beta_j conj(e_j) on the band panel.  For samples taken
-    noiselessly from the retained span the interpolation is exact; general
-    data is fit in the least-squares sense through the thresholded
+    conj(m) sum_j beta_j conj(e_j) on the band panel.  The "gram" method
+    solves on the retained eigenspace of the zonal Gram, applying G there
+    through the same discrete frame vectors e_j that synthesize the result;
+    "iterative" runs conjugate gradients on the zonal Gram.  For samples
+    taken noiselessly from the retained span the interpolation is exact;
+    general data is fit in the least-squares sense through the thresholded
     pseudo-inverse.
     """
     _check_compatible(frame, s)
@@ -216,12 +247,13 @@ def reconstruct(frame: FrameSystem, s: SampleSet,
             f"Gram condition {frame.condition:.2e}; continuing with the "
             f"pseudo-inverse at threshold {frame.threshold:.2e}",
             IllConditionedWarning)
-    beta = _solve_gram(frame, s.values, method)
     grid = frame.grid
-    lam, _, mv = _band_data(grid, frame.multiplier)
-    kernel = _kernel_rows(frame.lattice.points, lam, grid.rho,
-                          grid.boundary_angles)
-    coef = (kernel.conj().T @ beta) * np.repeat(np.conj(mv), grid.n_b)
+    lam, mv, coef = _band_data(grid, frame.multiplier)
+    rows = _kernel_rows(frame.lattice.points, lam, grid.rho,
+                        grid.boundary_angles)
+    beta = _solve_gram(frame, s.values, method, rows,
+                       np.repeat(coef / grid.n_b, grid.n_b))
+    coef = (beta.conj() @ rows).conj() * np.repeat(np.conj(mv), grid.n_b)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[grid.band_slice] = coef.reshape(grid.n_band, grid.n_b)
     return BandlimitedFunction(frame.omega, SpectralCoeffs(grid, values))

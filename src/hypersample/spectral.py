@@ -25,6 +25,11 @@ Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
 single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
 them into Chebyshev series once, so they can be evaluated at many points by
 Clenshaw recurrence instead of one exponential per (point, angle, lam).
+Zonal sums K(t) = sum_lam c_lam phi_lam(t), the radial kernels of both the
+band Gram (sampling.build_frame) and the spline kernel
+(splines.polyharmonic_kernel), are Busemann averages of such a series over
+the boundary (busemann_average); zonal_series turns K itself into one
+Chebyshev series in t for evaluation at every pairwise distance.
 """
 
 from __future__ import annotations
@@ -35,16 +40,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
 from scipy.special import loggamma
 
 from .errors import MultiplierVanishes, NumericalFailure
+from .geometry import SpaceParams, busemann
 
 __all__ = [
     "plancherel_density",
     "spherical_function",
     "plane_wave_series",
+    "busemann_average",
+    "zonal_series",
     "SpectralGrid",
     "build_grid",
     "default_lam_max",
@@ -159,6 +168,35 @@ _SERIES_MARGIN = 64
 _SERIES_TAIL = 8
 _SERIES_TOL = 1e-14
 _SERIES_MAX_DEG = 4096
+_MAX_BUSEMANN_ANGLES = 1 << 16
+
+
+def _chebyshev_fit(sample: Callable[[np.ndarray], np.ndarray], deg: int,
+                   what: str) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant at the deg + 1 first-kind
+    Chebyshev points x (a DCT-II of sample(x)), doubling deg until the tail
+    check passes.
+
+    Tail check: the largest of the last _SERIES_TAIL coefficients, summed
+    over the columns, must stay below _SERIES_TOL of the l1 norm of the
+    whole series.  Otherwise the degree doubles, up to _SERIES_MAX_DEG,
+    where NumericalFailure is raised.
+    """
+    while True:
+        n = deg + 1
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        series = dct(sample(x), type=2, axis=0) / n
+        series[0] /= 2.0
+        mags = np.abs(series)
+        tail = float(np.sum(np.max(mags[-_SERIES_TAIL:], axis=0)))
+        norm = float(np.sum(mags))
+        if tail <= _SERIES_TOL * norm:
+            return series
+        if deg >= _SERIES_MAX_DEG:
+            raise NumericalFailure(
+                f"{what}: tail {tail / norm:.2e} of the l1 norm at degree "
+                f"{deg}")
+        deg = min(2 * deg, _SERIES_MAX_DEG)
 
 
 def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
@@ -170,12 +208,8 @@ def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
     exponential type max|lam|, so its Chebyshev coefficients decay faster
     than geometrically beyond degree max|lam| * a_max; the interpolant at
     the deg + 1 first-kind Chebyshev points (a DCT-II of the sampled sums)
-    starts _SERIES_MARGIN degrees past that and is exact to roundoff.
-
-    Tail check: the largest of the last _SERIES_TAIL coefficients, summed
-    over the columns, must stay below _SERIES_TOL of the l1 norm of the
-    whole series.  Otherwise the degree doubles, up to _SERIES_MAX_DEG,
-    where NumericalFailure is raised.
+    starts _SERIES_MARGIN degrees past that and is exact to roundoff.  The
+    degree is raised by the tail check of _chebyshev_fit.
     """
     lams = np.asarray(lams, dtype=float)
     coeffs = np.asarray(coeffs)
@@ -183,22 +217,65 @@ def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
         raise ValueError("plane_wave_series needs a_max > 0")
     lam_top = float(np.max(np.abs(lams)))
     deg = min(math.ceil(lam_top * a_max) + _SERIES_MARGIN, _SERIES_MAX_DEG)
-    while True:
-        n = deg + 1
-        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        series = dct(np.exp(1j * a_max * np.outer(x, lams)) @ coeffs,
-                     type=2, axis=0) / n
-        series[0] /= 2.0
-        mags = np.abs(series)
-        tail = float(np.sum(np.max(mags[-_SERIES_TAIL:], axis=0)))
-        norm = float(np.sum(mags))
-        if tail <= _SERIES_TOL * norm:
-            return series
-        if deg >= _SERIES_MAX_DEG:
-            raise NumericalFailure(
-                f"plane-wave series at lam {lam_top:.3g}, |a| <= {a_max:.3g}: "
-                f"tail {tail / norm:.2e} of the l1 norm at degree {deg}")
-        deg = min(2 * deg, _SERIES_MAX_DEG)
+    return _chebyshev_fit(
+        lambda x: np.exp(1j * a_max * np.outer(x, lams)) @ coeffs, deg,
+        f"plane-wave series at lam {lam_top:.3g}, |a| <= {a_max:.3g}")
+
+
+def _busemann_angle_count(lam_max: float, a_max: float) -> int:
+    """Boundary angles resolving the Busemann average at radii up to a_max.
+
+    The circle integrand e^{(i lam + rho) A(t, b)} oscillates lam * t times
+    and is analytic in b on the strip |Im b| < log(1/tanh(t/2)), so the
+    trapezoid rule needs ~1.5 lam t + 256 angles for the oscillation and
+    40 / log(1/tanh(t/2)) for the strip (error ~ e^{-40}); rounded up to a
+    multiple of 64.  The strip narrows like 2 e^{-t}: beyond
+    _MAX_BUSEMANN_ANGLES (radii past ~8) NumericalFailure is raised.
+    """
+    strip = -math.log(math.tanh(a_max / 2.0))
+    need = max(1.5 * lam_max * a_max + 256.0, 40.0 / strip) \
+        if strip > 0 else math.inf
+    if need > _MAX_BUSEMANN_ANGLES:
+        raise NumericalFailure(
+            f"Busemann average at lam {lam_max:.3g}, radius {a_max:.3g} "
+            f"needs more than {_MAX_BUSEMANN_ANGLES} boundary angles")
+    return 64 * math.ceil(need / 64.0)
+
+
+def busemann_average(lams, coeffs, rho: float, t: np.ndarray, a_max: float,
+                     n_b: int) -> np.ndarray:
+    """Zonal sums K(t) = sum_i coeffs[i] phi_{lams[i]}(t) for real coeffs.
+
+    phi_lam(t) is the mean over n_b boundary angles of
+    Re e^{(i lam + rho) A(t, b)} = e^{rho A} cos(lam A), so the lam-sum is
+    the real part of one plane_wave_series h in A on |A| <= a_max (which
+    must be at least max t), evaluated by Clenshaw recurrence.  Since
+    A(t, b) = A(t, -b) on the positive axis, the circle is folded onto
+    0 <= b <= pi, each interior angle counted twice.
+    """
+    half = np.arange(n_b // 2 + 1)
+    fold = np.where((half == 0) | (2 * half == n_b), 1.0, 2.0) / n_b
+    a = busemann(np.tanh(t / 2)[:, None], 2.0 * np.pi * half[None, :] / n_b)
+    series = plane_wave_series(lams, coeffs, a_max).real
+    return (np.exp(rho * a) * chebval(a / a_max, series)) @ fold
+
+
+def zonal_series(lams, coeffs, rho: float, t_max: float) -> np.ndarray:
+    """Chebyshev series of K(t) = sum_i coeffs[i] phi_{lams[i]}(t) on [0, t_max].
+
+    The coefficients are in the variable 2 t / t_max - 1, ready for chebval.
+    K is sampled by busemann_average (_busemann_angle_count angles) at the
+    first-kind Chebyshev points and carries the tail check of _chebyshev_fit,
+    starting at degree max|lam| * t_max / 2 plus _SERIES_MARGIN.
+    """
+    lam_top = float(np.max(np.abs(np.asarray(lams, dtype=float))))
+    n_b = _busemann_angle_count(lam_top, t_max)
+    deg = min(math.ceil(lam_top * t_max / 2.0) + _SERIES_MARGIN,
+              _SERIES_MAX_DEG)
+    return _chebyshev_fit(
+        lambda x: busemann_average(lams, coeffs, rho, 0.5 * t_max * (x + 1.0),
+                                   t_max, n_b), deg,
+        f"zonal series at lam {lam_top:.3g}, t <= {t_max:.3g}")
 
 
 def default_lam_max(omega: float, rho: float = 0.5) -> float:
@@ -408,8 +485,6 @@ def save_coeffs(coeffs: SpectralCoeffs, path) -> None:
 def load_coeffs(path) -> SpectralCoeffs:
     """Rebuild coefficients saved by save_coeffs; the grid is reconstructed
     deterministically from the header, so the roundtrip is bit exact."""
-    from .geometry import SpaceParams
-
     with open(path, "rb") as fh:
         head = fh.read(struct.calcsize("<4sqqqdddd"))
         magic, n_lambda, n_b, n_band, lam_max, omega, rho, scale = struct.unpack("<4sqqqdddd", head)

@@ -148,17 +148,16 @@ def theorem73_experiment(omega: float, r: float, spec: AverageSpec,
     m = average_multiplier(space, spec)
     s = convolution_samples(f, lat, m)
 
-    fv = f.evaluate(pgrid.points)
+    fv = f.on_grid(pgrid)
     den = pgrid.norm(fv)
     frame = build_frame(lat, omega, m, grid=grid)
     rec = reconstruct(frame, s)
-    frame_error = pgrid.norm(rec.evaluate(pgrid.points) - fv) / den
+    frame_error = pgrid.norm(rec.on_grid(pgrid) - fv) / den
 
     spl = spline_reconstruct_deconvolve(lat, k_schedule, s, space=space,
                                         grid=grid)
     spline_errors = [
-        pgrid.norm(g.evaluate(pgrid.points) - fv) / den
-        for g in spl["functions"]
+        pgrid.norm(g.on_grid(pgrid) - fv) / den for g in spl["functions"]
     ]
     return {
         "omega": omega, "r": r, "tau": spec.tau, "n": spec.n, "seed": seed,

@@ -9,11 +9,11 @@ the minimal - ||Delta^k u|| interpolant on the lattice.
 The kernel is tabulated once per order on a radial grid by spectral
 quadrature and then evaluated through a cubic spline; the spectral cutoff
 is chosen from an analytic tail bound so the truncated mass stays below
-tail_tol relative to K(0).  The quadrature is a Busemann average: K(t) is
-the boundary-angle mean of e^{rho a} g(a) at a = A(t, b), where
-g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series in a, built once
-and tail-checked by spectral.plane_wave_series and summed by Clenshaw
-recurrence.
+tail_tol relative to K(0).  The quadrature is the Busemann average of
+spectral.busemann_average, the same one that sums the band Gram of
+sampling.build_frame: K(t) is the boundary-angle mean of e^{rho a} g(a) at
+a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is one tail-checked
+Chebyshev series in a, summed by Clenshaw recurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
@@ -35,7 +34,7 @@ from .geometry import busemann, distance
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       plancherel_density, plane_wave_series)
+                       busemann_average, plancherel_density)
 
 __all__ = [
     "PolyharmonicKernel",
@@ -119,12 +118,12 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
                         n_b: int | None = None) -> PolyharmonicKernel:
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
 
-    phi_lam(t) is the mean over n_b boundary angles of
+    The table at n_t equispaced radii is spectral.busemann_average over
+    n_b boundary angles: phi_lam(t) is the angle mean of
     Re e^{(i lam + rho) A(t, b)} = e^{rho A} cos(lam A), so the lam-sum is
-    one real Chebyshev series in A on |A| <= t_max; the series carries the
-    tail check of spectral.plane_wave_series (NumericalFailure if its
-    trailing coefficients do not reach roundoff).  Since A(t, b) = A(t, -b),
-    only the angles in [0, pi] are evaluated.
+    one real Chebyshev series in A on |A| <= t_max carrying the tail check
+    of spectral.plane_wave_series (NumericalFailure if its trailing
+    coefficients do not reach roundoff).
 
     The truncation tail beyond lam_max is bounded analytically by
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
@@ -183,16 +182,8 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
 
     if n_b is None:
         n_b = 64 * math.ceil((1.5 * lam_max * t_max + 256.0) / 64.0)
-    # A(t, b) = A(t, -b) on the positive axis: fold the circle onto
-    # 0 <= b <= pi, counting each interior angle twice
-    half = np.arange(n_b // 2 + 1)
-    fold = np.where((half == 0) | (2 * half == n_b), 1.0, 2.0) / n_b
     t = np.linspace(0.0, t_max, n_t)
-    a = busemann(np.tanh(t / 2)[:, None], 2.0 * np.pi * half[None, :] / n_b)
-    # Re e^{(i lam + rho) a} = e^{rho a} cos(lam a): the real part of one
-    # series in a carries every lam
-    series = plane_wave_series(nodes, coef, t_max).real
-    values = (np.exp(rho * a) * chebval(a / t_max, series)) @ fold
+    values = busemann_average(nodes, coef, rho, t, t_max, n_b)
     interp = CubicSpline(t, values, bc_type=((1, 0.0), "not-a-knot"))
     return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound, tail_tol,
                               multiplier.label if multiplier else "",

@@ -172,6 +172,23 @@ def test_bad_config_exits_two(tmp_path, outroot, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "n_b=33", "n_theta=95",          # odd angle counts
+    "lam_max=1.0",                   # spectral cutoff below the band
+    "cut=-1", "cut=0", "cut=1",      # eigenvalue cut outside (0, 1)
+    "k_schedule=2, 0",               # spline order below 1
+])
+def test_bad_grid_or_solver_override_exits_two(tmp_path, outroot, capsys,
+                                               override):
+    path = _write(tmp_path, "[experiment]\nscenario = frame_reconstruct\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path), "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (outroot / "frame_reconstruct").exists()
+
+
 def test_verify_subset_and_empty(capsys):
     assert verify_all(only=["baseline1d"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hypersample import lattice as lattice_mod
 from hypersample.bandlimited import BandlimitedFunction, synthesize
+from hypersample.errors import CertificationFailed
 from hypersample.geometry import ball_volume, distance
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
                                  certify_multiplicity, load_lattice,
@@ -25,6 +27,29 @@ def test_tiny_domain_is_origin_only():
     assert lat.points[0] == 0
     assert lat.n_mult == 1
     assert certify_multiplicity(lat) == 1
+
+
+def test_build_lattice_measures_multiplicity_once(monkeypatch):
+    calls = []
+    measure = lattice_mod._measure_multiplicity
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(lattice_mod, "_measure_multiplicity", counted)
+    lat = build_lattice(0.4, 1.2, seed=0)
+    assert len(calls) == 1
+    # the public certificate still measures afresh and agrees
+    assert certify_multiplicity(lat) == lat.n_mult
+    assert len(calls) == 2
+
+
+def test_build_lattice_rejects_count_above_volume_bound(monkeypatch):
+    monkeypatch.setattr(lattice_mod, "_measure_multiplicity",
+                        lambda *args: 10 ** 6)
+    with pytest.raises(CertificationFailed, match="volume bound"):
+        build_lattice(0.4, 1.2, seed=0)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.2, 0.4])

@@ -11,12 +11,13 @@ from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
 from hypersample.geometry import distance
 from hypersample.lattice import Lattice, build_lattice
-from hypersample.sampling import (FrameSystem, SampleSet, build_frame,
-                                  convolution_samples, load_samples,
-                                  point_samples, reconstruct, save_samples,
-                                  stability_probe)
+from hypersample.sampling import (FrameSystem, SampleSet, _kernel_rows,
+                                  build_frame, convolution_samples,
+                                  load_samples, point_samples, reconstruct,
+                                  save_samples, stability_probe)
 from hypersample.spectral import (SpectralCoeffs, build_grid,
                                   identity_multiplier, laplacian_multiplier)
+from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.transforms import build_polar_grid
 
 # every Gram in this regime is rank deficient in raw double precision, so the
@@ -167,6 +168,34 @@ def test_gram_matches_zonal_kernel(frames, grid):
                                                      mpmath.cosh(d))))
                 for i in range(lam.size))
             assert abs(frame.gram[j, k] - zonal) <= 1e-8 * top
+
+
+def _plane_wave_gram(lat, grid, m=None):
+    # the Gram of the discrete plane-wave rows, psi psi^H over the band
+    # quadrature, which build_frame sums as a zonal kernel instead
+    sl = grid.band_slice
+    mv = np.ones(grid.n_band) if m is None else m.values_on(grid)[sl]
+    w = grid.lambda_measure[sl] / grid.n_b * np.abs(mv) ** 2
+    psi = _kernel_rows(lat.points, grid.lambda_nodes[sl], grid.rho,
+                       grid.boundary_angles) * np.sqrt(np.repeat(w, grid.n_b))
+    return psi @ psi.conj().T
+
+
+@pytest.mark.parametrize("tau", [None, 0.1])
+@pytest.mark.parametrize("r", [0.4, 0.2])
+def test_zonal_gram_matches_plane_wave_gram(space, grid, lattices, r, tau):
+    lat = lattices[r]
+    m = None if tau is None else average_multiplier(space, AverageSpec(tau=tau))
+    frame = build_frame(lat, OMEGA, m, grid=grid)
+    assert frame.gram.dtype == np.float64
+    assert frame.eigenvectors.dtype == np.float64
+    assert np.array_equal(frame.gram, frame.gram.T)
+    ref = _plane_wave_gram(lat, grid, m)
+    ev = np.linalg.eigvalsh(ref)
+    b_top = ev[-1]
+    assert np.max(np.abs(frame.gram - ref)) <= 1e-13 * b_top
+    assert frame.rank == np.count_nonzero(ev > frame.threshold)
+    assert frame.frame_bounds[1] == pytest.approx(b_top, rel=1e-13)
 
 
 def test_frame_inequality_on_retained_span(frame8):

@@ -95,6 +95,44 @@ def test_plane_wave_series_tail_check_raises_at_degree_cap(monkeypatch):
         sp.plane_wave_series(lams, np.ones(40), 0.0)
 
 
+def test_busemann_average_reproduces_spline_kernel_table(space):
+    # the spline kernel's table is this helper on its linspace, bit for bit
+    from hypersample import splines
+    t_max, k, rho = 2.8, 2, space.rho
+    kern = splines.polyharmonic_kernel(space, k, t_max=t_max)
+    nodes, weights = splines._kernel_lambda_grid(kern.lam_max)
+    coef = weights * sp.plancherel_density(nodes, space.plancherel_scale) \
+        * (nodes ** 2 + rho * rho) ** (-2 * k)
+    n_b = 64 * math.ceil((1.5 * kern.lam_max * t_max + 256.0) / 64.0)
+    got = sp.busemann_average(nodes, coef, rho, np.linspace(0.0, t_max, 1201),
+                              t_max, n_b)
+    assert np.array_equal(got, kern.table_values)
+
+
+@pytest.mark.parametrize("t_max", [0.7, 2.8, 4.0])
+def test_zonal_series_matches_legendre_sum(t_max):
+    # K(t) = sum_i c_i P_{-1/2 + i lam_i}(cosh t), against mpmath
+    lams = np.linspace(0.05, 2.0, 9)
+    coeffs = 1.0 / (1.0 + lams)
+    series = sp.zonal_series(lams, coeffs, 0.5, t_max)
+    t = np.array([0.0, 0.31, 0.5 * t_max, 0.93 * t_max, t_max])
+    ref = np.array([math.fsum(
+        c * float(mp.re(mp.legenp(-0.5 + 1j * lam, 0, mp.cosh(tt))))
+        for lam, c in zip(lams, coeffs)) for tt in t])
+    got = chebval(2.0 * t / t_max - 1.0, series)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * coeffs.sum()
+
+
+def test_busemann_angle_count_grows_with_radius_and_is_capped():
+    counts = [sp._busemann_angle_count(2.0, t) for t in (1.0, 2.8, 4.0, 8.0)]
+    assert all(c % 64 == 0 for c in counts)
+    assert counts == sorted(counts) and counts[0] >= 256
+    with pytest.raises(NumericalFailure, match="boundary angles"):
+        sp._busemann_angle_count(2.0, 8.5)
+    with pytest.raises(NumericalFailure):
+        sp._busemann_angle_count(2.0, 60.0)
+
+
 @pytest.fixture
 def grid():
     return sp.build_grid(SpaceParams(), lam_max=24.0, n_lambda=48, n_b=32,
