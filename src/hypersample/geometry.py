@@ -24,7 +24,7 @@ logarithm of the Poisson kernel,
 
 so that exp(2 rho A(x, b)) integrates to 1 over the normalized boundary.
 Most functions accept plain complex numbers (or arrays of them) as points;
-the small Point / BoundaryPoint wrappers exist for validated user input.
+the small Point wrapper exists for validated user input.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "SpaceParams",
     "Point",
-    "BoundaryPoint",
     "as_complex",
     "distance",
     "sphere_area",
@@ -108,17 +107,6 @@ class Point:
         return cls(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A point of the boundary circle, by angle."""
-
-    theta: float
-
-    @property
-    def z(self) -> complex:
-        return complex(math.cos(self.theta), math.sin(self.theta))
-
-
 def as_complex(points) -> np.ndarray:
     """Coerce Point objects, complex scalars or sequences thereof to a complex array."""
     if isinstance(points, Point):
@@ -161,14 +149,11 @@ def ball_volume(r) -> np.ndarray:
 def busemann(x, b) -> np.ndarray:
     """Horocycle distance A(x, b) = log P(x, b) of x relative to boundary angle b.
 
-    b may be a BoundaryPoint, an angle, or an array of angles.  Evaluated in the
+    b may be an angle or an array of angles.  Evaluated in the
     cancellation-free form |x - e^{i b}|^2 = (1-|x|)^2 + 4 |x| sin^2((b - arg x)/2).
     """
     z = as_complex(x)
-    if isinstance(b, BoundaryPoint):
-        theta = np.asarray(b.theta, dtype=float)
-    else:
-        theta = np.asarray(b, dtype=float)
+    theta = np.asarray(b, dtype=float)
     az = np.abs(z)
     if np.any(az >= 1.0 - _BOUNDARY_MARGIN):
         raise ValueError("busemann: point too close to the boundary")
@@ -234,8 +219,4 @@ def random_ball_points(domain_radius: float, n: int, rng: np.random.Generator) -
     # radial CDF of the area measure is (cosh s - 1)/(cosh R - 1)
     s = np.arccosh(1.0 + u * (np.cosh(domain_radius) - 1.0))
     ang = rng.random(n) * 2.0 * np.pi
-    return euclidean_radius_arr(s) * np.exp(1j * ang)
-
-
-def euclidean_radius_arr(tau) -> np.ndarray:
-    return np.tanh(np.asarray(tau, dtype=float) / 2.0)
+    return np.tanh(s / 2.0) * np.exp(1j * ang)

@@ -25,11 +25,13 @@ Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
 single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
 them into Chebyshev series once, so they can be evaluated at many points by
 Clenshaw recurrence instead of one exponential per (point, angle, lam).
-Zonal sums K(t) = sum_lam c_lam phi_lam(t), the radial kernels of both the
-band Gram (sampling.build_frame) and the spline kernel
-(splines.polyharmonic_kernel), are Busemann averages of such a series over
-the boundary (busemann_average); zonal_series turns K itself into one
-Chebyshev series in t for evaluation at every pairwise distance.
+Zonal sums K(t) = sum_lam c_lam phi_lam(t) are Busemann averages of such a
+series over the boundary (busemann_average), and this is the one place they
+are computed outside the radial mode table of the transforms: zonal_series
+turns K into one Chebyshev series in t, which sums the band Gram
+(sampling.build_frame) at every pairwise distance and samples the spline
+kernel table (splines.polyharmonic_kernel), and spherical_function is the
+same average with one unit coefficient per lam.
 """
 
 from __future__ import annotations
@@ -83,85 +85,6 @@ def plancherel_density(lam, scale: float = 1.0) -> np.ndarray:
         raise ValueError("plancherel_density requires lam > 0")
     quot = np.exp(2.0 * np.real(loggamma(0.5 + 1j * lam) - loggamma(1j * lam)))
     return scale * quot
-
-
-def _phase_node_count(lam_max: float, r_max: float) -> int:
-    """Trapezoid node count resolving both the lam*r oscillation and the
-    e^{-r} concentration of the circle integrand near theta = 0.
-
-    The periodic trapezoid rule converges like exp(-2 n e^{-r}) against an
-    integrand of size e^{r/2}, so n ~ e^r (30 + r) / 2 reaches ~1e-13."""
-    osc = 8.0 * max(1.0, lam_max * r_max) / (2.0 * np.pi)
-    spike = 0.5 * math.exp(min(r_max, 12.0)) * (30.0 + r_max)
-    n = max(256.0, osc, spike)
-    return int(2 ** math.ceil(math.log2(n)))
-
-
-def spherical_function(lam, r, n_theta: int | None = None) -> np.ndarray:
-    """Elementary zonal eigenfunction phi_lam(r) of the Laplacian.
-
-    phi_lam(r) = (1/2pi) int_0^{2pi} (cosh r - sinh r cos t)^(-1/2 + i lam) dt,
-    normalized so phi_lam(0) = 1, |phi_lam| <= 1, and
-    phi'' + coth(r) phi' + (lam^2 + 1/4) phi = 0.
-
-    Evaluated by trapezoid quadrature with automatic node doubling until the
-    result is stable to ~1e-13; raises if the (analytically zero) imaginary
-    residue fails to vanish.
-    """
-    lam = np.asarray(lam, dtype=float)
-    r = np.asarray(r, dtype=float)
-    lam_b, r_b = np.broadcast_arrays(lam, r)
-    shape = lam_b.shape
-    out = _phi_pairs(lam_b.ravel(), r_b.ravel(), n_theta)
-    return out.reshape(shape)
-
-
-def _phi_block(lams: np.ndarray, rs: np.ndarray, n_theta: int | None) -> np.ndarray:
-    """Adaptive circle quadrature for one block of (lam, r) pairs."""
-    n = n_theta or _phase_node_count(float(np.max(np.abs(lams))), float(np.max(np.abs(rs))))
-    prev = None
-    for _ in range(8):
-        t = 2.0 * np.pi * np.arange(n) / n
-        base = np.cosh(rs)[:, None] - np.sinh(rs)[:, None] * np.cos(t)[None, :]
-        vals = np.exp((-0.5 + 1j * lams)[:, None] * np.log(base))
-        cur = vals.mean(axis=1)
-        if n_theta is not None:
-            prev = cur
-            break
-        if prev is not None and np.max(np.abs(cur - prev)) < 1e-13 * max(1.0, np.max(np.abs(cur))):
-            prev = cur
-            break
-        prev = cur
-        n *= 2
-        if n > 1 << 17:
-            break
-    imag = float(np.max(np.abs(prev.imag))) if prev.size else 0.0
-    if imag > 1e-10:
-        raise NumericalFailure(f"spherical_function: imaginary residue {imag:.2e}")
-    return prev.real
-
-
-def _phi_pairs(lams: np.ndarray, rs: np.ndarray, n_theta: int | None) -> np.ndarray:
-    if lams.size == 0:
-        return np.zeros(0)
-    # sort by r so each block pays only for its own concentration scale;
-    # block extent is budgeted against the node count of its LARGEST r
-    lam_top = float(np.max(np.abs(lams)))
-    order = np.argsort(np.abs(rs), kind="stable")
-    out = np.empty(lams.size)
-    cap = 1.5e6
-    pos = 0
-    while pos < order.size:
-        end = pos + 1
-        while end < order.size:
-            n_here = n_theta or _phase_node_count(lam_top, float(abs(rs[order[end]])))
-            if (end - pos + 1) * n_here > cap:
-                break
-            end += 1
-        idx = order[pos:end]
-        out[idx] = _phi_block(lams[idx], rs[idx], n_theta)
-        pos = end
-    return out
 
 
 _SERIES_MARGIN = 64
@@ -226,14 +149,19 @@ def _busemann_angle_count(lam_max: float, a_max: float) -> int:
     """Boundary angles resolving the Busemann average at radii up to a_max.
 
     The circle integrand e^{(i lam + rho) A(t, b)} oscillates lam * t times
-    and is analytic in b on the strip |Im b| < log(1/tanh(t/2)), so the
+    and is analytic in b on the strip |Im b| < s = log(1/tanh(t/2)), so the
     trapezoid rule needs ~1.5 lam t + 256 angles for the oscillation and
-    40 / log(1/tanh(t/2)) for the strip (error ~ e^{-40}); rounded up to a
-    multiple of 64.  The strip narrows like 2 e^{-t}: beyond
+    40 / s for the strip (error ~ e^{-40}).  Inside the strip the Poisson
+    denominator keeps a positive real part, so |Im A| < pi/2 and e^{i lam A}
+    grows by up to e^{lam pi/2}; once that growth dominates, the strip term
+    keeps 24 e-folds beyond it, (24 + lam pi/2) / s (measured: a unit
+    coefficient then errs by at most 5e-14 for lam <= 30 at radii up to 8).
+    Rounded up to a multiple of 64.  The strip narrows like 2 e^{-t}: beyond
     _MAX_BUSEMANN_ANGLES (radii past ~8) NumericalFailure is raised.
     """
     strip = -math.log(math.tanh(a_max / 2.0))
-    need = max(1.5 * lam_max * a_max + 256.0, 40.0 / strip) \
+    need = max(1.5 * lam_max * a_max + 256.0,
+               max(40.0, 24.0 + 0.5 * math.pi * lam_max) / strip) \
         if strip > 0 else math.inf
     if need > _MAX_BUSEMANN_ANGLES:
         raise NumericalFailure(
@@ -246,7 +174,8 @@ def busemann_average(lams, coeffs, rho: float, t: np.ndarray, a_max: float,
                      n_b: int) -> np.ndarray:
     """Zonal sums K(t) = sum_i coeffs[i] phi_{lams[i]}(t) for real coeffs.
 
-    phi_lam(t) is the mean over n_b boundary angles of
+    The result has shape coeffs.shape[1:] + t.shape: one row of K per
+    coefficient column.  phi_lam(t) is the mean over n_b boundary angles of
     Re e^{(i lam + rho) A(t, b)} = e^{rho A} cos(lam A), so the lam-sum is
     the real part of one plane_wave_series h in A on |A| <= a_max (which
     must be at least max t), evaluated by Clenshaw recurrence.  Since
@@ -276,6 +205,36 @@ def zonal_series(lams, coeffs, rho: float, t_max: float) -> np.ndarray:
         lambda x: busemann_average(lams, coeffs, rho, 0.5 * t_max * (x + 1.0),
                                    t_max, n_b), deg,
         f"zonal series at lam {lam_top:.3g}, t <= {t_max:.3g}")
+
+
+def spherical_function(lam, r) -> np.ndarray:
+    """Elementary zonal eigenfunction phi_lam(r) of the Laplacian.
+
+    phi_lam(r) = (1/2pi) int_0^{2pi} (cosh r - sinh r cos t)^(-1/2 + i lam) dt,
+    normalized so phi_lam(0) = 1, |phi_lam| <= 1, and
+    phi'' + coth(r) phi' + (lam^2 + 1/4) phi = 0; it is even in lam and in r.
+
+    Evaluated by busemann_average with one unit coefficient column per
+    distinct |lam|, at the distinct |r|, over _busemann_angle_count boundary
+    angles (NumericalFailure past radius ~8).
+    """
+    lam_b, r_b = np.broadcast_arrays(np.abs(np.asarray(lam, dtype=float)),
+                                     np.abs(np.asarray(r, dtype=float)))
+    if lam_b.size == 0:
+        return np.zeros(lam_b.shape)
+    lams, li = np.unique(lam_b, return_inverse=True)
+    rs, ri = np.unique(r_b, return_inverse=True)
+    # near the origin A(r, b) carries absolute rounding ~eps: an interval
+    # of at least |a| <= 1 keeps it inside the plane-wave series' domain
+    a_max = max(float(rs[-1]), 1.0)
+    n_b = _busemann_angle_count(float(lams[-1]), a_max)
+    # radius blocks keep the (lam, r, angle) Clenshaw arrays near 2^21 entries
+    step = max(1, (1 << 21) // (lams.size * (n_b // 2 + 1)))
+    table = np.concatenate([
+        busemann_average(lams, np.eye(lams.size), 0.5, rs[lo:lo + step],
+                         a_max, n_b) for lo in range(0, rs.size, step)],
+        axis=1)
+    return table[li.ravel(), ri.ravel()].reshape(lam_b.shape)
 
 
 def default_lam_max(omega: float, rho: float = 0.5) -> float:

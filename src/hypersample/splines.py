@@ -6,14 +6,13 @@ play).  Interpolants are finite combinations sum_j beta_j K_2k(d(., x_j));
 solving the kernel matrix against Lagrangian data delta_(nu mu) realizes
 the minimal - ||Delta^k u|| interpolant on the lattice.
 
-The kernel is tabulated once per order on a radial grid by spectral
-quadrature and then evaluated through a cubic spline; the spectral cutoff
-is chosen from an analytic tail bound so the truncated mass stays below
-tail_tol relative to K(0).  The quadrature is the Busemann average of
-spectral.busemann_average, the same one that sums the band Gram of
-sampling.build_frame: K(t) is the boundary-angle mean of e^{rho a} g(a) at
-a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is one tail-checked
-Chebyshev series in a, summed by Clenshaw recurrence.
+The kernel is tabulated once per order on a radial grid and then evaluated
+through a cubic spline; the spectral cutoff is chosen from an analytic tail
+bound so the truncated mass stays below tail_tol relative to K(0).  The
+table samples spectral.zonal_series, the same tail-checked Chebyshev series
+in t that sums the band Gram of sampling.build_frame: K(t) is the
+Busemann average over boundary angles b of e^{rho a} g(a) at a = A(t, b),
+where g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series in a.
 """
 
 from __future__ import annotations
@@ -23,18 +22,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.chebyshev import chebval
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes,
                      SingularKernel, TailTooLarge)
-from .geometry import busemann, distance
+from .geometry import distance
 from .lattice import Lattice
-from .sampling import SampleSet
-from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       busemann_average, plancherel_density)
+from .sampling import SampleSet, _kernel_rows
+from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
+                       plancherel_density, zonal_series)
 
 __all__ = [
     "PolyharmonicKernel",
@@ -52,6 +51,7 @@ _TAIL_TOL = 1e-10
 _LAM_CAP = 500.0
 _COND_LIMIT = 1e12
 _CERT_TOL = 1e-8
+_TABLE_POINTS = 1201
 
 
 @dataclass(eq=False)
@@ -81,20 +81,14 @@ class PolyharmonicKernel:
         return float(self.table_values[0])
 
 
-def _panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def _kernel_lambda_grid(lam_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense panel near zero (the density peak), geometric panels beyond."""
     lo = min(2.0, lam_max)
-    nodes, weights = _panel(0.0, lo, 160)
+    nodes, weights = _gl_panel(0.0, lo, 160)
     a = lo
     while a < lam_max:
         b = min(2.0 * a, lam_max)
-        x, w = _panel(a, b, 48)
+        x, w = _gl_panel(a, b, 48)
         nodes = np.concatenate([nodes, x])
         weights = np.concatenate([weights, w])
         a = b
@@ -113,17 +107,17 @@ def _multiplier_sq(m: Multiplier | None, lam: np.ndarray) -> np.ndarray:
 def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
                         lam_max: float | None = None,
                         tail_tol: float = _TAIL_TOL,
-                        multiplier: Multiplier | None = None,
-                        n_t: int = 1201,
-                        n_b: int | None = None) -> PolyharmonicKernel:
+                        multiplier: Multiplier | None = None
+                        ) -> PolyharmonicKernel:
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
 
-    The table at n_t equispaced radii is spectral.busemann_average over
-    n_b boundary angles: phi_lam(t) is the angle mean of
-    Re e^{(i lam + rho) A(t, b)} = e^{rho A} cos(lam A), so the lam-sum is
-    one real Chebyshev series in A on |A| <= t_max carrying the tail check
-    of spectral.plane_wave_series (NumericalFailure if its trailing
-    coefficients do not reach roundoff).
+    The table at _TABLE_POINTS equispaced radii samples the Chebyshev
+    series of spectral.zonal_series: the Busemann average over the boundary
+    angles of spectral._busemann_angle_count, summed as one series in t on
+    [0, t_max] with the tail checks of spectral.plane_wave_series and
+    spectral.zonal_series (NumericalFailure if trailing coefficients do not
+    reach roundoff, or past t_max ~8 where the angle count is capped).  The
+    cubic spline through the table adds at most ~1e-13 K(0).
 
     The truncation tail beyond lam_max is bounded analytically by
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
@@ -133,7 +127,7 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
     """
     if k < 1 or k != int(k):
         raise ValueError("spline order k must be a positive integer")
-    if t_max <= 0 or n_t < 16:
+    if t_max <= 0:
         raise ValueError("bad kernel table parameters")
     k = int(k)
     rho, scale = space.rho, space.plancherel_scale
@@ -180,10 +174,9 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
     msq = _multiplier_sq(multiplier, nodes)
     coef = weights * dens * msq * (nodes ** 2 + rho2) ** (-2 * k)
 
-    if n_b is None:
-        n_b = 64 * math.ceil((1.5 * lam_max * t_max + 256.0) / 64.0)
-    t = np.linspace(0.0, t_max, n_t)
-    values = busemann_average(nodes, coef, rho, t, t_max, n_b)
+    t = np.linspace(0.0, t_max, _TABLE_POINTS)
+    values = chebval(2.0 * t / t_max - 1.0,
+                     zonal_series(nodes, coef, rho, t_max))
     interp = CubicSpline(t, values, bc_type=((1, 0.0), "not-a-knot"))
     return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound, tail_tol,
                               multiplier.label if multiplier else "",
@@ -325,9 +318,9 @@ def spline_band_projection(interp: SplineInterpolant,
     m = sys.deconv_multiplier
     if m is not None:
         fac = fac * np.conj(np.asarray(m.fn(lam), dtype=complex))
-    a = busemann(sys.lattice.points[:, None], grid.boundary_angles[None, :])
-    rows = np.exp((-1j * lam[:, None, None] + grid.rho) * a[None, :, :])
-    coef = np.tensordot(interp.beta, np.moveaxis(rows, 1, 0), axes=1)
+    rows = _kernel_rows(sys.lattice.points, lam, grid.rho,
+                        grid.boundary_angles)
+    coef = (interp.beta.conj() @ rows).conj().reshape(lam.size, grid.n_b)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = fac[:, None] * coef
     return BandlimitedFunction(grid.omega, SpectralCoeffs(grid, values))

@@ -36,8 +36,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CalibrationInconsistent, TailMassExceeded
 from .geometry import SpaceParams, as_complex, busemann, distance, random_ball_points
-from .spectral import (SpectralCoeffs, SpectralGrid, _phase_node_count,
-                       build_grid, plane_wave_series)
+from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real, build_grid,
+                       plane_wave_series)
 
 __all__ = [
     "PolarGrid",
@@ -53,10 +53,6 @@ __all__ = [
 
 _SWITCH_RADIUS = 4.0
 _MARCH_STEP = 1e-3
-
-
-def _fsum(arr: np.ndarray) -> float:
-    return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +97,7 @@ class PolarGrid:
     def norm_sq(self, samples: np.ndarray, within: float | None = None) -> float:
         """Squared L2 norm, optionally restricted to the ball B(0, within)."""
         m = self._mask(within)
-        return _fsum(self.weights2d[m] * np.abs(samples[m]) ** 2)
+        return _fsum_real(self.weights2d[m] * np.abs(samples[m]) ** 2)
 
     def norm(self, samples: np.ndarray, within: float | None = None) -> float:
         return math.sqrt(max(self.norm_sq(samples, within), 0.0))
@@ -109,7 +105,7 @@ class PolarGrid:
     def inner(self, a: np.ndarray, b: np.ndarray, within: float | None = None) -> complex:
         m = self._mask(within)
         prod = self.weights2d[m] * a[m] * np.conj(b[m])
-        return complex(_fsum(prod.real), _fsum(prod.imag))
+        return complex(_fsum_real(prod.real), _fsum_real(prod.imag))
 
 
 def build_polar_grid(r_max: float, n_r: int, n_theta: int) -> PolarGrid:
@@ -130,6 +126,18 @@ def build_polar_grid(r_max: float, n_r: int, n_theta: int) -> PolarGrid:
 
 _TABLE_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _TABLE_CACHE_SIZE = 8
+
+
+def _phase_node_count(lam_max: float, r_max: float) -> int:
+    """Trapezoid node count resolving both the lam*r oscillation and the
+    e^{-r} concentration of the circle integrand near theta = 0.
+
+    The periodic trapezoid rule converges like exp(-2 n e^{-r}) against an
+    integrand of size e^{r/2}, so n ~ e^r (30 + r) / 2 reaches ~1e-13."""
+    osc = 8.0 * max(1.0, lam_max * r_max) / (2.0 * np.pi)
+    spike = 0.5 * math.exp(min(r_max, 12.0)) * (30.0 + r_max)
+    n = max(256.0, osc, spike)
+    return int(2 ** math.ceil(math.log2(n)))
 
 
 def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,

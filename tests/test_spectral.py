@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import quad
 
@@ -66,6 +68,26 @@ def test_spherical_function_eigen_ode():
             assert abs(resid) < 1e-5 * (lam**2 + 0.25)
 
 
+@pytest.mark.parametrize("lam, r", [(20.0, 6.0), (30.0, 3.5), (11.9, 7.98)])
+def test_spherical_function_high_frequency_vs_conical_legendre(lam, r):
+    # inside the analyticity strip e^{i lam A} grows like e^{lam pi / 2};
+    # the boundary angle count must cover that growth, not only the strip
+    mp.mp.dps = 30
+    ref = float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(r), type=3)))
+    assert sp.spherical_function(lam, r) == pytest.approx(ref, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.0, 30.0), r=st.floats(0.0, 4.0))
+def test_spherical_function_properties(lam, r):
+    # even in lam and in r, phi_lam(0) = 1 and |phi_lam| <= 1
+    phi = sp.spherical_function(lam, r)
+    assert sp.spherical_function(-lam, r) == phi
+    assert sp.spherical_function(lam, -r) == phi
+    assert abs(phi) <= 1.0 + 1e-12
+    assert abs(sp.spherical_function(lam, 0.0) - 1.0) <= 1e-13
+
+
 @pytest.mark.parametrize("lam_max, a_max, cols, deg", [
     (20.0, 3.0, (3,), 60 + 64),
     # at lam * a_max = 480 the 64-degree margin leaves a tail above
@@ -95,17 +117,16 @@ def test_plane_wave_series_tail_check_raises_at_degree_cap(monkeypatch):
         sp.plane_wave_series(lams, np.ones(40), 0.0)
 
 
-def test_busemann_average_reproduces_spline_kernel_table(space):
-    # the spline kernel's table is this helper on its linspace, bit for bit
+def test_zonal_series_reproduces_spline_kernel_table(space):
+    # the spline kernel's table is this series on its linspace, bit for bit
     from hypersample import splines
     t_max, k, rho = 2.8, 2, space.rho
     kern = splines.polyharmonic_kernel(space, k, t_max=t_max)
     nodes, weights = splines._kernel_lambda_grid(kern.lam_max)
     coef = weights * sp.plancherel_density(nodes, space.plancherel_scale) \
         * (nodes ** 2 + rho * rho) ** (-2 * k)
-    n_b = 64 * math.ceil((1.5 * kern.lam_max * t_max + 256.0) / 64.0)
-    got = sp.busemann_average(nodes, coef, rho, np.linspace(0.0, t_max, 1201),
-                              t_max, n_b)
+    series = sp.zonal_series(nodes, coef, rho, t_max)
+    got = chebval(2.0 * kern.table_t / t_max - 1.0, series)
     assert np.array_equal(got, kern.table_values)
 
 

@@ -16,10 +16,11 @@ import pytest
 from hypersample.bandlimited import synthesize
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
                                 SingularKernel, TailTooLarge)
-from hypersample.geometry import SpaceParams, busemann
+from hypersample.geometry import SpaceParams, busemann, distance
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
-from hypersample.spectral import (Multiplier, build_grid,
+from hypersample.spectral import (Multiplier, _busemann_angle_count,
+                                  build_grid, busemann_average,
                                   identity_multiplier, plancherel_density,
                                   spherical_function)
 from hypersample.sphavg import AverageSpec, average_multiplier
@@ -157,15 +158,20 @@ def test_kernel_tail_guard(space):
         polyharmonic_kernel(space, 2, lam_max=5.0)
 
 
-def _busemann_average(space, kern, m, n_b):
-    """K(t) at the table radii by the plain Busemann average: one
-    exponential per (t, boundary angle, lam)."""
+def _kernel_coef(space, kern, m=None):
+    """The kernel's spectral nodes and zonal-sum coefficients."""
     lam, w = _kernel_lambda_grid(kern.lam_max)
     msq = 1.0 if m is None else np.abs(m.fn(lam)) ** 2
-    coef = w * plancherel_density(lam, space.plancherel_scale) * msq \
+    return lam, w * plancherel_density(lam, space.plancherel_scale) * msq \
         * (lam ** 2 + space.rho ** 2) ** (-2 * kern.k)
+
+
+def _busemann_average(space, kern, m, n_b, t):
+    """K(t) by the plain Busemann average: one exponential per (t,
+    boundary angle, lam)."""
+    lam, coef = _kernel_coef(space, kern, m)
     angles = 2.0 * np.pi * np.arange(n_b) / n_b
-    a = busemann(np.tanh(kern.table_t / 2)[:, None], angles[None, :])
+    a = busemann(np.tanh(t / 2)[:, None], angles[None, :])
     waves = np.exp((1j * lam[:, None, None] + space.rho) * a[None, :, :])
     return coef @ waves.mean(axis=2).real
 
@@ -173,25 +179,45 @@ def _busemann_average(space, kern, m, n_b):
 @pytest.mark.parametrize("avg, n_b", [(False, 384), (True, 384),
                                       (False, 383)])
 def test_kernel_table_matches_busemann_average(space, avg, n_b):
+    # n_b is the brute-force reference's own angle count, odd included
     m = average_multiplier(space, AverageSpec(tau=0.1)) if avg else None
-    kern = polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m, n_t=25,
-                               n_b=n_b)
-    ref = _busemann_average(space, kern, m, n_b)
-    assert np.max(np.abs(kern.table_values - ref)) <= 1e-13 * kern.at_zero
+    kern = polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m)
+    sub = slice(None, None, 50)
+    ref = _busemann_average(space, kern, m, n_b, kern.table_t[sub])
+    assert np.max(np.abs(kern.table_values[sub] - ref)) \
+        <= 1e-13 * kern.at_zero
 
 
 def test_higher_order_kernel_is_flatter(space, kern2):
-    kern1 = polyharmonic_kernel(space, 1, t_max=1.5, tail_tol=1e-5, n_t=301)
+    kern1 = polyharmonic_kernel(space, 1, t_max=1.5, tail_tol=1e-5)
     assert kern2(1.0) / kern2.at_zero > kern1(1.0) / kern1.at_zero
 
 
 def test_kernel_angular_quadrature_converged(space, kern2):
-    dense = polyharmonic_kernel(space, 2, t_max=3.0, n_t=kern2.table_t.size,
-                                n_b=2 * 64 * math.ceil(
-                                    (1.5 * kern2.lam_max * 3.0 + 256) / 64))
-    rel = np.max(np.abs(dense.table_values - kern2.table_values)) \
-        / kern2.at_zero
+    lam, coef = _kernel_coef(space, kern2)
+    n_b = 2 * _busemann_angle_count(kern2.lam_max, 3.0)
+    dense = busemann_average(lam, coef, space.rho, kern2.table_t, 3.0, n_b)
+    rel = np.max(np.abs(dense - kern2.table_values)) / kern2.at_zero
     assert rel <= 1e-10
+
+
+def test_kernel_table_resolves_domain_diameter(space, lat):
+    # at t_max = 4 (the diameter of the R = 0.8, radius 2 lattice) the
+    # circle integrand is analytic only on a strip of width ~2 e^{-4}; the
+    # table must still match a dense Busemann average, or the k = 8 kernel
+    # matrix turns indefinite far above its eigensolver's backward error
+    t_max = 2.0 * lat.domain_radius + 1e-9
+    for k in (2, 4, 8):
+        kern = polyharmonic_kernel(space, k, t_max=t_max)
+        lam, coef = _kernel_coef(space, kern)
+        dense = busemann_average(lam, coef, space.rho, kern.table_t, t_max,
+                                 4096)
+        assert np.max(np.abs(kern.table_values - dense)) \
+            <= 1e-12 * kern.at_zero
+    d = distance(lat.points[:, None], lat.points[None, :])
+    np.fill_diagonal(d, 0.0)
+    ev = np.linalg.eigvalsh(kern(d))
+    assert ev[0] >= -len(lat) * np.finfo(float).eps * ev[-1]
 
 
 def test_pairing_recovers_point_value(space, wide, sys2):
