@@ -301,8 +301,10 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             u = rng.random(10_000)
             s = np.arccosh(1.0 + u * (np.cosh(cfg.domain_radius - r) - 1.0))
             probes = np.tanh(s / 2.0) * np.exp(2j * np.pi * rng.random(10_000))
-            fresh = float(distance(probes[:, None],
-                                   lat.points[None, :]).min(axis=1).max())
+            # chunks of probe rows keep the probe-by-point matrix small
+            fresh = max(float(distance(probes[lo:lo + 512, None],
+                                       lat.points[None, :]).min(axis=1).max())
+                        for lo in range(0, probes.size, 512))
             mult = certify_multiplicity(lat)
         bound = math.ceil(multiplicity_bound(r))
         ok_sep = sep >= r / 2.0 - 1e-12

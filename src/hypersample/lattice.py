@@ -6,10 +6,10 @@ cover of the domain, and the separation makes the r/4-balls disjoint, which
 caps how many r-balls can overlap at any location.  All three properties
 are certified numerically on seeded probe sets at construction time.
 
-Greedy insertion over a shuffled dense candidate net produces the packing.
-The candidate order is randomized by seed (maximal packings are not unique)
-but the origin is always offered first so that the degenerate tiny-domain
-lattice is exactly {o}.
+Greedy insertion over a shuffled dense candidate net, run as a survivor
+sweep, produces the packing.  The candidate order is randomized by seed
+(maximal packings are not unique) but the origin is always offered first so
+that the degenerate tiny-domain lattice is exactly {o}.
 """
 
 from __future__ import annotations
@@ -80,50 +80,51 @@ def _candidate_net(domain_radius: float, spacing: float, rng) -> np.ndarray:
 
 
 def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:
-    """Sequential-greedy acceptance, vectorized in waves: a block is first
-    screened against the accepted set in one shot, then only the survivors
-    run the serial dependency among themselves."""
+    """Sequential-greedy acceptance as a survivor sweep.
+
+    The first live candidate is kept and every later live candidate within
+    r/2 of it is dropped; a candidate survives to be kept exactly when it is
+    r/2-far from every point kept before it, which is the serial rule.
+    """
     thresh = _sep_param(r, 0.5) ** 2
-    accepted = np.empty(candidates.size, dtype=complex)
-    accepted[0] = candidates[0]
-    n = 1
-    block = 1024
-    for lo in range(1, candidates.size, block):
-        blk = candidates[lo:lo + block]
-        far = _quotient_sq(blk[:, None], accepted[None, :n]).min(axis=1) >= thresh
-        for c in blk[far]:
-            if np.min(_quotient_sq(c, accepted[:n])) >= thresh:
-                accepted[n] = c
-                n += 1
-    return accepted[:n].copy()
+    kept = []
+    live = candidates
+    while live.size:
+        kept.append(live[0])
+        rest = live[1:]
+        live = rest[_quotient_sq(rest, live[0]) >= thresh]
+    return np.array(kept, dtype=complex)
 
 
-def _min_quotient_sq(probes: np.ndarray, points: np.ndarray,
-                     chunk: int = 512) -> np.ndarray:
-    out = np.empty(probes.size)
-    for lo in range(0, probes.size, chunk):
-        block = probes[lo:lo + chunk, None]
-        out[lo:lo + chunk] = _quotient_sq(block, points[None, :]).min(axis=1)
-    return out
+def _per_probe(probes: np.ndarray, points: np.ndarray, reduce,
+               chunk: int = 512) -> np.ndarray:
+    """reduce(q) over the points axis of the probe-by-point quotient matrix,
+    built a chunk of probe rows at a time."""
+    out = [reduce(_quotient_sq(probes[lo:lo + chunk, None], points[None, :]))
+           for lo in range(0, probes.size, chunk)]
+    return np.concatenate(out) if out else np.empty(0)
 
 
-def _count_within(probes: np.ndarray, points: np.ndarray, thresh_sq: float,
-                  chunk: int = 512) -> np.ndarray:
-    out = np.empty(probes.size, dtype=int)
-    for lo in range(0, probes.size, chunk):
-        block = probes[lo:lo + chunk, None]
-        q = _quotient_sq(block, points[None, :])
-        out[lo:lo + chunk] = np.count_nonzero(q <= thresh_sq, axis=1)
-    return out
+def _min_quotient_sq(probes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    return _per_probe(probes, points, lambda q: q.min(axis=1))
 
 
-def _cover_probes(lat_seed: int, domain_radius: float, r: float,
-                  round_: int = 0) -> np.ndarray:
+def _cover_radius(min_q: np.ndarray) -> float:
+    """Largest probe-to-lattice distance, from the probes' min quotients."""
+    return 2.0 * math.atanh(math.sqrt(float(min_q.max(initial=0.0))))
+
+
+def _cover_probes(lat_seed: int, domain_radius: float,
+                  r: float) -> np.ndarray:
+    """The _N_CERT_ROUNDS seeded probe streams on B(o, domain_radius - r),
+    concatenated in round order."""
     radius = domain_radius - r
     if radius <= 0:
         return np.empty(0, dtype=complex)
-    rng = np.random.default_rng([lat_seed, 1, round_])
-    return random_ball_points(radius, _N_PROBES, rng)
+    return np.concatenate([
+        random_ball_points(radius, _N_PROBES,
+                           np.random.default_rng([lat_seed, 1, round_]))
+        for round_ in range(_N_CERT_ROUNDS)])
 
 
 def _mult_probes(lat_seed: int, domain_radius: float) -> np.ndarray:
@@ -136,7 +137,8 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
 
     Any certification probe left uncovered after the greedy pass is itself a
     valid lattice point (it is more than r/2 from every accepted point) and
-    is inserted, so the final cover check can only fail on a logic error.
+    is inserted; the same pass yields the certify_cover value, so the cover
+    check can only fail on a logic error.
     """
     if r <= 0 or domain_radius <= 0:
         raise ValueError("r and domain_radius must be positive")
@@ -144,21 +146,18 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     candidates = _candidate_net(domain_radius, r / 8.0, rng)
     points = _greedy_packing(candidates, r)
 
-    # seeded probe rounds shave off the slivers the finite candidate net
-    # leaves just beyond r/2; every uncovered probe is itself a legal
-    # lattice point, so insertion preserves the packing exactly
+    # seeded probes shave off the slivers the finite candidate net leaves
+    # just beyond r/2; every uncovered probe is itself a legal lattice point,
+    # so inserting it in probe order preserves the packing exactly, and the
+    # probes' min quotients after the last insertion certify the cover
     thresh = _sep_param(r, 0.5) ** 2
-    for round_ in range(_N_CERT_ROUNDS):
-        probes = _cover_probes(seed, domain_radius, r, round_)
-        if not probes.size:
-            break
-        uncovered = probes[_min_quotient_sq(probes, points) > thresh]
-        for p in uncovered:
-            if np.min(_quotient_sq(p, points)) > thresh:
-                points = np.append(points, p)
-    worst = certify_cover(Lattice(points, float(r), 1, float(domain_radius),
-                                  int(seed)))
-    if worst > r / 2.0:
+    probes = _cover_probes(seed, domain_radius, r)
+    q = _min_quotient_sq(probes, points)
+    for i in np.flatnonzero(q > thresh):
+        if q[i] > thresh:
+            points = np.append(points, probes[i])
+            q = np.minimum(q, _quotient_sq(probes, probes[i]))
+    if _cover_radius(q) > r / 2.0:
         raise CertificationFailed("cover gap survived patch insertion")
 
     mult = _measure_multiplicity(points, r, _mult_probes(seed, domain_radius))
@@ -170,7 +169,9 @@ def _measure_multiplicity(points: np.ndarray, r: float,
                           probes: np.ndarray) -> int:
     if probes.size == 0:
         return 1
-    counts = _count_within(probes, points, _sep_param(r, 1.0) ** 2)
+    thresh = _sep_param(r, 1.0) ** 2
+    counts = _per_probe(probes, points,
+                        lambda q: np.count_nonzero(q <= thresh, axis=1))
     return int(counts.max())
 
 
@@ -184,19 +185,13 @@ def _check_volume_bound(measured: int, r: float) -> None:
 def certify_cover(lat: Lattice) -> float:
     """Largest distance from a certification probe to the lattice.
 
-    Re-derives the seeded probe rounds used at construction; the result is at
-    most r/2 for every lattice returned by build_lattice.  This is the
-    probabilistic cover certificate: fresh off-grid probes can exceed r/2 by
-    the candidate-net gap (below r/8), never more.
+    Re-derives the seeded probe rounds used at construction; the result is
+    the value build_lattice checked, at most r/2.  This is the probabilistic
+    cover certificate: fresh off-grid probes can exceed r/2 by the
+    candidate-net gap (below r/8), never more.
     """
-    out = 0.0
-    for round_ in range(_N_CERT_ROUNDS):
-        probes = _cover_probes(lat.seed, lat.domain_radius, lat.r, round_)
-        if not probes.size:
-            break
-        q = _min_quotient_sq(probes, lat.points)
-        out = max(out, 2.0 * math.atanh(math.sqrt(float(q.max()))))
-    return out
+    probes = _cover_probes(lat.seed, lat.domain_radius, lat.r)
+    return _cover_radius(_min_quotient_sq(probes, lat.points))
 
 
 def certify_multiplicity(lat: Lattice) -> int:

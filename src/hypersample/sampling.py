@@ -162,8 +162,10 @@ def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
     n = len(lat)
     rows, cols = np.triu_indices(n, k=1)
     d = distance(lat.points[rows], lat.points[cols])
-    # a lone point needs only K(0); any interval serves its series
-    t_max = float(d.max()) if d.size else 1.0
+    # near t = 0 the angles' A(t, b) carry absolute rounding ~eps: an
+    # interval of at least t <= 1 keeps the series' tail check meaningful
+    # (a lone point needs only K(0))
+    t_max = max(float(d.max(initial=0.0)), 1.0)
     series = zonal_series(lam, coef, grid.rho, t_max)
     gram = np.empty((n, n))
     gram[rows, cols] = gram[cols, rows] = chebval(2.0 * d / t_max - 1.0,

@@ -196,21 +196,24 @@ class SplineSystem:
     _cho: tuple = field(repr=False)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Cholesky solve, refined until the residual stops contracting."""
-        def real_solve(b):
-            x = cho_solve(self._cho, b)
-            best = math.inf
-            for _ in range(6):
-                res = b - self.kernel_matrix @ x
-                nrm = float(np.max(np.abs(res)))
-                if not nrm < 0.5 * best:
-                    break
-                best = nrm
-                x = x + cho_solve(self._cho, res)
-            return x
         if np.iscomplexobj(rhs):
-            return real_solve(rhs.real) + 1j * real_solve(rhs.imag)
-        return real_solve(rhs)
+            return self._solve(rhs.real) + 1j * self._solve(rhs.imag)
+        return _refined_solve(self._cho, self.kernel_matrix, rhs)
+
+
+def _refined_solve(cho, kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cholesky solve of kmat x = b, refined until the residual stops
+    contracting."""
+    x = cho_solve(cho, b)
+    best = math.inf
+    for _ in range(6):
+        res = b - kmat @ x
+        nrm = float(np.max(np.abs(res)))
+        if not nrm < 0.5 * best:
+            break
+        best = nrm
+        x = x + cho_solve(cho, res)
+    return x
 
 
 def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
@@ -222,8 +225,9 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     Positive definiteness is certified by the Cholesky factorization and by
     the smallest eigenvalue clearing N eps of the largest; near-coincident
     points (or an order too high for double precision) surface as
-    SingularKernel.  One step of iterative refinement pushes the
-    interpolation residual to roundoff even for stiff systems.
+    SingularKernel.  Iterative refinement, the same solve the interpolants
+    use, pushes the interpolation residual to roundoff even for stiff
+    systems.
     """
     if len(lat) == 0:
         raise ValueError("empty lattice")
@@ -251,15 +255,7 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
             f"{ev[0]:.3e} against {ev[-1]:.3e}: singular in double precision")
     condition = float(ev[-1] / ev[0])
     eye = np.eye(len(lat))
-    coeffs = cho_solve(cho, eye)
-    defect = math.inf
-    for _ in range(6):
-        res = eye - kmat @ coeffs
-        nrm = float(np.max(np.abs(res)))
-        if not nrm < 0.5 * defect:
-            break
-        defect = nrm
-        coeffs = coeffs + cho_solve(cho, res)
+    coeffs = _refined_solve(cho, kmat, eye)
     defect = float(np.max(np.abs(kmat @ coeffs - eye)))
     if defect > _CERT_TOL:
         warnings.warn(

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersample import spectral
 from hypersample.cli import (
+    SCENARIOS,
     ExperimentConfig,
     config_to_ini,
     load_config,
@@ -33,6 +36,46 @@ def test_config_roundtrips_bit_exactly(tmp_path):
                            r_values=(0.4, 0.2, 0.1), seeds=(3,),
                            cut=1e-12, output="demo")
     path = _write(tmp_path, config_to_ini(cfg))
+    assert load_config(path) == cfg
+
+
+_positive = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _configs(draw):
+    omega = draw(_positive)
+    counts = st.integers(4, 4096)
+    evens = st.integers(2, 2048).map(lambda k: 2 * k)
+    return ExperimentConfig(
+        scenario=draw(st.sampled_from(SCENARIOS)),
+        omega=omega,
+        r=draw(_positive),
+        r_values=tuple(draw(st.lists(_positive, max_size=4))),
+        tau=draw(st.floats(0.0, 1e6)),
+        tau_values=tuple(draw(st.lists(st.floats(0.0, 1e6), max_size=4))),
+        n=draw(st.integers(0, 8)),
+        k_schedule=tuple(draw(st.lists(st.integers(1, 16), max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1,
+                                  max_size=4))),
+        gamma=draw(_positive),
+        domain_radius=draw(_positive),
+        lam_max=draw(st.one_of(st.just(0.0),
+                               st.floats(omega, 1e7, exclude_min=True))),
+        n_lambda=draw(counts),
+        n_b=draw(evens),
+        n_r=draw(counts),
+        n_theta=draw(evens),
+        cut=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        output=draw(st.text("abcxyz019_-", max_size=12)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_configs())
+def test_config_ini_round_trip_property(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("cfg") / "exp.ini"
+    path.write_text(config_to_ini(cfg), encoding="ascii")
     assert load_config(path) == cfg
 
 

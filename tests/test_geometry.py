@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hypersample import geometry as geo
@@ -93,6 +95,41 @@ def test_mobius_translate_is_isometry():
     d0 = geo.distance(x, y)
     d1 = geo.distance(geo.mobius_translate(a, x), geo.mobius_translate(a, y))
     assert np.max(np.abs(d0 - d1)) < 1e-12
+
+
+def _disk_point(s, theta):
+    # the point at hyperbolic radius s and angle theta
+    return math.tanh(s / 2.0) * complex(math.cos(theta), math.sin(theta))
+
+
+_radius = st.floats(0.0, 3.0)
+_angle = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sx=_radius, tx=_angle, sy=_radius, ty=_angle, sa=st.floats(0.0, 2.0),
+       ta=_angle, phi=_angle)
+def test_distance_invariant_under_mobius_maps_and_rotations(sx, tx, sy, ty,
+                                                            sa, ta, phi):
+    x, y, a = _disk_point(sx, tx), _disk_point(sy, ty), _disk_point(sa, ta)
+    rot = complex(math.cos(phi), math.sin(phi))
+    d0 = float(geo.distance(x, y))
+    d_mob = float(geo.distance(geo.mobius_translate(a, x),
+                               geo.mobius_translate(a, y)))
+    d_rot = float(geo.distance(rot * x, rot * y))
+    assert d_mob == pytest.approx(d0, rel=1e-10, abs=1e-10)
+    assert d_rot == pytest.approx(d0, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_radius, theta=_angle, b=_angle, phi=_angle)
+def test_busemann_invariant_under_rotation(s, theta, b, phi):
+    # A(e^{i phi} x, b + phi) = A(x, b)
+    x = _disk_point(s, theta)
+    rot = complex(math.cos(phi), math.sin(phi))
+    a0 = float(geo.busemann(x, b))
+    assert float(geo.busemann(rot * x, b + phi)) == pytest.approx(
+        a0, rel=1e-11, abs=1e-11)
 
 
 def test_mobius_translate_moves_origin():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersample import lattice as lattice_mod
 from hypersample.bandlimited import BandlimitedFunction, synthesize
@@ -43,6 +45,47 @@ def test_build_lattice_measures_multiplicity_once(monkeypatch):
     # the public certificate still measures afresh and agrees
     assert certify_multiplicity(lat) == lat.n_mult
     assert len(calls) == 2
+
+
+def test_build_lattice_certifies_cover_in_one_pass(monkeypatch):
+    passes, checked = [], []
+    min_q, radius = lattice_mod._min_quotient_sq, lattice_mod._cover_radius
+
+    def counted(*args):
+        passes.append(args)
+        return min_q(*args)
+
+    def recorded(q):
+        checked.append(radius(q))
+        return checked[-1]
+
+    def forbidden(lat):
+        raise AssertionError("build_lattice measured the cover a second time")
+
+    monkeypatch.setattr(lattice_mod, "_min_quotient_sq", counted)
+    monkeypatch.setattr(lattice_mod, "_cover_radius", recorded)
+    monkeypatch.setattr(lattice_mod, "certify_cover", forbidden)
+    lat = build_lattice(0.4, 1.2, seed=0)
+    assert len(passes) == 1 and len(checked) == 1
+    monkeypatch.undo()
+    # the public certificate re-derives the probes and agrees exactly
+    assert certify_cover(lat) == checked[0] <= lat.r / 2
+
+
+@pytest.mark.parametrize("r, seed", [(0.4, 0), (0.3, 5)])
+def test_greedy_packing_matches_definition(r, seed):
+    # a candidate is kept iff its quotient from every earlier kept point
+    # reaches the r/2 threshold
+    net = lattice_mod._candidate_net(1.0, r / 4.0,
+                                     np.random.default_rng([seed, 0]))
+    thresh = lattice_mod._sep_param(r, 0.5) ** 2
+    kept = []
+    for c in net:
+        if all(lattice_mod._quotient_sq(c, k) >= thresh for k in kept):
+            kept.append(c)
+    packing = lattice_mod._greedy_packing(net, r)
+    assert packing.dtype == complex
+    assert np.array_equal(packing, np.array(kept))
 
 
 def test_build_lattice_rejects_count_above_volume_bound(monkeypatch):
@@ -115,6 +158,24 @@ def test_csv_round_trip(tmp_path):
     path2 = tmp_path / "lat2.csv"
     save_lattice(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(polar=st.lists(st.tuples(st.floats(0.0, 6.0),
+                                st.floats(-math.pi, math.pi)), max_size=20),
+       r=st.floats(1e-3, 4.0), domain=st.floats(1e-3, 8.0),
+       n_mult=st.integers(1, 64), seed=st.integers(0, 2**32))
+def test_csv_round_trip_property(tmp_path_factory, polar, r, domain, n_mult,
+                                 seed):
+    s, theta = np.array(polar).reshape(-1, 2).T
+    lat = Lattice(np.tanh(s / 2.0) * np.exp(1j * theta), r, n_mult, domain,
+                  seed)
+    path = tmp_path_factory.mktemp("lat") / "lat.csv"
+    save_lattice(lat, path)
+    back = load_lattice(path)
+    assert back.points.tobytes() == lat.points.tobytes()
+    assert (back.r, back.domain_radius, back.n_mult, back.seed) == \
+        (r, domain, n_mult, seed)
 
 
 def test_probe_zero_function(space):

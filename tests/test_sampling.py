@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
@@ -143,6 +145,16 @@ def test_single_point_frame(grid):
     # phi_lam(0) = 1, so the single diagonal entry is the band mass
     band_mass = grid.lambda_measure[grid.band_slice].sum()
     assert frame.gram[0, 0] == pytest.approx(band_mass, rel=1e-12)
+
+
+def test_frame_of_roundoff_scale_lattice(grid):
+    # two points 3e-16 apart: the Gram series needs an interval well above
+    # the rounding of A(t, b), or its tail check never settles
+    lat = Lattice(np.array([0.1 + 0j, 0.1 + 3e-16]), 0.2, 1, 0.2, 0)
+    frame = build_frame(lat, OMEGA, grid=grid)
+    band_mass = grid.lambda_measure[grid.band_slice].sum()
+    assert np.allclose(frame.gram, band_mass, rtol=1e-12, atol=0.0)
+    assert frame.rank == 1
 
 
 def test_gram_hermitian_psd(frames):
@@ -365,3 +377,28 @@ def test_samples_csv_round_trip(tmp_path, f, space, lattices):
     again = tmp_path / "again.csv"
     save_samples(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 6.0),
+                               st.floats(-math.pi, math.pi), _FINITE, _FINITE),
+                     max_size=20),
+       kind=st.sampled_from(["point", "convolution"]),
+       label=st.sampled_from(["", "identity", "laplacian", "sobolev_0.5",
+                              "sph_avg(tau=0.1,n=2)"]))
+def test_samples_csv_round_trip_property(tmp_path_factory, rows, kind, label):
+    assume(kind == "point" or label)
+    s, theta, re, im = np.array(rows).reshape(-1, 4).T
+    lat = Lattice(np.tanh(s / 2.0) * np.exp(1j * theta), 0.3, 7, 1.5, 11)
+    samples = SampleSet(lat, re + 1j * im, kind, multiplier_label=label)
+    path = tmp_path_factory.mktemp("samples") / "samples.csv"
+    save_samples(samples, path)
+    back = load_samples(path)
+    assert back.lattice.points.tobytes() == lat.points.tobytes()
+    assert back.values.tobytes() == samples.values.tobytes()
+    assert (back.kind, back.multiplier_label) == (kind, label)
+    assert (back.lattice.r, back.lattice.domain_radius, back.lattice.n_mult,
+            back.lattice.seed) == (0.3, 1.5, 7, 11)
