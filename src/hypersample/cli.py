@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError("spline orders in k_schedule must be at least 1")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be nonnegative")
 
 
 # scenario-specific defaults layered under the config file values; the
@@ -281,9 +283,14 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
 
 
 def _min_separation(points: np.ndarray) -> float:
-    d = distance(points[:, None], points[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    # chunks of point rows keep the pair matrix small; each row's own
+    # distance is masked out
+    best = math.inf
+    for lo in range(0, points.size, 512):
+        d = distance(points[lo:lo + 512, None], points[None, :])
+        np.fill_diagonal(d[:, lo:], np.inf)
+        best = min(best, float(d.min()))
+    return best
 
 
 def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
@@ -451,15 +458,15 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.tolerances = {"frame_error": tol, "flatness_factor": flat}
     taus = cfg.tau_values or (0.0, 0.1, 0.3)
     frame_errors, any_inadmissible = [], False
-    for tau in taus:
-        spec = AverageSpec(tau=float(tau), n=cfg.n)
-        with _timed(rep, f"tau_{tau:g}"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            res = theorem73_experiment(
-                cfg.omega, cfg.r, spec, seed=cfg.seeds[0], space=space,
-                domain_radius=cfg.domain_radius,
-                k_schedule=tuple(cfg.k_schedule),
-                n_lambda=cfg.n_lambda, n_b=cfg.n_b)
+    with _timed(rep, "experiment"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        results = theorem73_experiment(
+            cfg.omega, cfg.r,
+            [AverageSpec(tau=float(tau), n=cfg.n) for tau in taus],
+            seed=cfg.seeds[0], space=space, domain_radius=cfg.domain_radius,
+            k_schedule=tuple(cfg.k_schedule), n_lambda=cfg.n_lambda,
+            n_b=cfg.n_b)
+    for tau, res in zip(taus, results):
         admissible = res["admissible"]
         any_inadmissible |= not admissible
         frame_errors.append(res["frame_error"])

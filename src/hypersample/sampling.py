@@ -1,46 +1,43 @@
-"""Frame vectors at lattice points, Gram systems, and reconstruction.
+"""Frame vectors at lattice points, their factored frame operator, and
+reconstruction.
 
 A lattice point x_j induces the band-restricted frame vector
 e_j(lam, b) = e^((i lam + rho) A(x_j, b)), optionally filtered by a
-convolution multiplier.  The Gram matrix of these vectors under the band
-quadrature measure governs everything: its spectrum certifies stability on
-the sampled span, and solving G beta = samples yields the minimal-norm
-band-limited interpolant (the dual-frame reconstruction).
+convolution multiplier.  On the band quadrature these are the rows of one
+matrix F = R diag(sqrt(measure |m|^2 / n_b)), R[j, (lam, b)] = e_j(lam, b).
+Its Gram F F^H is the zonal kernel K(d(x_j, x_k)) of the distance, and
+everything follows from F's singular values: their squares certify
+stability on the sampled span, and the truncated pseudo-inverse of F gives
+the minimal-norm band-limited interpolant (the dual-frame reconstruction).
 
-The boundary integral of e_j conj(e_k) is the spherical function
-phi_lam(d(x_j, x_k)), so the Gram is a zonal kernel of the distance,
-G_jk = K(d(x_j, x_k)) with K(t) = sum over the band of |m|^2 phi_lam(t):
-real and symmetric.  K is summed by the Busemann average that also builds
-the polyharmonic spline kernel (spectral.busemann_average), as one
-tail-checked Chebyshev series in t (spectral.zonal_series) evaluated at
-every lattice pair.  The discrete plane-wave rows are built only where a
-reconstruction is synthesized.
+F is never formed whole, nor is its N x N Gram.  A unitary DFT over the n_b
+boundary angles splits it into n_b angular-mode blocks of N x n_band, each
+compressed by QR and an SVD to its right singular directions above
+roundoff; the concatenated N x K factor C has C C^H = F F^H, and one thin
+SVD of C gives the frame spectrum and the reconstruction map.
 
-The Gram spectrum of any interesting lattice decays smoothly to machine
-zero: band-limited functions are analytic, so samples on a bounded domain
-pin down only an effectively finite-dimensional slice of the band space.
-Reconstruction therefore always runs through an eigenvalue-thresholded
-pseudo-inverse, and the certified frame bounds (A, B) refer to the retained
-span.  The raw smallest eigenvalue is reported alongside as a diagnostic.
+The spectrum of any interesting lattice decays smoothly to machine zero:
+band-limited functions are analytic, so samples on a bounded domain pin
+down only an effectively finite-dimensional slice of the band space.
+Reconstruction therefore always runs through a thresholded pseudo-inverse,
+and the certified frame bounds (A, B) refer to the retained span.  The raw
+smallest eigenvalue of the Gram is reported alongside as a diagnostic.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .bandlimited import BandlimitedFunction
-from .errors import (IllConditionedWarning, MultiplierVanishes, NotAFrame,
-                     NumericalFailure)
-from .geometry import busemann, distance
+from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
+from .geometry import busemann
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       apply_multiplier, zonal_series)
+                       apply_multiplier)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -86,9 +83,9 @@ class FrameSystem:
     omega: float
     grid: SpectralGrid
     multiplier: Multiplier | None
-    gram: np.ndarray                 # real symmetric, K(d(x_j, x_k))
-    eigenvalues: np.ndarray          # ascending
-    eigenvectors: np.ndarray         # real orthonormal columns
+    left: np.ndarray       # (N, rank): retained left singular vectors of F
+    synthesis: np.ndarray  # (n_b, n_band, rank): reconstruction of each,
+                           # per angular mode and lam
     frame_bounds: tuple[float, float]  # (A, B) on the retained span
     raw_min: float
     threshold: float
@@ -113,37 +110,53 @@ def convolution_samples(f: BandlimitedFunction, lat: Lattice,
     return SampleSet(lat, vals, "convolution", multiplier=m)
 
 
-def _band_data(grid: SpectralGrid, m: Multiplier | None):
-    """Band nodes, multiplier values and the Gram weights measure |m|^2."""
-    sl = grid.band_slice
-    lam = grid.lambda_nodes[sl]
-    if m is None:
-        mv = np.ones_like(lam, dtype=complex)
-    else:
-        mv = m.values_on(grid).astype(complex)[sl]
-    return lam, mv, grid.lambda_measure[sl] * np.abs(mv) ** 2
-
-
 def _kernel_rows(points: np.ndarray, lam: np.ndarray, rho: float,
                  angles: np.ndarray) -> np.ndarray:
-    """Rows e_j(lam_i, b_l) flattened to (n_points, n_lam * n_b)."""
-    a = busemann(points[:, None], angles[None, :])
-    k = (1j * lam[None, :, None] + rho) * a[:, None, :]
-    return np.exp(k, out=k).reshape(points.size, -1)
+    """Frame vectors e_j(lam_i, b_l) at [l, j, i]: (n_b, n_points, n_lam)."""
+    a = busemann(points[None, :], angles[:, None])
+    k = (1j * lam + rho) * a[:, :, None]
+    return np.exp(k, out=k)
+
+
+def _band_factor(points: np.ndarray, grid: SpectralGrid,
+                 scale: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Compressed factor of the band rows F = R diag(scale) per angular mode.
+
+    The unitary DFT over the boundary angles turns F into n_b blocks
+    F_m[j, i] (mode, point, lam), built in point chunks so that only one
+    such array is alive; F F^H = sum_m F_m F_m^H.  A QR of each block and
+    an SVD of its triangular factor give the block's right singular
+    directions V_m; those above max(N, n_band) eps times the largest
+    singular value of all blocks (the roundoff floor) are kept.  Returns
+    C = [F_m V_m]_m, of shape (N, K) with C C^H = F F^H, and the V_m.
+    """
+    lam = grid.lambda_nodes[grid.band_slice]
+    n, n_b = points.size, grid.n_b
+    blocks = np.empty((n_b, n, lam.size), dtype=complex)
+    step = max(1, (1 << 20) // (lam.size * n_b))
+    for lo in range(0, n, step):
+        rows = _kernel_rows(points[lo:lo + step], lam, grid.rho,
+                            grid.boundary_angles)
+        np.multiply(np.fft.fft(rows, axis=0, norm="ortho"), scale,
+                    out=blocks[:, lo:lo + step])
+    # one block at a time: a batched QR would copy the whole stack
+    tri = np.stack([np.linalg.qr(f, mode="r") for f in blocks])
+    _, sv, vh = np.linalg.svd(tri, full_matrices=False)
+    keep = sv > max(n, lam.size) * np.finfo(float).eps * sv.max()
+    dirs = [v[k].conj().T for v, k in zip(vh, keep)]
+    return np.concatenate([f @ v for f, v in zip(blocks, dirs)], axis=1), dirs
 
 
 def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
                 grid: SpectralGrid, cut: float = _PINV_CUT) -> FrameSystem:
-    """Gram matrix of the (multiplier-filtered) frame vectors over the band.
+    """Singular spectrum and dual map of the (multiplier-filtered) frame.
 
-    G_jk = integral over [0, omega] x boundary of |m|^2 e_j conj(e_k)
-    density dlam db.  The boundary integral of e_j conj(e_k) is the
-    spherical function phi_lam(d(x_j, x_k)), so G_jk = K(d(x_j, x_k)) with
-    K(t) = sum over the band nodes of lambda_measure |m|^2 phi_lam(t): a
-    real zonal kernel, summed as a Chebyshev series in t by
-    spectral.zonal_series (the Busemann average of the spline kernel) and
-    evaluated once per pair j < k.  G is real symmetric and factored by a
-    real eigh.
+    The frame operator is F = R diag(sqrt(lambda_measure |m|^2 / n_b)) on
+    the band rows R[j, (lam, b)] = e_j(lam, b); its Gram F F^H is the
+    integral over [0, omega] x boundary of |m|^2 e_j conj(e_k) density
+    dlam db.  One thin SVD of the per-mode factor C (_band_factor) gives
+    the singular values sigma of F: the eigenvalues of the Gram are
+    sigma^2, B is the largest, and the retained span is sigma^2 > cut B.
 
     cut fixes the relative eigenvalue threshold below which directions are
     treated as numerically unreachable.  The default keeps the sample span
@@ -155,39 +168,39 @@ def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
         raise ValueError("grid band panel does not match omega")
     if len(lat) == 0:
         raise ValueError("empty lattice")
-    lam, mv, coef = _band_data(grid, m)
-    if m is not None and np.min(np.abs(mv)) <= 1e-12:
+    sl = grid.band_slice
+    mv = np.ones(grid.n_band) if m is None else m.values_on(grid)[sl]
+    if np.min(np.abs(mv)) <= 1e-12:
         raise MultiplierVanishes(
             f"multiplier {m.label!r} vanishes inside the band")
-    n = len(lat)
-    rows, cols = np.triu_indices(n, k=1)
-    d = distance(lat.points[rows], lat.points[cols])
-    # near t = 0 the angles' A(t, b) carry absolute rounding ~eps: an
-    # interval of at least t <= 1 keeps the series' tail check meaningful
-    # (a lone point needs only K(0))
-    t_max = max(float(d.max(initial=0.0)), 1.0)
-    series = zonal_series(lam, coef, grid.rho, t_max)
-    gram = np.empty((n, n))
-    gram[rows, cols] = gram[cols, rows] = chebval(2.0 * d / t_max - 1.0,
-                                                  series)
-    np.fill_diagonal(gram, chebval(-1.0, series))
-    ev, vec = np.linalg.eigh(gram)
-    b_top = float(ev[-1])
-    if b_top <= 0.0:
-        raise NotAFrame("all frame vectors are numerically zero")
+    scale = np.sqrt(grid.lambda_measure[sl] * np.abs(mv) ** 2 / grid.n_b)
+    factor, dirs = _band_factor(lat.points, grid, scale)
+    u, sv, wh = np.linalg.svd(factor, full_matrices=False)
+    ev = sv ** 2
+    b_top = float(ev[0])
     thr = cut * b_top
-    retained = ev > thr
-    rank = int(np.count_nonzero(retained))
+    rank = int(np.count_nonzero(ev > thr))
     if rank == 0:
-        raise NotAFrame("no eigenvalue above the pseudo-inverse threshold")
-    a_low = float(ev[retained][0])
+        raise NotAFrame("no singular value above the pseudo-inverse threshold")
+    a_low = float(ev[rank - 1])
     if a_low <= 1e-10 * b_top and rank < len(lat):
         # eigenvalues trickle through the cut: the span certificate is
         # ambiguous at the threshold, so no positive bound can be claimed
         warnings.warn("retained spectrum touches the pseudo-inverse cut",
                       IllConditionedWarning)
-    return FrameSystem(lat, float(omega), grid, m, gram, ev, vec,
-                       (a_low, b_top), float(ev[0]), thr, rank)
+    # W sigma^-1 takes the retained directions to the factor's columns,
+    # each mode's V_m takes its columns to (mode, lam); dividing by the
+    # weights times conj(m) leaves band coefficients
+    dual = np.split(wh[:rank].conj().T / sv[:rank],
+                    np.cumsum([v.shape[1] for v in dirs])[:-1])
+    synthesis = np.stack([v @ d for v, d in zip(dirs, dual)])
+    synthesis *= (np.conj(mv) / scale)[:, None]
+    # the Gram has len(lat) - sv.size further eigenvalues at zero
+    raw_min = float(ev[-1]) if sv.size == len(lat) else 0.0
+    # a copy, so the frame does not keep all of u alive
+    left = np.ascontiguousarray(u[:, :rank])
+    return FrameSystem(lat, float(omega), grid, m, left, synthesis,
+                       (a_low, b_top), raw_min, thr, rank)
 
 
 def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
@@ -203,45 +216,15 @@ def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
             f"sample multiplier {s_lab!r} does not match frame {f_lab!r}")
 
 
-def _solve_gram(frame: FrameSystem, rhs: np.ndarray, method: str,
-                rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    if method == "gram":
-        # Rayleigh-Ritz on the retained span V: the Gram is applied there
-        # through the discrete band rows that synthesize the result,
-        # V^H rows diag(weights) rows^H V, so resampling a reconstruction
-        # reproduces its data.  The zonal Gram differs from that discrete
-        # one by the boundary quadrature error (~1e-15 B), which dividing
-        # by its own eigenvalues would amplify by up to 1/A.
-        span = frame.eigenvectors[:, frame.eigenvalues > frame.threshold]
-        proj = span.T @ rows
-        ritz = (proj * weights) @ proj.conj().T
-        return span @ np.linalg.solve(ritz, span.T @ rhs)
-    if method == "iterative":
-        # conjugate gradients touch only the Krylov space of the data, so
-        # this route certifies the eigen-solve when the samples live in the
-        # retained span; data with mass below the cut stalls it honestly
-        n = rhs.size
-        op = LinearOperator((n, n), matvec=lambda x: frame.gram @ x,
-                            dtype=complex)
-        beta, info = cg(op, rhs, rtol=1e-11, atol=0.0, maxiter=20 * n)
-        if info != 0:
-            raise NumericalFailure(f"iterative Gram solve stalled (info={info})")
-        return beta
-    raise ValueError(f"unknown method {method!r}")
-
-
-def reconstruct(frame: FrameSystem, s: SampleSet,
-                method: str = "gram") -> BandlimitedFunction:
+def reconstruct(frame: FrameSystem, s: SampleSet) -> BandlimitedFunction:
     """Minimal-norm band-limited interpolant of the samples.
 
-    Solves G beta = values, then synthesizes the spectral coefficients
-    conj(m) sum_j beta_j conj(e_j) on the band panel.  The "gram" method
-    solves on the retained eigenspace of the zonal Gram, applying G there
-    through the same discrete frame vectors e_j that synthesize the result;
-    "iterative" runs conjugate gradients on the zonal Gram.  For samples
-    taken noiselessly from the retained span the interpolation is exact;
-    general data is fit in the least-squares sense through the thresholded
-    pseudo-inverse.
+    The truncated pseudo-inverse of F: the samples' components on the
+    retained left singular vectors, mapped by frame.synthesis to per-mode
+    band coefficients, then one DFT from the modes back to the boundary
+    angles.  For
+    samples taken noiselessly from the retained span the interpolation is
+    exact; general data is fit in the least-squares sense.
     """
     _check_compatible(frame, s)
     if frame.condition > _COND_WARN:
@@ -250,14 +233,9 @@ def reconstruct(frame: FrameSystem, s: SampleSet,
             f"pseudo-inverse at threshold {frame.threshold:.2e}",
             IllConditionedWarning)
     grid = frame.grid
-    lam, mv, coef = _band_data(grid, frame.multiplier)
-    rows = _kernel_rows(frame.lattice.points, lam, grid.rho,
-                        grid.boundary_angles)
-    beta = _solve_gram(frame, s.values, method, rows,
-                       np.repeat(coef / grid.n_b, grid.n_b))
-    coef = (beta.conj() @ rows).conj() * np.repeat(np.conj(mv), grid.n_b)
+    modes = frame.synthesis @ (frame.left.conj().T @ s.values)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    values[grid.band_slice] = coef.reshape(grid.n_band, grid.n_b)
+    values[grid.band_slice] = np.fft.fft(modes, axis=0, norm="ortho").T
     return BandlimitedFunction(frame.omega, SpectralCoeffs(grid, values))
 
 

@@ -28,10 +28,9 @@ Clenshaw recurrence instead of one exponential per (point, angle, lam).
 Zonal sums K(t) = sum_lam c_lam phi_lam(t) are Busemann averages of such a
 series over the boundary (busemann_average), and this is the one place they
 are computed outside the radial mode table of the transforms: zonal_series
-turns K into one Chebyshev series in t, which sums the band Gram
-(sampling.build_frame) at every pairwise distance and samples the spline
-kernel table (splines.polyharmonic_kernel), and spherical_function is the
-same average with one unit coefficient per lam.
+turns K into one Chebyshev series in t, which samples the spline kernel
+table (splines.polyharmonic_kernel), and spherical_function is the same
+average with one unit coefficient per lam.
 """
 
 from __future__ import annotations

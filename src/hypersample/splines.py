@@ -9,10 +9,10 @@ the minimal - ||Delta^k u|| interpolant on the lattice.
 The kernel is tabulated once per order on a radial grid and then evaluated
 through a cubic spline; the spectral cutoff is chosen from an analytic tail
 bound so the truncated mass stays below tail_tol relative to K(0).  The
-table samples spectral.zonal_series, the same tail-checked Chebyshev series
-in t that sums the band Gram of sampling.build_frame: K(t) is the
-Busemann average over boundary angles b of e^{rho a} g(a) at a = A(t, b),
-where g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series in a.
+table samples spectral.zonal_series, a tail-checked Chebyshev series in t:
+K(t) is the Busemann average over boundary angles b of e^{rho a} g(a) at
+a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series
+in a.
 """
 
 from __future__ import annotations
@@ -112,12 +112,13 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
 
     The table at _TABLE_POINTS equispaced radii samples the Chebyshev
-    series of spectral.zonal_series: the Busemann average over the boundary
-    angles of spectral._busemann_angle_count, summed as one series in t on
-    [0, t_max] with the tail checks of spectral.plane_wave_series and
-    spectral.zonal_series (NumericalFailure if trailing coefficients do not
-    reach roundoff, or past t_max ~8 where the angle count is capped).  The
-    cubic spline through the table adds at most ~1e-13 K(0).
+    series of spectral.zonal_series (its one caller): the Busemann average
+    over the boundary angles of spectral._busemann_angle_count, summed as
+    one series in t on [0, t_max] with the tail checks of
+    spectral.plane_wave_series and spectral.zonal_series (NumericalFailure
+    if trailing coefficients do not reach roundoff, or past t_max ~8 where
+    the angle count is capped).  The cubic spline through the table adds at
+    most ~1e-13 K(0).
 
     The truncation tail beyond lam_max is bounded analytically by
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
@@ -316,7 +317,7 @@ def spline_band_projection(interp: SplineInterpolant,
         fac = fac * np.conj(np.asarray(m.fn(lam), dtype=complex))
     rows = _kernel_rows(sys.lattice.points, lam, grid.rho,
                         grid.boundary_angles)
-    coef = (interp.beta.conj() @ rows).conj().reshape(lam.size, grid.n_b)
+    coef = (interp.beta @ rows.conj()).T
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = fac[:, None] * coef
     return BandlimitedFunction(grid.omega, SpectralCoeffs(grid, values))

@@ -220,6 +220,7 @@ def test_bad_config_exits_two(tmp_path, outroot, capsys):
     "lam_max=1.0",                   # spectral cutoff below the band
     "cut=-1", "cut=0", "cut=1",      # eigenvalue cut outside (0, 1)
     "k_schedule=2, 0",               # spline order below 1
+    "seeds=-1",                      # seeds feed numpy's generator
 ])
 def test_bad_grid_or_solver_override_exits_two(tmp_path, outroot, capsys,
                                                override):

@@ -132,6 +132,18 @@ def test_busemann_invariant_under_rotation(s, theta, b, phi):
         a0, rel=1e-11, abs=1e-11)
 
 
+@settings(max_examples=80, deadline=None)
+@given(s=_radius, theta=_angle, b=_angle, sa=st.floats(0.0, 2.0), ta=_angle)
+def test_busemann_covariant_under_mobius_maps(s, theta, b, sa, ta):
+    # the cocycle A(g x, g b) = A(x, b) + A(g 0, g b) for g = mobius(a, .)
+    x, a = _disk_point(s, theta), _disk_point(sa, ta)
+    b_img = float(np.angle(geo.mobius_translate(a, complex(math.cos(b),
+                                                           math.sin(b)))))
+    lhs = float(geo.busemann(geo.mobius_translate(a, x), b_img))
+    rhs = float(geo.busemann(x, b)) + float(geo.busemann(a, b_img))
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
 def test_mobius_translate_moves_origin():
     a = 0.3 + 0.1j
     assert geo.mobius_translate(a, 0.0) == pytest.approx(a)

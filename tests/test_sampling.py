@@ -1,4 +1,4 @@
-"""Sample operators, Gram frames, reconstruction, and stability probes."""
+"""Sample operators, factored frames, reconstruction, and stability probes."""
 
 import cmath
 import math
@@ -13,7 +13,7 @@ from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
 from hypersample.geometry import distance
 from hypersample.lattice import Lattice, build_lattice
-from hypersample.sampling import (FrameSystem, SampleSet, _kernel_rows,
+from hypersample.sampling import (SampleSet, _band_factor, _kernel_rows,
                                   build_frame, convolution_samples,
                                   load_samples, point_samples, reconstruct,
                                   save_samples, stability_probe)
@@ -136,42 +136,73 @@ def test_sample_set_validation(f, lattices):
         SampleSet(lat, np.zeros(len(lat)), "convolution")
 
 
+def _weights(grid, m=None):
+    # band quadrature weights measure |m|^2 / n_b of the frame operator
+    sl = grid.band_slice
+    mv = np.ones(grid.n_band) if m is None else m.values_on(grid)[sl]
+    return grid.lambda_measure[sl] / grid.n_b * np.abs(mv) ** 2
+
+
+def _factor_gram(lat, grid, m=None):
+    # C C^H of the per-mode factor that build_frame decomposes
+    c, _ = _band_factor(lat.points, grid, np.sqrt(_weights(grid, m)))
+    return c @ c.conj().T
+
+
+def _plane_wave_rows(lat, grid, m=None):
+    # the weighted discrete plane-wave rows psi: F itself, never formed by
+    # build_frame, whose Gram is psi psi^H
+    sl = grid.band_slice
+    rows = _kernel_rows(lat.points, grid.lambda_nodes[sl], grid.rho,
+                        grid.boundary_angles)
+    rows = rows.transpose(1, 2, 0).reshape(len(lat), -1)
+    return rows * np.sqrt(np.repeat(_weights(grid, m), grid.n_b))
+
+
 def test_single_point_frame(grid):
     lat = Lattice(np.array([0j]), 0.2, 1, 0.2, 0)
     frame = build_frame(lat, OMEGA, grid=grid)
-    assert frame.gram.shape == (1, 1)
+    assert frame.left.shape == (1, 1)
     a, b = frame.frame_bounds
     assert a == b > 0
-    # phi_lam(0) = 1, so the single diagonal entry is the band mass
+    # phi_lam(0) = 1, so the one Gram entry is the band mass
     band_mass = grid.lambda_measure[grid.band_slice].sum()
-    assert frame.gram[0, 0] == pytest.approx(band_mass, rel=1e-12)
+    assert b == pytest.approx(band_mass, rel=1e-12)
+    assert frame.raw_min == b
 
 
 def test_frame_of_roundoff_scale_lattice(grid):
-    # two points 3e-16 apart: the Gram series needs an interval well above
-    # the rounding of A(t, b), or its tail check never settles
+    # two points 3e-16 apart: every Gram entry is the band mass, rank one
     lat = Lattice(np.array([0.1 + 0j, 0.1 + 3e-16]), 0.2, 1, 0.2, 0)
     frame = build_frame(lat, OMEGA, grid=grid)
     band_mass = grid.lambda_measure[grid.band_slice].sum()
-    assert np.allclose(frame.gram, band_mass, rtol=1e-12, atol=0.0)
+    assert np.allclose(_factor_gram(lat, grid), band_mass, rtol=1e-12,
+                       atol=0.0)
     assert frame.rank == 1
+    assert frame.frame_bounds[1] == pytest.approx(2 * band_mass, rel=1e-12)
 
 
 def test_gram_hermitian_psd(frames):
+    # the Gram is C C^H: its eigenvalues are squared singular values, so
+    # the raw minimum is nonnegative and below the retained span's bounds
     for frame in frames.values():
-        g = frame.gram
-        assert np.max(np.abs(g - g.conj().T)) <= 1e-12 * frame.frame_bounds[1]
-        assert frame.eigenvalues[0] >= -1e-10
+        left = frame.left
+        assert np.max(np.abs(left.conj().T @ left - np.eye(frame.rank))) \
+            <= 1e-12
+        a, b = frame.frame_bounds
+        assert 0.0 <= frame.raw_min <= frame.threshold < a <= b
+        assert frame.threshold == 1e-12 * b
 
 
 def test_gram_matches_zonal_kernel(frames, grid):
-    # G_jk depends on d(x_j, x_k) only, through the Legendre average
-    # sum_i w_i P_{-1/2 + i lam_i}(cosh d)
+    # the factor's Gram depends on d(x_j, x_k) only, through the Legendre
+    # average sum_i w_i P_{-1/2 + i lam_i}(cosh d)
     frame = frames[0.4]
+    gram = _factor_gram(frame.lattice, grid)
     lam = grid.lambda_nodes[grid.band_slice]
     w = grid.lambda_measure[grid.band_slice]
     pts = frame.lattice.points[:6]
-    top = abs(frame.gram[0, 0])
+    top = abs(gram[0, 0])
     for j in range(6):
         for k in range(j + 1):
             d = distance(pts[j], pts[k])
@@ -179,45 +210,36 @@ def test_gram_matches_zonal_kernel(frames, grid):
                 w[i] * float(mpmath.re(mpmath.legenp(-0.5 + 1j * lam[i], 0,
                                                      mpmath.cosh(d))))
                 for i in range(lam.size))
-            assert abs(frame.gram[j, k] - zonal) <= 1e-8 * top
-
-
-def _plane_wave_gram(lat, grid, m=None):
-    # the Gram of the discrete plane-wave rows, psi psi^H over the band
-    # quadrature, which build_frame sums as a zonal kernel instead
-    sl = grid.band_slice
-    mv = np.ones(grid.n_band) if m is None else m.values_on(grid)[sl]
-    w = grid.lambda_measure[sl] / grid.n_b * np.abs(mv) ** 2
-    psi = _kernel_rows(lat.points, grid.lambda_nodes[sl], grid.rho,
-                       grid.boundary_angles) * np.sqrt(np.repeat(w, grid.n_b))
-    return psi @ psi.conj().T
+            assert abs(gram[j, k] - zonal) <= 1e-8 * top
 
 
 @pytest.mark.parametrize("tau", [None, 0.1])
 @pytest.mark.parametrize("r", [0.4, 0.2])
 def test_zonal_gram_matches_plane_wave_gram(space, grid, lattices, r, tau):
+    # the compressed factor drops only directions at the roundoff floor, so
+    # its Gram is the plane-wave Gram psi psi^H
     lat = lattices[r]
     m = None if tau is None else average_multiplier(space, AverageSpec(tau=tau))
     frame = build_frame(lat, OMEGA, m, grid=grid)
-    assert frame.gram.dtype == np.float64
-    assert frame.eigenvectors.dtype == np.float64
-    assert np.array_equal(frame.gram, frame.gram.T)
-    ref = _plane_wave_gram(lat, grid, m)
+    psi = _plane_wave_rows(lat, grid, m)
+    ref = psi @ psi.conj().T
     ev = np.linalg.eigvalsh(ref)
     b_top = ev[-1]
-    assert np.max(np.abs(frame.gram - ref)) <= 1e-13 * b_top
+    assert np.max(np.abs(_factor_gram(lat, grid, m) - ref)) <= 1e-13 * b_top
     assert frame.rank == np.count_nonzero(ev > frame.threshold)
     assert frame.frame_bounds[1] == pytest.approx(b_top, rel=1e-13)
 
 
-def test_frame_inequality_on_retained_span(frame8):
+def test_frame_inequality_on_retained_span(frame8, grid):
+    # A |beta|^2 <= |psi^H beta|^2 <= B |beta|^2 on the retained left
+    # singular vectors, measured on the plane-wave rows themselves
     rng = np.random.default_rng(2)
     n = len(frame8.lattice)
-    keep = frame8.eigenvalues > frame8.threshold
-    basis = frame8.eigenvectors[:, keep]
+    basis = frame8.left
     beta = basis @ (basis.conj().T @ (rng.standard_normal(n)
                                       + 1j * rng.standard_normal(n)))
-    quad = float(np.real(beta.conj() @ frame8.gram @ beta))
+    psi = _plane_wave_rows(frame8.lattice, grid)
+    quad = float(np.linalg.norm(psi.conj().T @ beta) ** 2)
     nsq = float(np.real(beta.conj() @ beta))
     a, b = frame8.frame_bounds
     assert a * nsq * (1 - 1e-10) <= quad <= b * nsq * (1 + 1e-10)
@@ -307,19 +329,18 @@ def test_deconvolution_closed_loop(f, space, grid, lattices):
     assert _rel_coeff_err(f1, f0, grid) < 1e-5
 
 
-def test_iterative_solver_matches_gram(frame8, f, lattices):
-    # in-span data keeps conjugate gradients on the retained Krylov space
-    lat = lattices[0.2]
-    f0 = reconstruct(frame8, point_samples(f, lat))
-    s0 = point_samples(f0, lat)
-    rec_g = reconstruct(frame8, s0, method="gram")
-    rec_i = reconstruct(frame8, s0, method="iterative")
-    assert _rel_coeff_err(rec_i, rec_g, frame8.grid) <= 1e-8
-
-
-def test_reconstruct_unknown_method(frame8, f, lattices):
-    with pytest.raises(ValueError, match="method"):
-        reconstruct(frame8, point_samples(f, lattices[0.2]), method="magic")
+def test_reconstruct_matches_dense_lstsq(frames, f, grid, lattices):
+    # the minimal-norm solution of psi y = samples with singular values cut
+    # at sqrt(cut) of the largest, then divided by the weights
+    lat = lattices[0.4]
+    s = point_samples(f, lat)
+    psi = _plane_wave_rows(lat, grid)
+    y = np.linalg.lstsq(psi, s.values, rcond=math.sqrt(1e-12))[0]
+    values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
+    values[grid.band_slice] = (y.reshape(grid.n_band, grid.n_b)
+                               / np.sqrt(_weights(grid))[:, None])
+    ref = BandlimitedFunction(OMEGA, SpectralCoeffs(grid, values))
+    assert _rel_coeff_err(reconstruct(frames[0.4], s), ref, grid) <= 1e-6
 
 
 def test_sample_frame_compatibility(f, grid, lattices, frames, space):
@@ -350,10 +371,11 @@ def test_stability_linear_and_bounded(frame8, f, lattices):
 
 
 def test_adversarial_noise_realizes_stability_constant(frame8, f, lattices):
-    # noise along the weakest retained eigenvector must amplify by 1/sqrt(A)
+    # noise along the weakest retained left singular vector must amplify
+    # by 1/sqrt(A)
     lat = lattices[0.2]
     s = point_samples(f, lat)
-    worst = frame8.eigenvectors[:, len(lat) - frame8.rank]
+    worst = frame8.left[:, -1]
     eps = 1e-6
     noisy = SampleSet(lat, s.values + eps * worst, "point")
     diff = SpectralCoeffs(frame8.grid,

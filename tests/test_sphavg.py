@@ -137,8 +137,8 @@ def test_near_identity_zero_tau(space, grid):
 
 def test_experiment_point_sampling_reduction(space, grid):
     # tau = 0, n = 0 must reproduce the plain point-sampling pipeline
-    rep = theorem73_experiment(OMEGA, 0.4, AverageSpec(tau=0.0), seed=0,
-                               space=space, grid=grid, k_schedule=())
+    [rep] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.0)], seed=0,
+                                 space=space, grid=grid, k_schedule=())
     f = synthesize(space, OMEGA, seed=0, grid=grid)
     lat = build_lattice(0.4, 1.4, seed=0)
     frame = build_frame(lat, OMEGA, grid=grid)
@@ -153,8 +153,8 @@ def test_experiment_point_sampling_reduction(space, grid):
 def test_experiment_overlapping_spheres(space, grid):
     # spheres of radius 0.3 around centers 0.2 apart overlap heavily, yet
     # the averaged samples still determine the function on the band
-    rep = theorem73_experiment(OMEGA, 0.2, AverageSpec(tau=0.3), seed=0,
-                               space=space, grid=grid)
+    [rep] = theorem73_experiment(OMEGA, 0.2, [AverageSpec(tau=0.3)], seed=0,
+                                 space=space, grid=grid)
     assert rep["admissible"]
     assert rep["tau"] > rep["r"]
     assert rep["frame_error"] < 1e-4
@@ -181,16 +181,16 @@ def test_experiment_derivative_sampling_pipeline(space, grid):
 
 
 def test_experiment_inadmissible_is_informative(space, grid):
-    rep = theorem73_experiment(OMEGA, 0.4, AverageSpec(tau=0.5), seed=0,
-                               space=space, grid=grid, k_schedule=())
+    [rep] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.5)], seed=0,
+                                 space=space, grid=grid, k_schedule=())
     assert not rep["admissible"]
     assert np.isfinite(rep["frame_error"])
 
 
 def test_experiment_deterministic(space, grid):
-    a = theorem73_experiment(OMEGA, 0.4, AverageSpec(tau=0.1), seed=3,
-                             space=space, grid=grid, k_schedule=())
-    b = theorem73_experiment(OMEGA, 0.4, AverageSpec(tau=0.1), seed=3,
-                             space=space, grid=grid, k_schedule=())
+    [a] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.1)], seed=3,
+                               space=space, grid=grid, k_schedule=())
+    [b] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.1)], seed=3,
+                               space=space, grid=grid, k_schedule=())
     assert a["frame_error"] == b["frame_error"]
     assert a["frame_bounds"] == b["frame_bounds"]
