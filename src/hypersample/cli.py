@@ -4,8 +4,9 @@ Eight scenarios exercise the library end to end.  Each run writes a
 manifest (config echo, library version, calibrated spectral density
 constant, tolerances in force), a results.csv with a fixed per-scenario
 schema, a plot_results.py renderer and a timings.txt sidecar.  Result
-files are byte-deterministic for identical configs; wall-clock timings
-live only in the sidecar so reruns can be compared by hash.
+files are byte-deterministic for identical configs at a fixed BLAS thread
+count; wall-clock timings live only in the sidecar so reruns can be
+compared by hash.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
 from .errors import ConfigError, HypersampleError, IllConditionedWarning, \
     SingularKernel
 from .geometry import SpaceParams, distance, multiplicity_bound
-from .lattice import build_lattice, certify_cover, certify_multiplicity
+from .lattice import build_lattice, certify_cover, certify_multiplicity, \
+    euclidean_nearest, near_pairs
 from .sampling import build_frame, point_samples, reconstruct
 from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
@@ -283,14 +285,24 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
 
 
 def _min_separation(points: np.ndarray) -> float:
-    # chunks of point rows keep the pair matrix small; each row's own
-    # distance is masked out
-    best = math.inf
-    for lo in range(0, points.size, 512):
-        d = distance(points[lo:lo + 512, None], points[None, :])
-        np.fill_diagonal(d[:, lo:], np.inf)
-        best = min(best, float(d.min()))
-    return best
+    # a point's distance to its Euclidean-nearest neighbour bounds the
+    # separation from above, so the pairs within that bound hold the closest
+    if points.size < 2:
+        return math.inf
+    bound = distance(points, points[euclidean_nearest(points, points, 2)])
+    i, j = near_pairs(points, points, float(bound.min()))
+    apart = i != j
+    return float(distance(points[i[apart]], points[j[apart]]).min())
+
+
+def _farthest_probe(probes: np.ndarray, points: np.ndarray) -> float:
+    """Largest distance from a probe to its nearest point."""
+    # each probe's Euclidean-nearest point bounds its distance to the points
+    bound = distance(probes, points[euclidean_nearest(probes, points, 1)])
+    i, j = near_pairs(probes, points, float(bound.max()))
+    nearest = np.full(probes.size, np.inf)
+    np.minimum.at(nearest, i, distance(probes[i], points[j]))
+    return float(nearest.max())
 
 
 def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
@@ -308,10 +320,7 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             u = rng.random(10_000)
             s = np.arccosh(1.0 + u * (np.cosh(cfg.domain_radius - r) - 1.0))
             probes = np.tanh(s / 2.0) * np.exp(2j * np.pi * rng.random(10_000))
-            # chunks of probe rows keep the probe-by-point matrix small
-            fresh = max(float(distance(probes[lo:lo + 512, None],
-                                       lat.points[None, :]).min(axis=1).max())
-                        for lo in range(0, probes.size, 512))
+            fresh = _farthest_probe(probes, lat.points)
             mult = certify_multiplicity(lat)
         bound = math.ceil(multiplicity_bound(r))
         ok_sep = sep >= r / 2.0 - 1e-12

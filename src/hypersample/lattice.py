@@ -6,10 +6,20 @@ cover of the domain, and the separation makes the r/4-balls disjoint, which
 caps how many r-balls can overlap at any location.  All three properties
 are certified numerically on seeded probe sets at construction time.
 
-Greedy insertion over a shuffled dense candidate net, run as a survivor
-sweep, produces the packing.  The candidate order is randomized by seed
-(maximal packings are not unique) but the origin is always offered first so
-that the degenerate tiny-domain lattice is exactly {o}.
+Greedy insertion over a shuffled dense candidate net produces the packing.
+The candidate order is randomized by seed (maximal packings are not unique)
+but the origin is always offered first so that the degenerate tiny-domain
+lattice is exactly {o}.
+
+Every neighbour search goes through a k-d tree on the Euclidean coordinates.
+The hyperbolic ball of radius t about w is the Euclidean disk of centre
+w (1 - T) / (1 - T |w|^2) and radius sqrt(T) (1 - |w|^2) / (1 - T |w|^2),
+T = tanh(t/2)^2, so each of its points lies within
+sqrt(T) (1 - |w|^2) / (1 - sqrt(T) |w|) <= sqrt(T) / (1 - T) = sinh(t) / 2
+of w.  A tree query at that one radius, widened by 1e-9 relative for
+rounding, returns a superset of the pairs within t; the exact Mobius
+quotient then decides each pair, so the lattices and certificates are those
+of the dense all-pairs passes.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import CertificationFailed
 from .geometry import multiplicity_bound, random_ball_points
@@ -31,6 +42,8 @@ __all__ = [
     "sampling_inequality_probe",
     "save_lattice",
     "load_lattice",
+    "near_pairs",
+    "euclidean_nearest",
 ]
 
 _N_PROBES = 10_000
@@ -79,34 +92,70 @@ def _candidate_net(domain_radius: float, spacing: float, rng) -> np.ndarray:
     return np.concatenate([rings[0], rest])
 
 
-def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:
-    """Sequential-greedy acceptance as a survivor sweep.
+def _plane(z: np.ndarray) -> np.ndarray:
+    return np.column_stack((z.real, z.imag))
 
-    The first live candidate is kept and every later live candidate within
-    r/2 of it is dropped; a candidate survives to be kept exactly when it is
-    r/2-far from every point kept before it, which is the serial rule.
+
+def _tree_radius(t: float) -> float:
+    """Euclidean radius about w holding every point within distance t of w."""
+    return 0.5 * math.sinh(t) * (1.0 + 1e-9)
+
+
+def near_pairs(x: np.ndarray, y: np.ndarray,
+               t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of a superset of the pairs with d(x[i], y[j]) <= t.
+
+    The extra pairs are at most sinh(t)/2 apart in the Euclidean sense; the
+    caller decides each pair with an exact test.
+    """
+    pairs = cKDTree(_plane(x)).sparse_distance_matrix(
+        cKDTree(_plane(y)), _tree_radius(t), output_type="ndarray")
+    return pairs["i"], pairs["j"]
+
+
+def euclidean_nearest(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Index of each x's k-th nearest y in the Euclidean sense."""
+    return cKDTree(_plane(y)).query(_plane(x), k=[k])[1][:, 0]
+
+
+def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:
+    """Sequential-greedy acceptance.
+
+    A candidate is kept exactly when it is r/2-far from every point kept
+    before it: each kept point drops the later live candidates within r/2
+    of it, found by one k-d tree query.
     """
     thresh = _sep_param(r, 0.5) ** 2
+    xy = _plane(candidates)
+    tree = cKDTree(xy)
+    radius = _tree_radius(r / 2.0)
+    live = np.ones(candidates.size, dtype=bool)
     kept = []
-    live = candidates
-    while live.size:
-        kept.append(live[0])
-        rest = live[1:]
-        live = rest[_quotient_sq(rest, live[0]) >= thresh]
-    return np.array(kept, dtype=complex)
+    for i in range(candidates.size):
+        if not live[i]:
+            continue
+        kept.append(i)
+        near = np.asarray(tree.query_ball_point(xy[i], radius), dtype=np.intp)
+        near = near[near > i]
+        near = near[live[near]]
+        close = _quotient_sq(candidates[near], candidates[i]) < thresh
+        live[near[close]] = False
+    return candidates[kept]
 
 
-def _per_probe(probes: np.ndarray, points: np.ndarray, reduce,
-               chunk: int = 512) -> np.ndarray:
-    """reduce(q) over the points axis of the probe-by-point quotient matrix,
-    built a chunk of probe rows at a time."""
-    out = [reduce(_quotient_sq(probes[lo:lo + chunk, None], points[None, :]))
-           for lo in range(0, probes.size, chunk)]
-    return np.concatenate(out) if out else np.empty(0)
+def _min_quotient_sq(probes: np.ndarray, points: np.ndarray,
+                     t: float) -> np.ndarray:
+    """Each probe's least quotient over the points.
 
-
-def _min_quotient_sq(probes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return _per_probe(probes, points, lambda q: q.min(axis=1))
+    Exact from the pairs within t wherever that least value is within t;
+    a probe with no point within t gets its dense row instead.
+    """
+    i, j = near_pairs(probes, points, t)
+    q = np.full(probes.size, np.inf)
+    np.minimum.at(q, i, _quotient_sq(probes[i], points[j]))
+    for k in np.flatnonzero(q > _sep_param(t, 1.0) ** 2):
+        q[k] = _quotient_sq(probes[k], points).min()
+    return q
 
 
 def _cover_radius(min_q: np.ndarray) -> float:
@@ -152,11 +201,15 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     # probes' min quotients after the last insertion certify the cover
     thresh = _sep_param(r, 0.5) ** 2
     probes = _cover_probes(seed, domain_radius, r)
-    q = _min_quotient_sq(probes, points)
-    for i in np.flatnonzero(q > thresh):
+    q = _min_quotient_sq(probes, points, r / 2.0)
+    uncovered = np.flatnonzero(q > thresh)
+    # an insertion covers only probes within r/2 of it, so it updates those
+    owner, nbr = near_pairs(probes[uncovered], probes, r / 2.0)
+    for k, i in enumerate(uncovered):
         if q[i] > thresh:
             points = np.append(points, probes[i])
-            q = np.minimum(q, _quotient_sq(probes, probes[i]))
+            hit = nbr[owner == k]
+            q[hit] = np.minimum(q[hit], _quotient_sq(probes[hit], probes[i]))
     if _cover_radius(q) > r / 2.0:
         raise CertificationFailed("cover gap survived patch insertion")
 
@@ -169,10 +222,9 @@ def _measure_multiplicity(points: np.ndarray, r: float,
                           probes: np.ndarray) -> int:
     if probes.size == 0:
         return 1
-    thresh = _sep_param(r, 1.0) ** 2
-    counts = _per_probe(probes, points,
-                        lambda q: np.count_nonzero(q <= thresh, axis=1))
-    return int(counts.max())
+    i, j = near_pairs(probes, points, r)
+    hit = _quotient_sq(probes[i], points[j]) <= _sep_param(r, 1.0) ** 2
+    return int(np.bincount(i[hit], minlength=probes.size).max())
 
 
 def _check_volume_bound(measured: int, r: float) -> None:
@@ -191,7 +243,7 @@ def certify_cover(lat: Lattice) -> float:
     candidate-net gap (below r/8), never more.
     """
     probes = _cover_probes(lat.seed, lat.domain_radius, lat.r)
-    return _cover_radius(_min_quotient_sq(probes, lat.points))
+    return _cover_radius(_min_quotient_sq(probes, lat.points, lat.r / 2.0))
 
 
 def certify_multiplicity(lat: Lattice) -> int:

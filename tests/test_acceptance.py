@@ -15,10 +15,9 @@ from hypersample.bandlimited import BandlimitedFunction, bernstein_check, \
     synthesize
 from hypersample.baseline1d import exp_frame_gram, gram_reconstruct, \
     sinc_reconstruct, synthesize_1d
-from hypersample.cli import load_config, run, verify_all
+from hypersample.cli import _scenario_lattice, load_config, run, verify_all
 from hypersample.geometry import ball_volume, busemann, distance
-from hypersample.lattice import build_lattice, certify_cover, \
-    certify_multiplicity
+from hypersample.lattice import build_lattice
 from hypersample.sampling import build_frame, convolution_samples, \
     point_samples, reconstruct, stability_probe
 from hypersample.spectral import apply_multiplier, build_grid, \
@@ -86,27 +85,25 @@ def test_criterion_02_bernstein(space, grid2):
                             f"10 seeds x 4 orders (bound 1 + 1e-10)")
 
 
-def test_criterion_03_lattice_certification():
-    domain = 1.5
+def test_criterion_03_lattice_certification(space):
+    from pathlib import Path
+
+    cfg = load_config(Path(__file__).resolve().parent.parent
+                      / "configs" / "lattice.ini")
+    assert (cfg.r_values, cfg.domain_radius, cfg.seeds) == \
+        ((0.1, 0.2, 0.4), 1.5, (0,))
+    rep = _scenario_lattice(cfg, space)
+    assert [row[0] for row in rep.rows] == [0.1, 0.2, 0.4]
     details = []
-    for r in (0.1, 0.2, 0.4):
-        lat = build_lattice(r, domain, seed=0)
-        d = distance(lat.points[:, None], lat.points[None, :])
-        np.fill_diagonal(d, np.inf)
-        sep = float(d.min())
+    for r, n, sep, cover, fresh, mult, bound, passed in rep.rows:
         assert sep >= r / 2.0 - 1e-12
-        assert certify_cover(lat) <= r / 2.0
-        rng = np.random.default_rng(99)
-        u = rng.random(10_000)
-        s = np.arccosh(1.0 + u * (np.cosh(domain - r) - 1.0))
-        probes = np.tanh(s / 2.0) * np.exp(2j * np.pi * rng.random(10_000))
-        fresh = float(distance(probes[:, None],
-                               lat.points[None, :]).min(axis=1).max())
+        assert cover <= r / 2.0
         assert fresh <= r / 2.0 + r / 8.0
-        mult = certify_multiplicity(lat)
-        bound = math.ceil(ball_volume(3.0 * r) / ball_volume(r / 4.0))
+        assert bound == math.ceil(ball_volume(3.0 * r) / ball_volume(r / 4.0))
         assert mult <= bound
-        details.append(f"r={r}: N={len(lat)} mult {mult}<={bound}")
+        assert passed
+        details.append(f"r={r}: N={n} mult {mult}<={bound}")
+    assert rep.failures == []
     _report(3, "lattice", "; ".join(details))
 
 

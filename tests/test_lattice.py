@@ -1,6 +1,7 @@
 """Lattice construction, certification, and the sampling inequality probe."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypersample import lattice as lattice_mod
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import CertificationFailed
-from hypersample.geometry import ball_volume, distance
+from hypersample.geometry import ball_volume, distance, multiplicity_bound
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
                                  certify_multiplicity, load_lattice,
                                  sampling_inequality_probe, save_lattice)
@@ -86,6 +87,94 @@ def test_greedy_packing_matches_definition(r, seed):
     packing = lattice_mod._greedy_packing(net, r)
     assert packing.dtype == complex
     assert np.array_equal(packing, np.array(kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w_abs=st.floats(0.0, 0.99), w_arg=st.floats(-math.pi, math.pi),
+       big_t=st.floats(1e-12, 0.9, exclude_max=True),
+       u_scale=st.floats(0.0, 1.0), u_arg=st.floats(-math.pi, math.pi))
+def test_quotient_ball_lies_within_tree_radius(w_abs, w_arg, big_t, u_scale,
+                                               u_arg):
+    # z = (u + w) / (1 + conj(w) u) has quotient |u|^2 against w, so
+    # |u| <= sqrt(T) sweeps the ball {z : q(z, w) <= T}, its rim included
+    w = w_abs * np.exp(1j * w_arg)
+    u = u_scale * math.sqrt(big_t) * np.exp(1j * u_arg)
+    z = (u + w) / (1.0 + np.conj(w) * u)
+    if lattice_mod._quotient_sq(z, w) <= big_t:
+        t = 2.0 * math.atanh(math.sqrt(big_t))
+        assert abs(z - w) <= lattice_mod._tree_radius(t)
+
+
+def _dense_lattice(r, domain, seed):
+    """The all-pairs build: survivor sweep, probe-by-point passes in chunks
+    of 512 probe rows, and a whole-probe-set update per patch insertion.
+    Returns (points, n_mult, cover radius)."""
+    def per_probe(probes, points, reduce):
+        out = [reduce(lattice_mod._quotient_sq(probes[lo:lo + 512, None],
+                                               points[None, :]))
+               for lo in range(0, probes.size, 512)]
+        return np.concatenate(out) if out else np.empty(0)
+
+    net = lattice_mod._candidate_net(domain, r / 8.0,
+                                     np.random.default_rng([seed, 0]))
+    thresh = lattice_mod._sep_param(r, 0.5) ** 2
+    kept, live = [], net
+    while live.size:
+        kept.append(live[0])
+        rest = live[1:]
+        live = rest[lattice_mod._quotient_sq(rest, live[0]) >= thresh]
+    points = np.array(kept, dtype=complex)
+    probes = lattice_mod._cover_probes(seed, domain, r)
+    q = per_probe(probes, points, lambda m: m.min(axis=1))
+    for i in np.flatnonzero(q > thresh):
+        if q[i] > thresh:
+            points = np.append(points, probes[i])
+            q = np.minimum(q, lattice_mod._quotient_sq(probes, probes[i]))
+    mult_thresh = lattice_mod._sep_param(r, 1.0) ** 2
+    counts = per_probe(lattice_mod._mult_probes(seed, domain), points,
+                       lambda m: np.count_nonzero(m <= mult_thresh, axis=1))
+    return points, int(counts.max()), lattice_mod._cover_radius(q)
+
+
+@pytest.mark.parametrize("r, domain", [(0.2, 1.4), (0.1, 1.5)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_indexed_build_matches_dense_passes(r, domain, seed):
+    points, n_mult, cover = _dense_lattice(r, domain, seed)
+    lat = build_lattice(r, domain, seed)
+    assert lat.points.tobytes() == points.tobytes()
+    assert lat.n_mult == n_mult
+    assert certify_cover(lat) == cover
+
+
+def test_certify_cover_of_a_lattice_with_holes_is_exact():
+    # a hole wider than r/2 leaves probes with no lattice point within the
+    # tree radius, and others whose nearby points are all beyond r/2
+    lat = build_lattice(0.2, 1.4, seed=0)
+    keep = (np.abs(lat.points - 0.3) > 0.2) & (np.arange(len(lat)) % 5 > 0)
+    holed = Lattice(lat.points[keep], lat.r, lat.n_mult, lat.domain_radius,
+                    lat.seed)
+    probes = lattice_mod._cover_probes(lat.seed, lat.domain_radius, lat.r)
+    dense = lattice_mod._quotient_sq(probes[:, None],
+                                     holed.points[None, :]).min(axis=1)
+    assert certify_cover(holed) == lattice_mod._cover_radius(dense)
+    assert certify_cover(holed) > 2.0 * lat.r
+    mult_probes = lattice_mod._mult_probes(lat.seed, lat.domain_radius)
+    q = lattice_mod._quotient_sq(mult_probes[:, None], holed.points[None, :])
+    counts = np.count_nonzero(q <= lattice_mod._sep_param(lat.r, 1.0) ** 2,
+                              axis=1)
+    assert certify_multiplicity(holed) == counts.max()
+
+
+def test_fine_lattice_builds_in_near_linear_time():
+    # N ~ 3e4 from ~7e5 candidates takes a few seconds through the k-d
+    # tree; the all-pairs sweep would take minutes
+    start = time.perf_counter()
+    lat = build_lattice(0.025, 1.4, seed=0)
+    elapsed = time.perf_counter() - start
+    assert len(lat) > 25_000
+    assert certify_cover(lat) <= lat.r / 2
+    assert certify_multiplicity(lat) <= math.ceil(multiplicity_bound(lat.r))
+    assert elapsed < 30.0
 
 
 def test_build_lattice_rejects_count_above_volume_bound(monkeypatch):
