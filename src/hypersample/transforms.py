@@ -16,8 +16,16 @@ spherical function; Phi_{lam, -m} = Phi_{lam, m}).  Each Phi solves
 
 For r beyond ~4 the defining circle integral concentrates in an angular
 window of width ~e^{-r} and direct quadrature degrades, so the table is
-built hybrid: quadrature up to a switch radius, then a fixed-step RK4
-continuation of the ODE initialized with quadrature values and derivatives.
+built in two parts: circle quadrature up to a switch radius, and beyond it
+the Harish-Chandra expansion at infinity, a closed form in e^{-2r}:
+
+    Phi_{lam, m}(r) = c(lam) pi_m(lam) e^{(i lam - 1/2) r} g_+(e^{-2r})
+                      + c(-lam) e^{(-i lam - 1/2) r} g_-(e^{-2r})
+
+with c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) the Harish-Chandra
+c-function, pi_m(lam) = prod_{j=1..m} (j - 1/2 - i lam) / (j - 1/2 + i lam),
+and g_+- power series whose coefficients follow from the mode equation
+(see _modes_by_expansion).
 
 A dense direct route (explicit plane-wave kernels at every grid node) is
 kept as an independent cross-check for small domains; it shares no code
@@ -33,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
+from scipy.special import loggamma
 
-from .errors import CalibrationInconsistent, TailMassExceeded
+from .errors import CalibrationInconsistent, NumericalFailure, TailMassExceeded
 from .geometry import SpaceParams, as_complex, busemann, distance, random_ball_points
 from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real, build_grid,
                        plane_wave_series)
@@ -52,7 +61,6 @@ __all__ = [
 ]
 
 _SWITCH_RADIUS = 4.0
-_MARCH_STEP = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,66 +148,85 @@ def _phase_node_count(lam_max: float, r_max: float) -> int:
     return int(2 ** math.ceil(math.log2(n)))
 
 
-def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
-                         deriv: bool = False) -> np.ndarray:
-    """Phi_{lam, m}(r) (or d/dr of it) for 0 <= m <= m_max by circle quadrature.
+def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
+    """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature.
 
-    Only reliable up to moderate r; the caller keeps rs <= switch radius."""
+    Only reliable up to moderate r; the caller keeps rs <= switch radius.
+    Radii go in chunks of about 2^20 (lam, angle, radius) entries."""
     n = _phase_node_count(float(np.max(lams)), float(np.max(rs)))
     n = max(n, 4 * (m_max + 1))
     t = 2.0 * np.pi * np.arange(n) / n
     out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
     expo = (-0.5 + 1j * lams)[:, None, None]
-    chunk = max(1, int(6.0e6 / max(1, lams.size * n)))
+    chunk = max(1, (1 << 20) // max(1, lams.size * n))
     for lo in range(0, rs.size, chunk):
         rr = rs[lo:lo + chunk]
         base = np.cosh(rr)[:, None] - np.sinh(rr)[:, None] * np.cos(t)[None, :]
-        logb = np.log(base)[None, :, :]
-        vals = np.exp(expo * logb)
-        if deriv:
-            vals = vals * expo * ((np.sinh(rr)[:, None] - np.cosh(rr)[:, None]
-                                   * np.cos(t)[None, :])[None, :, :] / base[None, :, :])
+        vals = np.exp(expo * np.log(base)[None, :, :])
         spec = np.fft.fft(vals, axis=2) / n
         out[:, :, lo:lo + chunk] = spec[:, :, :m_max + 1].transpose(0, 2, 1)
     return out
 
 
-def _march_modes(lams: np.ndarray, targets: np.ndarray, m_max: int,
-                 r_start: float) -> np.ndarray:
-    """Continue all (lam, m) radial functions from r_start to each target > r_start
-    by classic RK4 on the second-order mode equation."""
-    y = _modes_by_quadrature(lams, np.array([r_start]), m_max)[:, :, 0]
-    d = _modes_by_quadrature(lams, np.array([r_start]), m_max, deriv=True)[:, :, 0]
-    ll = (lams**2 + 0.25)[:, None]
-    mm = (np.arange(m_max + 1, dtype=float) ** 2)[None, :]
+def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
+    """Phi_{lam, m}(r) for 0 <= m <= m_max and lam > 0 by the Harish-Chandra
+    expansion at infinity (module docstring), for radii rs >= ~3.
 
-    def rhs(r, yv, dv):
-        coef = ll - mm / math.sinh(r) ** 2
-        return dv, -dv / math.tanh(r) - coef * yv
+    With u = e^{-2r}, g_+(u) = sum_n a_n u^n solves the mode equation with
+    a_0 = 1, a_{-1} = 0 and, for s = -1/2 + i lam and Lam = lam^2 + 1/4,
 
-    out = np.empty((lams.size, m_max + 1, targets.size), dtype=complex)
-    r = r_start
-    for it, rt in enumerate(targets):
-        n_sub = max(1, int(math.ceil((rt - r) / _MARCH_STEP)))
-        h = (rt - r) / n_sub
-        for _ in range(n_sub):
-            k1y, k1d = rhs(r, y, d)
-            k2y, k2d = rhs(r + 0.5 * h, y + 0.5 * h * k1y, d + 0.5 * h * k1d)
-            k3y, k3d = rhs(r + 0.5 * h, y + 0.5 * h * k2y, d + 0.5 * h * k2d)
-            k4y, k4d = rhs(r + h, y + h * k3y, d + h * k3d)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            r += h
-        r = rt
-        out[:, :, it] = y
-    return out
+        4 n (n - i lam) a_n = [2 (s - 2n + 2)^2 + 2 Lam + 4 m^2] a_{n-1}
+                              - [(s - 2n + 4)^2 - (s - 2n + 4) + Lam] a_{n-2};
+
+    for real lam and u, g_- is its complex conjugate and so is the second
+    term of the expansion.  The series is summed until two consecutive
+    terms fall below roundoff of the sum of term magnitudes at every
+    (lam, m, r); NumericalFailure is raised if that takes more than 64
+    terms (the calibration table, r > 4 and m <= 31, takes 10).
+    """
+    il = 1j * lams[:, None]
+    s = -0.5 + il
+    lam2 = lams[:, None] ** 2 + 0.25
+    m4 = 4.0 * np.arange(m_max + 1, dtype=float)[None, :] ** 2
+    u = np.exp(-2.0 * rs)
+    a_prev = np.zeros((lams.size, m_max + 1), dtype=complex)
+    a = np.ones((lams.size, m_max + 1), dtype=complex)
+    g = np.ones((lams.size, m_max + 1, rs.size), dtype=complex)
+    mass = np.ones(g.shape)
+    un = np.ones_like(u)
+    prev = np.full(g.shape, np.inf)
+    eps = np.finfo(float).eps
+    for n in range(1, 65):
+        p, q = s - 2 * n + 2, s - 2 * n + 4
+        a_prev, a = a, (((2.0 * p**2 + 2.0 * lam2 + m4) * a
+                         - (q**2 - q + lam2) * a_prev) / (4 * n * (n - il)))
+        un = un * u
+        term = a[:, :, None] * un
+        g += term
+        size = np.abs(term)
+        mass += size
+        if np.all(size + prev <= eps * mass):
+            break
+        prev = size
+    else:
+        raise NumericalFailure(
+            f"Harish-Chandra series at lam <= {float(np.max(lams)):.3g}, "
+            f"m <= {m_max}, r >= {float(np.min(rs)):.3g} did not converge "
+            f"in {n} terms")
+    c = np.exp(loggamma(1j * lams) - loggamma(0.5 + 1j * lams)) / math.sqrt(math.pi)
+    j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
+    pi_m = np.concatenate([np.ones((lams.size, 1)),
+                           np.cumprod((j - il) / (j + il), axis=1)], axis=1)
+    w = (c[:, None] * np.exp(np.outer(1j * lams - 0.5, rs)))[:, None, :] * g
+    return pi_m[:, :, None] * w + np.conj(w)
 
 
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.ndarray:
     """Read-only table Phi[i_lam, m, i_r] over the grid nodes.
 
-    Cached per (grid, pgrid, m_max); the cache keeps the _TABLE_CACHE_SIZE
-    most recently used tables."""
+    Entries at radii up to _SWITCH_RADIUS come from circle quadrature, the
+    rest from the Harish-Chandra expansion.  Cached per (grid, pgrid, m_max);
+    the cache keeps the _TABLE_CACHE_SIZE most recently used tables."""
     key = (grid.lambda_nodes.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
@@ -212,7 +239,7 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.nd
     if np.any(near):
         table[:, :, near] = _modes_by_quadrature(lams, rs[near], m_max)
     if np.any(~near):
-        table[:, :, ~near] = _march_modes(lams, rs[~near], m_max, _SWITCH_RADIUS)
+        table[:, :, ~near] = _modes_by_expansion(lams, rs[~near], m_max)
     table.setflags(write=False)
     _TABLE_CACHE[key] = table
     if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:

@@ -4,11 +4,13 @@ agreement, adjointness, Parseval balance and calibration."""
 import math
 from collections import OrderedDict
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hypersample import transforms as tr
-from hypersample.errors import CalibrationInconsistent, TailMassExceeded
+from hypersample.errors import (CalibrationInconsistent, NumericalFailure,
+                               TailMassExceeded)
 from hypersample.geometry import ball_volume, busemann, distance, mobius_translate
 from hypersample.spectral import (SpectralCoeffs, apply_multiplier, build_grid,
                                   laplacian_multiplier, spherical_function)
@@ -61,12 +63,13 @@ def test_norm_constant_equals_area(pgrid):
 
 def test_mode_table_zonal_row_matches_spherical_function(space):
     # independent routes: r <= 4 entries come from circle quadrature,
-    # r > 4 entries from the ODE march; the scalar oracle is quadrature-only
+    # r > 4 entries from the Harish-Chandra expansion; the scalar oracle is
+    # the Busemann average
     grid = build_grid(space, lam_max=12.0, n_lambda=16, n_b=16)
     pg = tr.build_polar_grid(8.0, 24, 16)
     tab = tr.radial_mode_table(grid, pg, 4)
     ref = spherical_function(grid.lambda_nodes[:, None], pg.r_nodes[None, :])
-    assert np.max(np.abs(tab[:, 0, :] - ref)) < 1e-8
+    assert np.max(np.abs(tab[:, 0, :] - ref)) < 1e-12
     assert np.max(np.abs(tab[:, 0, :].imag)) < 1e-9
 
 
@@ -83,11 +86,40 @@ def _ode_residual_ok(lams, y, r0, m, h):
 
 
 def test_mode_table_ode_residual():
-    # marched values must satisfy the radial mode equation
+    # far-field (expansion) values must satisfy the radial mode equation
     h = 1e-3
     lams = np.linspace(0.5, 10.0, 6)
-    vals = tr._march_modes(lams, np.array([6.0 - h, 6.0, 6.0 + h]), 3, 4.0)
+    vals = tr._modes_by_expansion(lams, np.array([6.0 - h, 6.0, 6.0 + h]), 3)
     _ode_residual_ok(lams, vals[:, 3, :], 6.0, 3, h)
+
+
+def _mode_by_mpmath(lam, m, r):
+    """Phi_{lam, m}(r) as the defining circle integral at 30 digits, split
+    at e^{-r} 4^k where the integrand concentrates near t = 0."""
+    with mp.workdps(30):
+        r, expo = mp.mpf(r), mp.mpf(-0.5) + 1j * mp.mpf(lam)
+        splits = [0] + [mp.exp(-r) * 4**k for k in range(12)
+                        if mp.exp(-r) * 4**k < mp.pi] + [mp.pi]
+        val = mp.quad(lambda t: (mp.cosh(r) - mp.sinh(r) * mp.cos(t)) ** expo
+                      * mp.cos(m * t), splits) / mp.pi
+        return complex(val)
+
+
+def test_mode_table_far_entries_match_mpmath():
+    lams = np.array([6e-4, 0.3, 3.0, 24.0])
+    rs = np.array([4.5, 6.0, 8.0])
+    ms = (0, 5, 31)
+    vals = tr._modes_by_expansion(lams, rs, max(ms))
+    err = max(abs(vals[i, m, k] - _mode_by_mpmath(lam, m, r))
+              for i, lam in enumerate(lams) for m in ms
+              for k, r in enumerate(rs))
+    assert err <= 1e-12
+
+
+def test_mode_expansion_fails_loudly_near_the_origin():
+    # at r = 0.5 the series in e^{-2r} is far from roundoff after its cap
+    with pytest.raises(NumericalFailure):
+        tr._modes_by_expansion(np.array([1.0]), np.array([0.5]), 31)
 
 
 def test_mode_table_quadrature_ode_residual():
@@ -160,8 +192,8 @@ def test_parseval_after_calibration(space):
 def test_calibration_constant(calibration):
     # the measured density constant; agreement across reference functions
     # to machine precision pins it as a genuine invariant of the convention
-    assert calibration.spread < 1e-10
-    assert calibration.scale == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-10)
+    assert calibration.spread <= 2e-14
+    assert abs(2.0 * np.pi * calibration.scale - 1.0) <= 2e-14
 
 
 def test_calibration_inconsistent_when_band_starved():
