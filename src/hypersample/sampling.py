@@ -10,11 +10,16 @@ everything follows from F's singular values: their squares certify
 stability on the sampled span, and the truncated pseudo-inverse of F gives
 the minimal-norm band-limited interpolant (the dual-frame reconstruction).
 
-F is never formed whole, nor is its N x N Gram.  A unitary DFT over the n_b
-boundary angles splits it into n_b angular-mode blocks of N x n_band, each
-compressed by QR and an SVD to its right singular directions above
-roundoff; the concatenated N x K factor C has C C^H = F F^H, and one thin
-SVD of C gives the frame spectrum and the reconstruction map.
+F is never formed whole, nor is its N x N Gram.  Each plane wave is a
+Chebyshev series in the horocycle distance a = A(x, b), so F = G S with the
+real rows G[j, (b, k)] = e^(rho A) T_k(A / a_max) and a short series matrix
+S (deg x n_band, deg about 20 at omega = 2).  A unitary DFT over the n_b
+boundary angles splits G into angular-mode blocks of N x deg, of which the
+real rows leave only n_b / 2 + 1 distinct up to conjugation; each block
+F_m = G_m S is compressed by QR and an SVD to its right singular
+directions above roundoff.  The concatenated N x K factor C has
+C C^H = F F^H, and one thin SVD of C gives the frame spectrum and the
+reconstruction map.
 
 The spectrum of any interesting lattice decays smoothly to machine zero:
 band-limited functions are analytic, so samples on a bounded domain pin
@@ -37,7 +42,7 @@ from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
 from .geometry import busemann
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       apply_multiplier)
+                       apply_multiplier, plane_wave_series)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -110,41 +115,88 @@ def convolution_samples(f: BandlimitedFunction, lat: Lattice,
     return SampleSet(lat, vals, "convolution", multiplier=m)
 
 
-def _kernel_rows(points: np.ndarray, lam: np.ndarray, rho: float,
-                 angles: np.ndarray) -> np.ndarray:
-    """Frame vectors e_j(lam_i, b_l) at [l, j, i]: (n_b, n_points, n_lam)."""
-    a = busemann(points[None, :], angles[:, None])
-    k = (1j * lam + rho) * a[:, :, None]
-    return np.exp(k, out=k)
+def _plane_wave_basis(points: np.ndarray, lam: np.ndarray,
+                      scale: np.ndarray) -> tuple[float, np.ndarray]:
+    """The plane waves scale_i e^{i lam_i a} as Chebyshev series in a.
+
+    a_max = max d(0, x_j) bounds |A(x_j, b)| over the circle (1.0 when all
+    points sit at the origin); S = plane_wave_series(lam, diag(scale), a_max)
+    has scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max.
+    S is cut after its last degree whose largest coefficient is above
+    eps max|S|: the series starts past degree max(lam) a_max with a margin
+    for its tail check, and the coefficients beyond the cut are roundoff.
+    Returns a_max and S, shape (deg, lam.size).
+    """
+    far = points[np.argmax(np.abs(points))]
+    a_max = float(busemann(far, np.angle(far))) or 1.0
+    series = plane_wave_series(lam, np.diag(scale), a_max)
+    top = np.max(np.abs(series), axis=1)
+    deg = int(np.flatnonzero(top > np.finfo(float).eps * top.max())[-1]) + 1
+    return a_max, series[:deg]
+
+
+def _horocycle_rows(points: np.ndarray, angles: np.ndarray, rho: float,
+                    a_max: float, deg: int) -> np.ndarray:
+    """e^{rho A} T_k(A / a_max) at A = A(x_j, b_l) at [j, k, l], k < deg.
+
+    Real, shape (n_points, deg, n_b): one exp per (point, angle), then the
+    three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}, which is linear and
+    so carries the factor e^{rho A} along.
+    """
+    a = busemann(points[:, None], angles[None, :])
+    x = a / a_max
+    rows = np.empty((points.size, deg, angles.size))
+    rows[:, 0] = np.exp(rho * a)
+    if deg > 1:
+        np.multiply(x, rows[:, 0], out=rows[:, 1])
+    x *= 2.0
+    for k in range(2, deg):
+        np.multiply(x, rows[:, k - 1], out=rows[:, k])
+        rows[:, k] -= rows[:, k - 2]
+    return rows
 
 
 def _band_factor(points: np.ndarray, grid: SpectralGrid,
                  scale: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Compressed factor of the band rows F = R diag(scale) per angular mode.
 
-    The unitary DFT over the boundary angles turns F into n_b blocks
-    F_m[j, i] (mode, point, lam), built in point chunks so that only one
-    such array is alive; F F^H = sum_m F_m F_m^H.  A QR of each block and
-    an SVD of its triangular factor give the block's right singular
-    directions V_m; those above max(N, n_band) eps times the largest
-    singular value of all blocks (the roundoff floor) are kept.  Returns
-    C = [F_m V_m]_m, of shape (N, K) with C C^H = F F^H, and the V_m.
+    With the plane waves as Chebyshev series in the horocycle distance
+    (_plane_wave_basis, scale_i e^{i lam_i a} = sum_k S[k, i] T_k), F is
+    G S on the real rows G[j, (b, k)] = e^{rho A} T_k(A / a_max)
+    (_horocycle_rows).  The unitary DFT over the boundary angles turns F
+    into n_b blocks F_m = G_m S (mode, point, lam), F F^H = sum_m F_m F_m^H;
+    G is real, so G_{-m} = conj(G_m) and only the modes 0 ... n_b / 2 are
+    built, in point chunks.  A QR of each G_m (N x deg) gives F_m = Q_m R_m S,
+    mode -m taking conj(R_m), and an SVD of R_m S gives the block's right
+    singular directions V_m; those above max(N, n_band) eps times the
+    largest singular value of all blocks (the roundoff floor) are kept.
+    Returns C = [G_m (S V_m)]_m, of shape (N, K) with C C^H = F F^H, and
+    the V_m.
     """
     lam = grid.lambda_nodes[grid.band_slice]
     n, n_b = points.size, grid.n_b
-    blocks = np.empty((n_b, n, lam.size), dtype=complex)
-    step = max(1, (1 << 20) // (lam.size * n_b))
+    a_max, series = _plane_wave_basis(points, lam, scale)
+    deg = series.shape[0]
+    half = np.empty((n_b // 2 + 1, n, deg), dtype=complex)
+    step = max(1, (1 << 20) // (deg * n_b))
     for lo in range(0, n, step):
-        rows = _kernel_rows(points[lo:lo + step], lam, grid.rho,
-                            grid.boundary_angles)
-        np.multiply(np.fft.fft(rows, axis=0, norm="ortho"), scale,
-                    out=blocks[:, lo:lo + step])
+        rows = _horocycle_rows(points[lo:lo + step], grid.boundary_angles,
+                               grid.rho, a_max, deg)
+        half[:, lo:lo + step] = np.fft.rfft(
+            rows, axis=2, norm="ortho").transpose(2, 0, 1)
     # one block at a time: a batched QR would copy the whole stack
-    tri = np.stack([np.linalg.qr(f, mode="r") for f in blocks])
-    _, sv, vh = np.linalg.svd(tri, full_matrices=False)
+    tri = np.stack([np.linalg.qr(g, mode="r") for g in half])
+    modes = np.arange(n_b)
+    src = np.minimum(modes, n_b - modes)
+    neg = 2 * modes > n_b
+    tri = tri[src]
+    tri[neg] = tri[neg].conj()
+    _, sv, vh = np.linalg.svd(tri @ series, full_matrices=False)
     keep = sv > max(n, lam.size) * np.finfo(float).eps * sv.max()
     dirs = [v[k].conj().T for v, k in zip(vh, keep)]
-    return np.concatenate([f @ v for f, v in zip(blocks, dirs)], axis=1), dirs
+    cols = [np.conj(half[s] @ np.conj(series @ v)) if ng
+            else half[s] @ (series @ v) for s, ng, v in zip(src, neg, dirs)]
+    return np.concatenate(cols, axis=1), dirs
 
 
 def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
@@ -154,9 +206,10 @@ def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
     The frame operator is F = R diag(sqrt(lambda_measure |m|^2 / n_b)) on
     the band rows R[j, (lam, b)] = e_j(lam, b); its Gram F F^H is the
     integral over [0, omega] x boundary of |m|^2 e_j conj(e_k) density
-    dlam db.  One thin SVD of the per-mode factor C (_band_factor) gives
-    the singular values sigma of F: the eigenvalues of the Gram are
-    sigma^2, B is the largest, and the retained span is sigma^2 > cut B.
+    dlam db.  One thin SVD of the per-mode factor C (_band_factor, built
+    from real Chebyshev rows in the horocycle distance) gives the singular
+    values sigma of F: the eigenvalues of the Gram are sigma^2, B is the
+    largest, and the retained span is sigma^2 > cut B.
 
     cut fixes the relative eigenvalue threshold below which directions are
     treated as numerically unreachable.  The default keeps the sample span

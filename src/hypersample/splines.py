@@ -31,7 +31,7 @@ from .errors import (IllConditionedWarning, MultiplierVanishes,
                      SingularKernel, TailTooLarge)
 from .geometry import distance
 from .lattice import Lattice
-from .sampling import SampleSet, _kernel_rows
+from .sampling import SampleSet, _horocycle_rows, _plane_wave_basis
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
                        plancherel_density, zonal_series)
 
@@ -315,9 +315,12 @@ def spline_band_projection(interp: SplineInterpolant,
     m = sys.deconv_multiplier
     if m is not None:
         fac = fac * np.conj(np.asarray(m.fn(lam), dtype=complex))
-    rows = _kernel_rows(sys.lattice.points, lam, grid.rho,
-                        grid.boundary_angles)
-    coef = (interp.beta @ rows.conj()).T
+    # e^((-i lam + rho) a) = e^(rho a) sum_k conj(S[k, lam]) T_k(a / a_max)
+    pts = sys.lattice.points
+    a_max, series = _plane_wave_basis(pts, lam, np.ones(lam.size))
+    rows = _horocycle_rows(pts, grid.boundary_angles, grid.rho, a_max,
+                           series.shape[0])
+    coef = series.conj().T @ np.tensordot(interp.beta, rows, axes=1)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = fac[:, None] * coef
     return BandlimitedFunction(grid.omega, SpectralCoeffs(grid, values))

@@ -15,7 +15,8 @@ from hypersample.bandlimited import BandlimitedFunction, bernstein_check, \
     synthesize
 from hypersample.baseline1d import exp_frame_gram, gram_reconstruct, \
     sinc_reconstruct, synthesize_1d
-from hypersample.cli import _scenario_lattice, load_config, run, verify_all
+from hypersample.cli import _scenario_frame, _scenario_lattice, load_config, \
+    run, verify_all
 from hypersample.geometry import ball_volume, busemann, distance
 from hypersample.lattice import build_lattice
 from hypersample.sampling import build_frame, convolution_samples, \
@@ -107,16 +108,21 @@ def test_criterion_03_lattice_certification(space):
     _report(3, "lattice", "; ".join(details))
 
 
-def test_criterion_04_frame_reconstruction(space, grid2, pg14, f2):
-    ref = f2.on_grid(pg14)
-    errors = []
-    for r in (0.4, 0.2, 0.1):
-        lat = build_lattice(r, 1.4, seed=0)
-        frame = build_frame(lat, 2.0, grid=grid2)
-        rec = reconstruct(frame, point_samples(f2, lat))
-        errors.append(_rel(pg14, rec.on_grid(pg14), ref))
+def test_criterion_04_frame_reconstruction(space):
+    from pathlib import Path
+
+    cfg = load_config(Path(__file__).resolve().parent.parent
+                      / "configs" / "frame_reconstruct.ini")
+    assert (cfg.omega, cfg.r_values, cfg.domain_radius, cfg.seeds) == \
+        (2.0, (0.4, 0.2, 0.1), 1.4, (0,))
+    rep = _scenario_frame(cfg, space)
+    assert [row[0] for row in rep.rows] == [0.4, 0.2, 0.1]
+    errors = rep.info["errors_by_r"]
+    assert [row[5] for row in rep.rows] == list(errors)
     assert errors[2] < 1e-6
     assert errors[0] > errors[1] > errors[2]
+    assert all(row[3] > 0 for row in rep.rows)
+    assert rep.failures == []
     _report(4, "frame reconstruction",
             "errors " + " > ".join(f"{e:.3e}" for e in errors)
             + " over r in (0.4, 0.2, 0.1); finest < 1e-6")

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
-from hypersample.geometry import distance
+from hypersample.geometry import busemann, distance
 from hypersample.lattice import Lattice, build_lattice
-from hypersample.sampling import (SampleSet, _band_factor, _kernel_rows,
-                                  build_frame, convolution_samples,
-                                  load_samples, point_samples, reconstruct,
-                                  save_samples, stability_probe)
+from hypersample.sampling import (SampleSet, _band_factor, _horocycle_rows,
+                                  _plane_wave_basis, build_frame,
+                                  convolution_samples, load_samples,
+                                  point_samples, reconstruct, save_samples,
+                                  stability_probe)
 from hypersample.spectral import (SpectralCoeffs, build_grid,
                                   identity_multiplier, laplacian_multiplier)
 from hypersample.sphavg import AverageSpec, average_multiplier
+from hypersample.splines import (SplineInterpolant, build_splines,
+                                 spline_band_projection)
 from hypersample.transforms import build_polar_grid
 
 # every Gram in this regime is rank deficient in raw double precision, so the
@@ -149,6 +152,13 @@ def _factor_gram(lat, grid, m=None):
     return c @ c.conj().T
 
 
+def _kernel_rows(points, lam, rho, angles):
+    # frame vectors e_j(lam_i, b_l) = e^((i lam_i + rho) A(x_j, b_l)) at
+    # [l, j, i], one complex exponential each: the oracle for the factor
+    a = busemann(points[None, :], angles[:, None])
+    return np.exp((1j * lam + rho) * a[:, :, None])
+
+
 def _plane_wave_rows(lat, grid, m=None):
     # the weighted discrete plane-wave rows psi: F itself, never formed by
     # build_frame, whose Gram is psi psi^H
@@ -157,6 +167,67 @@ def _plane_wave_rows(lat, grid, m=None):
                         grid.boundary_angles)
     rows = rows.transpose(1, 2, 0).reshape(len(lat), -1)
     return rows * np.sqrt(np.repeat(_weights(grid, m), grid.n_b))
+
+
+def _multiplier(space, name):
+    if name == "laplacian":
+        return laplacian_multiplier(space)
+    if name == "average":
+        return average_multiplier(space, AverageSpec(tau=0.2))
+    return None
+
+
+@pytest.mark.parametrize("name", [None, "laplacian", "average"])
+@pytest.mark.parametrize("r", [0.4, 0.2])
+def test_mode_rows_match_plane_wave_dft(space, grid, lattices, r, name):
+    # G_m S, with mode -m built as conj(G_m), is the unitary DFT over the
+    # boundary angles of the weighted plane-wave rows
+    lat = lattices[r]
+    sl = grid.band_slice
+    scale = np.sqrt(_weights(grid, _multiplier(space, name)))
+    a_max, series = _plane_wave_basis(lat.points, grid.lambda_nodes[sl],
+                                      scale)
+    half = np.fft.rfft(_horocycle_rows(lat.points, grid.boundary_angles,
+                                       grid.rho, a_max, series.shape[0]),
+                       axis=2, norm="ortho")
+    ref = np.fft.fft(_kernel_rows(lat.points, grid.lambda_nodes[sl],
+                                  grid.rho, grid.boundary_angles),
+                     axis=0, norm="ortho") * scale
+    top = np.max(np.abs(ref))
+    for m in range(grid.n_b):
+        g = half[:, :, m] if 2 * m <= grid.n_b \
+            else half[:, :, grid.n_b - m].conj()
+        assert np.max(np.abs(g @ series - ref[m])) <= 1e-14 * top
+
+
+@pytest.mark.parametrize("name", [None, "laplacian", "average"])
+def test_trimmed_series_degree_below_band(space, grid, lattices, name):
+    # the factor's blocks are N x deg: the cut series must be narrower than
+    # the n_band columns of the plane-wave blocks it replaces
+    scale = np.sqrt(_weights(grid, _multiplier(space, name)))
+    for lat in lattices.values():
+        _, series = _plane_wave_basis(
+            lat.points, grid.lambda_nodes[grid.band_slice], scale)
+        assert series.shape[0] < grid.n_band
+
+
+def test_spline_band_projection_matches_plane_wave_rows(space, grid,
+                                                        lattices):
+    # the band transform of sum_j beta_j K(d(., x_j)) from the complex
+    # plane waves themselves: (lam^2 + rho^2)^(-2k) sum_j beta_j conj(e_j)
+    system = build_splines(lattices[0.4], 2, space=space)
+    rng = np.random.default_rng(3)
+    n = len(system.lattice)
+    beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = spline_band_projection(SplineInterpolant(system, beta), grid)
+    sl = grid.band_slice
+    lam = grid.lambda_nodes[sl]
+    rows = _kernel_rows(system.lattice.points, lam, grid.rho,
+                        grid.boundary_angles)
+    want = np.einsum("j,lji->il", beta, rows.conj()) \
+        * ((lam ** 2 + grid.rho ** 2) ** (-2 * system.k))[:, None]
+    assert np.max(np.abs(got.coeffs.values[sl] - want)) \
+        <= 1e-14 * np.max(np.abs(want))
 
 
 def test_single_point_frame(grid):
