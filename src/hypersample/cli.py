@@ -91,6 +91,13 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose from {', '.join(SCENARIOS)}")
+        # NaN passes every ordered comparison below, and inf overflows
+        # when the grids and lattices are built
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v!r}")
         for name in ("omega", "gamma", "domain_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

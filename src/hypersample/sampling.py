@@ -39,10 +39,9 @@ import numpy as np
 
 from .bandlimited import BandlimitedFunction
 from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
-from .geometry import busemann
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       apply_multiplier, plane_wave_series)
+                       _horocycle_rows, _plane_wave_basis, apply_multiplier)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -113,47 +112,6 @@ def convolution_samples(f: BandlimitedFunction, lat: Lattice,
     g = apply_multiplier(f.coeffs, m)
     vals = inverse_transform(g, lat.points)
     return SampleSet(lat, vals, "convolution", multiplier=m)
-
-
-def _plane_wave_basis(points: np.ndarray, lam: np.ndarray,
-                      scale: np.ndarray) -> tuple[float, np.ndarray]:
-    """The plane waves scale_i e^{i lam_i a} as Chebyshev series in a.
-
-    a_max = max d(0, x_j) bounds |A(x_j, b)| over the circle (1.0 when all
-    points sit at the origin); S = plane_wave_series(lam, diag(scale), a_max)
-    has scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max.
-    S is cut after its last degree whose largest coefficient is above
-    eps max|S|: the series starts past degree max(lam) a_max with a margin
-    for its tail check, and the coefficients beyond the cut are roundoff.
-    Returns a_max and S, shape (deg, lam.size).
-    """
-    far = points[np.argmax(np.abs(points))]
-    a_max = float(busemann(far, np.angle(far))) or 1.0
-    series = plane_wave_series(lam, np.diag(scale), a_max)
-    top = np.max(np.abs(series), axis=1)
-    deg = int(np.flatnonzero(top > np.finfo(float).eps * top.max())[-1]) + 1
-    return a_max, series[:deg]
-
-
-def _horocycle_rows(points: np.ndarray, angles: np.ndarray, rho: float,
-                    a_max: float, deg: int) -> np.ndarray:
-    """e^{rho A} T_k(A / a_max) at A = A(x_j, b_l) at [j, k, l], k < deg.
-
-    Real, shape (n_points, deg, n_b): one exp per (point, angle), then the
-    three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}, which is linear and
-    so carries the factor e^{rho A} along.
-    """
-    a = busemann(points[:, None], angles[None, :])
-    x = a / a_max
-    rows = np.empty((points.size, deg, angles.size))
-    rows[:, 0] = np.exp(rho * a)
-    if deg > 1:
-        np.multiply(x, rows[:, 0], out=rows[:, 1])
-    x *= 2.0
-    for k in range(2, deg):
-        np.multiply(x, rows[:, k - 1], out=rows[:, k])
-        rows[:, k] -= rows[:, k - 2]
-    return rows
 
 
 def _band_factor(points: np.ndarray, grid: SpectralGrid,

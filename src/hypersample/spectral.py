@@ -25,6 +25,12 @@ Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
 single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
 them into Chebyshev series once, so they can be evaluated at many points by
 Clenshaw recurrence instead of one exponential per (point, angle, lam).
+With unit coefficients the series is a basis for the plane waves
+themselves (_plane_wave_basis), e^{(rho + i lam) a} = e^{rho a} sum_k
+S[k, lam] T_k(a / a_max), and the real rows e^{rho A} T_k(A / a_max) at
+given points and boundary angles (_horocycle_rows) cost one real exp per
+(point, angle): the frame factor (sampling), the spline band projection
+(splines) and the radial mode table (transforms) are contractions of them.
 Zonal sums K(t) = sum_lam c_lam phi_lam(t) are Busemann averages of such a
 series over the boundary (busemann_average), and this is the one place they
 are computed outside the radial mode table of the transforms: zonal_series
@@ -142,6 +148,51 @@ def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
     return _chebyshev_fit(
         lambda x: np.exp(1j * a_max * np.outer(x, lams)) @ coeffs, deg,
         f"plane-wave series at lam {lam_top:.3g}, |a| <= {a_max:.3g}")
+
+
+def _plane_wave_basis(points: np.ndarray, lam: np.ndarray,
+                      scale: np.ndarray) -> tuple[float, np.ndarray]:
+    """The plane waves scale_i e^{i lam_i a} as Chebyshev series in a.
+
+    a_max = max d(0, x_j) bounds |A(x_j, b)| over the circle (1.0 when all
+    points sit at the origin); S = plane_wave_series(lam, diag(scale), a_max)
+    has scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max.
+    S is cut after its last degree whose largest coefficient is above
+    eps max|S|: the series starts past degree max(lam) a_max with a margin
+    for its tail check, and the coefficients beyond the cut are roundoff.
+    Returns a_max and S, shape (deg, lam.size).
+    """
+    far = points[np.argmax(np.abs(points))]
+    a_max = float(busemann(far, np.angle(far))) or 1.0
+    series = plane_wave_series(lam, np.diag(scale), a_max)
+    top = np.max(np.abs(series), axis=1)
+    deg = int(np.flatnonzero(top > np.finfo(float).eps * top.max())[-1]) + 1
+    return a_max, series[:deg]
+
+
+def _horocycle_rows(points: np.ndarray, angles: np.ndarray, rho: float,
+                    a_max: float, deg: int) -> np.ndarray:
+    """e^{rho A} T_k(A / a_max) at A = A(x_j, b_l) at [j, k, l], k < deg.
+
+    Real, shape (n_points, deg, n_angles): one exp per (point, angle), then
+    the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}, which is linear
+    and so carries the factor e^{rho A} along.  With S from
+    _plane_wave_basis at unit scale, e^{(rho + i lam_i) A} at [j, l] is
+    sum_k rows[j, k, l] S[k, i], and conj(S) gives e^{(rho - i lam_i) A}:
+    the frame factor, the spline band projection and the radial mode table
+    are all contractions of these rows.
+    """
+    a = busemann(points[:, None], angles[None, :])
+    x = a / a_max
+    rows = np.empty((points.size, deg, angles.size))
+    rows[:, 0] = np.exp(rho * a)
+    if deg > 1:
+        np.multiply(x, rows[:, 0], out=rows[:, 1])
+    x *= 2.0
+    for k in range(2, deg):
+        np.multiply(x, rows[:, k - 1], out=rows[:, k])
+        rows[:, k] -= rows[:, k - 2]
+    return rows
 
 
 def _busemann_angle_count(lam_max: float, a_max: float) -> int:

@@ -31,9 +31,10 @@ from .errors import (IllConditionedWarning, MultiplierVanishes,
                      SingularKernel, TailTooLarge)
 from .geometry import distance
 from .lattice import Lattice
-from .sampling import SampleSet, _horocycle_rows, _plane_wave_basis
+from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
-                       plancherel_density, zonal_series)
+                       _horocycle_rows, _plane_wave_basis, plancherel_density,
+                       zonal_series)
 
 __all__ = [
     "PolyharmonicKernel",

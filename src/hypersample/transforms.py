@@ -14,10 +14,23 @@ spherical function; Phi_{lam, -m} = Phi_{lam, m}).  Each Phi solves
 
     Phi'' + coth(r) Phi' + (lam^2 + 1/4 - m^2 / sinh^2 r) Phi = 0.
 
-For r beyond ~4 the defining circle integral concentrates in an angular
-window of width ~e^{-r} and direct quadrature degrades, so the table is
-built in two parts: circle quadrature up to a switch radius, and beyond it
-the Harish-Chandra expansion at infinity, a closed form in e^{-2r}:
+The integrand is a plane wave: (cosh r - sinh r cos t)^{-1/2 + i lam} =
+e^{(rho - i lam) A(x, t)} at x = tanh(r/2), rho = 1/2, with A the horocycle
+distance.  Up to a switch radius the table is the trapezoid rule over the
+circle applied to that plane wave written in the Chebyshev basis of
+spectral.plane_wave_series,
+
+    e^{(rho - i lam) A} = e^{rho A} sum_k conj(S[k, lam]) T_k(A / a_max),
+
+so the angle sum acts only on the real rows e^{rho A} T_k(A / a_max)
+(spectral._horocycle_rows, one real exp per radius and angle).  Their mode
+coefficients G[k, m, r] are real, since the rows are even in t, and the
+table is the one product Phi[lam, m, r] = sum_k conj(S[k, lam]) G[k, m, r].
+
+For r beyond ~4 the circle integrand concentrates in an angular window of
+width ~e^{-r} and the trapezoid rule needs ~e^r nodes, so past the switch
+radius the table comes from the Harish-Chandra expansion at infinity, a
+closed form in e^{-2r}:
 
     Phi_{lam, m}(r) = c(lam) pi_m(lam) e^{(i lam - 1/2) r} g_+(e^{-2r})
                       + c(-lam) e^{(-i lam - 1/2) r} g_-(e^{-2r})
@@ -29,7 +42,8 @@ and g_+- power series whose coefficients follow from the mode equation
 
 A dense direct route (explicit plane-wave kernels at every grid node) is
 kept as an independent cross-check for small domains; it shares no code
-with the mode route beyond the geometry primitives.
+with the mode route beyond the geometry primitives: it takes one complex
+exponential per (lam, node, boundary angle) and no Chebyshev series.
 """
 
 from __future__ import annotations
@@ -45,7 +59,8 @@ from scipy.special import loggamma
 
 from .errors import CalibrationInconsistent, NumericalFailure, TailMassExceeded
 from .geometry import SpaceParams, as_complex, busemann, distance, random_ball_points
-from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real, build_grid,
+from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real,
+                       _horocycle_rows, _plane_wave_basis, build_grid,
                        plane_wave_series)
 
 __all__ = [
@@ -152,20 +167,32 @@ def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.nda
     """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature.
 
     Only reliable up to moderate r; the caller keeps rs <= switch radius.
-    Radii go in chunks of about 2^20 (lam, angle, radius) entries."""
+    The trapezoid rule over _phase_node_count angles acts on the real rows
+    e^{A/2} T_k(A / a_max) at x = tanh(r/2), a_max = max(rs)
+    (spectral._horocycle_rows).  They are even in t, so the circle folds
+    onto 0 <= t <= pi (interior angles counted twice) and their mode
+    coefficients G[k, m, r] are the real products with cos(m t); with the
+    plane-wave basis S (spectral._plane_wave_basis, unit coefficients),
+    Phi[lam, m, r] = sum_k conj(S[k, lam]) G[k, m, r].  Radii go in chunks
+    of about 2^20 (radius, degree, angle) row entries."""
     n = _phase_node_count(float(np.max(lams)), float(np.max(rs)))
     n = max(n, 4 * (m_max + 1))
-    t = 2.0 * np.pi * np.arange(n) / n
-    out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
-    expo = (-0.5 + 1j * lams)[:, None, None]
-    chunk = max(1, (1 << 20) // max(1, lams.size * n))
+    half = np.arange(n // 2 + 1)
+    t = 2.0 * np.pi * half / n
+    fold = np.where((half == 0) | (2 * half == n), 1.0, 2.0) / n
+    cos_mt = fold[:, None] * np.cos(np.outer(t, np.arange(m_max + 1)))
+    x = np.tanh(rs / 2.0)
+    a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
+    deg = series.shape[0]
+    modes = np.empty((deg, m_max + 1, rs.size))
+    chunk = max(1, (1 << 20) // (deg * t.size))
     for lo in range(0, rs.size, chunk):
-        rr = rs[lo:lo + chunk]
-        base = np.cosh(rr)[:, None] - np.sinh(rr)[:, None] * np.cos(t)[None, :]
-        vals = np.exp(expo * np.log(base)[None, :, :])
-        spec = np.fft.fft(vals, axis=2) / n
-        out[:, :, lo:lo + chunk] = spec[:, :, :m_max + 1].transpose(0, 2, 1)
-    return out
+        rows = _horocycle_rows(x[lo:lo + chunk], t, 0.5, a_max, deg)
+        prod = rows.reshape(-1, t.size) @ cos_mt
+        modes[:, :, lo:lo + chunk] = np.moveaxis(
+            prod.reshape(-1, deg, m_max + 1), 0, 2)
+    table = np.conj(series).T @ modes.reshape(deg, -1)
+    return table.reshape(lams.size, m_max + 1, rs.size)
 
 
 def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
@@ -224,9 +251,11 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndar
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.ndarray:
     """Read-only table Phi[i_lam, m, i_r] over the grid nodes.
 
-    Entries at radii up to _SWITCH_RADIUS come from circle quadrature, the
-    rest from the Harish-Chandra expansion.  Cached per (grid, pgrid, m_max);
-    the cache keeps the _TABLE_CACHE_SIZE most recently used tables."""
+    Entries at radii up to _SWITCH_RADIUS come from circle quadrature of the
+    plane wave in its Chebyshev basis (_modes_by_quadrature: one real exp
+    per radius and angle, then one product with the series), the rest from
+    the Harish-Chandra expansion.  Cached per (grid, pgrid, m_max); the
+    cache keeps the _TABLE_CACHE_SIZE most recently used tables."""
     key = (grid.lambda_nodes.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:

@@ -1,5 +1,7 @@
 """Tests for the experiment runner: configs, artifacts, determinism."""
 
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,23 @@ def test_bad_grid_or_solver_override_exits_two(tmp_path, outroot, capsys,
     assert main(["run", str(path), "--override", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (outroot / "frame_reconstruct").exists()
+
+
+_FLOAT_FIELDS = [name for name, ftype in
+                 typing.get_type_hints(ExperimentConfig).items()
+                 if ftype in (float, tuple[float, ...])]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_non_finite_float_exits_two(tmp_path, outroot, capsys, name, value):
+    path = _write(tmp_path, "[experiment]\nscenario = frame_reconstruct\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path), "--override", f"{name}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be finite")
     assert "Traceback" not in err
     assert not (outroot / "frame_reconstruct").exists()
 

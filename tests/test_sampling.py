@@ -13,12 +13,12 @@ from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
 from hypersample.geometry import busemann, distance
 from hypersample.lattice import Lattice, build_lattice
-from hypersample.sampling import (SampleSet, _band_factor, _horocycle_rows,
-                                  _plane_wave_basis, build_frame,
+from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, load_samples,
                                   point_samples, reconstruct, save_samples,
                                   stability_probe)
-from hypersample.spectral import (SpectralCoeffs, build_grid,
+from hypersample.spectral import (SpectralCoeffs, _horocycle_rows,
+                                  _plane_wave_basis, build_grid,
                                   identity_multiplier, laplacian_multiplier)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (SplineInterpolant, build_splines,

@@ -62,9 +62,10 @@ def test_norm_constant_equals_area(pgrid):
 
 
 def test_mode_table_zonal_row_matches_spherical_function(space):
-    # independent routes: r <= 4 entries come from circle quadrature,
+    # r <= 4 entries come from circle quadrature of the plane-wave series,
     # r > 4 entries from the Harish-Chandra expansion; the scalar oracle is
-    # the Busemann average
+    # the Busemann average, which sums the same plane_wave_series, so the
+    # check independent of that series is the mpmath one below
     grid = build_grid(space, lam_max=12.0, n_lambda=16, n_b=16)
     pg = tr.build_polar_grid(8.0, 24, 16)
     tab = tr.radial_mode_table(grid, pg, 4)
@@ -114,6 +115,47 @@ def test_mode_table_far_entries_match_mpmath():
               for i, lam in enumerate(lams) for m in ms
               for k, r in enumerate(rs))
     assert err <= 1e-12
+
+
+def test_mode_table_near_entries_match_mpmath():
+    lams = np.array([6e-4, 0.3, 3.0, 10.0])
+    rs = np.array([0.5, 1.4, 2.0, 3.0])
+    ms = (0, 5, 31)
+    vals = tr._modes_by_quadrature(lams, rs, max(ms))
+    err = max(abs(vals[i, m, k] - _mode_by_mpmath(lam, m, r))
+              for i, lam in enumerate(lams) for m in ms
+              for k, r in enumerate(rs))
+    assert err <= 1e-14
+
+
+def _modes_by_direct_exp(lams, rs, m_max):
+    """The near table as one complex exponential per (lam, radius, angle):
+    the trapezoid rule over the same _phase_node_count angles, summed by
+    FFT, with no Chebyshev series."""
+    n = max(tr._phase_node_count(float(np.max(lams)), float(np.max(rs))),
+            4 * (m_max + 1))
+    t = 2.0 * np.pi * np.arange(n) / n
+    base = np.cosh(rs)[:, None] - np.sinh(rs)[:, None] * np.cos(t)[None, :]
+    vals = np.exp((-0.5 + 1j * lams)[:, None, None] * np.log(base)[None])
+    return (np.fft.fft(vals, axis=2) / n)[:, :, :m_max + 1].transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("lam_max, omega, r_max, n_r, n_theta, tol", [
+    (24.0, None, 8.0, 128, 128, 2e-13),   # calibration grids
+    (10.0, 2.0, 1.4, 160, 96, 1e-14),     # frame_reconstruct grids
+    (10.0, 1.0, 2.0, 160, 96, 1e-14),     # spline_reconstruct grids
+])
+def test_mode_table_near_slice_matches_direct_exponentials(
+        space, lam_max, omega, r_max, n_r, n_theta, tol):
+    # same trapezoid sum, different arithmetic: the difference is roundoff
+    # (the calibration grid's largest radii carry the most)
+    grid = build_grid(space, lam_max, 96, 64, omega)
+    pg = tr.build_polar_grid(r_max, n_r, n_theta)
+    m_max = tr._default_m_max(grid, pg)
+    near = pg.r_nodes <= tr._SWITCH_RADIUS
+    tab = tr.radial_mode_table(grid, pg, m_max)[:, :, near]
+    ref = _modes_by_direct_exp(grid.lambda_nodes, pg.r_nodes[near], m_max)
+    assert np.max(np.abs(tab - ref)) <= tol
 
 
 def test_mode_expansion_fails_loudly_near_the_origin():
