@@ -37,7 +37,7 @@ from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
 from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
     spherical_average_direct, theorem73_experiment
-from .splines import build_splines, spline_interpolate
+from .splines import _CERT_TOL, build_splines, spline_interpolate
 from .transforms import build_polar_grid, calibrate_plancherel, \
     forward_transform
 
@@ -246,6 +246,13 @@ def _rel_err(pgrid, got: np.ndarray, want: np.ndarray) -> float:
     return pgrid.norm(got - want) / pgrid.norm(want)
 
 
+def _grids(cfg: ExperimentConfig, space: SpaceParams):
+    """The config's spectral grid and its polar grid over the domain."""
+    lam_max = cfg.lam_max or default_lam_max(cfg.omega, space.rho)
+    return (build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega),
+            build_polar_grid(cfg.domain_radius, cfg.n_r, cfg.n_theta))
+
+
 def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["seed", "spatial_norm_sq", "spectral_norm_sq",
                    "rel_error", "passed"], "seed", ["rel_error"])
@@ -276,8 +283,7 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                   "sigma", ["ratio"])
     slack = 1e-10
     rep.tolerances = {"bernstein_slack": slack}
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega, space.rho)
-    grid = build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega)
+    grid, _ = _grids(cfg, space)
     for seed in cfg.seeds:
         with _timed(rep, f"seed_{seed}"):
             f = synthesize(space, cfg.omega, seed, grid=grid)
@@ -349,9 +355,7 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                    "rel_error", "passed"], "r", ["rel_error"])
     tol = 1e-6
     rep.tolerances = {"frame_rel_error_at_finest": tol, "eigen_cut": cfg.cut}
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega, space.rho)
-    grid = build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega)
-    pgrid = build_polar_grid(cfg.domain_radius, cfg.n_r, cfg.n_theta)
+    grid, pgrid = _grids(cfg, space)
     f = synthesize(space, cfg.omega, cfg.seeds[0], grid=grid)
     f_ref = f.on_grid(pgrid)
     r_list = tuple(sorted(cfg.r_values or (0.4, 0.2, 0.1), reverse=True))
@@ -384,12 +388,10 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["k", "status", "n_points", "condition",
                    "lagrangian_defect", "rel_error", "passed"],
                   "k", ["rel_error"])
-    defect_tol, err_tol = 1e-8, 1e-3
+    defect_tol, err_tol = _CERT_TOL, 1e-3
     rep.tolerances = {"lagrangian_defect": defect_tol,
                       "interp_rel_error": err_tol}
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega, space.rho)
-    grid = build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega)
-    pgrid = build_polar_grid(cfg.domain_radius, cfg.n_r, cfg.n_theta)
+    grid, pgrid = _grids(cfg, space)
     f = synthesize(space, cfg.omega, cfg.seeds[0], grid=grid)
     f_ref = f.on_grid(pgrid)
     lat = build_lattice(cfg.r, cfg.domain_radius, seed=cfg.seeds[0])
@@ -429,8 +431,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                    "passed"], "case", ["abs_diff"])
     tol = 1e-6
     rep.tolerances = {"two_path_abs": tol}
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega, space.rho)
-    grid = build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega)
+    grid, _ = _grids(cfg, space)
     f = synthesize(space, cfg.omega, cfg.seeds[0], grid=grid)
     rng = np.random.default_rng(42)
     from .bandlimited import BandlimitedFunction
@@ -476,12 +477,11 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     frame_errors, any_inadmissible = [], False
     with _timed(rep, "experiment"), warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
+        grid, pgrid = _grids(cfg, space)
         results = theorem73_experiment(
-            cfg.omega, cfg.r,
-            [AverageSpec(tau=float(tau), n=cfg.n) for tau in taus],
-            seed=cfg.seeds[0], space=space, domain_radius=cfg.domain_radius,
-            k_schedule=tuple(cfg.k_schedule), n_lambda=cfg.n_lambda,
-            n_b=cfg.n_b)
+            cfg.r, [AverageSpec(tau=float(tau), n=cfg.n) for tau in taus],
+            seed=cfg.seeds[0], space=space, grid=grid, pgrid=pgrid,
+            k_schedule=tuple(cfg.k_schedule))
     for tau, res in zip(taus, results):
         admissible = res["admissible"]
         any_inadmissible |= not admissible
@@ -705,7 +705,7 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
             system = build_splines(lat, 2, space=space)
-        assert system.lagrangian_defect <= 1e-8, \
+        assert system.lagrangian_defect <= _CERT_TOL, \
             f"defect {system.lagrangian_defect:.2e}"
 
     def sphavg_two_path():

@@ -55,32 +55,24 @@ _BOUNDARY_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Fixed analytic parameters of the space and the working ball radius.
+    """Fixed analytic parameters of the (two dimensional) space.
 
     plancherel_scale multiplies the raw spectral density lam*tanh(pi*lam)
     and is determined once by calibration (see transforms.calibrate_plancherel);
-    the default 1.0 is a placeholder, not a calibrated value.  r_max is the
-    radius of the geodesic ball all spatial quadratures run over.
+    the default 1.0 is a placeholder, not a calibrated value.
     """
 
-    dimension: int = 2
     rho: float = 0.5
     plancherel_scale: float = 1.0
-    r_max: float = 8.0
 
     def __post_init__(self):
-        if self.dimension != 2:
-            raise ValueError("only the two dimensional model is instantiated")
-        if not (self.rho > 0 and self.plancherel_scale > 0 and self.r_max > 0):
-            raise ValueError("rho, plancherel_scale and r_max must be positive")
+        if not (self.rho > 0 and self.plancherel_scale > 0):
+            raise ValueError("rho and plancherel_scale must be positive")
 
     def with_scale(self, scale: float) -> "SpaceParams":
         if not scale > 0:
             raise ValueError(f"plancherel_scale must be positive, got {scale}")
         return replace(self, plancherel_scale=scale)
-
-    def with_r_max(self, r_max: float) -> "SpaceParams":
-        return replace(self, r_max=float(r_max))
 
 
 @dataclass(frozen=True)

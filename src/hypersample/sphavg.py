@@ -20,10 +20,9 @@ from .bandlimited import BandlimitedFunction, synthesize
 from .geometry import SpaceParams, circle_points
 from .lattice import build_lattice
 from .sampling import build_frame, convolution_samples, reconstruct
-from .spectral import (Multiplier, SpectralGrid, build_grid,
-                       default_lam_max, spherical_function)
+from .spectral import Multiplier, SpectralGrid, spherical_function
 from .splines import spline_reconstruct_deconvolve
-from .transforms import build_polar_grid
+from .transforms import PolarGrid
 
 __all__ = [
     "AverageSpec",
@@ -125,29 +124,25 @@ def near_identity_check(space: SpaceParams, grid: SpectralGrid,
     return {"lam": lam, "lhs": lhs, "rhs": rhs, "passed": passed}
 
 
-def theorem73_experiment(omega: float, r: float,
-                         specs: Sequence[AverageSpec], seed: int = 0, *,
-                         space: SpaceParams, domain_radius: float = 1.4,
-                         grid: SpectralGrid | None = None,
-                         pgrid=None, k_schedule=(2, 4, 8),
-                         n_lambda: int = 96, n_b: int = 64) -> list[dict]:
+def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
+                         seed: int = 0, *, space: SpaceParams,
+                         grid: SpectralGrid, pgrid: PolarGrid,
+                         k_schedule=(2, 4, 8)) -> list[dict]:
     """Closed loop: synthesize, average on a lattice, reconstruct both ways.
 
-    The function, its values on the polar grid and the lattice are built
-    once; each spec then gets its own averaged samples and one result dict.
-    The frame route is the truncated pseudo-inverse of the weighted frame;
-    the spline route runs the deconvolving-spline schedule, which may abort
-    at its conditioning guard (recorded, not hidden).  Errors are relative
-    L2 against the true function over the sampled domain.  An inadmissible
+    The band limit is grid.omega and the sampled domain is the ball of
+    radius pgrid.r_max, where errors are measured.  The function, its
+    values on the polar grid and the lattice are built once; each spec
+    then gets its own averaged samples and one result dict.  The frame
+    route is the truncated pseudo-inverse of the weighted frame; the
+    spline route runs the deconvolving-spline schedule, which may abort at
+    its conditioning guard (recorded, not hidden).  Errors are relative L2
+    against the true function over the sampled domain.  An inadmissible
     tau is flagged in the report but the run proceeds.
     """
-    if grid is None:
-        grid = build_grid(space, default_lam_max(omega, space.rho),
-                          n_lambda, n_b, omega=omega)
-    if pgrid is None:
-        pgrid = build_polar_grid(domain_radius, 160, 96)
+    omega = grid.omega
     f = synthesize(space, omega, seed=seed, grid=grid)
-    lat = build_lattice(r, domain_radius, seed=seed)
+    lat = build_lattice(r, pgrid.r_max, seed=seed)
     fv = f.on_grid(pgrid)
     den = pgrid.norm(fv)
     results = []

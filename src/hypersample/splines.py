@@ -6,13 +6,15 @@ play).  Interpolants are finite combinations sum_j beta_j K_2k(d(., x_j));
 solving the kernel matrix against Lagrangian data delta_(nu mu) realizes
 the minimal - ||Delta^k u|| interpolant on the lattice.
 
-The kernel is tabulated once per order on a radial grid and then evaluated
-through a cubic spline; the spectral cutoff is chosen from an analytic tail
-bound so the truncated mass stays below tail_tol relative to K(0).  The
-table samples spectral.zonal_series, a tail-checked Chebyshev series in t:
-K(t) is the Busemann average over boundary angles b of e^{rho a} g(a) at
-a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series
-in a.
+The kernel is tabulated once per order on a radial grid out to the
+lattice's diameter and then evaluated through a cubic spline; the spectral
+cutoff is chosen from an analytic tail bound so the truncated mass stays
+below _TAIL_TOL = 1e-10 relative to K(0).  The table samples
+spectral.zonal_series, a tail-checked Chebyshev series in t: K(t) is the
+Busemann average over boundary angles b of e^{rho a} g(a) at a = A(t, b),
+where g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series in a.
+Deconvolving schedules stop at condition _COND_LIMIT = 1e12, and the
+Lagrangian defect is certified against _CERT_TOL = 1e-8.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class PolyharmonicKernel:
     t_max: float
     lam_max: float
     tail_bound: float
-    tail_tol: float
     multiplier_label: str
     table_t: np.ndarray
     table_values: np.ndarray
@@ -105,9 +106,7 @@ def _multiplier_sq(m: Multiplier | None, lam: np.ndarray) -> np.ndarray:
     return np.abs(vals) ** 2
 
 
-def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
-                        lam_max: float | None = None,
-                        tail_tol: float = _TAIL_TOL,
+def polyharmonic_kernel(space, k: int, *, t_max: float,
                         multiplier: Multiplier | None = None
                         ) -> PolyharmonicKernel:
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
@@ -123,9 +122,9 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
 
     The truncation tail beyond lam_max is bounded analytically by
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
-    phi bounded by one); TailTooLarge fires when that bound exceeds
-    tail_tol relative to K(0).  Left to its default, lam_max is grown to
-    meet the tolerance, within a hard cap.
+    phi bounded by one); lam_max is 1.1 times the cutoff where that bound
+    meets _TAIL_TOL relative to K(0), and at least 10.  TailTooLarge fires
+    when the cutoff would pass _LAM_CAP (k = 1 always does).
     """
     if k < 1 or k != int(k):
         raise ValueError("spline order k must be a positive integer")
@@ -144,32 +143,20 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
     if not k0_ref > 0:
         raise ValueError("kernel density integrates to zero")
 
-    probe = np.array([1.0, 2.0, 4.0, 8.0])
-    if multiplier is None:
-        m_sup = 1.0
-    else:
-        m_sup = float(np.max(np.abs(multiplier.fn(probe * max(lam_max or 10.0,
-                                                              10.0)))))
-        m_sup = max(m_sup, 1.0)
+    m_sup = 1.0
+    if multiplier is not None:
+        probe = np.array([10.0, 20.0, 40.0, 80.0])
+        m_sup = max(float(np.max(np.abs(multiplier.fn(probe)))), 1.0)
 
-    def tail(lam_cut: float) -> float:
-        return m_sup ** 2 * scale * lam_cut ** (2 - 4 * k) / (4 * k - 2)
-
-    if lam_max is None:
-        needed = (m_sup ** 2 * scale
-                  / ((4 * k - 2) * tail_tol * k0_ref)) ** (1.0 / (4 * k - 2))
-        lam_max = max(10.0, 1.1 * needed)
-        if lam_max > _LAM_CAP:
-            raise TailTooLarge(
-                f"order {k} needs lam_max ~ {needed:.3g} for a relative tail "
-                f"below {tail_tol:.1e}; pass lam_max explicitly or loosen "
-                f"tail_tol")
-    lam_max = float(lam_max)
-    tail_bound = tail(lam_max)
-    if tail_bound > tail_tol * k0_ref:
+    needed = (m_sup ** 2 * scale
+              / ((4 * k - 2) * _TAIL_TOL * k0_ref)) ** (1.0 / (4 * k - 2))
+    lam_max = max(10.0, 1.1 * needed)
+    if lam_max > _LAM_CAP:
         raise TailTooLarge(
-            f"tail bound {tail_bound:.3e} exceeds {tail_tol:.1e} of "
-            f"K(0) ~ {k0_ref:.3e}; increase lam_max")
+            f"order {k} needs lam_max ~ {needed:.3g} for a relative tail "
+            f"below {_TAIL_TOL:.1e}, past the cap {_LAM_CAP:g}; raise the "
+            f"order")
+    tail_bound = m_sup ** 2 * scale * lam_max ** (2 - 4 * k) / (4 * k - 2)
 
     nodes, weights = _kernel_lambda_grid(lam_max)
     dens = plancherel_density(nodes, scale)
@@ -180,7 +167,7 @@ def polyharmonic_kernel(space, k: int, *, t_max: float = 3.0,
     values = chebval(2.0 * t / t_max - 1.0,
                      zonal_series(nodes, coef, rho, t_max))
     interp = CubicSpline(t, values, bc_type=((1, 0.0), "not-a-knot"))
-    return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound, tail_tol,
+    return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound,
                               multiplier.label if multiplier else "",
                               t, values, interp)
 
@@ -219,10 +206,11 @@ def _refined_solve(cho, kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
-                  space, t_max: float | None = None,
-                  lam_max: float | None = None,
-                  tail_tol: float = _TAIL_TOL) -> SplineSystem:
+                  space) -> SplineSystem:
     """Kernel matrix K_2k(d(x_j, x_nu)) and its Lagrangian coefficients.
+
+    The kernel is tabulated out to the lattice's diameter,
+    t_max = 2 domain_radius (plus 1e-9 so the largest distance stays inside).
 
     Positive definiteness is certified by the Cholesky factorization and by
     the smallest eigenvalue clearing N eps of the largest; near-coincident
@@ -233,10 +221,8 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     """
     if len(lat) == 0:
         raise ValueError("empty lattice")
-    if t_max is None:
-        t_max = 2.0 * lat.domain_radius + 1e-9
-    kern = polyharmonic_kernel(space, k, t_max=t_max, lam_max=lam_max,
-                               tail_tol=tail_tol, multiplier=m)
+    kern = polyharmonic_kernel(space, k, t_max=2.0 * lat.domain_radius + 1e-9,
+                               multiplier=m)
     d = distance(lat.points[:, None], lat.points[None, :])
     np.fill_diagonal(d, 0.0)
     kmat = kern(d)
@@ -328,17 +314,14 @@ def spline_band_projection(interp: SplineInterpolant,
 
 
 def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
-                                  space, grid: SpectralGrid,
-                                  t_max: float | None = None,
-                                  lam_max: float | None = None,
-                                  tail_tol: float = _TAIL_TOL,
-                                  cond_limit: float = _COND_LIMIT) -> dict:
+                                  space, grid: SpectralGrid) -> dict:
     """Band-limited approximations along an increasing order schedule.
 
     Each order k yields the spline interpolant of the convolution samples
-    with kernel density |m|^2 (lam^2+rho^2)^(-2k), divided by m on the band.
-    Escalation stops at the first order whose kernel matrix exceeds
-    cond_limit (or loses positive definiteness); the result records where.
+    with kernel density |m|^2 (lam^2+rho^2)^(-2k) (build_splines), divided
+    by m on the band.  Escalation stops at the first order whose kernel
+    matrix exceeds condition _COND_LIMIT = 1e12 (or loses positive
+    definiteness); the result records where.
     """
     if s.kind == "convolution":
         if s.multiplier is None:
@@ -356,12 +339,11 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     aborted_at = None
     for k in k_schedule:
         try:
-            sys = build_splines(lat, k, m, space=space, t_max=t_max,
-                                lam_max=lam_max, tail_tol=tail_tol)
+            sys = build_splines(lat, k, m, space=space)
         except SingularKernel:
             aborted_at = k
             break
-        if sys.condition > cond_limit:
+        if sys.condition > _COND_LIMIT:
             aborted_at = k
             break
         interp = spline_interpolate(sys, s)

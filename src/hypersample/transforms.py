@@ -289,13 +289,12 @@ def _signed_mode_index(m: int, n: int) -> int:
 # transforms, mode route
 
 
-def tail_mass_fraction(pgrid: PolarGrid, samples: np.ndarray,
-                       inner_fraction: float = 0.9) -> float:
-    """Share of the squared mass carried by the annulus r > inner_fraction * r_max."""
+def tail_mass_fraction(pgrid: PolarGrid, samples: np.ndarray) -> float:
+    """Share of the squared mass carried by the annulus r > 0.9 r_max."""
     total = pgrid.norm_sq(samples)
     if total == 0.0:
         return 0.0
-    inner = pgrid.norm_sq(samples, within=inner_fraction * pgrid.r_max)
+    inner = pgrid.norm_sq(samples, within=0.9 * pgrid.r_max)
     return max(0.0, 1.0 - inner / total)
 
 
@@ -411,43 +410,34 @@ class CalibrationResult:
     ratios: np.ndarray
     spread: float
 
-    def as_dict(self) -> dict:
-        return {"scale": self.scale, "spread": self.spread,
-                "ratios": [float(r) for r in self.ratios]}
 
-
-def calibrate_plancherel(space: SpaceParams | None = None, *, r_max: float = 8.0,
-                         lam_max: float = 24.0, n_r: int = 128, n_theta: int = 128,
-                         n_lambda: int = 96, n_b: int = 64, n_fns: int = 4,
-                         seed: int = 0, spread_tol: float = 1e-3) -> CalibrationResult:
+def calibrate_plancherel() -> CalibrationResult:
     """Measure plancherel_scale by Parseval balance on reference functions.
 
-    Transforms a family of well-localized Gaussian bumps (in hyperbolic
-    distance) with the density constant set to 1, compares spatial and
-    spectral squared norms, and least-squares fits the single constant.
-    The per-function ratios must agree to spread_tol or the measurement is
-    rejected (CalibrationInconsistent).
+    Transforms four well-localized Gaussian bumps (in hyperbolic distance,
+    centers in B(0, 0.5), widths in [0.7, 1.2), fixed seed) on B(0, 8)
+    with the density constant set to 1, compares spatial and spectral
+    squared norms, and least-squares fits the single constant.  The
+    per-function ratios must agree to 1e-3 or the measurement is rejected
+    (CalibrationInconsistent).
     """
-    base = (space or SpaceParams()).with_scale(1.0)
-    grid = build_grid(base, lam_max, n_lambda, n_b)
-    pgrid = build_polar_grid(r_max, n_r, n_theta)
-    rng = np.random.default_rng(seed)
-    dist_grid = None
+    grid = build_grid(SpaceParams(), 24.0, 96, 64)
+    pgrid = build_polar_grid(8.0, 128, 128)
+    rng = np.random.default_rng(0)
     nums, dens = [], []
-    for _ in range(n_fns):
+    for _ in range(4):
         center = random_ball_points(0.5, 1, rng)[0]
         width = 0.7 + 0.5 * rng.random()
-        dist_grid = distance(center, pgrid.points)
-        f = np.exp(-(dist_grid**2) / (2.0 * width**2))
+        f = np.exp(-(distance(center, pgrid.points)**2) / (2.0 * width**2))
         nums.append(pgrid.norm_sq(f))
         coeffs = forward_transform(pgrid, grid, f, tail_tol=1e-8)
         dens.append(coeffs.norm_sq())
     nums, dens = np.array(nums), np.array(dens)
     ratios = nums / dens
     spread = float(ratios.max() / ratios.min() - 1.0)
-    if spread > spread_tol:
+    if spread > 1e-3:
         raise CalibrationInconsistent(
             f"per-function Parseval ratios disagree by {spread:.3e} "
-            f"(tolerance {spread_tol:.3e})")
+            f"(tolerance 1e-3)")
     scale = float(np.dot(nums, dens) / np.dot(dens, dens))
     return CalibrationResult(scale=scale, ratios=ratios, spread=spread)

@@ -7,27 +7,28 @@ throughout: band limits <= 4, lattices <= 2000 points.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypersample.bandlimited import BandlimitedFunction, bernstein_check, \
-    synthesize
+from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.baseline1d import exp_frame_gram, gram_reconstruct, \
     sinc_reconstruct, synthesize_1d
-from hypersample.cli import _scenario_frame, _scenario_lattice, load_config, \
-    run, verify_all
-from hypersample.geometry import ball_volume, busemann, distance
+from hypersample.cli import _scenario_bernstein, _scenario_frame, \
+    _scenario_lattice, _scenario_plancherel, _scenario_spline, \
+    _scenario_theorem73, load_config, run, verify_all
+from hypersample.geometry import ball_volume
 from hypersample.lattice import build_lattice
 from hypersample.sampling import build_frame, convolution_samples, \
-    point_samples, reconstruct, stability_probe
+    reconstruct, stability_probe
 from hypersample.spectral import apply_multiplier, build_grid, \
     laplacian_multiplier, sobolev_multiplier
 from hypersample.sphavg import AverageSpec, average_multiplier, \
-    near_identity_check, spherical_average_direct, theorem73_experiment
-from hypersample.splines import build_splines, spline_interpolate, \
-    spline_reconstruct_deconvolve
-from hypersample.transforms import build_polar_grid, forward_transform
+    near_identity_check, spherical_average_direct
+from hypersample.transforms import build_polar_grid
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::hypersample.errors.IllConditionedWarning")
@@ -57,40 +58,37 @@ def _rel(pgrid, got, want):
 
 
 def test_criterion_01_plancherel_consistency(space):
-    grid = build_grid(space, 24.0, 96, 64)
-    pg = build_polar_grid(8.0, 128, 128)
-    worst = 0.0
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        center = 0.5 * math.sqrt(rng.random()) \
-            * np.exp(2j * np.pi * rng.random())
-        width = 0.7 + 0.5 * rng.random()
-        f = np.exp(-distance(center, pg.points) ** 2 / (2.0 * width**2))
-        coeffs = forward_transform(pg, grid, f, tail_tol=1e-8)
-        rel = abs(pg.norm_sq(f) - coeffs.norm_sq()) / pg.norm_sq(f)
-        worst = max(worst, rel)
+    cfg = load_config(CONFIGS / "plancherel.ini")
+    assert cfg.seeds == (0, 1, 2, 3, 4)
+    rep = _scenario_plancherel(cfg, space)
+    assert [row[0] for row in rep.rows] == list(cfg.seeds)
+    for seed, spatial, spectral, rel, passed in rep.rows:
+        assert rel == abs(spatial - spectral) / spatial
         assert rel < 1e-4
+        assert passed
+    assert rep.failures == []
+    worst = max(row[3] for row in rep.rows)
     _report(1, "plancherel", f"worst relative error {worst:.3e} "
                              f"across 5 seeds (tolerance 1e-4)")
 
 
-def test_criterion_02_bernstein(space, grid2):
-    worst = -math.inf
-    for seed in range(10):
-        f = synthesize(space, 2.0, seed=seed, grid=grid2)
-        for sigma in (0.5, 1.0, 2.0, 4.0):
-            chk = bernstein_check(f, sigma)
-            worst = max(worst, chk["ratio"])
-            assert chk["ratio"] <= 1.0 + 1e-10
+def test_criterion_02_bernstein(space):
+    cfg = load_config(CONFIGS / "bernstein.ini")
+    assert (cfg.omega, cfg.seeds) == (2.0, tuple(range(10)))
+    rep = _scenario_bernstein(cfg, space)
+    assert [row[:2] for row in rep.rows] == \
+        [(seed, sigma) for seed in range(10) for sigma in (0.5, 1.0, 2.0, 4.0)]
+    for seed, sigma, lhs, rhs, ratio, passed in rep.rows:
+        assert ratio <= 1.0 + 1e-10
+        assert passed
+    assert rep.failures == []
+    worst = max(row[4] for row in rep.rows)
     _report(2, "bernstein", f"largest lhs/rhs ratio {worst:.6f} over "
                             f"10 seeds x 4 orders (bound 1 + 1e-10)")
 
 
 def test_criterion_03_lattice_certification(space):
-    from pathlib import Path
-
-    cfg = load_config(Path(__file__).resolve().parent.parent
-                      / "configs" / "lattice.ini")
+    cfg = load_config(CONFIGS / "lattice.ini")
     assert (cfg.r_values, cfg.domain_radius, cfg.seeds) == \
         ((0.1, 0.2, 0.4), 1.5, (0,))
     rep = _scenario_lattice(cfg, space)
@@ -109,10 +107,7 @@ def test_criterion_03_lattice_certification(space):
 
 
 def test_criterion_04_frame_reconstruction(space):
-    from pathlib import Path
-
-    cfg = load_config(Path(__file__).resolve().parent.parent
-                      / "configs" / "frame_reconstruct.ini")
+    cfg = load_config(CONFIGS / "frame_reconstruct.ini")
     assert (cfg.omega, cfg.r_values, cfg.domain_radius, cfg.seeds) == \
         (2.0, (0.4, 0.2, 0.1), 1.4, (0,))
     rep = _scenario_frame(cfg, space)
@@ -191,82 +186,50 @@ def test_criterion_06_two_path_spherical_average(space, grid2, f2):
 
 
 def test_criterion_07_overlapping_spheres(space):
+    # the frame route alone: an empty spline schedule
+    cfg = load_config(CONFIGS / "theorem73.ini", {"k_schedule": ""})
+    assert (cfg.omega, cfg.r, cfg.tau_values, cfg.domain_radius) == \
+        (2.0, 0.1, (0.0, 0.1, 0.3), 1.4)
+    rep = _scenario_theorem73(cfg, space)
     errors = {}
-    results = theorem73_experiment(
-        2.0, 0.1, [AverageSpec(tau=tau) for tau in (0.0, 0.1, 0.3)], seed=0,
-        space=space, k_schedule=())
-    for res in results:
-        assert res["admissible"]
-        errors[res["tau"]] = res["frame_error"]
+    for row in rep.rows:
+        tau, admissible, frame_error = row[2], row[5], row[6]
+        assert admissible
+        errors[tau] = frame_error
+    assert list(errors) == [0.0, 0.1, 0.3]
     assert errors[0.3] < 1e-4
     flat = max(errors.values()) / min(errors.values())
     assert flat < 10.0
+    assert rep.failures == []
     _report(7, "overlapping spheres",
             "errors " + ", ".join(f"tau={t:g}: {e:.3e}"
                                   for t, e in errors.items())
             + f"; spread {flat:.1f}x < 10x at fixed r = 0.1 < tau")
 
 
-def _expansion_field(beta, points, wide, k, rho):
-    lam = wide.lambda_nodes
-    a = busemann(points[:, None], wide.boundary_angles[None, :])
-    rows = np.exp((-1j * lam[:, None, None] + rho) * a[None, :, :])
-    fac = (lam**2 + rho**2) ** (-2 * k)
-    return fac[:, None] * np.tensordot(beta, np.moveaxis(rows, 1, 0), axes=1)
-
-
-def _inner_2k(fa, fb, wide, k):
-    lam = wide.lambda_nodes
-    w = wide.lambda_measure * (lam**2 + wide.rho**2) ** (2 * k)
-    return complex(np.sum(w[:, None] * np.conj(fa) * fb) / wide.n_b)
-
-
 def test_criterion_08_spline_interpolation(space):
-    lat = build_lattice(0.8, 2.0, seed=0)
-    system = build_splines(lat, 2, space=space)
-    assert system.lagrangian_defect <= 1e-8
-
-    grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=1.0)
-    f = synthesize(space, 1.0, seed=0, grid=grid)
-    s = point_samples(f, lat)
-    interp = spline_interpolate(system, s)
-
-    # minimal-seminorm characterization against 20 perturbations that
-    # vanish on the lattice: orthogonality and no-decrease of the seminorm
-    wide = build_grid(space, lam_max=system.kernel.lam_max, n_lambda=288,
-                      n_b=384, omega=1.0)
-    pts = lat.points
-    shat = _expansion_field(interp.beta, pts, wide, system.k, wide.rho)
-    base = _inner_2k(shat, shat, wide, system.k).real
-    for c in range(20):
-        w = synthesize(space, 1.0, seed=500 + c, grid=wide)
-        beta_w = system._solve(point_samples(w, lat).values)
-        vhat = w.coeffs.values - _expansion_field(beta_w, pts, wide,
-                                                  system.k, wide.rho)
-        vnorm = _inner_2k(vhat, vhat, wide, system.k).real
-        cross = _inner_2k(shat, vhat, wide, system.k)
-        assert abs(cross) <= 1e-6 * math.sqrt(base * vnorm)
-        total = _inner_2k(shat + vhat, shat + vhat, wide, system.k).real
-        assert math.sqrt(total) >= math.sqrt(base) - 1e-8
-
-    # order escalation runs until the double-precision conditioning guard:
-    # at this scale k = 4 already fails Cholesky, so exactly one order
-    # survives and the error-decrease clause holds over the survivors
-    res = spline_reconstruct_deconvolve(lat, (2, 4, 8), s, space=space,
-                                        grid=grid)
-    assert res["k_list"] == [2]
-    assert res["aborted_at"] == 4
-    pg = build_polar_grid(2.0, 160, 96)
-    ref = f.on_grid(pg)
-    err_interp = _rel(pg, interp.evaluate(pg.points), ref)
-    assert err_interp < 1e-3
+    # the variational characterization (orthogonality, minimal seminorm,
+    # energy identity) is tested in test_splines.py on the same system
+    cfg = load_config(CONFIGS / "spline_reconstruct.ini")
+    assert (cfg.omega, cfg.r, cfg.domain_radius, cfg.k_schedule,
+            cfg.seeds) == (1.0, 0.8, 2.0, (2, 4, 8), (0,))
+    rep = _scenario_spline(cfg, space)
+    rows = {row[0]: row for row in rep.rows}
+    assert list(rows) == [2, 4, 8]
+    _, status, n, condition, defect, err, passed = rows[2]
+    assert status == "ok"
+    assert defect <= 1e-8
+    assert err < 1e-3
+    assert passed
+    # at this scale k = 4 already fails Cholesky: the conditioning wall
+    # is reported, not hidden
+    assert rows[4][1] == "singular"
+    assert rows[8][1] == "singular"
+    assert rep.failures == []
     _report(8, "spline interpolation",
-            f"defect {system.lagrangian_defect:.3e} (tolerance 1e-8); "
-            f"20 perturbations orthogonal and seminorm-minimal; schedule "
-            f"(2, 4, 8) aborted at k=4 (condition at k=2: "
-            f"{res['conditions'][0]:.3e}), one surviving order so the "
-            f"decay exponent is reported unmeasurable; k=2 interpolant "
-            f"error {err_interp:.3e}")
+            f"N={n}, k=2 defect {defect:.3e} (tolerance 1e-8), condition "
+            f"{condition:.3e}, interpolant error {err:.3e} (tolerance "
+            f"1e-3); k=4 and k=8 singular in double precision")
 
 
 def test_criterion_09_baseline_1d():
@@ -289,11 +252,8 @@ def test_criterion_09_baseline_1d():
 
 
 def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
-    from pathlib import Path
-
     monkeypatch.setenv("HYPERSAMPLE_OUTPUT_ROOT", str(tmp_path))
-    cfg = load_config(Path(__file__).resolve().parent.parent
-                      / "configs" / "baseline1d.ini")
+    cfg = load_config(CONFIGS / "baseline1d.ini")
     assert run(cfg) == 0
     outdir = tmp_path / "baseline1d"
     first = {name: (outdir / name).read_bytes()

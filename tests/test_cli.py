@@ -11,6 +11,7 @@ from hypersample import spectral
 from hypersample.cli import (
     SCENARIOS,
     ExperimentConfig,
+    _scenario_theorem73,
     config_to_ini,
     load_config,
     main,
@@ -209,6 +210,22 @@ def test_inadmissible_tau_is_informative_not_fatal(tmp_path, outroot):
     assert ",false," in line  # admissible column
     assert "info.admissible_all = false" in \
         (outroot / "theorem73" / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("override", [{"n_theta": "64"}, {"lam_max": "12"}])
+def test_theorem73_builds_its_grids_from_the_config(tmp_path, space,
+                                                    override):
+    # the error is measured on the config's polar grid and the function
+    # lives on its spectral grid, so either override moves frame_error
+    path = _write(tmp_path, "[experiment]\nscenario = theorem73\n"
+                            "r = 0.4\ntau_values = 0.1\nk_schedule =\n")
+
+    def frame_error(overrides):
+        rep = _scenario_theorem73(load_config(path, overrides), space)
+        [row] = rep.rows
+        return row[rep.columns.index("frame_error")]
+
+    assert frame_error(override) != frame_error({})
 
 
 def test_bad_config_exits_two(tmp_path, outroot, capsys):

@@ -33,6 +33,11 @@ def grid(space):
 
 
 @pytest.fixture(scope="module")
+def pgrid():
+    return build_polar_grid(1.4, 160, 96)
+
+
+@pytest.fixture(scope="module")
 def f(space, grid):
     return synthesize(space, OMEGA, seed=0, grid=grid)
 
@@ -135,26 +140,26 @@ def test_near_identity_zero_tau(space, grid):
     assert np.max(rep["lhs"]) == 0.0
 
 
-def test_experiment_point_sampling_reduction(space, grid):
+def test_experiment_point_sampling_reduction(space, grid, pgrid):
     # tau = 0, n = 0 must reproduce the plain point-sampling pipeline
-    [rep] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.0)], seed=0,
-                                 space=space, grid=grid, k_schedule=())
+    [rep] = theorem73_experiment(0.4, [AverageSpec(tau=0.0)], seed=0,
+                                 space=space, grid=grid, pgrid=pgrid,
+                                 k_schedule=())
     f = synthesize(space, OMEGA, seed=0, grid=grid)
     lat = build_lattice(0.4, 1.4, seed=0)
     frame = build_frame(lat, OMEGA, grid=grid)
     rec = reconstruct(frame, point_samples(f, lat))
-    pgrid = build_polar_grid(1.4, 160, 96)
     fv = f.evaluate(pgrid.points)
     err = pgrid.norm(rec.evaluate(pgrid.points) - fv) / pgrid.norm(fv)
     assert rep["frame_error"] == pytest.approx(err, abs=1e-10)
     assert rep["admissible"]
 
 
-def test_experiment_overlapping_spheres(space, grid):
+def test_experiment_overlapping_spheres(space, grid, pgrid):
     # spheres of radius 0.3 around centers 0.2 apart overlap heavily, yet
     # the averaged samples still determine the function on the band
-    [rep] = theorem73_experiment(OMEGA, 0.2, [AverageSpec(tau=0.3)], seed=0,
-                                 space=space, grid=grid)
+    [rep] = theorem73_experiment(0.2, [AverageSpec(tau=0.3)], seed=0,
+                                 space=space, grid=grid, pgrid=pgrid)
     assert rep["admissible"]
     assert rep["tau"] > rep["r"]
     assert rep["frame_error"] < 1e-4
@@ -180,17 +185,20 @@ def test_experiment_derivative_sampling_pipeline(space, grid):
     assert err < 1e-5
 
 
-def test_experiment_inadmissible_is_informative(space, grid):
-    [rep] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.5)], seed=0,
-                                 space=space, grid=grid, k_schedule=())
+def test_experiment_inadmissible_is_informative(space, grid, pgrid):
+    [rep] = theorem73_experiment(0.4, [AverageSpec(tau=0.5)], seed=0,
+                                 space=space, grid=grid, pgrid=pgrid,
+                                 k_schedule=())
     assert not rep["admissible"]
     assert np.isfinite(rep["frame_error"])
 
 
-def test_experiment_deterministic(space, grid):
-    [a] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.1)], seed=3,
-                               space=space, grid=grid, k_schedule=())
-    [b] = theorem73_experiment(OMEGA, 0.4, [AverageSpec(tau=0.1)], seed=3,
-                               space=space, grid=grid, k_schedule=())
+def test_experiment_deterministic(space, grid, pgrid):
+    [a] = theorem73_experiment(0.4, [AverageSpec(tau=0.1)], seed=3,
+                               space=space, grid=grid, pgrid=pgrid,
+                               k_schedule=())
+    [b] = theorem73_experiment(0.4, [AverageSpec(tau=0.1)], seed=3,
+                               space=space, grid=grid, pgrid=pgrid,
+                               k_schedule=())
     assert a["frame_error"] == b["frame_error"]
     assert a["frame_bounds"] == b["frame_bounds"]

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypersample import splines
 from hypersample.bandlimited import synthesize
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
                                 SingularKernel, TailTooLarge)
@@ -151,11 +152,9 @@ def test_kernel_call_contract(kern2):
 
 
 def test_kernel_tail_guard(space):
-    # k = 1 tail decays like lam^-2: the default tolerance is out of reach
+    # k = 1 tail decays like lam^-2: the tail tolerance is out of reach
     with pytest.raises(TailTooLarge):
-        polyharmonic_kernel(space, 1)
-    with pytest.raises(TailTooLarge):
-        polyharmonic_kernel(space, 2, lam_max=5.0)
+        polyharmonic_kernel(space, 1, t_max=3.0)
 
 
 def _kernel_coef(space, kern, m=None):
@@ -189,8 +188,8 @@ def test_kernel_table_matches_busemann_average(space, avg, n_b):
 
 
 def test_higher_order_kernel_is_flatter(space, kern2):
-    kern1 = polyharmonic_kernel(space, 1, t_max=1.5, tail_tol=1e-5)
-    assert kern2(1.0) / kern2.at_zero > kern1(1.0) / kern1.at_zero
+    kern4 = polyharmonic_kernel(space, 4, t_max=3.0)
+    assert kern4(1.0) / kern4.at_zero > kern2(1.0) / kern2.at_zero
 
 
 def test_kernel_angular_quadrature_converged(space, kern2):
@@ -390,9 +389,10 @@ def test_deconvolve_schedule_documents_the_wall(space, lat, samples, grid):
     assert res["conditions"][0] < 1e12
 
 
-def test_deconvolve_condition_limit(space, lat, samples, grid):
+def test_deconvolve_condition_limit(space, lat, samples, grid, monkeypatch):
+    monkeypatch.setattr(splines, "_COND_LIMIT", 10.0)
     res = spline_reconstruct_deconvolve(lat, [2], samples, space=space,
-                                        grid=grid, cond_limit=10.0)
+                                        grid=grid)
     assert res["aborted_at"] == 2
     assert res["functions"] == []
 

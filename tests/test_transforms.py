@@ -238,9 +238,14 @@ def test_calibration_constant(calibration):
     assert abs(2.0 * np.pi * calibration.scale - 1.0) <= 2e-14
 
 
-def test_calibration_inconsistent_when_band_starved():
+def test_calibration_inconsistent_when_band_starved(monkeypatch):
+    # 24 nodes on [0, 2]: the reference bumps reach far past the band
+    def starved(space, lam_max, n_lambda, n_b):
+        return build_grid(space, 2.0, 24, n_b)
+
+    monkeypatch.setattr(tr, "build_grid", starved)
     with pytest.raises(CalibrationInconsistent):
-        tr.calibrate_plancherel(lam_max=2.0, n_lambda=24)
+        tr.calibrate_plancherel()
 
 
 def test_tail_mass_guard(pgrid, grid):
