@@ -11,6 +11,7 @@ from .errors import (
     IllConditionedWarning,
     MultiplierVanishes,
     NotAFrame,
+    ProblemTooLarge,
     SingularKernel,
     TailMassExceeded,
     TailTooLarge,

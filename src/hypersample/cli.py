@@ -31,7 +31,7 @@ from .errors import ConfigError, HypersampleError, IllConditionedWarning, \
     SingularKernel
 from .geometry import SpaceParams, distance, multiplicity_bound
 from .lattice import build_lattice, certify_cover, certify_multiplicity, \
-    euclidean_nearest, near_pairs
+    near_pairs
 from .sampling import build_frame, point_samples, reconstruct
 from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
@@ -297,25 +297,41 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
+def _nearest_distances(x: np.ndarray, y: np.ndarray,
+                       skip_self: bool = False) -> np.ndarray:
+    """Each x's distance to its nearest y (to its nearest other point when
+    y is x and skip_self is set).
+
+    near_pairs at radius t holds every pair within t, so once every x has a
+    y within t its least found distance is exact.  t starts at twice the
+    mean spacing of the y over the ball holding both sets and doubles
+    until then (or until every pair is found).
+    """
+    if y.size == 0:
+        return np.full(x.size, np.inf)
+    far = float(np.max(np.abs(np.concatenate([x, y]))))
+    area = 4.0 * math.pi * far * far / (1.0 - far * far)  # 4 pi sinh^2(R/2)
+    t = 2.0 * math.sqrt(area / y.size) or 1.0
+    while True:
+        i, j = near_pairs(x, y, t)
+        if skip_self:
+            i, j = i[i != j], j[i != j]
+        nearest = np.full(x.size, np.inf)
+        np.minimum.at(nearest, i, distance(x[i], y[j]))
+        if np.all(nearest <= t) or i.size == x.size * (y.size - skip_self):
+            return nearest
+        t *= 2.0
+
+
 def _min_separation(points: np.ndarray) -> float:
-    # a point's distance to its Euclidean-nearest neighbour bounds the
-    # separation from above, so the pairs within that bound hold the closest
     if points.size < 2:
         return math.inf
-    bound = distance(points, points[euclidean_nearest(points, points, 2)])
-    i, j = near_pairs(points, points, float(bound.min()))
-    apart = i != j
-    return float(distance(points[i[apart]], points[j[apart]]).min())
+    return float(_nearest_distances(points, points, skip_self=True).min())
 
 
 def _farthest_probe(probes: np.ndarray, points: np.ndarray) -> float:
     """Largest distance from a probe to its nearest point."""
-    # each probe's Euclidean-nearest point bounds its distance to the points
-    bound = distance(probes, points[euclidean_nearest(probes, points, 1)])
-    i, j = near_pairs(probes, points, float(bound.max()))
-    nearest = np.full(probes.size, np.inf)
-    np.minimum.at(nearest, i, distance(probes[i], points[j]))
-    return float(nearest.max())
+    return float(_nearest_distances(probes, points).max())
 
 
 def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
@@ -472,7 +488,8 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                    "spline_ks", "spline_errors", "spline_aborted_at",
                    "passed"], "tau", ["frame_error"])
     tol, flat = 1e-4, 10.0
-    rep.tolerances = {"frame_error": tol, "flatness_factor": flat}
+    rep.tolerances = {"frame_error": tol, "flatness_factor": flat,
+                      "eigen_cut": cfg.cut}
     taus = cfg.tau_values or (0.0, 0.1, 0.3)
     frame_errors, any_inadmissible = [], False
     with _timed(rep, "experiment"), warnings.catch_warnings():
@@ -481,7 +498,7 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
         results = theorem73_experiment(
             cfg.r, [AverageSpec(tau=float(tau), n=cfg.n) for tau in taus],
             seed=cfg.seeds[0], space=space, grid=grid, pgrid=pgrid,
-            k_schedule=tuple(cfg.k_schedule))
+            k_schedule=tuple(cfg.k_schedule), cut=cfg.cut)
     for tau, res in zip(taus, results):
         admissible = res["admissible"]
         any_inadmissible |= not admissible
@@ -609,6 +626,11 @@ def _manifest_text(cfg: ExperimentConfig, rep: _Report, scale: float,
     return "\n".join(lines) + "\n"
 
 
+# plancherel keeps the calibration's grids; a manifest must not echo a
+# value of these fields that the run never used
+_PLANCHEREL_UNUSED = ("lam_max", "n_r", "n_theta", "domain_radius")
+
+
 def output_root() -> Path:
     return Path(os.environ.get(_OUTPUT_ROOT_ENV, "runs"))
 
@@ -617,6 +639,13 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one scenario; write artifacts; 0 = pass, 1 = failed invariant."""
     from . import __version__
 
+    if cfg.scenario == "plancherel":
+        default = ExperimentConfig()
+        for name in _PLANCHEREL_UNUSED:
+            if getattr(cfg, name) != getattr(default, name):
+                raise ConfigError(
+                    f"scenario plancherel does not use {name}; leave it at "
+                    f"its default {_fmt(getattr(default, name))}")
     outdir = output_root() / (cfg.output or cfg.scenario)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -33,6 +33,10 @@ class CertificationFailed(HypersampleError):
     """A lattice certification (packing, cover or multiplicity) failed."""
 
 
+class ProblemTooLarge(HypersampleError):
+    """An array the computation needs cannot be allocated."""
+
+
 class ConfigError(HypersampleError):
     """Malformed experiment configuration."""
 

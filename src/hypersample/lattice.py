@@ -11,15 +11,18 @@ The candidate order is randomized by seed (maximal packings are not unique)
 but the origin is always offered first so that the degenerate tiny-domain
 lattice is exactly {o}.
 
-Every neighbour search goes through a k-d tree on the Euclidean coordinates.
-The hyperbolic ball of radius t about w is the Euclidean disk of centre
-w (1 - T) / (1 - T |w|^2) and radius sqrt(T) (1 - |w|^2) / (1 - T |w|^2),
-T = tanh(t/2)^2, so each of its points lies within
-sqrt(T) (1 - |w|^2) / (1 - sqrt(T) |w|) <= sqrt(T) / (1 - T) = sinh(t) / 2
-of w.  A tree query at that one radius, widened by 1e-9 relative for
-rounding, returns a superset of the pairs within t; the exact Mobius
-quotient then decides each pair, so the lattices and certificates are those
-of the dense all-pairs passes.
+Every neighbour search goes through a grid of square cells on the Euclidean
+coordinates.  The hyperbolic ball of radius t about w is the Euclidean disk
+of centre w (1 - T) / (1 - T |w|^2) and radius
+sqrt(T) (1 - |w|^2) / (1 - T |w|^2), T = tanh(t/2)^2, so each of its points
+lies within sqrt(T) (1 - |w|^2) / (1 - sqrt(T) |w|) <= sqrt(T) / (1 - T) =
+sinh(t) / 2 of w.  With cells of that side (widened by 1e-9 relative for
+rounding, _tree_radius) the pairs within t lie in the 3 x 3 cells about
+each point.  The points are sorted by cell key, row by row, so the three
+cells of one row are one contiguous run of the sorted points: three runs
+per query point give a superset of the pairs within t, and the exact
+Mobius quotient then decides each pair, so the lattices and certificates
+are those of the dense all-pairs passes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CertificationFailed
 from .geometry import multiplicity_bound, random_ball_points
@@ -43,7 +45,6 @@ __all__ = [
     "save_lattice",
     "load_lattice",
     "near_pairs",
-    "euclidean_nearest",
 ]
 
 _N_PROBES = 10_000
@@ -92,13 +93,28 @@ def _candidate_net(domain_radius: float, spacing: float, rng) -> np.ndarray:
     return np.concatenate([rings[0], rest])
 
 
-def _plane(z: np.ndarray) -> np.ndarray:
-    return np.column_stack((z.real, z.imag))
-
-
 def _tree_radius(t: float) -> float:
     """Euclidean radius about w holding every point within distance t of w."""
     return 0.5 * math.sinh(t) * (1.0 + 1e-9)
+
+
+def _cell_keys(z: np.ndarray, side: float) -> tuple[np.ndarray, int]:
+    """Keys of the points' cells in a grid of square cells of at least the
+    given side over their bounding box, and the grid's row width.
+
+    A key is row * width + column; columns start at 1 and every row has
+    two spare columns, so the cells c - 1, c, c + 1 of one row are
+    consecutive keys.  Cells are at least 2^-20 of the box wide, which
+    keeps the keys in range at any radius (larger cells only widen the
+    candidate runs).
+    """
+    lo = complex(z.real.min(), z.imag.min())
+    span = complex(z.real.max(), z.imag.max()) - lo
+    side = max(side, max(span.real, span.imag) * 2.0 ** -20) or 1.0
+    width = int(span.real / side) + 3
+    col = np.floor((z.real - lo.real) / side).astype(np.intp) + 1
+    row = np.floor((z.imag - lo.imag) / side).astype(np.intp)
+    return row * width + col, width
 
 
 def near_pairs(x: np.ndarray, y: np.ndarray,
@@ -108,35 +124,52 @@ def near_pairs(x: np.ndarray, y: np.ndarray,
     The extra pairs are at most sinh(t)/2 apart in the Euclidean sense; the
     caller decides each pair with an exact test.
     """
-    pairs = cKDTree(_plane(x)).sparse_distance_matrix(
-        cKDTree(_plane(y)), _tree_radius(t), output_type="ndarray")
-    return pairs["i"], pairs["j"]
-
-
-def euclidean_nearest(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Index of each x's k-th nearest y in the Euclidean sense."""
-    return cKDTree(_plane(y)).query(_plane(x), k=[k])[1][:, 0]
+    if x.size == 0 or y.size == 0:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    side = _tree_radius(t)
+    keys, width = _cell_keys(np.concatenate([x, y]), side)
+    x_order, y_order = np.argsort(keys[:x.size]), np.argsort(keys[x.size:])
+    y_keys = keys[x.size:][y_order]
+    # the run of cells c - 1 .. c + 1 in the rows above, at and below each x
+    first = keys[:x.size][x_order] + (width * np.arange(-1, 2) - 1)[:, None]
+    lo = np.searchsorted(y_keys, first).ravel()
+    count = np.searchsorted(y_keys, first + 3).ravel() - lo
+    ends = np.cumsum(count)
+    # positions in the sorted x and y, so the runs are read in order
+    i = np.repeat(np.tile(np.arange(x.size), 3), count)
+    j = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
+    gap = x[x_order][i] - y[y_order][j]
+    keep = gap.real * gap.real + gap.imag * gap.imag <= side * side
+    return x_order[i[keep]], y_order[j[keep]]
 
 
 def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:
     """Sequential-greedy acceptance.
 
     A candidate is kept exactly when it is r/2-far from every point kept
-    before it: each kept point drops the later live candidates within r/2
-    of it, found by one k-d tree query.
+    before it: each kept point drops the live candidates within r/2 of it,
+    read from the three cell runs about it.  Those runs also hold the point
+    itself and earlier kept points; marking them dead changes nothing, as
+    the loop has passed them.
     """
     thresh = _sep_param(r, 0.5) ** 2
-    xy = _plane(candidates)
-    tree = cKDTree(xy)
-    radius = _tree_radius(r / 2.0)
+    keys, width = _cell_keys(candidates, _tree_radius(r / 2.0))
+    order = np.argsort(keys)
+    # start[k]: the first sorted position at or past cell key base + k, so
+    # the run of cells c - 1 .. c + 1 is order[start[c - 1]:start[c + 2]]
+    base = int(keys.min()) - width - 1
+    start = np.searchsorted(keys[order], np.arange(base, int(keys.max())
+                                                   + width + 3)).tolist()
+    cell = keys - base
     live = np.ones(candidates.size, dtype=bool)
     kept = []
     for i in range(candidates.size):
         if not live[i]:
             continue
         kept.append(i)
-        near = np.asarray(tree.query_ball_point(xy[i], radius), dtype=np.intp)
-        near = near[near > i]
+        c = int(cell[i])
+        near = np.concatenate([order[start[k - 1]:start[k + 2]]
+                               for k in (c - width, c, c + width)])
         near = near[live[near]]
         close = _quotient_sq(candidates[near], candidates[i]) < thresh
         live[near[close]] = False

@@ -19,7 +19,7 @@ import numpy as np
 from .bandlimited import BandlimitedFunction, synthesize
 from .geometry import SpaceParams, circle_points
 from .lattice import build_lattice
-from .sampling import build_frame, convolution_samples, reconstruct
+from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
 from .spectral import Multiplier, SpectralGrid, spherical_function
 from .splines import spline_reconstruct_deconvolve
 from .transforms import PolarGrid
@@ -127,16 +127,18 @@ def near_identity_check(space: SpaceParams, grid: SpectralGrid,
 def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
                          seed: int = 0, *, space: SpaceParams,
                          grid: SpectralGrid, pgrid: PolarGrid,
-                         k_schedule=(2, 4, 8)) -> list[dict]:
+                         k_schedule=(2, 4, 8),
+                         cut: float = _PINV_CUT) -> list[dict]:
     """Closed loop: synthesize, average on a lattice, reconstruct both ways.
 
     The band limit is grid.omega and the sampled domain is the ball of
     radius pgrid.r_max, where errors are measured.  The function, its
     values on the polar grid and the lattice are built once; each spec
     then gets its own averaged samples and one result dict.  The frame
-    route is the truncated pseudo-inverse of the weighted frame; the
-    spline route runs the deconvolving-spline schedule, which may abort at
-    its conditioning guard (recorded, not hidden).  Errors are relative L2
+    route is the truncated pseudo-inverse of the weighted frame, cut at
+    the relative eigenvalue threshold cut (build_frame); the spline route
+    runs the deconvolving-spline schedule, which may abort at its
+    conditioning guard (recorded, not hidden).  Errors are relative L2
     against the true function over the sampled domain.  An inadmissible
     tau is flagged in the report but the run proceeds.
     """
@@ -149,7 +151,7 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
     for spec in specs:
         m = average_multiplier(space, spec)
         s = convolution_samples(f, lat, m)
-        frame = build_frame(lat, omega, m, grid=grid)
+        frame = build_frame(lat, omega, m, grid=grid, cut=cut)
         rec = reconstruct(frame, s)
         frame_error = pgrid.norm(rec.on_grid(pgrid) - fv) / den
         spl = spline_reconstruct_deconvolve(lat, k_schedule, s, space=space,

@@ -6,15 +6,19 @@ play).  Interpolants are finite combinations sum_j beta_j K_2k(d(., x_j));
 solving the kernel matrix against Lagrangian data delta_(nu mu) realizes
 the minimal - ||Delta^k u|| interpolant on the lattice.
 
-The kernel is tabulated once per order on a radial grid out to the
-lattice's diameter and then evaluated through a cubic spline; the spectral
-cutoff is chosen from an analytic tail bound so the truncated mass stays
-below _TAIL_TOL = 1e-10 relative to K(0).  The table samples
-spectral.zonal_series, a tail-checked Chebyshev series in t: K(t) is the
-Busemann average over boundary angles b of e^{rho a} g(a) at a = A(t, b),
-where g(a) = sum_lam c_lam cos(lam a) is one Chebyshev series in a.
-Deconvolving schedules stop at condition _COND_LIMIT = 1e12, and the
-Lagrangian defect is certified against _CERT_TOL = 1e-8.
+The kernel is tabulated once per order, values and slopes, on a uniform
+radial grid out to the lattice's diameter and evaluated as the cubic
+Hermite interpolant on that grid (the interval of t is t / h, no search);
+the spectral cutoff is chosen from an analytic tail bound so the truncated
+mass stays below _TAIL_TOL = 1e-10 relative to K(0).  Values and slopes
+sample spectral.zonal_series, a tail-checked Chebyshev series in t, and
+its derivative series: K(t) is the Busemann average over boundary angles b
+of e^{rho a} g(a) at a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is
+one Chebyshev series in a.  The kernel matrix is certified positive
+definite by its Cholesky factorization and solved by numpy.linalg.solve
+with iterative refinement.  Deconvolving schedules stop at condition
+_COND_LIMIT = 1e12, and the Lagrangian defect is certified against
+_CERT_TOL = 1e-8.
 """
 
 from __future__ import annotations
@@ -24,13 +28,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes,
-                     SingularKernel, TailTooLarge)
+                     ProblemTooLarge, SingularKernel, TailTooLarge)
 from .geometry import distance
 from .lattice import Lattice
 from .sampling import SampleSet
@@ -59,7 +61,11 @@ _TABLE_POINTS = 1201
 
 @dataclass(eq=False)
 class PolyharmonicKernel:
-    """Tabulated radial kernel K_2k(t) with its truncation certificate."""
+    """Tabulated radial kernel K_2k(t) with its truncation certificate.
+
+    table_values and table_slopes are K and K' at the equispaced radii
+    table_t; between two of them K is the cubic Hermite interpolant.
+    """
 
     k: int
     rho: float
@@ -69,13 +75,28 @@ class PolyharmonicKernel:
     multiplier_label: str
     table_t: np.ndarray
     table_values: np.ndarray
-    _interp: CubicSpline = field(repr=False)
+    table_slopes: np.ndarray = field(repr=False)
+    _cubic: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the Hermite cubic on [t_i, t_i+1] is sum_p _cubic[p, i] s^p with
+        # s = (t - t_i) / h: value, h * slope, and the two matching terms
+        y, d = self.table_values, self.table_t[1] * self.table_slopes
+        dy = np.diff(y)
+        self._cubic = np.stack([y[:-1], d[:-1], 3.0 * dy - 2.0 * d[:-1] - d[1:],
+                                d[:-1] + d[1:] - 2.0 * dy])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > self.t_max):
             raise ValueError(f"kernel tabulated on [0, {self.t_max}] only")
-        out = self._interp(t)
+        u = t / self.table_t[1]
+        i = np.minimum(u.astype(np.intp), self._cubic.shape[1] - 1)
+        s = u - i
+        out = self._cubic[3].take(i)
+        for c in self._cubic[2::-1]:
+            out *= s
+            out += c.take(i)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -117,8 +138,9 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     one series in t on [0, t_max] with the tail checks of
     spectral.plane_wave_series and spectral.zonal_series (NumericalFailure
     if trailing coefficients do not reach roundoff, or past t_max ~8 where
-    the angle count is capped).  The cubic spline through the table adds at
-    most ~1e-13 K(0).
+    the angle count is capped).  The slopes sample the derivative series
+    (chebder); the cubic Hermite interpolant between the nodes adds at most
+    h^4 max|K^(4)| / 384 at spacing h = t_max / (_TABLE_POINTS - 1).
 
     The truncation tail beyond lam_max is bounded analytically by
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
@@ -164,12 +186,12 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     coef = weights * dens * msq * (nodes ** 2 + rho2) ** (-2 * k)
 
     t = np.linspace(0.0, t_max, _TABLE_POINTS)
-    values = chebval(2.0 * t / t_max - 1.0,
-                     zonal_series(nodes, coef, rho, t_max))
-    interp = CubicSpline(t, values, bc_type=((1, 0.0), "not-a-knot"))
+    x = 2.0 * t / t_max - 1.0
+    series = zonal_series(nodes, coef, rho, t_max)
+    slopes = chebval(x, chebder(series)) * (2.0 / t_max)
     return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound,
                               multiplier.label if multiplier else "",
-                              t, values, interp)
+                              t, chebval(x, series), slopes)
 
 
 @dataclass(eq=False)
@@ -182,18 +204,16 @@ class SplineSystem:
     deconv_multiplier: Multiplier | None
     condition: float
     lagrangian_defect: float
-    _cho: tuple = field(repr=False)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(rhs):
             return self._solve(rhs.real) + 1j * self._solve(rhs.imag)
-        return _refined_solve(self._cho, self.kernel_matrix, rhs)
+        return _refined_solve(self.kernel_matrix, rhs)
 
 
-def _refined_solve(cho, kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve of kmat x = b, refined until the residual stops
-    contracting."""
-    x = cho_solve(cho, b)
+def _refined_solve(kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve of kmat x = b, refined until the residual stops contracting."""
+    x = np.linalg.solve(kmat, b)
     best = math.inf
     for _ in range(6):
         res = b - kmat @ x
@@ -201,7 +221,7 @@ def _refined_solve(cho, kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not nrm < 0.5 * best:
             break
         best = nrm
-        x = x + cho_solve(cho, res)
+        x = x + np.linalg.solve(kmat, res)
     return x
 
 
@@ -217,18 +237,25 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     points (or an order too high for double precision) surface as
     SingularKernel.  Iterative refinement, the same solve the interpolants
     use, pushes the interpolation residual to roundoff even for stiff
-    systems.
+    systems.  ProblemTooLarge is raised when the N x N matrices cannot be
+    allocated.
     """
     if len(lat) == 0:
         raise ValueError("empty lattice")
     kern = polyharmonic_kernel(space, k, t_max=2.0 * lat.domain_radius + 1e-9,
                                multiplier=m)
-    d = distance(lat.points[:, None], lat.points[None, :])
-    np.fill_diagonal(d, 0.0)
-    kmat = kern(d)
-    kmat = 0.5 * (kmat + kmat.T)
+    n = len(lat)
     try:
-        cho = cho_factor(kmat, lower=True)
+        d = distance(lat.points[:, None], lat.points[None, :])
+        np.fill_diagonal(d, 0.0)
+        kmat = kern(d)
+        kmat = 0.5 * (kmat + kmat.T)
+    except MemoryError as exc:
+        raise ProblemTooLarge(
+            f"the {n} x {n} order-{k} kernel matrix ({8e-9 * n * n:.3g} GB "
+            f"per array) cannot be allocated") from exc
+    try:
+        np.linalg.cholesky(kmat)
     except np.linalg.LinAlgError as exc:
         raise SingularKernel(
             f"order-{k} kernel matrix is not positive definite in double "
@@ -237,20 +264,19 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     # below N eps of the largest eigenvalue the eigensolver's own backward
     # error decides the sign of the smallest one, so a Cholesky that
     # happened to succeed certifies nothing (duplicate points land here)
-    if not ev[0] > len(lat) * np.finfo(float).eps * ev[-1]:
+    if not ev[0] > n * np.finfo(float).eps * ev[-1]:
         raise SingularKernel(
             f"order-{k} kernel matrix has smallest eigenvalue "
             f"{ev[0]:.3e} against {ev[-1]:.3e}: singular in double precision")
     condition = float(ev[-1] / ev[0])
-    eye = np.eye(len(lat))
-    coeffs = _refined_solve(cho, kmat, eye)
+    eye = np.eye(n)
+    coeffs = _refined_solve(kmat, eye)
     defect = float(np.max(np.abs(kmat @ coeffs - eye)))
     if defect > _CERT_TOL:
         warnings.warn(
             f"Lagrangian defect {defect:.2e} exceeds {_CERT_TOL:.0e} at "
             f"condition {condition:.2e}", IllConditionedWarning)
-    return SplineSystem(lat, k, kern, kmat, coeffs, m, condition, defect,
-                        cho)
+    return SplineSystem(lat, k, kern, kmat, coeffs, m, condition, defect)
 
 
 @dataclass(eq=False)

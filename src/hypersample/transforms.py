@@ -55,13 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
-from scipy.special import loggamma
 
 from .errors import CalibrationInconsistent, NumericalFailure, TailMassExceeded
 from .geometry import SpaceParams, as_complex, busemann, distance, random_ball_points
 from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real,
-                       _horocycle_rows, _plane_wave_basis, build_grid,
-                       plane_wave_series)
+                       _gamma_ratio, _horocycle_rows, _plane_wave_basis,
+                       build_grid, plane_wave_series)
 
 __all__ = [
     "PolarGrid",
@@ -206,7 +205,8 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndar
                               - [(s - 2n + 4)^2 - (s - 2n + 4) + Lam] a_{n-2};
 
     for real lam and u, g_- is its complex conjugate and so is the second
-    term of the expansion.  The series is summed until two consecutive
+    term of the expansion.  The Gamma ratio of c(lam) is
+    spectral._gamma_ratio.  The series is summed until two consecutive
     terms fall below roundoff of the sum of term magnitudes at every
     (lam, m, r); NumericalFailure is raised if that takes more than 64
     terms (the calibration table, r > 4 and m <= 31, takes 10).
@@ -240,7 +240,7 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndar
             f"Harish-Chandra series at lam <= {float(np.max(lams)):.3g}, "
             f"m <= {m_max}, r >= {float(np.min(rs)):.3g} did not converge "
             f"in {n} terms")
-    c = np.exp(loggamma(1j * lams) - loggamma(0.5 + 1j * lams)) / math.sqrt(math.pi)
+    c = _gamma_ratio(1j * lams) / math.sqrt(math.pi)
     j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
     pi_m = np.concatenate([np.ones((lams.size, 1)),
                            np.cumprod((j - il) / (j + il), axis=1)], axis=1)

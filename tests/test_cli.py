@@ -1,6 +1,10 @@
 """Tests for the experiment runner: configs, artifacts, determinism."""
 
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from hypersample.cli import (
     verify_all,
 )
 from hypersample.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -226,6 +232,60 @@ def test_theorem73_builds_its_grids_from_the_config(tmp_path, space,
         return row[rep.columns.index("frame_error")]
 
     assert frame_error(override) != frame_error({})
+
+
+def test_theorem73_honours_cut(tmp_path, outroot):
+    # the frame keeps more directions at a lower cut, which moves its error;
+    # the manifest echoes the cut in force
+    path = _write(tmp_path, "[experiment]\nscenario = theorem73\n"
+                            "r = 0.4\ntau_values = 0.1\nk_schedule =\n"
+                            "seeds = 0\n")
+
+    def run_at(cut):
+        assert main(["run", str(path), "--override", f"cut={cut}",
+                     "--override", f"output=cut{cut}"]) == 0
+        outdir = outroot / f"cut{cut}"
+        lines = (outdir / "results.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        manifest = (outdir / "manifest.txt").read_text()
+        assert f"tolerance.eigen_cut = {cut}" in manifest
+        return float(row["frame_error"]), int(row["rank"])
+
+    (err12, rank12), (err20, rank20) = run_at("1e-12"), run_at("1e-20")
+    assert rank20 > rank12
+    assert err20 != err12
+
+
+@pytest.mark.parametrize("override", ["lam_max=30", "n_r=64", "n_theta=64",
+                                      "domain_radius=2.0"])
+def test_plancherel_rejects_fields_it_does_not_use(tmp_path, outroot, capsys,
+                                                   override):
+    path = _write(tmp_path, "[experiment]\nscenario = plancherel\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path), "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario plancherel does not use "
+                          + override.split("=")[0])
+    assert "Traceback" not in err
+    assert not outroot.exists()
+
+
+@pytest.mark.parametrize("config", [None, "spline_reconstruct", "theorem73"])
+def test_no_scipy_module_is_loaded(tmp_path, config):
+    # the runtime needs numpy only: neither the import of the CLI nor a
+    # scenario run may pull in scipy
+    call = "0" if config is None else \
+        f"main(['run', {str(ROOT / 'configs' / f'{config}.ini')!r}])"
+    code = ("import sys\nfrom hypersample.cli import main\n"
+            f"code = {call}\n"
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               HYPERSAMPLE_OUTPUT_ROOT=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []"
 
 
 def test_bad_config_exits_two(tmp_path, outroot, capsys):

@@ -105,6 +105,44 @@ def test_quotient_ball_lies_within_tree_radius(w_abs, w_arg, big_t, u_scale,
         assert abs(z - w) <= lattice_mod._tree_radius(t)
 
 
+@st.composite
+def _disk_points(draw, side):
+    """Up to 30 disk points: uniform in radius and angle, or on the corners
+    and edges of the cell grid of the given side."""
+    out = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.booleans()):
+            z = draw(st.floats(0.0, 0.999)) \
+                * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        else:
+            n = int(2.0 / side) + 1
+            a, b = draw(st.integers(0, n)), draw(st.integers(0, n))
+            z = complex(-1.0 + a * side, -1.0 + b * side
+                        + draw(st.sampled_from([0.0, 0.5 * side])))
+        if abs(z) < 0.999:
+            out.append(z)
+    return np.array(out, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(st.floats(1e-4, 4.0), st.sampled_from([0.2, 1.0, 2.5])),
+       data=st.data())
+def test_near_pairs_matches_brute_force(t, data):
+    # every pair within t, and every pair within sinh(t)/2 in the Euclidean
+    # sense, is found exactly once; no pair beyond the cell side is returned
+    side = lattice_mod._tree_radius(t)
+    x = data.draw(_disk_points(side))
+    y = data.draw(_disk_points(side))
+    i, j = lattice_mod.near_pairs(x, y, t)
+    found = set(zip(i.tolist(), j.tolist()))
+    assert len(found) == i.size
+    gap = np.abs(x[:, None] - y[None, :])
+    hyper = distance(x[:, None], y[None, :]) if x.size and y.size else gap
+    need = set(zip(*np.nonzero((hyper <= t) | (gap <= 0.5 * math.sinh(t)))))
+    allowed = set(zip(*np.nonzero(gap <= side * (1.0 + 1e-12))))
+    assert need <= found <= allowed
+
+
 def _dense_lattice(r, domain, seed):
     """The all-pairs build: survivor sweep, probe-by-point passes in chunks
     of 512 probe rows, and a whole-probe-set update per patch insertion.
@@ -166,8 +204,8 @@ def test_certify_cover_of_a_lattice_with_holes_is_exact():
 
 
 def test_fine_lattice_builds_in_near_linear_time():
-    # N ~ 3e4 from ~7e5 candidates takes a few seconds through the k-d
-    # tree; the all-pairs sweep would take minutes
+    # N ~ 3e4 from ~7e5 candidates takes a few seconds through the cell
+    # grid; the all-pairs sweep would take minutes
     start = time.perf_counter()
     lat = build_lattice(0.025, 1.4, seed=0)
     elapsed = time.perf_counter() - start

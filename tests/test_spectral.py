@@ -24,6 +24,51 @@ def test_density_gamma_quotient_is_lam_tanh():
     assert np.max(np.abs(d / ref - 1.0)) < 1e-12
 
 
+_ORACLE_LAMS = np.concatenate([np.geomspace(1e-4, 500.0, 60),
+                               [6e-4, 0.3, 3.0, 10.0, 23.996, 24.0]])
+
+
+def test_gamma_ratio_matches_mpmath():
+    # Gamma(z) / Gamma(z + 1/2) at 30 digits: on the imaginary axis (the
+    # c-function's arguments) and at a few points of the right half plane
+    z = np.concatenate([1j * _ORACLE_LAMS,
+                        [0.3 + 2j, 5.0 + 0.1j, 12.0 + 40j, 0.5 - 7j, 30.0]])
+    got = sp._gamma_ratio(z)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.gamma(mp.mpc(w.real, w.imag))
+                                / mp.gamma(mp.mpc(w.real + 0.5, w.imag)))
+                        for w in z])
+    assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
+
+
+def test_density_matches_mpmath():
+    # the density is the Gamma quotient of its definition, to roundoff
+    got = sp.plancherel_density(_ORACLE_LAMS)
+    with mp.workdps(30):
+        ref = np.array([float(abs(mp.gamma(mp.mpc(0.5, lam))
+                                  / mp.gamma(mp.mpc(0, lam))) ** 2)
+                        for lam in _ORACLE_LAMS])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+    ratio = sp._gamma_ratio(1j * _ORACLE_LAMS)
+    assert np.max(np.abs(got * np.abs(ratio) ** 2 - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 129])
+def test_chebyshev_fit_is_the_dct_ii(n, monkeypatch):
+    # the FFT route against the defining cosine sum, real and complex
+    # samples, one and two columns (the tail check is switched off)
+    monkeypatch.setattr(sp, "_SERIES_TOL", math.inf)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    j = np.arange(n)
+    cos = np.cos(np.pi * np.outer(j, j + 0.5) / n) * (2.0 / n)
+    cos[0] /= 2.0
+    for sample in (v.real, v, v[:, 0]):
+        got = sp._chebyshev_fit(lambda x: sample, n - 1, "test")
+        assert got.dtype == sample.dtype
+        assert np.max(np.abs(got - cos @ sample)) <= 1e-14
+
+
 def test_density_scale_and_domain():
     lam = np.array([0.5, 2.0])
     assert np.allclose(sp.plancherel_density(lam, 3.0), 3.0 * sp.plancherel_density(lam))

@@ -12,18 +12,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from hypersample import splines
 from hypersample.bandlimited import synthesize
+from hypersample.cli import main
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
-                                SingularKernel, TailTooLarge)
+                                ProblemTooLarge, SingularKernel, TailTooLarge)
 from hypersample.geometry import SpaceParams, busemann, distance
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
 from hypersample.spectral import (Multiplier, _busemann_angle_count,
                                   build_grid, busemann_average,
                                   identity_multiplier, plancherel_density,
-                                  spherical_function)
+                                  spherical_function, zonal_series)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (_kernel_lambda_grid, build_splines,
                                  iterated_bernstein_check,
@@ -219,6 +221,22 @@ def test_kernel_table_resolves_domain_diameter(space, lat):
     assert ev[0] >= -len(lat) * np.finfo(float).eps * ev[-1]
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_hermite_kernel_matches_series_between_nodes(space, k):
+    # the cubic Hermite interpolant of the table against the Chebyshev
+    # series it samples, at the midpoint of every table interval (where
+    # the interpolation error peaks) and at random radii; the series' own
+    # Clenshaw rounding is ~2e-14 K(0) here
+    t_max = 2.0 * DOMAIN + 1e-9
+    kern = polyharmonic_kernel(space, k, t_max=t_max)
+    series = zonal_series(*_kernel_coef(space, kern), space.rho, t_max)
+    t = np.concatenate([0.5 * (kern.table_t[1:] + kern.table_t[:-1]),
+                        np.random.default_rng(k).uniform(0.0, t_max, 500)])
+    ref = chebval(2.0 * t / t_max - 1.0, series)
+    assert np.max(np.abs(kern(t) - ref)) <= 2e-13 * kern.at_zero
+    assert kern(t_max) == kern.table_values[-1]
+
+
 def test_pairing_recovers_point_value(space, wide, sys2):
     # <K(d(o, .)), Delta^2k g> = g(o): the 2k-th Laplacian power undoes the
     # kernel density, leaving the plain inversion formula
@@ -260,6 +278,25 @@ def test_duplicate_points_rejected(space):
     bad = Lattice(points=pts, r=0.5, n_mult=10, domain_radius=1.0, seed=0)
     with pytest.raises(SingularKernel):
         build_splines(bad, 2, space=space)
+
+
+def test_unallocatable_kernel_matrix_is_a_named_error(space, lat, tmp_path,
+                                                     monkeypatch, capsys):
+    # an N x N distance matrix past the memory limit (N ~ 4.5e5 at r = 0.01
+    # asks for terabytes) ends as ProblemTooLarge, and the CLI exits 1
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(splines, "distance", no_memory)
+    with pytest.raises(ProblemTooLarge, match="cannot be allocated"):
+        build_splines(lat, 2, space=space)
+    monkeypatch.setenv("HYPERSAMPLE_OUTPUT_ROOT", str(tmp_path))
+    cfg = tmp_path / "spline.ini"
+    cfg.write_text("[experiment]\nscenario = spline_reconstruct\nseeds = 0\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ProblemTooLarge: ")
+    assert "Traceback" not in err
 
 
 def test_high_order_hits_precision_wall(space, lat):
