@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedWarning
-from .geometry import SpaceParams, as_complex, distance
+from .geometry import RHO, SpaceParams, as_complex, distance
 from .spectral import (SpectralCoeffs, SpectralGrid, apply_multiplier, build_grid,
                        default_lam_max, sobolev_multiplier)
 from .transforms import PolarGrid, inverse_on_grid, inverse_transform
@@ -94,7 +94,7 @@ def synthesize(space: SpaceParams, omega: float, seed: int = 0, n_modes: int = 3
     if omega <= 0:
         raise ValueError("omega must be positive")
     if grid is None:
-        grid = build_grid(space, lam_max or default_lam_max(omega, space.rho),
+        grid = build_grid(space, lam_max or default_lam_max(omega),
                           n_lambda, n_b, omega=omega, n_band=n_band)
     if grid.omega != omega or grid.n_band == 0:
         raise ValueError("grid band panel does not match omega")
@@ -125,9 +125,8 @@ def bernstein_check(f: BandlimitedFunction, sigma: float) -> dict:
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    space = SpaceParams(rho=f.grid.rho, plancherel_scale=f.grid.plancherel_scale)
-    lhs = apply_multiplier(f.coeffs, sobolev_multiplier(space, sigma)).norm()
-    rhs = (f.omega**2 + f.grid.rho**2) ** sigma * f.norm()
+    lhs = apply_multiplier(f.coeffs, sobolev_multiplier(sigma)).norm()
+    rhs = (f.omega**2 + RHO**2) ** sigma * f.norm()
     return {
         "sigma": sigma,
         "lhs": lhs,
@@ -144,16 +143,14 @@ def converse_bernstein_probe(coeffs: SpectralCoeffs, omega: float,
     Bounded by 1 for genuine omega band limited input; grows without bound
     when the spectrum sticks out beyond omega (the negative certificate).
     """
-    rho = coeffs.grid.rho
-    space = SpaceParams(rho=rho, plancherel_scale=coeffs.grid.plancherel_scale)
     base = coeffs.norm()
     if base == 0.0:
         return {"sigmas": list(sigma_list), "ratios": [math.nan] * len(sigma_list),
                 "applicable": False}
     ratios = []
     for s in sigma_list:
-        num = apply_multiplier(coeffs, sobolev_multiplier(space, s)).norm()
-        ratios.append(num / ((omega**2 + rho**2) ** s * base))
+        num = apply_multiplier(coeffs, sobolev_multiplier(s)).norm()
+        ratios.append(num / ((omega**2 + RHO**2) ** s * base))
     return {"sigmas": list(sigma_list), "ratios": ratios, "applicable": True}
 
 

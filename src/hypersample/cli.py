@@ -248,7 +248,7 @@ def _rel_err(pgrid, got: np.ndarray, want: np.ndarray) -> float:
 
 def _grids(cfg: ExperimentConfig, space: SpaceParams):
     """The config's spectral grid and its polar grid over the domain."""
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega, space.rho)
+    lam_max = cfg.lam_max or default_lam_max(cfg.omega)
     return (build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega),
             build_polar_grid(cfg.domain_radius, cfg.n_r, cfg.n_theta))
 
@@ -460,9 +460,9 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             spec = AverageSpec(tau=tau, n=0, m_circle=96)
             g = f if n == 0 else BandlimitedFunction(
                 f.omega, apply_multiplier(f.coeffs,
-                                          sobolev_multiplier(space, float(n))))
+                                          sobolev_multiplier(float(n))))
             direct = spherical_average_direct(g, y, spec)
-            mult = average_multiplier(space, AverageSpec(tau=tau, n=n))
+            mult = average_multiplier(AverageSpec(tau=tau, n=n))
             sym = BandlimitedFunction(
                 f.omega, apply_multiplier(f.coeffs, mult)).evaluate(
                     np.array([complex(y)]))[0]
@@ -474,8 +474,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                       f"case {case}: |direct - symbol| = {diff:.3e}")
     with _timed(rep, "near_identity"):
         for n in (0, 1):
-            chk = near_identity_check(space, grid,
-                                      AverageSpec(tau=cfg.tau, n=n))
+            chk = near_identity_check(grid, AverageSpec(tau=cfg.tau, n=n))
             rep.check(chk["passed"], "sphavg.near_identity",
                       f"n {n}, tau {cfg.tau}: bound violated at a node")
     rep.info["near_identity_n"] = (0, 1)
@@ -688,8 +687,8 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
     def spectral_roundtrip():
         grid = build_grid(space, 8.0, 48, 32, 2.0)
         f = synthesize(space, 2.0, seed=0, grid=grid)
-        fwd = apply_multiplier(f.coeffs, sobolev_multiplier(space, 1.5))
-        back = apply_multiplier(fwd, sobolev_multiplier(space, 1.5),
+        fwd = apply_multiplier(f.coeffs, sobolev_multiplier(1.5))
+        back = apply_multiplier(fwd, sobolev_multiplier(1.5),
                                 invert=True)
         num = np.max(np.abs(back.values - f.coeffs.values))
         assert num <= 1e-10, f"multiplier roundtrip off by {num:.2e}"
@@ -744,7 +743,7 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
         for tau in (0.1, 0.3):
             direct = spherical_average_direct(f, 0.3 + 0.2j,
                                               AverageSpec(tau=tau))
-            mult = average_multiplier(space, AverageSpec(tau=tau))
+            mult = average_multiplier(AverageSpec(tau=tau))
             sym = BandlimitedFunction(
                 f.omega, apply_multiplier(f.coeffs, mult)).evaluate(
                     np.array([0.3 + 0.2j]))[0]

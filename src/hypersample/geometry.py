@@ -12,7 +12,8 @@ Under this normalization:
   equivalently arccosh(1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)));
 * circumference of the sphere of radius r is S(r) = 2 pi sinh r;
 * volume (area) of the ball of radius r is B(r) = 2 pi (cosh r - 1);
-* the half sum of positive roots is rho = 1/2;
+* the half sum of positive roots is rho = 1/2, fixed by the plane: the
+  module constant RHO, the only definition of rho in the package;
 * the circle of hyperbolic radius tau about the origin has Euclidean
   radius tanh(tau / 2).
 
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
+    "RHO",
     "SpaceParams",
     "Point",
     "as_complex",
@@ -52,22 +54,24 @@ __all__ = [
 # points closer to the boundary than this are rejected by constructors
 _BOUNDARY_MARGIN = 1e-12
 
+# half sum of the positive roots of the hyperbolic plane
+RHO = 0.5
+
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Fixed analytic parameters of the (two dimensional) space.
+    """The calibrated spectral density constant of the plane.
 
     plancherel_scale multiplies the raw spectral density lam*tanh(pi*lam)
     and is determined once by calibration (see transforms.calibrate_plancherel);
     the default 1.0 is a placeholder, not a calibrated value.
     """
 
-    rho: float = 0.5
     plancherel_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.rho > 0 and self.plancherel_scale > 0):
-            raise ValueError("rho and plancherel_scale must be positive")
+        if not self.plancherel_scale > 0:
+            raise ValueError("plancherel_scale must be positive")
 
     def with_scale(self, scale: float) -> "SpaceParams":
         if not scale > 0:

@@ -305,7 +305,6 @@ def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
     = sample_norm / graph Sobolev norm for the companion upper inequality.
     Constants are estimated across experiments, never assumed.
     """
-    from .geometry import SpaceParams
     from .spectral import apply_multiplier, sobolev_multiplier
 
     if k <= 1.0:
@@ -316,9 +315,7 @@ def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
     if norm == 0.0:
         return {"norm": 0.0, "sample_norm": sample_norm, "sobolev_term": 0.0,
                 "ratio": 0.0, "upper_ratio": 0.0}
-    grid = f.grid
-    space = SpaceParams(rho=grid.rho, plancherel_scale=grid.plancherel_scale)
-    sob = apply_multiplier(f.coeffs, sobolev_multiplier(space, k / 2.0)).norm()
+    sob = apply_multiplier(f.coeffs, sobolev_multiplier(k / 2.0)).norm()
     d = 2
     rhs = lat.r ** (d / 2.0) * sample_norm + lat.r**k * sob
     hk_norm = math.hypot(norm, sob)

@@ -139,7 +139,7 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     step = max(1, (1 << 20) // (deg * n_b))
     for lo in range(0, n, step):
         rows = _horocycle_rows(points[lo:lo + step], grid.boundary_angles,
-                               grid.rho, a_max, deg)
+                               a_max, deg)
         half[:, lo:lo + step] = np.fft.rfft(
             rows, axis=2, norm="ortho").transpose(2, 0, 1)
     # one block at a time: a batched QR would copy the whole stack

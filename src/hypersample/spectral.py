@@ -2,7 +2,8 @@
 
 The continuous Fourier transform used throughout pairs a function on the
 disk with the plane-wave kernels exp((-i lam + rho) A(x, b)) where A is the
-horocycle distance (geometry.busemann) and b runs over the boundary circle.
+horocycle distance (geometry.busemann), b runs over the boundary circle and
+rho = geometry.RHO = 1/2.
 Its inverse integrates against exp((+i lam + rho) A(x, b)) with the
 spectral density
 
@@ -51,7 +52,7 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import MultiplierVanishes, NumericalFailure
-from .geometry import SpaceParams, busemann
+from .geometry import RHO, SpaceParams, busemann
 
 __all__ = [
     "plancherel_density",
@@ -196,28 +197,34 @@ def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
         f"plane-wave series at lam {lam_top:.3g}, |a| <= {a_max:.3g}")
 
 
+def _radius_bound(points: np.ndarray) -> float:
+    """max d(0, x_j), which bounds |A(x_j, b)| over the circle, since
+    A(x, arg x) = d(0, x); 1.0 when all points sit at the origin."""
+    far = points[np.argmax(np.abs(points))]
+    return float(busemann(far, np.angle(far))) or 1.0
+
+
 def _plane_wave_basis(points: np.ndarray, lam: np.ndarray,
                       scale: np.ndarray) -> tuple[float, np.ndarray]:
     """The plane waves scale_i e^{i lam_i a} as Chebyshev series in a.
 
-    a_max = max d(0, x_j) bounds |A(x_j, b)| over the circle (1.0 when all
-    points sit at the origin); S = plane_wave_series(lam, diag(scale), a_max)
-    has scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max.
+    a_max = _radius_bound(points) bounds |A(x_j, b)| over the circle;
+    S = plane_wave_series(lam, diag(scale), a_max) has
+    scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max.
     S is cut after its last degree whose largest coefficient is above
     eps max|S|: the series starts past degree max(lam) a_max with a margin
     for its tail check, and the coefficients beyond the cut are roundoff.
     Returns a_max and S, shape (deg, lam.size).
     """
-    far = points[np.argmax(np.abs(points))]
-    a_max = float(busemann(far, np.angle(far))) or 1.0
+    a_max = _radius_bound(points)
     series = plane_wave_series(lam, np.diag(scale), a_max)
     top = np.max(np.abs(series), axis=1)
     deg = int(np.flatnonzero(top > np.finfo(float).eps * top.max())[-1]) + 1
     return a_max, series[:deg]
 
 
-def _horocycle_rows(points: np.ndarray, angles: np.ndarray, rho: float,
-                    a_max: float, deg: int) -> np.ndarray:
+def _horocycle_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
+                    deg: int) -> np.ndarray:
     """e^{rho A} T_k(A / a_max) at A = A(x_j, b_l) at [j, k, l], k < deg.
 
     Real, shape (n_points, deg, n_angles): one exp per (point, angle), then
@@ -231,7 +238,7 @@ def _horocycle_rows(points: np.ndarray, angles: np.ndarray, rho: float,
     a = busemann(points[:, None], angles[None, :])
     x = a / a_max
     rows = np.empty((points.size, deg, angles.size))
-    rows[:, 0] = np.exp(rho * a)
+    rows[:, 0] = np.exp(RHO * a)
     if deg > 1:
         np.multiply(x, rows[:, 0], out=rows[:, 1])
     x *= 2.0
@@ -266,7 +273,7 @@ def _busemann_angle_count(lam_max: float, a_max: float) -> int:
     return 64 * math.ceil(need / 64.0)
 
 
-def busemann_average(lams, coeffs, rho: float, t: np.ndarray, a_max: float,
+def busemann_average(lams, coeffs, t: np.ndarray, a_max: float,
                      n_b: int) -> np.ndarray:
     """Zonal sums K(t) = sum_i coeffs[i] phi_{lams[i]}(t) for real coeffs.
 
@@ -282,10 +289,10 @@ def busemann_average(lams, coeffs, rho: float, t: np.ndarray, a_max: float,
     fold = np.where((half == 0) | (2 * half == n_b), 1.0, 2.0) / n_b
     a = busemann(np.tanh(t / 2)[:, None], 2.0 * np.pi * half[None, :] / n_b)
     series = plane_wave_series(lams, coeffs, a_max).real
-    return (np.exp(rho * a) * chebval(a / a_max, series)) @ fold
+    return (np.exp(RHO * a) * chebval(a / a_max, series)) @ fold
 
 
-def zonal_series(lams, coeffs, rho: float, t_max: float) -> np.ndarray:
+def zonal_series(lams, coeffs, t_max: float) -> np.ndarray:
     """Chebyshev series of K(t) = sum_i coeffs[i] phi_{lams[i]}(t) on [0, t_max].
 
     The coefficients are in the variable 2 t / t_max - 1, ready for chebval.
@@ -298,7 +305,7 @@ def zonal_series(lams, coeffs, rho: float, t_max: float) -> np.ndarray:
     deg = min(math.ceil(lam_top * t_max / 2.0) + _SERIES_MARGIN,
               _SERIES_MAX_DEG)
     return _chebyshev_fit(
-        lambda x: busemann_average(lams, coeffs, rho, 0.5 * t_max * (x + 1.0),
+        lambda x: busemann_average(lams, coeffs, 0.5 * t_max * (x + 1.0),
                                    t_max, n_b), deg,
         f"zonal series at lam {lam_top:.3g}, t <= {t_max:.3g}")
 
@@ -327,15 +334,15 @@ def spherical_function(lam, r) -> np.ndarray:
     # radius blocks keep the (lam, r, angle) Clenshaw arrays near 2^21 entries
     step = max(1, (1 << 21) // (lams.size * (n_b // 2 + 1)))
     table = np.concatenate([
-        busemann_average(lams, np.eye(lams.size), 0.5, rs[lo:lo + step],
-                         a_max, n_b) for lo in range(0, rs.size, step)],
+        busemann_average(lams, np.eye(lams.size), rs[lo:lo + step], a_max,
+                         n_b) for lo in range(0, rs.size, step)],
         axis=1)
     return table[li.ravel(), ri.ravel()].reshape(lam_b.shape)
 
 
-def default_lam_max(omega: float, rho: float = 0.5) -> float:
+def default_lam_max(omega: float) -> float:
     """Default spectral cutoff for experiments at band limit omega."""
-    return max(4.0 * omega, 20.0 * rho)
+    return max(4.0 * omega, 20.0 * RHO)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +361,6 @@ class SpectralGrid:
     omega: float
     lam_max: float
     n_band: int
-    rho: float
     plancherel_scale: float
 
     @property
@@ -375,22 +381,7 @@ class SpectralGrid:
         return slice(0, self.n_band if self.n_band else self.n_lambda)
 
     def cache_key(self) -> tuple:
-        return (self.lambda_nodes.tobytes(), self.n_b, self.rho, self.plancherel_scale)
-
-    def with_scale(self, scale: float) -> "SpectralGrid":
-        if not scale > 0:
-            raise ValueError("plancherel_scale must be positive")
-        return SpectralGrid(
-            lambda_nodes=self.lambda_nodes,
-            lambda_weights=self.lambda_weights,
-            density=self.density * (scale / self.plancherel_scale),
-            n_b=self.n_b,
-            omega=self.omega,
-            lam_max=self.lam_max,
-            n_band=self.n_band,
-            rho=self.rho,
-            plancherel_scale=scale,
-        )
+        return (self.lambda_nodes.tobytes(), self.n_b, self.plancherel_scale)
 
 
 def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +392,7 @@ def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_grid(space, lam_max: float, n_lambda: int, n_b: int,
                omega: float | None = None, n_band: int | None = None) -> SpectralGrid:
-    """Construct a SpectralGrid for the given space parameters.
+    """Construct a SpectralGrid with the density constant of space.
 
     With omega set, the lambda nodes consist of a Gauss-Legendre panel of
     n_band nodes on [0, omega] followed by one of n_lambda - n_band nodes on
@@ -432,7 +423,6 @@ def build_grid(space, lam_max: float, n_lambda: int, n_b: int,
         omega=omega_val,
         lam_max=float(lam_max),
         n_band=int(nb),
-        rho=float(space.rho),
         plancherel_scale=float(space.plancherel_scale),
     )
 
@@ -492,16 +482,14 @@ def identity_multiplier() -> Multiplier:
     return Multiplier(fn=lambda lam: np.ones_like(lam), label="identity")
 
 
-def laplacian_multiplier(space) -> Multiplier:
+def laplacian_multiplier() -> Multiplier:
     """Symbol of the Laplacian: hat(Delta f) = -(lam^2 + rho^2) hat(f)."""
-    rho2 = space.rho**2
-    return Multiplier(fn=lambda lam: -(lam**2 + rho2), label="laplacian")
+    return Multiplier(fn=lambda lam: -(lam**2 + RHO**2), label="laplacian")
 
 
-def sobolev_multiplier(space, sigma: float) -> Multiplier:
+def sobolev_multiplier(sigma: float) -> Multiplier:
     """Modulus symbol (lam^2 + rho^2)^sigma of the fractional power |Delta|^sigma."""
-    rho2 = space.rho**2
-    return Multiplier(fn=lambda lam: (lam**2 + rho2) ** sigma, label=f"sobolev_{sigma}")
+    return Multiplier(fn=lambda lam: (lam**2 + RHO**2) ** sigma, label=f"sobolev_{sigma}")
 
 
 def apply_multiplier(coeffs: SpectralCoeffs, mult: Multiplier,
@@ -523,11 +511,12 @@ _MAGIC = b"HSC2"
 
 def save_coeffs(coeffs: SpectralCoeffs, path) -> None:
     """Binary layout: magic, (n_lambda, n_b, n_band) int64, (lam_max, omega,
-    rho, plancherel_scale) float64, then row-major interleaved re/im values."""
+    rho, plancherel_scale) float64, then row-major interleaved re/im values.
+    The rho slot always holds RHO."""
     g = coeffs.grid
     header = struct.pack(
         "<4sqqqdddd", _MAGIC, g.n_lambda, g.n_b, g.n_band,
-        g.lam_max, g.omega, g.rho, g.plancherel_scale,
+        g.lam_max, g.omega, RHO, g.plancherel_scale,
     )
     flat = np.empty(2 * coeffs.values.size)
     flat[0::2] = coeffs.values.real.ravel()
@@ -539,16 +528,22 @@ def save_coeffs(coeffs: SpectralCoeffs, path) -> None:
 
 def load_coeffs(path) -> SpectralCoeffs:
     """Rebuild coefficients saved by save_coeffs; the grid is reconstructed
-    deterministically from the header, so the roundtrip is bit exact."""
+    deterministically from the header, so the roundtrip is bit exact.
+    A rho slot other than RHO belongs to no plane this package knows, and
+    raises ValueError."""
     with open(path, "rb") as fh:
         head = fh.read(struct.calcsize("<4sqqqdddd"))
-        magic, n_lambda, n_b, n_band, lam_max, omega, rho, scale = struct.unpack("<4sqqqdddd", head)
+        magic, n_lambda, n_b, n_band, lam_max, omega, rho_slot, scale = \
+            struct.unpack("<4sqqqdddd", head)
         if magic != _MAGIC:
             raise ValueError("not a coefficient file")
+        if rho_slot != RHO:
+            raise ValueError(f"coefficient file has rho = {rho_slot!r}, "
+                             f"not {RHO}")
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != 2 * n_lambda * n_b:
         raise ValueError("truncated coefficient file")
-    space = SpaceParams(rho=rho, plancherel_scale=scale)
+    space = SpaceParams(plancherel_scale=scale)
     grid = build_grid(space, lam_max, n_lambda, n_b,
                       omega=omega if n_band else None,
                       n_band=n_band if n_band else None)

@@ -2,10 +2,10 @@
 
 Averaging over the geodesic circle of radius tau is a convolution whose
 spectral symbol is phi_lam(tau); composing with n powers of -Delta gives
-the multiplier (lam^2 + rho^2)^n phi_lam(tau).  The direct circle
-quadrature serves as an independent oracle for that symbol, and the
-end-to-end experiment reconstructs a band-limited function from such
-averages on a lattice, through the frame route and the spline route.
+the multiplier (lam^2 + rho^2)^n phi_lam(tau), rho = geometry.RHO.  The
+direct circle quadrature serves as an independent oracle for that symbol,
+and the end-to-end experiment reconstructs a band-limited function from
+such averages on a lattice, through the frame route and the spline route.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimited import BandlimitedFunction, synthesize
-from .geometry import SpaceParams, circle_points
+from .geometry import RHO, SpaceParams, circle_points
 from .lattice import build_lattice
 from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
 from .spectral import Multiplier, SpectralGrid, spherical_function
@@ -50,15 +50,14 @@ class AverageSpec:
         if self.m_circle < 16:
             raise ValueError("need at least 16 circle quadrature nodes")
 
-    def admissible(self, omega: float, rho: float = 0.5) -> bool:
+    def admissible(self, omega: float) -> bool:
         """Radius below (omega^2 + rho^2)^(-(n+1)/2), where the multiplier
         stays positive on the whole band."""
-        return self.tau < (omega**2 + rho**2) ** (-(self.n + 1) / 2.0)
+        return self.tau < (omega**2 + RHO**2) ** (-(self.n + 1) / 2.0)
 
 
-def average_multiplier(space: SpaceParams, spec: AverageSpec) -> Multiplier:
+def average_multiplier(spec: AverageSpec) -> Multiplier:
     """Symbol (lam^2 + rho^2)^n phi_lam(tau) of the averaged n-th power."""
-    rho2 = space.rho**2
     tau, n = spec.tau, int(spec.n)
     if tau == 0.0 and n == 0:
         return Multiplier(fn=lambda lam: np.ones_like(lam),
@@ -68,7 +67,7 @@ def average_multiplier(space: SpaceParams, spec: AverageSpec) -> Multiplier:
         lam = np.asarray(lam, dtype=float)
         out = np.ones_like(lam) if tau == 0.0 else spherical_function(lam, tau)
         if n:
-            out = out * (lam**2 + rho2) ** n
+            out = out * (lam**2 + RHO**2) ** n
         return out
 
     return Multiplier(fn=fn, label=f"sph_avg(tau={tau:g},n={n})")
@@ -94,8 +93,7 @@ def contraction_check(f: BandlimitedFunction, spec: AverageSpec) -> dict:
         raise ValueError("the contraction statement is for plain averages "
                          "(n = 0)")
     grid = f.coeffs.grid
-    space = SpaceParams(rho=grid.rho).with_scale(grid.plancherel_scale)
-    mv = average_multiplier(space, spec).values_on(grid)
+    mv = average_multiplier(spec).values_on(grid)
     before = f.coeffs.norm()
     if before == 0.0:
         return {"tau": spec.tau, "ratio": math.nan, "passed": True}
@@ -107,8 +105,7 @@ def contraction_check(f: BandlimitedFunction, spec: AverageSpec) -> dict:
     return {"tau": spec.tau, "ratio": ratio, "passed": ratio <= 1.0 + 1e-8}
 
 
-def near_identity_check(space: SpaceParams, grid: SpectralGrid,
-                        spec: AverageSpec) -> dict:
+def near_identity_check(grid: SpectralGrid, spec: AverageSpec) -> dict:
     """Deviation of the average from the plain n-th power, node by node.
 
     On the band, |phi_lam(tau) - 1| <= min{2, tau^2 (lam^2 + rho^2)};
@@ -116,8 +113,8 @@ def near_identity_check(space: SpaceParams, grid: SpectralGrid,
     multiplier (lam^2 + rho^2)^n phi_lam(tau).
     """
     lam = grid.lambda_nodes[grid.band_slice]
-    base = lam**2 + space.rho**2
-    mv = average_multiplier(space, spec).values_on(grid)[grid.band_slice]
+    base = lam**2 + RHO**2
+    mv = average_multiplier(spec).values_on(grid)[grid.band_slice]
     lhs = np.abs(mv - base ** spec.n)
     rhs = np.minimum(2.0 * base**spec.n, spec.tau**2 * base ** (spec.n + 1))
     passed = bool(np.all(lhs <= rhs * (1.0 + 1e-12)))
@@ -149,7 +146,7 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
     den = pgrid.norm(fv)
     results = []
     for spec in specs:
-        m = average_multiplier(space, spec)
+        m = average_multiplier(spec)
         s = convolution_samples(f, lat, m)
         frame = build_frame(lat, omega, m, grid=grid, cut=cut)
         rec = reconstruct(frame, s)
@@ -161,7 +158,7 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
         ]
         results.append({
             "omega": omega, "r": r, "tau": spec.tau, "n": spec.n,
-            "seed": seed, "admissible": spec.admissible(omega, space.rho),
+            "seed": seed, "admissible": spec.admissible(omega),
             "n_points": len(lat),
             "frame_error": float(frame_error),
             "frame_bounds": frame.frame_bounds,

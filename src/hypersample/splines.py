@@ -1,10 +1,11 @@
 """Polyharmonic spline interpolation and spline deconvolution.
 
 The order-k spline kernel is the zonal function with spectral density
-(lam^2 + rho^2)^(-2k) (times |m|^2 when a deconvolution multiplier is in
-play).  Interpolants are finite combinations sum_j beta_j K_2k(d(., x_j));
-solving the kernel matrix against Lagrangian data delta_(nu mu) realizes
-the minimal - ||Delta^k u|| interpolant on the lattice.
+(lam^2 + rho^2)^(-2k), rho = geometry.RHO (times |m|^2 when a deconvolution
+multiplier is in play).  Interpolants are finite combinations
+sum_j beta_j K_2k(d(., x_j)); solving the kernel matrix against Lagrangian
+data delta_(nu mu) realizes the minimal - ||Delta^k u|| interpolant on the
+lattice.
 
 The kernel is tabulated once per order, values and slopes, on a uniform
 radial grid out to the lattice's diameter and evaluated as the cubic
@@ -33,7 +34,7 @@ from numpy.polynomial.chebyshev import chebder, chebval
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes,
                      ProblemTooLarge, SingularKernel, TailTooLarge)
-from .geometry import distance
+from .geometry import RHO, distance
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
@@ -68,7 +69,6 @@ class PolyharmonicKernel:
     """
 
     k: int
-    rho: float
     t_max: float
     lam_max: float
     tail_bound: float
@@ -153,8 +153,8 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     if t_max <= 0:
         raise ValueError("bad kernel table parameters")
     k = int(k)
-    rho, scale = space.rho, space.plancherel_scale
-    rho2 = rho * rho
+    scale = space.plancherel_scale
+    rho2 = RHO * RHO
 
     # reference value K(0) (phi = 1 there): cheap, no angular quadrature
     ref_nodes, ref_weights = _kernel_lambda_grid(10.0)
@@ -187,9 +187,9 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
 
     t = np.linspace(0.0, t_max, _TABLE_POINTS)
     x = 2.0 * t / t_max - 1.0
-    series = zonal_series(nodes, coef, rho, t_max)
+    series = zonal_series(nodes, coef, t_max)
     slopes = chebval(x, chebder(series)) * (2.0 / t_max)
-    return PolyharmonicKernel(k, rho, t_max, lam_max, tail_bound,
+    return PolyharmonicKernel(k, t_max, lam_max, tail_bound,
                               multiplier.label if multiplier else "",
                               t, chebval(x, series), slopes)
 
@@ -323,16 +323,14 @@ def spline_band_projection(interp: SplineInterpolant,
     sys = interp.system
     sl = grid.band_slice
     lam = grid.lambda_nodes[sl]
-    rho2 = grid.rho ** 2
-    fac = (lam ** 2 + rho2) ** (-2 * sys.k)
+    fac = (lam ** 2 + RHO ** 2) ** (-2 * sys.k)
     m = sys.deconv_multiplier
     if m is not None:
         fac = fac * np.conj(np.asarray(m.fn(lam), dtype=complex))
     # e^((-i lam + rho) a) = e^(rho a) sum_k conj(S[k, lam]) T_k(a / a_max)
     pts = sys.lattice.points
     a_max, series = _plane_wave_basis(pts, lam, np.ones(lam.size))
-    rows = _horocycle_rows(pts, grid.boundary_angles, grid.rho, a_max,
-                           series.shape[0])
+    rows = _horocycle_rows(pts, grid.boundary_angles, a_max, series.shape[0])
     coef = series.conj().T @ np.tensordot(interp.beta, rows, axes=1)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = fac[:, None] * coef
@@ -388,8 +386,7 @@ def iterated_bernstein_check(f: BandlimitedFunction, sigma: float,
     checks ||Delta^s f|| <= a^m ||Delta^(m sigma + s) f|| for each (m, s).
     """
     grid = f.coeffs.grid
-    rho2 = grid.rho ** 2
-    base = grid.lambda_nodes ** 2 + rho2
+    base = grid.lambda_nodes ** 2 + RHO ** 2
 
     def power_norm(p: float) -> float:
         vals = f.coeffs.values * (base ** p)[:, None]

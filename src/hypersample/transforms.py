@@ -57,10 +57,11 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CalibrationInconsistent, NumericalFailure, TailMassExceeded
-from .geometry import SpaceParams, as_complex, busemann, distance, random_ball_points
+from .geometry import (RHO, SpaceParams, as_complex, busemann, distance,
+                       random_ball_points)
 from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real,
                        _gamma_ratio, _horocycle_rows, _plane_wave_basis,
-                       build_grid, plane_wave_series)
+                       _radius_bound, build_grid, plane_wave_series)
 
 __all__ = [
     "PolarGrid",
@@ -186,7 +187,7 @@ def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.nda
     modes = np.empty((deg, m_max + 1, rs.size))
     chunk = max(1, (1 << 20) // (deg * t.size))
     for lo in range(0, rs.size, chunk):
-        rows = _horocycle_rows(x[lo:lo + chunk], t, 0.5, a_max, deg)
+        rows = _horocycle_rows(x[lo:lo + chunk], t, a_max, deg)
         prod = rows.reshape(-1, t.size) @ cos_mt
         modes[:, :, lo:lo + chunk] = np.moveaxis(
             prod.reshape(-1, deg, m_max + 1), 0, 2)
@@ -363,16 +364,14 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
     if flat.size == 0:
         return out.reshape(pts.shape)
     angles = grid.boundary_angles
-    far = flat[np.argmax(np.abs(flat))]
-    # A(z, arg z) = d(0, z) bounds |A(z, b)| over the circle
-    a_max = float(busemann(far, np.angle(far))) or 1.0
+    a_max = _radius_bound(flat)
     weighted = (grid.lambda_measure[:, None] * coeffs.values) / grid.n_b
     series = plane_wave_series(grid.lambda_nodes, weighted, a_max)
     chunk = max(1, int(2.0e5 / angles.size))
     for lo in range(0, flat.size, chunk):
         av = busemann(flat[lo:lo + chunk, None], angles[None, :])
         vals = chebval(av / a_max, series, tensor=False)
-        out[lo:lo + chunk] = np.sum(np.exp(grid.rho * av) * vals, axis=1)
+        out[lo:lo + chunk] = np.sum(np.exp(RHO * av) * vals, axis=1)
     return out.reshape(pts.shape)
 
 
@@ -393,7 +392,7 @@ def forward_transform_direct(pgrid: PolarGrid, grid: SpectralGrid,
     values = np.empty((grid.n_lambda, grid.n_b), dtype=complex)
     for j, theta_b in enumerate(grid.boundary_angles):
         av = busemann(pts, theta_b)
-        kern = np.exp((grid.rho - 1j * lam)[:, None] * av[None, :])
+        kern = np.exp((RHO - 1j * lam)[:, None] * av[None, :])
         values[:, j] = kern @ wf
     return SpectralCoeffs(grid, values)
 

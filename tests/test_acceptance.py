@@ -9,23 +9,20 @@ throughout: band limits <= 4, lattices <= 2000 points.
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hypersample.bandlimited import BandlimitedFunction, synthesize
-from hypersample.baseline1d import exp_frame_gram, gram_reconstruct, \
-    sinc_reconstruct, synthesize_1d
-from hypersample.cli import _scenario_bernstein, _scenario_frame, \
-    _scenario_lattice, _scenario_plancherel, _scenario_spline, \
-    _scenario_theorem73, load_config, run, verify_all
+from hypersample.bandlimited import synthesize
+from hypersample.cli import _scenario_baseline1d, _scenario_bernstein, \
+    _scenario_frame, _scenario_lattice, _scenario_plancherel, \
+    _scenario_sphavg, _scenario_spline, _scenario_theorem73, load_config, \
+    run, verify_all
 from hypersample.geometry import ball_volume
 from hypersample.lattice import build_lattice
 from hypersample.sampling import build_frame, convolution_samples, \
     reconstruct, stability_probe
-from hypersample.spectral import apply_multiplier, build_grid, \
-    laplacian_multiplier, sobolev_multiplier
+from hypersample.spectral import build_grid, laplacian_multiplier
 from hypersample.sphavg import AverageSpec, average_multiplier, \
-    near_identity_check, spherical_average_direct
+    near_identity_check
 from hypersample.transforms import build_polar_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -123,13 +120,13 @@ def test_criterion_04_frame_reconstruction(space):
             + " over r in (0.4, 0.2, 0.1); finest < 1e-6")
 
 
-def test_criterion_05_deconvolution_stability(space, grid2, pg14, f2):
+def test_criterion_05_deconvolution_stability(grid2, pg14, f2):
     lat = build_lattice(0.1, 1.4, seed=0)
 
     # Laplacian samples: strong reweighting rotates the retained span, so
     # exactness of the deconvolving solve is certified on the span itself:
     # project once, then demand the pipeline reproduce its own projection.
-    m_lap = laplacian_multiplier(space)
+    m_lap = laplacian_multiplier()
     frame_lap = build_frame(lat, 2.0, m_lap, grid=grid2)
     f0 = reconstruct(frame_lap, convolution_samples(f2, lat, m_lap))
     rec_lap = reconstruct(frame_lap, convolution_samples(f0, lat, m_lap))
@@ -138,7 +135,7 @@ def test_criterion_05_deconvolution_stability(space, grid2, pg14, f2):
 
     # spherical averages at tau = 0.2 reweight gently; the loop closes
     # against the true function
-    m_avg = average_multiplier(space, AverageSpec(tau=0.2))
+    m_avg = average_multiplier(AverageSpec(tau=0.2))
     frame_avg = build_frame(lat, 2.0, m_avg, grid=grid2)
     s_avg = convolution_samples(f2, lat, m_avg)
     rec_avg = reconstruct(frame_avg, s_avg)
@@ -157,29 +154,22 @@ def test_criterion_05_deconvolution_stability(space, grid2, pg14, f2):
             f"{spread:.2e} (tolerance 5e-2), c_stab {probe['c_stab']:.3e}")
 
 
-def test_criterion_06_two_path_spherical_average(space, grid2, f2):
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(10):
-        y = 0.6 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        tau = 0.05 + 0.35 * rng.random()
-        n = int(rng.integers(0, 2))
-        g = f2 if n == 0 else BandlimitedFunction(
-            f2.omega,
-            apply_multiplier(f2.coeffs, sobolev_multiplier(space, float(n))))
-        direct = spherical_average_direct(g, y,
-                                          AverageSpec(tau=tau, m_circle=96))
-        mult = average_multiplier(space, AverageSpec(tau=tau, n=n))
-        sym = BandlimitedFunction(
-            f2.omega, apply_multiplier(f2.coeffs, mult)).evaluate(
-                np.array([complex(y)]))[0]
-        diff = abs(direct - sym)
-        worst = max(worst, diff)
-        assert diff <= 1e-6 * max(abs(sym), 1e-3)
+def test_criterion_06_two_path_spherical_average(space, grid2):
+    cfg = load_config(CONFIGS / "spherical_avg.ini")
+    assert (cfg.omega, cfg.tau, cfg.seeds) == (2.0, 0.2, (0,))
+    rep = _scenario_sphavg(cfg, space)
+    assert [row[0] for row in rep.rows] == list(range(10))
+    for case, y_re, y_im, tau, n, d_re, d_im, s_re, s_im, diff, passed \
+            in rep.rows:
+        assert diff == abs(complex(d_re, d_im) - complex(s_re, s_im))
+        assert diff <= 1e-6 * max(abs(complex(s_re, s_im)), 1e-3)
+        assert passed
         # the multiplier sits within the stated distance of the plain
         # n-th power at every spectral node
-        assert near_identity_check(space, grid2,
-                                   AverageSpec(tau=tau, n=n))["passed"]
+        assert near_identity_check(grid2, AverageSpec(tau=tau, n=n))["passed"]
+    assert {row[4] for row in rep.rows} == {0, 1}
+    assert rep.failures == []
+    worst = max(row[9] for row in rep.rows)
     _report(6, "two-path averages",
             f"worst |direct - symbol| {worst:.3e} over 10 cases "
             f"(tolerance 1e-6); node bound held in every case")
@@ -232,20 +222,16 @@ def test_criterion_08_spline_interpolation(space):
             f"1e-3); k=4 and k=8 singular in double precision")
 
 
-def test_criterion_09_baseline_1d():
-    f = synthesize_1d(2.0, seed=0, n_xi=1024)
-    rng = np.random.default_rng(7)
-    t = rng.uniform(-5.0, 5.0, 50)
-    direct = f.evaluate(t)
-    rec_sinc = sinc_reconstruct(f, 0.8, t, n_trunc=500)
-    rel = float(np.max(np.abs(rec_sinc - direct))
-                / np.max(np.abs(direct)))
+def test_criterion_09_baseline_1d(space):
+    cfg = load_config(CONFIGS / "baseline1d.ini")
+    assert (cfg.omega, cfg.gamma, cfg.seeds) == (2.0, 0.8, (0,))
+    rep = _scenario_baseline1d(cfg, space)
+    [(gamma, n, lower, upper, rel, gram_rel, route_diff, passed)] = rep.rows
+    assert (gamma, n) == (0.8, 64)
     assert rel < 1e-6
-    x = 0.4 * np.pi * (np.arange(64) - 31.5)
-    frame = exp_frame_gram(x, 2.0)
-    rec_gram = gram_reconstruct(frame, f.evaluate(x), t)
-    route_diff = float(np.max(np.abs(rec_gram - rec_sinc)))
     assert route_diff < 1e-5
+    assert passed
+    assert rep.failures == []
     _report(9, "1-D baseline",
             f"sinc error {rel:.3e} at gamma 0.8 (tolerance 1e-6); "
             f"Gram-vs-sinc difference {route_diff:.3e} (tolerance 1e-5)")

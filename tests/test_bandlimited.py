@@ -8,7 +8,7 @@ from hypersample.bandlimited import (BandlimitedFunction, bernstein_check,
                                      converse_bernstein_probe, density_probe,
                                      synthesize)
 from hypersample.errors import IllConditionedWarning
-from hypersample.geometry import distance
+from hypersample.geometry import RHO, distance
 from hypersample.spectral import SpectralCoeffs, build_grid
 from hypersample.transforms import build_polar_grid
 
@@ -97,8 +97,7 @@ def test_converse_probe_detects_out_of_band_mass(space):
     rep = converse_bernstein_probe(SpectralCoeffs(grid, vals), OMEGA,
                                    sigma_list=(1.0, 8.0))
     assert rep["ratios"][1] > 1e3
-    rho = space.rho
-    analytic = (((4 * OMEGA) ** 2 + rho**2) / (OMEGA**2 + rho**2)) ** 8
+    analytic = (((4 * OMEGA) ** 2 + RHO**2) / (OMEGA**2 + RHO**2)) ** 8
     assert rep["ratios"][1] == pytest.approx(analytic, rel=0.05)
 
 

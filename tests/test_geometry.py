@@ -65,8 +65,17 @@ def test_poisson_kernel_normalization():
     n = 4096
     theta = 2.0 * np.pi * np.arange(n) / n
     for z in (0.0, 0.3 + 0.4j, -0.85j, 0.97):
-        p = np.exp(geo.busemann(z, theta))
+        p = np.exp(2.0 * geo.RHO * geo.busemann(z, theta))
         assert p.mean() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_space_params_carry_only_the_density_scale():
+    # rho is fixed by the plane (geo.RHO), not a setting
+    with pytest.raises(TypeError):
+        geo.SpaceParams(rho=0.7)
+    with pytest.raises(ValueError):
+        geo.SpaceParams(plancherel_scale=0.0)
+    assert geo.SpaceParams().with_scale(2.0).plancherel_scale == 2.0
 
 
 def test_busemann_origin_and_signs():

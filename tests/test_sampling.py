@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
-from hypersample.geometry import busemann, distance
+from hypersample.geometry import RHO, busemann, distance
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, load_samples,
@@ -91,7 +91,6 @@ def test_point_samples_against_direct_quadrature(f, grid, lattices):
     # independent inversion: scalar Busemann formula and a flat python loop
     lat = lattices[0.2]
     s = point_samples(f, lat)
-    rho = grid.rho
     idx = np.random.default_rng(11).choice(len(lat), size=5, replace=False)
     for j in idx:
         z = lat.points[j]
@@ -102,7 +101,7 @@ def test_point_samples_against_direct_quadrature(f, grid, lattices):
                 b = cmath.exp(1j * grid.boundary_angles[l])
                 a_xb = math.log((1 - abs(z) ** 2) / abs(z - b) ** 2)
                 total += w * f.coeffs.values[i, l] * cmath.exp(
-                    (1j * grid.lambda_nodes[i] + rho) * a_xb)
+                    (1j * grid.lambda_nodes[i] + RHO) * a_xb)
         assert abs(total - s.values[j]) <= 1e-10 * abs(s.values[j])
 
 
@@ -115,10 +114,10 @@ def test_convolution_identity_matches_point(f, lattices):
     assert np.max(np.abs(conv.values - pts.values)) <= 1e-12
 
 
-def test_convolution_laplacian_matches_finite_differences(f, space, lattices):
+def test_convolution_laplacian_matches_finite_differences(f, lattices):
     # Delta_H = ((1-|z|^2)^2/4) Delta_euclidean in the disk model
     lat = lattices[0.2]
-    s = convolution_samples(f, lat, laplacian_multiplier(space))
+    s = convolution_samples(f, lat, laplacian_multiplier())
     h = 1e-3
     for j in (3, 50, 200, 301, 442):
         z = lat.points[j]
@@ -152,46 +151,46 @@ def _factor_gram(lat, grid, m=None):
     return c @ c.conj().T
 
 
-def _kernel_rows(points, lam, rho, angles):
+def _kernel_rows(points, lam, angles):
     # frame vectors e_j(lam_i, b_l) = e^((i lam_i + rho) A(x_j, b_l)) at
     # [l, j, i], one complex exponential each: the oracle for the factor
     a = busemann(points[None, :], angles[:, None])
-    return np.exp((1j * lam + rho) * a[:, :, None])
+    return np.exp((1j * lam + RHO) * a[:, :, None])
 
 
 def _plane_wave_rows(lat, grid, m=None):
     # the weighted discrete plane-wave rows psi: F itself, never formed by
     # build_frame, whose Gram is psi psi^H
     sl = grid.band_slice
-    rows = _kernel_rows(lat.points, grid.lambda_nodes[sl], grid.rho,
+    rows = _kernel_rows(lat.points, grid.lambda_nodes[sl],
                         grid.boundary_angles)
     rows = rows.transpose(1, 2, 0).reshape(len(lat), -1)
     return rows * np.sqrt(np.repeat(_weights(grid, m), grid.n_b))
 
 
-def _multiplier(space, name):
+def _multiplier(name):
     if name == "laplacian":
-        return laplacian_multiplier(space)
+        return laplacian_multiplier()
     if name == "average":
-        return average_multiplier(space, AverageSpec(tau=0.2))
+        return average_multiplier(AverageSpec(tau=0.2))
     return None
 
 
 @pytest.mark.parametrize("name", [None, "laplacian", "average"])
 @pytest.mark.parametrize("r", [0.4, 0.2])
-def test_mode_rows_match_plane_wave_dft(space, grid, lattices, r, name):
+def test_mode_rows_match_plane_wave_dft(grid, lattices, r, name):
     # G_m S, with mode -m built as conj(G_m), is the unitary DFT over the
     # boundary angles of the weighted plane-wave rows
     lat = lattices[r]
     sl = grid.band_slice
-    scale = np.sqrt(_weights(grid, _multiplier(space, name)))
+    scale = np.sqrt(_weights(grid, _multiplier(name)))
     a_max, series = _plane_wave_basis(lat.points, grid.lambda_nodes[sl],
                                       scale)
     half = np.fft.rfft(_horocycle_rows(lat.points, grid.boundary_angles,
-                                       grid.rho, a_max, series.shape[0]),
+                                       a_max, series.shape[0]),
                        axis=2, norm="ortho")
     ref = np.fft.fft(_kernel_rows(lat.points, grid.lambda_nodes[sl],
-                                  grid.rho, grid.boundary_angles),
+                                  grid.boundary_angles),
                      axis=0, norm="ortho") * scale
     top = np.max(np.abs(ref))
     for m in range(grid.n_b):
@@ -201,10 +200,10 @@ def test_mode_rows_match_plane_wave_dft(space, grid, lattices, r, name):
 
 
 @pytest.mark.parametrize("name", [None, "laplacian", "average"])
-def test_trimmed_series_degree_below_band(space, grid, lattices, name):
+def test_trimmed_series_degree_below_band(grid, lattices, name):
     # the factor's blocks are N x deg: the cut series must be narrower than
     # the n_band columns of the plane-wave blocks it replaces
-    scale = np.sqrt(_weights(grid, _multiplier(space, name)))
+    scale = np.sqrt(_weights(grid, _multiplier(name)))
     for lat in lattices.values():
         _, series = _plane_wave_basis(
             lat.points, grid.lambda_nodes[grid.band_slice], scale)
@@ -222,10 +221,9 @@ def test_spline_band_projection_matches_plane_wave_rows(space, grid,
     got = spline_band_projection(SplineInterpolant(system, beta), grid)
     sl = grid.band_slice
     lam = grid.lambda_nodes[sl]
-    rows = _kernel_rows(system.lattice.points, lam, grid.rho,
-                        grid.boundary_angles)
+    rows = _kernel_rows(system.lattice.points, lam, grid.boundary_angles)
     want = np.einsum("j,lji->il", beta, rows.conj()) \
-        * ((lam ** 2 + grid.rho ** 2) ** (-2 * system.k))[:, None]
+        * ((lam ** 2 + RHO ** 2) ** (-2 * system.k))[:, None]
     assert np.max(np.abs(got.coeffs.values[sl] - want)) \
         <= 1e-14 * np.max(np.abs(want))
 
@@ -286,11 +284,11 @@ def test_gram_matches_zonal_kernel(frames, grid):
 
 @pytest.mark.parametrize("tau", [None, 0.1])
 @pytest.mark.parametrize("r", [0.4, 0.2])
-def test_zonal_gram_matches_plane_wave_gram(space, grid, lattices, r, tau):
+def test_zonal_gram_matches_plane_wave_gram(grid, lattices, r, tau):
     # the compressed factor drops only directions at the roundoff floor, so
     # its Gram is the plane-wave Gram psi psi^H
     lat = lattices[r]
-    m = None if tau is None else average_multiplier(space, AverageSpec(tau=tau))
+    m = None if tau is None else average_multiplier(AverageSpec(tau=tau))
     frame = build_frame(lat, OMEGA, m, grid=grid)
     psi = _plane_wave_rows(lat, grid, m)
     ref = psi @ psi.conj().T
@@ -389,11 +387,11 @@ def test_reconstruction_is_a_projection(frame8, f, lattices):
     assert _rel_coeff_err(f1, f0, frame8.grid) <= 1e-10
 
 
-def test_deconvolution_closed_loop(f, space, grid, lattices):
+def test_deconvolution_closed_loop(f, grid, lattices):
     # the pipeline is exact on its reconstructible class; reaching the
     # synthesized f itself is limited by the reweighted retained span
     lat = lattices[0.2]
-    m = laplacian_multiplier(space)
+    m = laplacian_multiplier()
     frame = build_frame(lat, OMEGA, m, grid=grid)
     f0 = reconstruct(frame, convolution_samples(f, lat, m))
     f1 = reconstruct(frame, convolution_samples(f0, lat, m))
@@ -414,8 +412,8 @@ def test_reconstruct_matches_dense_lstsq(frames, f, grid, lattices):
     assert _rel_coeff_err(reconstruct(frames[0.4], s), ref, grid) <= 1e-6
 
 
-def test_sample_frame_compatibility(f, grid, lattices, frames, space):
-    m = laplacian_multiplier(space)
+def test_sample_frame_compatibility(f, grid, lattices, frames):
+    m = laplacian_multiplier()
     frame_m = build_frame(lattices[0.2], OMEGA, m, grid=grid)
     with pytest.raises(ValueError, match="point samples"):
         reconstruct(frame_m, point_samples(f, lattices[0.2]))
@@ -457,8 +455,8 @@ def test_adversarial_noise_realizes_stability_constant(frame8, f, lattices):
     assert c_stab / 2 <= amp <= 2 * c_stab
 
 
-def test_samples_csv_round_trip(tmp_path, f, space, lattices):
-    s = convolution_samples(f, lattices[0.4], laplacian_multiplier(space))
+def test_samples_csv_round_trip(tmp_path, f, lattices):
+    s = convolution_samples(f, lattices[0.4], laplacian_multiplier())
     path = tmp_path / "samples.csv"
     save_samples(s, path)
     loaded = load_samples(path)

@@ -2,6 +2,7 @@
 coefficient algebra and serialization."""
 
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 
 from hypersample import spectral as sp
 from hypersample.errors import MultiplierVanishes, NumericalFailure
-from hypersample.geometry import SpaceParams
+from hypersample.geometry import RHO, SpaceParams
 
 
 def test_density_gamma_quotient_is_lam_tanh():
@@ -165,12 +166,12 @@ def test_plane_wave_series_tail_check_raises_at_degree_cap(monkeypatch):
 def test_zonal_series_reproduces_spline_kernel_table(space):
     # the spline kernel's table is this series on its linspace, bit for bit
     from hypersample import splines
-    t_max, k, rho = 2.8, 2, space.rho
+    t_max, k = 2.8, 2
     kern = splines.polyharmonic_kernel(space, k, t_max=t_max)
     nodes, weights = splines._kernel_lambda_grid(kern.lam_max)
     coef = weights * sp.plancherel_density(nodes, space.plancherel_scale) \
-        * (nodes ** 2 + rho * rho) ** (-2 * k)
-    series = sp.zonal_series(nodes, coef, rho, t_max)
+        * (nodes ** 2 + RHO * RHO) ** (-2 * k)
+    series = sp.zonal_series(nodes, coef, t_max)
     got = chebval(2.0 * kern.table_t / t_max - 1.0, series)
     assert np.array_equal(got, kern.table_values)
 
@@ -180,7 +181,7 @@ def test_zonal_series_matches_legendre_sum(t_max):
     # K(t) = sum_i c_i P_{-1/2 + i lam_i}(cosh t), against mpmath
     lams = np.linspace(0.05, 2.0, 9)
     coeffs = 1.0 / (1.0 + lams)
-    series = sp.zonal_series(lams, coeffs, 0.5, t_max)
+    series = sp.zonal_series(lams, coeffs, t_max)
     t = np.array([0.0, 0.31, 0.5 * t_max, 0.93 * t_max, t_max])
     ref = np.array([math.fsum(
         c * float(mp.re(mp.legenp(-0.5 + 1j * lam, 0, mp.cosh(tt))))
@@ -269,10 +270,10 @@ def test_coeffs_shape_check(grid):
 
 
 def test_multipliers_and_apply(grid):
-    lap = sp.laplacian_multiplier(SpaceParams())
+    lap = sp.laplacian_multiplier()
     vals = lap.values_on(grid)
     assert np.allclose(vals, -(grid.lambda_nodes**2 + 0.25))
-    sob = sp.sobolev_multiplier(SpaceParams(), -2.0)
+    sob = sp.sobolev_multiplier(-2.0)
     assert np.allclose(sob.values_on(grid), (grid.lambda_nodes**2 + 0.25) ** -2.0)
 
     rng = np.random.default_rng(9)
@@ -292,8 +293,17 @@ def test_apply_multiplier_vanishing(grid):
 
 
 def test_multiplier_band_min(grid):
-    m = sp.sobolev_multiplier(SpaceParams(), 1.0)
+    m = sp.sobolev_multiplier(1.0)
     assert m.band_min_abs(grid) == pytest.approx(grid.lambda_nodes[0] ** 2 + 0.25)
+
+
+_HEADER = "<4sqqqdddd"
+
+
+def _header(path) -> list:
+    """The HSC2 header fields; index 6 is the rho slot."""
+    return list(struct.unpack(_HEADER,
+                              path.read_bytes()[:struct.calcsize(_HEADER)]))
 
 
 def test_save_load_roundtrip(tmp_path, grid):
@@ -302,6 +312,7 @@ def test_save_load_roundtrip(tmp_path, grid):
     c = sp.SpectralCoeffs(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     path = tmp_path / "field.hsc"
     sp.save_coeffs(c, path)
+    assert _header(path)[6] == 0.5
     back = sp.load_coeffs(path)
     assert np.array_equal(back.values, c.values)
     assert np.array_equal(back.grid.lambda_nodes, c.grid.lambda_nodes)
@@ -312,6 +323,20 @@ def test_save_load_roundtrip(tmp_path, grid):
     path2 = tmp_path / "field2.hsc"
     sp.save_coeffs(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_rejects_foreign_rho(tmp_path, grid):
+    # rho is fixed by the plane: a file claiming another value is refused,
+    # not silently loaded onto a rho = 1/2 grid
+    path = tmp_path / "field.hsc"
+    sp.save_coeffs(sp.SpectralCoeffs(grid, np.zeros((grid.n_lambda, grid.n_b))),
+                   path)
+    head = _header(path)
+    head[6] = 0.7
+    body = path.read_bytes()[struct.calcsize(_HEADER):]
+    path.write_bytes(struct.pack(_HEADER, *head) + body)
+    with pytest.raises(ValueError, match="rho"):
+        sp.load_coeffs(path)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypersample.bandlimited import synthesize
-from hypersample.geometry import SpaceParams
+from hypersample.geometry import RHO
 from hypersample.lattice import build_lattice
 from hypersample.sampling import (build_frame, convolution_samples,
                                   point_samples, reconstruct)
@@ -14,17 +14,12 @@ from hypersample.sphavg import (AverageSpec, average_multiplier,
                                 contraction_check, near_identity_check,
                                 spherical_average_direct,
                                 theorem73_experiment)
-from hypersample.transforms import build_polar_grid, calibrate_plancherel
+from hypersample.transforms import build_polar_grid
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::hypersample.errors.IllConditionedWarning")
 
 OMEGA = 2.0
-
-
-@pytest.fixture(scope="module")
-def space():
-    return SpaceParams().with_scale(calibrate_plancherel().scale)
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +55,16 @@ def test_admissibility_threshold():
     assert AverageSpec(tau=0.2, n=1).admissible(2.0)
 
 
-def test_identity_bypass(space, grid):
-    m = average_multiplier(space, AverageSpec(tau=0.0, n=0))
+def test_identity_bypass(grid):
+    m = average_multiplier(AverageSpec(tau=0.0, n=0))
     assert np.all(m.values_on(grid) == 1.0)
 
 
-def test_two_path_agreement(space, grid, f):
+def test_two_path_agreement(grid, f):
     # the circle quadrature never sees the symbol; agreement on random
     # centers, radii and Laplacian powers certifies phi_lam(tau) end to end
     rng = np.random.default_rng(42)
-    rho2 = space.rho**2
-    base = grid.lambda_nodes**2 + rho2
+    base = grid.lambda_nodes**2 + RHO**2
     for _ in range(10):
         y = 0.6 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         tau = 0.05 + 0.35 * rng.random()
@@ -79,13 +73,13 @@ def test_two_path_agreement(space, grid, f):
         g = f if n == 0 else type(f)(
             f.omega, SpectralCoeffs(grid, f.coeffs.values * base[:, None]))
         direct = spherical_average_direct(g, y, spec)
-        m = average_multiplier(space, spec)
+        m = average_multiplier(spec)
         mf = type(f)(f.omega, apply_multiplier(f.coeffs, m))
         sym = complex(mf.evaluate(np.array([y]))[0])
         assert abs(direct - sym) <= 1e-6 * max(abs(sym), 1e-3)
 
 
-def test_zero_radius_returns_point_value(space, f):
+def test_zero_radius_returns_point_value(f):
     y = 0.3 - 0.2j
     spec = AverageSpec(tau=0.0, m_circle=32)
     assert spherical_average_direct(f, y, spec) == complex(
@@ -128,15 +122,15 @@ def test_low_frequency_spectrum_contracts_less(space, grid):
         > contraction_check(f_broad, spec)["ratio"]
 
 
-def test_near_identity_bound_on_band(space, grid):
+def test_near_identity_bound_on_band(grid):
     for n in (0, 1, 2):
         for tau in (0.05, 0.2):
-            rep = near_identity_check(space, grid, AverageSpec(tau=tau, n=n))
+            rep = near_identity_check(grid, AverageSpec(tau=tau, n=n))
             assert rep["passed"], (n, tau)
 
 
-def test_near_identity_zero_tau(space, grid):
-    rep = near_identity_check(space, grid, AverageSpec(tau=0.0))
+def test_near_identity_zero_tau(grid):
+    rep = near_identity_check(grid, AverageSpec(tau=0.0))
     assert np.max(rep["lhs"]) == 0.0
 
 
@@ -175,7 +169,7 @@ def test_experiment_derivative_sampling_pipeline(space, grid):
     spec = AverageSpec(tau=0.2, n=1)
     f = synthesize(space, OMEGA, seed=0, grid=grid)
     lat = build_lattice(0.2, 1.4, seed=0)
-    m = average_multiplier(space, spec)
+    m = average_multiplier(spec)
     frame = build_frame(lat, OMEGA, m, grid=grid)
     f0 = reconstruct(frame, convolution_samples(f, lat, m))
     rec = reconstruct(frame, convolution_samples(f0, lat, m))

@@ -19,7 +19,7 @@ from hypersample.bandlimited import synthesize
 from hypersample.cli import main
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
                                 ProblemTooLarge, SingularKernel, TailTooLarge)
-from hypersample.geometry import SpaceParams, busemann, distance
+from hypersample.geometry import RHO, busemann, distance
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
 from hypersample.spectral import (Multiplier, _busemann_angle_count,
@@ -32,16 +32,11 @@ from hypersample.splines import (_kernel_lambda_grid, build_splines,
                                  polyharmonic_kernel, spline_band_projection,
                                  spline_interpolate,
                                  spline_reconstruct_deconvolve)
-from hypersample.transforms import build_polar_grid, calibrate_plancherel
+from hypersample.transforms import build_polar_grid
 
 OMEGA = 1.0
 DOMAIN = 2.0
 R = 0.8
-
-
-@pytest.fixture(scope="module")
-def space():
-    return SpaceParams().with_scale(calibrate_plancherel().scale)
 
 
 @pytest.fixture(scope="module")
@@ -92,19 +87,19 @@ def pgrid():
     return build_polar_grid(r_max=DOMAIN, n_r=160, n_theta=96)
 
 
-def _expansion_field(beta, points, wide, k, rho):
+def _expansion_field(beta, points, wide, k):
     """Full-spectrum transform of sum_j beta_j K_2k(d(., x_j)) on the grid."""
     lam = wide.lambda_nodes
     a = busemann(points[:, None], wide.boundary_angles[None, :])
-    rows = np.exp((-1j * lam[:, None, None] + rho) * a[None, :, :])
-    fac = (lam ** 2 + rho ** 2) ** (-2 * k)
+    rows = np.exp((-1j * lam[:, None, None] + RHO) * a[None, :, :])
+    fac = (lam ** 2 + RHO ** 2) ** (-2 * k)
     return fac[:, None] * np.tensordot(beta, np.moveaxis(rows, 1, 0), axes=1)
 
 
 def _inner_2k(fa, fb, wide, k):
     """<Delta^k a, Delta^k b> by spectral quadrature."""
     lam = wide.lambda_nodes
-    w = wide.lambda_measure * (lam ** 2 + wide.rho ** 2) ** (2 * k)
+    w = wide.lambda_measure * (lam ** 2 + RHO ** 2) ** (2 * k)
     return complex(np.sum(w[:, None] * np.conj(fa) * fb) / wide.n_b)
 
 
@@ -112,7 +107,7 @@ def _inner_2k(fa, fb, wide, k):
 
 def test_kernel_matches_direct_quadrature(space, kern2):
     # independent oracle: conical Legendre function under mpmath quadrature
-    rho, scale = space.rho, space.plancherel_scale
+    scale = space.plancherel_scale
     with mpmath.workdps(30):
         for t in (0.7, 1.9):
             ch = mpmath.cosh(t)
@@ -120,7 +115,7 @@ def test_kernel_matches_direct_quadrature(space, kern2):
             def integrand(lam):
                 phi = mpmath.re(mpmath.legenp(-0.5 + 1j * lam, 0, ch))
                 dens = lam * mpmath.tanh(mpmath.pi * lam) * scale
-                return (lam ** 2 + rho ** 2) ** (-4) * phi * dens
+                return (lam ** 2 + RHO ** 2) ** (-4) * phi * dens
 
             ref = mpmath.quad(integrand, [0, 2, kern2.lam_max])
             assert abs(kern2(t) - float(ref)) <= 1e-8 * abs(float(ref))
@@ -128,10 +123,10 @@ def test_kernel_matches_direct_quadrature(space, kern2):
 
 def test_kernel_value_at_zero(space, kern2):
     # phi = 1 at t = 0, so K(0) is a plain density integral
-    rho, scale = space.rho, space.plancherel_scale
+    scale = space.plancherel_scale
     with mpmath.workdps(30):
         ref = mpmath.quad(
-            lambda lam: (lam ** 2 + rho ** 2) ** (-4)
+            lambda lam: (lam ** 2 + RHO ** 2) ** (-4)
             * lam * mpmath.tanh(mpmath.pi * lam) * scale,
             [0, 2, kern2.lam_max])
     assert abs(kern2.at_zero - float(ref)) <= 1e-8 * float(ref)
@@ -164,7 +159,7 @@ def _kernel_coef(space, kern, m=None):
     lam, w = _kernel_lambda_grid(kern.lam_max)
     msq = 1.0 if m is None else np.abs(m.fn(lam)) ** 2
     return lam, w * plancherel_density(lam, space.plancherel_scale) * msq \
-        * (lam ** 2 + space.rho ** 2) ** (-2 * kern.k)
+        * (lam ** 2 + RHO ** 2) ** (-2 * kern.k)
 
 
 def _busemann_average(space, kern, m, n_b, t):
@@ -173,7 +168,7 @@ def _busemann_average(space, kern, m, n_b, t):
     lam, coef = _kernel_coef(space, kern, m)
     angles = 2.0 * np.pi * np.arange(n_b) / n_b
     a = busemann(np.tanh(t / 2)[:, None], angles[None, :])
-    waves = np.exp((1j * lam[:, None, None] + space.rho) * a[None, :, :])
+    waves = np.exp((1j * lam[:, None, None] + RHO) * a[None, :, :])
     return coef @ waves.mean(axis=2).real
 
 
@@ -181,7 +176,7 @@ def _busemann_average(space, kern, m, n_b, t):
                                       (False, 383)])
 def test_kernel_table_matches_busemann_average(space, avg, n_b):
     # n_b is the brute-force reference's own angle count, odd included
-    m = average_multiplier(space, AverageSpec(tau=0.1)) if avg else None
+    m = average_multiplier(AverageSpec(tau=0.1)) if avg else None
     kern = polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m)
     sub = slice(None, None, 50)
     ref = _busemann_average(space, kern, m, n_b, kern.table_t[sub])
@@ -197,7 +192,7 @@ def test_higher_order_kernel_is_flatter(space, kern2):
 def test_kernel_angular_quadrature_converged(space, kern2):
     lam, coef = _kernel_coef(space, kern2)
     n_b = 2 * _busemann_angle_count(kern2.lam_max, 3.0)
-    dense = busemann_average(lam, coef, space.rho, kern2.table_t, 3.0, n_b)
+    dense = busemann_average(lam, coef, kern2.table_t, 3.0, n_b)
     rel = np.max(np.abs(dense - kern2.table_values)) / kern2.at_zero
     assert rel <= 1e-10
 
@@ -211,8 +206,7 @@ def test_kernel_table_resolves_domain_diameter(space, lat):
     for k in (2, 4, 8):
         kern = polyharmonic_kernel(space, k, t_max=t_max)
         lam, coef = _kernel_coef(space, kern)
-        dense = busemann_average(lam, coef, space.rho, kern.table_t, t_max,
-                                 4096)
+        dense = busemann_average(lam, coef, kern.table_t, t_max, 4096)
         assert np.max(np.abs(kern.table_values - dense)) \
             <= 1e-12 * kern.at_zero
     d = distance(lat.points[:, None], lat.points[None, :])
@@ -229,7 +223,7 @@ def test_hermite_kernel_matches_series_between_nodes(space, k):
     # Clenshaw rounding is ~2e-14 K(0) here
     t_max = 2.0 * DOMAIN + 1e-9
     kern = polyharmonic_kernel(space, k, t_max=t_max)
-    series = zonal_series(*_kernel_coef(space, kern), space.rho, t_max)
+    series = zonal_series(*_kernel_coef(space, kern), t_max)
     t = np.concatenate([0.5 * (kern.table_t[1:] + kern.table_t[:-1]),
                         np.random.default_rng(k).uniform(0.0, t_max, 500)])
     ref = chebval(2.0 * t / t_max - 1.0, series)
@@ -243,10 +237,10 @@ def test_pairing_recovers_point_value(space, wide, sys2):
     g = synthesize(space, OMEGA, seed=7, grid=wide)
     o = 0.22 - 0.13j
     lam = wide.lambda_nodes
-    rho2 = wide.rho ** 2
+    rho2 = RHO ** 2
     a = busemann(np.array([o]), wide.boundary_angles)
     khat = (lam[:, None] ** 2 + rho2) ** (-2 * sys2.k) \
-        * np.exp((-1j * lam[:, None] + wide.rho) * a)
+        * np.exp((-1j * lam[:, None] + RHO) * a)
     ghat_2k = g.coeffs.values * ((lam ** 2 + rho2) ** (2 * sys2.k))[:, None]
     paired = np.sum(wide.lambda_measure[:, None] * np.conj(khat) * ghat_2k) \
         / wide.n_b
@@ -347,8 +341,7 @@ def test_mismatched_lattice_rejected(sys2, f):
 def test_energy_identity(sys2, interp, samples, wide):
     # ||Delta^k L||^2 from spectral quadrature against the representer
     # identity beta^H K beta = beta^H data: two fully independent routes
-    shat = _expansion_field(interp.beta, sys2.lattice.points, wide, sys2.k,
-                            wide.rho)
+    shat = _expansion_field(interp.beta, sys2.lattice.points, wide, sys2.k)
     quad = _inner_2k(shat, shat, wide, sys2.k)
     alg = np.vdot(interp.beta, samples.values)
     assert abs(quad.imag) <= 1e-10 * abs(quad.real)
@@ -362,13 +355,12 @@ def test_minimization_and_orthogonality(space, sys2, interp, samples, wide):
     # competitors are built by correcting band-limited functions with their
     # own splines so they vanish on the lattice
     pts = sys2.lattice.points
-    shat = _expansion_field(interp.beta, pts, wide, sys2.k, wide.rho)
+    shat = _expansion_field(interp.beta, pts, wide, sys2.k)
     base = _inner_2k(shat, shat, wide, sys2.k).real
     for c in range(20):
         w = synthesize(space, OMEGA, seed=500 + c, grid=wide)
         beta_w = sys2._solve(point_samples(w, sys2.lattice).values)
-        vhat = w.coeffs.values - _expansion_field(beta_w, pts, wide, sys2.k,
-                                                  wide.rho)
+        vhat = w.coeffs.values - _expansion_field(beta_w, pts, wide, sys2.k)
         vnorm = _inner_2k(vhat, vhat, wide, sys2.k).real
         cross = _inner_2k(shat, vhat, wide, sys2.k)
         assert abs(cross) <= 1e-6 * math.sqrt(base * vnorm)
