@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bandlimited import _bump_mask
 from .errors import NotAFrame
+from .spectral import _gauss_legendre
 
 __all__ = [
     "Signal1D",
@@ -78,7 +78,7 @@ def synthesize_1d(omega: float, seed: int = 0, n_modes: int = 3,
     at the band edges (so it decays fast enough to truncate in space)."""
     if omega <= 0:
         raise ValueError("band limit must be positive")
-    x, w = leggauss(n_xi)
+    x, w = _gauss_legendre(n_xi)
     xi = omega * x
     wgt = omega * w
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ import time
 import typing
 import warnings
 from configparser import ConfigParser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np

@@ -42,6 +42,7 @@ average with one unit coefficient per lam.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -131,6 +132,9 @@ def _gamma_ratio(z) -> np.ndarray:
 _SERIES_MARGIN = 64
 _SERIES_TAIL = 8
 _SERIES_TOL = 1e-14
+# coefficients at or below this share of the largest are roundoff: the
+# DCT of rounded samples leaves a plateau of 1-3 eps there
+_SERIES_FLOOR = 4.0 * np.finfo(float).eps
 _SERIES_MAX_DEG = 4096
 _MAX_BUSEMANN_ANGLES = 1 << 16
 
@@ -139,7 +143,7 @@ def _chebyshev_fit(sample: Callable[[np.ndarray], np.ndarray], deg: int,
                    what: str) -> np.ndarray:
     """Chebyshev coefficients of the interpolant at the deg + 1 first-kind
     Chebyshev points x (a DCT-II of sample(x)), doubling deg until the tail
-    check passes.
+    check passes, then cut at the roundoff plateau.
 
     The DCT-II of the n samples v_j is the length-2n FFT of v followed by
     v reversed, times e^{-i pi k / (2n)}: one real FFT for real samples,
@@ -148,7 +152,12 @@ def _chebyshev_fit(sample: Callable[[np.ndarray], np.ndarray], deg: int,
     Tail check: the largest of the last _SERIES_TAIL coefficients, summed
     over the columns, must stay below _SERIES_TOL of the l1 norm of the
     whole series.  Otherwise the degree doubles, up to _SERIES_MAX_DEG,
-    where NumericalFailure is raised.
+    where NumericalFailure is raised.  The series returned ends at its last
+    degree whose largest coefficient over the columns is above
+    _SERIES_FLOOR times the largest of all (chopping at the plateau, as in
+    Aurentz and Trefethen, ACM TOMS 43 (2017)); an all-zero series keeps
+    degree 0.  So its length follows the coefficients, not the starting
+    degree.
     """
     while True:
         n = deg + 1
@@ -166,7 +175,9 @@ def _chebyshev_fit(sample: Callable[[np.ndarray], np.ndarray], deg: int,
         tail = float(np.sum(np.max(mags[-_SERIES_TAIL:], axis=0)))
         norm = float(np.sum(mags))
         if tail <= _SERIES_TOL * norm:
-            return series
+            top = np.max(mags.reshape(n, -1), axis=1)
+            above = np.flatnonzero(top > _SERIES_FLOOR * top.max())
+            return series[:above[-1] + 1 if above.size else 1]
         if deg >= _SERIES_MAX_DEG:
             raise NumericalFailure(
                 f"{what}: tail {tail / norm:.2e} of the l1 norm at degree "
@@ -182,9 +193,12 @@ def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
     for numpy.polynomial.chebyshev.chebval at |a| <= a_max.  Each h_j has
     exponential type max|lam|, so its Chebyshev coefficients decay faster
     than geometrically beyond degree max|lam| * a_max; the interpolant at
-    the deg + 1 first-kind Chebyshev points (a DCT-II of the sampled sums)
-    starts _SERIES_MARGIN degrees past that and is exact to roundoff.  The
-    degree is raised by the tail check of _chebyshev_fit.
+    the first-kind Chebyshev points (a DCT-II of the sampled sums) starts
+    _SERIES_MARGIN degrees past that and is exact to roundoff.  The tail
+    check of _chebyshev_fit may raise that degree, and its cut at the
+    roundoff plateau sets the deg returned: it follows the size of the
+    coefficients, so sums whose weights decay in lam (or vanish) come out
+    far shorter than max|lam| * a_max.
     """
     lams = np.asarray(lams, dtype=float)
     coeffs = np.asarray(coeffs)
@@ -210,17 +224,13 @@ def _plane_wave_basis(points: np.ndarray, lam: np.ndarray,
 
     a_max = _radius_bound(points) bounds |A(x_j, b)| over the circle;
     S = plane_wave_series(lam, diag(scale), a_max) has
-    scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max.
-    S is cut after its last degree whose largest coefficient is above
-    eps max|S|: the series starts past degree max(lam) a_max with a margin
-    for its tail check, and the coefficients beyond the cut are roundoff.
+    scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max,
+    its length set by the roundoff cut of _chebyshev_fit (so by the
+    coefficients of the largest scale_i, not by max(lam) a_max alone).
     Returns a_max and S, shape (deg, lam.size).
     """
     a_max = _radius_bound(points)
-    series = plane_wave_series(lam, np.diag(scale), a_max)
-    top = np.max(np.abs(series), axis=1)
-    deg = int(np.flatnonzero(top > np.finfo(float).eps * top.max())[-1]) + 1
-    return a_max, series[:deg]
+    return a_max, plane_wave_series(lam, np.diag(scale), a_max)
 
 
 def _horocycle_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
@@ -384,8 +394,18 @@ class SpectralGrid:
         return (self.lambda_nodes.tobytes(), self.n_b, self.plancherel_scale)
 
 
-def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1],
+    memoised: the same few rules are asked for many times per run."""
     x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

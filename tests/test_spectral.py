@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from hypersample import spectral as sp
@@ -161,6 +162,54 @@ def test_plane_wave_series_tail_check_raises_at_degree_cap(monkeypatch):
     assert isinstance(info.value, ArithmeticError)
     with pytest.raises(ValueError):
         sp.plane_wave_series(lams, np.ones(40), 0.0)
+
+
+@pytest.mark.parametrize("decay", [0.0, 4.0, 8.0])
+def test_series_are_cut_at_the_roundoff_floor(decay, monkeypatch):
+    # each fit ends on a coefficient above the floor; what the cut drops is
+    # at or below it, and weights that decay in lam give shorter series
+    lams = np.linspace(0.1, 20.0, 50)
+    weights = np.random.default_rng(5).standard_normal((50, 2)) \
+        / (1.0 + lams[:, None]) ** decay
+    fits = (sp.plane_wave_series(lams, weights, 3.0),
+            sp.plane_wave_series(lams, weights[:, 0] * 1j, 3.0),
+            sp.zonal_series(lams, weights[:, 0], 2.8))
+    floor = sp._SERIES_FLOOR
+    for series in fits:
+        top = np.max(np.abs(series).reshape(len(series), -1), axis=1)
+        assert top[-1] > floor * top.max()
+    monkeypatch.setattr(sp, "_SERIES_FLOOR", 0.0)
+    full = sp.plane_wave_series(lams, weights, 3.0)
+    cut = fits[0]
+    assert np.array_equal(full[:len(cut)], cut)
+    if decay:
+        assert len(cut) < len(full)
+    assert np.max(np.abs(full[len(cut):]), initial=0.0) \
+        <= floor * np.max(np.abs(full))
+
+
+def test_zero_coefficients_give_a_constant_series():
+    lams = np.linspace(0.1, 20.0, 50)
+    for coeffs in (np.zeros(50), np.zeros((50, 3), dtype=complex)):
+        series = sp.plane_wave_series(lams, coeffs, 3.0)
+        assert series.shape == (1,) + coeffs.shape[1:]
+        assert not np.any(series)
+    assert np.array_equal(sp.zonal_series(lams, np.zeros(50), 2.0), [0.0])
+
+
+def test_gauss_legendre_rules_are_memoised_read_only_and_bounded():
+    x, w = sp._gauss_legendre(12)
+    ref_x, ref_w = leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = sp._gauss_legendre(12)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for n in range(2, 40):
+        sp._gauss_legendre(n)
+    info = sp._gauss_legendre.cache_info()
+    assert info.maxsize == 16 and info.currsize <= 16
 
 
 def test_zonal_series_reproduces_spline_kernel_table(space):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hypersample import transforms as tr
+from hypersample.bandlimited import synthesize
 from hypersample.errors import (CalibrationInconsistent, NumericalFailure,
                                TailMassExceeded)
 from hypersample.geometry import (RHO, ball_volume, busemann, distance,
@@ -295,6 +296,29 @@ def test_inverse_transform_matches_plane_wave_double_sum(space):
     assert got.shape == pts.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert tr.inverse_transform(c, np.zeros(0)).shape == (0,)
+
+
+def test_inverse_transform_of_band_limited_f_matches_plane_wave_sum(space):
+    # the plane-wave series is cut at roundoff, so for coefficients that
+    # vanish past the band the point values still match the direct sum
+    grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
+    f = synthesize(space, 2.0, seed=0, grid=grid)
+    rng = np.random.default_rng(12)
+    pts = 0.9 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
+    sl = grid.band_slice
+    a = busemann(pts[:, None], grid.boundary_angles[None, :])
+    waves = np.exp((1j * grid.lambda_nodes[sl, None, None] + RHO)
+                   * a[None, :, :])
+    weighted = grid.lambda_measure[sl, None] * f.coeffs.values[sl] / grid.n_b
+    ref = np.einsum("lpb,lb->p", waves, weighted)
+    got = tr.inverse_transform(f.coeffs, pts)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_inverse_transform_of_zero_coefficients_is_zero(grid):
+    c = SpectralCoeffs(grid, np.zeros((grid.n_lambda, grid.n_b)))
+    pts = np.array([0.0, 0.3 - 0.4j, 0.9j])
+    assert np.array_equal(tr.inverse_transform(c, pts), np.zeros(3))
 
 
 def test_mode_table_cache_is_read_only_and_bounded(space, monkeypatch):
