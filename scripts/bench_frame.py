@@ -10,6 +10,11 @@ each side runs in PROCS processes, base and head alternating, and each
 process builds the `frame_reconstruct` frame (omega = 2, seed 0, the
 acceptance grids) REPEATS times and reconstructs its test function.
 
+Both sides run this file's worker code.  It calls `synthesize(grid, ...)`
+and `build_frame(lat, grid=...)`, which read omega from the spectral grid
+alone, so `--base` must be a revision whose `synthesize` and `build_frame`
+have no `omega` or `space` argument.
+
 Stage times come from timing wrappers installed in the worker, so both
 sides are measured by the same code:
 
@@ -75,7 +80,7 @@ def _worker(r: float) -> dict:
     space = SpaceParams().with_scale(calibrate_plancherel().scale)
     grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
     pgrid = build_polar_grid(DOMAIN, 160, 96)
-    f = synthesize(space, 2.0, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     lat = build_lattice(r, DOMAIN, seed=0)
     samples = sampling.point_samples(f, lat)
     ref = f.on_grid(pgrid)
@@ -98,7 +103,7 @@ def _worker(r: float) -> dict:
     for _ in range(REPEATS):
         clock.update(dict.fromkeys(clock, 0.0))
         start = time.perf_counter()
-        frame = sampling.build_frame(lat, 2.0, grid=grid)
+        frame = sampling.build_frame(lat, grid=grid)
         mid = time.perf_counter()
         rec = sampling.reconstruct(frame, samples)
         end = time.perf_counter()

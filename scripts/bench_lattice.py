@@ -15,6 +15,11 @@ two threads, importing `hypersample` from the side's `src/`:
   `frame_reconstruct` test function (omega = 2, seed 0) on the acceptance
   grids, with the relative error on the radius-1.4 polar grid and the
   process's peak resident set size.
+
+The frame worker calls `synthesize(grid, ...)` and
+`build_frame(lat, grid=...)`, which read omega from the spectral grid alone;
+it runs on this tree only, and the base side runs only the lattice worker,
+so `--base` may be any revision that has `build_lattice`.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def _frame_worker(r: float) -> dict:
     space = SpaceParams().with_scale(calibrate_plancherel().scale)
     grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
     pgrid = build_polar_grid(DOMAIN, 160, 96)
-    f = synthesize(space, 2.0, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     lat = build_lattice(r, DOMAIN, seed=0)
     samples = point_samples(f, lat)
     ref = f.on_grid(pgrid)
@@ -76,7 +81,7 @@ def _frame_worker(r: float) -> dict:
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        frame = build_frame(lat, 2.0, grid=grid)
+        frame = build_frame(lat, grid=grid)
         rec = reconstruct(frame, samples)
         times.append(time.perf_counter() - start)
     error = pgrid.norm(rec.on_grid(pgrid) - ref) / pgrid.norm(ref)

@@ -27,6 +27,11 @@ values of each side's first repeat are compared.  Each stage also records
 the lengths of the Chebyshev series it fitted (`spectral._chebyshev_fit`,
 in call order: for the kernel, the Busemann series before the zonal series)
 and, for the mode tables, the length of the plane-wave basis S they used.
+
+Both sides run this file's worker code.  The `inverse` worker calls
+`synthesize(grid, ...)`, which reads omega from the spectral grid alone, so
+`--base` must be a revision whose `synthesize` has no `omega` or `space`
+argument.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ def _inverse_worker(dump: Path) -> dict:
 
     space, _ = _space()
     grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
-    f = synthesize(space, 2.0, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     points = build_lattice(0.1, 1.4, seed=0).points
     lengths: list[int] = []
     _fit_lengths(lengths)

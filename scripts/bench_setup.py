@@ -23,6 +23,11 @@ repeat.  Per side and repeat:
 
 The summary holds the median and every repeat of each time, with the
 stage's accuracy numbers beside it.
+
+Both sides run this file's worker code.  The `spline` worker calls
+`synthesize(grid, ...)`, which reads omega from the spectral grid alone, so
+`--base` must be a revision whose `synthesize` has no `omega` or `space`
+argument.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ def _spline_worker() -> dict:
     space = SpaceParams().with_scale(calibrate_plancherel().scale)
     grid = build_grid(space, 10.0, 96, 64, 1.0)
     pgrid = build_polar_grid(2.0, 160, 96)
-    f = synthesize(space, 1.0, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     lat = build_lattice(0.8, 2.0, seed=0)
     system = build_splines(lat, 2, space=space)
     interp = spline_interpolate(system, point_samples(f, lat))

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedWarning
-from .geometry import RHO, SpaceParams, as_complex, distance
-from .spectral import (SpectralCoeffs, SpectralGrid, apply_multiplier, build_grid,
-                       default_lam_max, sobolev_multiplier)
+from .geometry import RHO, as_complex, distance
+from .spectral import (SpectralCoeffs, SpectralGrid, apply_multiplier,
+                       sobolev_multiplier)
 from .transforms import PolarGrid, inverse_on_grid, inverse_transform
 
 __all__ = [
@@ -33,16 +33,15 @@ __all__ = [
 
 @dataclass(eq=False)
 class BandlimitedFunction:
-    """Spectral coefficients supported on the band panel [0, omega]."""
+    """Spectral coefficients supported on the band panel [0, omega] of their
+    grid; omega is grid.omega."""
 
-    omega: float
     coeffs: SpectralCoeffs
-    label: str = ""
 
     def __post_init__(self):
         grid = self.coeffs.grid
-        if grid.n_band == 0 or grid.omega != self.omega:
-            raise ValueError("coefficient grid has no matching band panel")
+        if grid.n_band == 0:
+            raise ValueError("coefficient grid has no band panel")
         tail = self.coeffs.values[grid.n_band:]
         if tail.size and np.any(tail != 0):
             raise ValueError("coefficients above the band limit must be exactly zero")
@@ -50,6 +49,10 @@ class BandlimitedFunction:
     @property
     def grid(self) -> SpectralGrid:
         return self.coeffs.grid
+
+    @property
+    def omega(self) -> float:
+        return self.grid.omega
 
     def norm(self) -> float:
         return self.coeffs.norm()
@@ -65,8 +68,8 @@ class BandlimitedFunction:
         return inverse_on_grid(self.coeffs, pgrid)
 
     def scaled(self, a: complex) -> "BandlimitedFunction":
-        return BandlimitedFunction(self.omega, SpectralCoeffs(self.grid, a * self.coeffs.values),
-                                   label=self.label)
+        return BandlimitedFunction(
+            SpectralCoeffs(self.grid, a * self.coeffs.values))
 
 
 def _bump_mask(t: np.ndarray) -> np.ndarray:
@@ -78,28 +81,23 @@ def _bump_mask(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize(space: SpaceParams, omega: float, seed: int = 0, n_modes: int = 3, *,
-               grid: SpectralGrid | None = None, lam_max: float | None = None,
-               n_lambda: int = 96, n_b: int = 64, n_band: int | None = None,
+def synthesize(grid: SpectralGrid, seed: int = 0, n_modes: int = 3, *,
                width_range: tuple[float, float] = (0.12, 0.3),
-               center_range: tuple[float, float] = (0.3, 0.7),
-               label: str = "") -> BandlimitedFunction:
-    """Deterministic pseudo-random element of the omega band limited class.
+               center_range: tuple[float, float] = (0.3, 0.7)
+               ) -> BandlimitedFunction:
+    """Deterministic pseudo-random element of the band limited class of grid,
+    whose band panel [0, omega] is the band.
 
     Each boundary mode |m| <= n_modes gets a Gaussian profile in lam (center
     and width drawn from the given ranges, as fractions of omega) multiplied
     by a smooth bump vanishing to all orders at 0 and omega, with a random
     complex amplitude.  Normalized to unit Plancherel norm.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if grid is None:
-        grid = build_grid(space, lam_max or default_lam_max(omega),
-                          n_lambda, n_b, omega=omega, n_band=n_band)
-    if grid.omega != omega or grid.n_band == 0:
-        raise ValueError("grid band panel does not match omega")
+    if grid.n_band == 0:
+        raise ValueError("grid has no band panel")
     if not 0 <= n_modes <= grid.n_b // 2:
         raise ValueError("n_modes must lie in [0, n_b/2]")
+    omega = grid.omega
     rng = np.random.default_rng(seed)
     lam_band = grid.lambda_nodes[:grid.n_band]
     mask = _bump_mask(lam_band / omega)
@@ -115,7 +113,7 @@ def synthesize(space: SpaceParams, omega: float, seed: int = 0, n_modes: int = 3
     if nrm == 0.0:
         raise ValueError("degenerate draw produced the zero function")
     coeffs.values /= nrm
-    return BandlimitedFunction(omega, coeffs, label=label or f"synth(omega={omega},seed={seed})")
+    return BandlimitedFunction(coeffs)
 
 
 def bernstein_check(f: BandlimitedFunction, sigma: float) -> dict:
@@ -154,12 +152,12 @@ def converse_bernstein_probe(coeffs: SpectralCoeffs, omega: float,
     return {"sigmas": list(sigma_list), "ratios": ratios, "applicable": True}
 
 
-def density_probe(space: SpaceParams, omega: float, center, radius: float,
+def density_probe(grid: SpectralGrid, center, radius: float,
                   target_samples: np.ndarray, pgrid: PolarGrid, *,
-                  n_list=(10, 20, 40), seed: int = 0, n_modes: int = 3,
-                  n_lambda: int = 32, n_b: int = 16) -> dict:
-    """Least-squares distance from target to spans of synthesized band
-    limited functions, restricted to the ball B(center, radius).
+                  n_list=(10, 20, 40), seed: int = 0,
+                  n_modes: int = 3) -> dict:
+    """Least-squares distance from target to spans of band limited functions
+    synthesized on grid, restricted to the ball B(center, radius).
 
     The error sequence over nested n is nonincreasing by construction.  The
     probe is empirical evidence of density, not a proof.
@@ -175,8 +173,7 @@ def density_probe(space: SpaceParams, omega: float, center, radius: float,
     b = (np.asarray(target_samples)[mask] * sw).ravel()
     cols = np.empty((b.size, n_max), dtype=complex)
     for i in range(n_max):
-        g = synthesize(space, omega, seed=seed + i, n_modes=n_modes,
-                       n_lambda=n_lambda, n_b=n_b,
+        g = synthesize(grid, seed=seed + i, n_modes=n_modes,
                        width_range=(0.05, 0.4), center_range=(0.1, 0.9))
         cols[:, i] = (g.on_grid(pgrid)[mask] * sw).ravel()
     errors, conds = [], []

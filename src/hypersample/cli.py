@@ -29,10 +29,11 @@ from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
     synthesize_1d
 from .errors import ConfigError, HypersampleError, IllConditionedWarning, \
     SingularKernel
-from .geometry import SpaceParams, distance, multiplicity_bound
+from .geometry import SpaceParams, distance, multiplicity_bound, \
+    random_ball_points
 from .lattice import build_lattice, certify_cover, certify_multiplicity, \
     near_pairs
-from .sampling import build_frame, point_samples, reconstruct
+from .sampling import _PINV_CUT, build_frame, point_samples, reconstruct
 from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
 from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
@@ -84,7 +85,7 @@ class ExperimentConfig:
     n_b: int = 64
     n_r: int = 160
     n_theta: int = 96
-    cut: float = 1e-12
+    cut: float = _PINV_CUT
     output: str = ""
 
     def __post_init__(self):
@@ -111,6 +112,9 @@ class ExperimentConfig:
             raise ConfigError("grid sizes must be at least 4")
         if self.n_b % 2 or self.n_theta % 2:
             raise ConfigError("angle counts n_b and n_theta must be even")
+        if self.n_b < 6:
+            raise ConfigError("n_b must be at least 6: the synthesized test "
+                              "functions use the boundary modes |m| <= 3")
         if self.lam_max != 0 and not self.lam_max > self.omega:
             raise ConfigError("lam_max must be 0 (automatic) or exceed omega")
         if not 0 < self.cut < 1:
@@ -286,7 +290,7 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     grid, _ = _grids(cfg, space)
     for seed in cfg.seeds:
         with _timed(rep, f"seed_{seed}"):
-            f = synthesize(space, cfg.omega, seed, grid=grid)
+            f = synthesize(grid, seed)
             for sigma in (0.5, 1.0, 2.0, 4.0):
                 chk = bernstein_check(f, sigma)
                 ok = chk["ratio"] <= 1.0 + slack
@@ -346,9 +350,7 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             sep = _min_separation(lat.points)
             cov = certify_cover(lat)
             rng = np.random.default_rng(cfg.seeds[0] + 99)
-            u = rng.random(10_000)
-            s = np.arccosh(1.0 + u * (np.cosh(cfg.domain_radius - r) - 1.0))
-            probes = np.tanh(s / 2.0) * np.exp(2j * np.pi * rng.random(10_000))
+            probes = random_ball_points(cfg.domain_radius - r, 10_000, rng)
             fresh = _farthest_probe(probes, lat.points)
             mult = certify_multiplicity(lat)
         bound = math.ceil(multiplicity_bound(r))
@@ -372,7 +374,7 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     tol = 1e-6
     rep.tolerances = {"frame_rel_error_at_finest": tol, "eigen_cut": cfg.cut}
     grid, pgrid = _grids(cfg, space)
-    f = synthesize(space, cfg.omega, cfg.seeds[0], grid=grid)
+    f = synthesize(grid, cfg.seeds[0])
     f_ref = f.on_grid(pgrid)
     r_list = tuple(sorted(cfg.r_values or (0.4, 0.2, 0.1), reverse=True))
     errors = []
@@ -382,7 +384,7 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             # bounds land in the CSV, so the warning adds nothing here
             warnings.simplefilter("ignore", IllConditionedWarning)
             lat = build_lattice(r, cfg.domain_radius, seed=cfg.seeds[0])
-            frame = build_frame(lat, cfg.omega, grid=grid, cut=cfg.cut)
+            frame = build_frame(lat, grid=grid, cut=cfg.cut)
             rec = reconstruct(frame, point_samples(f, lat))
             err = _rel_err(pgrid, rec.on_grid(pgrid), f_ref)
         errors.append(err)
@@ -408,7 +410,7 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.tolerances = {"lagrangian_defect": defect_tol,
                       "interp_rel_error": err_tol}
     grid, pgrid = _grids(cfg, space)
-    f = synthesize(space, cfg.omega, cfg.seeds[0], grid=grid)
+    f = synthesize(grid, cfg.seeds[0])
     f_ref = f.on_grid(pgrid)
     lat = build_lattice(cfg.r, cfg.domain_radius, seed=cfg.seeds[0])
     s = point_samples(f, lat)
@@ -448,7 +450,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     tol = 1e-6
     rep.tolerances = {"two_path_abs": tol}
     grid, _ = _grids(cfg, space)
-    f = synthesize(space, cfg.omega, cfg.seeds[0], grid=grid)
+    f = synthesize(grid, cfg.seeds[0])
     rng = np.random.default_rng(42)
     from .bandlimited import BandlimitedFunction
     with _timed(rep, "two_path_cases"):
@@ -459,12 +461,11 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             n = int(rng.integers(0, 2))
             spec = AverageSpec(tau=tau, n=0, m_circle=96)
             g = f if n == 0 else BandlimitedFunction(
-                f.omega, apply_multiplier(f.coeffs,
-                                          sobolev_multiplier(float(n))))
+                apply_multiplier(f.coeffs, sobolev_multiplier(float(n))))
             direct = spherical_average_direct(g, y, spec)
             mult = average_multiplier(AverageSpec(tau=tau, n=n))
             sym = BandlimitedFunction(
-                f.omega, apply_multiplier(f.coeffs, mult)).evaluate(
+                apply_multiplier(f.coeffs, mult)).evaluate(
                     np.array([complex(y)]))[0]
             diff = abs(direct - sym)
             ok = diff <= tol * max(abs(sym), 1e-3)
@@ -496,7 +497,7 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
         grid, pgrid = _grids(cfg, space)
         results = theorem73_experiment(
             cfg.r, [AverageSpec(tau=float(tau), n=cfg.n) for tau in taus],
-            seed=cfg.seeds[0], space=space, grid=grid, pgrid=pgrid,
+            seed=cfg.seeds[0], grid=grid, pgrid=pgrid,
             k_schedule=tuple(cfg.k_schedule), cut=cfg.cut)
     for tau, res in zip(taus, results):
         admissible = res["admissible"]
@@ -686,7 +687,7 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
 
     def spectral_roundtrip():
         grid = build_grid(space, 8.0, 48, 32, 2.0)
-        f = synthesize(space, 2.0, seed=0, grid=grid)
+        f = synthesize(grid, seed=0)
         fwd = apply_multiplier(f.coeffs, sobolev_multiplier(1.5))
         back = apply_multiplier(fwd, sobolev_multiplier(1.5),
                                 invert=True)
@@ -704,7 +705,7 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
     def bandlimited_bernstein():
         grid = build_grid(space, 8.0, 48, 32, 2.0)
         for seed in (0, 1):
-            f = synthesize(space, 2.0, seed=seed, grid=grid)
+            f = synthesize(grid, seed=seed)
             for sigma in (1.0, 2.0):
                 chk = bernstein_check(f, sigma)
                 assert chk["ratio"] <= 1 + 1e-10, \
@@ -719,11 +720,11 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
     def sampling_frame_loop():
         grid = build_grid(space, 8.0, 96, 64, 2.0)
         pgrid = build_polar_grid(1.2, 96, 64)
-        f = synthesize(space, 2.0, seed=0, grid=grid)
+        f = synthesize(grid, seed=0)
         lat = build_lattice(0.4, 1.2, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            frame = build_frame(lat, 2.0, grid=grid)
+            frame = build_frame(lat, grid=grid)
             rec = reconstruct(frame, point_samples(f, lat))
         err = _rel_err(pgrid, rec.on_grid(pgrid), f.on_grid(pgrid))
         assert err < 1e-4, f"frame loop error {err:.2e}"
@@ -738,14 +739,14 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
 
     def sphavg_two_path():
         grid = build_grid(space, 8.0, 96, 64, 2.0)
-        f = synthesize(space, 2.0, seed=0, grid=grid)
+        f = synthesize(grid, seed=0)
         from .bandlimited import BandlimitedFunction
         for tau in (0.1, 0.3):
             direct = spherical_average_direct(f, 0.3 + 0.2j,
                                               AverageSpec(tau=tau))
             mult = average_multiplier(AverageSpec(tau=tau))
             sym = BandlimitedFunction(
-                f.omega, apply_multiplier(f.coeffs, mult)).evaluate(
+                apply_multiplier(f.coeffs, mult)).evaluate(
                     np.array([0.3 + 0.2j]))[0]
             assert abs(direct - sym) <= 1e-6, \
                 f"tau {tau}: paths differ by {abs(direct - sym):.2e}"

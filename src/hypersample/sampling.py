@@ -84,7 +84,6 @@ class SampleSet:
 @dataclass(eq=False)
 class FrameSystem:
     lattice: Lattice
-    omega: float
     grid: SpectralGrid
     multiplier: Multiplier | None
     left: np.ndarray       # (N, rank): retained left singular vectors of F
@@ -93,7 +92,10 @@ class FrameSystem:
     frame_bounds: tuple[float, float]  # (A, B) on the retained span
     raw_min: float
     threshold: float
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.left.shape[1]
 
     @property
     def condition(self) -> float:
@@ -157,17 +159,18 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     return np.concatenate(cols, axis=1), dirs
 
 
-def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
+def build_frame(lat: Lattice, m: Multiplier | None = None, *,
                 grid: SpectralGrid, cut: float = _PINV_CUT) -> FrameSystem:
     """Singular spectrum and dual map of the (multiplier-filtered) frame.
 
     The frame operator is F = R diag(sqrt(lambda_measure |m|^2 / n_b)) on
-    the band rows R[j, (lam, b)] = e_j(lam, b); its Gram F F^H is the
-    integral over [0, omega] x boundary of |m|^2 e_j conj(e_k) density
-    dlam db.  One thin SVD of the per-mode factor C (_band_factor, built
-    from real Chebyshev rows in the horocycle distance) gives the singular
-    values sigma of F: the eigenvalues of the Gram are sigma^2, B is the
-    largest, and the retained span is sigma^2 > cut B.
+    the band rows R[j, (lam, b)] = e_j(lam, b) of grid's band panel
+    [0, omega]; its Gram F F^H is the integral over [0, omega] x boundary
+    of |m|^2 e_j conj(e_k) density dlam db.  One thin SVD of the per-mode
+    factor C (_band_factor, built from real Chebyshev rows in the horocycle
+    distance) gives the singular values sigma of F: the eigenvalues of the
+    Gram are sigma^2, B is the largest, and the retained span is
+    sigma^2 > cut B.
 
     cut fixes the relative eigenvalue threshold below which directions are
     treated as numerically unreachable.  The default keeps the sample span
@@ -175,8 +178,8 @@ def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
     trades span for noise amplification bounded by 1/sqrt(cut * B), which
     makes the reconstruction operator an honest numerical projection.
     """
-    if grid.omega != omega or grid.n_band == 0:
-        raise ValueError("grid band panel does not match omega")
+    if grid.n_band == 0:
+        raise ValueError("grid has no band panel")
     if len(lat) == 0:
         raise ValueError("empty lattice")
     sl = grid.band_slice
@@ -210,8 +213,8 @@ def build_frame(lat: Lattice, omega: float, m: Multiplier | None = None, *,
     raw_min = float(ev[-1]) if sv.size == len(lat) else 0.0
     # a copy, so the frame does not keep all of u alive
     left = np.ascontiguousarray(u[:, :rank])
-    return FrameSystem(lat, float(omega), grid, m, left, synthesis,
-                       (a_low, b_top), raw_min, thr, rank)
+    return FrameSystem(lat, grid, m, left, synthesis, (a_low, b_top),
+                       raw_min, thr)
 
 
 def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
@@ -247,7 +250,7 @@ def reconstruct(frame: FrameSystem, s: SampleSet) -> BandlimitedFunction:
     modes = frame.synthesis @ (frame.left.conj().T @ s.values)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[grid.band_slice] = np.fft.fft(modes, axis=0, norm="ortho").T
-    return BandlimitedFunction(frame.omega, SpectralCoeffs(grid, values))
+    return BandlimitedFunction(SpectralCoeffs(grid, values))
 
 
 def stability_probe(frame: FrameSystem, s: SampleSet, noise_level: float,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimited import BandlimitedFunction, synthesize
-from .geometry import RHO, SpaceParams, circle_points
+from .geometry import RHO, circle_points
 from .lattice import build_lattice
 from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
 from .spectral import Multiplier, SpectralGrid, spherical_function
@@ -122,25 +122,25 @@ def near_identity_check(grid: SpectralGrid, spec: AverageSpec) -> dict:
 
 
 def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
-                         seed: int = 0, *, space: SpaceParams,
-                         grid: SpectralGrid, pgrid: PolarGrid,
-                         k_schedule=(2, 4, 8),
+                         seed: int = 0, *, grid: SpectralGrid,
+                         pgrid: PolarGrid, k_schedule=(2, 4, 8),
                          cut: float = _PINV_CUT) -> list[dict]:
     """Closed loop: synthesize, average on a lattice, reconstruct both ways.
 
-    The band limit is grid.omega and the sampled domain is the ball of
-    radius pgrid.r_max, where errors are measured.  The function, its
-    values on the polar grid and the lattice are built once; each spec
-    then gets its own averaged samples and one result dict.  The frame
-    route is the truncated pseudo-inverse of the weighted frame, cut at
-    the relative eigenvalue threshold cut (build_frame); the spline route
-    runs the deconvolving-spline schedule, which may abort at its
-    conditioning guard (recorded, not hidden).  Errors are relative L2
-    against the true function over the sampled domain.  An inadmissible
-    tau is flagged in the report but the run proceeds.
+    The band limit is grid.omega, the density constant is
+    grid.plancherel_scale and the sampled domain is the ball of radius
+    pgrid.r_max, where errors are measured.  The function, its values on
+    the polar grid and the lattice are built once; each spec then gets its
+    own averaged samples and one result dict.  The frame route is the
+    truncated pseudo-inverse of the weighted frame, cut at the relative
+    eigenvalue threshold cut (build_frame); the spline route runs the
+    deconvolving-spline schedule, which may abort at its conditioning
+    guard or its Lagrangian certificate (recorded, not hidden).  Errors
+    are relative L2 against the true function over the sampled domain.  An
+    inadmissible tau is flagged in the report but the run proceeds.
     """
     omega = grid.omega
-    f = synthesize(space, omega, seed=seed, grid=grid)
+    f = synthesize(grid, seed=seed)
     lat = build_lattice(r, pgrid.r_max, seed=seed)
     fv = f.on_grid(pgrid)
     den = pgrid.norm(fv)
@@ -148,11 +148,10 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
     for spec in specs:
         m = average_multiplier(spec)
         s = convolution_samples(f, lat, m)
-        frame = build_frame(lat, omega, m, grid=grid, cut=cut)
+        frame = build_frame(lat, m, grid=grid, cut=cut)
         rec = reconstruct(frame, s)
         frame_error = pgrid.norm(rec.on_grid(pgrid) - fv) / den
-        spl = spline_reconstruct_deconvolve(lat, k_schedule, s, space=space,
-                                            grid=grid)
+        spl = spline_reconstruct_deconvolve(lat, k_schedule, s, grid=grid)
         spline_errors = [
             pgrid.norm(g.on_grid(pgrid) - fv) / den for g in spl["functions"]
         ]

@@ -17,9 +17,9 @@ its derivative series: K(t) is the Busemann average over boundary angles b
 of e^{rho a} g(a) at a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is
 one Chebyshev series in a.  The kernel matrix is certified positive
 definite by its Cholesky factorization and solved by numpy.linalg.solve
-with iterative refinement.  Deconvolving schedules stop at condition
-_COND_LIMIT = 1e12, and the Lagrangian defect is certified against
-_CERT_TOL = 1e-8.
+with iterative refinement.  The Lagrangian defect is certified against
+_CERT_TOL = 1e-8; deconvolving schedules stop at condition
+_COND_LIMIT = 1e12 or at a failed certificate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from numpy.polynomial.chebyshev import chebder, chebval
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes,
                      ProblemTooLarge, SingularKernel, TailTooLarge)
-from .geometry import RHO, distance
+from .geometry import RHO, SpaceParams, distance
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
@@ -334,18 +334,19 @@ def spline_band_projection(interp: SplineInterpolant,
     coef = series.conj().T @ np.tensordot(interp.beta, rows, axes=1)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = fac[:, None] * coef
-    return BandlimitedFunction(grid.omega, SpectralCoeffs(grid, values))
+    return BandlimitedFunction(SpectralCoeffs(grid, values))
 
 
 def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
-                                  space, grid: SpectralGrid) -> dict:
+                                  grid: SpectralGrid) -> dict:
     """Band-limited approximations along an increasing order schedule.
 
     Each order k yields the spline interpolant of the convolution samples
-    with kernel density |m|^2 (lam^2+rho^2)^(-2k) (build_splines), divided
-    by m on the band.  Escalation stops at the first order whose kernel
-    matrix exceeds condition _COND_LIMIT = 1e12 (or loses positive
-    definiteness); the result records where.
+    with kernel density |m|^2 (lam^2+rho^2)^(-2k) (build_splines, at the
+    density constant grid.plancherel_scale), divided by m on grid's band.
+    Escalation stops at the first order whose kernel matrix exceeds
+    condition _COND_LIMIT = 1e12, loses positive definiteness, or misses
+    the Lagrangian certificate _CERT_TOL = 1e-8; the result records where.
     """
     if s.kind == "convolution":
         if s.multiplier is None:
@@ -359,6 +360,7 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
                 f"multiplier {m.label!r} vanishes on the band")
     else:
         m = None
+    space = SpaceParams(grid.plancherel_scale)
     k_list, functions, conditions = [], [], []
     aborted_at = None
     for k in k_schedule:
@@ -367,7 +369,7 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
         except SingularKernel:
             aborted_at = k
             break
-        if sys.condition > _COND_LIMIT:
+        if sys.condition > _COND_LIMIT or sys.lagrangian_defect > _CERT_TOL:
             aborted_at = k
             break
         interp = spline_interpolate(sys, s)

@@ -109,9 +109,6 @@ class PolarGrid:
         w = self.r_weights * np.sinh(self.r_nodes) * (2.0 * np.pi / self.n_theta)
         return np.broadcast_to(w[:, None], (self.n_r, self.n_theta))
 
-    def cache_key(self) -> tuple:
-        return (self.r_nodes.tobytes(), self.n_theta)
-
     def _mask(self, within: float | None) -> np.ndarray:
         if within is None:
             return np.ones(self.n_r, dtype=bool)
@@ -282,10 +279,6 @@ def _default_m_max(grid: SpectralGrid, pgrid: PolarGrid) -> int:
     return min((grid.n_b - 1) // 2, (pgrid.n_theta - 1) // 2)
 
 
-def _signed_mode_index(m: int, n: int) -> int:
-    return m % n
-
-
 # ---------------------------------------------------------------------------
 # transforms, mode route
 
@@ -323,9 +316,9 @@ def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
     wr = pgrid.r_weights * np.sinh(pgrid.r_nodes)
     packed = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     for m in range(-mk, mk + 1):
-        fm = f_modes[:, _signed_mode_index(m, pgrid.n_theta)]
+        fm = f_modes[:, m % pgrid.n_theta]
         coef = 2.0 * np.pi * (table[:, abs(m), :] @ (wr * fm))
-        packed[:, _signed_mode_index(m, grid.n_b)] = coef
+        packed[:, m % grid.n_b] = coef
     values = np.fft.ifft(packed, axis=1) * grid.n_b
     return SpectralCoeffs(grid, values)
 
@@ -340,9 +333,9 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid,
     wl = grid.lambda_measure
     packed = np.zeros((pgrid.n_r, pgrid.n_theta), dtype=complex)
     for m in range(-mk, mk + 1):
-        cm = c_modes[:, _signed_mode_index(m, grid.n_b)]
+        cm = c_modes[:, m % grid.n_b]
         fm = np.conj(table[:, abs(m), :]).T @ (wl * cm)
-        packed[:, _signed_mode_index(m, pgrid.n_theta)] = fm
+        packed[:, m % pgrid.n_theta] = fm
     return np.fft.ifft(packed, axis=1) * pgrid.n_theta
 
 

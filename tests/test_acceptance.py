@@ -46,8 +46,8 @@ def pg14():
 
 
 @pytest.fixture(scope="module")
-def f2(space, grid2):
-    return synthesize(space, 2.0, seed=0, grid=grid2)
+def f2(grid2):
+    return synthesize(grid2, seed=0)
 
 
 def _rel(pgrid, got, want):
@@ -127,7 +127,7 @@ def test_criterion_05_deconvolution_stability(grid2, pg14, f2):
     # exactness of the deconvolving solve is certified on the span itself:
     # project once, then demand the pipeline reproduce its own projection.
     m_lap = laplacian_multiplier()
-    frame_lap = build_frame(lat, 2.0, m_lap, grid=grid2)
+    frame_lap = build_frame(lat, m_lap, grid=grid2)
     f0 = reconstruct(frame_lap, convolution_samples(f2, lat, m_lap))
     rec_lap = reconstruct(frame_lap, convolution_samples(f0, lat, m_lap))
     err_lap = _rel(pg14, rec_lap.on_grid(pg14), f0.on_grid(pg14))
@@ -136,7 +136,7 @@ def test_criterion_05_deconvolution_stability(grid2, pg14, f2):
     # spherical averages at tau = 0.2 reweight gently; the loop closes
     # against the true function
     m_avg = average_multiplier(AverageSpec(tau=0.2))
-    frame_avg = build_frame(lat, 2.0, m_avg, grid=grid2)
+    frame_avg = build_frame(lat, m_avg, grid=grid2)
     s_avg = convolution_samples(f2, lat, m_avg)
     rec_avg = reconstruct(frame_avg, s_avg)
     err_avg = _rel(pg14, rec_avg.on_grid(pg14), f2.on_grid(pg14))

@@ -9,36 +9,49 @@ from hypersample.bandlimited import (BandlimitedFunction, bernstein_check,
                                      synthesize)
 from hypersample.errors import IllConditionedWarning
 from hypersample.geometry import RHO, distance
-from hypersample.spectral import SpectralCoeffs, build_grid
+from hypersample.spectral import SpectralCoeffs, build_grid, default_lam_max
 from hypersample.transforms import build_polar_grid
 
 
 OMEGA = 2.0
 
 
-def test_synthesize_unit_norm_and_support(space):
-    f = synthesize(space, OMEGA, seed=3, n_modes=3)
+def _grid(space, omega=OMEGA, n_lambda=96, n_b=64):
+    return build_grid(space, default_lam_max(omega), n_lambda, n_b,
+                      omega=omega)
+
+
+@pytest.fixture(scope="module")
+def grid(space):
+    return _grid(space)
+
+
+@pytest.fixture(scope="module")
+def probe_grid(space):
+    return _grid(space, n_lambda=32, n_b=16)
+
+
+def test_synthesize_unit_norm_and_support(grid):
+    f = synthesize(grid, seed=3, n_modes=3)
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
     # support condition is exact, not approximate
     assert np.all(f.coeffs.values[f.grid.n_band:] == 0)
 
 
-def test_synthesize_deterministic(space):
-    a = synthesize(space, OMEGA, seed=7, n_modes=2)
-    b = synthesize(space, OMEGA, seed=7, n_modes=2)
+def test_synthesize_deterministic(grid):
+    a = synthesize(grid, seed=7, n_modes=2)
+    b = synthesize(grid, seed=7, n_modes=2)
     assert np.array_equal(a.coeffs.values, b.coeffs.values)
-    c = synthesize(space, OMEGA, seed=8, n_modes=2)
+    c = synthesize(grid, seed=8, n_modes=2)
     assert not np.array_equal(a.coeffs.values, c.coeffs.values)
 
 
 def test_synthesize_validation(space):
     with pytest.raises(ValueError):
-        synthesize(space, -1.0, seed=0)
-    with pytest.raises(ValueError):
-        synthesize(space, OMEGA, seed=0, n_modes=40, n_b=16)
+        synthesize(_grid(space, n_b=16), seed=0, n_modes=40)
     grid = build_grid(space, 8.0, 64, 16)  # no band panel
     with pytest.raises(ValueError):
-        synthesize(space, OMEGA, seed=0, grid=grid)
+        synthesize(grid, seed=0)
 
 
 def test_bandlimited_rejects_tail_mass(space):
@@ -46,21 +59,24 @@ def test_bandlimited_rejects_tail_mass(space):
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[-1, 0] = 1.0
     with pytest.raises(ValueError):
-        BandlimitedFunction(OMEGA, SpectralCoeffs(grid, vals))
+        BandlimitedFunction(SpectralCoeffs(grid, vals))
+    with pytest.raises(ValueError, match="band panel"):
+        BandlimitedFunction(
+            SpectralCoeffs(build_grid(space, 8.0, 64, 16), vals))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bernstein_holds(space, sigma, seed):
-    f = synthesize(space, OMEGA, seed=seed, n_modes=3)
+def test_bernstein_holds(grid, sigma, seed):
+    f = synthesize(grid, seed=seed, n_modes=3)
     rep = bernstein_check(f, sigma)
     assert rep["pass"]
     assert rep["lhs"] <= rep["rhs"] * (1 + 1e-10)
     assert 0 < rep["ratio"] <= 1 + 1e-10
 
 
-def test_bernstein_sigma_zero_is_equality(space):
-    f = synthesize(space, OMEGA, seed=5, n_modes=1)
+def test_bernstein_sigma_zero_is_equality(grid):
+    f = synthesize(grid, seed=5, n_modes=1)
     rep = bernstein_check(f, 0.0)
     assert rep["lhs"] == pytest.approx(rep["rhs"], rel=1e-12)
 
@@ -73,15 +89,15 @@ def test_bernstein_sharp_for_edge_concentration(space):
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[:grid.n_band, 0] = np.exp(-((lam - 0.995 * OMEGA) ** 2)
                                    / (2.0 * (0.01 * OMEGA) ** 2))
-    f = BandlimitedFunction(OMEGA, SpectralCoeffs(grid, vals))
+    f = BandlimitedFunction(SpectralCoeffs(grid, vals))
     for sigma in (1.0, 2.0):
         rep = bernstein_check(f, sigma)
         assert rep["pass"]
         assert abs(rep["ratio"] - 1.0) < 0.05
 
 
-def test_converse_probe_band_limited_stays_bounded(space):
-    f = synthesize(space, OMEGA, seed=2, n_modes=2)
+def test_converse_probe_band_limited_stays_bounded(grid):
+    f = synthesize(grid, seed=2, n_modes=2)
     rep = converse_bernstein_probe(f.coeffs, OMEGA)
     assert rep["applicable"]
     assert all(r <= 1 + 1e-10 for r in rep["ratios"])
@@ -109,26 +125,26 @@ def test_converse_probe_zero_function(space):
     assert all(np.isnan(r) for r in rep["ratios"])
 
 
-def test_density_probe_recovers_band_limited_target(space):
+def test_density_probe_recovers_band_limited_target(probe_grid):
     pgrid = build_polar_grid(2.0, 48, 64)
-    f = synthesize(space, OMEGA, seed=101, n_modes=3, n_lambda=32, n_b=16,
+    f = synthesize(probe_grid, seed=101, n_modes=3,
                    width_range=(0.05, 0.4), center_range=(0.1, 0.9))
     target = f.on_grid(pgrid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        rep = density_probe(space, OMEGA, 0.2 + 0.1j, 1.2, target, pgrid,
+        rep = density_probe(probe_grid, 0.2 + 0.1j, 1.2, target, pgrid,
                             n_list=(8, 32, 64))
     assert rep["errors"][-1] < 1e-8
     assert rep["errors"] == sorted(rep["errors"], reverse=True)
 
 
-def test_density_probe_smooth_target_error_decreases(space):
+def test_density_probe_smooth_target_error_decreases(space, probe_grid):
     pgrid = build_polar_grid(2.0, 48, 64)
     d = distance(0.0, pgrid.points)
     target = np.exp(-(d**2) / (2 * 0.3**2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        rep = density_probe(space, OMEGA, 0.0, 1.2, target, pgrid,
+        rep = density_probe(probe_grid, 0.0, 1.2, target, pgrid,
                             n_list=(8, 16, 32, 64))
     e = rep["errors"]
     assert all(e[i + 1] <= e[i] * (1 + 1e-12) for i in range(len(e) - 1))
@@ -136,21 +152,21 @@ def test_density_probe_smooth_target_error_decreases(space):
     # a wider band approximates the same target strictly better
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        rep4 = density_probe(space, 2 * OMEGA, 0.0, 1.2, target, pgrid,
-                             n_list=(8, 16, 32, 64))
+        rep4 = density_probe(_grid(space, 2 * OMEGA, n_lambda=32, n_b=16),
+                             0.0, 1.2, target, pgrid, n_list=(8, 16, 32, 64))
     assert rep4["errors"][-1] < e[-1]
 
 
-def test_density_probe_warns_when_ill_conditioned(space):
+def test_density_probe_warns_when_ill_conditioned(probe_grid):
     pgrid = build_polar_grid(1.5, 32, 32)
     d = distance(0.0, pgrid.points)
     target = np.exp(-(d**2))
     with pytest.warns(IllConditionedWarning):
-        density_probe(space, OMEGA, 0.0, 1.0, target, pgrid, n_list=(64,))
+        density_probe(probe_grid, 0.0, 1.0, target, pgrid, n_list=(64,))
 
 
-def test_evaluate_matches_grid_route(space):
-    f = synthesize(space, OMEGA, seed=4, n_modes=2)
+def test_evaluate_matches_grid_route(grid):
+    f = synthesize(grid, seed=4, n_modes=2)
     pgrid = build_polar_grid(1.5, 24, 32)
     on_grid = f.on_grid(pgrid)
     pts = pgrid.points[::5, ::7]

@@ -72,7 +72,7 @@ def _configs(draw):
         lam_max=draw(st.one_of(st.just(0.0),
                                st.floats(omega, 1e7, exclude_min=True))),
         n_lambda=draw(counts),
-        n_b=draw(evens),
+        n_b=draw(st.integers(3, 2048).map(lambda k: 2 * k)),
         n_r=draw(counts),
         n_theta=draw(evens),
         cut=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
@@ -327,6 +327,21 @@ def test_non_finite_float_exits_two(tmp_path, outroot, capsys, name, value):
     assert err.startswith(f"config error: {name} must be finite")
     assert "Traceback" not in err
     assert not (outroot / "frame_reconstruct").exists()
+
+
+@pytest.mark.parametrize("scenario", ["bernstein", "frame_reconstruct",
+                                      "spline_reconstruct", "spherical_avg",
+                                      "theorem73"])
+def test_too_few_boundary_angles_exits_two(tmp_path, outroot, capsys,
+                                           scenario):
+    # each of these draws boundary modes |m| <= 3, which needs n_b >= 6
+    path = _write(tmp_path, f"[experiment]\nscenario = {scenario}\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path), "--override", "n_b=4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_b must be at least 6")
+    assert "Traceback" not in err
+    assert not (outroot / scenario).exists()
 
 
 def test_verify_subset_and_empty(capsys):

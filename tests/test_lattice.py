@@ -15,7 +15,7 @@ from hypersample.geometry import ball_volume, distance, multiplicity_bound
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
                                  certify_multiplicity, load_lattice,
                                  sampling_inequality_probe, save_lattice)
-from hypersample.spectral import SpectralCoeffs, build_grid
+from hypersample.spectral import SpectralCoeffs, build_grid, default_lam_max
 
 
 def _pairwise_min(points):
@@ -305,11 +305,16 @@ def test_csv_round_trip_property(tmp_path_factory, polar, r, domain, n_mult,
         (r, domain, n_mult, seed)
 
 
+def _band_grid(space):
+    """The omega = 2 grid of the sampling-inequality probes."""
+    return build_grid(space, default_lam_max(2.0), 96, 64, omega=2.0)
+
+
 def test_probe_zero_function(space):
     lat = build_lattice(0.3, 1.0, seed=0)
     grid = build_grid(space, 8.0, 32, 8, omega=2.0)
     zero = BandlimitedFunction(
-        2.0, SpectralCoeffs(grid, np.zeros((32, 8), complex)))
+        SpectralCoeffs(grid, np.zeros((32, 8), complex)))
     rep = sampling_inequality_probe(lat, zero, 2)
     assert rep == {"norm": 0.0, "sample_norm": 0.0, "sobolev_term": 0.0,
                    "ratio": 0.0, "upper_ratio": 0.0}
@@ -317,7 +322,7 @@ def test_probe_zero_function(space):
 
 def test_probe_scales_linearly(space):
     lat = build_lattice(0.3, 1.0, seed=0)
-    f = synthesize(space, 2.0, seed=0, n_modes=2)
+    f = synthesize(_band_grid(space), seed=0, n_modes=2)
     r1 = sampling_inequality_probe(lat, f, 2)
     r3 = sampling_inequality_probe(lat, f.scaled(3.0), 2)
     assert r3["sample_norm"] == pytest.approx(3 * r1["sample_norm"], rel=1e-12)
@@ -327,7 +332,7 @@ def test_probe_scales_linearly(space):
 
 def test_probe_rejects_low_order(space):
     lat = build_lattice(0.3, 1.0, seed=0)
-    f = synthesize(space, 2.0, seed=0, n_modes=1)
+    f = synthesize(_band_grid(space), seed=0, n_modes=1)
     with pytest.raises(ValueError):
         sampling_inequality_probe(lat, f, 1.0)
 
@@ -336,9 +341,10 @@ def test_empirical_constant_stable_across_seeds(space):
     """The norm-vs-samples constant calibrated on ten draws bounds ten
     fresh draws, in the dense-lattice regime r = 0.1, omega = 2."""
     lat = build_lattice(0.1, 1.5, seed=0)
+    grid = _band_grid(space)
 
     def ratio(seed):
-        f = synthesize(space, 2.0, seed=seed, n_modes=3)
+        f = synthesize(grid, seed=seed, n_modes=3)
         rep = sampling_inequality_probe(lat, f, 2)
         return rep["norm"] / (lat.r * rep["sample_norm"])
 

@@ -46,19 +46,19 @@ def lattices():
 
 @pytest.fixture(scope="module")
 def frames(lattices, grid):
-    return {r: build_frame(lattices[r], OMEGA, grid=grid)
+    return {r: build_frame(lattices[r], grid=grid)
             for r in (0.4, 0.2, 0.1)}
 
 
 @pytest.fixture(scope="module")
 def frame8(lattices, grid):
     # raised cut: trades span for a projection that is stable to 1e-10
-    return build_frame(lattices[0.2], OMEGA, grid=grid, cut=1e-8)
+    return build_frame(lattices[0.2], grid=grid, cut=1e-8)
 
 
 @pytest.fixture(scope="module")
-def f(space, grid):
-    return synthesize(space, OMEGA, seed=0, grid=grid)
+def f(grid):
+    return synthesize(grid, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +77,11 @@ def test_point_samples_zero_function(f, lattices):
     assert np.all(s.values == 0)
 
 
-def test_point_samples_linearity(f, space, grid, lattices):
+def test_point_samples_linearity(f, grid, lattices):
     lat = lattices[0.4]
-    g = synthesize(space, OMEGA, seed=7, grid=grid)
+    g = synthesize(grid, seed=7)
     combo = BandlimitedFunction(
-        OMEGA, SpectralCoeffs(grid, 2.5 * f.coeffs.values - 1j * g.coeffs.values))
+        SpectralCoeffs(grid, 2.5 * f.coeffs.values - 1j * g.coeffs.values))
     lhs = point_samples(combo, lat).values
     rhs = 2.5 * point_samples(f, lat).values - 1j * point_samples(g, lat).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
@@ -228,9 +228,21 @@ def test_spline_band_projection_matches_plane_wave_rows(space, grid,
         <= 1e-14 * np.max(np.abs(want))
 
 
+def test_results_carry_their_grids_omega(space):
+    # omega lives on the grid only: every band-limited result reads it there
+    grid = build_grid(space, lam_max=6.0, n_lambda=48, n_b=32, omega=1.5)
+    lat = build_lattice(0.8, 1.0, seed=0)
+    f = synthesize(grid, seed=0)
+    rec = reconstruct(build_frame(lat, grid=grid), point_samples(f, lat))
+    interp = SplineInterpolant(build_splines(lat, 2, space=space),
+                               np.ones(len(lat)))
+    proj = spline_band_projection(interp, grid)
+    assert f.omega == rec.omega == proj.omega == grid.omega == 1.5
+
+
 def test_single_point_frame(grid):
     lat = Lattice(np.array([0j]), 0.2, 1, 0.2, 0)
-    frame = build_frame(lat, OMEGA, grid=grid)
+    frame = build_frame(lat, grid=grid)
     assert frame.left.shape == (1, 1)
     a, b = frame.frame_bounds
     assert a == b > 0
@@ -243,7 +255,7 @@ def test_single_point_frame(grid):
 def test_frame_of_roundoff_scale_lattice(grid):
     # two points 3e-16 apart: every Gram entry is the band mass, rank one
     lat = Lattice(np.array([0.1 + 0j, 0.1 + 3e-16]), 0.2, 1, 0.2, 0)
-    frame = build_frame(lat, OMEGA, grid=grid)
+    frame = build_frame(lat, grid=grid)
     band_mass = grid.lambda_measure[grid.band_slice].sum()
     assert np.allclose(_factor_gram(lat, grid), band_mass, rtol=1e-12,
                        atol=0.0)
@@ -289,7 +301,7 @@ def test_zonal_gram_matches_plane_wave_gram(grid, lattices, r, tau):
     # its Gram is the plane-wave Gram psi psi^H
     lat = lattices[r]
     m = None if tau is None else average_multiplier(AverageSpec(tau=tau))
-    frame = build_frame(lat, OMEGA, m, grid=grid)
+    frame = build_frame(lat, m, grid=grid)
     psi = _plane_wave_rows(lat, grid, m)
     ref = psi @ psi.conj().T
     ev = np.linalg.eigvalsh(ref)
@@ -323,12 +335,12 @@ def test_frame_bounds_tighten_as_lattice_refines(frames):
 
 
 def test_build_frame_input_validation(space, grid, lattices):
-    wrong = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=1.0)
+    no_band = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64)
     with pytest.raises(ValueError, match="band panel"):
-        build_frame(lattices[0.4], OMEGA, grid=wrong)
+        build_frame(lattices[0.4], grid=no_band)
     with pytest.raises(ValueError, match="empty"):
         build_frame(Lattice(np.array([], dtype=complex), 0.2, 1, 1.0, 0),
-                    OMEGA, grid=grid)
+                    grid=grid)
 
 
 def test_vanishing_multiplier_rejected(grid, lattices):
@@ -336,7 +348,7 @@ def test_vanishing_multiplier_rejected(grid, lattices):
     dead = Multiplier(fn=lambda lam: np.where(lam < 1.0, 0.0, 1.0),
                       label="gate")
     with pytest.raises(MultiplierVanishes):
-        build_frame(lattices[0.4], OMEGA, dead, grid=grid)
+        build_frame(lattices[0.4], dead, grid=grid)
 
 
 def test_reconstruct_zero_samples(frames, lattices):
@@ -370,8 +382,8 @@ def test_reconstruction_error_decreases_with_r(frames, f, lattices, pgrid):
 
 def test_deconvolution_equals_point_route_for_identity(f, grid, lattices):
     lat = lattices[0.2]
-    frame_pt = build_frame(lat, OMEGA, grid=grid)
-    frame_id = build_frame(lat, OMEGA, identity_multiplier(), grid=grid)
+    frame_pt = build_frame(lat, grid=grid)
+    frame_id = build_frame(lat, identity_multiplier(), grid=grid)
     rec_pt = reconstruct(frame_pt, point_samples(f, lat))
     rec_id = reconstruct(frame_id, convolution_samples(f, lat,
                                                        identity_multiplier()))
@@ -392,7 +404,7 @@ def test_deconvolution_closed_loop(f, grid, lattices):
     # synthesized f itself is limited by the reweighted retained span
     lat = lattices[0.2]
     m = laplacian_multiplier()
-    frame = build_frame(lat, OMEGA, m, grid=grid)
+    frame = build_frame(lat, m, grid=grid)
     f0 = reconstruct(frame, convolution_samples(f, lat, m))
     f1 = reconstruct(frame, convolution_samples(f0, lat, m))
     assert _rel_coeff_err(f1, f0, grid) < 1e-5
@@ -408,13 +420,13 @@ def test_reconstruct_matches_dense_lstsq(frames, f, grid, lattices):
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[grid.band_slice] = (y.reshape(grid.n_band, grid.n_b)
                                / np.sqrt(_weights(grid))[:, None])
-    ref = BandlimitedFunction(OMEGA, SpectralCoeffs(grid, values))
+    ref = BandlimitedFunction(SpectralCoeffs(grid, values))
     assert _rel_coeff_err(reconstruct(frames[0.4], s), ref, grid) <= 1e-6
 
 
 def test_sample_frame_compatibility(f, grid, lattices, frames):
     m = laplacian_multiplier()
-    frame_m = build_frame(lattices[0.2], OMEGA, m, grid=grid)
+    frame_m = build_frame(lattices[0.2], m, grid=grid)
     with pytest.raises(ValueError, match="point samples"):
         reconstruct(frame_m, point_samples(f, lattices[0.2]))
     conv = convolution_samples(f, lattices[0.2], identity_multiplier())

@@ -280,6 +280,8 @@ def test_build_grid_validation():
     with pytest.raises(ValueError):
         sp.build_grid(space, lam_max=10.0, n_lambda=16, n_b=32, omega=12.0)
     with pytest.raises(ValueError):
+        sp.build_grid(space, lam_max=10.0, n_lambda=16, n_b=32, omega=-1.0)
+    with pytest.raises(ValueError):
         sp.build_grid(space, lam_max=-1.0, n_lambda=16, n_b=32)
 
 

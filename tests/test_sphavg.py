@@ -33,8 +33,8 @@ def pgrid():
 
 
 @pytest.fixture(scope="module")
-def f(space, grid):
-    return synthesize(space, OMEGA, seed=0, grid=grid)
+def f(grid):
+    return synthesize(grid, seed=0)
 
 
 def test_spec_validation():
@@ -74,10 +74,10 @@ def test_two_path_agreement(grid, f):
         powers.add(n)
         spec = AverageSpec(tau=tau, n=n)
         g = f if n == 0 else type(f)(
-            f.omega, SpectralCoeffs(grid, f.coeffs.values * base[:, None]))
+            SpectralCoeffs(grid, f.coeffs.values * base[:, None]))
         direct = spherical_average_direct(g, y, spec)
         m = average_multiplier(spec)
-        mf = type(f)(f.omega, apply_multiplier(f.coeffs, m))
+        mf = type(f)(apply_multiplier(f.coeffs, m))
         sym = complex(mf.evaluate(np.array([y]))[0])
         assert abs(direct - sym) <= 1e-6 * max(abs(sym), 1e-3)
     assert powers == {0, 1}
@@ -116,11 +116,11 @@ def test_contraction_rejects_composed_powers(f):
         contraction_check(f, AverageSpec(tau=0.1, n=1))
 
 
-def test_low_frequency_spectrum_contracts_less(space, grid):
-    f_low = synthesize(space, OMEGA, seed=5, grid=grid,
-                       center_range=(0.05, 0.15), width_range=(0.02, 0.05))
-    f_broad = synthesize(space, OMEGA, seed=5, grid=grid,
-                         center_range=(0.7, 0.9), width_range=(0.02, 0.05))
+def test_low_frequency_spectrum_contracts_less(grid):
+    f_low = synthesize(grid, seed=5, center_range=(0.05, 0.15),
+                       width_range=(0.02, 0.05))
+    f_broad = synthesize(grid, seed=5, center_range=(0.7, 0.9),
+                         width_range=(0.02, 0.05))
     spec = AverageSpec(tau=0.5)
     assert contraction_check(f_low, spec)["ratio"] \
         > contraction_check(f_broad, spec)["ratio"]
@@ -138,14 +138,14 @@ def test_near_identity_zero_tau(grid):
     assert np.max(rep["lhs"]) == 0.0
 
 
-def test_experiment_point_sampling_reduction(space, grid, pgrid):
+def test_experiment_point_sampling_reduction(grid, pgrid):
     # tau = 0, n = 0 must reproduce the plain point-sampling pipeline
     [rep] = theorem73_experiment(0.4, [AverageSpec(tau=0.0)], seed=0,
-                                 space=space, grid=grid, pgrid=pgrid,
+                                 grid=grid, pgrid=pgrid,
                                  k_schedule=())
-    f = synthesize(space, OMEGA, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     lat = build_lattice(0.4, 1.4, seed=0)
-    frame = build_frame(lat, OMEGA, grid=grid)
+    frame = build_frame(lat, grid=grid)
     rec = reconstruct(frame, point_samples(f, lat))
     fv = f.evaluate(pgrid.points)
     err = pgrid.norm(rec.evaluate(pgrid.points) - fv) / pgrid.norm(fv)
@@ -153,11 +153,11 @@ def test_experiment_point_sampling_reduction(space, grid, pgrid):
     assert rep["admissible"]
 
 
-def test_experiment_overlapping_spheres(space, grid, pgrid):
+def test_experiment_overlapping_spheres(grid, pgrid):
     # spheres of radius 0.3 around centers 0.2 apart overlap heavily, yet
     # the averaged samples still determine the function on the band
     [rep] = theorem73_experiment(0.2, [AverageSpec(tau=0.3)], seed=0,
-                                 space=space, grid=grid, pgrid=pgrid)
+                                 grid=grid, pgrid=pgrid)
     assert rep["admissible"]
     assert rep["tau"] > rep["r"]
     assert rep["frame_error"] < 1e-4
@@ -167,14 +167,14 @@ def test_experiment_overlapping_spheres(space, grid, pgrid):
     assert rep["spline_errors"] == []
 
 
-def test_experiment_derivative_sampling_pipeline(space, grid):
+def test_experiment_derivative_sampling_pipeline(grid):
     # averages of -Delta f: the strong reweighting restricts the retained
     # span, so the loop is closed on the pipeline's own band projection
     spec = AverageSpec(tau=0.2, n=1)
-    f = synthesize(space, OMEGA, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     lat = build_lattice(0.2, 1.4, seed=0)
     m = average_multiplier(spec)
-    frame = build_frame(lat, OMEGA, m, grid=grid)
+    frame = build_frame(lat, m, grid=grid)
     f0 = reconstruct(frame, convolution_samples(f, lat, m))
     rec = reconstruct(frame, convolution_samples(f0, lat, m))
     pgrid = build_polar_grid(1.4, 160, 96)
@@ -183,20 +183,20 @@ def test_experiment_derivative_sampling_pipeline(space, grid):
     assert err < 1e-5
 
 
-def test_experiment_inadmissible_is_informative(space, grid, pgrid):
+def test_experiment_inadmissible_is_informative(grid, pgrid):
     [rep] = theorem73_experiment(0.4, [AverageSpec(tau=0.5)], seed=0,
-                                 space=space, grid=grid, pgrid=pgrid,
+                                 grid=grid, pgrid=pgrid,
                                  k_schedule=())
     assert not rep["admissible"]
     assert np.isfinite(rep["frame_error"])
 
 
-def test_experiment_deterministic(space, grid, pgrid):
+def test_experiment_deterministic(grid, pgrid):
     [a] = theorem73_experiment(0.4, [AverageSpec(tau=0.1)], seed=3,
-                               space=space, grid=grid, pgrid=pgrid,
+                               grid=grid, pgrid=pgrid,
                                k_schedule=())
     [b] = theorem73_experiment(0.4, [AverageSpec(tau=0.1)], seed=3,
-                               space=space, grid=grid, pgrid=pgrid,
+                               grid=grid, pgrid=pgrid,
                                k_schedule=())
     assert a["frame_error"] == b["frame_error"]
     assert a["frame_bounds"] == b["frame_bounds"]

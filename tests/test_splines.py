@@ -68,8 +68,8 @@ def wide(space, sys2):
 
 
 @pytest.fixture(scope="module")
-def f(space, grid):
-    return synthesize(space, OMEGA, seed=0, grid=grid)
+def f(grid):
+    return synthesize(grid, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -231,10 +231,10 @@ def test_hermite_kernel_matches_series_between_nodes(space, k):
     assert kern(t_max) == kern.table_values[-1]
 
 
-def test_pairing_recovers_point_value(space, wide, sys2):
+def test_pairing_recovers_point_value(wide, sys2):
     # <K(d(o, .)), Delta^2k g> = g(o): the 2k-th Laplacian power undoes the
     # kernel density, leaving the plain inversion formula
-    g = synthesize(space, OMEGA, seed=7, grid=wide)
+    g = synthesize(wide, seed=7)
     o = 0.22 - 0.13j
     lam = wide.lambda_nodes
     rho2 = RHO ** 2
@@ -350,7 +350,7 @@ def test_energy_identity(sys2, interp, samples, wide):
     assert abs(quad.real - gram.real) <= 1e-6 * abs(gram.real)
 
 
-def test_minimization_and_orthogonality(space, sys2, interp, samples, wide):
+def test_minimization_and_orthogonality(sys2, interp, samples, wide):
     # among interpolants of the same data the spline minimizes ||Delta^k u||;
     # competitors are built by correcting band-limited functions with their
     # own splines so they vanish on the lattice
@@ -358,7 +358,7 @@ def test_minimization_and_orthogonality(space, sys2, interp, samples, wide):
     shat = _expansion_field(interp.beta, pts, wide, sys2.k)
     base = _inner_2k(shat, shat, wide, sys2.k).real
     for c in range(20):
-        w = synthesize(space, OMEGA, seed=500 + c, grid=wide)
+        w = synthesize(wide, seed=500 + c)
         beta_w = sys2._solve(point_samples(w, sys2.lattice).values)
         vhat = w.coeffs.values - _expansion_field(beta_w, pts, wide, sys2.k)
         vnorm = _inner_2k(vhat, vhat, wide, sys2.k).real
@@ -378,10 +378,10 @@ def test_iterated_bernstein_chain(f):
 
 # ---------------------------------------------------------- deconvolution
 
-def test_deconvolve_identity_matches_interpolation(space, lat, f, grid,
-                                                   interp, pgrid):
+def test_deconvolve_identity_matches_interpolation(lat, f, grid, interp,
+                                                   pgrid):
     s = convolution_samples(f, lat, identity_multiplier())
-    res = spline_reconstruct_deconvolve(lat, [2], s, space=space, grid=grid)
+    res = spline_reconstruct_deconvolve(lat, [2], s, grid=grid)
     assert res["k_list"] == [2]
     direct = spline_band_projection(interp, grid)
     a = res["functions"][0].evaluate(pgrid.points)
@@ -389,7 +389,7 @@ def test_deconvolve_identity_matches_interpolation(space, lat, f, grid,
     assert pgrid.norm(a - b) <= 1e-10 * pgrid.norm(b)
 
 
-def test_deconvolve_spherical_averages(space, lat, f, grid, interp, pgrid):
+def test_deconvolve_spherical_averages(lat, f, grid, interp, pgrid):
     # band projections of lattice-supported expansions carry the part of f
     # living outside the sampled disk (a few percent here), so the closed
     # loop is judged against the identity-multiplier route, which shares
@@ -397,8 +397,7 @@ def test_deconvolve_spherical_averages(space, lat, f, grid, interp, pgrid):
     m = Multiplier(fn=lambda lam: spherical_function(lam, 0.2),
                    label="sphere_avg_0.2")
     s = convolution_samples(f, lat, m)
-    res = spline_reconstruct_deconvolve(lat, [2, 4, 8], s, space=space,
-                                        grid=grid)
+    res = spline_reconstruct_deconvolve(lat, [2, 4, 8], s, grid=grid)
     assert res["k_list"] == [2]
     fv = f.evaluate(pgrid.points)
     den = pgrid.norm(fv)
@@ -410,35 +409,43 @@ def test_deconvolve_spherical_averages(space, lat, f, grid, interp, pgrid):
     assert err_dec < 1.25 * err_base + 1e-12
 
 
-def test_deconvolve_schedule_documents_the_wall(space, lat, samples, grid):
-    res = spline_reconstruct_deconvolve(lat, [2, 4, 8], samples, space=space,
-                                        grid=grid)
+def test_deconvolve_schedule_documents_the_wall(lat, samples, grid):
+    res = spline_reconstruct_deconvolve(lat, [2, 4, 8], samples, grid=grid)
     assert res["k_list"] == [2]
     assert res["aborted_at"] == 4
     assert res["conditions"][0] < 1e12
 
 
-def test_deconvolve_condition_limit(space, lat, samples, grid, monkeypatch):
+def test_deconvolve_condition_limit(lat, samples, grid, monkeypatch):
     monkeypatch.setattr(splines, "_COND_LIMIT", 10.0)
-    res = spline_reconstruct_deconvolve(lat, [2], samples, space=space,
-                                        grid=grid)
+    res = spline_reconstruct_deconvolve(lat, [2], samples, grid=grid)
     assert res["aborted_at"] == 2
     assert res["functions"] == []
 
 
-def test_deconvolve_vanishing_multiplier_rejected(space, lat, f, grid):
+def test_deconvolve_certificate_limit(lat, samples, grid, monkeypatch):
+    # a Lagrangian defect above the certificate stops the schedule, as the
+    # condition limit does, instead of passing with a warning
+    monkeypatch.setattr(splines, "_CERT_TOL", 1e-30)
+    with pytest.warns(IllConditionedWarning, match="Lagrangian defect"):
+        res = spline_reconstruct_deconvolve(lat, [2], samples, grid=grid)
+    assert res["aborted_at"] == 2
+    assert res["functions"] == []
+
+
+def test_deconvolve_vanishing_multiplier_rejected(lat, f, grid):
     m = Multiplier(fn=lambda lam: np.where(lam < 0.5, 0.0, 1.0),
                    label="hard_highpass")
     s = convolution_samples(f, lat, m)
     with pytest.raises(MultiplierVanishes):
-        spline_reconstruct_deconvolve(lat, [2], s, space=space, grid=grid)
+        spline_reconstruct_deconvolve(lat, [2], s, grid=grid)
 
 
-def test_deconvolve_requires_multiplier_object(space, lat, grid):
+def test_deconvolve_requires_multiplier_object(lat, grid):
     s = SampleSet(lat, np.zeros(len(lat), dtype=complex), "convolution",
                   multiplier=None, multiplier_label="external")
     with pytest.raises(ValueError):
-        spline_reconstruct_deconvolve(lat, [2], s, space=space, grid=grid)
+        spline_reconstruct_deconvolve(lat, [2], s, grid=grid)
 
 
 # ------------------------------------------------------------ convergence

@@ -302,7 +302,7 @@ def test_inverse_transform_of_band_limited_f_matches_plane_wave_sum(space):
     # the plane-wave series is cut at roundoff, so for coefficients that
     # vanish past the band the point values still match the direct sum
     grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
-    f = synthesize(space, 2.0, seed=0, grid=grid)
+    f = synthesize(grid, seed=0)
     rng = np.random.default_rng(12)
     pts = 0.9 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
     sl = grid.band_slice
