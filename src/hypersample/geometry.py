@@ -57,6 +57,26 @@ _BOUNDARY_MARGIN = 1e-12
 # half sum of the positive roots of the hyperbolic plane
 RHO = 0.5
 
+# entries per block of a pairwise pass (about 0.5 MB per float temporary):
+# spline evaluation, kernel-matrix assembly, near-pair search and the frame
+# rows go through their pairs in blocks of this size
+PAIR_BLOCK = 1 << 16
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each about PAIR_BLOCK / width rows.
+
+    A block holds at least two rows, and a one-row remainder joins the
+    block before it: numpy forms a one-row matrix-vector product as a dot
+    product, whose rounding differs from the BLAS product of a longer
+    block, so only a pass of one row in all computes a row alone.
+    """
+    step = max(2, PAIR_BLOCK // max(1, width))
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
+
 
 @dataclass(frozen=True)
 class SpaceParams:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationFailed
-from .geometry import multiplicity_bound, random_ball_points
+from .geometry import PAIR_BLOCK, multiplicity_bound, random_ball_points
 
 __all__ = [
     "Lattice",
@@ -122,25 +122,39 @@ def near_pairs(x: np.ndarray, y: np.ndarray,
     """Index arrays (i, j) of a superset of the pairs with d(x[i], y[j]) <= t.
 
     The extra pairs are at most sinh(t)/2 apart in the Euclidean sense; the
-    caller decides each pair with an exact test.
+    caller decides each pair with an exact test.  The candidate pairs are
+    read in blocks of whole cell runs, about geometry.PAIR_BLOCK pairs each
+    (a longer run is a block of its own), so the temporaries follow the
+    block and the output, not all candidates at once.
     """
     if x.size == 0 or y.size == 0:
         return np.empty(0, np.intp), np.empty(0, np.intp)
     side = _tree_radius(t)
     keys, width = _cell_keys(np.concatenate([x, y]), side)
     x_order, y_order = np.argsort(keys[:x.size]), np.argsort(keys[x.size:])
+    xs, ys = x[x_order], y[y_order]
     y_keys = keys[x.size:][y_order]
     # the run of cells c - 1 .. c + 1 in the rows above, at and below each x
     first = keys[:x.size][x_order] + (width * np.arange(-1, 2) - 1)[:, None]
     lo = np.searchsorted(y_keys, first).ravel()
     count = np.searchsorted(y_keys, first + 3).ravel() - lo
     ends = np.cumsum(count)
-    # positions in the sorted x and y, so the runs are read in order
-    i = np.repeat(np.tile(np.arange(x.size), 3), count)
-    j = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
-    gap = x[x_order][i] - y[y_order][j]
-    keep = gap.real * gap.real + gap.imag * gap.imag <= side * side
-    return x_order[i[keep]], y_order[j[keep]]
+    owner = np.tile(np.arange(x.size), 3)
+    shift = lo - (ends - count)
+    out_i, out_j = [], []
+    a = 0
+    while a < count.size:
+        done = ends[a] - count[a]
+        b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, "right")))
+        # positions in the sorted x and y, so the runs are read in order
+        i = np.repeat(owner[a:b], count[a:b])
+        j = np.arange(done, ends[b - 1]) + np.repeat(shift[a:b], count[a:b])
+        gap = xs[i] - ys[j]
+        keep = gap.real * gap.real + gap.imag * gap.imag <= side * side
+        out_i.append(x_order[i[keep]])
+        out_j.append(y_order[j[keep]])
+        a = b
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .bandlimited import BandlimitedFunction
 from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
+from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
                        _horocycle_rows, _plane_wave_basis, apply_multiplier)
@@ -126,24 +127,23 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     (_horocycle_rows).  The unitary DFT over the boundary angles turns F
     into n_b blocks F_m = G_m S (mode, point, lam), F F^H = sum_m F_m F_m^H;
     G is real, so G_{-m} = conj(G_m) and only the modes 0 ... n_b / 2 are
-    built, in point chunks.  A QR of each G_m (N x deg) gives F_m = Q_m R_m S,
-    mode -m taking conj(R_m), and an SVD of R_m S gives the block's right
-    singular directions V_m; those above max(N, n_band) eps times the
-    largest singular value of all blocks (the roundoff floor) are kept.
-    Returns C = [G_m (S V_m)]_m, of shape (N, K) with C C^H = F F^H, and
-    the V_m.
+    built, in point blocks of about geometry.PAIR_BLOCK row entries.  A QR
+    of each G_m (N x deg) gives F_m = Q_m R_m S, mode -m taking conj(R_m),
+    and an SVD of R_m S gives the block's right singular directions V_m;
+    those above max(N, n_band) eps times the largest singular value of all
+    blocks (the roundoff floor) are kept.
+    Returns C = [G_m (S V_m)]_m, of shape (N, K) with C C^H = F F^H, each
+    mode's columns written straight into C, and the V_m.
     """
     lam = grid.lambda_nodes[grid.band_slice]
     n, n_b = points.size, grid.n_b
     a_max, series = _plane_wave_basis(points, lam, scale)
     deg = series.shape[0]
     half = np.empty((n_b // 2 + 1, n, deg), dtype=complex)
-    step = max(1, (1 << 20) // (deg * n_b))
-    for lo in range(0, n, step):
-        rows = _horocycle_rows(points[lo:lo + step], grid.boundary_angles,
-                               a_max, deg)
-        half[:, lo:lo + step] = np.fft.rfft(
-            rows, axis=2, norm="ortho").transpose(2, 0, 1)
+    for blk in row_blocks(n, deg * n_b):
+        rows = _horocycle_rows(points[blk], grid.boundary_angles, a_max, deg)
+        half[:, blk] = np.fft.rfft(rows, axis=2,
+                                   norm="ortho").transpose(2, 0, 1)
     # one block at a time: a batched QR would copy the whole stack
     tri = np.stack([np.linalg.qr(g, mode="r") for g in half])
     modes = np.arange(n_b)
@@ -154,9 +154,17 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     _, sv, vh = np.linalg.svd(tri @ series, full_matrices=False)
     keep = sv > max(n, lam.size) * np.finfo(float).eps * sv.max()
     dirs = [v[k].conj().T for v, k in zip(vh, keep)]
-    cols = [np.conj(half[s] @ np.conj(series @ v)) if ng
-            else half[s] @ (series @ v) for s, ng, v in zip(src, neg, dirs)]
-    return np.concatenate(cols, axis=1), dirs
+    factor = np.empty((n, int(keep.sum())), dtype=complex)
+    at = 0
+    for s, ng, v in zip(src, neg, dirs):
+        cols = factor[:, at:at + v.shape[1]]
+        at += v.shape[1]
+        if ng:
+            np.matmul(half[s], np.conj(series @ v), out=cols)
+            np.conj(cols, out=cols)
+        else:
+            np.matmul(half[s], series @ v, out=cols)
+    return factor, dirs
 
 
 def build_frame(lat: Lattice, m: Multiplier | None = None, *,

@@ -15,11 +15,14 @@ mass stays below _TAIL_TOL = 1e-10 relative to K(0).  Values and slopes
 sample spectral.zonal_series, a tail-checked Chebyshev series in t, and
 its derivative series: K(t) is the Busemann average over boundary angles b
 of e^{rho a} g(a) at a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is
-one Chebyshev series in a.  The kernel matrix is certified positive
-definite by its Cholesky factorization and solved by numpy.linalg.solve
-with iterative refinement.  The Lagrangian defect is certified against
-_CERT_TOL = 1e-8; deconvolving schedules stop at condition
-_COND_LIMIT = 1e12 or at a failed certificate.
+one Chebyshev series in a.  The kernel matrix is assembled, and the
+interpolants are evaluated, in row blocks of about geometry.PAIR_BLOCK =
+2^16 point pairs, so their working arrays stay near 0.5 MB each and memory
+follows the result rather than the number of pairs.  The kernel matrix is
+certified positive definite by its Cholesky factorization and solved by
+numpy.linalg.solve with iterative refinement.  The Lagrangian defect is
+certified against _CERT_TOL = 1e-8; deconvolving schedules stop at
+condition _COND_LIMIT = 1e12 or at a failed certificate.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from numpy.polynomial.chebyshev import chebder, chebval
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes,
                      ProblemTooLarge, SingularKernel, TailTooLarge)
-from .geometry import RHO, SpaceParams, distance
+from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
@@ -225,6 +228,30 @@ def _refined_solve(kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _kernel_matrix(kern: PolyharmonicKernel, pts: np.ndarray) -> np.ndarray:
+    """(K + K^T) / 2 for K[j, nu] = kern(d(x_j, x_nu)), zero on the diagonal.
+
+    Filled in row blocks of about geometry.PAIR_BLOCK entries into the one
+    N x N result, then symmetrised in place block by block, so no other
+    N x N array is formed; the entries are those of the whole-matrix pass.
+    """
+    n = pts.size
+    kmat = np.empty((n, n))
+    for blk in row_blocks(n, n):
+        d = distance(pts[blk, None], pts[None, :])
+        rows = np.arange(blk.stop - blk.start)
+        d[rows, rows + blk.start] = 0.0
+        kmat[blk] = kern(d)
+    # the rows of each block and the matching columns, from the block's
+    # diagonal on; later blocks read neither
+    for blk in row_blocks(n, n):
+        sym = kmat[blk, blk.start:] + kmat[blk.start:, blk].T
+        sym *= 0.5
+        kmat[blk, blk.start:] = sym
+        kmat[blk.start:, blk] = sym.T
+    return kmat
+
+
 def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
                   space) -> SplineSystem:
     """Kernel matrix K_2k(d(x_j, x_nu)) and its Lagrangian coefficients.
@@ -237,8 +264,10 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     points (or an order too high for double precision) surface as
     SingularKernel.  Iterative refinement, the same solve the interpolants
     use, pushes the interpolation residual to roundoff even for stiff
-    systems.  ProblemTooLarge is raised when the N x N matrices cannot be
-    allocated.
+    systems.  The kernel matrix is assembled in row blocks of about
+    geometry.PAIR_BLOCK entries straight into its one N x N array
+    (_kernel_matrix); ProblemTooLarge is raised when the assembly runs out
+    of memory, in practice at that one array.
     """
     if len(lat) == 0:
         raise ValueError("empty lattice")
@@ -246,10 +275,7 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
                                multiplier=m)
     n = len(lat)
     try:
-        d = distance(lat.points[:, None], lat.points[None, :])
-        np.fill_diagonal(d, 0.0)
-        kmat = kern(d)
-        kmat = 0.5 * (kmat + kmat.T)
+        kmat = _kernel_matrix(kern, lat.points)
     except MemoryError as exc:
         raise ProblemTooLarge(
             f"the {n} x {n} order-{k} kernel matrix ({8e-9 * n * n:.3g} GB "
@@ -281,7 +307,13 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
 
 @dataclass(eq=False)
 class SplineInterpolant:
-    """Finite kernel expansion sum_j beta_j K_2k(d(., x_j))."""
+    """Finite kernel expansion sum_j beta_j K_2k(d(., x_j)).
+
+    evaluate forms the distances to the anchors in row blocks of about
+    geometry.PAIR_BLOCK pairs (geometry.row_blocks), so its temporaries stay
+    near 0.5 MB each at any number of points; each value is the one the
+    whole points x anchors pass gives, bit for bit.
+    """
 
     system: SplineSystem
     beta: np.ndarray
@@ -292,10 +324,9 @@ class SplineInterpolant:
         flat = pts.ravel()
         res = out.ravel()
         anchors = self.system.lattice.points
-        step = max(1, int(4e6 / max(1, anchors.size)))
-        for start in range(0, flat.size, step):
-            d = distance(flat[start:start + step, None], anchors[None, :])
-            res[start:start + step] = self.system.kernel(d) @ self.beta
+        for blk in row_blocks(flat.size, anchors.size):
+            d = distance(flat[blk, None], anchors[None, :])
+            res[blk] = self.system.kernel(d) @ self.beta
         if np.isscalar(points) or np.asarray(points).ndim == 0:
             return res[0]
         return out

@@ -48,6 +48,7 @@ exponential per (lam, node, boundary angle) and no Chebyshev series.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -407,6 +408,7 @@ class CalibrationResult:
     spread: float
 
 
+@functools.lru_cache(maxsize=1)
 def calibrate_plancherel() -> CalibrationResult:
     """Measure plancherel_scale by Parseval balance on reference functions.
 
@@ -416,6 +418,10 @@ def calibrate_plancherel() -> CalibrationResult:
     squared norms, and least-squares fits the single constant.  The
     per-function ratios must agree to 1e-3 or the measurement is rejected
     (CalibrationInconsistent).
+
+    The measurement has no inputs, so it runs once per process: later
+    calls return the same result, whose ratios are read-only
+    (calibrate_plancherel.cache_clear() forces a fresh measurement).
     """
     grid = build_grid(SpaceParams(), 24.0, 96, 64)
     pgrid = build_polar_grid(8.0, 128, 128)
@@ -430,6 +436,7 @@ def calibrate_plancherel() -> CalibrationResult:
         dens.append(coeffs.norm_sq())
     nums, dens = np.array(nums), np.array(dens)
     ratios = nums / dens
+    ratios.flags.writeable = False
     spread = float(ratios.max() / ratios.min() - 1.0)
     if spread > 1e-3:
         raise CalibrationInconsistent(

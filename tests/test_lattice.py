@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypersample import lattice as lattice_mod
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import CertificationFailed
-from hypersample.geometry import ball_volume, distance, multiplicity_bound
+from hypersample.geometry import (PAIR_BLOCK, ball_volume, distance,
+                                  multiplicity_bound, random_ball_points)
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
                                  certify_multiplicity, load_lattice,
                                  sampling_inequality_probe, save_lattice)
@@ -141,6 +142,50 @@ def test_near_pairs_matches_brute_force(t, data):
     need = set(zip(*np.nonzero((hyper <= t) | (gap <= 0.5 * math.sinh(t)))))
     allowed = set(zip(*np.nonzero(gap <= side * (1.0 + 1e-12))))
     assert need <= found <= allowed
+
+
+def _near_pairs_single_pass(x, y, t):
+    """near_pairs with every candidate pair formed at once, the form the
+    blocked search splits into runs of about PAIR_BLOCK pairs."""
+    if x.size == 0 or y.size == 0:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    side = lattice_mod._tree_radius(t)
+    keys, width = lattice_mod._cell_keys(np.concatenate([x, y]), side)
+    x_order, y_order = np.argsort(keys[:x.size]), np.argsort(keys[x.size:])
+    y_keys = keys[x.size:][y_order]
+    first = keys[:x.size][x_order] + (width * np.arange(-1, 2) - 1)[:, None]
+    lo = np.searchsorted(y_keys, first).ravel()
+    count = np.searchsorted(y_keys, first + 3).ravel() - lo
+    ends = np.cumsum(count)
+    i = np.repeat(np.tile(np.arange(x.size), 3), count)
+    j = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
+    gap = x[x_order][i] - y[y_order][j]
+    keep = gap.real * gap.real + gap.imag * gap.imag <= side * side
+    return x_order[i[keep]], y_order[j[keep]]
+
+
+@pytest.mark.parametrize("case", ["probes", "long_runs", "empty"])
+def test_blocked_near_pairs_match_single_pass(case):
+    rng = np.random.default_rng(11)
+    if case == "probes":
+        # ~7e5 candidates from 2e4 probes on the r = 0.1 lattice: a dozen
+        # blocks of whole runs
+        x = random_ball_points(1.4, 20_000, rng)
+        y = build_lattice(0.1, 1.4, seed=0).points
+        t = 0.1
+    elif case == "long_runs":
+        # every run is longer than a block, so each is a block of its own
+        x = random_ball_points(0.01, 3, rng)
+        y = random_ball_points(0.01, PAIR_BLOCK + 100, rng)
+        t = 1.0
+    else:
+        x, y, t = random_ball_points(1.0, 50, rng), np.empty(0, complex), 0.5
+    i, j = lattice_mod.near_pairs(x, y, t)
+    ref_i, ref_j = _near_pairs_single_pass(x, y, t)
+    assert i.size > PAIR_BLOCK or case == "empty"
+    assert set(zip(i.tolist(), j.tolist())) \
+        == set(zip(ref_i.tolist(), ref_j.tolist()))
+    assert i.size == ref_i.size
 
 
 def _dense_lattice(r, domain, seed):

@@ -8,6 +8,7 @@ k = 4 kernel matrix already fails Cholesky, so schedules abort there.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,7 +20,8 @@ from hypersample.bandlimited import synthesize
 from hypersample.cli import main
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
                                 ProblemTooLarge, SingularKernel, TailTooLarge)
-from hypersample.geometry import RHO, busemann, distance
+from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
+                                  random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
 from hypersample.spectral import (Multiplier, _busemann_angle_count,
@@ -27,7 +29,8 @@ from hypersample.spectral import (Multiplier, _busemann_angle_count,
                                   identity_multiplier, plancherel_density,
                                   spherical_function, zonal_series)
 from hypersample.sphavg import AverageSpec, average_multiplier
-from hypersample.splines import (_kernel_lambda_grid, build_splines,
+from hypersample.splines import (_kernel_lambda_grid, _kernel_matrix,
+                                 build_splines,
                                  iterated_bernstein_check,
                                  polyharmonic_kernel, spline_band_projection,
                                  spline_interpolate,
@@ -467,3 +470,73 @@ def test_ill_conditioned_build_warns(space):
     lat_fine = build_lattice(0.4, 1.4, seed=0)
     with pytest.warns(IllConditionedWarning):
         build_splines(lat_fine, 2, space=space)
+
+
+# ---------------------------------------------------- blocked pair passes
+
+def _evaluate_single_pass(interp, points):
+    """The whole points x anchors pass that SplineInterpolant.evaluate
+    splits into row blocks."""
+    anchors = interp.system.lattice.points
+    d = distance(points[:, None], anchors[None, :])
+    return interp.system.kernel(d) @ interp.beta
+
+
+def _kernel_matrix_single_pass(kern, pts):
+    """The whole-matrix assembly that _kernel_matrix splits into blocks."""
+    d = distance(pts[:, None], pts[None, :])
+    np.fill_diagonal(d, 0.0)
+    kmat = kern(d)
+    return 0.5 * (kmat + kmat.T)
+
+
+def _traced_peak(call):
+    """call() and the peak of the bytes it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["one_point", "one_row_left", "ragged"])
+def test_blocked_evaluate_matches_single_pass(interp, case):
+    # blocks of PAIR_BLOCK // 83 rows: a single point; two blocks and a
+    # one-row remainder, which joins the block before it; a ragged third
+    # block
+    rows = PAIR_BLOCK // len(interp.system.lattice)
+    n = {"one_point": 1, "one_row_left": 2 * rows + 1,
+         "ragged": 2 * rows + 17}[case]
+    pts = random_ball_points(DOMAIN, n, np.random.default_rng(n))
+    out = interp.evaluate(pts)
+    assert out.tobytes() == _evaluate_single_pass(interp, pts).tobytes()
+    assert interp.evaluate(pts[0]) == _evaluate_single_pass(interp, pts[:1])[0]
+
+
+def test_blocked_kernel_matrix_matches_single_pass(sys2):
+    # N = 300: blocks of 218 rows and a ragged last block of 82
+    pts = random_ball_points(DOMAIN, 300, np.random.default_rng(5))
+    assert (PAIR_BLOCK // pts.size) * 2 > pts.size > PAIR_BLOCK // pts.size
+    kmat = _kernel_matrix(sys2.kernel, pts)
+    ref = _kernel_matrix_single_pass(sys2.kernel, pts)
+    assert kmat.tobytes() == ref.tobytes()
+    assert np.array_equal(kmat, kmat.T)
+
+
+def test_evaluate_memory_follows_the_block(interp):
+    # 1e5 points x 83 anchors: the single pass held 8.3e6-entry complex
+    # temporaries (over 100 MB each); the blocks keep the working set at a
+    # few block-sized arrays beside the result
+    pts = random_ball_points(DOMAIN, 100_000, np.random.default_rng(7))
+    out, peak = _traced_peak(lambda: interp.evaluate(pts))
+    assert peak <= out.nbytes + 16 * PAIR_BLOCK * 16
+
+
+def test_kernel_matrix_memory_follows_the_result(sys2):
+    # N = 1000: the single pass held six 8 MB arrays besides the result
+    pts = random_ball_points(DOMAIN, 1000, np.random.default_rng(8))
+    kmat, peak = _traced_peak(lambda: _kernel_matrix(sys2.kernel, pts))
+    assert peak <= kmat.nbytes + 16 * PAIR_BLOCK * 8

@@ -245,9 +245,26 @@ def test_calibration_inconsistent_when_band_starved(monkeypatch):
     def starved(space, lam_max, n_lambda, n_b):
         return build_grid(space, 2.0, 24, n_b)
 
+    # the memo is cleared before and after, so this call calibrates cold
+    # and no later call sees the starved result
+    tr.calibrate_plancherel.cache_clear()
     monkeypatch.setattr(tr, "build_grid", starved)
-    with pytest.raises(CalibrationInconsistent):
-        tr.calibrate_plancherel()
+    try:
+        with pytest.raises(CalibrationInconsistent):
+            tr.calibrate_plancherel()
+    finally:
+        tr.calibrate_plancherel.cache_clear()
+
+
+def test_calibration_is_measured_once_and_read_only(calibration):
+    # the process measures once; repeat calls hand back the same result,
+    # and its ratios cannot be edited in place
+    again = tr.calibrate_plancherel()
+    assert again is tr.calibrate_plancherel()
+    assert again.scale == calibration.scale
+    assert not again.ratios.flags.writeable
+    with pytest.raises(ValueError):
+        again.ratios[0] = 0.0
 
 
 def test_tail_mass_guard(pgrid, grid):
