@@ -20,8 +20,10 @@ sides are measured by the same code:
 
 - `mode_qr_s`: `numpy.linalg.qr` inside `sampling._band_factor`;
 - `mode_svd_s`: `numpy.linalg.svd` inside `_band_factor` (the per-mode SVDs);
-- `rows_dft_s`: the rest of `_band_factor`: the rows, their DFT over the
-  boundary angles and the products that form the factor C;
+- `rows_dft_s`: the rest of `_band_factor`: the Chebyshev rows
+  e^{rho A} T_k(A / a_max) (made one degree at a time, as planes, since
+  `spectral._horocycle_planes`), their DFT over the boundary angles and
+  the products that form the factor C;
 - `svd_c_s`: `numpy.linalg.svd` outside `_band_factor` (the thin SVD of C);
 - `build_frame_s` and `reconstruct_s`: the two calls.
 

@@ -12,10 +12,10 @@ the minimal-norm band-limited interpolant (the dual-frame reconstruction).
 
 F is never formed whole, nor is its N x N Gram.  Each plane wave is a
 Chebyshev series in the horocycle distance a = A(x, b), so F = G S with the
-real rows G[j, (b, k)] = e^(rho A) T_k(A / a_max) and a short series matrix
-S (deg x n_band, deg about 20 at omega = 2).  A unitary DFT over the n_b
-boundary angles splits G into angular-mode blocks of N x deg, of which the
-real rows leave only n_b / 2 + 1 distinct up to conjugation; each block
+real planes G[j, (b, k)] = e^(rho A) T_k(A / a_max) (spectral) and a short
+series matrix S (deg x n_band, deg about 20 at omega = 2).  A unitary DFT
+over the n_b boundary angles splits G into angular-mode blocks of N x deg,
+of which only n_b / 2 + 1 are distinct up to conjugation; each block
 F_m = G_m S is compressed by QR and an SVD to its right singular
 directions above roundoff.  The concatenated N x K factor C has
 C C^H = F F^H, and one thin SVD of C gives the frame spectrum and the
@@ -39,10 +39,9 @@ import numpy as np
 
 from .bandlimited import BandlimitedFunction
 from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
-from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       _horocycle_rows, _plane_wave_basis, apply_multiplier)
+                       _horocycle_planes, _plane_wave_basis, apply_multiplier)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -124,10 +123,10 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     With the plane waves as Chebyshev series in the horocycle distance
     (_plane_wave_basis, scale_i e^{i lam_i a} = sum_k S[k, i] T_k), F is
     G S on the real rows G[j, (b, k)] = e^{rho A} T_k(A / a_max)
-    (_horocycle_rows).  The unitary DFT over the boundary angles turns F
-    into n_b blocks F_m = G_m S (mode, point, lam), F F^H = sum_m F_m F_m^H;
-    G is real, so G_{-m} = conj(G_m) and only the modes 0 ... n_b / 2 are
-    built, in point blocks of about geometry.PAIR_BLOCK row entries.  A QR
+    (the planes of _horocycle_planes).  The unitary DFT over the boundary
+    angles turns F into n_b blocks F_m = G_m S (mode, point, lam),
+    F F^H = sum_m F_m F_m^H; G is real, so G_{-m} = conj(G_m) and only the
+    modes 0 ... n_b / 2 are built, one real FFT per plane.  A QR
     of each G_m (N x deg) gives F_m = Q_m R_m S, mode -m taking conj(R_m),
     and an SVD of R_m S gives the block's right singular directions V_m;
     those above max(N, n_band) eps times the largest singular value of all
@@ -139,13 +138,13 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     n, n_b = points.size, grid.n_b
     a_max, series = _plane_wave_basis(points, lam, scale)
     deg = series.shape[0]
-    half = np.empty((n_b // 2 + 1, n, deg), dtype=complex)
-    for blk in row_blocks(n, deg * n_b):
-        rows = _horocycle_rows(points[blk], grid.boundary_angles, a_max, deg)
-        half[:, blk] = np.fft.rfft(rows, axis=2,
-                                   norm="ortho").transpose(2, 0, 1)
+    # half[m].T is G_m: each plane's DFT lands in contiguous runs
+    half = np.empty((n_b // 2 + 1, deg, n), dtype=complex)
+    for blk, k, plane in _horocycle_planes(points, grid.boundary_angles,
+                                           a_max, deg):
+        half[:, k, blk] = np.fft.rfft(plane, axis=1, norm="ortho").T
     # one block at a time: a batched QR would copy the whole stack
-    tri = np.stack([np.linalg.qr(g, mode="r") for g in half])
+    tri = np.stack([np.linalg.qr(g.T, mode="r") for g in half])
     modes = np.arange(n_b)
     src = np.minimum(modes, n_b - modes)
     neg = 2 * modes > n_b
@@ -160,10 +159,10 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
         cols = factor[:, at:at + v.shape[1]]
         at += v.shape[1]
         if ng:
-            np.matmul(half[s], np.conj(series @ v), out=cols)
+            np.matmul(half[s].T, np.conj(series @ v), out=cols)
             np.conj(cols, out=cols)
         else:
-            np.matmul(half[s], series @ v, out=cols)
+            np.matmul(half[s].T, series @ v, out=cols)
     return factor, dirs
 
 

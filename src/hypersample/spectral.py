@@ -24,20 +24,18 @@ summation.
 
 Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
 single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
-them into Chebyshev series once, so they can be evaluated at many points by
-Clenshaw recurrence instead of one exponential per (point, angle, lam).
-With unit coefficients the series is a basis for the plane waves
-themselves (_plane_wave_basis), e^{(rho + i lam) a} = e^{rho a} sum_k
-S[k, lam] T_k(a / a_max), and the real rows e^{rho A} T_k(A / a_max) at
-given points and boundary angles (_horocycle_rows) cost one real exp per
-(point, angle): the frame factor (sampling), the spline band projection
-(splines) and the radial mode table (transforms) are contractions of them.
-Zonal sums K(t) = sum_lam c_lam phi_lam(t) are Busemann averages of such a
-series over the boundary (busemann_average), and this is the one place they
-are computed outside the radial mode table of the transforms: zonal_series
-turns K into one Chebyshev series in t, which samples the spline kernel
-table (splines.polyharmonic_kernel), and spherical_function is the same
-average with one unit coefficient per lam.
+them into Chebyshev series once (with unit coefficients, the basis S of
+_plane_wave_basis).  Every such sum at (point, boundary angle) pairs then
+runs through one evaluator, _horocycle_planes: the real planes
+e^{rho A} T_k(A / a_max), one real exp per pair and one recurrence step per
+degree, in blocks of geometry.row_blocks, each reduced by its consumer as
+soon as it is made.  The frame factor (sampling), the spline band
+projection (splines), point evaluation and the radial mode table
+(transforms) and the zonal sums K(t) = sum_lam c_lam phi_lam(t) of
+busemann_average (through the folded circle sum _circle_cosines) are all
+contractions of these planes.  zonal_series turns K into one Chebyshev
+series in t for the spline kernel table, and spherical_function is the
+same average with one unit coefficient per lam.
 """
 
 from __future__ import annotations
@@ -49,11 +47,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .errors import MultiplierVanishes, NumericalFailure
-from .geometry import RHO, SpaceParams, busemann
+from .geometry import RHO, SpaceParams, busemann, row_blocks
 
 __all__ = [
     "plancherel_density",
@@ -189,8 +186,8 @@ def plane_wave_series(lams, coeffs, a_max: float) -> np.ndarray:
     """Chebyshev series of the plane-wave sums h_j(a) = sum_i coeffs[i, j] e^{i lams[i] a}.
 
     Returns the coefficients of each h_j in the variable a / a_max, shape
-    (deg + 1,) + coeffs.shape[1:], one column per column of coeffs, ready
-    for numpy.polynomial.chebyshev.chebval at |a| <= a_max.  Each h_j has
+    (deg + 1,) + coeffs.shape[1:], one column per column of coeffs, valid
+    at |a| <= a_max (_horocycle_planes evaluates them).  Each h_j has
     exponential type max|lam|, so its Chebyshev coefficients decay faster
     than geometrically beyond degree max|lam| * a_max; the interpolant at
     the first-kind Chebyshev points (a DCT-II of the sampled sums) starts
@@ -220,42 +217,57 @@ def _radius_bound(points: np.ndarray) -> float:
 
 def _plane_wave_basis(points: np.ndarray, lam: np.ndarray,
                       scale: np.ndarray) -> tuple[float, np.ndarray]:
-    """The plane waves scale_i e^{i lam_i a} as Chebyshev series in a.
-
-    a_max = _radius_bound(points) bounds |A(x_j, b)| over the circle;
-    S = plane_wave_series(lam, diag(scale), a_max) has
-    scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max,
-    its length set by the roundoff cut of _chebyshev_fit (so by the
-    coefficients of the largest scale_i, not by max(lam) a_max alone).
-    Returns a_max and S, shape (deg, lam.size).
-    """
+    """a_max = _radius_bound(points) and S, shape (deg, lam.size), with
+    scale_i e^{i lam_i a} = sum_k S[k, i] T_k(a / a_max) on |a| <= a_max
+    (plane_wave_series of diag(scale): its length follows the largest
+    scale_i, not max(lam) a_max alone)."""
     a_max = _radius_bound(points)
     return a_max, plane_wave_series(lam, np.diag(scale), a_max)
 
 
-def _horocycle_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
-                    deg: int) -> np.ndarray:
-    """e^{rho A} T_k(A / a_max) at A = A(x_j, b_l) at [j, k, l], k < deg.
+def _horocycle_planes(points: np.ndarray, angles: np.ndarray, a_max: float,
+                      deg: int):
+    """Yield (blk, k, P), P = e^{rho A} T_k(A / a_max) at A = A(x_j, b_l)
+    for the points j in blk and every angle l, k < deg, block by block of
+    geometry.row_blocks(points.size, angles.size).
 
-    Real, shape (n_points, deg, n_angles): one exp per (point, angle), then
-    the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}, which is linear
-    and so carries the factor e^{rho A} along.  With S from
-    _plane_wave_basis at unit scale, e^{(rho + i lam_i) A} at [j, l] is
-    sum_k rows[j, k, l] S[k, i], and conj(S) gives e^{(rho - i lam_i) A}:
-    the frame factor, the spline band projection and the radial mode table
-    are all contractions of these rows.
+    One real exp per (point, angle), then T_{k+1} = 2 x T_k - T_{k-1},
+    which is linear and so carries the factor e^{rho A} along.  With S from
+    _plane_wave_basis, e^{(rho + i lam_i) A} = sum_k P_k S[k, i].  P is a
+    work buffer the next steps overwrite: reduce it before asking for more.
     """
-    a = busemann(points[:, None], angles[None, :])
-    x = a / a_max
-    rows = np.empty((points.size, deg, angles.size))
-    rows[:, 0] = np.exp(RHO * a)
-    if deg > 1:
-        np.multiply(x, rows[:, 0], out=rows[:, 1])
-    x *= 2.0
-    for k in range(2, deg):
-        np.multiply(x, rows[:, k - 1], out=rows[:, k])
-        rows[:, k] -= rows[:, k - 2]
-    return rows
+    for blk in row_blocks(points.size, angles.size):
+        a = busemann(points[blk, None], angles[None, :])
+        cur = np.exp(RHO * a)
+        a /= a_max
+        # T_{-1} = T_1 starts the recurrence: 2 x T_0 - x T_0 is x T_0 exactly
+        prev = a * cur
+        a *= 2.0
+        spare = np.empty_like(a)
+        yield blk, 0, cur
+        for k in range(1, deg):
+            np.multiply(a, cur, out=spare)
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
+            yield blk, k, cur
+
+
+def _circle_cosines(points: np.ndarray, n: int, m_max: int, a_max: float,
+                    deg: int) -> np.ndarray:
+    """G[k, j, m] = (1/n) sum_l cos(m t_l) e^{rho A} T_k(A / a_max) at
+    A = A(x_j, t_l), t_l = 2 pi l / n, for points x_j on the positive axis.
+
+    There A(x, t) = A(x, -t), so the circle folds onto 0 <= t <= pi, each
+    interior angle counted twice, and each plane is one matrix product.
+    """
+    half = np.arange(n // 2 + 1)
+    t = 2.0 * np.pi * half / n
+    fold = np.where((half == 0) | (2 * half == n), 1.0, 2.0) / n
+    cos_mt = fold[:, None] * np.cos(np.outer(t, np.arange(m_max + 1)))
+    out = np.empty((deg, points.size, m_max + 1))
+    for blk, k, plane in _horocycle_planes(points, t, a_max, deg):
+        np.matmul(plane, cos_mt, out=out[k, blk])
+    return out
 
 
 def _busemann_angle_count(lam_max: float, a_max: float) -> int:
@@ -287,19 +299,15 @@ def busemann_average(lams, coeffs, t: np.ndarray, a_max: float,
                      n_b: int) -> np.ndarray:
     """Zonal sums K(t) = sum_i coeffs[i] phi_{lams[i]}(t) for real coeffs.
 
-    The result has shape coeffs.shape[1:] + t.shape: one row of K per
-    coefficient column.  phi_lam(t) is the mean over n_b boundary angles of
-    Re e^{(i lam + rho) A(t, b)} = e^{rho A} cos(lam A), so the lam-sum is
-    the real part of one plane_wave_series h in A on |A| <= a_max (which
-    must be at least max t), evaluated by Clenshaw recurrence.  Since
-    A(t, b) = A(t, -b) on the positive axis, the circle is folded onto
-    0 <= b <= pi, each interior angle counted twice.
+    The result has shape coeffs.shape[1:] + t.shape.  phi_lam(t) is the
+    mean over n_b boundary angles of e^{rho A} cos(lam A) at A = A(t, b), so
+    the lam-sum is the real part of one plane_wave_series h on |A| <= a_max
+    (at least max t): the angle means of the planes (_circle_cosines,
+    mode 0) contracted with h.
     """
-    half = np.arange(n_b // 2 + 1)
-    fold = np.where((half == 0) | (2 * half == n_b), 1.0, 2.0) / n_b
-    a = busemann(np.tanh(t / 2)[:, None], 2.0 * np.pi * half[None, :] / n_b)
     series = plane_wave_series(lams, coeffs, a_max).real
-    return (np.exp(RHO * a) * chebval(a / a_max, series)) @ fold
+    means = _circle_cosines(np.tanh(t / 2), n_b, 0, a_max, len(series))
+    return np.tensordot(series, means[:, :, 0], axes=(0, 0))
 
 
 def zonal_series(lams, coeffs, t_max: float) -> np.ndarray:
@@ -341,12 +349,7 @@ def spherical_function(lam, r) -> np.ndarray:
     # of at least |a| <= 1 keeps it inside the plane-wave series' domain
     a_max = max(float(rs[-1]), 1.0)
     n_b = _busemann_angle_count(float(lams[-1]), a_max)
-    # radius blocks keep the (lam, r, angle) Clenshaw arrays near 2^21 entries
-    step = max(1, (1 << 21) // (lams.size * (n_b // 2 + 1)))
-    table = np.concatenate([
-        busemann_average(lams, np.eye(lams.size), rs[lo:lo + step], a_max,
-                         n_b) for lo in range(0, rs.size, step)],
-        axis=1)
+    table = busemann_average(lams, np.eye(lams.size), rs, a_max, n_b)
     return table[li.ravel(), ri.ravel()].reshape(lam_b.shape)
 
 

@@ -12,13 +12,12 @@ radial grid out to the lattice's diameter and evaluated as the cubic
 Hermite interpolant on that grid (the interval of t is t / h, no search);
 the spectral cutoff is chosen from an analytic tail bound so the truncated
 mass stays below _TAIL_TOL = 1e-10 relative to K(0).  Values and slopes
-sample spectral.zonal_series, a tail-checked Chebyshev series in t, and
-its derivative series: K(t) is the Busemann average over boundary angles b
-of e^{rho a} g(a) at a = A(t, b), where g(a) = sum_lam c_lam cos(lam a) is
-one Chebyshev series in a.  The kernel matrix is assembled, and the
-interpolants are evaluated, in row blocks of about geometry.PAIR_BLOCK =
-2^16 point pairs, so their working arrays stay near 0.5 MB each and memory
-follows the result rather than the number of pairs.  The kernel matrix is
+sample spectral.zonal_series, a tail-checked Chebyshev series in t (a
+Busemann average of the plane-wave planes), and its derivative series; the
+band projection contracts the same planes.  The kernel matrix is
+assembled, and the interpolants are evaluated, in row blocks of about
+geometry.PAIR_BLOCK = 2^16 point pairs, so memory follows the result
+rather than the number of pairs.  The kernel matrix is
 certified positive definite by its Cholesky factorization and solved by
 numpy.linalg.solve with iterative refinement.  The Lagrangian defect is
 certified against _CERT_TOL = 1e-8; deconvolving schedules stop at
@@ -36,13 +35,14 @@ from numpy.polynomial.chebyshev import chebder, chebval
 
 from .bandlimited import BandlimitedFunction
 from .errors import (IllConditionedWarning, MultiplierVanishes,
-                     ProblemTooLarge, SingularKernel, TailTooLarge)
+                     NumericalFailure, ProblemTooLarge, SingularKernel,
+                     TailTooLarge)
 from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
-                       _horocycle_rows, _plane_wave_basis, plancherel_density,
-                       zonal_series)
+                       _horocycle_planes, _plane_wave_basis,
+                       plancherel_density, zonal_series)
 
 __all__ = [
     "PolyharmonicKernel",
@@ -130,6 +130,16 @@ def _multiplier_sq(m: Multiplier | None, lam: np.ndarray) -> np.ndarray:
     return np.abs(vals) ** 2
 
 
+def _order_weight(lam: np.ndarray, k: int) -> np.ndarray:
+    """(lam^2 + rho^2)^(-2k), or NumericalFailure where it overflows."""
+    with np.errstate(over="ignore"):
+        w = (lam ** 2 + RHO * RHO) ** (-2 * k)
+    if not np.all(np.isfinite(w)):
+        raise NumericalFailure(f"order-{k} kernel: (lam^2 + rho^2)^(-2k) "
+                               f"overflows double precision at small lam")
+    return w
+
+
 def polyharmonic_kernel(space, k: int, *, t_max: float,
                         multiplier: Multiplier | None = None
                         ) -> PolyharmonicKernel:
@@ -149,7 +159,8 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     sup|m|^2 * scale * lam_max^(2-4k) / (4k-2) (density <= scale * lam and
     phi bounded by one); lam_max is 1.1 times the cutoff where that bound
     meets _TAIL_TOL relative to K(0), and at least 10.  TailTooLarge fires
-    when the cutoff would pass _LAM_CAP (k = 1 always does).
+    when the cutoff would pass _LAM_CAP (k = 1 always does); from k = 257
+    on the density overflows at small lam, a NumericalFailure.
     """
     if k < 1 or k != int(k):
         raise ValueError("spline order k must be a positive integer")
@@ -157,14 +168,13 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
         raise ValueError("bad kernel table parameters")
     k = int(k)
     scale = space.plancherel_scale
-    rho2 = RHO * RHO
 
     # reference value K(0) (phi = 1 there): cheap, no angular quadrature
     ref_nodes, ref_weights = _kernel_lambda_grid(10.0)
     ref_dens = plancherel_density(ref_nodes, scale)
     msq_ref = _multiplier_sq(multiplier, ref_nodes)
     k0_ref = float(np.sum(ref_weights * ref_dens * msq_ref
-                          * (ref_nodes ** 2 + rho2) ** (-2 * k)))
+                          * _order_weight(ref_nodes, k)))
     if not k0_ref > 0:
         raise ValueError("kernel density integrates to zero")
 
@@ -186,7 +196,7 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     nodes, weights = _kernel_lambda_grid(lam_max)
     dens = plancherel_density(nodes, scale)
     msq = _multiplier_sq(multiplier, nodes)
-    coef = weights * dens * msq * (nodes ** 2 + rho2) ** (-2 * k)
+    coef = weights * dens * msq * _order_weight(nodes, k)
 
     t = np.linspace(0.0, t_max, _TABLE_POINTS)
     x = 2.0 * t / t_max - 1.0
@@ -354,15 +364,18 @@ def spline_band_projection(interp: SplineInterpolant,
     sys = interp.system
     sl = grid.band_slice
     lam = grid.lambda_nodes[sl]
-    fac = (lam ** 2 + RHO ** 2) ** (-2 * sys.k)
+    fac = _order_weight(lam, sys.k)
     m = sys.deconv_multiplier
     if m is not None:
         fac = fac * np.conj(np.asarray(m.fn(lam), dtype=complex))
     # e^((-i lam + rho) a) = e^(rho a) sum_k conj(S[k, lam]) T_k(a / a_max)
     pts = sys.lattice.points
     a_max, series = _plane_wave_basis(pts, lam, np.ones(lam.size))
-    rows = _horocycle_rows(pts, grid.boundary_angles, a_max, series.shape[0])
-    coef = series.conj().T @ np.tensordot(interp.beta, rows, axes=1)
+    sums = np.zeros((len(series), grid.n_b), dtype=interp.beta.dtype)
+    for blk, k, plane in _horocycle_planes(pts, grid.boundary_angles, a_max,
+                                           len(series)):
+        sums[k] += interp.beta[blk] @ plane
+    coef = series.conj().T @ sums
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = fac[:, None] * coef
     return BandlimitedFunction(SpectralCoeffs(grid, values))

@@ -22,10 +22,10 @@ spectral.plane_wave_series,
 
     e^{(rho - i lam) A} = e^{rho A} sum_k conj(S[k, lam]) T_k(A / a_max),
 
-so the angle sum acts only on the real rows e^{rho A} T_k(A / a_max)
-(spectral._horocycle_rows, one real exp per radius and angle).  Their mode
-coefficients G[k, m, r] are real, since the rows are even in t, and the
-table is the one product Phi[lam, m, r] = sum_k conj(S[k, lam]) G[k, m, r].
+so the angle sum acts only on the real planes e^{rho A} T_k(A / a_max) of
+spectral._horocycle_planes, which point evaluation (inverse_transform)
+shares.  Their mode coefficients G are real, the planes being even in t,
+and the table is the one product Phi[lam, m, r] = sum_k conj(S[k, lam]) G.
 
 For r beyond ~4 the circle integrand concentrates in an angular window of
 width ~e^{-r} and the trapezoid rule needs ~e^r nodes, so past the switch
@@ -54,15 +54,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .errors import CalibrationInconsistent, NumericalFailure, TailMassExceeded
 from .geometry import (RHO, SpaceParams, as_complex, busemann, distance,
                        random_ball_points)
-from .spectral import (SpectralCoeffs, SpectralGrid, _fsum_real,
-                       _gamma_ratio, _gauss_legendre, _horocycle_rows,
-                       _plane_wave_basis, _radius_bound, build_grid,
-                       plane_wave_series)
+from .spectral import (SpectralCoeffs, SpectralGrid, _circle_cosines,
+                       _fsum_real, _gamma_ratio, _gauss_legendre,
+                       _horocycle_planes, _plane_wave_basis, _radius_bound,
+                       build_grid, plane_wave_series)
 
 __all__ = [
     "PolarGrid",
@@ -165,32 +164,17 @@ def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.nda
     """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature.
 
     Only reliable up to moderate r; the caller keeps rs <= switch radius.
-    The trapezoid rule over _phase_node_count angles acts on the real rows
-    e^{A/2} T_k(A / a_max) at x = tanh(r/2), a_max = max(rs)
-    (spectral._horocycle_rows).  They are even in t, so the circle folds
-    onto 0 <= t <= pi (interior angles counted twice) and their mode
-    coefficients G[k, m, r] are the real products with cos(m t); with the
-    plane-wave basis S (spectral._plane_wave_basis, unit coefficients),
-    Phi[lam, m, r] = sum_k conj(S[k, lam]) G[k, m, r].  Radii go in chunks
-    of about 2^20 (radius, degree, angle) row entries."""
+    The trapezoid rule over _phase_node_count angles gives the real mode
+    coefficients G[k, r, m] of the planes at x = tanh(r/2)
+    (spectral._circle_cosines), and with the unit basis S of
+    spectral._plane_wave_basis, Phi[lam, m, r] = sum_k conj(S[k, lam]) G."""
     n = _phase_node_count(float(np.max(lams)), float(np.max(rs)))
     n = max(n, 4 * (m_max + 1))
-    half = np.arange(n // 2 + 1)
-    t = 2.0 * np.pi * half / n
-    fold = np.where((half == 0) | (2 * half == n), 1.0, 2.0) / n
-    cos_mt = fold[:, None] * np.cos(np.outer(t, np.arange(m_max + 1)))
     x = np.tanh(rs / 2.0)
     a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
-    deg = series.shape[0]
-    modes = np.empty((deg, m_max + 1, rs.size))
-    chunk = max(1, (1 << 20) // (deg * t.size))
-    for lo in range(0, rs.size, chunk):
-        rows = _horocycle_rows(x[lo:lo + chunk], t, a_max, deg)
-        prod = rows.reshape(-1, t.size) @ cos_mt
-        modes[:, :, lo:lo + chunk] = np.moveaxis(
-            prod.reshape(-1, deg, m_max + 1), 0, 2)
-    table = np.conj(series).T @ modes.reshape(deg, -1)
-    return table.reshape(lams.size, m_max + 1, rs.size)
+    modes = _circle_cosines(x, n, m_max, a_max, series.shape[0])
+    table = np.conj(series).T @ modes.reshape(series.shape[0], -1)
+    return table.reshape(lams.size, rs.size, m_max + 1).transpose(0, 2, 1)
 
 
 def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
@@ -348,29 +332,28 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
     points well inside the region the grid resolves.  For each boundary
     angle the lam-sum is one Chebyshev series in the horocycle distance
     a = A(z, b) on |a| <= max d(0, z) (spectral.plane_wave_series, with its
-    tail check), evaluated by Clenshaw recurrence.  The series is cut at
-    its roundoff plateau, so its length, and the cost per point, follows the
-    decay of the weighted coefficients in lam rather than
-    lam_max * max d(0, z): 18 terms instead of 77 for the omega = 2 test
-    function at the r = 0.1 lattice points (lam_max = 8, domain 1.4), and
-    a single zero term for zero coefficients.
+    tail check), and each real plane of spectral._horocycle_planes is
+    contracted with the matching coefficients of the n_b series.  The
+    series is cut at its roundoff plateau, so its length, and the cost per
+    point, follows the decay of the weighted coefficients in lam: 18 terms
+    instead of 77 for the omega = 2 test function at the r = 0.1 lattice
+    points (lam_max = 8, domain 1.4), one zero term for zero coefficients.
     """
     grid = coeffs.grid
     pts = as_complex(points)
     flat = pts.ravel()
-    out = np.zeros(flat.size, dtype=complex)
     if flat.size == 0:
-        return out.reshape(pts.shape)
-    angles = grid.boundary_angles
+        return np.zeros(pts.shape, dtype=complex)
     a_max = _radius_bound(flat)
     weighted = (grid.lambda_measure[:, None] * coeffs.values) / grid.n_b
     series = plane_wave_series(grid.lambda_nodes, weighted, a_max)
-    chunk = max(1, int(2.0e5 / angles.size))
-    for lo in range(0, flat.size, chunk):
-        av = busemann(flat[lo:lo + chunk, None], angles[None, :])
-        vals = chebval(av / a_max, series, tensor=False)
-        out[lo:lo + chunk] = np.sum(np.exp(RHO * av) * vals, axis=1)
-    return out.reshape(pts.shape)
+    # real (n_b, 2) columns [Re, Im] per degree keep the planes real
+    parts = np.stack([series.real, series.imag], axis=2)
+    acc = np.zeros((flat.size, 2))
+    for blk, k, plane in _horocycle_planes(flat, grid.boundary_angles,
+                                           a_max, len(series)):
+        acc[blk] += plane @ parts[k]
+    return (acc[:, 0] + 1j * acc[:, 1]).reshape(pts.shape)
 
 
 # ---------------------------------------------------------------------------

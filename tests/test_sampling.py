@@ -17,7 +17,7 @@ from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, load_samples,
                                   point_samples, reconstruct, save_samples,
                                   stability_probe)
-from hypersample.spectral import (SpectralCoeffs, _horocycle_rows,
+from hypersample.spectral import (SpectralCoeffs, _horocycle_planes,
                                   _plane_wave_basis, build_grid,
                                   identity_multiplier, laplacian_multiplier)
 from hypersample.sphavg import AverageSpec, average_multiplier
@@ -186,9 +186,11 @@ def test_mode_rows_match_plane_wave_dft(grid, lattices, r, name):
     scale = np.sqrt(_weights(grid, _multiplier(name)))
     a_max, series = _plane_wave_basis(lat.points, grid.lambda_nodes[sl],
                                       scale)
-    half = np.fft.rfft(_horocycle_rows(lat.points, grid.boundary_angles,
-                                       a_max, series.shape[0]),
-                       axis=2, norm="ortho")
+    half = np.empty((len(lat), len(series), grid.n_b // 2 + 1),
+                    dtype=complex)
+    for blk, k, plane in _horocycle_planes(lat.points, grid.boundary_angles,
+                                           a_max, len(series)):
+        half[blk, k] = np.fft.rfft(plane, axis=1, norm="ortho")
     ref = np.fft.fft(_kernel_rows(lat.points, grid.lambda_nodes[sl],
                                   grid.boundary_angles),
                      axis=0, norm="ortho") * scale

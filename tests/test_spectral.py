@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebval, chebvander
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from hypersample import spectral as sp
 from hypersample.errors import MultiplierVanishes, NumericalFailure
-from hypersample.geometry import RHO, SpaceParams
+from hypersample.geometry import PAIR_BLOCK, RHO, SpaceParams, busemann
 
 
 def test_density_gamma_quotient_is_lam_tanh():
@@ -152,6 +152,37 @@ def test_plane_wave_series_matches_direct_sum(lam_max, a_max, cols, deg):
     ref = np.exp(1j * np.outer(a, lams)) @ coeffs
     got = chebval(a / a_max, series).T
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("n_points, n_angles, deg", [
+    (1, 7, 5),           # a single point: one block of one row
+    (300, 33, 40),       # odd angle count, one block
+    (70, 4001, 12),      # several blocks of PAIR_BLOCK / n_angles rows
+    (5, 40001, 3),       # two-row blocks; the one-row remainder joins
+])
+def test_horocycle_planes_are_weighted_chebyshev_rows(n_points, n_angles,
+                                                      deg):
+    # the planes, stacked, are e^{rho A} T_k(A / a_max) at every (point,
+    # angle), built in row_blocks: no plane holds more than PAIR_BLOCK
+    # entries or two rows, except that a one-row remainder joins the last
+    rng = np.random.default_rng(n_points + n_angles)
+    pts = 0.9 * np.sqrt(rng.random(n_points)) \
+        * np.exp(2j * np.pi * rng.random(n_points))
+    angles = 2.0 * np.pi * rng.random(n_angles)
+    a_max = sp._radius_bound(pts)
+    got = np.full((n_points, n_angles, deg), np.nan)
+    seen = []
+    for blk, k, plane in sp._horocycle_planes(pts, angles, a_max, deg):
+        assert plane.shape == (blk.stop - blk.start, n_angles)
+        last = n_angles if blk.stop == n_points else 0
+        assert plane.size <= max(2 * n_angles, PAIR_BLOCK) + last
+        got[blk, :, k] = plane
+        seen.append((blk.start, k))
+    assert seen == sorted(seen)
+    a = busemann(pts[:, None], angles[None, :])
+    weight = np.exp(RHO * a)
+    ref = weight[:, :, None] * chebvander(a / a_max, deg - 1)
+    assert np.max(np.abs(got - ref) / weight[:, :, None]) <= 1e-13
 
 
 def test_plane_wave_series_tail_check_raises_at_degree_cap(monkeypatch):

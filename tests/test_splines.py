@@ -9,6 +9,7 @@ k = 4 kernel matrix already fails Cholesky, so schedules abort there.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,7 +20,8 @@ from hypersample import splines
 from hypersample.bandlimited import synthesize
 from hypersample.cli import main
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
-                                ProblemTooLarge, SingularKernel, TailTooLarge)
+                                NumericalFailure, ProblemTooLarge,
+                                SingularKernel, TailTooLarge)
 from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
                                   random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
@@ -155,6 +157,26 @@ def test_kernel_tail_guard(space):
     # k = 1 tail decays like lam^-2: the tail tolerance is out of reach
     with pytest.raises(TailTooLarge):
         polyharmonic_kernel(space, 1, t_max=3.0)
+
+
+@pytest.mark.parametrize("k", [257, 300])
+def test_overflowing_order_is_a_named_failure(space, k, tmp_path,
+                                              monkeypatch, capsys):
+    # from k = 257 on, (lam^2 + 1/4)^(-2k) passes the float range at small
+    # lam: the kernel refuses the order before fitting any series, without
+    # numpy overflow warnings, and the CLI exits 1 naming the order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=f"order-{k} kernel"):
+            polyharmonic_kernel(space, k, t_max=3.0)
+    monkeypatch.setenv("HYPERSAMPLE_OUTPUT_ROOT", str(tmp_path))
+    cfg = tmp_path / "spline.ini"
+    cfg.write_text("[experiment]\nscenario = spline_reconstruct\n"
+                   f"seeds = 0\nk_schedule = {k}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"NumericalFailure: order-{k} kernel")
+    assert "Traceback" not in err
 
 
 def _kernel_coef(space, kern, m=None):

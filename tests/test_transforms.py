@@ -65,9 +65,13 @@ def test_norm_constant_equals_area(pgrid):
 
 def test_mode_table_zonal_row_matches_spherical_function(space):
     # r <= 4 entries come from circle quadrature of the plane-wave series,
-    # r > 4 entries from the Harish-Chandra expansion; the scalar oracle is
-    # the Busemann average, which sums the same plane_wave_series, so the
-    # check independent of that series is the mpmath one below
+    # r > 4 entries from the Harish-Chandra expansion.  The scalar oracle,
+    # the Busemann average, now shares that circle quadrature
+    # (spectral._circle_cosines over the same planes); the two still differ
+    # in node rule (_phase_node_count against _busemann_angle_count) and in
+    # basis (the table's unit S on the near radii against the real part of
+    # a series on |a| <= 8), so the check independent of both is the
+    # mpmath one below
     grid = build_grid(space, lam_max=12.0, n_lambda=16, n_b=16)
     pg = tr.build_polar_grid(8.0, 24, 16)
     tab = tr.radial_mode_table(grid, pg, 4)
