@@ -99,9 +99,12 @@ class ExperimentConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v!r}")
-        for name in ("omega", "gamma", "domain_radius"):
+        for name in ("omega", "domain_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # the baseline1d cardinal series needs oversampling
+        if not 0 < self.gamma < 1:
+            raise ConfigError("gamma must lie in (0, 1)")
         if self.r <= 0 or any(v <= 0 for v in self.r_values):
             raise ConfigError("lattice radii must be positive")
         if self.tau < 0 or any(v < 0 for v in self.tau_values):
@@ -121,6 +124,9 @@ class ExperimentConfig:
             raise ConfigError("cut must lie in (0, 1)")
         if any(k < 1 for k in self.k_schedule):
             raise ConfigError("spline orders in k_schedule must be at least 1")
+        if self.scenario == "spline_reconstruct" and not self.k_schedule:
+            raise ConfigError("spline_reconstruct needs at least one spline "
+                              "order in k_schedule")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if any(seed < 0 for seed in self.seeds):

@@ -20,7 +20,8 @@ from .bandlimited import BandlimitedFunction, synthesize
 from .geometry import RHO, circle_points
 from .lattice import build_lattice
 from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
-from .spectral import Multiplier, SpectralGrid, spherical_function
+from .spectral import (Multiplier, SpectralGrid, apply_multiplier,
+                       spherical_function)
 from .splines import spline_reconstruct_deconvolve
 from .transforms import PolarGrid
 
@@ -92,16 +93,10 @@ def contraction_check(f: BandlimitedFunction, spec: AverageSpec) -> dict:
     if spec.n != 0:
         raise ValueError("the contraction statement is for plain averages "
                          "(n = 0)")
-    grid = f.coeffs.grid
-    mv = average_multiplier(spec).values_on(grid)
     before = f.coeffs.norm()
     if before == 0.0:
         return {"tau": spec.tau, "ratio": math.nan, "passed": True}
-    after = math.sqrt(
-        float(np.sum(grid.lambda_measure[:, None]
-                     * np.abs(mv[:, None] * f.coeffs.values) ** 2))
-        / grid.n_b)
-    ratio = after / before
+    ratio = apply_multiplier(f.coeffs, average_multiplier(spec)).norm() / before
     return {"tau": spec.tau, "ratio": ratio, "passed": ratio <= 1.0 + 1e-8}
 
 

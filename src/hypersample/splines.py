@@ -41,8 +41,8 @@ from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
-                       _horocycle_planes, _plane_wave_basis,
-                       plancherel_density, zonal_series)
+                       _horocycle_planes, _plane_wave_basis, apply_multiplier,
+                       plancherel_density, sobolev_multiplier, zonal_series)
 
 __all__ = [
     "PolyharmonicKernel",
@@ -431,12 +431,8 @@ def iterated_bernstein_check(f: BandlimitedFunction, sigma: float,
     With a = ||f|| / ||Delta^sigma f|| (the smallest admissible constant),
     checks ||Delta^s f|| <= a^m ||Delta^(m sigma + s) f|| for each (m, s).
     """
-    grid = f.coeffs.grid
-    base = grid.lambda_nodes ** 2 + RHO ** 2
-
     def power_norm(p: float) -> float:
-        vals = f.coeffs.values * (base ** p)[:, None]
-        return SpectralCoeffs(grid, vals).norm()
+        return apply_multiplier(f.coeffs, sobolev_multiplier(p)).norm()
 
     n0 = power_norm(0.0)
     ns = power_norm(sigma)

@@ -53,21 +53,24 @@ _positive = st.floats(1e-6, 1e6)
 
 @st.composite
 def _configs(draw):
+    scenario = draw(st.sampled_from(SCENARIOS))
     omega = draw(_positive)
     counts = st.integers(4, 4096)
     evens = st.integers(2, 2048).map(lambda k: 2 * k)
     return ExperimentConfig(
-        scenario=draw(st.sampled_from(SCENARIOS)),
+        scenario=scenario,
         omega=omega,
         r=draw(_positive),
         r_values=tuple(draw(st.lists(_positive, max_size=4))),
         tau=draw(st.floats(0.0, 1e6)),
         tau_values=tuple(draw(st.lists(st.floats(0.0, 1e6), max_size=4))),
         n=draw(st.integers(0, 8)),
-        k_schedule=tuple(draw(st.lists(st.integers(1, 16), max_size=4))),
+        k_schedule=tuple(draw(st.lists(
+            st.integers(1, 16), max_size=4,
+            min_size=int(scenario == "spline_reconstruct")))),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1,
                                   max_size=4))),
-        gamma=draw(_positive),
+        gamma=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         domain_radius=draw(_positive),
         lam_max=draw(st.one_of(st.just(0.0),
                                st.floats(omega, 1e7, exclude_min=True))),
@@ -300,6 +303,7 @@ def test_bad_config_exits_two(tmp_path, outroot, capsys):
     "cut=-1", "cut=0", "cut=1",      # eigenvalue cut outside (0, 1)
     "k_schedule=2, 0",               # spline order below 1
     "seeds=-1",                      # seeds feed numpy's generator
+    "gamma=1.5",                     # the 1-D baseline must oversample
 ])
 def test_bad_grid_or_solver_override_exits_two(tmp_path, outroot, capsys,
                                                override):
@@ -310,6 +314,17 @@ def test_bad_grid_or_solver_override_exits_two(tmp_path, outroot, capsys,
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not (outroot / "frame_reconstruct").exists()
+
+
+def test_empty_spline_schedule_exits_two(tmp_path, outroot, capsys):
+    # spline_reconstruct with no order would write a header-only report
+    path = _write(tmp_path, "[experiment]\nscenario = spline_reconstruct\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path), "--override", "k_schedule="]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: spline_reconstruct needs")
+    assert "Traceback" not in err
+    assert not (outroot / "spline_reconstruct").exists()
 
 
 _FLOAT_FIELDS = [name for name, ftype in

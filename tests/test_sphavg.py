@@ -108,7 +108,7 @@ def test_contraction_and_monotone_decay(f):
 
 def test_contraction_equality_at_zero(f):
     rep = contraction_check(f, AverageSpec(tau=0.0))
-    assert rep["ratio"] == pytest.approx(1.0, abs=1e-13)
+    assert rep["ratio"] == 1.0
 
 
 def test_contraction_rejects_composed_powers(f):
