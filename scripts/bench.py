@@ -53,8 +53,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DOMAIN = 1.4                      # the frame_reconstruct and theorem73 domain
 LATTICE_RADII = (0.4, 0.2, 0.1, 0.05, 0.025)
-ORDERS = (2, 4, 8)
-T_MAX = 4.0
+# series field prefix: (spline order, t_max); past t = 4 the zonal sum
+# switches to the Harish-Chandra expansion
+KERNELS = {"kernel_k2": (2, 4.0), "kernel_k4": (4, 4.0),
+           "kernel_k8": (8, 4.0), "kernel_k2_t6": (2, 6.0)}
 # name: (omega, lam_max, domain radius); n_lambda 96, n_b 64, 160 x 96 polar
 GRIDS = {"frame": (2.0, 8.0, DOMAIN), "spline": (1.0, 10.0, 2.0)}
 ORACLE_LAMS = (6e-4, 0.3, 3.0, 24.0)
@@ -206,16 +208,18 @@ def _modes(repeats, case):
 
 def _series(repeats, case):
     """Chebyshev series after a cold calibration: the polyharmonic kernel
-    table for k = 2, 4, 8 at t_max = 4, and `inverse_transform` of the
-    frame test function (seed 0) at the points of the r = 0.1 lattice
-    (N = 1889), each with the lengths of the series `_chebyshev_fit`
-    returned on its first call (for the kernel, the Busemann series before
-    the zonal series)."""
+    table for k = 2, 4, 8 at t_max = 4 and for k = 2 at t_max = 6, and
+    `inverse_transform` of the frame test function (seed 0) at the points
+    of the r = 0.1 lattice (N = 1889), each with the lengths of the series
+    `_chebyshev_fit` returned on its first call (for the kernel, the
+    plane-wave series before the zonal series); then `spherical_function`
+    on 16 Gauss-Legendre lam <= 12 times 24 radii r <= 8 (`spherical_s`)."""
     from hypersample import spectral
     from hypersample.bandlimited import synthesize
+    from hypersample.geometry import SpaceParams
     from hypersample.lattice import build_lattice
     from hypersample.splines import polyharmonic_kernel
-    from hypersample.transforms import inverse_transform
+    from hypersample.transforms import build_polar_grid, inverse_transform
 
     space = _space()
     fit, lengths = spectral._chebyshev_fit, []
@@ -227,12 +231,12 @@ def _series(repeats, case):
 
     spectral._chebyshev_fit = recorded
     out, arrays = {}, {}
-    for k in ORDERS:
+    for name, (k, t_max) in KERNELS.items():
         lengths.clear()
-        out[f"kernel_k{k}_s"], kern = _times(
-            lambda: polyharmonic_kernel(space, k, t_max=T_MAX), repeats)
-        out[f"kernel_k{k}_series"] = lengths[:len(lengths) // repeats]
-        arrays[f"kernel_k{k}"] = kern.table_values
+        out[f"{name}_s"], kern = _times(
+            lambda: polyharmonic_kernel(space, k, t_max=t_max), repeats)
+        out[f"{name}_series"] = lengths[:len(lengths) // repeats]
+        arrays[name] = kern.table_values
     f = synthesize(_grids(space, "frame")[0], seed=0)
     points = build_lattice(0.1, DOMAIN, seed=0).points
     lengths.clear()
@@ -240,6 +244,11 @@ def _series(repeats, case):
         lambda: inverse_transform(f.coeffs, points), repeats)
     out["inverse_series"] = lengths[:len(lengths) // repeats]
     out["inverse_n_points"] = int(points.size)
+    lams = spectral.build_grid(SpaceParams(), 12.0, 16, 16).lambda_nodes
+    rs = build_polar_grid(8.0, 24, 16).r_nodes
+    out["spherical_s"], arrays["spherical"] = _times(
+        lambda: spectral.spherical_function(lams[:, None], rs[None, :]),
+        repeats)
     return out, arrays
 
 

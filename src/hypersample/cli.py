@@ -124,9 +124,12 @@ class ExperimentConfig:
             raise ConfigError("cut must lie in (0, 1)")
         if any(k < 1 for k in self.k_schedule):
             raise ConfigError("spline orders in k_schedule must be at least 1")
-        if self.scenario == "spline_reconstruct" and not self.k_schedule:
-            raise ConfigError("spline_reconstruct needs at least one spline "
-                              "order in k_schedule")
+        listed = {"lattice": "r_values", "frame_reconstruct": "r_values",
+                  "spline_reconstruct": "k_schedule",
+                  "theorem73": "tau_values"}.get(self.scenario)
+        if listed and not getattr(self, listed):
+            raise ConfigError(f"{self.scenario} needs at least one value in "
+                              f"{listed}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if any(seed < 0 for seed in self.seeds):
@@ -339,25 +342,21 @@ def _min_separation(points: np.ndarray) -> float:
     return float(_nearest_distances(points, points, skip_self=True).min())
 
 
-def _farthest_probe(probes: np.ndarray, points: np.ndarray) -> float:
-    """Largest distance from a probe to its nearest point."""
-    return float(_nearest_distances(probes, points).max())
-
-
 def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["r", "n_points", "min_separation", "cover_radius",
                    "fresh_cover_max", "multiplicity", "multiplicity_bound",
                    "passed"], "r", ["min_separation", "cover_radius"])
     rep.tolerances = {"cover_probes": 10_000}
-    r_list = cfg.r_values or (0.1, 0.2, 0.4)
-    for r in r_list:
+    for r in cfg.r_values:
         with _timed(rep, f"r_{r:g}"):
             lat = build_lattice(r, cfg.domain_radius, seed=cfg.seeds[0])
             sep = _min_separation(lat.points)
             cov = certify_cover(lat)
             rng = np.random.default_rng(cfg.seeds[0] + 99)
-            probes = random_ball_points(cfg.domain_radius - r, 10_000, rng)
-            fresh = _farthest_probe(probes, lat.points)
+            probes = random_ball_points(cfg.domain_radius - r, 10_000, rng) \
+                if cfg.domain_radius > r else np.empty(0, dtype=complex)
+            fresh = float(_nearest_distances(probes, lat.points)
+                          .max(initial=0.0))
             mult = certify_multiplicity(lat)
         bound = math.ceil(multiplicity_bound(r))
         ok_sep = sep >= r / 2.0 - 1e-12
@@ -382,7 +381,7 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     grid, pgrid = _grids(cfg, space)
     f = synthesize(grid, cfg.seeds[0])
     f_ref = f.on_grid(pgrid)
-    r_list = tuple(sorted(cfg.r_values or (0.4, 0.2, 0.1), reverse=True))
+    r_list = tuple(sorted(cfg.r_values, reverse=True))
     errors = []
     for r in r_list:
         with _timed(rep, f"r_{r:g}"), warnings.catch_warnings():
@@ -496,7 +495,7 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     tol, flat = 1e-4, 10.0
     rep.tolerances = {"frame_error": tol, "flatness_factor": flat,
                       "eigen_cut": cfg.cut}
-    taus = cfg.tau_values or (0.0, 0.1, 0.3)
+    taus = cfg.tau_values
     frame_errors, any_inadmissible = [], False
     with _timed(rep, "experiment"), warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)

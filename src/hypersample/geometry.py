@@ -231,6 +231,8 @@ def multiplicity_bound(r: float | None = None, n_grid: int = 4096) -> float:
 
 def random_ball_points(domain_radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n points drawn uniformly (w.r.t. hyperbolic area) from B(0, domain_radius)."""
+    if domain_radius < 0:  # cosh is even: it would sample B(0, |radius|)
+        raise ValueError(f"negative ball radius {domain_radius}")
     u = rng.random(n)
     # radial CDF of the area measure is (cosh s - 1)/(cosh R - 1)
     s = np.arccosh(1.0 + u * (np.cosh(domain_radius) - 1.0))

@@ -32,10 +32,11 @@ degree, in blocks of geometry.row_blocks, each reduced by its consumer as
 soon as it is made.  The frame factor (sampling), the spline band
 projection (splines), point evaluation and the radial mode table
 (transforms) and the zonal sums K(t) = sum_lam c_lam phi_lam(t) of
-busemann_average (through the folded circle sum _circle_cosines) are all
-contractions of these planes.  zonal_series turns K into one Chebyshev
-series in t for the spline kernel table, and spherical_function is the
-same average with one unit coefficient per lam.
+zonal_sum up to _SWITCH_RADIUS (through the folded circle sum
+_circle_cosines) are all contractions of these planes; past it zonal_sum,
+like the mode table, sums the Harish-Chandra expansion.  zonal_series
+turns K into one Chebyshev series in t for the spline kernel table, and
+spherical_function is zonal_sum with one unit coefficient per lam.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
     "plancherel_density",
     "spherical_function",
     "plane_wave_series",
-    "busemann_average",
+    "zonal_sum",
     "zonal_series",
     "SpectralGrid",
     "build_grid",
@@ -126,6 +127,63 @@ def _gamma_ratio(z) -> np.ndarray:
     return shift * np.exp(series / w) / np.sqrt(w)
 
 
+_SWITCH_RADIUS = 4.0
+
+
+def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
+    """Phi_{lam, m}(r) for 0 <= m <= m_max and lam > 0 by the Harish-Chandra
+    expansion at infinity (transforms module docstring), for radii rs >= ~3.
+
+    With u = e^{-2r}, g_+(u) = sum_n a_n u^n solves the mode equation with
+    a_0 = 1, a_{-1} = 0 and, for s = -1/2 + i lam and Lam = lam^2 + 1/4,
+
+        4 n (n - i lam) a_n = [2 (s - 2n + 2)^2 + 2 Lam + 4 m^2] a_{n-1}
+                              - [(s - 2n + 4)^2 - (s - 2n + 4) + Lam] a_{n-2};
+
+    for real lam and u, g_- is its complex conjugate and so is the second
+    term of the expansion.  The Gamma ratio of c(lam) is _gamma_ratio.
+    The series is summed until two consecutive
+    terms fall below roundoff of the sum of term magnitudes at every
+    (lam, m, r); NumericalFailure is raised if that takes more than 64
+    terms (the calibration table, r > 4 and m <= 31, takes 10).
+    """
+    il = 1j * lams[:, None]
+    s = -0.5 + il
+    lam2 = lams[:, None] ** 2 + 0.25
+    m4 = 4.0 * np.arange(m_max + 1, dtype=float)[None, :] ** 2
+    u = np.exp(-2.0 * rs)
+    a_prev = np.zeros((lams.size, m_max + 1), dtype=complex)
+    a = np.ones((lams.size, m_max + 1), dtype=complex)
+    g = np.ones((lams.size, m_max + 1, rs.size), dtype=complex)
+    mass = np.ones(g.shape)
+    un = np.ones_like(u)
+    prev = np.full(g.shape, np.inf)
+    eps = np.finfo(float).eps
+    for n in range(1, 65):
+        p, q = s - 2 * n + 2, s - 2 * n + 4
+        a_prev, a = a, (((2.0 * p**2 + 2.0 * lam2 + m4) * a
+                         - (q**2 - q + lam2) * a_prev) / (4 * n * (n - il)))
+        un = un * u
+        term = a[:, :, None] * un
+        g += term
+        size = np.abs(term)
+        mass += size
+        if np.all(size + prev <= eps * mass):
+            break
+        prev = size
+    else:
+        raise NumericalFailure(
+            f"Harish-Chandra series at lam <= {float(np.max(lams)):.3g}, "
+            f"m <= {m_max}, r >= {float(np.min(rs)):.3g} did not converge "
+            f"in {n} terms")
+    c = _gamma_ratio(1j * lams) / math.sqrt(math.pi)
+    j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
+    pi_m = np.concatenate([np.ones((lams.size, 1)),
+                           np.cumprod((j - il) / (j + il), axis=1)], axis=1)
+    w = (c[:, None] * np.exp(np.outer(1j * lams - 0.5, rs)))[:, None, :] * g
+    return pi_m[:, :, None] * w + np.conj(w)
+
+
 _SERIES_MARGIN = 64
 _SERIES_TAIL = 8
 _SERIES_TOL = 1e-14
@@ -133,7 +191,6 @@ _SERIES_TOL = 1e-14
 # DCT of rounded samples leaves a plateau of 1-3 eps there
 _SERIES_FLOOR = 4.0 * np.finfo(float).eps
 _SERIES_MAX_DEG = 4096
-_MAX_BUSEMANN_ANGLES = 1 << 16
 
 
 def _chebyshev_fit(sample: Callable[[np.ndarray], np.ndarray], deg: int,
@@ -281,51 +338,54 @@ def _busemann_angle_count(lam_max: float, a_max: float) -> int:
     grows by up to e^{lam pi/2}; once that growth dominates, the strip term
     keeps 24 e-folds beyond it, (24 + lam pi/2) / s (measured: a unit
     coefficient then errs by at most 5e-14 for lam <= 30 at radii up to 8).
-    Rounded up to a multiple of 64.  The strip narrows like 2 e^{-t}: beyond
-    _MAX_BUSEMANN_ANGLES (radii past ~8) NumericalFailure is raised.
+    Rounded up to a multiple of 64; zonal_sum asks only for a_max <= ~4.
     """
     strip = -math.log(math.tanh(a_max / 2.0))
     need = max(1.5 * lam_max * a_max + 256.0,
-               max(40.0, 24.0 + 0.5 * math.pi * lam_max) / strip) \
-        if strip > 0 else math.inf
-    if need > _MAX_BUSEMANN_ANGLES:
-        raise NumericalFailure(
-            f"Busemann average at lam {lam_max:.3g}, radius {a_max:.3g} "
-            f"needs more than {_MAX_BUSEMANN_ANGLES} boundary angles")
+               max(40.0, 24.0 + 0.5 * math.pi * lam_max) / strip)
     return 64 * math.ceil(need / 64.0)
 
 
-def busemann_average(lams, coeffs, t: np.ndarray, a_max: float,
-                     n_b: int) -> np.ndarray:
+def zonal_sum(lams, coeffs, t: np.ndarray, a_max: float) -> np.ndarray:
     """Zonal sums K(t) = sum_i coeffs[i] phi_{lams[i]}(t) for real coeffs.
 
-    The result has shape coeffs.shape[1:] + t.shape.  phi_lam(t) is the
-    mean over n_b boundary angles of e^{rho A} cos(lam A) at A = A(t, b), so
-    the lam-sum is the real part of one plane_wave_series h on |A| <= a_max
-    (at least max t): the angle means of the planes (_circle_cosines,
-    mode 0) contracted with h.
+    The result has shape coeffs.shape[1:] + t.shape, for a 1-D t >= 0.  Up
+    to _SWITCH_RADIUS phi_lam(t) is the mean over _busemann_angle_count
+    boundary angles of e^{rho A} cos(lam A) at A = A(t, b): the angle means
+    of the planes (_circle_cosines, mode 0) contracted with the real part
+    of one plane_wave_series on |A| <= a_max (at least max t, and the
+    switch radius once some t lies past it).  There the angle count grows
+    like e^t, and phi is _modes_by_expansion at |lam| (at 1e-10 for lam = 0,
+    its c-function's pole; phi is even and analytic in lam).
     """
-    series = plane_wave_series(lams, coeffs, a_max).real
-    means = _circle_cosines(np.tanh(t / 2), n_b, 0, a_max, len(series))
-    return np.tensordot(series, means[:, :, 0], axes=(0, 0))
+    far = t > _SWITCH_RADIUS
+    out = np.empty(coeffs.shape[1:] + t.shape)
+    if np.any(far):
+        phi = _modes_by_expansion(np.maximum(np.abs(lams), 1e-10), t[far], 0)
+        out[..., far] = np.tensordot(coeffs, phi[:, 0].real, axes=(0, 0))
+        a_max = _SWITCH_RADIUS
+    if not np.all(far):
+        series = plane_wave_series(lams, coeffs, a_max).real
+        n_b = _busemann_angle_count(float(np.max(np.abs(lams))), a_max)
+        means = _circle_cosines(np.tanh(t[~far] / 2), n_b, 0, a_max,
+                                len(series))
+        out[..., ~far] = np.tensordot(series, means[:, :, 0], axes=(0, 0))
+    return out
 
 
 def zonal_series(lams, coeffs, t_max: float) -> np.ndarray:
     """Chebyshev series of K(t) = sum_i coeffs[i] phi_{lams[i]}(t) on [0, t_max].
 
     The coefficients are in the variable 2 t / t_max - 1, ready for chebval.
-    K is sampled by busemann_average (_busemann_angle_count angles) at the
-    first-kind Chebyshev points and carries the tail check of _chebyshev_fit,
-    starting at degree max|lam| * t_max / 2 plus _SERIES_MARGIN.
+    K is sampled by zonal_sum at the first-kind Chebyshev points and carries
+    the tail check of _chebyshev_fit.
     """
     lam_top = float(np.max(np.abs(np.asarray(lams, dtype=float))))
-    n_b = _busemann_angle_count(lam_top, t_max)
     deg = min(math.ceil(lam_top * t_max / 2.0) + _SERIES_MARGIN,
               _SERIES_MAX_DEG)
     return _chebyshev_fit(
-        lambda x: busemann_average(lams, coeffs, 0.5 * t_max * (x + 1.0),
-                                   t_max, n_b), deg,
-        f"zonal series at lam {lam_top:.3g}, t <= {t_max:.3g}")
+        lambda x: zonal_sum(lams, coeffs, 0.5 * t_max * (x + 1.0), t_max),
+        deg, f"zonal series at lam {lam_top:.3g}, t <= {t_max:.3g}")
 
 
 def spherical_function(lam, r) -> np.ndarray:
@@ -335,21 +395,16 @@ def spherical_function(lam, r) -> np.ndarray:
     normalized so phi_lam(0) = 1, |phi_lam| <= 1, and
     phi'' + coth(r) phi' + (lam^2 + 1/4) phi = 0; it is even in lam and in r.
 
-    Evaluated by busemann_average with one unit coefficient column per
-    distinct |lam|, at the distinct |r|, over _busemann_angle_count boundary
-    angles (NumericalFailure past radius ~8).
+    Evaluated by zonal_sum with one unit coefficient column per distinct
+    |lam|, at the distinct |r|.
     """
     lam_b, r_b = np.broadcast_arrays(np.abs(np.asarray(lam, dtype=float)),
                                      np.abs(np.asarray(r, dtype=float)))
-    if lam_b.size == 0:
-        return np.zeros(lam_b.shape)
     lams, li = np.unique(lam_b, return_inverse=True)
     rs, ri = np.unique(r_b, return_inverse=True)
     # near the origin A(r, b) carries absolute rounding ~eps: an interval
     # of at least |a| <= 1 keeps it inside the plane-wave series' domain
-    a_max = max(float(rs[-1]), 1.0)
-    n_b = _busemann_angle_count(float(lams[-1]), a_max)
-    table = busemann_average(lams, np.eye(lams.size), rs, a_max, n_b)
+    table = zonal_sum(lams, np.eye(lams.size), rs, np.max(rs, initial=1.0))
     return table[li.ravel(), ri.ravel()].reshape(lam_b.shape)
 
 

@@ -12,12 +12,12 @@ radial grid out to the lattice's diameter and evaluated as the cubic
 Hermite interpolant on that grid (the interval of t is t / h, no search);
 the spectral cutoff is chosen from an analytic tail bound so the truncated
 mass stays below _TAIL_TOL = 1e-10 relative to K(0).  Values and slopes
-sample spectral.zonal_series, a tail-checked Chebyshev series in t (a
-Busemann average of the plane-wave planes), and its derivative series; the
-band projection contracts the same planes.  The kernel matrix is
-assembled, and the interpolants are evaluated, in row blocks of about
-geometry.PAIR_BLOCK = 2^16 point pairs, so memory follows the result
-rather than the number of pairs.  The kernel matrix is
+sample spectral.zonal_series, a tail-checked Chebyshev series in t of
+spectral.zonal_sum, and its derivative series; the band projection
+contracts the plane-wave planes that zonal_sum averages up to t = 4.
+The kernel matrix is assembled, and the interpolants are evaluated, in
+row blocks of about geometry.PAIR_BLOCK = 2^16 point pairs, so memory
+follows the result rather than the number of pairs.  The kernel matrix is
 certified positive definite by its Cholesky factorization and solved by
 numpy.linalg.solve with iterative refinement.  The Lagrangian defect is
 certified against _CERT_TOL = 1e-8; deconvolving schedules stop at
@@ -146,13 +146,12 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
 
     The table at _TABLE_POINTS equispaced radii samples the Chebyshev
-    series of spectral.zonal_series (its one caller): the Busemann average
-    over the boundary angles of spectral._busemann_angle_count, summed as
-    one series in t on [0, t_max] with the tail checks of
-    spectral.plane_wave_series and spectral.zonal_series (NumericalFailure
-    if trailing coefficients do not reach roundoff, or past t_max ~8 where
-    the angle count is capped).  The slopes sample the derivative series
-    (chebder); the cubic Hermite interpolant between the nodes adds at most
+    series of spectral.zonal_series (its one caller) of spectral.zonal_sum
+    (a Busemann average up to t = 4, the Harish-Chandra expansion beyond)
+    on [0, t_max], with the tail checks of spectral.plane_wave_series and
+    spectral.zonal_series (NumericalFailure if trailing coefficients do not
+    reach roundoff).  The slopes sample the derivative series (chebder);
+    the cubic Hermite interpolant between the nodes adds at most
     h^4 max|K^(4)| / 384 at spacing h = t_max / (_TABLE_POINTS - 1).
 
     The truncation tail beyond lam_max is bounded analytically by

@@ -38,7 +38,7 @@ closed form in e^{-2r}:
 with c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) the Harish-Chandra
 c-function, pi_m(lam) = prod_{j=1..m} (j - 1/2 - i lam) / (j - 1/2 + i lam),
 and g_+- power series whose coefficients follow from the mode equation
-(see _modes_by_expansion).
+(spectral._modes_by_expansion, which spectral.zonal_sum shares).
 
 A dense direct route (explicit plane-wave kernels at every grid node) is
 kept as an independent cross-check for small domains; it shares no code
@@ -55,13 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationInconsistent, NumericalFailure, TailMassExceeded
+from .errors import CalibrationInconsistent, TailMassExceeded
 from .geometry import (RHO, SpaceParams, as_complex, busemann, distance,
                        random_ball_points)
-from .spectral import (SpectralCoeffs, SpectralGrid, _circle_cosines,
-                       _fsum_real, _gamma_ratio, _gauss_legendre,
-                       _horocycle_planes, _plane_wave_basis, _radius_bound,
-                       build_grid, plane_wave_series)
+from .spectral import (_SWITCH_RADIUS, SpectralCoeffs, SpectralGrid,
+                       _circle_cosines, _fsum_real, _gauss_legendre,
+                       _horocycle_planes, _modes_by_expansion,
+                       _plane_wave_basis, _radius_bound, build_grid,
+                       plane_wave_series)
 
 __all__ = [
     "PolarGrid",
@@ -74,9 +75,6 @@ __all__ = [
     "CalibrationResult",
     "calibrate_plancherel",
 ]
-
-_SWITCH_RADIUS = 4.0
-
 
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
@@ -175,60 +173,6 @@ def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.nda
     modes = _circle_cosines(x, n, m_max, a_max, series.shape[0])
     table = np.conj(series).T @ modes.reshape(series.shape[0], -1)
     return table.reshape(lams.size, rs.size, m_max + 1).transpose(0, 2, 1)
-
-
-def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
-    """Phi_{lam, m}(r) for 0 <= m <= m_max and lam > 0 by the Harish-Chandra
-    expansion at infinity (module docstring), for radii rs >= ~3.
-
-    With u = e^{-2r}, g_+(u) = sum_n a_n u^n solves the mode equation with
-    a_0 = 1, a_{-1} = 0 and, for s = -1/2 + i lam and Lam = lam^2 + 1/4,
-
-        4 n (n - i lam) a_n = [2 (s - 2n + 2)^2 + 2 Lam + 4 m^2] a_{n-1}
-                              - [(s - 2n + 4)^2 - (s - 2n + 4) + Lam] a_{n-2};
-
-    for real lam and u, g_- is its complex conjugate and so is the second
-    term of the expansion.  The Gamma ratio of c(lam) is
-    spectral._gamma_ratio.  The series is summed until two consecutive
-    terms fall below roundoff of the sum of term magnitudes at every
-    (lam, m, r); NumericalFailure is raised if that takes more than 64
-    terms (the calibration table, r > 4 and m <= 31, takes 10).
-    """
-    il = 1j * lams[:, None]
-    s = -0.5 + il
-    lam2 = lams[:, None] ** 2 + 0.25
-    m4 = 4.0 * np.arange(m_max + 1, dtype=float)[None, :] ** 2
-    u = np.exp(-2.0 * rs)
-    a_prev = np.zeros((lams.size, m_max + 1), dtype=complex)
-    a = np.ones((lams.size, m_max + 1), dtype=complex)
-    g = np.ones((lams.size, m_max + 1, rs.size), dtype=complex)
-    mass = np.ones(g.shape)
-    un = np.ones_like(u)
-    prev = np.full(g.shape, np.inf)
-    eps = np.finfo(float).eps
-    for n in range(1, 65):
-        p, q = s - 2 * n + 2, s - 2 * n + 4
-        a_prev, a = a, (((2.0 * p**2 + 2.0 * lam2 + m4) * a
-                         - (q**2 - q + lam2) * a_prev) / (4 * n * (n - il)))
-        un = un * u
-        term = a[:, :, None] * un
-        g += term
-        size = np.abs(term)
-        mass += size
-        if np.all(size + prev <= eps * mass):
-            break
-        prev = size
-    else:
-        raise NumericalFailure(
-            f"Harish-Chandra series at lam <= {float(np.max(lams)):.3g}, "
-            f"m <= {m_max}, r >= {float(np.min(rs)):.3g} did not converge "
-            f"in {n} terms")
-    c = _gamma_ratio(1j * lams) / math.sqrt(math.pi)
-    j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
-    pi_m = np.concatenate([np.ones((lams.size, 1)),
-                           np.cumprod((j - il) / (j + il), axis=1)], axis=1)
-    w = (c[:, None] * np.exp(np.outer(1j * lams - 0.5, rs)))[:, None, :] * g
-    return pi_m[:, :, None] * w + np.conj(w)
 
 
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.ndarray:

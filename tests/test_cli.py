@@ -61,9 +61,13 @@ def _configs(draw):
         scenario=scenario,
         omega=omega,
         r=draw(_positive),
-        r_values=tuple(draw(st.lists(_positive, max_size=4))),
+        r_values=tuple(draw(st.lists(
+            _positive, max_size=4,
+            min_size=int(scenario in ("lattice", "frame_reconstruct"))))),
         tau=draw(st.floats(0.0, 1e6)),
-        tau_values=tuple(draw(st.lists(st.floats(0.0, 1e6), max_size=4))),
+        tau_values=tuple(draw(st.lists(
+            st.floats(0.0, 1e6), max_size=4,
+            min_size=int(scenario == "theorem73")))),
         n=draw(st.integers(0, 8)),
         k_schedule=tuple(draw(st.lists(
             st.integers(1, 16), max_size=4,
@@ -209,6 +213,23 @@ def test_lattice_scenario_runs(tmp_path, outroot):
     assert len(rows) == 2 and rows[1].endswith("true")
 
 
+def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
+                                                          outroot):
+    # at r >= R the lattice is {o}, which covers the ball, and the ball
+    # B(o, R - r) of fresh probes is empty
+    path = _write(tmp_path, "[experiment]\nscenario = lattice\n"
+                            "r_values = 0.1, 0.4\ndomain_radius = 0.01\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path)]) == 0
+    lines = (outroot / "lattice" / "results.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["n_points"] == "1" and row["fresh_cover_max"] == "0.0"
+        assert row["passed"] == "true"
+
+
 def test_inadmissible_tau_is_informative_not_fatal(tmp_path, outroot):
     path = _write(tmp_path, "[experiment]\nscenario = theorem73\n"
                             "r = 0.4\ntau_values = 0.6\nk_schedule =\n"
@@ -316,15 +337,21 @@ def test_bad_grid_or_solver_override_exits_two(tmp_path, outroot, capsys,
     assert not (outroot / "frame_reconstruct").exists()
 
 
-def test_empty_spline_schedule_exits_two(tmp_path, outroot, capsys):
-    # spline_reconstruct with no order would write a header-only report
-    path = _write(tmp_path, "[experiment]\nscenario = spline_reconstruct\n"
+@pytest.mark.parametrize("scenario, field", [
+    ("lattice", "r_values"), ("frame_reconstruct", "r_values"),
+    ("spline_reconstruct", "k_schedule"), ("theorem73", "tau_values")])
+def test_empty_scenario_list_exits_two(tmp_path, outroot, capsys, scenario,
+                                       field):
+    # with no value the scenario would write a header-only report, or fall
+    # back to values that its manifest does not echo
+    path = _write(tmp_path, f"[experiment]\nscenario = {scenario}\n"
                             "seeds = 0\n")
-    assert main(["run", str(path), "--override", "k_schedule="]) == 2
+    assert main(["run", str(path), "--override", f"{field}="]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: spline_reconstruct needs")
+    assert err.startswith(f"config error: {scenario} needs at least one "
+                          f"value in {field}")
     assert "Traceback" not in err
-    assert not (outroot / "spline_reconstruct").exists()
+    assert not (outroot / scenario).exists()
 
 
 _FLOAT_FIELDS = [name for name, ftype in

@@ -210,6 +210,14 @@ def test_random_ball_points_distribution():
     assert frac == pytest.approx(expect, abs=0.02)
 
 
+def test_random_ball_points_rejects_a_negative_radius():
+    # cosh is even: a negative radius would sample the ball of |radius|
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="negative ball radius"):
+        geo.random_ball_points(-0.1, 10, rng)
+    assert not np.any(geo.random_ball_points(0.0, 10, rng))
+
+
 def test_euclidean_radius_roundtrip():
     tau = 3.7
     assert geo.distance(0.0, geo.euclidean_radius(tau)) == pytest.approx(tau, abs=1e-12)

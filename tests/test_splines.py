@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from hypersample import splines
+from hypersample import spectral, splines
 from hypersample.bandlimited import synthesize
 from hypersample.cli import main
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
@@ -26,10 +26,9 @@ from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
                                   random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
-from hypersample.spectral import (Multiplier, _busemann_angle_count,
-                                  build_grid, busemann_average,
+from hypersample.spectral import (Multiplier, build_grid,
                                   identity_multiplier, plancherel_density,
-                                  spherical_function, zonal_series)
+                                  spherical_function, zonal_series, zonal_sum)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (_kernel_lambda_grid, _kernel_matrix,
                                  build_splines,
@@ -214,30 +213,48 @@ def test_higher_order_kernel_is_flatter(space, kern2):
     assert kern4(1.0) / kern4.at_zero > kern2(1.0) / kern2.at_zero
 
 
-def test_kernel_angular_quadrature_converged(space, kern2):
+def test_kernel_angular_quadrature_converged(space, kern2, monkeypatch):
     lam, coef = _kernel_coef(space, kern2)
-    n_b = 2 * _busemann_angle_count(kern2.lam_max, 3.0)
-    dense = busemann_average(lam, coef, kern2.table_t, 3.0, n_b)
+    count = spectral._busemann_angle_count
+    monkeypatch.setattr(spectral, "_busemann_angle_count",
+                        lambda lam_max, a_max: 2 * count(lam_max, a_max))
+    dense = zonal_sum(lam, coef, kern2.table_t, 3.0)
     rel = np.max(np.abs(dense - kern2.table_values)) / kern2.at_zero
     assert rel <= 1e-10
 
 
-def test_kernel_table_resolves_domain_diameter(space, lat):
+def test_kernel_table_resolves_domain_diameter(space, lat, monkeypatch):
     # at t_max = 4 (the diameter of the R = 0.8, radius 2 lattice) the
     # circle integrand is analytic only on a strip of width ~2 e^{-4}; the
-    # table must still match a dense Busemann average, or the k = 8 kernel
-    # matrix turns indefinite far above its eigensolver's backward error
+    # table must still match a dense Busemann average (4096 angles; its
+    # last node, just past the switch radius, by the expansion), or the
+    # k = 8 kernel matrix turns indefinite far above its eigensolver's
+    # backward error
     t_max = 2.0 * lat.domain_radius + 1e-9
     for k in (2, 4, 8):
         kern = polyharmonic_kernel(space, k, t_max=t_max)
         lam, coef = _kernel_coef(space, kern)
-        dense = busemann_average(lam, coef, kern.table_t, t_max, 4096)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_busemann_angle_count",
+                          lambda lam_max, a_max: 4096)
+            dense = zonal_sum(lam, coef, kern.table_t, t_max)
         assert np.max(np.abs(kern.table_values - dense)) \
             <= 1e-12 * kern.at_zero
     d = distance(lat.points[:, None], lat.points[None, :])
     np.fill_diagonal(d, 0.0)
     ev = np.linalg.eigvalsh(kern(d))
     assert ev[0] >= -len(lat) * np.finfo(float).eps * ev[-1]
+
+
+def test_kernel_builds_past_the_switch_radius(space, kern2):
+    # past t = 4 the zonal sum takes phi from the Harish-Chandra expansion;
+    # a Busemann average there would need ~e^t boundary angles.  Where the
+    # tables overlap, this one is kern2's
+    kern = polyharmonic_kernel(space, 2, t_max=8.5)
+    assert np.all(np.isfinite(kern.table_values))
+    near = kern.table_t <= kern2.t_max
+    assert np.max(np.abs(kern.table_values[near] - kern2(kern.table_t[near]))) \
+        <= 1e-12 * kern2.at_zero
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
