@@ -96,6 +96,19 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def _traced_mb(call) -> float:
+    """Peak of the memory tracemalloc sees while call() runs, in MB; its
+    value counts too, so a table's peak includes the table."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _times(call, repeats: int, reset=lambda: None) -> tuple[list, object]:
     """REPEATS wall times of call() and its last value; reset() runs untimed
     before each call."""
@@ -151,11 +164,12 @@ def _modes(repeats, case):
     """Cold radial mode tables, |m| <= 31, on the calibration grids (r_max 8,
     128 radii and angles, lam_max 24 with 96 nodes) and the frame and spline
     grids: the whole table (cache cleared before each call) with the length
-    of its plane-wave basis S, and its near part alone (the radii up to the
-    switch radius, `_modes_by_quadrature`) with its entries at the grid
-    nodes nearest the near oracle points; then the far part of the
-    calibration table (`_modes_by_expansion`) and its values at the far
-    oracle points."""
+    of its plane-wave basis S and the tracemalloc peak of one more cold
+    call (`table_<grid>_traced_mb`, the table included), and its near part
+    alone (the radii up to the switch radius, `_modes_by_quadrature`) with
+    its entries at the grid nodes nearest the near oracle points; then the
+    far part of the calibration table (`_modes_by_expansion`) and its
+    values at the far oracle points."""
     import numpy as np
 
     from hypersample import transforms as tr
@@ -181,6 +195,9 @@ def _modes(repeats, case):
             lambda: tr.radial_mode_table(grid, pgrid, 31), repeats,
             tr._TABLE_CACHE.clear)
         out[f"table_{name}_basis_length"] = lengths[0]
+        tr._TABLE_CACHE.clear()
+        out[f"table_{name}_traced_mb"] = _traced_mb(
+            lambda: tr.radial_mode_table(grid, pgrid, 31))
         lams, rs = grid.lambda_nodes, pgrid.r_nodes
         rs = rs[rs <= tr._SWITCH_RADIUS]
         out[f"near_{name}_s"], vals = _times(
@@ -253,7 +270,8 @@ def _series(repeats, case):
 
 
 def _lattice(repeats, case):
-    """`build_lattice(r, 1.4, seed=0)` for each lattice radius, with N,
+    """`build_lattice(r, 1.4, seed=0)` for each lattice radius, with the
+    tracemalloc peak of one more build (`lattice_<r>_traced_mb`), N,
     `n_mult`, `certify_cover`, `certify_multiplicity` and a digest of the
     points."""
     from hypersample.lattice import (build_lattice, certify_cover,
@@ -263,7 +281,9 @@ def _lattice(repeats, case):
     for r in LATTICE_RADII:
         out[f"lattice_{r}_s"], lat = _times(
             lambda: build_lattice(r, DOMAIN, seed=0), repeats)
-        out.update({f"lattice_{r}_n_points": len(lat),
+        out.update({f"lattice_{r}_traced_mb": _traced_mb(
+                        lambda: build_lattice(r, DOMAIN, seed=0)),
+                    f"lattice_{r}_n_points": len(lat),
                     f"lattice_{r}_n_mult": lat.n_mult,
                     f"lattice_{r}_cover": certify_cover(lat),
                     f"lattice_{r}_multiplicity": certify_multiplicity(lat),

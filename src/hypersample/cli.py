@@ -124,6 +124,12 @@ class ExperimentConfig:
             raise ConfigError("cut must lie in (0, 1)")
         if any(k < 1 for k in self.k_schedule):
             raise ConfigError("spline orders in k_schedule must be at least 1")
+        # a scenario runs once per listed value: a repeat redoes the same
+        # work and writes the same row twice
+        for name in ("r_values", "tau_values", "k_schedule"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {_fmt(values)}")
         listed = {"lattice": "r_values", "frame_reconstruct": "r_values",
                   "spline_reconstruct": "k_schedule",
                   "theorem73": "tau_values"}.get(self.scenario)

@@ -23,6 +23,12 @@ cells of one row are one contiguous run of the sorted points: three runs
 per query point give a superset of the pairs within t, and the exact
 Mobius quotient then decides each pair, so the lattices and certificates
 are those of the dense all-pairs passes.
+
+Memory: the candidate pairs come in blocks of about geometry.PAIR_BLOCK
+(_pair_blocks), and the cover and multiplicity certificates reduce each
+block's quotients (a running minimum, a running count) before the next,
+so no certificate holds all its pairs at once.  Only the patch update
+keeps its pairs, those of the few probes the packing left uncovered.
 """
 
 from __future__ import annotations
@@ -122,13 +128,25 @@ def near_pairs(x: np.ndarray, y: np.ndarray,
     """Index arrays (i, j) of a superset of the pairs with d(x[i], y[j]) <= t.
 
     The extra pairs are at most sinh(t)/2 apart in the Euclidean sense; the
-    caller decides each pair with an exact test.  The candidate pairs are
-    read in blocks of whole cell runs, about geometry.PAIR_BLOCK pairs each
-    (a longer run is a block of its own), so the temporaries follow the
-    block and the output, not all candidates at once.
+    caller decides each pair with an exact test.  The pairs are those of
+    _pair_blocks, joined.
+    """
+    blocks = list(_pair_blocks(x, y, t))
+    if not blocks:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray, t: float):
+    """Yield (i, j), the pairs of near_pairs one block at a time.
+
+    The candidate pairs are read in blocks of whole cell runs, about
+    geometry.PAIR_BLOCK pairs each (a longer run is a block of its own),
+    so the temporaries follow the block, not all candidates at once, and a
+    caller that reduces each block as it comes never holds all pairs.
     """
     if x.size == 0 or y.size == 0:
-        return np.empty(0, np.intp), np.empty(0, np.intp)
+        return
     side = _tree_radius(t)
     keys, width = _cell_keys(np.concatenate([x, y]), side)
     x_order, y_order = np.argsort(keys[:x.size]), np.argsort(keys[x.size:])
@@ -141,7 +159,6 @@ def near_pairs(x: np.ndarray, y: np.ndarray,
     ends = np.cumsum(count)
     owner = np.tile(np.arange(x.size), 3)
     shift = lo - (ends - count)
-    out_i, out_j = [], []
     a = 0
     while a < count.size:
         done = ends[a] - count[a]
@@ -149,12 +166,13 @@ def near_pairs(x: np.ndarray, y: np.ndarray,
         # positions in the sorted x and y, so the runs are read in order
         i = np.repeat(owner[a:b], count[a:b])
         j = np.arange(done, ends[b - 1]) + np.repeat(shift[a:b], count[a:b])
-        gap = xs[i] - ys[j]
+        gap = xs[i]
+        gap -= ys[j]
         keep = gap.real * gap.real + gap.imag * gap.imag <= side * side
-        out_i.append(x_order[i[keep]])
-        out_j.append(y_order[j[keep]])
+        i, j = x_order[i[keep]], y_order[j[keep]]
+        del gap, keep      # not held while the caller works on the block
+        yield i, j
         a = b
-    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:
@@ -195,11 +213,12 @@ def _min_quotient_sq(probes: np.ndarray, points: np.ndarray,
     """Each probe's least quotient over the points.
 
     Exact from the pairs within t wherever that least value is within t;
-    a probe with no point within t gets its dense row instead.
+    a probe with no point within t gets its dense row instead.  The
+    quotients are taken one block of _pair_blocks at a time.
     """
-    i, j = near_pairs(probes, points, t)
     q = np.full(probes.size, np.inf)
-    np.minimum.at(q, i, _quotient_sq(probes[i], points[j]))
+    for i, j in _pair_blocks(probes, points, t):
+        np.minimum.at(q, i, _quotient_sq(probes[i], points[j]))
     for k in np.flatnonzero(q > _sep_param(t, 1.0) ** 2):
         q[k] = _quotient_sq(probes[k], points).min()
     return q
@@ -250,12 +269,16 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     probes = _cover_probes(seed, domain_radius, r)
     q = _min_quotient_sq(probes, points, r / 2.0)
     uncovered = np.flatnonzero(q > thresh)
-    # an insertion covers only probes within r/2 of it, so it updates those
+    # an insertion covers only probes within r/2 of it, so it updates
+    # those: its own run of the pairs, grouped by uncovered probe
     owner, nbr = near_pairs(probes[uncovered], probes, r / 2.0)
+    order = np.argsort(owner, kind="stable")
+    nbr = nbr[order]
+    runs = np.searchsorted(owner[order], np.arange(uncovered.size + 1))
     for k, i in enumerate(uncovered):
         if q[i] > thresh:
             points = np.append(points, probes[i])
-            hit = nbr[owner == k]
+            hit = nbr[runs[k]:runs[k + 1]]
             q[hit] = np.minimum(q[hit], _quotient_sq(probes[hit], probes[i]))
     if _cover_radius(q) > r / 2.0:
         raise CertificationFailed("cover gap survived patch insertion")
@@ -269,9 +292,12 @@ def _measure_multiplicity(points: np.ndarray, r: float,
                           probes: np.ndarray) -> int:
     if probes.size == 0:
         return 1
-    i, j = near_pairs(probes, points, r)
-    hit = _quotient_sq(probes[i], points[j]) <= _sep_param(r, 1.0) ** 2
-    return int(np.bincount(i[hit], minlength=probes.size).max())
+    thresh = _sep_param(r, 1.0) ** 2
+    count = np.zeros(probes.size, dtype=np.intp)
+    for i, j in _pair_blocks(probes, points, r):
+        count += np.bincount(i[_quotient_sq(probes[i], points[j]) <= thresh],
+                             minlength=probes.size)
+    return int(count.max())
 
 
 def _check_volume_bound(measured: int, r: float) -> None:

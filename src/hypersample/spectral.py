@@ -130,9 +130,12 @@ def _gamma_ratio(z) -> np.ndarray:
 _SWITCH_RADIUS = 4.0
 
 
-def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
+def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Phi_{lam, m}(r) for 0 <= m <= m_max and lam > 0 by the Harish-Chandra
-    expansion at infinity (transforms module docstring), for radii rs >= ~3.
+    expansion at infinity (transforms module docstring), for radii rs >= ~3,
+    written into out (shape (lams.size, m_max + 1, rs.size), allocated if
+    None).
 
     With u = e^{-2r}, g_+(u) = sum_n a_n u^n solves the mode equation with
     a_0 = 1, a_{-1} = 0 and, for s = -1/2 + i lam and Lam = lam^2 + 1/4,
@@ -146,31 +149,45 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndar
     terms fall below roundoff of the sum of term magnitudes at every
     (lam, m, r); NumericalFailure is raised if that takes more than 64
     terms (the calibration table, r > 4 and m <= 31, takes 10).
+
+    g is summed in out itself and the phase step applied there, one block
+    of lam rows at a time (geometry.row_blocks over (m_max + 1) * rs.size
+    entries per row); the only other output-sized array is the real sum
+    of term magnitudes.  Each term's test still covers every block
+    before the next term, and the previous term's magnitudes are
+    recomputed from its coefficients, so the term count and every bit are
+    those of one whole-array pass.
     """
     il = 1j * lams[:, None]
     s = -0.5 + il
     lam2 = lams[:, None] ** 2 + 0.25
     m4 = 4.0 * np.arange(m_max + 1, dtype=float)[None, :] ** 2
     u = np.exp(-2.0 * rs)
+    if out is None:
+        out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
+    blocks = row_blocks(lams.size, (m_max + 1) * rs.size)
     a_prev = np.zeros((lams.size, m_max + 1), dtype=complex)
     a = np.ones((lams.size, m_max + 1), dtype=complex)
-    g = np.ones((lams.size, m_max + 1, rs.size), dtype=complex)
-    mass = np.ones(g.shape)
+    out[...] = 1.0
+    mass = np.ones(out.shape)
     un = np.ones_like(u)
-    prev = np.full(g.shape, np.inf)
     eps = np.finfo(float).eps
     for n in range(1, 65):
         p, q = s - 2 * n + 2, s - 2 * n + 4
         a_prev, a = a, (((2.0 * p**2 + 2.0 * lam2 + m4) * a
                          - (q**2 - q + lam2) * a_prev) / (4 * n * (n - il)))
-        un = un * u
-        term = a[:, :, None] * un
-        g += term
-        size = np.abs(term)
-        mass += size
-        if np.all(size + prev <= eps * mass):
+        un_prev, un = un, un * u
+        done = True
+        for blk in blocks:
+            term = a[blk, :, None] * un
+            out[blk] += term
+            size = np.abs(term)
+            mass[blk] += size
+            prev = (np.abs(a_prev[blk, :, None] * un_prev) if n > 1
+                    else np.inf)
+            done &= bool(np.all(size + prev <= eps * mass[blk]))
+        if done:
             break
-        prev = size
     else:
         raise NumericalFailure(
             f"Harish-Chandra series at lam <= {float(np.max(lams)):.3g}, "
@@ -180,8 +197,13 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndar
     j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
     pi_m = np.concatenate([np.ones((lams.size, 1)),
                            np.cumprod((j - il) / (j + il), axis=1)], axis=1)
-    w = (c[:, None] * np.exp(np.outer(1j * lams - 0.5, rs)))[:, None, :] * g
-    return pi_m[:, :, None] * w + np.conj(w)
+    for blk in blocks:
+        g = out[blk]
+        phase = c[blk, None] * np.exp(np.outer(1j * lams[blk] - 0.5, rs))
+        w = phase[:, None, :] * g
+        np.multiply(pi_m[blk, :, None], w, out=g)
+        g += np.conj(w)
+    return out
 
 
 _SERIES_MARGIN = 64

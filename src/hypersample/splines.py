@@ -328,6 +328,15 @@ class SplineInterpolant:
     beta: np.ndarray
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The interpolant at points (any shape; a scalar gives a scalar).
+
+        The points go through the kernel table in blocks of
+        geometry.row_blocks, which keep a batch bit-identical to one
+        whole pass over it.  A single point is a one-row product, which
+        numpy forms as a dot product: interp(p) and interp([p, q])[0] can
+        differ in the last bits (up to 1.1e-14 on the spline_reconstruct
+        grid).
+        """
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
         out = np.empty(pts.shape, dtype=self.beta.dtype)
         flat = pts.ravel()

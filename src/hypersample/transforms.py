@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import CalibrationInconsistent, TailMassExceeded
 from .geometry import (RHO, SpaceParams, as_complex, busemann, distance,
-                       random_ball_points)
+                       random_ball_points, row_blocks)
 from .spectral import (_SWITCH_RADIUS, SpectralCoeffs, SpectralGrid,
                        _circle_cosines, _fsum_real, _gauss_legendre,
                        _horocycle_planes, _modes_by_expansion,
@@ -158,21 +158,35 @@ def _phase_node_count(lam_max: float, r_max: float) -> int:
     return int(2 ** math.ceil(math.log2(n)))
 
 
-def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int) -> np.ndarray:
-    """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature.
+def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature, written
+    into out (shape (lams.size, m_max + 1, rs.size), allocated if None).
 
     Only reliable up to moderate r; the caller keeps rs <= switch radius.
     The trapezoid rule over _phase_node_count angles gives the real mode
     coefficients G[k, r, m] of the planes at x = tanh(r/2)
-    (spectral._circle_cosines), and with the unit basis S of
-    spectral._plane_wave_basis, Phi[lam, m, r] = sum_k conj(S[k, lam]) G."""
+    (spectral._circle_cosines, in its own point blocks), and with the unit
+    basis S of spectral._plane_wave_basis, Phi[lam, m, r] =
+    sum_k conj(S[k, lam]) G.  That product is formed one block of radii
+    at a time (geometry.row_blocks over lams.size * (m_max + 1) entries per
+    radius) and copied straight into out, so the memory beyond out is G
+    and one block; splitting the product's columns leaves every entry's
+    bits as in one whole product."""
     n = _phase_node_count(float(np.max(lams)), float(np.max(rs)))
     n = max(n, 4 * (m_max + 1))
     x = np.tanh(rs / 2.0)
     a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
-    modes = _circle_cosines(x, n, m_max, a_max, series.shape[0])
-    table = np.conj(series).T @ modes.reshape(series.shape[0], -1)
-    return table.reshape(lams.size, rs.size, m_max + 1).transpose(0, 2, 1)
+    deg = series.shape[0]
+    modes = _circle_cosines(x, n, m_max, a_max, deg)
+    if out is None:
+        out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
+    basis = np.conj(series).T
+    for blk in row_blocks(rs.size, lams.size * (m_max + 1)):
+        block = basis @ modes[:, blk].astype(complex).reshape(deg, -1)
+        out[:, :, blk] = block.reshape(lams.size, -1,
+                                       m_max + 1).transpose(0, 2, 1)
+    return out
 
 
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.ndarray:
@@ -181,8 +195,12 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.nd
     Entries at radii up to _SWITCH_RADIUS come from circle quadrature of the
     plane wave in its Chebyshev basis (_modes_by_quadrature: one real exp
     per radius and angle, then one product with the series), the rest from
-    the Harish-Chandra expansion.  Cached per (grid, pgrid, m_max); the
-    cache keeps the _TABLE_CACHE_SIZE most recently used tables."""
+    the Harish-Chandra expansion.  Both routes write their radius slices of
+    the one table in place (the radii ascend, as build_polar_grid makes
+    them), so a cold table costs its own size plus the real coefficients G
+    of its near radii and block-sized temporaries, never a second table.
+    Cached per (grid, pgrid, m_max); the cache keeps the _TABLE_CACHE_SIZE
+    most recently used tables."""
     key = (grid.lambda_nodes.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
@@ -190,12 +208,12 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.nd
         return hit
     lams = grid.lambda_nodes
     rs = pgrid.r_nodes
-    near = rs <= _SWITCH_RADIUS
+    n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
     table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
-    if np.any(near):
-        table[:, :, near] = _modes_by_quadrature(lams, rs[near], m_max)
-    if np.any(~near):
-        table[:, :, ~near] = _modes_by_expansion(lams, rs[~near], m_max)
+    if n_near:
+        _modes_by_quadrature(lams, rs[:n_near], m_max, table[:, :, :n_near])
+    if n_near < rs.size:
+        _modes_by_expansion(lams, rs[n_near:], m_max, table[:, :, n_near:])
     table.setflags(write=False)
     _TABLE_CACHE[key] = table
     if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
@@ -349,18 +367,27 @@ def calibrate_plancherel() -> CalibrationResult:
     The measurement has no inputs, so it runs once per process: later
     calls return the same result, whose ratios are read-only
     (calibrate_plancherel.cache_clear() forces a fresh measurement).
+
+    Memory: the lam <= 24 mode table (6.3 MB) is built once for the four
+    transforms and leaves with the measurement, since no scenario but
+    plancherel uses its grid: _TABLE_CACHE ends as the call found it.
     """
     grid = build_grid(SpaceParams(), 24.0, 96, 64)
     pgrid = build_polar_grid(8.0, 128, 128)
     rng = np.random.default_rng(0)
     nums, dens = [], []
-    for _ in range(4):
-        center = random_ball_points(0.5, 1, rng)[0]
-        width = 0.7 + 0.5 * rng.random()
-        f = np.exp(-(distance(center, pgrid.points)**2) / (2.0 * width**2))
-        nums.append(pgrid.norm_sq(f))
-        coeffs = forward_transform(pgrid, grid, f, tail_tol=1e-8)
-        dens.append(coeffs.norm_sq())
+    cached = _TABLE_CACHE.copy()
+    try:
+        for _ in range(4):
+            center = random_ball_points(0.5, 1, rng)[0]
+            width = 0.7 + 0.5 * rng.random()
+            f = np.exp(-(distance(center, pgrid.points)**2) / (2.0 * width**2))
+            nums.append(pgrid.norm_sq(f))
+            coeffs = forward_transform(pgrid, grid, f, tail_tol=1e-8)
+            dens.append(coeffs.norm_sq())
+    finally:
+        _TABLE_CACHE.clear()
+        _TABLE_CACHE.update(cached)
     nums, dens = np.array(nums), np.array(dens)
     ratios = nums / dens
     ratios.flags.writeable = False

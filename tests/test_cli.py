@@ -1,5 +1,7 @@
 """Tests for the experiment runner: configs, artifacts, determinism."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -62,15 +64,15 @@ def _configs(draw):
         omega=omega,
         r=draw(_positive),
         r_values=tuple(draw(st.lists(
-            _positive, max_size=4,
+            _positive, max_size=4, unique=True,
             min_size=int(scenario in ("lattice", "frame_reconstruct"))))),
         tau=draw(st.floats(0.0, 1e6)),
         tau_values=tuple(draw(st.lists(
-            st.floats(0.0, 1e6), max_size=4,
+            st.floats(0.0, 1e6), max_size=4, unique=True,
             min_size=int(scenario == "theorem73")))),
         n=draw(st.integers(0, 8)),
         k_schedule=tuple(draw(st.lists(
-            st.integers(1, 16), max_size=4,
+            st.integers(1, 16), max_size=4, unique=True,
             min_size=int(scenario == "spline_reconstruct")))),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1,
                                   max_size=4))),
@@ -93,6 +95,33 @@ def test_config_ini_round_trip_property(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "exp.ini"
     path.write_text(config_to_ini(cfg), encoding="ascii")
     assert load_config(path) == cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_configs(), data=st.data())
+def test_repeated_list_value_exits_two(tmp_path_factory, cfg, data):
+    # each scenario runs once per listed value, so a repeat would redo the
+    # same work and write the same row twice
+    field = data.draw(st.sampled_from(["r_values", "tau_values",
+                                       "k_schedule"]))
+    values = getattr(cfg, field) or {"r_values": (cfg.r,),
+                                     "tau_values": (cfg.tau,),
+                                     "k_schedule": (2,)}[field]
+    repeated = list(values)
+    repeated.insert(data.draw(st.integers(0, len(values))),
+                    data.draw(st.sampled_from(values)))
+    tmp = tmp_path_factory.mktemp("cfg")
+    path = tmp / "exp.ini"
+    path.write_text(config_to_ini(cfg), encoding="ascii")
+    override = f"{field}={', '.join(repr(v) for v in repeated)}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HYPERSAMPLE_OUTPUT_ROOT", str(tmp / "runs"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", str(path), "--override", override]) == 2
+    assert err.getvalue().startswith(f"config error: {field} repeats a value")
+    assert "Traceback" not in err.getvalue()
+    assert not (tmp / "runs").exists()
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ def test_fine_lattice_builds_in_near_linear_time():
     assert certify_cover(lat) <= lat.r / 2
     assert certify_multiplicity(lat) <= math.ceil(multiplicity_bound(lat.r))
     assert elapsed < 30.0
+
+
+def test_certificates_hold_one_block_of_pairs_at_a_time():
+    # the spline scenario's lattice: 20,000 cover probes meet 71,000 pairs
+    # and 10,000 multiplicity probes 171,000, which one pass over all pairs
+    # held at once (17 MB).  Taken in near_pairs' blocks, the transients
+    # are the probes' run indices and one block of PAIR_BLOCK candidates.
+    tracemalloc.start()
+    try:
+        lat = build_lattice(0.8, 2.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 83
+    assert peak <= 12e6
 
 
 def test_build_lattice_rejects_count_above_volume_bound(monkeypatch):

@@ -91,13 +91,21 @@ def pgrid():
     return build_polar_grid(r_max=DOMAIN, n_r=160, n_theta=96)
 
 
-def _expansion_field(beta, points, wide, k):
+@pytest.fixture(scope="module")
+def waves(sys2, wide):
+    """e^{(-i lam + rho) A(x_j, b)} at the lattice points x_j over the wide
+    grid, shape (N, n_lambda, n_b) (147 MB): built once for every
+    _expansion_field of the module."""
+    a = busemann(sys2.lattice.points[:, None], wide.boundary_angles[None, :])
+    lam = wide.lambda_nodes
+    return np.exp((-1j * lam[None, :, None] + RHO) * a[:, None, :])
+
+
+def _expansion_field(beta, waves, wide, k):
     """Full-spectrum transform of sum_j beta_j K_2k(d(., x_j)) on the grid."""
     lam = wide.lambda_nodes
-    a = busemann(points[:, None], wide.boundary_angles[None, :])
-    rows = np.exp((-1j * lam[:, None, None] + RHO) * a[None, :, :])
     fac = (lam ** 2 + RHO ** 2) ** (-2 * k)
-    return fac[:, None] * np.tensordot(beta, np.moveaxis(rows, 1, 0), axes=1)
+    return fac[:, None] * np.tensordot(beta, waves, axes=1)
 
 
 def _inner_2k(fa, fb, wide, k):
@@ -380,10 +388,10 @@ def test_mismatched_lattice_rejected(sys2, f):
 
 # ------------------------------------------------------------ variational
 
-def test_energy_identity(sys2, interp, samples, wide):
+def test_energy_identity(sys2, interp, samples, wide, waves):
     # ||Delta^k L||^2 from spectral quadrature against the representer
     # identity beta^H K beta = beta^H data: two fully independent routes
-    shat = _expansion_field(interp.beta, sys2.lattice.points, wide, sys2.k)
+    shat = _expansion_field(interp.beta, waves, wide, sys2.k)
     quad = _inner_2k(shat, shat, wide, sys2.k)
     alg = np.vdot(interp.beta, samples.values)
     assert abs(quad.imag) <= 1e-10 * abs(quad.real)
@@ -392,17 +400,16 @@ def test_energy_identity(sys2, interp, samples, wide):
     assert abs(quad.real - gram.real) <= 1e-6 * abs(gram.real)
 
 
-def test_minimization_and_orthogonality(sys2, interp, samples, wide):
+def test_minimization_and_orthogonality(sys2, interp, samples, wide, waves):
     # among interpolants of the same data the spline minimizes ||Delta^k u||;
     # competitors are built by correcting band-limited functions with their
     # own splines so they vanish on the lattice
-    pts = sys2.lattice.points
-    shat = _expansion_field(interp.beta, pts, wide, sys2.k)
+    shat = _expansion_field(interp.beta, waves, wide, sys2.k)
     base = _inner_2k(shat, shat, wide, sys2.k).real
     for c in range(20):
         w = synthesize(wide, seed=500 + c)
         beta_w = sys2._solve(point_samples(w, sys2.lattice).values)
-        vhat = w.coeffs.values - _expansion_field(beta_w, pts, wide, sys2.k)
+        vhat = w.coeffs.values - _expansion_field(beta_w, waves, wide, sys2.k)
         vnorm = _inner_2k(vhat, vhat, wide, sys2.k).real
         cross = _inner_2k(shat, vhat, wide, sys2.k)
         assert abs(cross) <= 1e-6 * math.sqrt(base * vnorm)

@@ -2,6 +2,7 @@
 agreement, adjointness, Parseval balance and calibration."""
 
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import mpmath as mp
@@ -12,9 +13,11 @@ from hypersample import transforms as tr
 from hypersample.bandlimited import synthesize
 from hypersample.errors import (CalibrationInconsistent, NumericalFailure,
                                TailMassExceeded)
-from hypersample.geometry import (RHO, ball_volume, busemann, distance,
-                                  mobius_translate)
-from hypersample.spectral import (SpectralCoeffs, apply_multiplier, build_grid,
+from hypersample.geometry import (RHO, SpaceParams, ball_volume, busemann,
+                                  distance, mobius_translate)
+from hypersample.spectral import (SpectralCoeffs, _circle_cosines,
+                                  _gamma_ratio, _plane_wave_basis,
+                                  apply_multiplier, build_grid,
                                   laplacian_multiplier, spherical_function)
 
 
@@ -363,6 +366,120 @@ def test_mode_table_cache_is_read_only_and_bounded(space, monkeypatch):
         assert len(tr._TABLE_CACHE) <= tr._TABLE_CACHE_SIZE
     assert table(sizes[-1]) is tables[sizes[-1]]
     assert table(sizes[0]) is not tables[sizes[0]]
+
+
+# (spectral grid, polar grid) of the calibration (near and far radii) and
+# of the spline_reconstruct scenario (near radii only), density constant 1
+_TABLE_GRIDS = {
+    "calibration": lambda space: (build_grid(space, 24.0, 96, 64),
+                                  tr.build_polar_grid(8.0, 128, 128)),
+    "spline": lambda space: (build_grid(space, 10.0, 96, 64, 1.0),
+                             tr.build_polar_grid(2.0, 160, 96)),
+}
+# a cold table may hold, beyond itself, the real plane coefficients G of
+# its near radii (2.5 MB on the spline grid) and a few block-sized
+# temporaries; one whole-array pass needed 14 MB (spline) to 21 MB
+# (calibration) beyond the table
+_TABLE_SLACK = 10e6
+
+
+def _whole_array_table(grid, pgrid, m_max):
+    """The mode table in one whole-array pass per route: the full product
+    conj(S)^T G, and the expansion with whole-size terms and phase step."""
+    lams, rs = grid.lambda_nodes, pgrid.r_nodes
+    near = rs <= tr._SWITCH_RADIUS
+    table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
+    x = np.tanh(rs[near] / 2.0)
+    n = max(tr._phase_node_count(float(np.max(lams)), float(np.max(rs[near]))),
+            4 * (m_max + 1))
+    a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
+    modes = _circle_cosines(x, n, m_max, a_max, series.shape[0])
+    prod = np.conj(series).T @ modes.reshape(series.shape[0], -1)
+    table[:, :, near] = prod.reshape(lams.size, x.size,
+                                     m_max + 1).transpose(0, 2, 1)
+    if np.all(near):
+        return table
+    far = rs[~near]
+    il = 1j * lams[:, None]
+    s = -0.5 + il
+    lam2 = lams[:, None] ** 2 + 0.25
+    m4 = 4.0 * np.arange(m_max + 1, dtype=float)[None, :] ** 2
+    u = np.exp(-2.0 * far)
+    a_prev = np.zeros((lams.size, m_max + 1), dtype=complex)
+    a = np.ones((lams.size, m_max + 1), dtype=complex)
+    g = np.ones((lams.size, m_max + 1, far.size), dtype=complex)
+    mass = np.ones(g.shape)
+    un = np.ones_like(u)
+    prev = np.full(g.shape, np.inf)
+    for k in range(1, 65):
+        p, q = s - 2 * k + 2, s - 2 * k + 4
+        a_prev, a = a, (((2.0 * p**2 + 2.0 * lam2 + m4) * a
+                         - (q**2 - q + lam2) * a_prev) / (4 * k * (k - il)))
+        un = un * u
+        term = a[:, :, None] * un
+        g += term
+        size = np.abs(term)
+        mass += size
+        if np.all(size + prev <= np.finfo(float).eps * mass):
+            break
+        prev = size
+    c = _gamma_ratio(1j * lams) / math.sqrt(math.pi)
+    j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
+    pi_m = np.concatenate([np.ones((lams.size, 1)),
+                           np.cumprod((j - il) / (j + il), axis=1)], axis=1)
+    w = (c[:, None] * np.exp(np.outer(1j * lams - 0.5, far)))[:, None, :] * g
+    table[:, :, ~near] = pi_m[:, :, None] * w + np.conj(w)
+    return table
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
+def test_mode_table_in_blocks_matches_whole_array_bits(case, monkeypatch):
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
+    table = tr.radial_mode_table(grid, pgrid, 31)
+    assert table.tobytes() == _whole_array_table(grid, pgrid, 31).tobytes()
+
+
+def _traced_peak(call):
+    """call()'s value and the peak of the memory traced while it ran,
+    above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
+def test_cold_mode_table_costs_its_own_size_plus_blocks(case, monkeypatch):
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
+    table, peak = _traced_peak(lambda: tr.radial_mode_table(grid, pgrid, 31))
+    assert peak <= table.nbytes + _TABLE_SLACK
+
+
+def test_calibration_leaves_the_table_cache_as_it_found_it(monkeypatch,
+                                                           calibration):
+    # a full cache: the calibration's own table evicts the oldest entry
+    # while it runs, and both come back as they were
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    grid = build_grid(SpaceParams(), lam_max=4.0, n_lambda=8, n_b=8)
+    for n_r in range(4, 4 + tr._TABLE_CACHE_SIZE):
+        tr.radial_mode_table(grid, tr.build_polar_grid(1.0, n_r, 8), 2)
+    before = list(tr._TABLE_CACHE.items())
+    tr.calibrate_plancherel.cache_clear()
+    try:
+        cold, peak = _traced_peak(tr.calibrate_plancherel)
+    finally:
+        tr.calibrate_plancherel.cache_clear()
+    after = list(tr._TABLE_CACHE.items())
+    assert [k for k, _ in after] == [k for k, _ in before]
+    assert all(a is b for (_, a), (_, b) in zip(after, before))
+    assert cold.scale == calibration.scale
+    # the lam <= 24 table (6.3 MB) and its transients, not two tables
+    assert peak <= 96 * 32 * 128 * 16 + _TABLE_SLACK
 
 
 def test_laplacian_symbol_end_to_end(space):
