@@ -31,8 +31,6 @@ from .spectral import (
     apply_multiplier,
     build_grid,
     default_lam_max,
-    identity_multiplier,
-    laplacian_multiplier,
     sobolev_multiplier,
     spherical_function,
 )
@@ -42,7 +40,6 @@ from .transforms import (
     build_polar_grid,
     calibrate_plancherel,
     forward_transform,
-    forward_transform_direct,
     inverse_on_grid,
     inverse_transform,
     tail_mass_fraction,
@@ -50,8 +47,6 @@ from .transforms import (
 from .bandlimited import (
     BandlimitedFunction,
     bernstein_check,
-    converse_bernstein_probe,
-    density_probe,
     synthesize,
 )
 from .lattice import (
@@ -59,27 +54,20 @@ from .lattice import (
     build_lattice,
     certify_cover,
     certify_multiplicity,
-    load_lattice,
-    sampling_inequality_probe,
-    save_lattice,
 )
 from .sampling import (
     FrameSystem,
     SampleSet,
     build_frame,
     convolution_samples,
-    load_samples,
     point_samples,
     reconstruct,
-    save_samples,
-    stability_probe,
 )
 from .splines import (
     PolyharmonicKernel,
     SplineInterpolant,
     SplineSystem,
     build_splines,
-    iterated_bernstein_check,
     polyharmonic_kernel,
     spline_band_projection,
     spline_interpolate,
@@ -88,7 +76,6 @@ from .splines import (
 from .sphavg import (
     AverageSpec,
     average_multiplier,
-    contraction_check,
     near_identity_check,
     spherical_average_direct,
     theorem73_experiment,

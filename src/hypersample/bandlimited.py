@@ -1,4 +1,4 @@
-"""Band limited functions: synthesis, Bernstein certificates, density probe.
+"""Band limited functions: synthesis and Bernstein certificates.
 
 A function is omega band limited when its spectral coefficients vanish for
 lam > omega.  Here that support condition is exact by construction: the
@@ -11,13 +11,11 @@ no spectral leakage to quantify.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedWarning
-from .geometry import RHO, as_complex, distance
+from .geometry import RHO
 from .spectral import (SpectralCoeffs, SpectralGrid, apply_multiplier,
                        sobolev_multiplier)
 from .transforms import PolarGrid, inverse_on_grid, inverse_transform
@@ -26,8 +24,6 @@ __all__ = [
     "BandlimitedFunction",
     "synthesize",
     "bernstein_check",
-    "converse_bernstein_probe",
-    "density_probe",
 ]
 
 
@@ -132,60 +128,3 @@ def bernstein_check(f: BandlimitedFunction, sigma: float) -> dict:
         "ratio": lhs / rhs if rhs else math.inf,
         "pass": lhs <= rhs * (1.0 + 1e-10),
     }
-
-
-def converse_bernstein_probe(coeffs: SpectralCoeffs, omega: float,
-                             sigma_list=(0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
-    """Ratios ||Delta^sigma f|| / ((omega^2+rho^2)^sigma ||f||) along sigma_list.
-
-    Bounded by 1 for genuine omega band limited input; grows without bound
-    when the spectrum sticks out beyond omega (the negative certificate).
-    """
-    base = coeffs.norm()
-    if base == 0.0:
-        return {"sigmas": list(sigma_list), "ratios": [math.nan] * len(sigma_list),
-                "applicable": False}
-    ratios = []
-    for s in sigma_list:
-        num = apply_multiplier(coeffs, sobolev_multiplier(s)).norm()
-        ratios.append(num / ((omega**2 + RHO**2) ** s * base))
-    return {"sigmas": list(sigma_list), "ratios": ratios, "applicable": True}
-
-
-def density_probe(grid: SpectralGrid, center, radius: float,
-                  target_samples: np.ndarray, pgrid: PolarGrid, *,
-                  n_list=(10, 20, 40), seed: int = 0,
-                  n_modes: int = 3) -> dict:
-    """Least-squares distance from target to spans of band limited functions
-    synthesized on grid, restricted to the ball B(center, radius).
-
-    The error sequence over nested n is nonincreasing by construction.  The
-    probe is empirical evidence of density, not a proof.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    n_list = sorted(n_list)
-    n_max = n_list[-1]
-    mask = np.asarray(distance(as_complex(center), pgrid.points) <= radius)
-    if not np.any(mask):
-        raise ValueError("ball contains no quadrature nodes")
-    sw = np.sqrt(pgrid.weights2d[mask])
-    b = (np.asarray(target_samples)[mask] * sw).ravel()
-    cols = np.empty((b.size, n_max), dtype=complex)
-    for i in range(n_max):
-        g = synthesize(grid, seed=seed + i, n_modes=n_modes,
-                       width_range=(0.05, 0.4), center_range=(0.1, 0.9))
-        cols[:, i] = (g.on_grid(pgrid)[mask] * sw).ravel()
-    errors, conds = [], []
-    b_norm = float(np.linalg.norm(b))
-    for n in n_list:
-        a = cols[:, :n]
-        cond = float(np.linalg.cond(a))
-        if cond > 1e12:
-            warnings.warn(f"density probe basis condition {cond:.2e} at n={n}",
-                          IllConditionedWarning)
-        beta = np.linalg.lstsq(a, b, rcond=None)[0]
-        resid = b - a @ beta
-        errors.append(float(np.linalg.norm(resid)) / b_norm if b_norm else 0.0)
-        conds.append(cond)
-    return {"n": list(n_list), "errors": errors, "condition": conds}

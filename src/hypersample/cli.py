@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandlimited import bernstein_check, synthesize
+from .bandlimited import BandlimitedFunction, bernstein_check, synthesize
 from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
     synthesize_1d
 from .errors import ConfigError, HypersampleError, IllConditionedWarning, \
@@ -434,7 +434,7 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                 system = build_splines(lat, int(k), space=space)
             except SingularKernel:
                 rep.add(k, "singular", len(lat), math.inf, math.nan,
-                        math.nan, True)
+                        math.nan, False)
                 continue
             interp = spline_interpolate(system, s)
             err = _rel_err(pgrid, interp.evaluate(pgrid.points), f_ref)
@@ -463,7 +463,6 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     grid, _ = _grids(cfg, space)
     f = synthesize(grid, cfg.seeds[0])
     rng = np.random.default_rng(42)
-    from .bandlimited import BandlimitedFunction
     with _timed(rep, "two_path_cases"):
         for case in range(10):
             y = 0.6 * math.sqrt(rng.random()) \
@@ -751,7 +750,6 @@ def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
     def sphavg_two_path():
         grid = build_grid(space, 8.0, 96, 64, 2.0)
         f = synthesize(grid, seed=0)
-        from .bandlimited import BandlimitedFunction
         for tau in (0.1, 0.3):
             direct = spherical_average_direct(f, 0.3 + 0.2j,
                                               AverageSpec(tau=tau))

@@ -41,7 +41,6 @@ __all__ = [
     "Point",
     "as_complex",
     "distance",
-    "sphere_area",
     "ball_volume",
     "busemann",
     "mobius_translate",
@@ -140,14 +139,6 @@ def distance(x, y) -> np.ndarray:
     t = num / den
     # t < 1 for interior points; arctanh is the numerically stable route
     return 2.0 * np.arctanh(t)
-
-
-def sphere_area(r) -> np.ndarray:
-    """Circumference S(r) = 2 pi sinh r of the geodesic sphere of radius r."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    return 2.0 * np.pi * np.sinh(r)
 
 
 def ball_volume(r) -> np.ndarray:

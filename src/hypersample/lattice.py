@@ -33,7 +33,6 @@ keeps its pairs, those of the few probes the packing left uncovered.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ __all__ = [
     "build_lattice",
     "certify_cover",
     "certify_multiplicity",
-    "sampling_inequality_probe",
-    "save_lattice",
-    "load_lattice",
     "near_pairs",
 ]
 
@@ -94,9 +90,9 @@ def _candidate_net(domain_radius: float, spacing: float, rng) -> np.ndarray:
         m = max(6, int(math.ceil(2.0 * math.pi * math.sinh(s) / spacing)))
         ang = 2.0 * math.pi * (np.arange(m) + rng.uniform()) / m
         rings.append(math.tanh(s / 2.0) * np.exp(1j * ang))
-    rest = np.concatenate(rings[1:]) if len(rings) > 1 else np.empty(0, complex)
-    rest = rest[rng.permutation(rest.size)]
-    return np.concatenate([rings[0], rest])
+    net = np.concatenate(rings)
+    rng.shuffle(net[1:])
+    return net
 
 
 def _tree_radius(t: float) -> float:
@@ -333,66 +329,3 @@ def certify_multiplicity(lat: Lattice) -> int:
         raise CertificationFailed(
             f"multiplicity {measured} exceeds certified field {lat.n_mult}")
     return measured
-
-
-def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
-    """Both sides of the norm-vs-samples inequality, as a diagnostic.
-
-    Reports ``norm`` = ||f||, ``sample_norm`` = (sum |f(x_j)|^2)^(1/2),
-    ``sobolev_term`` = r^k ||Delta^(k/2) f||, the combination
-    ``ratio`` = norm / (r^(d/2) sample_norm + sobolev_term) whose empirical
-    supremum plays the constant in the lower inequality, and ``upper_ratio``
-    = sample_norm / graph Sobolev norm for the companion upper inequality.
-    Constants are estimated across experiments, never assumed.
-    """
-    from .spectral import apply_multiplier, sobolev_multiplier
-
-    if k <= 1.0:
-        raise ValueError("order k must exceed d/2 = 1")
-    norm = f.norm()
-    values = f.evaluate(lat.points)
-    sample_norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        return {"norm": 0.0, "sample_norm": sample_norm, "sobolev_term": 0.0,
-                "ratio": 0.0, "upper_ratio": 0.0}
-    sob = apply_multiplier(f.coeffs, sobolev_multiplier(k / 2.0)).norm()
-    d = 2
-    rhs = lat.r ** (d / 2.0) * sample_norm + lat.r**k * sob
-    hk_norm = math.hypot(norm, sob)
-    return {
-        "norm": norm,
-        "sample_norm": sample_norm,
-        "sobolev_term": lat.r**k * sob,
-        "ratio": norm / rhs if rhs else math.inf,
-        "upper_ratio": sample_norm / hk_norm,
-    }
-
-
-def save_lattice(lat: Lattice, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_lattice_csv(lat))
-
-
-def _lattice_csv(lat: Lattice) -> str:
-    buf = io.StringIO()
-    buf.write(f"# r={lat.r!r} domain_radius={lat.domain_radius!r} "
-              f"n_mult={lat.n_mult} seed={lat.seed}\n")
-    buf.write("u,v\n")
-    for z in lat.points:
-        buf.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
-    return buf.getvalue()
-
-
-def load_lattice(path) -> Lattice:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise ValueError("missing lattice header")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
-        cols = fh.readline().strip()
-        if cols != "u,v":
-            raise ValueError("unexpected column header")
-        rows = [line.split(",") for line in fh if line.strip()]
-    pts = np.array([complex(float(u), float(v)) for u, v in rows])
-    return Lattice(pts, float(meta["r"]), int(meta["n_mult"]),
-                   float(meta["domain_radius"]), int(meta["seed"]))

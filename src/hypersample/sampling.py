@@ -51,9 +51,6 @@ __all__ = [
     "convolution_samples",
     "build_frame",
     "reconstruct",
-    "stability_probe",
-    "save_samples",
-    "load_samples",
 ]
 
 _PINV_CUT = 1e-12
@@ -66,7 +63,6 @@ class SampleSet:
     values: np.ndarray
     kind: str  # "point" or "convolution"
     multiplier: Multiplier | None = None
-    multiplier_label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -74,11 +70,8 @@ class SampleSet:
             raise ValueError("one sample value per lattice point required")
         if self.kind not in ("point", "convolution"):
             raise ValueError("kind must be 'point' or 'convolution'")
-        if self.kind == "convolution" and self.multiplier is None \
-                and not self.multiplier_label:
-            raise ValueError("convolution samples must record their multiplier")
-        if self.multiplier is not None and not self.multiplier_label:
-            self.multiplier_label = self.multiplier.label
+        if self.kind == "convolution" and self.multiplier is None:
+            raise ValueError("convolution samples must carry their multiplier")
 
 
 @dataclass(eq=False)
@@ -229,12 +222,11 @@ def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
             not np.array_equal(s.lattice.points, frame.lattice.points):
         raise ValueError("sample set and frame use different lattices")
     f_lab = frame.multiplier.label if frame.multiplier else ""
-    s_lab = s.multiplier_label
     if s.kind == "point" and frame.multiplier is not None:
         raise ValueError("point samples fed to a deconvolution frame")
-    if s.kind == "convolution" and f_lab != s_lab:
-        raise ValueError(
-            f"sample multiplier {s_lab!r} does not match frame {f_lab!r}")
+    if s.kind == "convolution" and s.multiplier.label != f_lab:
+        raise ValueError(f"sample multiplier {s.multiplier.label!r} does not "
+                         f"match frame {f_lab!r}")
 
 
 def reconstruct(frame: FrameSystem, s: SampleSet) -> BandlimitedFunction:
@@ -258,68 +250,3 @@ def reconstruct(frame: FrameSystem, s: SampleSet) -> BandlimitedFunction:
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[grid.band_slice] = np.fft.fft(modes, axis=0, norm="ortho").T
     return BandlimitedFunction(SpectralCoeffs(grid, values))
-
-
-def stability_probe(frame: FrameSystem, s: SampleSet, noise_level: float,
-                    seed: int, n_levels: int = 5) -> dict:
-    """Reconstruction error under seeded sample noise, over a level sweep.
-
-    One complex Gaussian direction is drawn and scaled to noise_level times
-    (1e-2 ... 1) in l2 norm, so the curve isolates the linearity of the
-    solve.  The certified amplification bound is c_stab = 1/sqrt(A).
-    """
-    base = reconstruct(frame, s)
-    if noise_level == 0.0:
-        levels = np.zeros(n_levels)
-    else:
-        levels = noise_level * np.logspace(-2, 0, n_levels)
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(len(frame.lattice)) \
-        + 1j * rng.standard_normal(len(frame.lattice))
-    direction /= np.linalg.norm(direction)
-    errors = []
-    for eps in levels:
-        noisy = SampleSet(s.lattice, s.values + eps * direction, s.kind,
-                          s.multiplier, s.multiplier_label)
-        diff = reconstruct(frame, noisy).coeffs.values - base.coeffs.values
-        errors.append(SpectralCoeffs(frame.grid, diff).norm())
-    errors = np.asarray(errors)
-    ratios = np.divide(errors, levels, out=np.zeros_like(errors),
-                       where=levels > 0)
-    return {
-        "levels": levels,
-        "errors": errors,
-        "ratios": ratios,
-        "c_stab": 1.0 / math.sqrt(frame.frame_bounds[0]),
-    }
-
-
-def save_samples(s: SampleSet, path) -> None:
-    lat = s.lattice
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# r={lat.r!r} domain_radius={lat.domain_radius!r} "
-                 f"n_mult={lat.n_mult} seed={lat.seed} kind={s.kind} "
-                 f"multiplier={s.multiplier_label or 'none'}\n")
-        fh.write("index,u,v,value_re,value_im\n")
-        for j, (z, v) in enumerate(zip(lat.points, s.values)):
-            fh.write(f"{j},{float(z.real)!r},{float(z.imag)!r},"
-                     f"{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def load_samples(path) -> SampleSet:
-    """Rebuilds the sample set; the multiplier comes back as a label only."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise ValueError("missing sample header")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
-        if fh.readline().strip() != "index,u,v,value_re,value_im":
-            raise ValueError("unexpected column header")
-        rows = [line.split(",") for line in fh if line.strip()]
-    pts = np.array([complex(float(u), float(v)) for _, u, v, _, _ in rows])
-    vals = np.array([complex(float(a), float(b)) for _, _, _, a, b in rows])
-    lat = Lattice(pts, float(meta["r"]), int(meta["n_mult"]),
-                  float(meta["domain_radius"]), int(meta["seed"]))
-    label = meta["multiplier"]
-    return SampleSet(lat, vals, meta["kind"],
-                     multiplier_label="" if label == "none" else label)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +50,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import MultiplierVanishes, NumericalFailure
-from .geometry import RHO, SpaceParams, busemann, row_blocks
+from .geometry import RHO, busemann, row_blocks
 
 __all__ = [
     "plancherel_density",
@@ -64,12 +63,8 @@ __all__ = [
     "default_lam_max",
     "SpectralCoeffs",
     "Multiplier",
-    "identity_multiplier",
-    "laplacian_multiplier",
     "sobolev_multiplier",
     "apply_multiplier",
-    "save_coeffs",
-    "load_coeffs",
 ]
 
 
@@ -578,15 +573,6 @@ class Multiplier:
         return float(np.min(np.abs(self.values_on(grid)[grid.band_slice])))
 
 
-def identity_multiplier() -> Multiplier:
-    return Multiplier(fn=lambda lam: np.ones_like(lam), label="identity")
-
-
-def laplacian_multiplier() -> Multiplier:
-    """Symbol of the Laplacian: hat(Delta f) = -(lam^2 + rho^2) hat(f)."""
-    return Multiplier(fn=lambda lam: -(lam**2 + RHO**2), label="laplacian")
-
-
 def sobolev_multiplier(sigma: float) -> Multiplier:
     """Modulus symbol (lam^2 + rho^2)^sigma of the fractional power |Delta|^sigma."""
     return Multiplier(fn=lambda lam: (lam**2 + RHO**2) ** sigma, label=f"sobolev_{sigma}")
@@ -604,48 +590,3 @@ def apply_multiplier(coeffs: SpectralCoeffs, mult: Multiplier,
             raise MultiplierVanishes(f"multiplier {mult.label} vanishes on the grid")
         vals = 1.0 / vals
     return SpectralCoeffs(coeffs.grid, coeffs.values * vals[:, None])
-
-
-_MAGIC = b"HSC2"
-
-
-def save_coeffs(coeffs: SpectralCoeffs, path) -> None:
-    """Binary layout: magic, (n_lambda, n_b, n_band) int64, (lam_max, omega,
-    rho, plancherel_scale) float64, then row-major interleaved re/im values.
-    The rho slot always holds RHO."""
-    g = coeffs.grid
-    header = struct.pack(
-        "<4sqqqdddd", _MAGIC, g.n_lambda, g.n_b, g.n_band,
-        g.lam_max, g.omega, RHO, g.plancherel_scale,
-    )
-    flat = np.empty(2 * coeffs.values.size)
-    flat[0::2] = coeffs.values.real.ravel()
-    flat[1::2] = coeffs.values.imag.ravel()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(flat.astype("<f8").tobytes())
-
-
-def load_coeffs(path) -> SpectralCoeffs:
-    """Rebuild coefficients saved by save_coeffs; the grid is reconstructed
-    deterministically from the header, so the roundtrip is bit exact.
-    A rho slot other than RHO belongs to no plane this package knows, and
-    raises ValueError."""
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sqqqdddd"))
-        magic, n_lambda, n_b, n_band, lam_max, omega, rho_slot, scale = \
-            struct.unpack("<4sqqqdddd", head)
-        if magic != _MAGIC:
-            raise ValueError("not a coefficient file")
-        if rho_slot != RHO:
-            raise ValueError(f"coefficient file has rho = {rho_slot!r}, "
-                             f"not {RHO}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * n_lambda * n_b:
-        raise ValueError("truncated coefficient file")
-    space = SpaceParams(plancherel_scale=scale)
-    grid = build_grid(space, lam_max, n_lambda, n_b,
-                      omega=omega if n_band else None,
-                      n_band=n_band if n_band else None)
-    values = (raw[0::2] + 1j * raw[1::2]).reshape(n_lambda, n_b)
-    return SpectralCoeffs(grid, values.copy())

@@ -10,7 +10,6 @@ such averages on a lattice, through the frame route and the spline route.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,8 +19,7 @@ from .bandlimited import BandlimitedFunction, synthesize
 from .geometry import RHO, circle_points
 from .lattice import build_lattice
 from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
-from .spectral import (Multiplier, SpectralGrid, apply_multiplier,
-                       spherical_function)
+from .spectral import Multiplier, SpectralGrid, spherical_function
 from .splines import spline_reconstruct_deconvolve
 from .transforms import PolarGrid
 
@@ -29,7 +27,6 @@ __all__ = [
     "AverageSpec",
     "average_multiplier",
     "spherical_average_direct",
-    "contraction_check",
     "near_identity_check",
     "theorem73_experiment",
 ]
@@ -82,22 +79,6 @@ def spherical_average_direct(f: BandlimitedFunction, y, spec: AverageSpec):
         return complex(f.evaluate(np.array([y]))[0])
     pts = circle_points(y, spec.tau, spec.m_circle)
     return complex(np.mean(f.evaluate(pts)))
-
-
-def contraction_check(f: BandlimitedFunction, spec: AverageSpec) -> dict:
-    """Norm ratio ||M^tau f|| / ||f|| through the multiplier path.
-
-    |phi_lam(tau)| <= 1 makes the average a contraction; the check is exact
-    spectral arithmetic, so the tolerance only absorbs roundoff.
-    """
-    if spec.n != 0:
-        raise ValueError("the contraction statement is for plain averages "
-                         "(n = 0)")
-    before = f.coeffs.norm()
-    if before == 0.0:
-        return {"tau": spec.tau, "ratio": math.nan, "passed": True}
-    ratio = apply_multiplier(f.coeffs, average_multiplier(spec)).norm() / before
-    return {"tau": spec.tau, "ratio": ratio, "passed": ratio <= 1.0 + 1e-8}
 
 
 def near_identity_check(grid: SpectralGrid, spec: AverageSpec) -> dict:

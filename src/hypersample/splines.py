@@ -41,8 +41,8 @@ from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
-                       _horocycle_planes, _plane_wave_basis, apply_multiplier,
-                       plancherel_density, sobolev_multiplier, zonal_series)
+                       _horocycle_planes, _plane_wave_basis,
+                       plancherel_density, zonal_series)
 
 __all__ = [
     "PolyharmonicKernel",
@@ -53,7 +53,6 @@ __all__ = [
     "spline_interpolate",
     "spline_band_projection",
     "spline_reconstruct_deconvolve",
-    "iterated_bernstein_check",
 ]
 
 _TAIL_TOL = 1e-10
@@ -401,10 +400,6 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     the Lagrangian certificate _CERT_TOL = 1e-8; the result records where.
     """
     if s.kind == "convolution":
-        if s.multiplier is None:
-            raise ValueError(
-                "convolution sample set carries only a multiplier label; "
-                "the multiplier itself is required for deconvolution")
         m = s.multiplier
         band_min = m.band_min_abs(grid)
         if band_min <= 1e-12:
@@ -430,29 +425,3 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
         conditions.append(sys.condition)
     return {"k_list": k_list, "functions": functions,
             "conditions": conditions, "aborted_at": aborted_at}
-
-
-def iterated_bernstein_check(f: BandlimitedFunction, sigma: float,
-                             m_list=(1, 2, 4), s_list=(0, 1)) -> dict:
-    """Iterated spectral inequality, as pure multiplier arithmetic.
-
-    With a = ||f|| / ||Delta^sigma f|| (the smallest admissible constant),
-    checks ||Delta^s f|| <= a^m ||Delta^(m sigma + s) f|| for each (m, s).
-    """
-    def power_norm(p: float) -> float:
-        return apply_multiplier(f.coeffs, sobolev_multiplier(p)).norm()
-
-    n0 = power_norm(0.0)
-    ns = power_norm(sigma)
-    if ns == 0.0:
-        return {"a": math.nan, "sigma": sigma, "rows": [], "all_pass": False}
-    a = n0 / ns
-    rows = []
-    for m in m_list:
-        for s in s_list:
-            lhs = power_norm(float(s))
-            rhs = a ** m * power_norm(m * sigma + s)
-            rows.append({"m": m, "s": s, "lhs": lhs, "rhs": rhs,
-                         "pass": lhs <= rhs * (1 + 1e-8)})
-    return {"a": a, "sigma": sigma, "rows": rows,
-            "all_pass": all(r["pass"] for r in rows)}

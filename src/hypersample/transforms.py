@@ -39,11 +39,6 @@ with c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) the Harish-Chandra
 c-function, pi_m(lam) = prod_{j=1..m} (j - 1/2 - i lam) / (j - 1/2 + i lam),
 and g_+- power series whose coefficients follow from the mode equation
 (spectral._modes_by_expansion, which spectral.zonal_sum shares).
-
-A dense direct route (explicit plane-wave kernels at every grid node) is
-kept as an independent cross-check for small domains; it shares no code
-with the mode route beyond the geometry primitives: it takes one complex
-exponential per (lam, node, boundary angle) and no Chebyshev series.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationInconsistent, TailMassExceeded
-from .geometry import (RHO, SpaceParams, as_complex, busemann, distance,
+from .geometry import (SpaceParams, as_complex, distance,
                        random_ball_points, row_blocks)
 from .spectral import (_SWITCH_RADIUS, SpectralCoeffs, SpectralGrid,
                        _circle_cosines, _fsum_real, _gauss_legendre,
@@ -71,7 +66,6 @@ __all__ = [
     "forward_transform",
     "inverse_on_grid",
     "inverse_transform",
-    "forward_transform_direct",
     "CalibrationResult",
     "calibrate_plancherel",
 ]
@@ -316,28 +310,6 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
                                            a_max, len(series)):
         acc[blk] += plane @ parts[k]
     return (acc[:, 0] + 1j * acc[:, 1]).reshape(pts.shape)
-
-
-# ---------------------------------------------------------------------------
-# dense direct route (small-domain oracle)
-
-
-def forward_transform_direct(pgrid: PolarGrid, grid: SpectralGrid,
-                             samples: np.ndarray) -> SpectralCoeffs:
-    """Forward transform by explicit plane-wave kernels at every node.
-
-    Independent of the mode tables; cost and accuracy both degrade with
-    r_max, so use only on small domains as a cross-check."""
-    samples = np.asarray(samples)
-    pts = pgrid.points.ravel()
-    wf = (pgrid.weights2d * samples).ravel()
-    lam = grid.lambda_nodes
-    values = np.empty((grid.n_lambda, grid.n_b), dtype=complex)
-    for j, theta_b in enumerate(grid.boundary_angles):
-        av = busemann(pts, theta_b)
-        kern = np.exp((RHO - 1j * lam)[:, None] * av[None, :])
-        values[:, j] = kern @ wf
-    return SpectralCoeffs(grid, values)
 
 
 # ---------------------------------------------------------------------------

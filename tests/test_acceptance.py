@@ -19,11 +19,13 @@ from hypersample.cli import _scenario_baseline1d, _scenario_bernstein, \
 from hypersample.geometry import ball_volume
 from hypersample.lattice import build_lattice
 from hypersample.sampling import build_frame, convolution_samples, \
-    reconstruct, stability_probe
-from hypersample.spectral import build_grid, laplacian_multiplier
+    reconstruct
+from hypersample.spectral import build_grid
 from hypersample.sphavg import AverageSpec, average_multiplier, \
     near_identity_check
 from hypersample.transforms import build_polar_grid
+
+from helpers import laplacian_multiplier, stability_probe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -212,9 +214,9 @@ def test_criterion_08_spline_interpolation(space):
     assert err < 1e-3
     assert passed
     # at this scale k = 4 already fails Cholesky: the conditioning wall
-    # is reported, not hidden
-    assert rows[4][1] == "singular"
-    assert rows[8][1] == "singular"
+    # is reported, not hidden, and those rows do not claim to have passed
+    assert rows[4][1] == "singular" and rows[4][-1] is False
+    assert rows[8][1] == "singular" and rows[8][-1] is False
     assert rep.failures == []
     _report(8, "spline interpolation",
             f"N={n}, k=2 defect {defect:.3e} (tolerance 1e-8), condition "

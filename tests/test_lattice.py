@@ -15,9 +15,10 @@ from hypersample.errors import CertificationFailed
 from hypersample.geometry import (PAIR_BLOCK, ball_volume, distance,
                                   multiplicity_bound, random_ball_points)
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
-                                 certify_multiplicity, load_lattice,
-                                 sampling_inequality_probe, save_lattice)
-from hypersample.spectral import SpectralCoeffs, build_grid, default_lam_max
+                                 certify_multiplicity)
+from hypersample.spectral import (SpectralCoeffs, apply_multiplier,
+                                  build_grid, default_lam_max,
+                                  sobolev_multiplier)
 
 
 def _pairwise_min(points):
@@ -73,6 +74,25 @@ def test_build_lattice_certifies_cover_in_one_pass(monkeypatch):
     monkeypatch.undo()
     # the public certificate re-derives the probes and agrees exactly
     assert certify_cover(lat) == checked[0] <= lat.r / 2
+
+
+@pytest.mark.parametrize("domain, spacing", [(1.4, 0.05), (2.0, 0.1),
+                                             (0.4, 0.5)])
+def test_candidate_net_matches_permuted_rings(domain, spacing):
+    # the oracle: rings drawn in order, then the non-origin nodes taken
+    # through one permutation and appended to the origin
+    rng, ref_rng = (np.random.default_rng([7, 0]) for _ in range(2))
+    rings = [np.array([0.0 + 0.0j])]
+    for i in range(1, int(math.floor(domain / spacing)) + 1):
+        s = i * spacing
+        m = max(6, int(math.ceil(2.0 * math.pi * math.sinh(s) / spacing)))
+        ang = 2.0 * math.pi * (np.arange(m) + ref_rng.uniform()) / m
+        rings.append(math.tanh(s / 2.0) * np.exp(1j * ang))
+    rest = np.concatenate(rings[1:]) if len(rings) > 1 else np.empty(0, complex)
+    ref = np.concatenate([rings[0], rest[ref_rng.permutation(rest.size)]])
+    net = lattice_mod._candidate_net(domain, spacing, rng)
+    assert net.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("r, seed", [(0.4, 0), (0.3, 5)])
@@ -335,35 +355,35 @@ def test_validation():
         build_lattice(0.1, 0.0, seed=0)
 
 
-def test_csv_round_trip(tmp_path):
-    lat = build_lattice(0.3, 1.5, seed=5)
-    path = tmp_path / "lat.csv"
-    save_lattice(lat, path)
-    back = load_lattice(path)
-    assert np.array_equal(back.points, lat.points)
-    assert (back.r, back.domain_radius, back.n_mult, back.seed) == \
-        (lat.r, lat.domain_radius, lat.n_mult, lat.seed)
-    path2 = tmp_path / "lat2.csv"
-    save_lattice(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
+    """Both sides of the norm-vs-samples inequality, as a diagnostic.
 
-
-@settings(max_examples=40, deadline=None)
-@given(polar=st.lists(st.tuples(st.floats(0.0, 6.0),
-                                st.floats(-math.pi, math.pi)), max_size=20),
-       r=st.floats(1e-3, 4.0), domain=st.floats(1e-3, 8.0),
-       n_mult=st.integers(1, 64), seed=st.integers(0, 2**32))
-def test_csv_round_trip_property(tmp_path_factory, polar, r, domain, n_mult,
-                                 seed):
-    s, theta = np.array(polar).reshape(-1, 2).T
-    lat = Lattice(np.tanh(s / 2.0) * np.exp(1j * theta), r, n_mult, domain,
-                  seed)
-    path = tmp_path_factory.mktemp("lat") / "lat.csv"
-    save_lattice(lat, path)
-    back = load_lattice(path)
-    assert back.points.tobytes() == lat.points.tobytes()
-    assert (back.r, back.domain_radius, back.n_mult, back.seed) == \
-        (r, domain, n_mult, seed)
+    Reports ``norm`` = ||f||, ``sample_norm`` = (sum |f(x_j)|^2)^(1/2),
+    ``sobolev_term`` = r^k ||Delta^(k/2) f||, the combination
+    ``ratio`` = norm / (r^(d/2) sample_norm + sobolev_term) whose empirical
+    supremum plays the constant in the lower inequality, and ``upper_ratio``
+    = sample_norm / graph Sobolev norm for the companion upper inequality.
+    Constants are estimated across experiments, never assumed.
+    """
+    if k <= 1.0:
+        raise ValueError("order k must exceed d/2 = 1")
+    norm = f.norm()
+    values = f.evaluate(lat.points)
+    sample_norm = float(np.linalg.norm(values))
+    if norm == 0.0:
+        return {"norm": 0.0, "sample_norm": sample_norm, "sobolev_term": 0.0,
+                "ratio": 0.0, "upper_ratio": 0.0}
+    sob = apply_multiplier(f.coeffs, sobolev_multiplier(k / 2.0)).norm()
+    d = 2
+    rhs = lat.r ** (d / 2.0) * sample_norm + lat.r**k * sob
+    hk_norm = math.hypot(norm, sob)
+    return {
+        "norm": norm,
+        "sample_norm": sample_norm,
+        "sobolev_term": lat.r**k * sob,
+        "ratio": norm / rhs if rhs else math.inf,
+        "upper_ratio": sample_norm / hk_norm,
+    }
 
 
 def _band_grid(space):

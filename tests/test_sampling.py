@@ -6,24 +6,22 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
 from hypersample.geometry import RHO, busemann, distance
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
-                                  convolution_samples, load_samples,
-                                  point_samples, reconstruct, save_samples,
-                                  stability_probe)
+                                  convolution_samples, point_samples,
+                                  reconstruct)
 from hypersample.spectral import (SpectralCoeffs, _horocycle_planes,
-                                  _plane_wave_basis, build_grid,
-                                  identity_multiplier, laplacian_multiplier)
+                                  _plane_wave_basis, build_grid)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (SplineInterpolant, build_splines,
                                  spline_band_projection)
 from hypersample.transforms import build_polar_grid
+
+from helpers import identity_multiplier, laplacian_multiplier, stability_probe
 
 # every Gram in this regime is rank deficient in raw double precision, so the
 # condition warning is expected background noise; tests that care opt back in
@@ -110,7 +108,7 @@ def test_convolution_identity_matches_point(f, lattices):
     conv = convolution_samples(f, lat, identity_multiplier())
     pts = point_samples(f, lat)
     assert conv.kind == "convolution"
-    assert conv.multiplier_label == "identity"
+    assert conv.multiplier.label == "identity"
     assert np.max(np.abs(conv.values - pts.values)) <= 1e-12
 
 
@@ -467,43 +465,3 @@ def test_adversarial_noise_realizes_stability_constant(frame8, f, lattices):
     amp = diff.norm() / eps
     c_stab = stability_probe(frame8, s, 1e-6, seed=0)["c_stab"]
     assert c_stab / 2 <= amp <= 2 * c_stab
-
-
-def test_samples_csv_round_trip(tmp_path, f, lattices):
-    s = convolution_samples(f, lattices[0.4], laplacian_multiplier())
-    path = tmp_path / "samples.csv"
-    save_samples(s, path)
-    loaded = load_samples(path)
-    assert loaded.kind == "convolution"
-    assert loaded.multiplier_label == "laplacian"
-    assert np.array_equal(loaded.values, s.values)
-    assert np.array_equal(loaded.lattice.points, s.lattice.points)
-    assert loaded.lattice.r == s.lattice.r
-    again = tmp_path / "again.csv"
-    save_samples(loaded, again)
-    assert path.read_bytes() == again.read_bytes()
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.tuples(st.floats(0.0, 6.0),
-                               st.floats(-math.pi, math.pi), _FINITE, _FINITE),
-                     max_size=20),
-       kind=st.sampled_from(["point", "convolution"]),
-       label=st.sampled_from(["", "identity", "laplacian", "sobolev_0.5",
-                              "sph_avg(tau=0.1,n=2)"]))
-def test_samples_csv_round_trip_property(tmp_path_factory, rows, kind, label):
-    assume(kind == "point" or label)
-    s, theta, re, im = np.array(rows).reshape(-1, 4).T
-    lat = Lattice(np.tanh(s / 2.0) * np.exp(1j * theta), 0.3, 7, 1.5, 11)
-    samples = SampleSet(lat, re + 1j * im, kind, multiplier_label=label)
-    path = tmp_path_factory.mktemp("samples") / "samples.csv"
-    save_samples(samples, path)
-    back = load_samples(path)
-    assert back.lattice.points.tobytes() == lat.points.tobytes()
-    assert back.values.tobytes() == samples.values.tobytes()
-    assert (back.kind, back.multiplier_label) == (kind, label)
-    assert (back.lattice.r, back.lattice.domain_radius, back.lattice.n_mult,
-            back.lattice.seed) == (0.3, 1.5, 7, 11)

@@ -1,8 +1,7 @@
-"""Spectral oracles: density identity, eigenfunction checks, grid quadrature,
-coefficient algebra and serialization."""
+"""Spectral oracles: density identity, eigenfunction checks, grid quadrature
+and coefficient algebra."""
 
 import math
-import struct
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +15,8 @@ from scipy.integrate import quad
 from hypersample import spectral as sp
 from hypersample.errors import MultiplierVanishes, NumericalFailure
 from hypersample.geometry import PAIR_BLOCK, RHO, SpaceParams, busemann
+
+from helpers import identity_multiplier, laplacian_multiplier
 
 
 def test_density_gamma_quotient_is_lam_tanh():
@@ -365,7 +366,7 @@ def test_coeffs_shape_check(grid):
 
 
 def test_multipliers_and_apply(grid):
-    lap = sp.laplacian_multiplier()
+    lap = laplacian_multiplier()
     vals = lap.values_on(grid)
     assert np.allclose(vals, -(grid.lambda_nodes**2 + 0.25))
     sob = sp.sobolev_multiplier(-2.0)
@@ -376,7 +377,7 @@ def test_multipliers_and_apply(grid):
     forward = sp.apply_multiplier(c, lap)
     back = sp.apply_multiplier(forward, lap, invert=True)
     assert np.max(np.abs(back.values - c.values)) < 1e-13
-    ident = sp.apply_multiplier(c, sp.identity_multiplier())
+    ident = sp.apply_multiplier(c, identity_multiplier())
     assert np.array_equal(ident.values, c.values)
 
 
@@ -390,55 +391,6 @@ def test_apply_multiplier_vanishing(grid):
 def test_multiplier_band_min(grid):
     m = sp.sobolev_multiplier(1.0)
     assert m.band_min_abs(grid) == pytest.approx(grid.lambda_nodes[0] ** 2 + 0.25)
-
-
-_HEADER = "<4sqqqdddd"
-
-
-def _header(path) -> list:
-    """The HSC2 header fields; index 6 is the rho slot."""
-    return list(struct.unpack(_HEADER,
-                              path.read_bytes()[:struct.calcsize(_HEADER)]))
-
-
-def test_save_load_roundtrip(tmp_path, grid):
-    rng = np.random.default_rng(21)
-    shape = (grid.n_lambda, grid.n_b)
-    c = sp.SpectralCoeffs(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    path = tmp_path / "field.hsc"
-    sp.save_coeffs(c, path)
-    assert _header(path)[6] == 0.5
-    back = sp.load_coeffs(path)
-    assert np.array_equal(back.values, c.values)
-    assert np.array_equal(back.grid.lambda_nodes, c.grid.lambda_nodes)
-    assert np.array_equal(back.grid.lambda_weights, c.grid.lambda_weights)
-    assert back.grid.n_b == c.grid.n_b and back.grid.n_band == c.grid.n_band
-    assert back.grid.plancherel_scale == c.grid.plancherel_scale
-    # byte-identical re-serialization
-    path2 = tmp_path / "field2.hsc"
-    sp.save_coeffs(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_rejects_foreign_rho(tmp_path, grid):
-    # rho is fixed by the plane: a file claiming another value is refused,
-    # not silently loaded onto a rho = 1/2 grid
-    path = tmp_path / "field.hsc"
-    sp.save_coeffs(sp.SpectralCoeffs(grid, np.zeros((grid.n_lambda, grid.n_b))),
-                   path)
-    head = _header(path)
-    head[6] = 0.7
-    body = path.read_bytes()[struct.calcsize(_HEADER):]
-    path.write_bytes(struct.pack(_HEADER, *head) + body)
-    with pytest.raises(ValueError, match="rho"):
-        sp.load_coeffs(path)
-
-
-def test_load_rejects_garbage(tmp_path):
-    p = tmp_path / "junk.hsc"
-    p.write_bytes(b"NOPE" + b"\0" * 64)
-    with pytest.raises(ValueError):
-        sp.load_coeffs(p)
 
 
 def test_default_lam_max():

@@ -1,18 +1,19 @@
 """Spherical-average tests: two-path symbol agreement, contraction,
 near-identity bounds, and the end-to-end averaged-sampling loop."""
 
+import math
+
 import numpy as np
 import pytest
 
-from hypersample.bandlimited import synthesize
+from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.geometry import RHO
 from hypersample.lattice import build_lattice
 from hypersample.sampling import (build_frame, convolution_samples,
                                   point_samples, reconstruct)
 from hypersample.spectral import SpectralCoeffs, apply_multiplier, build_grid
 from hypersample.sphavg import (AverageSpec, average_multiplier,
-                                contraction_check, near_identity_check,
-                                spherical_average_direct,
+                                near_identity_check, spherical_average_direct,
                                 theorem73_experiment)
 from hypersample.transforms import build_polar_grid
 
@@ -95,6 +96,22 @@ def test_circle_quadrature_doubling(f):
     a = spherical_average_direct(f, y, AverageSpec(tau=0.3, m_circle=64))
     b = spherical_average_direct(f, y, AverageSpec(tau=0.3, m_circle=128))
     assert abs(a - b) <= 1e-10 * max(abs(a), 1e-6)
+
+
+def contraction_check(f: BandlimitedFunction, spec: AverageSpec) -> dict:
+    """Norm ratio ||M^tau f|| / ||f|| through the multiplier path.
+
+    |phi_lam(tau)| <= 1 makes the average a contraction; the check is exact
+    spectral arithmetic, so the tolerance only absorbs roundoff.
+    """
+    if spec.n != 0:
+        raise ValueError("the contraction statement is for plain averages "
+                         "(n = 0)")
+    before = f.coeffs.norm()
+    if before == 0.0:
+        return {"tau": spec.tau, "ratio": math.nan, "passed": True}
+    ratio = apply_multiplier(f.coeffs, average_multiplier(spec)).norm() / before
+    return {"tau": spec.tau, "ratio": ratio, "passed": ratio <= 1.0 + 1e-8}
 
 
 def test_contraction_and_monotone_decay(f):

@@ -17,7 +17,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from hypersample import spectral, splines
-from hypersample.bandlimited import synthesize
+from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.cli import main
 from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
                                 NumericalFailure, ProblemTooLarge,
@@ -26,17 +26,18 @@ from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
                                   random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
-from hypersample.spectral import (Multiplier, build_grid,
-                                  identity_multiplier, plancherel_density,
+from hypersample.spectral import (Multiplier, apply_multiplier, build_grid,
+                                  plancherel_density, sobolev_multiplier,
                                   spherical_function, zonal_series, zonal_sum)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (_kernel_lambda_grid, _kernel_matrix,
                                  build_splines,
-                                 iterated_bernstein_check,
                                  polyharmonic_kernel, spline_band_projection,
                                  spline_interpolate,
                                  spline_reconstruct_deconvolve)
 from hypersample.transforms import build_polar_grid
+
+from helpers import identity_multiplier
 
 OMEGA = 1.0
 DOMAIN = 2.0
@@ -417,6 +418,32 @@ def test_minimization_and_orthogonality(sys2, interp, samples, wide, waves):
         assert math.sqrt(total) >= math.sqrt(base) - 1e-8
 
 
+def iterated_bernstein_check(f: BandlimitedFunction, sigma: float,
+                             m_list=(1, 2, 4), s_list=(0, 1)) -> dict:
+    """Iterated spectral inequality, as pure multiplier arithmetic.
+
+    With a = ||f|| / ||Delta^sigma f|| (the smallest admissible constant),
+    checks ||Delta^s f|| <= a^m ||Delta^(m sigma + s) f|| for each (m, s).
+    """
+    def power_norm(p: float) -> float:
+        return apply_multiplier(f.coeffs, sobolev_multiplier(p)).norm()
+
+    n0 = power_norm(0.0)
+    ns = power_norm(sigma)
+    if ns == 0.0:
+        return {"a": math.nan, "sigma": sigma, "rows": [], "all_pass": False}
+    a = n0 / ns
+    rows = []
+    for m in m_list:
+        for s in s_list:
+            lhs = power_norm(float(s))
+            rhs = a ** m * power_norm(m * sigma + s)
+            rows.append({"m": m, "s": s, "lhs": lhs, "rhs": rhs,
+                         "pass": lhs <= rhs * (1 + 1e-8)})
+    return {"a": a, "sigma": sigma, "rows": rows,
+            "all_pass": all(r["pass"] for r in rows)}
+
+
 def test_iterated_bernstein_chain(f):
     report = iterated_bernstein_check(f, 1.0)
     assert report["all_pass"]
@@ -490,11 +517,12 @@ def test_deconvolve_vanishing_multiplier_rejected(lat, f, grid):
         spline_reconstruct_deconvolve(lat, [2], s, grid=grid)
 
 
-def test_deconvolve_requires_multiplier_object(lat, grid):
-    s = SampleSet(lat, np.zeros(len(lat), dtype=complex), "convolution",
-                  multiplier=None, multiplier_label="external")
-    with pytest.raises(ValueError):
-        spline_reconstruct_deconvolve(lat, [2], s, grid=grid)
+def test_deconvolve_requires_multiplier_object(lat):
+    # a convolution sample set is refused without its multiplier, so no
+    # deconvolution can meet one
+    with pytest.raises(ValueError, match="multiplier"):
+        SampleSet(lat, np.zeros(len(lat), dtype=complex), "convolution",
+                  multiplier=None)
 
 
 # ------------------------------------------------------------ convergence
