@@ -12,6 +12,7 @@ compared by hash.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ import time
 import typing
 import warnings
 from configparser import ConfigParser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +51,6 @@ __all__ = [
     "verify_all",
     "main",
 ]
-
-SCENARIOS = (
-    "plancherel",
-    "bernstein",
-    "lattice",
-    "frame_reconstruct",
-    "spline_reconstruct",
-    "spherical_avg",
-    "theorem73",
-    "baseline1d",
-)
 
 _OUTPUT_ROOT_ENV = "HYPERSAMPLE_OUTPUT_ROOT"
 
@@ -130,9 +120,7 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} repeats a value: {_fmt(values)}")
-        listed = {"lattice": "r_values", "frame_reconstruct": "r_values",
-                  "spline_reconstruct": "k_schedule",
-                  "theorem73": "tau_values"}.get(self.scenario)
+        listed = SCENARIOS[self.scenario].listed
         if listed and not getattr(self, listed):
             raise ConfigError(f"{self.scenario} needs at least one value in "
                               f"{listed}")
@@ -140,17 +128,6 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError("seeds must be nonnegative")
-
-
-# scenario-specific defaults layered under the config file values; the
-# resolved config is what gets echoed, so round-trips stay exact
-_SCENARIO_DEFAULTS: dict[str, dict] = {
-    "lattice": {"r_values": (0.1, 0.2, 0.4), "domain_radius": 1.5},
-    "frame_reconstruct": {"r_values": (0.4, 0.2, 0.1)},
-    "spline_reconstruct": {"omega": 1.0, "r": 0.8, "domain_radius": 2.0},
-    "theorem73": {"r": 0.1, "tau_values": (0.0, 0.1, 0.3),
-                  "k_schedule": (2,)},
-}
 
 
 def _coerce(name: str, ftype, raw: str):
@@ -171,10 +148,6 @@ def _coerce(name: str, ftype, raw: str):
     raise ConfigError(f"unsupported field type for {name}")
 
 
-def _field_types() -> dict:
-    return typing.get_type_hints(ExperimentConfig)
-
-
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read an INI config ([experiment] section), then apply overrides."""
     parser = ConfigParser()
@@ -185,9 +158,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("config must contain an [experiment] section")
     items = dict(parser.items("experiment"))
     items.update(overrides or {})
-    types = _field_types()
-    scenario = items.get("scenario", "plancherel").strip()
-    values = dict(_SCENARIO_DEFAULTS.get(scenario, {}))
+    types = typing.get_type_hints(ExperimentConfig)
+    spec = SCENARIOS.get(items.get("scenario", "plancherel").strip())
+    values = dict(spec.defaults) if spec else {}
     for key, raw in items.items():
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
@@ -240,25 +213,17 @@ class _Report:
         if not ok:
             self.failures.append(f"{name}: {detail}")
 
+    @contextlib.contextmanager
+    def timed(self, label: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings.append((label, time.perf_counter() - t0))
+
     def csv_text(self) -> str:
         out = [",".join(self.columns)]
         for row in self.rows:
             out.append(",".join(_fmt(v).replace(",", ";") for v in row))
         return "\n".join(out) + "\n"
-
-
-class _timed:
-    def __init__(self, report: _Report, label: str):
-        self.report, self.label = report, label
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.report.timings.append((self.label,
-                                    time.perf_counter() - self.t0))
-        return False
 
 
 def _rel_err(pgrid, got: np.ndarray, want: np.ndarray) -> float:
@@ -284,7 +249,7 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
         center = 0.5 * math.sqrt(rng.random()) \
             * np.exp(2j * np.pi * rng.random())
         width = 0.7 + 0.5 * rng.random()
-        with _timed(rep, f"seed_{seed}"):
+        with rep.timed(f"seed_{seed}"):
             f = np.exp(-distance(center, pgrid.points) ** 2
                        / (2.0 * width**2))
             coeffs = forward_transform(pgrid, grid, f, tail_tol=1e-8)
@@ -304,7 +269,7 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.tolerances = {"bernstein_slack": slack}
     grid, _ = _grids(cfg, space)
     for seed in cfg.seeds:
-        with _timed(rep, f"seed_{seed}"):
+        with rep.timed(f"seed_{seed}"):
             f = synthesize(grid, seed)
             for sigma in (0.5, 1.0, 2.0, 4.0):
                 chk = bernstein_check(f, sigma)
@@ -354,7 +319,7 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                    "passed"], "r", ["min_separation", "cover_radius"])
     rep.tolerances = {"cover_probes": 10_000}
     for r in cfg.r_values:
-        with _timed(rep, f"r_{r:g}"):
+        with rep.timed(f"r_{r:g}"):
             lat = build_lattice(r, cfg.domain_radius, seed=cfg.seeds[0])
             sep = _min_separation(lat.points)
             cov = certify_cover(lat)
@@ -390,7 +355,7 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     r_list = tuple(sorted(cfg.r_values, reverse=True))
     errors = []
     for r in r_list:
-        with _timed(rep, f"r_{r:g}"), warnings.catch_warnings():
+        with rep.timed(f"r_{r:g}"), warnings.catch_warnings():
             # the pseudo-inverse cut is the documented design; rank and
             # bounds land in the CSV, so the warning adds nothing here
             warnings.simplefilter("ignore", IllConditionedWarning)
@@ -428,7 +393,7 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.info["n_points"] = len(lat)
     first_k = True
     for k in cfg.k_schedule:
-        with _timed(rep, f"k_{k}"), warnings.catch_warnings():
+        with rep.timed(f"k_{k}"), warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
             try:
                 system = build_splines(lat, int(k), space=space)
@@ -463,7 +428,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     grid, _ = _grids(cfg, space)
     f = synthesize(grid, cfg.seeds[0])
     rng = np.random.default_rng(42)
-    with _timed(rep, "two_path_cases"):
+    with rep.timed("two_path_cases"):
         for case in range(10):
             y = 0.6 * math.sqrt(rng.random()) \
                 * np.exp(2j * np.pi * rng.random())
@@ -483,7 +448,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                     sym.real, sym.imag, diff, ok)
             rep.check(ok, "sphavg.two_path",
                       f"case {case}: |direct - symbol| = {diff:.3e}")
-    with _timed(rep, "near_identity"):
+    with rep.timed("near_identity"):
         for n in (0, 1):
             chk = near_identity_check(grid, AverageSpec(tau=cfg.tau, n=n))
             rep.check(chk["passed"], "sphavg.near_identity",
@@ -501,8 +466,7 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.tolerances = {"frame_error": tol, "flatness_factor": flat,
                       "eigen_cut": cfg.cut}
     taus = cfg.tau_values
-    frame_errors, any_inadmissible = [], False
-    with _timed(rep, "experiment"), warnings.catch_warnings():
+    with rep.timed("experiment"), warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         grid, pgrid = _grids(cfg, space)
         results = theorem73_experiment(
@@ -511,24 +475,26 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             k_schedule=tuple(cfg.k_schedule), cut=cfg.cut)
     for tau, res in zip(taus, results):
         admissible = res["admissible"]
-        any_inadmissible |= not admissible
-        frame_errors.append(res["frame_error"])
         ok = (not admissible) or res["frame_error"] < tol
+        # an aborted spline schedule fails its row but not the run: the
+        # conditioning wall is a reported result, as in spline_reconstruct
+        aborted_at = res["spline_aborted_at"] or 0
         rep.add(cfg.omega, cfg.r, tau, cfg.n, res["n_points"], admissible,
                 res["frame_error"], res["frame_bounds"][0],
                 res["frame_bounds"][1], res["frame_rank"],
                 tuple(res["spline_k_list"]), tuple(res["spline_errors"]),
-                res["spline_aborted_at"] or 0, ok)
+                aborted_at, ok and not aborted_at)
         if admissible:
             rep.check(ok, "theorem73.frame_error",
                       f"tau {tau}: error {res['frame_error']:.3e} "
                       f">= {tol:.0e}")
-    if not any_inadmissible and len(frame_errors) > 1:
-        lo, hi = min(frame_errors), max(frame_errors)
+    admissible_all = all(res["admissible"] for res in results)
+    if admissible_all and len(taus) > 1:
+        errors = [res["frame_error"] for res in results]
+        lo, hi = min(errors), max(errors)
         rep.check(hi < flat * lo, "theorem73.flat_in_tau",
-                  f"errors spread {hi / lo:.1f}x over tau "
-                  f"{tuple(taus)}")
-    rep.info["admissible_all"] = not any_inadmissible
+                  f"errors spread {hi / lo:.1f}x over tau {tuple(taus)}")
+    rep.info["admissible_all"] = admissible_all
     return rep
 
 
@@ -538,7 +504,7 @@ def _scenario_baseline1d(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                    "passed"], "gamma", ["sinc_rel_error", "gram_rel_error"])
     tol, route_tol = 1e-6, 1e-5
     rep.tolerances = {"reconstruction_rel": tol, "route_agreement": route_tol}
-    with _timed(rep, "baseline"):
+    with rep.timed("baseline"):
         f = synthesize_1d(cfg.omega, cfg.seeds[0])
         step = cfg.gamma * np.pi / cfg.omega
         x = step * (np.arange(64) - 31.5)
@@ -563,15 +529,36 @@ def _scenario_baseline1d(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-_RUNNERS = {
-    "plancherel": _scenario_plancherel,
-    "bernstein": _scenario_bernstein,
-    "lattice": _scenario_lattice,
-    "frame_reconstruct": _scenario_frame,
-    "spline_reconstruct": _scenario_spline,
-    "spherical_avg": _scenario_sphavg,
-    "theorem73": _scenario_theorem73,
-    "baseline1d": _scenario_baseline1d,
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario: its runner; defaults layered under the file values (the
+    resolved config is what gets echoed, so round-trips stay exact); the
+    list field it runs once per value of, which must not be empty; and the
+    fields it never reads, which run() keeps at their defaults so that a
+    manifest never echoes a value the run did not use."""
+
+    runner: typing.Callable[[ExperimentConfig, SpaceParams], _Report]
+    defaults: dict = field(default_factory=dict)
+    listed: str | None = None
+    unused: tuple[str, ...] = ()
+
+
+SCENARIOS = {
+    # plancherel keeps the calibration's grids
+    "plancherel": _Scenario(_scenario_plancherel, unused=(
+        "lam_max", "n_r", "n_theta", "domain_radius")),
+    "bernstein": _Scenario(_scenario_bernstein),
+    "lattice": _Scenario(_scenario_lattice, {
+        "r_values": (0.1, 0.2, 0.4), "domain_radius": 1.5}, "r_values"),
+    "frame_reconstruct": _Scenario(_scenario_frame, {
+        "r_values": (0.4, 0.2, 0.1)}, "r_values"),
+    "spline_reconstruct": _Scenario(_scenario_spline, {
+        "omega": 1.0, "r": 0.8, "domain_radius": 2.0}, "k_schedule"),
+    "spherical_avg": _Scenario(_scenario_sphavg),
+    "theorem73": _Scenario(_scenario_theorem73, {
+        "r": 0.1, "tau_values": (0.0, 0.1, 0.3), "k_schedule": (2,)},
+        "tau_values"),
+    "baseline1d": _Scenario(_scenario_baseline1d),
 }
 
 
@@ -636,32 +623,24 @@ def _manifest_text(cfg: ExperimentConfig, rep: _Report, scale: float,
     return "\n".join(lines) + "\n"
 
 
-# plancherel keeps the calibration's grids; a manifest must not echo a
-# value of these fields that the run never used
-_PLANCHEREL_UNUSED = ("lam_max", "n_r", "n_theta", "domain_radius")
-
-
-def output_root() -> Path:
-    return Path(os.environ.get(_OUTPUT_ROOT_ENV, "runs"))
-
-
 def run(cfg: ExperimentConfig) -> int:
     """Execute one scenario; write artifacts; 0 = pass, 1 = failed invariant."""
     from . import __version__
 
-    if cfg.scenario == "plancherel":
-        default = ExperimentConfig()
-        for name in _PLANCHEREL_UNUSED:
-            if getattr(cfg, name) != getattr(default, name):
-                raise ConfigError(
-                    f"scenario plancherel does not use {name}; leave it at "
-                    f"its default {_fmt(getattr(default, name))}")
-    outdir = output_root() / (cfg.output or cfg.scenario)
+    spec = SCENARIOS[cfg.scenario]
+    default = ExperimentConfig(scenario=cfg.scenario, **spec.defaults)
+    for name in spec.unused:
+        if getattr(cfg, name) != getattr(default, name):
+            raise ConfigError(
+                f"scenario {cfg.scenario} does not use {name}; leave it at "
+                f"its default {_fmt(getattr(default, name))}")
+    outdir = Path(os.environ.get(_OUTPUT_ROOT_ENV, "runs")) \
+        / (cfg.output or cfg.scenario)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     cal = calibrate_plancherel()
     space = SpaceParams().with_scale(cal.scale)
-    rep = _RUNNERS[cfg.scenario](cfg, space)
+    rep = spec.runner(cfg, space)
     total = time.perf_counter() - t0
 
     _write_text(outdir / "results.csv", rep.csv_text())

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
-from .errors import CertificationFailed
+from .errors import CertificationFailed, ProblemTooLarge
 from .geometry import PAIR_BLOCK, multiplicity_bound, random_ball_points
 
 __all__ = [
@@ -51,6 +52,9 @@ __all__ = [
 
 _N_PROBES = 10_000
 _N_CERT_ROUNDS = 2
+# the largest candidate net build_lattice makes (16 bytes a candidate);
+# r = 0.025 on radius 1.4, the finest lattice in use, nets 738,791
+_MAX_CANDIDATES = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +97,15 @@ def _candidate_net(domain_radius: float, spacing: float, rng) -> np.ndarray:
     net = np.concatenate(rings)
     rng.shuffle(net[1:])
     return net
+
+
+def _net_size_bound(domain_radius: float, s: Decimal) -> Decimal:
+    """Bound on len(_candidate_net(R, s)): ring i has at most
+    2 pi sinh(i s) / s + 6 nodes, and s sinh(i s) <= the integral of sinh
+    over [i s, (i + 1) s].  Decimal, as a float would overflow."""
+    e = (Decimal(domain_radius) + s).exp()
+    return (1 + 6 * Decimal(domain_radius) / s
+            + Decimal(2.0 * math.pi) * ((e + 1 / e) / 2 - 1) / s ** 2)
 
 
 def _tree_radius(t: float) -> float:
@@ -153,15 +166,16 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray, t: float):
     lo = np.searchsorted(y_keys, first).ravel()
     count = np.searchsorted(y_keys, first + 3).ravel() - lo
     ends = np.cumsum(count)
-    owner = np.tile(np.arange(x.size), 3)
-    shift = lo - (ends - count)
     a = 0
     while a < count.size:
         done = ends[a] - count[a]
         b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, "right")))
-        # positions in the sorted x and y, so the runs are read in order
-        i = np.repeat(owner[a:b], count[a:b])
-        j = np.arange(done, ends[b - 1]) + np.repeat(shift[a:b], count[a:b])
+        # positions in the sorted x and y, so the runs are read in order:
+        # run k belongs to x k mod x.size and starts at y position lo[k]
+        runs = count[a:b]
+        i = np.repeat(np.arange(a, b) % x.size, runs)
+        j = np.arange(done, ends[b - 1]) \
+            + np.repeat(lo[a:b] - (ends[a:b] - runs), runs)
         gap = xs[i]
         gap -= ys[j]
         keep = gap.real * gap.real + gap.imag * gap.imag <= side * side
@@ -253,6 +267,12 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     """
     if r <= 0 or domain_radius <= 0:
         raise ValueError("r and domain_radius must be positive")
+    size = _net_size_bound(domain_radius, Decimal(r) / 8)
+    if size > _MAX_CANDIDATES:
+        raise ProblemTooLarge(
+            f"a lattice at r = {r!r} on radius {domain_radius!r} nets up to "
+            f"{size:.3g} candidates ({16 * size:.3g} bytes), over the "
+            f"{_MAX_CANDIDATES:,} limit")
     rng = np.random.default_rng([seed, 0])
     candidates = _candidate_net(domain_radius, r / 8.0, rng)
     points = _greedy_packing(candidates, r)

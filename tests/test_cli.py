@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -55,7 +56,8 @@ _positive = st.floats(1e-6, 1e6)
 
 @st.composite
 def _configs(draw):
-    scenario = draw(st.sampled_from(SCENARIOS))
+    scenario = draw(st.sampled_from(list(SCENARIOS)))
+    listed = SCENARIOS[scenario].listed
     omega = draw(_positive)
     counts = st.integers(4, 4096)
     evens = st.integers(2, 2048).map(lambda k: 2 * k)
@@ -65,15 +67,15 @@ def _configs(draw):
         r=draw(_positive),
         r_values=tuple(draw(st.lists(
             _positive, max_size=4, unique=True,
-            min_size=int(scenario in ("lattice", "frame_reconstruct"))))),
+            min_size=int(listed == "r_values")))),
         tau=draw(st.floats(0.0, 1e6)),
         tau_values=tuple(draw(st.lists(
             st.floats(0.0, 1e6), max_size=4, unique=True,
-            min_size=int(scenario == "theorem73")))),
+            min_size=int(listed == "tau_values")))),
         n=draw(st.integers(0, 8)),
         k_schedule=tuple(draw(st.lists(
             st.integers(1, 16), max_size=4, unique=True,
-            min_size=int(scenario == "spline_reconstruct")))),
+            min_size=int(listed == "k_schedule")))),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1,
                                   max_size=4))),
         gamma=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
@@ -242,6 +244,19 @@ def test_lattice_scenario_runs(tmp_path, outroot):
     assert len(rows) == 2 and rows[1].endswith("true")
 
 
+def test_lattice_too_fine_for_memory_exits_one_at_once(outroot, capsys):
+    # r = 1e-300 asks for a candidate net of about 1e602 points; its size
+    # is known in closed form, before anything is allocated
+    t0 = time.perf_counter()
+    assert main(["run", str(ROOT / "configs" / "lattice.ini"),
+                 "--override", "r_values=1e-300"]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("ProblemTooLarge: ")
+    assert "Traceback" not in err
+    assert not (outroot / "lattice" / "results.csv").exists()
+
+
 def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
                                                           outroot):
     # at r >= R the lattice is {o}, which covers the ball, and the ball
@@ -260,15 +275,20 @@ def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
 
 
 def test_inadmissible_tau_is_informative_not_fatal(tmp_path, outroot):
+    # the spline schedule aborts at k = 2 on this lattice: that fails the
+    # row, not the run
     path = _write(tmp_path, "[experiment]\nscenario = theorem73\n"
-                            "r = 0.4\ntau_values = 0.6\nk_schedule =\n"
+                            "r = 0.4\ntau_values = 0.6\nk_schedule = 2\n"
                             "seeds = 0\n")
     assert main(["run", str(path)]) == 0
     body = (outroot / "theorem73" / "results.csv").read_text()
     line = body.splitlines()[1]
     assert ",false," in line  # admissible column
-    assert "info.admissible_all = false" in \
-        (outroot / "theorem73" / "manifest.txt").read_text()
+    row = dict(zip(body.splitlines()[0].split(","), line.split(",")))
+    assert (row["spline_aborted_at"], row["passed"]) == ("2", "false")
+    manifest = (outroot / "theorem73" / "manifest.txt").read_text()
+    assert "info.admissible_all = false" in manifest
+    assert "failures = 0" in manifest
 
 
 @pytest.mark.parametrize("override", [{"n_theta": "64"}, {"lam_max": "12"}])

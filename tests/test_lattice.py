@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypersample import lattice as lattice_mod
 from hypersample.bandlimited import BandlimitedFunction, synthesize
-from hypersample.errors import CertificationFailed
+from hypersample.errors import CertificationFailed, ProblemTooLarge
 from hypersample.geometry import (PAIR_BLOCK, ball_volume, distance,
                                   multiplicity_bound, random_ball_points)
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
@@ -93,6 +94,7 @@ def test_candidate_net_matches_permuted_rings(domain, spacing):
     net = lattice_mod._candidate_net(domain, spacing, rng)
     assert net.tobytes() == ref.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert net.size <= lattice_mod._net_size_bound(domain, Decimal(spacing))
 
 
 @pytest.mark.parametrize("r, seed", [(0.4, 0), (0.3, 5)])
@@ -353,6 +355,9 @@ def test_validation():
         build_lattice(-0.1, 1.0, seed=0)
     with pytest.raises(ValueError):
         build_lattice(0.1, 0.0, seed=0)
+    # a net of about 1e602 candidates is refused before it is built
+    with pytest.raises(ProblemTooLarge, match="5.44e\\+602 candidates"):
+        build_lattice(1e-300, 1.5, seed=0)
 
 
 def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
