@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
@@ -52,8 +51,9 @@ __all__ = [
 
 _N_PROBES = 10_000
 _N_CERT_ROUNDS = 2
-# the largest candidate net build_lattice makes (16 bytes a candidate);
-# r = 0.025 on radius 1.4, the finest lattice in use, nets 738,791
+# the largest candidate-net bound build_lattice accepts (16 bytes a
+# candidate); the finest lattice in use, r = 0.025 on radius 1.4, nets
+# 738,791 under a bound of 747,007
 _MAX_CANDIDATES = 10_000_000
 
 
@@ -99,13 +99,21 @@ def _candidate_net(domain_radius: float, spacing: float, rng) -> np.ndarray:
     return net
 
 
-def _net_size_bound(domain_radius: float, s: Decimal) -> Decimal:
-    """Bound on len(_candidate_net(R, s)): ring i has at most
-    2 pi sinh(i s) / s + 6 nodes, and s sinh(i s) <= the integral of sinh
-    over [i s, (i + 1) s].  Decimal, as a float would overflow."""
-    e = (Decimal(domain_radius) + s).exp()
-    return (1 + 6 * Decimal(domain_radius) / s
-            + Decimal(2.0 * math.pi) * ((e + 1 / e) / 2 - 1) / s ** 2)
+def _log_net_size(domain_radius: float, r: float) -> float:
+    """Log of a bound on len(_candidate_net(R, s)), s = r / 8: the origin
+    and floor(R / s) rings, ring i of at most 6 + 2 pi sinh(i s) / s nodes.
+    That is 1 if R < s, else at most 1 + 6 R / s + 2 pi (cosh(R + s) -
+    cosh(s)) / s^2 = 1 + 6 R / s + 4 pi sinh(R / 2 + s) sinh(R / 2) / s^2,
+    as s sinh(i s) <= cosh((i + 1) s) - cosh(i s).  In logs, as it can
+    overflow a float."""
+    if domain_radius < r / 8.0:
+        return 0.0
+    log_s = math.log(r) - math.log(8.0)
+    log_sinh = [x + math.log(-math.expm1(-2.0 * x) / 2.0)
+                for x in (domain_radius / 2.0 + r / 8.0, domain_radius / 2.0)]
+    return float(np.logaddexp.reduce([
+        0.0, math.log(6.0) + math.log(domain_radius) - log_s,
+        math.log(4.0 * math.pi) + sum(log_sinh) - 2.0 * log_s]))
 
 
 def _tree_radius(t: float) -> float:
@@ -267,11 +275,13 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     """
     if r <= 0 or domain_radius <= 0:
         raise ValueError("r and domain_radius must be positive")
-    size = _net_size_bound(domain_radius, Decimal(r) / 8)
-    if size > _MAX_CANDIDATES:
+    log10_size = _log_net_size(domain_radius, r) / math.log(10.0)
+    if log10_size > math.log10(_MAX_CANDIDATES):
+        count, size = (f"{10.0 ** (x % 1.0):.2f}e{int(x):+d}"
+                       for x in (log10_size, log10_size + math.log10(16.0)))
         raise ProblemTooLarge(
             f"a lattice at r = {r!r} on radius {domain_radius!r} nets up to "
-            f"{size:.3g} candidates ({16 * size:.3g} bytes), over the "
+            f"{count} candidates ({size} bytes), over the "
             f"{_MAX_CANDIDATES:,} limit")
     rng = np.random.default_rng([seed, 0])
     candidates = _candidate_net(domain_radius, r / 8.0, rng)

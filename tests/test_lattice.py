@@ -3,7 +3,6 @@
 import math
 import time
 import tracemalloc
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -78,7 +77,7 @@ def test_build_lattice_certifies_cover_in_one_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("domain, spacing", [(1.4, 0.05), (2.0, 0.1),
-                                             (0.4, 0.5)])
+                                             (0.4, 0.5), (1.5, 25.0)])
 def test_candidate_net_matches_permuted_rings(domain, spacing):
     # the oracle: rings drawn in order, then the non-origin nodes taken
     # through one permutation and appended to the origin
@@ -94,7 +93,8 @@ def test_candidate_net_matches_permuted_rings(domain, spacing):
     net = lattice_mod._candidate_net(domain, spacing, rng)
     assert net.tobytes() == ref.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert net.size <= lattice_mod._net_size_bound(domain, Decimal(spacing))
+    assert math.log(net.size) <= lattice_mod._log_net_size(domain,
+                                                            8 * spacing)
 
 
 @pytest.mark.parametrize("r, seed", [(0.4, 0), (0.3, 5)])
@@ -358,6 +358,10 @@ def test_validation():
     # a net of about 1e602 candidates is refused before it is built
     with pytest.raises(ProblemTooLarge, match="5.44e\\+602 candidates"):
         build_lattice(1e-300, 1.5, seed=0)
+    with pytest.raises(ProblemTooLarge, match="over the 10,000,000 limit"):
+        build_lattice(0.1, 3e6, seed=0)
+    # at r/8 > R the net, and so the lattice, is the origin alone
+    assert build_lattice(200.0, 1.5, seed=0).points.tolist() == [0j]
 
 
 def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
