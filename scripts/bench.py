@@ -293,15 +293,16 @@ def _lattice(repeats, case):
 
 def _frame(repeats, r):
     """`build_frame` and `reconstruct` of the frame test function (seed 0)
-    from the lattice of radius r on the 1.4 domain, split into stages by
-    timing wrappers around `numpy.linalg.qr` (`mode_qr_s`) and
-    `numpy.linalg.svd` inside `sampling._band_factor` (`mode_svd_s`, the
-    per-mode SVDs), the rest of `_band_factor` (`rows_dft_s`: the Chebyshev
-    planes, their DFT over the boundary angles and the products forming the
-    factor C) and `numpy.linalg.svd` outside it (`svd_c_s`, the thin SVD of
-    C); with N, rank, frame bounds, the relative error on the polar grid,
-    the peak RSS before and after, and a digest of the frame's left
-    vectors, synthesis, bounds and `raw_min`."""
+    from the lattice of radius r on the 1.4 domain: the whole call, the
+    time inside `sampling._band_factor` (`band_factor_s`: the Chebyshev
+    planes, their DFT over the boundary angles, the per-mode QRs and SVDs
+    and the factor C) and the rest (`spectrum_s`: the frame spectrum and
+    left vectors from C), with N, rank, frame bounds, the relative error
+    on the polar grid, the peak RSS before and after, the tracemalloc peak
+    of one more `build_frame` (`frame_<r>_traced_mb`, the frame included)
+    and a digest of the frame's left vectors, bounds and `raw_min` and of
+    the reconstruction's coefficients (`reconstruct` is also compared as
+    an array)."""
     import numpy as np
 
     from hypersample import sampling
@@ -315,53 +316,41 @@ def _frame(repeats, r):
     ref = f.on_grid(pgrid)
     rss_before = _rss_mb()
 
-    clock = dict.fromkeys(("factor", "qr", "svd", "svd_in_factor"), 0.0)
-
-    def timed(fn, key):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                clock[key] += time.perf_counter() - start
-        return wrapper
-
-    qr, svd, factor = np.linalg.qr, np.linalg.svd, sampling._band_factor
+    factor, inside = sampling._band_factor, [0.0]
 
     def band_factor(*args):
-        before = clock["svd"]
+        start = time.perf_counter()
         try:
-            return timed(factor, "factor")(*args)
+            return factor(*args)
         finally:
-            clock["svd_in_factor"] += clock["svd"] - before
+            inside[0] += time.perf_counter() - start
 
-    np.linalg.qr, np.linalg.svd = timed(qr, "qr"), timed(svd, "svd")
     sampling._band_factor = band_factor
-    out = {k: [] for k in ("rows_dft_s", "mode_qr_s", "mode_svd_s",
-                           "svd_c_s", "build_frame_s", "reconstruct_s")}
+    out = {k: [] for k in ("band_factor_s", "spectrum_s", "build_frame_s",
+                           "reconstruct_s")}
     for _ in range(repeats):
-        clock.update(dict.fromkeys(clock, 0.0))
+        inside[0] = 0.0
         start = time.perf_counter()
         frame = sampling.build_frame(lat, grid=grid)
         mid = time.perf_counter()
         rec = sampling.reconstruct(frame, samples)
         end = time.perf_counter()
-        out["rows_dft_s"].append(clock["factor"] - clock["qr"]
-                                 - clock["svd_in_factor"])
-        out["mode_qr_s"].append(clock["qr"])
-        out["mode_svd_s"].append(clock["svd_in_factor"])
-        out["svd_c_s"].append(clock["svd"] - clock["svd_in_factor"])
+        out["band_factor_s"].append(inside[0])
+        out["spectrum_s"].append(mid - start - inside[0])
         out["build_frame_s"].append(mid - start)
         out["reconstruct_s"].append(end - mid)
     lower, upper = frame.frame_bounds
+    coeffs = rec.coeffs.values
     out.update(
         n_points=len(lat), rank=frame.rank, frame_lower=lower,
         frame_upper=upper,
         rel_error=float(pgrid.norm(rec.on_grid(pgrid) - ref) / pgrid.norm(ref)),
         **_memory(rss_before),
-        frame_sha256=_digest(frame.left, frame.synthesis,
-                             np.array([lower, upper, frame.raw_min])))
-    return out, {}
+        frame_sha256=_digest(frame.left,
+                             np.array([lower, upper, frame.raw_min]), coeffs))
+    out[f"frame_{r}_traced_mb"] = _traced_mb(
+        lambda: sampling.build_frame(lat, grid=grid))
+    return out, {"reconstruct": coeffs}
 
 
 def _evaluate(repeats, case):
@@ -462,7 +451,7 @@ STAGES = {
     "modes": Stage(_modes, 3, 3, (None,)),
     "series": Stage(_series, 5, 5, (None,)),
     "lattice": Stage(_lattice, 3, 3, (None,)),
-    "frame": Stage(_frame, 3, 3, (0.4, 0.2, 0.1, 0.04)),
+    "frame": Stage(_frame, 3, 3, (0.4, 0.2, 0.1, 0.04, 0.025)),
     "evaluate": Stage(_evaluate, 5, 3, (None,)),
     "splines": Stage(_splines, 5, 3, (None,)),
     "theorem73": Stage(_theorem73, 5, 1, (None,)),

@@ -39,7 +39,8 @@ from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
 from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
     spherical_average_direct, theorem73_experiment
-from .splines import _CERT_TOL, build_splines, spline_interpolate
+from .splines import _CERT_TOL, build_splines, check_kernel_size, \
+    spline_interpolate
 from .transforms import build_polar_grid, calibrate_plancherel, \
     forward_transform
 
@@ -329,7 +330,8 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             fresh = float(_nearest_distances(probes, lat.points)
                           .max(initial=0.0))
             mult = certify_multiplicity(lat)
-        bound = math.ceil(multiplicity_bound(r))
+        bound = multiplicity_bound(r)
+        bound = math.ceil(bound) if math.isfinite(bound) else bound
         ok_sep = sep >= r / 2.0 - 1e-12
         ok_cov = cov <= r / 2.0 and fresh <= r / 2.0 + r / 8.0
         ok_mult = mult <= bound
@@ -385,6 +387,7 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     defect_tol, err_tol = _CERT_TOL, 1e-3
     rep.tolerances = {"lagrangian_defect": defect_tol,
                       "interp_rel_error": err_tol}
+    check_kernel_size(cfg.r, cfg.domain_radius)
     grid, pgrid = _grids(cfg, space)
     f = synthesize(grid, cfg.seeds[0])
     f_ref = f.on_grid(pgrid)

@@ -214,7 +214,11 @@ def multiplicity_bound(r: float | None = None, n_grid: int = 4096) -> float:
     if r is not None:
         if not 0 < r:
             raise ValueError("r must be positive")
-        return float(ball_volume(3.0 * r) / ball_volume(r / 4.0))
+        with np.errstate(over="ignore"):
+            big = ball_volume(3.0 * r)
+        # past r = 237 the bound overflows: no finite cap
+        return float(big / ball_volume(r / 4.0)) if np.isfinite(big) \
+            else math.inf
     rs = np.linspace(1e-4, 1.0, n_grid)
     vals = ball_volume(3.0 * rs) / ball_volume(rs / 4.0)
     return float(np.max(vals))

@@ -20,7 +20,7 @@ from .geometry import RHO, circle_points
 from .lattice import build_lattice
 from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
 from .spectral import Multiplier, SpectralGrid, spherical_function
-from .splines import spline_reconstruct_deconvolve
+from .splines import check_kernel_size, spline_reconstruct_deconvolve
 from .transforms import PolarGrid
 
 __all__ = [
@@ -113,8 +113,12 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
     deconvolving-spline schedule, which may abort at its conditioning
     guard or its Lagrangian certificate (recorded, not hidden).  Errors
     are relative L2 against the true function over the sampled domain.  An
-    inadmissible tau is flagged in the report but the run proceeds.
+    inadmissible tau is flagged in the report but the run proceeds.  A
+    spline schedule whose kernel matrix is too large for any lattice at r
+    (splines.check_kernel_size) fails before the lattice is built.
     """
+    if k_schedule:
+        check_kernel_size(r, pgrid.r_max)
     omega = grid.omega
     f = synthesize(grid, seed=seed)
     lat = build_lattice(r, pgrid.r_max, seed=seed)

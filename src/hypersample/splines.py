@@ -38,7 +38,7 @@ from .errors import (IllConditionedWarning, MultiplierVanishes,
                      NumericalFailure, ProblemTooLarge, SingularKernel,
                      TailTooLarge)
 from .geometry import RHO, SpaceParams, distance, row_blocks
-from .lattice import Lattice
+from .lattice import Lattice, _log_min_points, _sci
 from .sampling import SampleSet
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
                        _horocycle_planes, _plane_wave_basis,
@@ -53,11 +53,16 @@ __all__ = [
     "spline_interpolate",
     "spline_band_projection",
     "spline_reconstruct_deconvolve",
+    "check_kernel_size",
 ]
 
 _TAIL_TOL = 1e-10
 _LAM_CAP = 500.0
 _COND_LIMIT = 1e12
+# the largest kernel matrix check_kernel_size lets a run ask for, in bytes,
+# at the fewest points its lattice can have; fine lattices hold about 3x
+# that many points, so this admits matrices of up to about 3 GB
+_MAX_KERNEL_BYTES = 2 ** 28
 _CERT_TOL = 1e-8
 _TABLE_POINTS = 1201
 
@@ -258,6 +263,21 @@ def _kernel_matrix(kern: PolyharmonicKernel, pts: np.ndarray) -> np.ndarray:
         kmat[blk, blk.start:] = sym
         kmat[blk.start:, blk] = sym.T
     return kmat
+
+
+def check_kernel_size(r: float, domain_radius: float) -> None:
+    """Raise ProblemTooLarge, before any lattice is built, when the kernel
+    matrix of a lattice at scale r on radius domain_radius, 8 N^2 bytes,
+    must pass _MAX_KERNEL_BYTES at the fewest points N the lattice can
+    have (lattice._log_min_points)."""
+    log10_n = _log_min_points(domain_radius, r) / math.log(10.0)
+    log10_bytes = math.log10(8.0) + 2.0 * log10_n
+    if log10_bytes > math.log10(_MAX_KERNEL_BYTES):
+        raise ProblemTooLarge(
+            f"a lattice at r = {r!r} on radius {domain_radius!r} has at "
+            f"least {_sci(log10_n)} points, so its spline kernel matrix "
+            f"takes at least {_sci(log10_bytes)} bytes, over the "
+            f"{_MAX_KERNEL_BYTES:,} limit")
 
 
 def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,

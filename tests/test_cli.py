@@ -257,6 +257,33 @@ def test_lattice_too_fine_for_memory_exits_one_at_once(outroot, capsys):
     assert not (outroot / "lattice" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("r", ["200", "1500"])
+def test_lattice_far_coarser_than_the_domain_is_one_point(outroot, r):
+    # at r >= R the lattice is {o}; past r = 1420, sinh(r / 2) overflows a
+    # float, so the neighbour cells stop at the disk's diameter
+    assert main(["run", str(ROOT / "configs" / "lattice.ini"),
+                 "--override", f"r_values={r}"]) == 0
+    lines = (outroot / "lattice" / "results.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert (row["n_points"], row["passed"]) == ("1", "true")
+
+
+@pytest.mark.parametrize("config", ["theorem73", "spline_reconstruct"])
+def test_spline_kernel_too_large_exits_one_before_the_lattice(outroot,
+                                                              capsys, config):
+    # at r = 0.01 any lattice on the theorem73 domain has at least 5.9e4
+    # points, a kernel matrix of at least 28 GB; the 186,311-point lattice
+    # took 25 s to build before the kernel failed.  Now refused at once
+    t0 = time.perf_counter()
+    assert main(["run", str(ROOT / "configs" / f"{config}.ini"),
+                 "--override", "r=0.01"]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("ProblemTooLarge: ")
+    assert "spline kernel matrix" in err and "Traceback" not in err
+    assert not (outroot / config / "results.csv").exists()
+
+
 def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
                                                           outroot):
     # at r >= R the lattice is {o}, which covers the ball, and the ball

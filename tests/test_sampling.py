@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -309,6 +310,49 @@ def test_zonal_gram_matches_plane_wave_gram(grid, lattices, r, tau):
     assert np.max(np.abs(_factor_gram(lat, grid, m) - ref)) <= 1e-13 * b_top
     assert frame.rank == np.count_nonzero(ev > frame.threshold)
     assert frame.frame_bounds[1] == pytest.approx(b_top, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.4, 0.2, 0.1])
+def test_retained_vectors_match_dense_svd(frames, lattices, grid, r):
+    # the factor's QR, the SVD of its triangle and Q applied to the rank
+    # columns only, against one dense SVD of the assembled factor: N < K,
+    # N about 1.7 K and N >> K
+    frame = frames[r]
+    c, _ = _band_factor(lattices[r].points, grid, np.sqrt(_weights(grid)))
+    u, sv, _ = np.linalg.svd(c, full_matrices=False)
+    rank = frame.rank
+    assert frame.threshold == pytest.approx(1e-12 * sv[0] ** 2, rel=1e-12)
+    assert rank == np.count_nonzero(sv ** 2 > frame.threshold)
+    # the dual is W sigma^-1 with orthonormal W: its column norms are 1/sigma
+    sig = 1.0 / np.linalg.norm(frame.dual, axis=0)
+    assert np.max(np.abs(sig - sv[:rank])) <= 1e-12 * sv[0]
+    # each SVD errs by eps sigma_max, so small sigma agree less closely
+    assert np.max(np.abs(sig / sv[:rank] - 1.0)) <= 1e-10
+    assert frame.frame_bounds == pytest.approx(
+        (sv[rank - 1] ** 2, sv[0] ** 2), rel=1e-10)
+    ref = u[:, :rank]
+    for rows in np.array_split(np.arange(len(frame.lattice)), 8):
+        proj = frame.left[rows] @ frame.left.conj().T
+        assert np.max(np.abs(proj - ref[rows] @ ref.conj().T)) <= 1e-10
+
+
+def test_build_frame_memory(grid, lattices):
+    # no transient follows N beyond the factor (N x K) and the left vectors
+    # (N x rank): the mode rows and the factor's QR go one block at a time.
+    # The frame keeps the synthesis factored, not as n_b x n_band x rank
+    lat = lattices[0.1]
+    tracemalloc.start()
+    try:
+        frame = build_frame(lat, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 0
+    for value in vars(frame).values():
+        for a in value if isinstance(value, list) else [value]:
+            held += a.nbytes if isinstance(a, np.ndarray) else 0
+    assert peak <= 20 * 2 ** 20
+    assert held <= 4 * 2 ** 20
 
 
 def test_frame_inequality_on_retained_span(frame8, grid):
