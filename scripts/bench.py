@@ -169,10 +169,15 @@ def _modes(repeats, case):
     alone (the radii up to the switch radius, `_modes_by_quadrature`) with
     its entries at the grid nodes nearest the near oracle points; then the
     far part of the calibration table (`_modes_by_expansion`) and its
-    values at the far oracle points."""
+    values at the far oracle points.  Then, on the frame and spline grids,
+    a cold `f.on_grid(pgrid)` of the seed-0 test function, which builds
+    the table of the rows it reads (`on_grid_<grid>_s`, cache cleared
+    before each call; `on_grid_<grid>_traced_mb`, its tracemalloc peak,
+    the table included), with its values compared as an array."""
     import numpy as np
 
     from hypersample import transforms as tr
+    from hypersample.bandlimited import synthesize
     from hypersample.geometry import SpaceParams
     from hypersample.spectral import build_grid
 
@@ -220,6 +225,14 @@ def _modes(repeats, case):
         (lam, m, r, vals[i, m, k].real, vals[i, m, k].imag)
         for i, lam in enumerate(ORACLE_LAMS) for m in ORACLE_MS
         for k, r in enumerate(ORACLE_RS)]
+    for name in GRIDS:
+        grid, pgrid = grids[name]
+        f = synthesize(grid, seed=0)
+        out[f"on_grid_{name}_s"], arrays[f"on_grid_{name}"] = _times(
+            lambda: f.on_grid(pgrid), repeats, tr._TABLE_CACHE.clear)
+        tr._TABLE_CACHE.clear()
+        out[f"on_grid_{name}_traced_mb"] = _traced_mb(
+            lambda: f.on_grid(pgrid))
     return out, arrays
 
 

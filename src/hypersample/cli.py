@@ -15,9 +15,11 @@ import argparse
 import contextlib
 import math
 import os
+import shutil
 import sys
 import time
 import typing
+import uuid
 import warnings
 from configparser import ConfigParser
 from dataclasses import dataclass, field, fields
@@ -125,6 +127,12 @@ class ExperimentConfig:
         if listed and not getattr(self, listed):
             raise ConfigError(f"{self.scenario} needs at least one value in "
                               f"{listed}")
+        # a run replaces its output directory: keep it inside the root
+        out = Path(self.output)
+        if self.output and (out.is_absolute() or not out.parts
+                            or ".." in out.parts):
+            raise ConfigError(f"output must be a relative path below the "
+                              f"output root, got {self.output!r}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if any(seed < 0 for seed in self.seeds):
@@ -627,19 +635,43 @@ def _manifest_text(cfg: ExperimentConfig, rep: _Report, scale: float,
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one scenario; write artifacts; 0 = pass, 1 = failed invariant."""
-    from . import __version__
+    """Execute one scenario; write artifacts; 0 = pass, 1 = failed invariant.
 
+    The files go to a fresh hidden sibling of the output directory, which
+    replaces the output directory when the runner returns, passed or not,
+    so the directory never mixes two runs' files.  A run that raises
+    instead (a config error, a package error, an interrupt) removes the
+    output directory, so no earlier run's results.csv reads as its own."""
     spec = SCENARIOS[cfg.scenario]
-    default = ExperimentConfig(scenario=cfg.scenario, **spec.defaults)
-    for name in spec.unused:
-        if getattr(cfg, name) != getattr(default, name):
-            raise ConfigError(
-                f"scenario {cfg.scenario} does not use {name}; leave it at "
-                f"its default {_fmt(getattr(default, name))}")
     outdir = Path(os.environ.get(_OUTPUT_ROOT_ENV, "runs")) \
         / (cfg.output or cfg.scenario)
-    outdir.mkdir(parents=True, exist_ok=True)
+    staging = outdir.parent / f".{outdir.name}.{uuid.uuid4().hex}"
+    try:
+        default = ExperimentConfig(scenario=cfg.scenario, **spec.defaults)
+        for name in spec.unused:
+            if getattr(cfg, name) != getattr(default, name):
+                raise ConfigError(
+                    f"scenario {cfg.scenario} does not use {name}; leave it "
+                    f"at its default {_fmt(getattr(default, name))}")
+        staging.mkdir(parents=True)
+        failures = _run_into(cfg, spec, staging)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(outdir, ignore_errors=True)
+        raise
+    shutil.rmtree(outdir, ignore_errors=True)
+    staging.rename(outdir)
+    if failures:
+        print(failures[0], file=sys.stderr)
+        return 1
+    return 0
+
+
+def _run_into(cfg: ExperimentConfig, spec: _Scenario,
+              outdir: Path) -> list[str]:
+    """Run cfg's scenario, write its files into outdir; the failures."""
+    from . import __version__
+
     t0 = time.perf_counter()
     cal = calibrate_plancherel()
     space = SpaceParams().with_scale(cal.scale)
@@ -656,11 +688,7 @@ def run(cfg: ExperimentConfig) -> int:
     timing_lines = [f"{label} = {secs:.3f} s" for label, secs in rep.timings]
     timing_lines.append(f"total = {total:.3f} s")
     _write_text(outdir / "timings.txt", "\n".join(timing_lines) + "\n")
-
-    if rep.failures:
-        print(rep.failures[0], file=sys.stderr)
-        return 1
-    return 0
+    return rep.failures
 
 
 # ---------------------------------------------------------------------------

@@ -260,11 +260,14 @@ def _min_quotient_sq(probes: np.ndarray, points: np.ndarray,
 
     Exact from the pairs within t wherever that least value is within t;
     a probe with no point within t gets its dense row instead.  The
-    quotients are taken one block of _pair_blocks at a time.
+    quotients are taken one block of _pair_blocks at a time.  The blocks
+    are queried from the points, so _pair_blocks' per-query arrays follow
+    the lattice's size, not the 20,000 cover probes; the pairs are the
+    same either way round, and a minimum does not depend on their order.
     """
     q = np.full(probes.size, np.inf)
-    for i, j in _pair_blocks(probes, points, t):
-        np.minimum.at(q, i, _quotient_sq(probes[i], points[j]))
+    for i, j in _pair_blocks(points, probes, t):
+        np.minimum.at(q, j, _quotient_sq(probes[j], points[i]))
     for k in np.flatnonzero(q > _sep_param(t, 1.0) ** 2):
         q[k] = _quotient_sq(probes[k], points).min()
     return q
@@ -347,8 +350,9 @@ def _measure_multiplicity(points: np.ndarray, r: float,
         return 1
     thresh = _sep_param(r, 1.0) ** 2
     count = np.zeros(probes.size, dtype=np.intp)
-    for i, j in _pair_blocks(probes, points, r):
-        count += np.bincount(i[_quotient_sq(probes[i], points[j]) <= thresh],
+    # queried from the points, as in _min_quotient_sq
+    for i, j in _pair_blocks(points, probes, r):
+        count += np.bincount(j[_quotient_sq(probes[j], points[i]) <= thresh],
                              minlength=probes.size)
     return int(count.max())
 

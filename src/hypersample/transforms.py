@@ -39,6 +39,13 @@ with c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) the Harish-Chandra
 c-function, pi_m(lam) = prod_{j=1..m} (j - 1/2 - i lam) / (j - 1/2 + i lam),
 and g_+- power series whose coefficients follow from the mode equation
 (spectral._modes_by_expansion, which spectral.zonal_sum shares).
+
+A table covers a leading run of the lambda nodes.  The forward transform
+and the calibration tabulate all of them; inverse_on_grid tabulates only
+the band panel [0, omega] when the coefficients vanish above it, as a
+BandlimitedFunction's always do, so band limited evaluation reads a table
+of half the rows on the scenario grids and never tabulates the tail panel
+(omega, lam_max] that would multiply zeros.
 """
 
 from __future__ import annotations
@@ -183,8 +190,10 @@ def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
     return out
 
 
-def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.ndarray:
-    """Read-only table Phi[i_lam, m, i_r] over the grid nodes.
+def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int,
+                      n_rows: int | None = None) -> np.ndarray:
+    """Read-only table Phi[i_lam, m, i_r] over the first n_rows lambda nodes
+    of the grid (all of them by default).
 
     Entries at radii up to _SWITCH_RADIUS come from circle quadrature of the
     plane wave in its Chebyshev basis (_modes_by_quadrature: one real exp
@@ -193,14 +202,18 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int) -> np.nd
     the one table in place (the radii ascend, as build_polar_grid makes
     them), so a cold table costs its own size plus the real coefficients G
     of its near radii and block-sized temporaries, never a second table.
-    Cached per (grid, pgrid, m_max); the cache keeps the _TABLE_CACHE_SIZE
-    most recently used tables."""
-    key = (grid.lambda_nodes.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
+    The entries depend on the tabulated nodes as a whole (the quadrature
+    node count and the length of the basis S follow the largest lambda),
+    so a table of the band panel agrees with the band rows of the whole
+    table to roundoff, not bit for bit.  Cached per (tabulated lambda
+    nodes, pgrid, m_max); the cache keeps the _TABLE_CACHE_SIZE most
+    recently used tables."""
+    lams = grid.lambda_nodes[:n_rows]
+    key = (lams.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         _TABLE_CACHE.move_to_end(key)
         return hit
-    lams = grid.lambda_nodes
     rs = pgrid.r_nodes
     n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
     table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
@@ -266,12 +279,23 @@ def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
 
 def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid,
                     m_max: int | None = None) -> np.ndarray:
-    """Evaluate the inverse transform on a full polar grid (mode route)."""
+    """Evaluate the inverse transform on a full polar grid (mode route).
+
+    The lambda sum runs over the rows the coefficients use: the band panel
+    when every row above it is zero (always so for a BandlimitedFunction),
+    else all rows.  The band route's table has half the rows on the
+    scenario grids (n_band = n_lambda / 2) and is one cache entry shared
+    by every band limited function on the grid; it agrees with the whole
+    table's route to roundoff (within 7e-16 of max|f| on the
+    frame_reconstruct and spline_reconstruct grids)."""
     grid = coeffs.grid
     mk = _default_m_max(grid, pgrid) if m_max is None else int(m_max)
-    table = radial_mode_table(grid, pgrid, mk)
-    c_modes = np.fft.fft(coeffs.values, axis=1) / grid.n_b
-    wl = grid.lambda_measure
+    n = grid.n_band
+    if not n or np.any(coeffs.values[n:]):
+        n = grid.n_lambda
+    table = radial_mode_table(grid, pgrid, mk, n)
+    c_modes = np.fft.fft(coeffs.values[:n], axis=1) / grid.n_b
+    wl = grid.lambda_measure[:n]
     packed = np.zeros((pgrid.n_r, pgrid.n_theta), dtype=complex)
     for m in range(-mk, mk + 1):
         cm = c_modes[:, m % grid.n_b]

@@ -257,6 +257,32 @@ def test_lattice_too_fine_for_memory_exits_one_at_once(outroot, capsys):
     assert not (outroot / "lattice" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("config, override, code", [
+    ("lattice", "r_values=1e-300", 1),    # ProblemTooLarge
+    ("plancherel", "lam_max=12", 2),      # a field plancherel does not use
+])
+def test_failed_run_leaves_no_earlier_results(outroot, config, override,
+                                              code):
+    # a good run, a stray file beside its results, then a run into the
+    # same directory that raises: nothing may read as the second run's
+    path = str(ROOT / "configs" / f"{config}.ini")
+    assert main(["run", path]) == 0
+    outdir = outroot / config
+    assert (outdir / "results.csv").exists()
+    (outdir / "stale.txt").write_text("from before")
+    # a finished run replaces the whole directory
+    assert main(["run", path]) == 0
+    assert not (outdir / "stale.txt").exists()
+    assert main(["run", path, "--override", override]) == code
+    assert list(outroot.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", ["/abs", "..", "a/../..", "."])
+def test_output_outside_the_root_is_a_config_error(output):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(scenario="lattice", r_values=(0.4,), output=output)
+
+
 @pytest.mark.parametrize("r", ["200", "1500"])
 def test_lattice_far_coarser_than_the_domain_is_one_point(outroot, r):
     # at r >= R the lattice is {o}; past r = 1420, sinh(r / 2) overflows a

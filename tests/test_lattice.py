@@ -287,7 +287,8 @@ def test_certificates_hold_one_block_of_pairs_at_a_time():
     # the spline scenario's lattice: 20,000 cover probes meet 71,000 pairs
     # and 10,000 multiplicity probes 171,000, which one pass over all pairs
     # held at once (17 MB).  Taken in near_pairs' blocks, the transients
-    # are the probes' run indices and one block of PAIR_BLOCK / 8 candidates.
+    # are the lattice points' run indices and one block of PAIR_BLOCK / 8
+    # candidates.
     tracemalloc.start()
     try:
         lat = build_lattice(0.8, 2.0, seed=0)

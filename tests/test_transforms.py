@@ -4,6 +4,7 @@ agreement, adjointness, Parseval balance and calibration."""
 import math
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from hypersample import transforms as tr
 from hypersample.bandlimited import synthesize
+from hypersample.cli import _grids, load_config
 from hypersample.errors import (CalibrationInconsistent, NumericalFailure,
                                TailMassExceeded)
 from hypersample.geometry import (RHO, SpaceParams, ball_volume, busemann,
@@ -22,6 +24,8 @@ from hypersample.spectral import (SpectralCoeffs, SpectralGrid,
 from hypersample.transforms import PolarGrid
 
 from helpers import laplacian_multiplier
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -479,6 +483,43 @@ def test_cold_mode_table_costs_its_own_size_plus_blocks(case, monkeypatch):
     grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
     table, peak = _traced_peak(lambda: tr.radial_mode_table(grid, pgrid, 31))
     assert peak <= table.nbytes + _TABLE_SLACK
+
+
+def _scenario_function(space, config):
+    """The seed-0 test function of a scenario config and its polar grid."""
+    grid, pgrid = _grids(load_config(ROOT / "configs" / f"{config}.ini"),
+                         space)
+    return synthesize(grid, seed=0), pgrid
+
+
+@pytest.mark.parametrize("config", ["frame_reconstruct",
+                                    "spline_reconstruct"])
+def test_band_route_matches_the_whole_table_route(space, config,
+                                                  monkeypatch):
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    f, pgrid = _scenario_function(space, config)
+    grid = f.grid
+    band = f.on_grid(pgrid)
+    # one tail entry of 1e-200 sends the sum over every row, through the
+    # whole table, and moves no value by an ulp
+    values = f.coeffs.values.copy()
+    values[-1, 0] = 1e-200
+    whole = tr.inverse_on_grid(SpectralCoeffs(grid, values), pgrid)
+    assert [k[0] for k in tr._TABLE_CACHE] == [
+        grid.lambda_nodes[:grid.n_band].tobytes(),
+        grid.lambda_nodes.tobytes()]
+    assert np.max(np.abs(band - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+def test_cold_band_evaluation_tabulates_only_the_band(space, monkeypatch):
+    # the band table (48 of 96 rows, 3.9 MB) and its transients; the whole
+    # table alone is 7.9 MB
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    f, pgrid = _scenario_function(space, "frame_reconstruct")
+    _, peak = _traced_peak(lambda: f.on_grid(pgrid))
+    band_table = f.grid.n_band * 32 * pgrid.n_r * 16
+    assert band_table == 3_932_160
+    assert peak <= band_table + 4e6
 
 
 def test_calibration_leaves_the_table_cache_as_it_found_it(monkeypatch,
