@@ -57,8 +57,8 @@ LATTICE_RADII = (0.4, 0.2, 0.1, 0.05, 0.025)
 # switches to the Harish-Chandra expansion
 KERNELS = {"kernel_k2": (2, 4.0), "kernel_k4": (4, 4.0),
            "kernel_k8": (8, 4.0), "kernel_k2_t6": (2, 6.0)}
-# name: (omega, lam_max, domain radius); n_lambda 96, n_b 64, 160 x 96 polar
-GRIDS = {"frame": (2.0, 8.0, DOMAIN), "spline": (1.0, 10.0, 2.0)}
+# name: the scenario config whose grids `hypersample run` builds
+GRIDS = {"frame": "frame_reconstruct", "spline": "spline_reconstruct"}
 ORACLE_LAMS = (6e-4, 0.3, 3.0, 24.0)
 ORACLE_RS = (4.5, 6.0, 8.0)
 ORACLE_MS = (0, 5, 31)
@@ -129,13 +129,12 @@ def _space():
 
 
 def _grids(space, name: str):
-    """The spectral and polar grid of the frame or spline scenario."""
-    from hypersample.spectral import build_grid
-    from hypersample.transforms import build_polar_grid
+    """The spectral and polar grid of the frame or spline scenario, built
+    from its config by `cli._grids` as a run builds them."""
+    from hypersample import cli
 
-    omega, lam_max, domain = GRIDS[name]
-    return (build_grid(space, lam_max, 96, 64, omega),
-            build_polar_grid(domain, 160, 96))
+    cfg = cli.load_config(str(ROOT / "configs" / f"{GRIDS[name]}.ini"))
+    return cli._grids(cfg, space)
 
 
 def _setup(repeats, case):
@@ -171,9 +170,9 @@ def _modes(repeats, case):
     far part of the calibration table (`_modes_by_expansion`) and its
     values at the far oracle points.  Then, on the frame and spline grids,
     a cold `f.on_grid(pgrid)` of the seed-0 test function, which builds
-    the table of the rows it reads (`on_grid_<grid>_s`, cache cleared
+    what it reads of the rows it uses (`on_grid_<grid>_s`, cache cleared
     before each call; `on_grid_<grid>_traced_mb`, its tracemalloc peak,
-    the table included), with its values compared as an array."""
+    the cached arrays included), with its values compared as an array."""
     import numpy as np
 
     from hypersample import transforms as tr

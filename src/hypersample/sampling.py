@@ -184,17 +184,19 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     # mode -m's columns conj(G_m) S V are the conjugates of G_m conj(S V)
     maps = [np.conj(series @ v) if ng else series @ v
             for v, ng in zip(dirs, neg)]
-    factor = np.empty((n, sum(v.shape[1] for v in dirs)), dtype=complex)
+    widths = [t.shape[1] for t in maps]
+    # the modes -m follow the modes 0 ... n_b / 2 in C, so their columns
+    # are conjugated in one pass per block
+    first_neg = sum(widths[:n_b // 2 + 1])
+    factor = np.empty((n, sum(widths)), dtype=complex)
     for blk in blocks:
         g = stack[:, :blk.stop - blk.start]
         _mode_rows(points[blk], angles, a_max, deg, planes[:, :g.shape[1]], g)
         at = 0
-        for s, ng, t in zip(src, neg, maps):
-            cols = factor[blk, at:at + t.shape[1]]
+        for s, t in zip(src, maps):
+            np.matmul(g[s], t, out=factor[blk, at:at + t.shape[1]])
             at += t.shape[1]
-            np.matmul(g[s], t, out=cols)
-            if ng:
-                np.conj(cols, out=cols)
+        np.conj(factor[blk, first_neg:], out=factor[blk, first_neg:])
     return factor, dirs
 
 

@@ -40,12 +40,13 @@ c-function, pi_m(lam) = prod_{j=1..m} (j - 1/2 - i lam) / (j - 1/2 + i lam),
 and g_+- power series whose coefficients follow from the mode equation
 (spectral._modes_by_expansion, which spectral.zonal_sum shares).
 
-A table covers a leading run of the lambda nodes.  The forward transform
-and the calibration tabulate all of them; inverse_on_grid tabulates only
-the band panel [0, omega] when the coefficients vanish above it, as a
-BandlimitedFunction's always do, so band limited evaluation reads a table
-of half the rows on the scenario grids and never tabulates the tail panel
-(omega, lam_max] that would multiply zeros.
+The forward transform and the calibration read the whole table.
+inverse_on_grid builds no table of the radii up to the switch radius: it
+contracts the weighted coefficients with S first, h = S (w_lam c_m), and
+sums f_m(r) = sum_k G[k, r, |m|] h[k, m] over the real coefficients, so
+what it caches is (S, G) and the expansion's rows of the radii beyond.
+It reads only the band panel [0, omega] when the coefficients vanish
+above it, as a BandlimitedFunction's always do.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def build_polar_grid(r_max: float, n_r: int, n_theta: int) -> PolarGrid:
 # radial mode tables
 
 
-_TABLE_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_TABLE_CACHE: OrderedDict[tuple, object] = OrderedDict()
 _TABLE_CACHE_SIZE = 8
 
 
@@ -159,27 +160,35 @@ def _phase_node_count(lam_max: float, r_max: float) -> int:
     return int(2 ** math.ceil(math.log2(n)))
 
 
+def _circle_modes(lams: np.ndarray, rs: np.ndarray,
+                  m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, G): the unit basis S of spectral._plane_wave_basis, shape
+    (deg, lams.size), and the real mode coefficients G[k, r, m] of its
+    planes at x = tanh(r/2) for 0 <= m <= m_max (spectral._circle_cosines,
+    in its own point blocks), so that Phi[lam, m, r] =
+    sum_k conj(S[k, lam]) G[k, r, m].
+
+    Only reliable up to moderate r; the caller keeps rs <= switch radius.
+    The trapezoid rule runs over _phase_node_count angles."""
+    n = _phase_node_count(float(np.max(lams)), float(np.max(rs)))
+    n = max(n, 4 * (m_max + 1))
+    x = np.tanh(rs / 2.0)
+    a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
+    return series, _circle_cosines(x, n, m_max, a_max, series.shape[0])
+
+
 def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature, written
     into out (shape (lams.size, m_max + 1, rs.size), allocated if None).
 
-    Only reliable up to moderate r; the caller keeps rs <= switch radius.
-    The trapezoid rule over _phase_node_count angles gives the real mode
-    coefficients G[k, r, m] of the planes at x = tanh(r/2)
-    (spectral._circle_cosines, in its own point blocks), and with the unit
-    basis S of spectral._plane_wave_basis, Phi[lam, m, r] =
-    sum_k conj(S[k, lam]) G.  That product is formed one block of radii
-    at a time (geometry.row_blocks over lams.size * (m_max + 1) entries per
-    radius) and copied straight into out, so the memory beyond out is G
-    and one block; splitting the product's columns leaves every entry's
-    bits as in one whole product."""
-    n = _phase_node_count(float(np.max(lams)), float(np.max(rs)))
-    n = max(n, 4 * (m_max + 1))
-    x = np.tanh(rs / 2.0)
-    a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
+    The product sum_k conj(S[k, lam]) G of _circle_modes is formed one
+    block of radii at a time (geometry.row_blocks over lams.size *
+    (m_max + 1) entries per radius) and copied straight into out, so the
+    memory beyond out is G and one block; splitting the product's columns
+    leaves every entry's bits as in one whole product."""
+    series, modes = _circle_modes(lams, rs, m_max)
     deg = series.shape[0]
-    modes = _circle_cosines(x, n, m_max, a_max, deg)
     if out is None:
         out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
     basis = np.conj(series).T
@@ -190,10 +199,24 @@ def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
     return out
 
 
-def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int,
-                      n_rows: int | None = None) -> np.ndarray:
-    """Read-only table Phi[i_lam, m, i_r] over the first n_rows lambda nodes
-    of the grid (all of them by default).
+def _cached(key: tuple, build):
+    """_TABLE_CACHE[key], built by build() on a miss; the cache keeps the
+    _TABLE_CACHE_SIZE most recently used entries."""
+    hit = _TABLE_CACHE.get(key)
+    if hit is not None:
+        _TABLE_CACHE.move_to_end(key)
+        return hit
+    value = build()
+    _TABLE_CACHE[key] = value
+    if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+        _TABLE_CACHE.popitem(last=False)
+    return value
+
+
+def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid,
+                      m_max: int) -> np.ndarray:
+    """Read-only table Phi[i_lam, m, i_r] over the lambda nodes of the grid,
+    for forward_transform and the calibration.
 
     Entries at radii up to _SWITCH_RADIUS come from circle quadrature of the
     plane wave in its Chebyshev basis (_modes_by_quadrature: one real exp
@@ -202,30 +225,49 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid, m_max: int,
     the one table in place (the radii ascend, as build_polar_grid makes
     them), so a cold table costs its own size plus the real coefficients G
     of its near radii and block-sized temporaries, never a second table.
-    The entries depend on the tabulated nodes as a whole (the quadrature
-    node count and the length of the basis S follow the largest lambda),
-    so a table of the band panel agrees with the band rows of the whole
-    table to roundoff, not bit for bit.  Cached per (tabulated lambda
-    nodes, pgrid, m_max); the cache keeps the _TABLE_CACHE_SIZE most
-    recently used tables."""
-    lams = grid.lambda_nodes[:n_rows]
-    key = (lams.tobytes(), pgrid.r_nodes.tobytes(), int(m_max))
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        _TABLE_CACHE.move_to_end(key)
-        return hit
+    Cached per (lambda nodes, pgrid, m_max)."""
+    lams, rs = grid.lambda_nodes, pgrid.r_nodes
+
+    def build():
+        n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
+        table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
+        if n_near:
+            _modes_by_quadrature(lams, rs[:n_near], m_max,
+                                 table[:, :, :n_near])
+        if n_near < rs.size:
+            _modes_by_expansion(lams, rs[n_near:], m_max,
+                                table[:, :, n_near:])
+        table.setflags(write=False)
+        return table
+
+    return _cached((lams.tobytes(), rs.tobytes(), int(m_max)), build)
+
+
+def _evaluation_modes(lams: np.ndarray, pgrid: PolarGrid, m_max: int):
+    """Read-only (S, G, far) for inverse_on_grid at the lambda nodes lams:
+    _circle_modes at the radii up to _SWITCH_RADIUS, and the mode table of
+    the radii beyond it (_modes_by_expansion; shape (lams.size, m_max + 1,
+    0) when there are none).  No lambda table of the near radii is built.
+    Cached in _TABLE_CACHE per ("modes", lambda nodes, pgrid, m_max)."""
     rs = pgrid.r_nodes
-    n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
-    table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
-    if n_near:
-        _modes_by_quadrature(lams, rs[:n_near], m_max, table[:, :, :n_near])
-    if n_near < rs.size:
-        _modes_by_expansion(lams, rs[n_near:], m_max, table[:, :, n_near:])
-    table.setflags(write=False)
-    _TABLE_CACHE[key] = table
-    if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-        _TABLE_CACHE.popitem(last=False)
-    return table
+
+    def build():
+        n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
+        if n_near:
+            series, modes = _circle_modes(lams, rs[:n_near], m_max)
+        else:
+            series = np.zeros((0, lams.size), dtype=complex)
+            modes = np.zeros((0, 0, m_max + 1))
+        if n_near < rs.size:
+            far = _modes_by_expansion(lams, rs[n_near:], m_max)
+        else:
+            far = np.zeros((lams.size, m_max + 1, 0), dtype=complex)
+        for a in (series, modes, far):
+            a.setflags(write=False)
+        return series, modes, far
+
+    return _cached(("modes", lams.tobytes(), rs.tobytes(), int(m_max)),
+                   build)
 
 
 def _default_m_max(grid: SpectralGrid, pgrid: PolarGrid) -> int:
@@ -283,24 +325,29 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid,
 
     The lambda sum runs over the rows the coefficients use: the band panel
     when every row above it is zero (always so for a BandlimitedFunction),
-    else all rows.  The band route's table has half the rows on the
-    scenario grids (n_band = n_lambda / 2) and is one cache entry shared
-    by every band limited function on the grid; it agrees with the whole
-    table's route to roundoff (within 7e-16 of max|f| on the
-    frame_reconstruct and spline_reconstruct grids)."""
+    else all rows.  At the radii up to _SWITCH_RADIUS it runs through the
+    real mode coefficients G of _circle_modes: h = S (w_lam c_m), a
+    deg x n_b matrix, then f_m(r) = sum_k G[k, r, |m|] h[k, m], so no
+    lambda table of those radii exists; the radii beyond take their rows
+    from the Harish-Chandra expansion.  The cached (S, G) is shared by
+    every band limited function on the grid, and the values agree with
+    the whole mode table's route to roundoff (within 1e-14 of max|f|)."""
     grid = coeffs.grid
     mk = _default_m_max(grid, pgrid) if m_max is None else int(m_max)
     n = grid.n_band
     if not n or np.any(coeffs.values[n:]):
         n = grid.n_lambda
-    table = radial_mode_table(grid, pgrid, mk, n)
+    series, modes, far = _evaluation_modes(grid.lambda_nodes[:n], pgrid, mk)
     c_modes = np.fft.fft(coeffs.values[:n], axis=1) / grid.n_b
-    wl = grid.lambda_measure[:n]
+    wc = grid.lambda_measure[:n, None] * c_modes
+    h = series @ wc
+    n_near = modes.shape[1]
     packed = np.zeros((pgrid.n_r, pgrid.n_theta), dtype=complex)
-    for m in range(-mk, mk + 1):
-        cm = c_modes[:, m % grid.n_b]
-        fm = np.conj(table[:, abs(m), :]).T @ (wl * cm)
-        packed[:, m % pgrid.n_theta] = fm
+    for m in range(mk + 1):
+        # modes m and -m, the columns m and -m of h, wc and packed
+        pair = [m, -m]
+        packed[:n_near, pair] = modes[:, :, m].T @ h[:, pair]
+        packed[n_near:, pair] = np.conj(far[:, m, :]).T @ wc[:, pair]
     return np.fft.ifft(packed, axis=1) * pgrid.n_theta
 
 

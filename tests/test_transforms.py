@@ -501,25 +501,67 @@ def test_band_route_matches_the_whole_table_route(space, config,
     grid = f.grid
     band = f.on_grid(pgrid)
     # one tail entry of 1e-200 sends the sum over every row, through the
-    # whole table, and moves no value by an ulp
+    # mode coefficients of all the nodes, and moves no value by an ulp
     values = f.coeffs.values.copy()
     values[-1, 0] = 1e-200
     whole = tr.inverse_on_grid(SpectralCoeffs(grid, values), pgrid)
-    assert [k[0] for k in tr._TABLE_CACHE] == [
-        grid.lambda_nodes[:grid.n_band].tobytes(),
-        grid.lambda_nodes.tobytes()]
+    assert [k[:2] for k in tr._TABLE_CACHE] == [
+        ("modes", grid.lambda_nodes[:grid.n_band].tobytes()),
+        ("modes", grid.lambda_nodes.tobytes())]
     assert np.max(np.abs(band - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
+def _table_route(coeffs, pgrid):
+    """inverse_on_grid through the whole mode table of the grid's nodes:
+    f_m(r) = sum_lam conj(Phi[lam, |m|, r]) w_lam c_m(lam)."""
+    grid = coeffs.grid
+    mk = tr._default_m_max(grid, pgrid)
+    table = tr.radial_mode_table(grid, pgrid, mk)
+    c_modes = np.fft.fft(coeffs.values, axis=1) / grid.n_b
+    packed = np.zeros((pgrid.n_r, pgrid.n_theta), dtype=complex)
+    for m in range(-mk, mk + 1):
+        packed[:, m % pgrid.n_theta] = np.conj(table[:, abs(m), :]).T @ (
+            grid.lambda_measure * c_modes[:, m % grid.n_b])
+    return np.fft.ifft(packed, axis=1) * pgrid.n_theta
+
+
+def test_evaluation_across_the_switch_radius_matches_the_table_route(
+        space, monkeypatch):
+    # 38 of the 96 radii lie beyond _SWITCH_RADIUS and take the expansion
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    f, _ = _scenario_function(space, "frame_reconstruct")
+    pgrid = tr.build_polar_grid(6.0, 96, 64)
+    assert 0 < np.count_nonzero(pgrid.r_nodes > tr._SWITCH_RADIUS) < 96
+    got = f.on_grid(pgrid)
+    ref = _table_route(f.coeffs, pgrid)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_cold_band_evaluation_tabulates_only_the_band(space, monkeypatch):
-    # the band table (48 of 96 rows, 3.9 MB) and its transients; the whole
-    # table alone is 7.9 MB
+    # the real mode coefficients G of the band (20 x 160 x 32, 0.8 MB) and
+    # their transients: no lambda table, whose band rows alone are 3.9 MB
     monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
     f, pgrid = _scenario_function(space, "frame_reconstruct")
     _, peak = _traced_peak(lambda: f.on_grid(pgrid))
-    band_table = f.grid.n_band * 32 * pgrid.n_r * 16
-    assert band_table == 3_932_160
-    assert peak <= band_table + 4e6
+    assert peak <= 3e6
+
+
+def test_evaluation_leaves_the_forward_table_as_from_a_fresh_cache(
+        space, monkeypatch):
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    f, pgrid = _scenario_function(space, "frame_reconstruct")
+    samples = f.on_grid(pgrid)
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    fresh = tr.forward_transform(pgrid, f.grid, samples, tail_tol=None)
+    # evaluations over the band rows and over all rows (the forward
+    # transform's tail is not zero) on the same grid, then the forward
+    # transform again
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    assert np.any(fresh.values[f.grid.n_band:])
+    tr.inverse_on_grid(fresh, pgrid)
+    f.on_grid(pgrid)
+    after = tr.forward_transform(pgrid, f.grid, samples, tail_tol=None)
+    assert after.values.tobytes() == fresh.values.tobytes()
 
 
 def test_calibration_leaves_the_table_cache_as_it_found_it(monkeypatch,
