@@ -141,7 +141,8 @@ def _setup(repeats, case):
     """Import of `hypersample.cli` (the scenario bench's `setup_s` starts
     with it) and the scipy modules it loaded, then a cold
     `calibrate_plancherel()` with |2 pi scale - 1|, the Parseval spread and
-    the peak RSS after it."""
+    the peak RSS after it, and the tracemalloc peak of one more cold
+    calibration (`calibrate_traced_mb`)."""
     start = time.perf_counter()
     import hypersample.cli  # noqa: F401
     import_s = time.perf_counter() - start
@@ -153,10 +154,14 @@ def _setup(repeats, case):
     start = time.perf_counter()
     cal = calibrate_plancherel()
     calibrate_s = time.perf_counter() - start
+    peak_rss_mb = _rss_mb()
+    calibrate_plancherel.cache_clear()
     return {"import_s": import_s, "calibrate_s": calibrate_s,
             "setup_s": import_s + calibrate_s, "scipy_modules": len(scipy),
             "scale_error": abs(2.0 * np.pi * cal.scale - 1.0),
-            "spread": cal.spread, "peak_rss_mb": _rss_mb()}, {}
+            "spread": cal.spread,
+            "calibrate_traced_mb": _traced_mb(calibrate_plancherel),
+            "peak_rss_mb": peak_rss_mb}, {}
 
 
 def _modes(repeats, case):
@@ -165,14 +170,17 @@ def _modes(repeats, case):
     grids: the whole table (cache cleared before each call) with the length
     of its plane-wave basis S and the tracemalloc peak of one more cold
     call (`table_<grid>_traced_mb`, the table included), and its near part
-    alone (the radii up to the switch radius, `_modes_by_quadrature`) with
-    its entries at the grid nodes nearest the near oracle points; then the
-    far part of the calibration table (`_modes_by_expansion`) and its
-    values at the far oracle points.  Then, on the frame and spline grids,
-    a cold `f.on_grid(pgrid)` of the seed-0 test function, which builds
-    what it reads of the rows it uses (`on_grid_<grid>_s`, cache cleared
-    before each call; `on_grid_<grid>_traced_mb`, its tracemalloc peak,
-    the cached arrays included), with its values compared as an array."""
+    alone (the radii up to the switch radius) with its entries at the grid
+    nodes nearest the near oracle points; then the far part of the
+    calibration table and its values at the far oracle points.  The parts
+    are `_modes_by_quadrature` and `_modes_by_expansion` where the side has
+    them (up to e4af9b1), else the orders of `_radial_modes` and of
+    `_expansion_orders` stacked into the same (lam, m, r) tables.  Then, on
+    the frame and spline grids, a cold `f.on_grid(pgrid)` of the seed-0
+    test function, which builds what it reads of the rows it uses
+    (`on_grid_<grid>_s`, cache cleared before each call;
+    `on_grid_<grid>_traced_mb`, its tracemalloc peak, the cached arrays
+    included), with its values compared as an array."""
     import numpy as np
 
     from hypersample import transforms as tr
@@ -180,6 +188,13 @@ def _modes(repeats, case):
     from hypersample.geometry import SpaceParams
     from hypersample.spectral import build_grid
 
+    def stacked(orders):
+        return lambda *args: np.stack(list(orders(*args)), axis=1)
+
+    near = getattr(tr, "_modes_by_quadrature", None) \
+        or stacked(tr._radial_modes)
+    far = getattr(tr, "_modes_by_expansion", None) \
+        or stacked(tr._expansion_orders)
     space = SpaceParams().with_scale(1.0)
     grids = {"calibration": (build_grid(space, 24.0, 96, 64),
                              tr.build_polar_grid(8.0, 128, 128)),
@@ -205,8 +220,7 @@ def _modes(repeats, case):
         lams, rs = grid.lambda_nodes, pgrid.r_nodes
         rs = rs[rs <= tr._SWITCH_RADIUS]
         out[f"near_{name}_s"], vals = _times(
-            lambda: tr._modes_by_quadrature(
-                lams, rs, tr._default_m_max(grid, pgrid)), repeats)
+            lambda: near(lams, rs, tr._default_m_max(grid, pgrid)), repeats)
         li = sorted({int(abs(lams - lam).argmin()) for lam in NEAR_LAMS
                      if lam <= lams[-1]})
         ri = sorted({int(abs(rs - r).argmin()) for r in NEAR_RS
@@ -217,9 +231,8 @@ def _modes(repeats, case):
     grid, pgrid = grids["calibration"]
     rs = pgrid.r_nodes[pgrid.r_nodes > tr._SWITCH_RADIUS]
     out["far_s"], _ = _times(
-        lambda: tr._modes_by_expansion(grid.lambda_nodes, rs, 31), repeats)
-    vals = tr._modes_by_expansion(np.array(ORACLE_LAMS), np.array(ORACLE_RS),
-                                  max(ORACLE_MS))
+        lambda: far(grid.lambda_nodes, rs, 31), repeats)
+    vals = far(np.array(ORACLE_LAMS), np.array(ORACLE_RS), max(ORACLE_MS))
     out["far_entries"] = [
         (lam, m, r, vals[i, m, k].real, vals[i, m, k].imag)
         for i, lam in enumerate(ORACLE_LAMS) for m in ORACLE_MS

@@ -253,17 +253,19 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.tolerances = {"parseval_rel": tol, "forward_tail": 1e-8}
     grid = build_grid(space, 24.0, cfg.n_lambda, cfg.n_b)
     pgrid = build_polar_grid(8.0, 128, 128)
-    for seed in cfg.seeds:
-        rng = np.random.default_rng(seed)
-        center = 0.5 * math.sqrt(rng.random()) \
-            * np.exp(2j * np.pi * rng.random())
-        width = 0.7 + 0.5 * rng.random()
-        with rep.timed(f"seed_{seed}"):
-            f = np.exp(-distance(center, pgrid.points) ** 2
-                       / (2.0 * width**2))
-            coeffs = forward_transform(pgrid, grid, f, tail_tol=1e-8)
-            spatial = pgrid.norm_sq(f)
-            spectral = coeffs.norm_sq()
+    bumps = np.empty((len(cfg.seeds), pgrid.n_r, pgrid.n_theta))
+    with rep.timed("transform"):
+        for f, seed in zip(bumps, cfg.seeds):
+            rng = np.random.default_rng(seed)
+            center = 0.5 * math.sqrt(rng.random()) \
+                * np.exp(2j * np.pi * rng.random())
+            width = 0.7 + 0.5 * rng.random()
+            f[...] = np.exp(-distance(center, pgrid.points) ** 2
+                            / (2.0 * width**2))
+        coeffs = forward_transform(pgrid, grid, bumps, tail_tol=1e-8)
+    for seed, f, c in zip(cfg.seeds, bumps, coeffs):
+        spatial = pgrid.norm_sq(f)
+        spectral = c.norm_sq()
         rel = abs(spatial - spectral) / spatial
         rep.add(seed, spatial, spectral, rel, rel < tol)
         rep.check(rel < tol, "plancherel.parseval_rel",

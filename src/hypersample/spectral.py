@@ -125,12 +125,10 @@ def _gamma_ratio(z) -> np.ndarray:
 _SWITCH_RADIUS = 4.0
 
 
-def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Phi_{lam, m}(r) for 0 <= m <= m_max and lam > 0 by the Harish-Chandra
-    expansion at infinity (transforms module docstring), for radii rs >= ~3,
-    written into out (shape (lams.size, m_max + 1, rs.size), allocated if
-    None).
+def _expansion_orders(lams: np.ndarray, rs: np.ndarray, m_max: int):
+    """Phi_{lam, m}(r) for lam > 0 by the Harish-Chandra expansion at
+    infinity (transforms module docstring), for radii rs >= ~3: an
+    iterator over m = 0 .. m_max of arrays of shape (lams.size, rs.size).
 
     With u = e^{-2r}, g_+(u) = sum_n a_n u^n solves the mode equation with
     a_0 = 1, a_{-1} = 0 and, for s = -1/2 + i lam and Lam = lam^2 + 1/4,
@@ -140,47 +138,44 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int,
 
     for real lam and u, g_- is its complex conjugate and so is the second
     term of the expansion.  The Gamma ratio of c(lam) is _gamma_ratio.
-    The series is summed until two consecutive
-    terms fall below roundoff of the sum of term magnitudes at every
-    (lam, m, r); NumericalFailure is raised if that takes more than 64
-    terms (the calibration table, r > 4 and m <= 31, takes 10).
+    Every order sums the same number of terms: the first n at which two
+    consecutive terms fall below roundoff of the sum of term magnitudes at
+    every (lam, m, r); NumericalFailure is raised if that takes more than
+    64 terms (the calibration's far radii, r > 4 and m <= 31, take 10).
 
-    g is summed in out itself and the phase step applied there, one block
-    of lam rows at a time (geometry.row_blocks over (m_max + 1) * rs.size
-    entries per row); the only other output-sized array is the real sum
-    of term magnitudes.  Each term's test still covers every block
-    before the next term, and the previous term's magnitudes are
-    recomputed from its coefficients, so the term count and every bit are
-    those of one whole-array pass.
+    That count is found by the call, one block of lam rows at a time
+    (geometry.row_blocks over (m_max + 1) * rs.size entries per row), with
+    the real sum of term magnitudes as the only array of all the orders;
+    it is freed before the call returns.  Each order then sums its terms
+    and takes its phase step as the iterator reaches it, so an order costs
+    one (lams.size, rs.size) array and its bits are those of one
+    whole-array pass.
     """
     il = 1j * lams[:, None]
     s = -0.5 + il
     lam2 = lams[:, None] ** 2 + 0.25
     m4 = 4.0 * np.arange(m_max + 1, dtype=float)[None, :] ** 2
     u = np.exp(-2.0 * rs)
-    if out is None:
-        out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
     blocks = row_blocks(lams.size, (m_max + 1) * rs.size)
     a_prev = np.zeros((lams.size, m_max + 1), dtype=complex)
     a = np.ones((lams.size, m_max + 1), dtype=complex)
-    out[...] = 1.0
-    mass = np.ones(out.shape)
     un = np.ones_like(u)
+    terms = []      # (a_n, u^n) for n >= 1
+    mass = np.ones((lams.size, m_max + 1, rs.size))
     eps = np.finfo(float).eps
     for n in range(1, 65):
         p, q = s - 2 * n + 2, s - 2 * n + 4
         a_prev, a = a, (((2.0 * p**2 + 2.0 * lam2 + m4) * a
                          - (q**2 - q + lam2) * a_prev) / (4 * n * (n - il)))
         un_prev, un = un, un * u
-        done = True
+        terms.append((a, un))
+        done = n > 1
         for blk in blocks:
-            term = a[blk, :, None] * un
-            out[blk] += term
-            size = np.abs(term)
+            size = np.abs(a[blk, :, None] * un)
             mass[blk] += size
-            prev = (np.abs(a_prev[blk, :, None] * un_prev) if n > 1
-                    else np.inf)
-            done &= bool(np.all(size + prev <= eps * mass[blk]))
+            if done:
+                size += np.abs(a_prev[blk, :, None] * un_prev)
+                done = bool(np.all(size <= eps * mass[blk]))
         if done:
             break
     else:
@@ -192,13 +187,19 @@ def _modes_by_expansion(lams: np.ndarray, rs: np.ndarray, m_max: int,
     j = np.arange(1, m_max + 1, dtype=float)[None, :] - 0.5
     pi_m = np.concatenate([np.ones((lams.size, 1)),
                            np.cumprod((j - il) / (j + il), axis=1)], axis=1)
-    for blk in blocks:
-        g = out[blk]
-        phase = c[blk, None] * np.exp(np.outer(1j * lams[blk] - 0.5, rs))
-        w = phase[:, None, :] * g
-        np.multiply(pi_m[blk, :, None], w, out=g)
-        g += np.conj(w)
-    return out
+    phase = c[:, None] * np.exp(np.outer(1j * lams - 0.5, rs))
+
+    def orders():
+        for m in range(m_max + 1):
+            g = np.ones((lams.size, rs.size), dtype=complex)
+            for a_n, u_n in terms:
+                g += a_n[:, m, None] * u_n
+            w = phase * g
+            np.multiply(pi_m[:, m, None], w, out=g)
+            g += np.conj(w)
+            yield g
+
+    return orders()
 
 
 _SERIES_MARGIN = 64
@@ -372,14 +373,15 @@ def zonal_sum(lams, coeffs, t: np.ndarray, a_max: float) -> np.ndarray:
     of the planes (_circle_cosines, mode 0) contracted with the real part
     of one plane_wave_series on |A| <= a_max (at least max t, and the
     switch radius once some t lies past it).  There the angle count grows
-    like e^t, and phi is _modes_by_expansion at |lam| (at 1e-10 for lam = 0,
-    its c-function's pole; phi is even and analytic in lam).
+    like e^t, and phi is the m = 0 order of _expansion_orders at |lam| (at
+    1e-10 for lam = 0, its c-function's pole; phi is even and analytic in
+    lam).
     """
     far = t > _SWITCH_RADIUS
     out = np.empty(coeffs.shape[1:] + t.shape)
     if np.any(far):
-        phi = _modes_by_expansion(np.maximum(np.abs(lams), 1e-10), t[far], 0)
-        out[..., far] = np.tensordot(coeffs, phi[:, 0].real, axes=(0, 0))
+        phi, = _expansion_orders(np.maximum(np.abs(lams), 1e-10), t[far], 0)
+        out[..., far] = np.tensordot(coeffs, phi.real, axes=(0, 0))
         a_max = _SWITCH_RADIUS
     if not np.all(far):
         series = plane_wave_series(lams, coeffs, a_max).real

@@ -38,15 +38,20 @@ closed form in e^{-2r}:
 with c(lam) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)) the Harish-Chandra
 c-function, pi_m(lam) = prod_{j=1..m} (j - 1/2 - i lam) / (j - 1/2 + i lam),
 and g_+- power series whose coefficients follow from the mode equation
-(spectral._modes_by_expansion, which spectral.zonal_sum shares).
+(spectral._expansion_orders, which spectral.zonal_sum shares).
 
-The forward transform and the calibration read the whole table.
-inverse_on_grid builds no table of the radii up to the switch radius: it
-contracts the weighted coefficients with S first, h = S (w_lam c_m), and
-sums f_m(r) = sum_k G[k, r, |m|] h[k, m] over the real coefficients, so
-what it caches is (S, G) and the expansion's rows of the radii beyond.
-It reads only the band panel [0, omega] when the coefficients vanish
-above it, as a BandlimitedFunction's always do.
+Neither transform holds the whole table.  The forward transform streams
+it one angular order m at a time (_radial_modes: one product
+conj(S)^T G[:, :, m] for the near radii, the expansion's order m for the
+far ones) and contracts each order with every sample as it arrives, so a
+stack of samples pays for the orders once; radial_mode_table fills the
+whole table from the same orders.  inverse_on_grid builds no table of the
+radii up to the switch radius: it contracts the weighted coefficients
+with S first, h = S (w_lam c_m), and sums
+f_m(r) = sum_k G[k, r, |m|] h[k, m] over the real coefficients, so what it
+caches is (S, G) and the expansion's rows of the radii beyond.  It reads
+only the band panel [0, omega] when the coefficients vanish above it, as
+a BandlimitedFunction's always do.
 """
 
 from __future__ import annotations
@@ -59,11 +64,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationInconsistent, TailMassExceeded
-from .geometry import (SpaceParams, as_complex, distance,
-                       random_ball_points, row_blocks)
+from .geometry import SpaceParams, as_complex, distance, random_ball_points
 from .spectral import (_SWITCH_RADIUS, SpectralCoeffs, SpectralGrid,
-                       _circle_cosines, _fsum_real, _gauss_legendre,
-                       _horocycle_planes, _modes_by_expansion,
+                       _circle_cosines, _expansion_orders, _fsum_real,
+                       _gauss_legendre, _horocycle_planes,
                        _plane_wave_basis, _radius_bound, build_grid,
                        plane_wave_series)
 
@@ -177,28 +181,6 @@ def _circle_modes(lams: np.ndarray, rs: np.ndarray,
     return series, _circle_cosines(x, n, m_max, a_max, series.shape[0])
 
 
-def _modes_by_quadrature(lams: np.ndarray, rs: np.ndarray, m_max: int,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Phi_{lam, m}(r) for 0 <= m <= m_max by circle quadrature, written
-    into out (shape (lams.size, m_max + 1, rs.size), allocated if None).
-
-    The product sum_k conj(S[k, lam]) G of _circle_modes is formed one
-    block of radii at a time (geometry.row_blocks over lams.size *
-    (m_max + 1) entries per radius) and copied straight into out, so the
-    memory beyond out is G and one block; splitting the product's columns
-    leaves every entry's bits as in one whole product."""
-    series, modes = _circle_modes(lams, rs, m_max)
-    deg = series.shape[0]
-    if out is None:
-        out = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
-    basis = np.conj(series).T
-    for blk in row_blocks(rs.size, lams.size * (m_max + 1)):
-        block = basis @ modes[:, blk].astype(complex).reshape(deg, -1)
-        out[:, :, blk] = block.reshape(lams.size, -1,
-                                       m_max + 1).transpose(0, 2, 1)
-    return out
-
-
 def _cached(key: tuple, build):
     """_TABLE_CACHE[key], built by build() on a miss; the cache keeps the
     _TABLE_CACHE_SIZE most recently used entries."""
@@ -213,30 +195,52 @@ def _cached(key: tuple, build):
     return value
 
 
+def _near_and_far(lams: np.ndarray, rs: np.ndarray, m_max: int):
+    """(S, G, far): _circle_modes at the radii up to _SWITCH_RADIUS (empty
+    when there are none) and the generator of the expansion's orders,
+    spectral._expansion_orders, at the radii beyond it (the radii ascend,
+    as build_polar_grid makes them)."""
+    n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
+    if n_near < rs.size:
+        far = _expansion_orders(lams, rs[n_near:], m_max)
+    else:
+        far = iter([np.zeros((lams.size, 0), dtype=complex)] * (m_max + 1))
+    if n_near:
+        series, modes = _circle_modes(lams, rs[:n_near], m_max)
+    else:
+        series = np.zeros((0, lams.size), dtype=complex)
+        modes = np.zeros((0, 0, m_max + 1))
+    return series, modes, far
+
+
+def _radial_modes(lams: np.ndarray, rs: np.ndarray, m_max: int):
+    """Yield Phi[:, m, :], shape (lams.size, rs.size), for m = 0 .. m_max.
+
+    The near radii take one product conj(S)^T G[:, :, m] of _circle_modes
+    per order, the far ones the expansion's order m, so what lives beyond
+    one order is G and the expansion's coefficients, never the table.
+    Each entry's bits are those of the whole table built in one pass."""
+    series, modes, far = _near_and_far(lams, rs, m_max)
+    basis = np.conj(series).T
+    for m in range(m_max + 1):
+        yield np.concatenate([basis @ modes[:, :, m], next(far)], axis=1)
+
+
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid,
                       m_max: int) -> np.ndarray:
     """Read-only table Phi[i_lam, m, i_r] over the lambda nodes of the grid,
-    for forward_transform and the calibration.
-
-    Entries at radii up to _SWITCH_RADIUS come from circle quadrature of the
-    plane wave in its Chebyshev basis (_modes_by_quadrature: one real exp
-    per radius and angle, then one product with the series), the rest from
-    the Harish-Chandra expansion.  Both routes write their radius slices of
-    the one table in place (the radii ascend, as build_polar_grid makes
-    them), so a cold table costs its own size plus the real coefficients G
-    of its near radii and block-sized temporaries, never a second table.
-    Cached per (lambda nodes, pgrid, m_max)."""
+    filled one order at a time from _radial_modes: circle quadrature of the
+    plane wave in its Chebyshev basis at the radii up to _SWITCH_RADIUS,
+    the Harish-Chandra expansion beyond.  No library route reads it, since
+    forward_transform streams the same orders; it is the reference the
+    streamed orders are checked against, bit for bit.  Cached per
+    (lambda nodes, pgrid, m_max)."""
     lams, rs = grid.lambda_nodes, pgrid.r_nodes
 
     def build():
-        n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
         table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
-        if n_near:
-            _modes_by_quadrature(lams, rs[:n_near], m_max,
-                                 table[:, :, :n_near])
-        if n_near < rs.size:
-            _modes_by_expansion(lams, rs[n_near:], m_max,
-                                table[:, :, n_near:])
+        for m, phi in enumerate(_radial_modes(lams, rs, m_max)):
+            table[:, m] = phi
         table.setflags(write=False)
         return table
 
@@ -246,22 +250,15 @@ def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid,
 def _evaluation_modes(lams: np.ndarray, pgrid: PolarGrid, m_max: int):
     """Read-only (S, G, far) for inverse_on_grid at the lambda nodes lams:
     _circle_modes at the radii up to _SWITCH_RADIUS, and the mode table of
-    the radii beyond it (_modes_by_expansion; shape (lams.size, m_max + 1,
-    0) when there are none).  No lambda table of the near radii is built.
-    Cached in _TABLE_CACHE per ("modes", lambda nodes, pgrid, m_max)."""
+    the radii beyond it (the expansion's orders stacked; shape (lams.size,
+    m_max + 1, 0) when there are none).  No lambda table of the near radii
+    is built.  Cached in _TABLE_CACHE per ("modes", lambda nodes, pgrid,
+    m_max)."""
     rs = pgrid.r_nodes
 
     def build():
-        n_near = int(np.count_nonzero(rs <= _SWITCH_RADIUS))
-        if n_near:
-            series, modes = _circle_modes(lams, rs[:n_near], m_max)
-        else:
-            series = np.zeros((0, lams.size), dtype=complex)
-            modes = np.zeros((0, 0, m_max + 1))
-        if n_near < rs.size:
-            far = _modes_by_expansion(lams, rs[n_near:], m_max)
-        else:
-            far = np.zeros((lams.size, m_max + 1, 0), dtype=complex)
+        series, modes, far = _near_and_far(lams, rs, m_max)
+        far = np.stack(list(far), axis=1)
         for a in (series, modes, far):
             a.setflags(write=False)
         return series, modes, far
@@ -290,33 +287,46 @@ def tail_mass_fraction(pgrid: PolarGrid, samples: np.ndarray) -> float:
 
 def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
                       tail_tol: float | None = 1e-6,
-                      m_max: int | None = None) -> SpectralCoeffs:
+                      m_max: int | None = None
+                      ) -> SpectralCoeffs | list[SpectralCoeffs]:
     """Transform grid samples to spectral coefficients.
 
+    samples has shape (..., n_r, n_theta): one sample array, whose
+    SpectralCoeffs is returned, or a stack of them, which gives a list of
+    SpectralCoeffs in C order of the leading axes.  The mode orders come
+    from _radial_modes one at a time, and each is contracted with every
+    sample (one matrix-vector product per sample and sign of m) before the
+    next is formed, so no table is held or cached, and a stack pays for
+    the orders once.  Each sample's coefficients are bit for bit those of
+    transforming it alone.
+
     tail_tol bounds the admissible fraction of squared mass in the outer
-    10 percent of the radial domain (the estimator for what the truncated
-    integral cannot see); pass None to skip the check.
+    10 percent of the radial domain for every sample (the estimator for
+    what the truncated integral cannot see); pass None to skip the check.
     """
     samples = np.asarray(samples)
-    if samples.shape != (pgrid.n_r, pgrid.n_theta):
+    if samples.shape[-2:] != (pgrid.n_r, pgrid.n_theta):
         raise ValueError("sample array does not match the polar grid")
+    stack = samples.reshape(-1, pgrid.n_r, pgrid.n_theta)
     if tail_tol is not None:
-        frac = tail_mass_fraction(pgrid, samples)
-        if frac > tail_tol:
-            raise TailMassExceeded(
-                f"outer annulus holds {frac:.3e} of the squared mass "
-                f"(tolerance {tail_tol:.3e}); enlarge r_max")
+        for s in stack:
+            frac = tail_mass_fraction(pgrid, s)
+            if frac > tail_tol:
+                raise TailMassExceeded(
+                    f"outer annulus holds {frac:.3e} of the squared mass "
+                    f"(tolerance {tail_tol:.3e}); enlarge r_max")
     mk = _default_m_max(grid, pgrid) if m_max is None else int(m_max)
-    table = radial_mode_table(grid, pgrid, mk)
-    f_modes = np.fft.fft(samples, axis=1) / pgrid.n_theta
+    f_modes = np.fft.fft(stack, axis=2) / pgrid.n_theta
     wr = pgrid.r_weights * np.sinh(pgrid.r_nodes)
-    packed = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    for m in range(-mk, mk + 1):
-        fm = f_modes[:, m % pgrid.n_theta]
-        coef = 2.0 * np.pi * (table[:, abs(m), :] @ (wr * fm))
-        packed[:, m % grid.n_b] = coef
-    values = np.fft.ifft(packed, axis=1) * grid.n_b
-    return SpectralCoeffs(grid, values)
+    packed = np.zeros((len(stack), grid.n_lambda, grid.n_b), dtype=complex)
+    for m, phi in enumerate(_radial_modes(grid.lambda_nodes, pgrid.r_nodes,
+                                          mk)):
+        for col in {m, -m}:
+            for i, fm in enumerate(f_modes[:, :, col % pgrid.n_theta]):
+                packed[i, :, col % grid.n_b] = 2.0 * np.pi * (phi @ (wr * fm))
+    values = np.fft.ifft(packed, axis=2) * grid.n_b
+    coeffs = [SpectralCoeffs(grid, v) for v in values]
+    return coeffs[0] if samples.ndim == 2 else coeffs
 
 
 def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid,
@@ -411,27 +421,24 @@ def calibrate_plancherel() -> CalibrationResult:
     calls return the same result, whose ratios are read-only
     (calibrate_plancherel.cache_clear() forces a fresh measurement).
 
-    Memory: the lam <= 24 mode table (6.3 MB) is built once for the four
-    transforms and leaves with the measurement, since no scenario but
-    plancherel uses its grid: _TABLE_CACHE ends as the call found it.
+    Memory: the four bumps go through one forward_transform, which
+    streams the lam <= 24 mode orders, so the whole table (6.3 MB) never
+    exists.  The expansion's term count (its real sum of term magnitudes,
+    1.6 MB) is found and freed before the near radii's real coefficients
+    G (2.6 MB) are built; G, its build transients and the samples set the
+    peak.  Nothing is written to _TABLE_CACHE.
     """
     grid = build_grid(SpaceParams(), 24.0, 96, 64)
     pgrid = build_polar_grid(8.0, 128, 128)
     rng = np.random.default_rng(0)
-    nums, dens = [], []
-    cached = _TABLE_CACHE.copy()
-    try:
-        for _ in range(4):
-            center = random_ball_points(0.5, 1, rng)[0]
-            width = 0.7 + 0.5 * rng.random()
-            f = np.exp(-(distance(center, pgrid.points)**2) / (2.0 * width**2))
-            nums.append(pgrid.norm_sq(f))
-            coeffs = forward_transform(pgrid, grid, f, tail_tol=1e-8)
-            dens.append(coeffs.norm_sq())
-    finally:
-        _TABLE_CACHE.clear()
-        _TABLE_CACHE.update(cached)
-    nums, dens = np.array(nums), np.array(dens)
+    bumps = np.empty((4, pgrid.n_r, pgrid.n_theta))
+    for f in bumps:
+        center = random_ball_points(0.5, 1, rng)[0]
+        width = 0.7 + 0.5 * rng.random()
+        f[...] = np.exp(-distance(center, pgrid.points)**2 / (2.0 * width**2))
+    nums = np.array([pgrid.norm_sq(f) for f in bumps])
+    dens = np.array([c.norm_sq() for c in
+                     forward_transform(pgrid, grid, bumps, tail_tol=1e-8)])
     ratios = nums / dens
     ratios.flags.writeable = False
     spread = float(ratios.max() / ratios.min() - 1.0)

@@ -25,7 +25,7 @@ def test_setup_worker_prints_one_json_line(tmp_path):
     fields = json.loads(line)
     assert set(fields) == {"import_s", "calibrate_s", "setup_s",
                            "scipy_modules", "scale_error", "spread",
-                           "peak_rss_mb"}
+                           "calibrate_traced_mb", "peak_rss_mb"}
     assert fields["scale_error"] < 1e-13
     assert not list(tmp_path.iterdir())  # no arrays to compare
 

@@ -103,11 +103,22 @@ def _ode_residual_ok(lams, y, r0, m, h):
     assert np.all(resid < allow), (resid, allow)
 
 
+def _expansion(lams, rs, m_max):
+    """The expansion's orders stacked into a (lam, m, r) table."""
+    return np.stack(list(tr._expansion_orders(lams, rs, m_max)), axis=1)
+
+
+def _quadrature(lams, rs, m_max):
+    """The streamed orders at radii up to the switch radius (all by circle
+    quadrature), stacked into a (lam, m, r) table."""
+    return np.stack(list(tr._radial_modes(lams, rs, m_max)), axis=1)
+
+
 def test_mode_table_ode_residual():
     # far-field (expansion) values must satisfy the radial mode equation
     h = 1e-3
     lams = np.linspace(0.5, 10.0, 6)
-    vals = tr._modes_by_expansion(lams, np.array([6.0 - h, 6.0, 6.0 + h]), 3)
+    vals = _expansion(lams, np.array([6.0 - h, 6.0, 6.0 + h]), 3)
     _ode_residual_ok(lams, vals[:, 3, :], 6.0, 3, h)
 
 
@@ -127,7 +138,7 @@ def test_mode_table_far_entries_match_mpmath():
     lams = np.array([6e-4, 0.3, 3.0, 24.0])
     rs = np.array([4.5, 6.0, 8.0])
     ms = (0, 5, 31)
-    vals = tr._modes_by_expansion(lams, rs, max(ms))
+    vals = _expansion(lams, rs, max(ms))
     err = max(abs(vals[i, m, k] - _mode_by_mpmath(lam, m, r))
               for i, lam in enumerate(lams) for m in ms
               for k, r in enumerate(rs))
@@ -138,7 +149,7 @@ def test_mode_table_near_entries_match_mpmath():
     lams = np.array([6e-4, 0.3, 3.0, 10.0])
     rs = np.array([0.5, 1.4, 2.0, 3.0])
     ms = (0, 5, 31)
-    vals = tr._modes_by_quadrature(lams, rs, max(ms))
+    vals = _quadrature(lams, rs, max(ms))
     err = max(abs(vals[i, m, k] - _mode_by_mpmath(lam, m, r))
               for i, lam in enumerate(lams) for m in ms
               for k, r in enumerate(rs))
@@ -178,14 +189,14 @@ def test_mode_table_near_slice_matches_direct_exponentials(
 def test_mode_expansion_fails_loudly_near_the_origin():
     # at r = 0.5 the series in e^{-2r} is far from roundoff after its cap
     with pytest.raises(NumericalFailure):
-        tr._modes_by_expansion(np.array([1.0]), np.array([0.5]), 31)
+        tr._expansion_orders(np.array([1.0]), np.array([0.5]), 31)
 
 
 def test_mode_table_quadrature_ode_residual():
     # quadrature-built entries satisfy the same equation (m = 2, r < 4)
     h = 1e-3
     lams = np.linspace(0.5, 8.0, 5)
-    vals = tr._modes_by_quadrature(lams, np.array([1.5 - h, 1.5, 1.5 + h]), 2)
+    vals = _quadrature(lams, np.array([1.5 - h, 1.5, 1.5 + h]), 2)
     _ode_residual_ok(lams, vals[:, 2, :], 1.5, 2, h)
 
 
@@ -313,6 +324,19 @@ def test_forward_shape_guard(pgrid, grid):
         tr.forward_transform(pgrid, grid, np.zeros((3, 3)))
 
 
+def test_stacked_forward_checks_every_sample(pgrid, grid):
+    # one sample of the stack over tail_tol stops the whole call, and a
+    # stack must end in the grid's (n_r, n_theta)
+    stack = np.stack([bump(pgrid), bump(pgrid, center=0.975, width=0.2)])
+    with pytest.raises(TailMassExceeded):
+        tr.forward_transform(pgrid, grid, stack, tail_tol=1e-6)
+    assert len(tr.forward_transform(pgrid, grid, stack, tail_tol=None)) == 2
+    for shape in [(2, pgrid.n_theta, pgrid.n_r + 1), (2, pgrid.n_r),
+                  (pgrid.n_r * pgrid.n_theta,)]:
+        with pytest.raises(ValueError):
+            tr.forward_transform(pgrid, grid, np.zeros(shape))
+
+
 def test_inverse_transform_matches_grid_route(space, pgrid):
     # the point route sums the kernel over the discrete boundary circle, so
     # it needs n_b to exceed the kernel mode content lam_max * sinh(r) at
@@ -393,13 +417,19 @@ def test_mode_table_cache_is_read_only_and_bounded(space, monkeypatch):
     assert table(sizes[0]) is not tables[sizes[0]]
 
 
-# (spectral grid, polar grid) of the calibration (near and far radii) and
-# of the spline_reconstruct scenario (near radii only), density constant 1
+_ACROSS_THE_SWITCH = tr.build_polar_grid(6.0, 96, 64)
+# (spectral grid, polar grid) of the calibration (near and far radii), of
+# the spline_reconstruct scenario (near radii only) and across the switch
+# radius, density constant 1
 _TABLE_GRIDS = {
     "calibration": lambda space: (build_grid(space, 24.0, 96, 64),
                                   tr.build_polar_grid(8.0, 128, 128)),
     "spline": lambda space: (build_grid(space, 10.0, 96, 64, 1.0),
                              tr.build_polar_grid(2.0, 160, 96)),
+    # the frame_reconstruct spectral grid on a domain whose radii cross the
+    # switch radius (38 of 96 take the expansion)
+    "across": lambda space: (build_grid(space, 10.0, 96, 64, 2.0),
+                             _ACROSS_THE_SWITCH),
 }
 # a cold table may hold, beyond itself, the real plane coefficients G of
 # its near radii (2.5 MB on the spline grid) and a few block-sized
@@ -422,9 +452,15 @@ def _whole_array_table(grid, pgrid, m_max):
     prod = np.conj(series).T @ modes.reshape(series.shape[0], -1)
     table[:, :, near] = prod.reshape(lams.size, x.size,
                                      m_max + 1).transpose(0, 2, 1)
-    if np.all(near):
-        return table
-    far = rs[~near]
+    if not np.all(near):
+        table[:, :, ~near] = _whole_array_expansion(lams, rs[~near], m_max)
+    return table
+
+
+def _whole_array_expansion(lams, far, m_max):
+    """The Harish-Chandra expansion in one pass over the whole (lam, m, r)
+    array: each term added to the whole sum, the convergence test on the
+    whole array, and one phase step."""
     il = 1j * lams[:, None]
     s = -0.5 + il
     lam2 = lams[:, None] ** 2 + 0.25
@@ -453,8 +489,7 @@ def _whole_array_table(grid, pgrid, m_max):
     pi_m = np.concatenate([np.ones((lams.size, 1)),
                            np.cumprod((j - il) / (j + il), axis=1)], axis=1)
     w = (c[:, None] * np.exp(np.outer(1j * lams - 0.5, far)))[:, None, :] * g
-    table[:, :, ~near] = pi_m[:, :, None] * w + np.conj(w)
-    return table
+    return pi_m[:, :, None] * w + np.conj(w)
 
 
 @pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
@@ -463,6 +498,56 @@ def test_mode_table_in_blocks_matches_whole_array_bits(case, monkeypatch):
     grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
     table = tr.radial_mode_table(grid, pgrid, 31)
     assert table.tobytes() == _whole_array_table(grid, pgrid, 31).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
+def test_expansion_by_order_matches_whole_array_bits(case):
+    # every order sums the whole array's term count; the spline grid has
+    # no radius past the switch, so its nodes take those of the grid
+    # across the switch
+    grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
+    rs = pgrid.r_nodes[pgrid.r_nodes > tr._SWITCH_RADIUS]
+    if not rs.size:
+        rs = _ACROSS_THE_SWITCH.r_nodes[
+            _ACROSS_THE_SWITCH.r_nodes > tr._SWITCH_RADIUS]
+    lams = grid.lambda_nodes
+    ref = _whole_array_expansion(lams, rs, 31)
+    assert _expansion(lams, rs, 31).tobytes() == ref.tobytes()
+
+
+def _table_forward(pgrid, grid, samples):
+    """forward_transform of one sample array through the whole mode table
+    of radial_mode_table, one order at a time."""
+    mk = tr._default_m_max(grid, pgrid)
+    table = tr.radial_mode_table(grid, pgrid, mk)
+    f_modes = np.fft.fft(samples, axis=1) / pgrid.n_theta
+    wr = pgrid.r_weights * np.sinh(pgrid.r_nodes)
+    packed = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
+    for m in range(-mk, mk + 1):
+        packed[:, m % grid.n_b] = 2.0 * np.pi * (
+            table[:, abs(m), :] @ (wr * f_modes[:, m % pgrid.n_theta]))
+    return np.fft.ifft(packed, axis=1) * grid.n_b
+
+
+def test_stacked_forward_matches_the_table_bits(monkeypatch):
+    # the plancherel scenario's bumps (seeds 0-4) on its (the
+    # calibration's) grids, in one stacked call and as a 2-D stack
+    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+    grid, pgrid = _TABLE_GRIDS["calibration"](SpaceParams())
+    bumps = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        center = 0.5 * math.sqrt(rng.random()) \
+            * np.exp(2j * np.pi * rng.random())
+        bumps.append(bump(pgrid, center, 0.7 + 0.5 * rng.random()))
+    got = tr.forward_transform(pgrid, grid, np.stack(bumps), tail_tol=1e-8)
+    assert len(got) == 5
+    for c, f in zip(got, bumps):
+        assert c.values.tobytes() == _table_forward(pgrid, grid, f).tobytes()
+    square = tr.forward_transform(pgrid, grid,
+                                  np.stack(bumps[:4]).reshape(2, 2, 128, 128))
+    assert [c.values.tobytes() for c in square] == [
+        c.values.tobytes() for c in got[:4]]
 
 
 def _traced_peak(call):
@@ -566,8 +651,8 @@ def test_evaluation_leaves_the_forward_table_as_from_a_fresh_cache(
 
 def test_calibration_leaves_the_table_cache_as_it_found_it(monkeypatch,
                                                            calibration):
-    # a full cache: the calibration's own table evicts the oldest entry
-    # while it runs, and both come back as they were
+    # a full cache: the calibration streams its mode orders, so it writes
+    # no entry and evicts none
     monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
     grid = build_grid(SpaceParams(), lam_max=4.0, n_lambda=8, n_b=8)
     for n_r in range(4, 4 + tr._TABLE_CACHE_SIZE):
@@ -582,8 +667,9 @@ def test_calibration_leaves_the_table_cache_as_it_found_it(monkeypatch,
     assert [k for k, _ in after] == [k for k, _ in before]
     assert all(a is b for (_, a), (_, b) in zip(after, before))
     assert cold.scale == calibration.scale
-    # the lam <= 24 table (6.3 MB) and its transients, not two tables
-    assert peak <= 96 * 32 * 128 * 16 + _TABLE_SLACK
+    # the near radii's real coefficients G (2.6 MB), the samples and
+    # transients, not the lam <= 24 table (6.3 MB): 13.5-14.4 MB with it
+    assert peak <= 7.5e6
 
 
 def test_laplacian_symbol_end_to_end(space):
