@@ -53,19 +53,12 @@ class BandlimitedFunction:
     def norm(self) -> float:
         return self.coeffs.norm()
 
-    def norm_sq(self) -> float:
-        return self.coeffs.norm_sq()
-
     def evaluate(self, points) -> np.ndarray:
         """Point values by the inversion quadrature."""
         return inverse_transform(self.coeffs, points)
 
     def on_grid(self, pgrid: PolarGrid) -> np.ndarray:
         return inverse_on_grid(self.coeffs, pgrid)
-
-    def scaled(self, a: complex) -> "BandlimitedFunction":
-        return BandlimitedFunction(
-            SpectralCoeffs(self.grid, a * self.coeffs.values))
 
 
 def _bump_mask(t: np.ndarray) -> np.ndarray:

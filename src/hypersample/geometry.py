@@ -24,8 +24,7 @@ logarithm of the Poisson kernel,
     A(x, b) = log P(x, b),    P(x, b) = (1 - |x|^2) / |x - b|^2,
 
 so that exp(2 rho A(x, b)) integrates to 1 over the normalized boundary.
-Most functions accept plain complex numbers (or arrays of them) as points;
-the small Point wrapper exists for validated user input.
+Points are plain complex numbers, or lists or arrays of them.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ import numpy as np
 __all__ = [
     "RHO",
     "SpaceParams",
-    "Point",
-    "as_complex",
+    "row_blocks",
     "distance",
     "ball_volume",
     "busemann",
@@ -50,7 +48,7 @@ __all__ = [
     "euclidean_radius",
 ]
 
-# points closer to the boundary than this are rejected by constructors
+# busemann and circle_points reject points closer to the boundary than this
 _BOUNDARY_MARGIN = 1e-12
 
 # half sum of the positive roots of the hyperbolic plane
@@ -98,42 +96,9 @@ class SpaceParams:
         return replace(self, plancherel_scale=scale)
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of the open unit disk."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if self.u * self.u + self.v * self.v >= (1.0 - _BOUNDARY_MARGIN) ** 2:
-            raise ValueError(f"point ({self.u}, {self.v}) is not inside the unit disk")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.u, self.v)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "Point":
-        return cls(float(np.real(z)), float(np.imag(z)))
-
-    @classmethod
-    def origin(cls) -> "Point":
-        return cls(0.0, 0.0)
-
-
-def as_complex(points) -> np.ndarray:
-    """Coerce Point objects, complex scalars or sequences thereof to a complex array."""
-    if isinstance(points, Point):
-        return np.asarray(points.z, dtype=complex)
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], Point):
-        return np.array([p.z for p in points], dtype=complex)
-    return np.asarray(points, dtype=complex)
-
-
 def distance(x, y) -> np.ndarray:
-    """Geodesic distance, vectorized over complex arrays (or Points)."""
-    zx, zy = as_complex(x), as_complex(y)
+    """Geodesic distance, vectorized over complex arrays."""
+    zx, zy = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     num = np.abs(zx - zy)
     den = np.abs(1.0 - np.conj(zx) * zy)
     t = num / den
@@ -159,7 +124,7 @@ def busemann(x, b) -> np.ndarray:
     b may be an angle or an array of angles.  Evaluated in the
     cancellation-free form |x - e^{i b}|^2 = (1-|x|)^2 + 4 |x| sin^2((b - arg x)/2).
     """
-    z = as_complex(x)
+    z = np.asarray(x, dtype=complex)
     theta = np.asarray(b, dtype=float)
     az = np.abs(z)
     if np.any(az >= 1.0 - _BOUNDARY_MARGIN):
@@ -172,7 +137,7 @@ def busemann(x, b) -> np.ndarray:
 
 def mobius_translate(a, z) -> np.ndarray:
     """The disk isometry sending 0 to a, applied to z: (z + a) / (1 + conj(a) z)."""
-    za, zz = as_complex(a), as_complex(z)
+    za, zz = np.asarray(a, dtype=complex), np.asarray(z, dtype=complex)
     return (zz + za) / (1.0 + np.conj(za) * zz)
 
 
@@ -192,7 +157,7 @@ def circle_points(center, tau: float, m: int) -> np.ndarray:
         raise ValueError("need at least one circle point")
     if tau < 0:
         raise ValueError("circle radius must be nonnegative")
-    c = as_complex(center)
+    c = np.asarray(center, dtype=complex)
     if np.abs(c) >= 1.0 - _BOUNDARY_MARGIN:
         raise ValueError("circle_points: center too close to the boundary")
     if tau == 0.0:
@@ -205,23 +170,16 @@ def circle_points(center, tau: float, m: int) -> np.ndarray:
     return out
 
 
-def multiplicity_bound(r: float | None = None, n_grid: int = 4096) -> float:
-    """Ball-count bound B(3r)/B(r/4) for a given r, or its supremum over 0 < r < 1.
-
-    The supremum (r=None) is the admissible-multiplicity constant for metric
-    lattices: at most this many balls of radius r can contain a common point.
-    """
-    if r is not None:
-        if not 0 < r:
-            raise ValueError("r must be positive")
-        with np.errstate(over="ignore"):
-            big = ball_volume(3.0 * r)
-        # past r = 237 the bound overflows: no finite cap
-        return float(big / ball_volume(r / 4.0)) if np.isfinite(big) \
-            else math.inf
-    rs = np.linspace(1e-4, 1.0, n_grid)
-    vals = ball_volume(3.0 * rs) / ball_volume(rs / 4.0)
-    return float(np.max(vals))
+def multiplicity_bound(r: float) -> float:
+    """Ball-count bound B(3r)/B(r/4), the admissible-multiplicity constant
+    for metric lattices: at most this many balls of radius r can contain a
+    common point."""
+    if not 0 < r:
+        raise ValueError("r must be positive")
+    with np.errstate(over="ignore"):
+        big = ball_volume(3.0 * r)
+    # past r = 237 the bound overflows: no finite cap
+    return float(big / ball_volume(r / 4.0)) if np.isfinite(big) else math.inf
 
 
 def random_ball_points(domain_radius: float, n: int, rng: np.random.Generator) -> np.ndarray:

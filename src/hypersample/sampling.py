@@ -71,19 +71,17 @@ _PANEL = 32
 
 @dataclass(eq=False)
 class SampleSet:
+    """Samples at the lattice points: point samples, or convolution samples
+    exactly when they carry the multiplier of their filter."""
+
     lattice: Lattice
     values: np.ndarray
-    kind: str  # "point" or "convolution"
     multiplier: Multiplier | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (len(self.lattice),):
             raise ValueError("one sample value per lattice point required")
-        if self.kind not in ("point", "convolution"):
-            raise ValueError("kind must be 'point' or 'convolution'")
-        if self.kind == "convolution" and self.multiplier is None:
-            raise ValueError("convolution samples must carry their multiplier")
 
 
 @dataclass(eq=False)
@@ -112,7 +110,7 @@ class FrameSystem:
 
 def point_samples(f: BandlimitedFunction, lat: Lattice) -> SampleSet:
     """values[j] = f(x_j)."""
-    return SampleSet(lat, f.evaluate(lat.points), "point")
+    return SampleSet(lat, f.evaluate(lat.points))
 
 
 def convolution_samples(f: BandlimitedFunction, lat: Lattice,
@@ -120,7 +118,7 @@ def convolution_samples(f: BandlimitedFunction, lat: Lattice,
     """values[j] = (f * phi)(x_j) where phi has spectral multiplier m."""
     g = apply_multiplier(f.coeffs, m)
     vals = inverse_transform(g, lat.points)
-    return SampleSet(lat, vals, "convolution", multiplier=m)
+    return SampleSet(lat, vals, m)
 
 
 def _mode_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
@@ -315,9 +313,9 @@ def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
             not np.array_equal(s.lattice.points, frame.lattice.points):
         raise ValueError("sample set and frame use different lattices")
     f_lab = frame.multiplier.label if frame.multiplier else ""
-    if s.kind == "point" and frame.multiplier is not None:
+    if s.multiplier is None and frame.multiplier is not None:
         raise ValueError("point samples fed to a deconvolution frame")
-    if s.kind == "convolution" and s.multiplier.label != f_lab:
+    if s.multiplier is not None and s.multiplier.label != f_lab:
         raise ValueError(f"sample multiplier {s.multiplier.label!r} does not "
                          f"match frame {f_lab!r}")
 

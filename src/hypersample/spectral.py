@@ -467,9 +467,6 @@ class SpectralGrid:
     def band_slice(self) -> slice:
         return slice(0, self.n_band if self.n_band else self.n_lambda)
 
-    def cache_key(self) -> tuple:
-        return (self.lambda_nodes.tobytes(), self.n_b, self.plancherel_scale)
-
 
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -538,22 +535,12 @@ class SpectralCoeffs:
         if not np.iscomplexobj(self.values):
             self.values = self.values.astype(complex)
 
-    def copy(self) -> "SpectralCoeffs":
-        return SpectralCoeffs(self.grid, self.values.copy())
-
     def norm_sq(self) -> float:
         w = self.grid.lambda_measure[:, None] / self.grid.n_b
         return _fsum_real(w * np.abs(self.values) ** 2)
 
     def norm(self) -> float:
         return math.sqrt(max(self.norm_sq(), 0.0))
-
-    def inner(self, other: "SpectralCoeffs") -> complex:
-        if other.grid is not self.grid and other.grid.cache_key() != self.grid.cache_key():
-            raise ValueError("coefficients live on different grids")
-        w = self.grid.lambda_measure[:, None] / self.grid.n_b
-        prod = w * self.values * np.conj(other.values)
-        return complex(_fsum_real(prod.real), _fsum_real(prod.imag))
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,6 @@ class PolyharmonicKernel:
     t_max: float
     lam_max: float
     tail_bound: float
-    multiplier_label: str
     table_t: np.ndarray
     table_values: np.ndarray
     table_slopes: np.ndarray = field(repr=False)
@@ -105,10 +104,6 @@ class PolyharmonicKernel:
             out *= s
             out += c.take(i)
         return float(out) if out.ndim == 0 else out
-
-    @property
-    def at_zero(self) -> float:
-        return float(self.table_values[0])
 
 
 def _kernel_lambda_grid(lam_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +201,6 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     series = zonal_series(nodes, coef, t_max)
     slopes = chebval(x, chebder(series)) * (2.0 / t_max)
     return PolyharmonicKernel(k, t_max, lam_max, tail_bound,
-                              multiplier.label if multiplier else "",
                               t, chebval(x, series), slopes)
 
 
@@ -419,14 +413,10 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     condition _COND_LIMIT = 1e12, loses positive definiteness, or misses
     the Lagrangian certificate _CERT_TOL = 1e-8; the result records where.
     """
-    if s.kind == "convolution":
-        m = s.multiplier
-        band_min = m.band_min_abs(grid)
-        if band_min <= 1e-12:
-            raise MultiplierVanishes(
-                f"multiplier {m.label!r} vanishes on the band")
-    else:
-        m = None
+    m = s.multiplier
+    if m is not None and m.band_min_abs(grid) <= 1e-12:
+        raise MultiplierVanishes(
+            f"multiplier {m.label!r} vanishes on the band")
     space = SpaceParams(grid.plancherel_scale)
     k_list, functions, conditions = [], [], []
     aborted_at = None

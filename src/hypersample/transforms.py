@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationInconsistent, TailMassExceeded
-from .geometry import SpaceParams, as_complex, distance, random_ball_points
+from .geometry import SpaceParams, distance, random_ball_points
 from .spectral import (_SWITCH_RADIUS, SpectralCoeffs, SpectralGrid,
                        _circle_cosines, _expansion_orders, _fsum_real,
                        _gauss_legendre, _horocycle_planes,
@@ -78,6 +78,7 @@ __all__ = [
     "forward_transform",
     "inverse_on_grid",
     "inverse_transform",
+    "tail_mass_fraction",
     "CalibrationResult",
     "calibrate_plancherel",
 ]
@@ -113,23 +114,13 @@ class PolarGrid:
         w = self.r_weights * np.sinh(self.r_nodes) * (2.0 * np.pi / self.n_theta)
         return np.broadcast_to(w[:, None], (self.n_r, self.n_theta))
 
-    def _mask(self, within: float | None) -> np.ndarray:
-        if within is None:
-            return np.ones(self.n_r, dtype=bool)
-        return self.r_nodes <= within
-
     def norm_sq(self, samples: np.ndarray, within: float | None = None) -> float:
         """Squared L2 norm, optionally restricted to the ball B(0, within)."""
-        m = self._mask(within)
+        m = slice(None) if within is None else self.r_nodes <= within
         return _fsum_real(self.weights2d[m] * np.abs(samples[m]) ** 2)
 
-    def norm(self, samples: np.ndarray, within: float | None = None) -> float:
-        return math.sqrt(max(self.norm_sq(samples, within), 0.0))
-
-    def inner(self, a: np.ndarray, b: np.ndarray, within: float | None = None) -> complex:
-        m = self._mask(within)
-        prod = self.weights2d[m] * a[m] * np.conj(b[m])
-        return complex(_fsum_real(prod.real), _fsum_real(prod.imag))
+    def norm(self, samples: np.ndarray) -> float:
+        return math.sqrt(max(self.norm_sq(samples), 0.0))
 
 
 def build_polar_grid(r_max: float, n_r: int, n_theta: int) -> PolarGrid:
@@ -286,8 +277,7 @@ def tail_mass_fraction(pgrid: PolarGrid, samples: np.ndarray) -> float:
 
 
 def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
-                      tail_tol: float | None = 1e-6,
-                      m_max: int | None = None
+                      tail_tol: float | None = 1e-6
                       ) -> SpectralCoeffs | list[SpectralCoeffs]:
     """Transform grid samples to spectral coefficients.
 
@@ -315,7 +305,7 @@ def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
                 raise TailMassExceeded(
                     f"outer annulus holds {frac:.3e} of the squared mass "
                     f"(tolerance {tail_tol:.3e}); enlarge r_max")
-    mk = _default_m_max(grid, pgrid) if m_max is None else int(m_max)
+    mk = _default_m_max(grid, pgrid)
     f_modes = np.fft.fft(stack, axis=2) / pgrid.n_theta
     wr = pgrid.r_weights * np.sinh(pgrid.r_nodes)
     packed = np.zeros((len(stack), grid.n_lambda, grid.n_b), dtype=complex)
@@ -329,8 +319,7 @@ def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
     return coeffs[0] if samples.ndim == 2 else coeffs
 
 
-def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid,
-                    m_max: int | None = None) -> np.ndarray:
+def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
     """Evaluate the inverse transform on a full polar grid (mode route).
 
     The lambda sum runs over the rows the coefficients use: the band panel
@@ -343,7 +332,7 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid,
     every band limited function on the grid, and the values agree with
     the whole mode table's route to roundoff (within 1e-14 of max|f|)."""
     grid = coeffs.grid
-    mk = _default_m_max(grid, pgrid) if m_max is None else int(m_max)
+    mk = _default_m_max(grid, pgrid)
     n = grid.n_band
     if not n or np.any(coeffs.values[n:]):
         n = grid.n_lambda
@@ -377,7 +366,7 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
     points (lam_max = 8, domain 1.4), one zero term for zero coefficients.
     """
     grid = coeffs.grid
-    pts = as_complex(points)
+    pts = np.asarray(points, dtype=complex)
     flat = pts.ravel()
     if flat.size == 0:
         return np.zeros(pts.shape, dtype=complex)

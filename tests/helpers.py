@@ -37,8 +37,7 @@ def stability_probe(frame: FrameSystem, s: SampleSet, noise_level: float,
     direction /= np.linalg.norm(direction)
     errors = []
     for eps in levels:
-        noisy = SampleSet(s.lattice, s.values + eps * direction, s.kind,
-                          s.multiplier)
+        noisy = SampleSet(s.lattice, s.values + eps * direction, s.multiplier)
         diff = reconstruct(frame, noisy).coeffs.values - base.coeffs.values
         errors.append(SpectralCoeffs(frame.grid, diff).norm())
     errors = np.asarray(errors)

@@ -9,7 +9,7 @@ import warnings
 from hypersample.bandlimited import (BandlimitedFunction, bernstein_check,
                                      synthesize)
 from hypersample.errors import IllConditionedWarning
-from hypersample.geometry import RHO, as_complex, distance
+from hypersample.geometry import RHO, distance
 from hypersample.spectral import (SpectralCoeffs, SpectralGrid,
                                   apply_multiplier, build_grid,
                                   default_lam_max, sobolev_multiplier)
@@ -51,7 +51,7 @@ def density_probe(grid: SpectralGrid, center, radius: float,
         raise ValueError("radius must be positive")
     n_list = sorted(n_list)
     n_max = n_list[-1]
-    mask = np.asarray(distance(as_complex(center), pgrid.points) <= radius)
+    mask = np.asarray(distance(center, pgrid.points) <= radius)
     if not np.any(mask):
         raise ValueError("ball contains no quadrature nodes")
     sw = np.sqrt(pgrid.weights2d[mask])

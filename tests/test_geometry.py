@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hypersample import geometry as geo
+from hypersample.bandlimited import synthesize
+from hypersample.spectral import build_grid
 
 
 def sphere_area(r) -> np.ndarray:
@@ -180,30 +182,54 @@ def test_circle_points_zero_radius():
     assert np.all(pts == 0.2j)
 
 
-def test_point_validation():
-    with pytest.raises(ValueError):
-        geo.Point(1.0, 0.0)
-    with pytest.raises(ValueError):
-        geo.Point(0.8, 0.7)
-    p = geo.Point(0.6, -0.3)
-    assert p.z == complex(0.6, -0.3)
-    assert geo.Point.from_complex(0.1 + 0.2j) == geo.Point(0.1, 0.2)
+def _coercion_cases():
+    grid = build_grid(geo.SpaceParams(), 8.0, 24, 16, omega=2.0)
+    f = synthesize(grid, seed=3)
+    return {
+        "distance": lambda z: geo.distance(z, 0.4 - 0.1j),
+        "busemann": lambda z: geo.busemann(z, 0.7),
+        "mobius_translate": lambda z: geo.mobius_translate(z, 0.2 + 0.3j),
+        "mobius_translate_z": lambda z: geo.mobius_translate(0.2 + 0.3j, z),
+        # one center: the one-point list gives the same circle
+        "circle_points": lambda z: geo.circle_points(z, 0.8, 7),
+        "evaluate": f.evaluate,
+    }
 
 
-def test_as_complex_coercions():
-    pts = [geo.Point(0.1, 0.0), geo.Point(0.0, 0.2)]
-    arr = geo.as_complex(pts)
-    assert arr.dtype == complex and arr.shape == (2,)
-    assert geo.as_complex(geo.Point(0.3, 0.4)) == 0.3 + 0.4j
+@pytest.mark.parametrize("name", list(_coercion_cases()))
+def test_points_coerce_bit_identically(name):
+    # a Python complex, a list and an array of the same points give the same
+    # bits; np.asarray(..., dtype=complex) is the one coercion
+    fn = _coercion_cases()[name]
+    pts = [0.3 + 0.1j, -0.2 + 0.5j, 0.05j]
+    one = fn(np.asarray(pts[0]))
+    assert np.array_equal(fn(pts[0]), one)
+    assert np.array_equal(fn([pts[0]]), one if name == "circle_points"
+                          else one[None])
+    if name != "circle_points":
+        want = fn(np.array(pts))
+        assert np.array_equal(fn(pts), want)
+        assert np.array_equal(fn(tuple(pts)), want)
+
+
+@pytest.mark.parametrize("edge", [1.0, 1.0 - 1e-13, -0.6 + 0.8j])
+def test_boundary_points_are_rejected(edge):
+    # within 1e-12 of the unit circle busemann and circle_points refuse
+    with pytest.raises(ValueError, match="boundary"):
+        geo.busemann(edge, 0.3)
+    with pytest.raises(ValueError, match="boundary"):
+        geo.circle_points(edge, 0.5, 4)
+    with pytest.raises(ValueError, match="boundary"):
+        geo.busemann([0.1, edge], 0.3)
 
 
 def test_multiplicity_bound_finite_and_monotone_frame():
-    sup = geo.multiplicity_bound()
-    # small-r limit is 12^2 * ... = B(3r)/B(r/4) -> 144; growth in r keeps it
-    # below the r=1 value; the supremum over (0,1) is attained at r=1
-    assert sup == pytest.approx(geo.multiplicity_bound(1.0), rel=1e-3)
+    # small-r limit is B(3r)/B(r/4) -> 144; the bound grows with r and stays
+    # below 300 up to r = 1
+    bounds = [geo.multiplicity_bound(r) for r in np.linspace(1e-4, 1.0, 64)]
+    assert np.all(np.diff(bounds) > 0)
     assert geo.multiplicity_bound(1e-6) == pytest.approx(144.0, rel=1e-6)
-    assert 144.0 < sup < 300.0
+    assert 144.0 < bounds[-1] < 300.0
 
 
 def test_random_ball_points_distribution():

@@ -7,6 +7,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
@@ -71,8 +73,9 @@ def _rel_coeff_err(a, b, grid):
 
 
 def test_point_samples_zero_function(f, lattices):
-    s = point_samples(f.scaled(0.0), lattices[0.4])
-    assert s.kind == "point"
+    zero = BandlimitedFunction(SpectralCoeffs(f.grid, 0.0 * f.coeffs.values))
+    s = point_samples(zero, lattices[0.4])
+    assert s.multiplier is None
     assert np.all(s.values == 0)
 
 
@@ -108,7 +111,6 @@ def test_convolution_identity_matches_point(f, lattices):
     lat = lattices[0.2]
     conv = convolution_samples(f, lat, identity_multiplier())
     pts = point_samples(f, lat)
-    assert conv.kind == "convolution"
     assert conv.multiplier.label == "identity"
     assert np.max(np.abs(conv.values - pts.values)) <= 1e-12
 
@@ -130,11 +132,7 @@ def test_convolution_laplacian_matches_finite_differences(f, lattices):
 def test_sample_set_validation(f, lattices):
     lat = lattices[0.4]
     with pytest.raises(ValueError, match="one sample value"):
-        SampleSet(lat, np.zeros(3), "point")
-    with pytest.raises(ValueError, match="kind"):
-        SampleSet(lat, np.zeros(len(lat)), "average")
-    with pytest.raises(ValueError, match="multiplier"):
-        SampleSet(lat, np.zeros(len(lat)), "convolution")
+        SampleSet(lat, np.zeros(3))
 
 
 def _weights(grid, m=None):
@@ -336,6 +334,27 @@ def test_retained_vectors_match_dense_svd(frames, lattices, grid, r):
         assert np.max(np.abs(proj - ref[rows] @ ref.conj().T)) <= 1e-10
 
 
+@pytest.mark.parametrize("r", [0.4, 0.2])
+@settings(max_examples=8, deadline=None)
+@given(angle=st.floats(0.0, 2.0 * math.pi))
+def test_frame_spectrum_is_rotation_invariant(frames, lattices, grid, r,
+                                              angle):
+    # a rotation is an isometry of the disk, so the rotated lattice has the
+    # same frame spectrum; at radius 1.4 and omega = 2 the 64 boundary
+    # angles resolve the boundary sum, and the spectra agree to roundoff
+    # whether or not the rotation maps the angles onto each other
+    lat, frame = lattices[r], frames[r]
+    turned = build_frame(Lattice(lat.points * np.exp(1j * angle), lat.r,
+                                 lat.n_mult, lat.domain_radius, lat.seed),
+                         grid=grid)
+    assert turned.rank == frame.rank
+    b_top = frame.frame_bounds[1]
+    ev, ev_turned = (1.0 / np.linalg.norm(f.dual, axis=0) ** 2
+                     for f in (frame, turned))
+    top = ev > 1e-10 * b_top
+    assert np.max(np.abs(ev_turned[top] - ev[top])) <= 1e-12 * b_top
+
+
 def test_build_frame_memory(grid, lattices):
     # no transient follows N beyond the factor (N x K) and the left vectors
     # (N x rank): the mode rows and the factor's QR go one block at a time.
@@ -397,7 +416,7 @@ def test_vanishing_multiplier_rejected(grid, lattices):
 
 def test_reconstruct_zero_samples(frames, lattices):
     lat = lattices[0.2]
-    rec = reconstruct(frames[0.2], SampleSet(lat, np.zeros(len(lat)), "point"))
+    rec = reconstruct(frames[0.2], SampleSet(lat, np.zeros(len(lat))))
     assert rec.coeffs.norm() == 0.0
 
 
@@ -502,7 +521,7 @@ def test_adversarial_noise_realizes_stability_constant(frame8, f, lattices):
     s = point_samples(f, lat)
     worst = frame8.left[:, -1]
     eps = 1e-6
-    noisy = SampleSet(lat, s.values + eps * worst, "point")
+    noisy = SampleSet(lat, s.values + eps * worst)
     diff = SpectralCoeffs(frame8.grid,
                           reconstruct(frame8, noisy).coeffs.values
                           - reconstruct(frame8, s).coeffs.values)

@@ -349,17 +349,6 @@ def test_coeffs_norm_constant_field(grid):
     assert c.norm_sq() == pytest.approx(ref, rel=5e-9)
 
 
-def test_coeffs_inner_algebra(grid):
-    rng = np.random.default_rng(5)
-    shape = (grid.n_lambda, grid.n_b)
-    a = sp.SpectralCoeffs(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    b = sp.SpectralCoeffs(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    assert a.inner(b) == pytest.approx(np.conj(b.inner(a)))
-    assert a.inner(a).real == pytest.approx(a.norm_sq(), rel=1e-13)
-    assert abs(a.inner(a).imag) < 1e-13 * a.norm_sq()
-    assert abs(a.inner(b)) <= a.norm() * b.norm() * (1.0 + 1e-12)
-
-
 def test_coeffs_shape_check(grid):
     with pytest.raises(ValueError):
         sp.SpectralCoeffs(grid, np.zeros((3, 3)))

@@ -251,11 +251,13 @@ def test_adjointness(pgrid, grid):
     rng = np.random.default_rng(4)
     f = rng.standard_normal((pgrid.n_r, pgrid.n_theta)) \
         + 1j * rng.standard_normal((pgrid.n_r, pgrid.n_theta))
-    from hypersample.spectral import SpectralCoeffs
     g = SpectralCoeffs(grid, rng.standard_normal((grid.n_lambda, grid.n_b))
                        + 1j * rng.standard_normal((grid.n_lambda, grid.n_b)))
-    lhs = pgrid.inner(tr.inverse_on_grid(g, pgrid), f)
-    rhs = g.inner(tr.forward_transform(pgrid, grid, f, tail_tol=None))
+    back = tr.inverse_on_grid(g, pgrid)
+    lhs = np.sum(pgrid.weights2d * back * np.conj(f))
+    fwd = tr.forward_transform(pgrid, grid, f, tail_tol=None).values
+    rhs = np.sum(grid.lambda_measure[:, None] / grid.n_b * g.values
+                 * np.conj(fwd))
     # <F* g, f> == <g, F f>
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
