@@ -249,7 +249,7 @@ def _grids(cfg: ExperimentConfig, space: SpaceParams):
 def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["seed", "spatial_norm_sq", "spectral_norm_sq",
                    "rel_error", "passed"], "seed", ["rel_error"])
-    tol = 1e-4
+    tol = 1e-6
     rep.tolerances = {"parseval_rel": tol, "forward_tail": 1e-8}
     grid = build_grid(space, 24.0, cfg.n_lambda, cfg.n_b)
     pgrid = build_polar_grid(8.0, 128, 128)
@@ -429,6 +429,8 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             rep.check(ok_err, "spline.interp_error",
                       f"k {k}: relative error {err:.3e} >= {err_tol:.0e}")
             first_k = False
+    rep.check(not first_k, "spline.no_order_solved",
+              f"every order in {_fmt(cfg.k_schedule)} ended singular")
     return rep
 
 
@@ -546,31 +548,38 @@ def _scenario_baseline1d(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
 class _Scenario:
     """One scenario: its runner; defaults layered under the file values (the
     resolved config is what gets echoed, so round-trips stay exact); the
-    list field it runs once per value of, which must not be empty; and the
+    list field it runs once per value of, which must not be empty; the
     fields it never reads, which run() keeps at their defaults so that a
-    manifest never echoes a value the run did not use."""
+    manifest never echoes a value the run did not use; and the small size
+    that `hypersample verify` runs it at, overrides layered on defaults
+    (with seeds 0 unless they list seeds)."""
 
     runner: typing.Callable[[ExperimentConfig, SpaceParams], _Report]
     defaults: dict = field(default_factory=dict)
     listed: str | None = None
     unused: tuple[str, ...] = ()
+    verify: dict = field(default_factory=dict)
 
 
 SCENARIOS = {
     # plancherel keeps the calibration's grids
     "plancherel": _Scenario(_scenario_plancherel, unused=(
         "lam_max", "n_r", "n_theta", "domain_radius")),
-    "bernstein": _Scenario(_scenario_bernstein),
+    "bernstein": _Scenario(_scenario_bernstein, verify={"seeds": (0, 1)}),
     "lattice": _Scenario(_scenario_lattice, {
-        "r_values": (0.1, 0.2, 0.4), "domain_radius": 1.5}, "r_values"),
+        "r_values": (0.1, 0.2, 0.4), "domain_radius": 1.5}, "r_values",
+        verify={"r_values": (0.4,), "domain_radius": 1.2}),
+    # at r 0.4 alone the finest row misses the frame error tolerance
     "frame_reconstruct": _Scenario(_scenario_frame, {
-        "r_values": (0.4, 0.2, 0.1)}, "r_values"),
+        "r_values": (0.4, 0.2, 0.1)}, "r_values",
+        verify={"r_values": (0.4, 0.3), "domain_radius": 1.2}),
     "spline_reconstruct": _Scenario(_scenario_spline, {
-        "omega": 1.0, "r": 0.8, "domain_radius": 2.0}, "k_schedule"),
+        "omega": 1.0, "r": 0.8, "domain_radius": 2.0}, "k_schedule",
+        verify={"k_schedule": (2,), "domain_radius": 1.6}),
     "spherical_avg": _Scenario(_scenario_sphavg),
     "theorem73": _Scenario(_scenario_theorem73, {
         "r": 0.1, "tau_values": (0.0, 0.1, 0.3), "k_schedule": (2,)},
-        "tau_values"),
+        "tau_values", verify={"r": 0.4, "tau_values": (0.1,)}),
     "baseline1d": _Scenario(_scenario_baseline1d),
 }
 
@@ -697,144 +706,48 @@ def _run_into(cfg: ExperimentConfig, spec: _Scenario,
 # verify
 
 
-def _verify_checks(space: SpaceParams) -> list[tuple[str, typing.Callable]]:
-    def geometry_metric():
-        rng = np.random.default_rng(0)
-        z = 0.9 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
-        x, y, w = z[:100], z[100:], z[:100][::-1]
-        slack = distance(x, w) - (distance(x, y) + distance(y, w))
-        assert float(slack.max()) <= 1e-12, "triangle inequality violated"
-        sym = float(np.max(np.abs(distance(x, y) - distance(y, x))))
-        assert sym <= 1e-12, f"distance asymmetric by {sym:.2e}"
-
-    def spectral_roundtrip():
-        grid = build_grid(space, 8.0, 48, 32, 2.0)
-        f = synthesize(grid, seed=0)
-        fwd = apply_multiplier(f.coeffs, sobolev_multiplier(1.5))
-        back = apply_multiplier(fwd, sobolev_multiplier(1.5),
-                                invert=True)
-        num = np.max(np.abs(back.values - f.coeffs.values))
-        assert num <= 1e-10, f"multiplier roundtrip off by {num:.2e}"
-
-    def transforms_parseval():
-        grid = build_grid(space, 24.0, 96, 64)
-        pgrid = build_polar_grid(8.0, 128, 128)
-        f = np.exp(-distance(0.2 + 0.1j, pgrid.points) ** 2 / (2 * 0.8**2))
-        c = forward_transform(pgrid, grid, f, tail_tol=1e-8)
-        rel = abs(pgrid.norm_sq(f) - c.norm_sq()) / pgrid.norm_sq(f)
-        assert rel < 1e-6, f"Parseval off by {rel:.2e}"
-
-    def bandlimited_bernstein():
-        grid = build_grid(space, 8.0, 48, 32, 2.0)
-        for seed in (0, 1):
-            f = synthesize(grid, seed=seed)
-            for sigma in (1.0, 2.0):
-                chk = bernstein_check(f, sigma)
-                assert chk["ratio"] <= 1 + 1e-10, \
-                    f"seed {seed} sigma {sigma} ratio {chk['ratio']}"
-
-    def lattice_certificates():
-        lat = build_lattice(0.4, 1.2, seed=0)
-        assert _min_separation(lat.points) >= 0.2 - 1e-12
-        assert certify_cover(lat) <= 0.2
-        certify_multiplicity(lat)
-
-    def sampling_frame_loop():
-        grid = build_grid(space, 8.0, 96, 64, 2.0)
-        pgrid = build_polar_grid(1.2, 96, 64)
-        f = synthesize(grid, seed=0)
-        lat = build_lattice(0.4, 1.2, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            frame = build_frame(lat, grid=grid)
-            rec = reconstruct(frame, point_samples(f, lat))
-        err = _rel_err(pgrid, rec.on_grid(pgrid), f.on_grid(pgrid))
-        assert err < 1e-4, f"frame loop error {err:.2e}"
-
-    def splines_lagrangian():
-        lat = build_lattice(0.8, 1.6, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            system = build_splines(lat, 2, space=space)
-        assert system.lagrangian_defect <= _CERT_TOL, \
-            f"defect {system.lagrangian_defect:.2e}"
-
-    def sphavg_two_path():
-        grid = build_grid(space, 8.0, 96, 64, 2.0)
-        f = synthesize(grid, seed=0)
-        for tau in (0.1, 0.3):
-            direct = spherical_average_direct(f, 0.3 + 0.2j,
-                                              AverageSpec(tau=tau))
-            mult = average_multiplier(AverageSpec(tau=tau))
-            sym = BandlimitedFunction(
-                apply_multiplier(f.coeffs, mult)).evaluate(
-                    np.array([0.3 + 0.2j]))[0]
-            assert abs(direct - sym) <= 1e-6, \
-                f"tau {tau}: paths differ by {abs(direct - sym):.2e}"
-
-    def baseline_closed_loop():
-        f = synthesize_1d(2.0, seed=0)
-        x = 0.4 * np.pi * (np.arange(64) - 31.5)
-        frame = exp_frame_gram(x, 2.0)
-        t = np.linspace(-5.0, 5.0, 21)
-        rec_gram = gram_reconstruct(frame, f.evaluate(x), t)
-        rec_sinc = sinc_reconstruct(f, 0.8, t, n_trunc=150)
-        diff = float(np.max(np.abs(rec_gram - rec_sinc)))
-        assert diff < 1e-5, f"1-D routes differ by {diff:.2e}"
-
-    return [
-        ("geometry.metric", geometry_metric),
-        ("spectral.multiplier_roundtrip", spectral_roundtrip),
-        ("transforms.parseval", transforms_parseval),
-        ("bandlimited.bernstein", bandlimited_bernstein),
-        ("lattice.certificates", lattice_certificates),
-        ("sampling.frame_loop", sampling_frame_loop),
-        ("splines.lagrangian", splines_lagrangian),
-        ("sphavg.two_path", sphavg_two_path),
-        ("baseline1d.routes", baseline_closed_loop),
-    ]
-
-
 def verify_all(perturb_scale: float = 0.0,
                only: list[str] | None = None) -> int:
-    """Run every module's invariant checks at small sizes; print a table.
+    """Run every scenario's runner at its verify size; print a table.
 
+    only keeps the scenarios whose names contain one of its substrings.
     perturb_scale injects a relative error into the calibrated spectral
-    density constant; any nonzero value must make the Parseval check fail
-    (the mutation hook that proves the suite is actually sensitive).
+    density constant; the plancherel runner's Parseval tolerance must
+    catch it (the mutation hook that proves the suite is actually
+    sensitive).  No files are written.
     """
-    cal = calibrate_plancherel()
-    space = SpaceParams().with_scale(cal.scale * (1.0 + perturb_scale))
-    checks = _verify_checks(space)
+    names = list(SCENARIOS)
     if only is not None:
         wanted = [w for w in only if w]
         if not wanted:
             print("warning: empty scenario list, vacuous pass",
                   file=sys.stderr)
             return 0
-        checks = [(name, fn) for name, fn in checks
-                  if any(w in name for w in wanted)]
-        if not checks:
-            print("warning: no checks matched, vacuous pass", file=sys.stderr)
+        names = [name for name in names if any(w in name for w in wanted)]
+        if not names:
+            print("warning: no scenario matched, vacuous pass",
+                  file=sys.stderr)
             return 0
-    width = max(len(name) for name, _ in checks)
+    cal = calibrate_plancherel()
+    space = SpaceParams().with_scale(cal.scale * (1.0 + perturb_scale))
+    width = max(len(name) for name in names)
     failures = 0
-    for name, fn in checks:
+    for name in names:
+        spec = SCENARIOS[name]
+        cfg = ExperimentConfig(scenario=name, **{
+            "seeds": (0,), **spec.defaults, **spec.verify})
         t0 = time.perf_counter()
         try:
-            fn()
-        except AssertionError as exc:
-            failures += 1
-            status = f"FAIL  {exc}"
+            rep = spec.runner(cfg, space)
         except HypersampleError as exc:
-            failures += 1
             status = f"FAIL  {type(exc).__name__}: {exc}"
         else:
-            status = "pass"
+            status = f"FAIL  {rep.failures[0]}" if rep.failures else "pass"
+        failures += status != "pass"
         print(f"{name:<{width}}  {status}  "
               f"[{time.perf_counter() - t0:.2f} s]")
-    print(f"{failures} of {len(checks)} checks failed" if failures
-          else f"all {len(checks)} checks passed")
+    print(f"{failures} of {len(names)} scenarios failed" if failures
+          else f"all {len(names)} scenarios passed")
     return 1 if failures else 0
 
 
@@ -865,12 +778,13 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="KEY=VALUE",
                        help="set a config key (repeatable, wins over file)")
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
+    p_verify = sub.add_parser("verify",
+                              help="run every scenario at a small size")
     p_verify.add_argument("--perturb-scale", type=float, default=0.0,
                           help="inject a relative density-constant error "
                                "(mutation hook)")
     p_verify.add_argument("--only", default=None,
-                          help="comma list of check name substrings")
+                          help="comma list of scenario name substrings")
 
     sub.add_parser("calibrate", help="measure the spectral density constant")
 
@@ -893,7 +807,3 @@ def main(argv: list[str] | None = None) -> int:
     except HypersampleError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

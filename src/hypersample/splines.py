@@ -210,7 +210,6 @@ class SplineSystem:
     k: int
     kernel: PolyharmonicKernel
     kernel_matrix: np.ndarray
-    coeffs: np.ndarray               # column nu holds the Lagrangian alphas
     deconv_multiplier: Multiplier | None
     condition: float
     lagrangian_defect: float
@@ -276,7 +275,7 @@ def check_kernel_size(r: float, domain_radius: float) -> None:
 
 def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
                   space) -> SplineSystem:
-    """Kernel matrix K_2k(d(x_j, x_nu)) and its Lagrangian coefficients.
+    """Kernel matrix K_2k(d(x_j, x_nu)), certified by the Lagrangian defect.
 
     The kernel is tabulated out to the lattice's diameter,
     t_max = 2 domain_radius (plus 1e-9 so the largest distance stays inside).
@@ -318,13 +317,13 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
             f"{ev[0]:.3e} against {ev[-1]:.3e}: singular in double precision")
     condition = float(ev[-1] / ev[0])
     eye = np.eye(n)
-    coeffs = _refined_solve(kmat, eye)
-    defect = float(np.max(np.abs(kmat @ coeffs - eye)))
+    # the Lagrangian coefficients, column nu for x_nu, certify the solve
+    defect = float(np.max(np.abs(kmat @ _refined_solve(kmat, eye) - eye)))
     if defect > _CERT_TOL:
         warnings.warn(
             f"Lagrangian defect {defect:.2e} exceeds {_CERT_TOL:.0e} at "
             f"condition {condition:.2e}", IllConditionedWarning)
-    return SplineSystem(lat, k, kern, kmat, coeffs, m, condition, defect)
+    return SplineSystem(lat, k, kern, kmat, m, condition, defect)
 
 
 @dataclass(eq=False)

@@ -250,7 +250,7 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
     for name, blob in first.items():
         assert (outdir / name).read_bytes() == blob
     # mutation hook: a perturbed density constant must fail verification
-    assert verify_all(perturb_scale=0.01, only=["transforms"]) == 1
+    assert verify_all(perturb_scale=0.01, only=["plancherel"]) == 1
     _report(10, "CLI determinism",
             "rerun byte-identical over results.csv, manifest.txt, "
             "config.ini; 1% density mutation fails the Parseval check")

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: configs, artifacts, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -25,7 +26,7 @@ from hypersample.cli import (
     run,
     verify_all,
 )
-from hypersample.errors import ConfigError
+from hypersample.errors import ConfigError, ProblemTooLarge
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -310,6 +311,17 @@ def test_spline_kernel_too_large_exits_one_before_the_lattice(outroot,
     assert not (outroot / config / "results.csv").exists()
 
 
+def test_spline_scenario_fails_when_no_order_solves(outroot, capsys):
+    # both orders end singular on the shipped lattice: the rows say so,
+    # and with no order left the run fails
+    assert main(["run", str(ROOT / "configs" / "spline_reconstruct.ini"),
+                 "--override", "k_schedule=4,8"]) == 1
+    assert capsys.readouterr().err.startswith("spline.no_order_solved: ")
+    lines = (outroot / "spline_reconstruct" / "results.csv").read_text() \
+        .splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["singular"] * 2
+
+
 def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
                                                           outroot):
     # at r >= R the lattice is {o}, which covers the ball, and the ball
@@ -493,14 +505,54 @@ def test_too_few_boundary_angles_exits_two(tmp_path, outroot, capsys,
 def test_verify_subset_and_empty(capsys):
     assert verify_all(only=["baseline1d"]) == 0
     out = capsys.readouterr().out
-    assert "baseline1d.routes" in out and "pass" in out
+    assert out.startswith("baseline1d  pass")
     assert verify_all(only=[""]) == 0
     assert "vacuous" in capsys.readouterr().err
 
 
+def test_verify_runs_every_scenario_at_its_verify_size(capsys):
+    # the verify sizes leave the fields a scenario does not use alone
+    for spec in SCENARIOS.values():
+        assert not set(spec.verify) & set(spec.unused)
+    assert verify_all() == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows[:-1]] == \
+        [[name, "pass"] for name in SCENARIOS]
+    assert rows[-1] == f"all {len(SCENARIOS)} scenarios passed"
+
+
 def test_verify_mutation_hook_trips_parseval(capsys):
-    assert verify_all(perturb_scale=0.01, only=["transforms"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert verify_all(perturb_scale=0.01, only=["plancherel"]) == 1
+    assert "FAIL  plancherel.parseval_rel: " in capsys.readouterr().out
+
+
+def test_verify_catches_a_small_density_error(capsys):
+    # a 1e-5 error in the density constant moves Parseval's balance by
+    # 1e-5, above the runner's tolerance
+    assert verify_all(perturb_scale=1e-5, only=["plancherel"]) == 1
+    assert "FAIL  plancherel.parseval_rel: " in capsys.readouterr().out
+
+
+def test_verify_reports_a_package_error_as_a_failure(monkeypatch, capsys):
+    def refuse(cfg, space):
+        raise ProblemTooLarge("too many points")
+
+    spec = SCENARIOS["baseline1d"]
+    monkeypatch.setitem(SCENARIOS, "baseline1d",
+                        dataclasses.replace(spec, runner=refuse))
+    assert verify_all(only=["baseline1d"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("baseline1d  FAIL  ProblemTooLarge: too many points")
+
+
+def test_python_m_hypersample_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hypersample", "verify",
+                           "--only", "baseline1d"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("baseline1d  pass")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_calibrate_subcommand(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import IllConditionedWarning, MultiplierVanishes
-from hypersample.geometry import RHO, busemann, distance
+from hypersample.geometry import RHO, busemann, distance, mobius_translate
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, point_samples,
@@ -334,25 +334,66 @@ def test_retained_vectors_match_dense_svd(frames, lattices, grid, r):
         assert np.max(np.abs(proj - ref[rows] @ ref.conj().T)) <= 1e-10
 
 
+def _moved_spectrum_gap(frame, grid, moved_points):
+    """Rank of the frame of frame's lattice with its points moved to
+    moved_points, and the largest |difference| over the squared singular
+    values above 1e-10 B, relative to the upper frame bound B."""
+    lat = frame.lattice
+    moved = build_frame(Lattice(moved_points, lat.r, lat.n_mult,
+                                lat.domain_radius, lat.seed), grid=grid)
+    b_top = frame.frame_bounds[1]
+    ev, ev_moved = (1.0 / np.linalg.norm(f.dual, axis=0) ** 2
+                    for f in (frame, moved))
+    n_top = int(np.count_nonzero(ev > 1e-10 * b_top))
+    return moved.rank, float(np.max(np.abs(ev_moved[:n_top] - ev[:n_top]))
+                             / b_top)
+
+
 @pytest.mark.parametrize("r", [0.4, 0.2])
 @settings(max_examples=8, deadline=None)
 @given(angle=st.floats(0.0, 2.0 * math.pi))
-def test_frame_spectrum_is_rotation_invariant(frames, lattices, grid, r,
-                                              angle):
+def test_frame_spectrum_is_rotation_invariant(frames, grid, r, angle):
     # a rotation is an isometry of the disk, so the rotated lattice has the
     # same frame spectrum; at radius 1.4 and omega = 2 the 64 boundary
     # angles resolve the boundary sum, and the spectra agree to roundoff
     # whether or not the rotation maps the angles onto each other
-    lat, frame = lattices[r], frames[r]
-    turned = build_frame(Lattice(lat.points * np.exp(1j * angle), lat.r,
-                                 lat.n_mult, lat.domain_radius, lat.seed),
-                         grid=grid)
-    assert turned.rank == frame.rank
-    b_top = frame.frame_bounds[1]
-    ev, ev_turned = (1.0 / np.linalg.norm(f.dual, axis=0) ** 2
-                     for f in (frame, turned))
-    top = ev > 1e-10 * b_top
-    assert np.max(np.abs(ev_turned[top] - ev[top])) <= 1e-12 * b_top
+    frame = frames[r]
+    rank, gap = _moved_spectrum_gap(
+        frame, grid, frame.lattice.points * np.exp(1j * angle))
+    assert rank == frame.rank
+    assert gap <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def frame256(space, lattices):
+    grid256 = build_grid(space, lam_max=8.0, n_lambda=96, n_b=256,
+                         omega=OMEGA)
+    return build_frame(lattices[0.4], grid=grid256), grid256
+
+
+@settings(max_examples=8, deadline=None)
+@given(shift=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
+def test_frame_spectrum_is_mobius_invariant(frame256, shift, angle):
+    # a Mobius translation is an isometry of the disk, so the moved lattice
+    # has the same frame spectrum; the farthest point moves out to radius
+    # 2.4, where 256 boundary angles still resolve the boundary sum
+    frame, grid256 = frame256
+    a = math.tanh(shift / 2.0) * cmath.exp(1j * angle)
+    rank, gap = _moved_spectrum_gap(frame, grid256,
+                                    mobius_translate(a, frame.lattice.points))
+    assert rank == frame.rank
+    assert gap <= 1e-12
+
+
+def test_mobius_moved_spectrum_drifts_at_64_angles(frames, grid):
+    # the frame's 64 boundary angles under-resolve the boundary sum once a
+    # lattice point moves out to radius 2: the spectra drift apart by about
+    # 1e-9 B.  A boundary quadrature whose angle count follows the domain
+    # radius and band edge (ROADMAP open item 1) brings this under 1e-12 B
+    frame = frames[0.4]
+    _, gap = _moved_spectrum_gap(
+        frame, grid, mobius_translate(math.tanh(0.3), frame.lattice.points))
+    assert gap > 1e-12
 
 
 def test_build_frame_memory(grid, lattices):
