@@ -167,19 +167,20 @@ def _setup(repeats, case):
 def _modes(repeats, case):
     """Cold radial mode tables, |m| <= 31, on the calibration grids (r_max 8,
     128 radii and angles, lam_max 24 with 96 nodes) and the frame and spline
-    grids: the whole table (cache cleared before each call) with the length
-    of its plane-wave basis S and the tracemalloc peak of one more cold
-    call (`table_<grid>_traced_mb`, the table included), and its near part
-    alone (the radii up to the switch radius) with its entries at the grid
-    nodes nearest the near oracle points; then the far part of the
+    grids: the whole table, cold (a side with a table cache, up to
+    9618995, clears it before each call), with the length of its
+    plane-wave basis S and the tracemalloc peak of one more cold call
+    (`table_<grid>_traced_mb`, the table included), and its near part
+    alone (the radii up to the switch radius) with its entries at the
+    grid nodes nearest the near oracle points; then the far part of the
     calibration table and its values at the far oracle points.  The parts
     are `_modes_by_quadrature` and `_modes_by_expansion` where the side has
     them (up to e4af9b1), else the orders of `_radial_modes` and of
     `_expansion_orders` stacked into the same (lam, m, r) tables.  Then, on
     the frame and spline grids, a cold `f.on_grid(pgrid)` of the seed-0
     test function, which builds what it reads of the rows it uses
-    (`on_grid_<grid>_s`, cache cleared before each call;
-    `on_grid_<grid>_traced_mb`, its tracemalloc peak, the cached arrays
+    (`on_grid_<grid>_s`, cold in the same way;
+    `on_grid_<grid>_traced_mb`, its tracemalloc peak, any cached arrays
     included), with its values compared as an array."""
     import numpy as np
 
@@ -191,6 +192,7 @@ def _modes(repeats, case):
     def stacked(orders):
         return lambda *args: np.stack(list(orders(*args)), axis=1)
 
+    clear = getattr(getattr(tr, "_TABLE_CACHE", None), "clear", lambda: None)
     near = getattr(tr, "_modes_by_quadrature", None) \
         or stacked(tr._radial_modes)
     far = getattr(tr, "_modes_by_expansion", None) \
@@ -212,9 +214,9 @@ def _modes(repeats, case):
         lengths.clear()
         out[f"table_{name}_s"], arrays[f"table_{name}"] = _times(
             lambda: tr.radial_mode_table(grid, pgrid, 31), repeats,
-            tr._TABLE_CACHE.clear)
+            clear)
         out[f"table_{name}_basis_length"] = lengths[0]
-        tr._TABLE_CACHE.clear()
+        clear()
         out[f"table_{name}_traced_mb"] = _traced_mb(
             lambda: tr.radial_mode_table(grid, pgrid, 31))
         lams, rs = grid.lambda_nodes, pgrid.r_nodes
@@ -241,8 +243,8 @@ def _modes(repeats, case):
         grid, pgrid = grids[name]
         f = synthesize(grid, seed=0)
         out[f"on_grid_{name}_s"], arrays[f"on_grid_{name}"] = _times(
-            lambda: f.on_grid(pgrid), repeats, tr._TABLE_CACHE.clear)
-        tr._TABLE_CACHE.clear()
+            lambda: f.on_grid(pgrid), repeats, clear)
+        clear()
         out[f"on_grid_{name}_traced_mb"] = _traced_mb(
             lambda: f.on_grid(pgrid))
     return out, arrays

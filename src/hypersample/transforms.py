@@ -48,17 +48,17 @@ stack of samples pays for the orders once; radial_mode_table fills the
 whole table from the same orders.  inverse_on_grid builds no table of the
 radii up to the switch radius: it contracts the weighted coefficients
 with S first, h = S (w_lam c_m), and sums
-f_m(r) = sum_k G[k, r, |m|] h[k, m] over the real coefficients, so what it
-caches is (S, G) and the expansion's rows of the radii beyond.  It reads
-only the band panel [0, omega] when the coefficients vanish above it, as
-a BandlimitedFunction's always do.
+f_m(r) = sum_k G[k, r, |m|] h[k, m] over the real coefficients, and it
+takes the expansion's orders of the radii beyond one at a time, as the
+forward transform does.  It builds (S, G) only for the band panel
+[0, omega] when the coefficients vanish above it, as a
+BandlimitedFunction's always do, and keeps nothing between calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,10 +139,6 @@ def build_polar_grid(r_max: float, n_r: int, n_theta: int) -> PolarGrid:
 # radial mode tables
 
 
-_TABLE_CACHE: OrderedDict[tuple, object] = OrderedDict()
-_TABLE_CACHE_SIZE = 8
-
-
 def _phase_node_count(lam_max: float, r_max: float) -> int:
     """Trapezoid node count resolving both the lam*r oscillation and the
     e^{-r} concentration of the circle integrand near theta = 0.
@@ -170,20 +166,6 @@ def _circle_modes(lams: np.ndarray, rs: np.ndarray,
     x = np.tanh(rs / 2.0)
     a_max, series = _plane_wave_basis(x, lams, np.ones(lams.size))
     return series, _circle_cosines(x, n, m_max, a_max, series.shape[0])
-
-
-def _cached(key: tuple, build):
-    """_TABLE_CACHE[key], built by build() on a miss; the cache keeps the
-    _TABLE_CACHE_SIZE most recently used entries."""
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        _TABLE_CACHE.move_to_end(key)
-        return hit
-    value = build()
-    _TABLE_CACHE[key] = value
-    if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-        _TABLE_CACHE.popitem(last=False)
-    return value
 
 
 def _near_and_far(lams: np.ndarray, rs: np.ndarray, m_max: int):
@@ -219,43 +201,17 @@ def _radial_modes(lams: np.ndarray, rs: np.ndarray, m_max: int):
 
 def radial_mode_table(grid: SpectralGrid, pgrid: PolarGrid,
                       m_max: int) -> np.ndarray:
-    """Read-only table Phi[i_lam, m, i_r] over the lambda nodes of the grid,
-    filled one order at a time from _radial_modes: circle quadrature of the
-    plane wave in its Chebyshev basis at the radii up to _SWITCH_RADIUS,
-    the Harish-Chandra expansion beyond.  No library route reads it, since
+    """Table Phi[i_lam, m, i_r] over the lambda nodes of the grid, filled
+    one order at a time from _radial_modes: circle quadrature of the plane
+    wave in its Chebyshev basis at the radii up to _SWITCH_RADIUS, the
+    Harish-Chandra expansion beyond.  No library route reads it, since
     forward_transform streams the same orders; it is the reference the
-    streamed orders are checked against, bit for bit.  Cached per
-    (lambda nodes, pgrid, m_max)."""
+    streamed orders are checked against, bit for bit."""
     lams, rs = grid.lambda_nodes, pgrid.r_nodes
-
-    def build():
-        table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
-        for m, phi in enumerate(_radial_modes(lams, rs, m_max)):
-            table[:, m] = phi
-        table.setflags(write=False)
-        return table
-
-    return _cached((lams.tobytes(), rs.tobytes(), int(m_max)), build)
-
-
-def _evaluation_modes(lams: np.ndarray, pgrid: PolarGrid, m_max: int):
-    """Read-only (S, G, far) for inverse_on_grid at the lambda nodes lams:
-    _circle_modes at the radii up to _SWITCH_RADIUS, and the mode table of
-    the radii beyond it (the expansion's orders stacked; shape (lams.size,
-    m_max + 1, 0) when there are none).  No lambda table of the near radii
-    is built.  Cached in _TABLE_CACHE per ("modes", lambda nodes, pgrid,
-    m_max)."""
-    rs = pgrid.r_nodes
-
-    def build():
-        series, modes, far = _near_and_far(lams, rs, m_max)
-        far = np.stack(list(far), axis=1)
-        for a in (series, modes, far):
-            a.setflags(write=False)
-        return series, modes, far
-
-    return _cached(("modes", lams.tobytes(), rs.tobytes(), int(m_max)),
-                   build)
+    table = np.empty((lams.size, m_max + 1, rs.size), dtype=complex)
+    for m, phi in enumerate(_radial_modes(lams, rs, m_max)):
+        table[:, m] = phi
+    return table
 
 
 def _default_m_max(grid: SpectralGrid, pgrid: PolarGrid) -> int:
@@ -327,16 +283,17 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
     else all rows.  At the radii up to _SWITCH_RADIUS it runs through the
     real mode coefficients G of _circle_modes: h = S (w_lam c_m), a
     deg x n_b matrix, then f_m(r) = sum_k G[k, r, |m|] h[k, m], so no
-    lambda table of those radii exists; the radii beyond take their rows
-    from the Harish-Chandra expansion.  The cached (S, G) is shared by
-    every band limited function on the grid, and the values agree with
-    the whole mode table's route to roundoff (within 1e-14 of max|f|)."""
+    lambda table of those radii exists; the radii beyond take the
+    Harish-Chandra expansion's orders one at a time.  Each call builds
+    what it reads, and the values agree with the whole mode table's route
+    to roundoff (within 1e-14 of max|f|)."""
     grid = coeffs.grid
     mk = _default_m_max(grid, pgrid)
     n = grid.n_band
     if not n or np.any(coeffs.values[n:]):
         n = grid.n_lambda
-    series, modes, far = _evaluation_modes(grid.lambda_nodes[:n], pgrid, mk)
+    series, modes, far = _near_and_far(grid.lambda_nodes[:n], pgrid.r_nodes,
+                                       mk)
     c_modes = np.fft.fft(coeffs.values[:n], axis=1) / grid.n_b
     wc = grid.lambda_measure[:n, None] * c_modes
     h = series @ wc
@@ -346,7 +303,7 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
         # modes m and -m, the columns m and -m of h, wc and packed
         pair = [m, -m]
         packed[:n_near, pair] = modes[:, :, m].T @ h[:, pair]
-        packed[n_near:, pair] = np.conj(far[:, m, :]).T @ wc[:, pair]
+        packed[n_near:, pair] = np.conj(next(far)).T @ wc[:, pair]
     return np.fft.ifft(packed, axis=1) * pgrid.n_theta
 
 
@@ -415,7 +372,7 @@ def calibrate_plancherel() -> CalibrationResult:
     exists.  The expansion's term count (its real sum of term magnitudes,
     1.6 MB) is found and freed before the near radii's real coefficients
     G (2.6 MB) are built; G, its build transients and the samples set the
-    peak.  Nothing is written to _TABLE_CACHE.
+    peak.  Nothing outlives the call but the result.
     """
     grid = build_grid(SpaceParams(), 24.0, 96, 64)
     pgrid = build_polar_grid(8.0, 128, 128)

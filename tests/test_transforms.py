@@ -3,7 +3,6 @@ agreement, adjointness, Parseval balance and calibration."""
 
 import math
 import tracemalloc
-from collections import OrderedDict
 from pathlib import Path
 
 import mpmath as mp
@@ -397,28 +396,6 @@ def test_inverse_transform_of_zero_coefficients_is_zero(grid):
     assert np.array_equal(tr.inverse_transform(c, pts), np.zeros(3))
 
 
-def test_mode_table_cache_is_read_only_and_bounded(space, monkeypatch):
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
-    grid = build_grid(space, lam_max=4.0, n_lambda=8, n_b=8)
-
-    def table(n_r):
-        return tr.radial_mode_table(grid, tr.build_polar_grid(1.0, n_r, 8), 2)
-
-    first = table(4)
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0, 0, 0] = 0.0
-    sizes = range(5, 5 + tr._TABLE_CACHE_SIZE + 2)
-    tables = {}
-    for n_r in sizes:
-        tables[n_r] = table(n_r)
-        # a hit refreshes the first table, so it is never the one evicted
-        assert table(4) is first
-        assert len(tr._TABLE_CACHE) <= tr._TABLE_CACHE_SIZE
-    assert table(sizes[-1]) is tables[sizes[-1]]
-    assert table(sizes[0]) is not tables[sizes[0]]
-
-
 _ACROSS_THE_SWITCH = tr.build_polar_grid(6.0, 96, 64)
 # (spectral grid, polar grid) of the calibration (near and far radii), of
 # the spline_reconstruct scenario (near radii only) and across the switch
@@ -495,8 +472,7 @@ def _whole_array_expansion(lams, far, m_max):
 
 
 @pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
-def test_mode_table_in_blocks_matches_whole_array_bits(case, monkeypatch):
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+def test_mode_table_in_blocks_matches_whole_array_bits(case):
     grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
     table = tr.radial_mode_table(grid, pgrid, 31)
     assert table.tobytes() == _whole_array_table(grid, pgrid, 31).tobytes()
@@ -531,10 +507,9 @@ def _table_forward(pgrid, grid, samples):
     return np.fft.ifft(packed, axis=1) * grid.n_b
 
 
-def test_stacked_forward_matches_the_table_bits(monkeypatch):
+def test_stacked_forward_matches_the_table_bits():
     # the plancherel scenario's bumps (seeds 0-4) on its (the
     # calibration's) grids, in one stacked call and as a 2-D stack
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
     grid, pgrid = _TABLE_GRIDS["calibration"](SpaceParams())
     bumps = []
     for seed in range(5):
@@ -565,8 +540,7 @@ def _traced_peak(call):
 
 
 @pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
-def test_cold_mode_table_costs_its_own_size_plus_blocks(case, monkeypatch):
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
+def test_cold_mode_table_costs_its_own_size_plus_blocks(case):
     grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
     table, peak = _traced_peak(lambda: tr.radial_mode_table(grid, pgrid, 31))
     assert peak <= table.nbytes + _TABLE_SLACK
@@ -583,18 +557,23 @@ def _scenario_function(space, config):
                                     "spline_reconstruct"])
 def test_band_route_matches_the_whole_table_route(space, config,
                                                   monkeypatch):
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
     f, pgrid = _scenario_function(space, config)
     grid = f.grid
+    near_and_far, counts = tr._near_and_far, []
+
+    def recorded(lams, rs, m_max):
+        counts.append(lams.size)
+        return near_and_far(lams, rs, m_max)
+
+    monkeypatch.setattr(tr, "_near_and_far", recorded)
     band = f.on_grid(pgrid)
     # one tail entry of 1e-200 sends the sum over every row, through the
     # mode coefficients of all the nodes, and moves no value by an ulp
     values = f.coeffs.values.copy()
     values[-1, 0] = 1e-200
     whole = tr.inverse_on_grid(SpectralCoeffs(grid, values), pgrid)
-    assert [k[:2] for k in tr._TABLE_CACHE] == [
-        ("modes", grid.lambda_nodes[:grid.n_band].tobytes()),
-        ("modes", grid.lambda_nodes.tobytes())]
+    assert counts == [grid.n_band, grid.n_lambda]
+    assert grid.n_band < grid.n_lambda
     assert np.max(np.abs(band - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
@@ -613,9 +592,8 @@ def _table_route(coeffs, pgrid):
 
 
 def test_evaluation_across_the_switch_radius_matches_the_table_route(
-        space, monkeypatch):
+        space):
     # 38 of the 96 radii lie beyond _SWITCH_RADIUS and take the expansion
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
     f, _ = _scenario_function(space, "frame_reconstruct")
     pgrid = tr.build_polar_grid(6.0, 96, 64)
     assert 0 < np.count_nonzero(pgrid.r_nodes > tr._SWITCH_RADIUS) < 96
@@ -624,50 +602,51 @@ def test_evaluation_across_the_switch_radius_matches_the_table_route(
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_cold_band_evaluation_tabulates_only_the_band(space, monkeypatch):
+_ROTATIONS = (1, 2, 5)
+
+
+def test_forward_transform_commutes_with_rotation():
+    # rolling the samples by 2k of 128 polar angles rotates the function
+    # by k of the 64 boundary angles, and so rolls its coefficients by k
+    grid, pgrid = _TABLE_GRIDS["calibration"](SpaceParams())
+    f = bump(pgrid, center=0.3 + 0.2j, width=0.8)
+    stack = np.stack([f] + [np.roll(f, 2 * k, axis=1) for k in _ROTATIONS])
+    c0, *rotated = tr.forward_transform(pgrid, grid, stack, tail_tol=1e-8)
+    for k, c in zip(_ROTATIONS, rotated):
+        shifted = np.roll(c0.values, k, axis=1)
+        assert np.max(np.abs(c.values - shifted)) \
+            <= 1e-14 * np.max(np.abs(c0.values))
+
+
+def test_inverse_on_grid_commutes_with_rotation(space):
+    # the frame_reconstruct test function on its polar grid at 128 angles:
+    # rolling the coefficients by k of 64 boundary angles rolls the values
+    # by 2k polar angles
+    f, frame_pgrid = _scenario_function(space, "frame_reconstruct")
+    pgrid = tr.build_polar_grid(frame_pgrid.r_max, frame_pgrid.n_r, 128)
+    assert pgrid.n_theta == 2 * f.grid.n_b
+    v0 = f.on_grid(pgrid)
+    for k in _ROTATIONS:
+        rolled = SpectralCoeffs(f.grid, np.roll(f.coeffs.values, k, axis=1))
+        v = tr.inverse_on_grid(rolled, pgrid)
+        assert np.max(np.abs(v - np.roll(v0, 2 * k, axis=1))) \
+            <= 1e-14 * np.max(np.abs(v0))
+
+
+def test_cold_band_evaluation_tabulates_only_the_band(space):
     # the real mode coefficients G of the band (20 x 160 x 32, 0.8 MB) and
     # their transients: no lambda table, whose band rows alone are 3.9 MB
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
     f, pgrid = _scenario_function(space, "frame_reconstruct")
     _, peak = _traced_peak(lambda: f.on_grid(pgrid))
     assert peak <= 3e6
 
 
-def test_evaluation_leaves_the_forward_table_as_from_a_fresh_cache(
-        space, monkeypatch):
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
-    f, pgrid = _scenario_function(space, "frame_reconstruct")
-    samples = f.on_grid(pgrid)
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
-    fresh = tr.forward_transform(pgrid, f.grid, samples, tail_tol=None)
-    # evaluations over the band rows and over all rows (the forward
-    # transform's tail is not zero) on the same grid, then the forward
-    # transform again
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
-    assert np.any(fresh.values[f.grid.n_band:])
-    tr.inverse_on_grid(fresh, pgrid)
-    f.on_grid(pgrid)
-    after = tr.forward_transform(pgrid, f.grid, samples, tail_tol=None)
-    assert after.values.tobytes() == fresh.values.tobytes()
-
-
-def test_calibration_leaves_the_table_cache_as_it_found_it(monkeypatch,
-                                                           calibration):
-    # a full cache: the calibration streams its mode orders, so it writes
-    # no entry and evicts none
-    monkeypatch.setattr(tr, "_TABLE_CACHE", OrderedDict())
-    grid = build_grid(SpaceParams(), lam_max=4.0, n_lambda=8, n_b=8)
-    for n_r in range(4, 4 + tr._TABLE_CACHE_SIZE):
-        tr.radial_mode_table(grid, tr.build_polar_grid(1.0, n_r, 8), 2)
-    before = list(tr._TABLE_CACHE.items())
+def test_cold_calibration_streams_its_mode_orders(calibration):
     tr.calibrate_plancherel.cache_clear()
     try:
         cold, peak = _traced_peak(tr.calibrate_plancherel)
     finally:
         tr.calibrate_plancherel.cache_clear()
-    after = list(tr._TABLE_CACHE.items())
-    assert [k for k, _ in after] == [k for k, _ in before]
-    assert all(a is b for (_, a), (_, b) in zip(after, before))
     assert cold.scale == calibration.scale
     # the near radii's real coefficients G (2.6 MB), the samples and
     # transients, not the lam <= 24 table (6.3 MB): 13.5-14.4 MB with it
