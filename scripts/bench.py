@@ -31,7 +31,7 @@ the sides' first processes differ) and, for each array,
 processes.
 
 The workers call `build_frame(lat, grid=...)`, `synthesize(grid, ...)` and
-`build_splines(lat, k, space=...)`, so `--base` must be e0ad74b or later.
+`build_splines(lat, k, space=...)`, so `--base` must be d79367b or later.
 """
 
 from __future__ import annotations
@@ -109,12 +109,10 @@ def _traced_mb(call) -> float:
         tracemalloc.stop()
 
 
-def _times(call, repeats: int, reset=lambda: None) -> tuple[list, object]:
-    """REPEATS wall times of call() and its last value; reset() runs untimed
-    before each call."""
+def _times(call, repeats: int) -> tuple[list, object]:
+    """REPEATS wall times of call() and its last value."""
     times, value = [], None
     for _ in range(repeats):
-        reset()
         start = time.perf_counter()
         value = call()
         times.append(time.perf_counter() - start)
@@ -165,23 +163,20 @@ def _setup(repeats, case):
 
 
 def _modes(repeats, case):
-    """Cold radial mode tables, |m| <= 31, on the calibration grids (r_max 8,
+    """Radial mode tables, |m| <= 31, on the calibration grids (r_max 8,
     128 radii and angles, lam_max 24 with 96 nodes) and the frame and spline
-    grids: the whole table, cold (a side with a table cache, up to
-    9618995, clears it before each call), with the length of its
-    plane-wave basis S and the tracemalloc peak of one more cold call
-    (`table_<grid>_traced_mb`, the table included), and its near part
+    grids: the whole table, with the length of its plane-wave basis S and
+    the tracemalloc peak of one more call (`table_<grid>_traced_mb`, the
+    table included), and its near part
     alone (the radii up to the switch radius) with its entries at the
     grid nodes nearest the near oracle points; then the far part of the
     calibration table and its values at the far oracle points.  The parts
-    are `_modes_by_quadrature` and `_modes_by_expansion` where the side has
-    them (up to e4af9b1), else the orders of `_radial_modes` and of
-    `_expansion_orders` stacked into the same (lam, m, r) tables.  Then, on
-    the frame and spline grids, a cold `f.on_grid(pgrid)` of the seed-0
-    test function, which builds what it reads of the rows it uses
-    (`on_grid_<grid>_s`, cold in the same way;
-    `on_grid_<grid>_traced_mb`, its tracemalloc peak, any cached arrays
-    included), with its values compared as an array."""
+    are the orders of `_radial_modes` and of `_expansion_orders` stacked
+    into (lam, m, r) tables.  Then, on the frame and spline grids,
+    `f.on_grid(pgrid)` of the seed-0 test function, which builds what it
+    reads of the rows it uses (`on_grid_<grid>_s`;
+    `on_grid_<grid>_traced_mb`, its tracemalloc peak), with its values
+    compared as an array."""
     import numpy as np
 
     from hypersample import transforms as tr
@@ -192,11 +187,7 @@ def _modes(repeats, case):
     def stacked(orders):
         return lambda *args: np.stack(list(orders(*args)), axis=1)
 
-    clear = getattr(getattr(tr, "_TABLE_CACHE", None), "clear", lambda: None)
-    near = getattr(tr, "_modes_by_quadrature", None) \
-        or stacked(tr._radial_modes)
-    far = getattr(tr, "_modes_by_expansion", None) \
-        or stacked(tr._expansion_orders)
+    near, far = stacked(tr._radial_modes), stacked(tr._expansion_orders)
     space = SpaceParams().with_scale(1.0)
     grids = {"calibration": (build_grid(space, 24.0, 96, 64),
                              tr.build_polar_grid(8.0, 128, 128)),
@@ -213,10 +204,8 @@ def _modes(repeats, case):
     for name, (grid, pgrid) in grids.items():
         lengths.clear()
         out[f"table_{name}_s"], arrays[f"table_{name}"] = _times(
-            lambda: tr.radial_mode_table(grid, pgrid, 31), repeats,
-            clear)
+            lambda: tr.radial_mode_table(grid, pgrid, 31), repeats)
         out[f"table_{name}_basis_length"] = lengths[0]
-        clear()
         out[f"table_{name}_traced_mb"] = _traced_mb(
             lambda: tr.radial_mode_table(grid, pgrid, 31))
         lams, rs = grid.lambda_nodes, pgrid.r_nodes
@@ -243,8 +232,7 @@ def _modes(repeats, case):
         grid, pgrid = grids[name]
         f = synthesize(grid, seed=0)
         out[f"on_grid_{name}_s"], arrays[f"on_grid_{name}"] = _times(
-            lambda: f.on_grid(pgrid), repeats, clear)
-        clear()
+            lambda: f.on_grid(pgrid), repeats)
         out[f"on_grid_{name}_traced_mb"] = _traced_mb(
             lambda: f.on_grid(pgrid))
     return out, arrays
@@ -564,7 +552,7 @@ def main() -> int:
             f"{name}: {stage.worker.__doc__}" for name, stage in STAGES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against "
-                                   "(e0ad74b or later)")
+                                   "(d79367b or later)")
     ap.add_argument("--stage", action="append", choices=STAGES,
                     help="stage to run; repeat for several (default: all)")
     ap.add_argument("--out", type=Path, help="also write the report here")

@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 _PINV_CUT = 1e-12
+# synthesize_1d's draw: Gaussian bumps on an n-point Gauss grid of the band,
+# widths and centres as fractions of omega
+_N_MODES = 3
+_N_XI = 256
+_WIDTH_RANGE = (0.08, 0.25)
+_CENTER_RANGE = (-0.7, 0.7)
 
 
 @dataclass(eq=False)
@@ -70,23 +76,20 @@ class Signal1D:
                              / (2.0 * np.pi)))
 
 
-def synthesize_1d(omega: float, seed: int = 0, n_modes: int = 3,
-                  n_xi: int = 256,
-                  width_range: tuple[float, float] = (0.08, 0.25),
-                  center_range: tuple[float, float] = (-0.7, 0.7)) -> Signal1D:
+def synthesize_1d(omega: float, seed: int = 0) -> Signal1D:
     """Seeded band-limited signal with a spectrum vanishing to all orders
     at the band edges (so it decays fast enough to truncate in space)."""
     if omega <= 0:
         raise ValueError("band limit must be positive")
-    x, w = _gauss_legendre(n_xi)
+    x, w = _gauss_legendre(_N_XI)
     xi = omega * x
     wgt = omega * w
     rng = np.random.default_rng(seed)
     mask = _bump_mask((x + 1.0) / 2.0)
-    modes = np.zeros(n_xi, dtype=complex)
-    for _ in range(n_modes):
-        center = omega * rng.uniform(*center_range)
-        width = omega * rng.uniform(*width_range)
+    modes = np.zeros(_N_XI, dtype=complex)
+    for _ in range(_N_MODES):
+        center = omega * rng.uniform(*_CENTER_RANGE)
+        width = omega * rng.uniform(*_WIDTH_RANGE)
         amp = complex(rng.standard_normal(), rng.standard_normal())
         modes += amp * np.exp(-((xi - center) ** 2) / (2.0 * width**2))
     modes *= mask
@@ -98,7 +101,7 @@ def synthesize_1d(omega: float, seed: int = 0, n_modes: int = 3,
     return sig
 
 
-def sinc_reconstruct(f, gamma: float, t_eval, n_trunc: int = 500):
+def sinc_reconstruct(f, gamma: float, t_eval, n_trunc: int):
     """Oversampled cardinal series gamma sum f(gamma n Omega) sinc(...).
 
     Samples sit at spacing gamma pi / omega; the sinc keeps bandwidth

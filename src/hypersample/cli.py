@@ -34,8 +34,8 @@ from .errors import ConfigError, HypersampleError, IllConditionedWarning, \
     SingularKernel
 from .geometry import SpaceParams, distance, multiplicity_bound, \
     random_ball_points
-from .lattice import build_lattice, certify_cover, certify_multiplicity, \
-    near_pairs
+from .lattice import _min_separation, _probe_cover, build_lattice, \
+    certify_cover, certify_multiplicity
 from .sampling import _PINV_CUT, build_frame, point_samples, reconstruct
 from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
@@ -292,38 +292,6 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _nearest_distances(x: np.ndarray, y: np.ndarray,
-                       skip_self: bool = False) -> np.ndarray:
-    """Each x's distance to its nearest y (to its nearest other point when
-    y is x and skip_self is set).
-
-    near_pairs at radius t holds every pair within t, so once every x has a
-    y within t its least found distance is exact.  t starts at twice the
-    mean spacing of the y over the ball holding both sets and doubles
-    until then (or until every pair is found).
-    """
-    if y.size == 0:
-        return np.full(x.size, np.inf)
-    far = float(np.max(np.abs(np.concatenate([x, y]))))
-    area = 4.0 * math.pi * far * far / (1.0 - far * far)  # 4 pi sinh^2(R/2)
-    t = 2.0 * math.sqrt(area / y.size) or 1.0
-    while True:
-        i, j = near_pairs(x, y, t)
-        if skip_self:
-            i, j = i[i != j], j[i != j]
-        nearest = np.full(x.size, np.inf)
-        np.minimum.at(nearest, i, distance(x[i], y[j]))
-        if np.all(nearest <= t) or i.size == x.size * (y.size - skip_self):
-            return nearest
-        t *= 2.0
-
-
-def _min_separation(points: np.ndarray) -> float:
-    if points.size < 2:
-        return math.inf
-    return float(_nearest_distances(points, points, skip_self=True).min())
-
-
 def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["r", "n_points", "min_separation", "cover_radius",
                    "fresh_cover_max", "multiplicity", "multiplicity_bound",
@@ -332,13 +300,12 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     for r in cfg.r_values:
         with rep.timed(f"r_{r:g}"):
             lat = build_lattice(r, cfg.domain_radius, seed=cfg.seeds[0])
-            sep = _min_separation(lat.points)
+            sep = _min_separation(lat.points, r)
             cov = certify_cover(lat)
             rng = np.random.default_rng(cfg.seeds[0] + 99)
             probes = random_ball_points(cfg.domain_radius - r, 10_000, rng) \
                 if cfg.domain_radius > r else np.empty(0, dtype=complex)
-            fresh = float(_nearest_distances(probes, lat.points)
-                          .max(initial=0.0))
+            fresh = _probe_cover(probes, lat.points, r)
             mult = certify_multiplicity(lat)
         bound = multiplicity_bound(r)
         bound = math.ceil(bound) if math.isfinite(bound) else bound

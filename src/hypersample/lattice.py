@@ -3,8 +3,11 @@
 A lattice at scale r is a maximal r/2-separated subset of the working ball
 B(o, domain_radius).  Maximality makes the r/2-balls around the points a
 cover of the domain, and the separation makes the r/4-balls disjoint, which
-caps how many r-balls can overlap at any location.  All three properties
-are certified numerically on seeded probe sets at construction time.
+caps how many r-balls can overlap at any location.  The separation holds
+by construction (the greedy and the probe patches keep only points r/2-far
+from those before them) and is measured by _min_separation; the cover and
+the multiplicity are certified numerically on seeded probe sets at
+construction time.
 
 Greedy insertion over a shuffled dense candidate net produces the packing.
 The candidate order is randomized by seed (maximal packings are not unique)
@@ -278,6 +281,31 @@ def _cover_radius(min_q: np.ndarray) -> float:
     return 2.0 * math.atanh(math.sqrt(float(min_q.max(initial=0.0))))
 
 
+def _probe_cover(probes: np.ndarray, points: np.ndarray, r: float) -> float:
+    """Largest distance from a probe to its nearest point, 0.0 with no
+    probes; exact, searched first within r/2 (_min_quotient_sq)."""
+    return _cover_radius(_min_quotient_sq(probes, points, r / 2.0))
+
+
+def _min_separation(points: np.ndarray, r: float) -> float:
+    """Least distance between two distinct points, inf below two points.
+
+    The pairs within r hold it whenever one pair is that close, as in a
+    lattice at scale r, whose r/2-balls cover a connected ball; a point set
+    with no such pair is read in all its pairs (t = inf: cells of the
+    disk's diameter).
+    """
+    q = math.inf
+    for t in (r, math.inf):
+        for i, j in _pair_blocks(points, points, t):
+            other = i != j
+            q = min(q, float(_quotient_sq(points[i[other]], points[j[other]])
+                             .min(initial=math.inf)))
+        if q <= _sep_param(t, 1.0) ** 2:
+            return 2.0 * math.atanh(math.sqrt(q))
+    return math.inf
+
+
 def _cover_probes(lat_seed: int, domain_radius: float,
                   r: float) -> np.ndarray:
     """The _N_CERT_ROUNDS seeded probe streams on B(o, domain_radius - r),
@@ -372,8 +400,8 @@ def certify_cover(lat: Lattice) -> float:
     cover certificate: fresh off-grid probes can exceed r/2 by the
     candidate-net gap (below r/8), never more.
     """
-    probes = _cover_probes(lat.seed, lat.domain_radius, lat.r)
-    return _cover_radius(_min_quotient_sq(probes, lat.points, lat.r / 2.0))
+    return _probe_cover(_cover_probes(lat.seed, lat.domain_radius, lat.r),
+                        lat.points, lat.r)
 
 
 def certify_multiplicity(lat: Lattice) -> int:

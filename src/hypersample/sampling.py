@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimited import BandlimitedFunction
-from .errors import IllConditionedWarning, MultiplierVanishes, NotAFrame
+from .errors import IllConditionedWarning, NotAFrame
 from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
@@ -274,10 +274,7 @@ def build_frame(lat: Lattice, m: Multiplier | None = None, *,
     if len(lat) == 0:
         raise ValueError("empty lattice")
     sl = grid.band_slice
-    mv = np.ones(grid.n_band) if m is None else m.values_on(grid)[sl]
-    if np.min(np.abs(mv)) <= 1e-12:
-        raise MultiplierVanishes(
-            f"multiplier {m.label!r} vanishes inside the band")
+    mv = np.ones(grid.n_band) if m is None else m.band_values(grid)
     scale = np.sqrt(grid.lambda_measure[sl] * np.abs(mv) ** 2 / grid.n_b)
     factor, dirs = _band_factor(lat.points, grid, scale)
     panels = _factor_qr(factor)

@@ -558,8 +558,14 @@ class Multiplier:
             raise ValueError(f"multiplier {self.label} is unbounded on the grid")
         return vals
 
-    def band_min_abs(self, grid: SpectralGrid) -> float:
-        return float(np.min(np.abs(self.values_on(grid)[grid.band_slice])))
+    def band_values(self, grid: SpectralGrid) -> np.ndarray:
+        """m on the band nodes of grid, which it must not vanish on: raises
+        MultiplierVanishes where |m| <= 1e-12."""
+        vals = self.values_on(grid)[grid.band_slice]
+        if np.min(np.abs(vals)) <= 1e-12:
+            raise MultiplierVanishes(
+                f"multiplier {self.label!r} vanishes on the band")
+        return vals
 
 
 def sobolev_multiplier(sigma: float) -> Multiplier:
@@ -567,15 +573,8 @@ def sobolev_multiplier(sigma: float) -> Multiplier:
     return Multiplier(fn=lambda lam: (lam**2 + RHO**2) ** sigma, label=f"sobolev_{sigma}")
 
 
-def apply_multiplier(coeffs: SpectralCoeffs, mult: Multiplier,
-                     invert: bool = False) -> SpectralCoeffs:
-    """Multiply (or divide, invert=True) coefficients by m(lam), row by row.
-
-    Division requires |m| > 1e-12 at every node of the grid.
-    """
+def apply_multiplier(coeffs: SpectralCoeffs,
+                     mult: Multiplier) -> SpectralCoeffs:
+    """Multiply coefficients by m(lam), row by row."""
     vals = mult.values_on(coeffs.grid).astype(complex)
-    if invert:
-        if np.min(np.abs(vals)) <= 1e-12:
-            raise MultiplierVanishes(f"multiplier {mult.label} vanishes on the grid")
-        vals = 1.0 / vals
     return SpectralCoeffs(coeffs.grid, coeffs.values * vals[:, None])

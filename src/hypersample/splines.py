@@ -34,9 +34,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from .bandlimited import BandlimitedFunction
-from .errors import (IllConditionedWarning, MultiplierVanishes,
-                     NumericalFailure, ProblemTooLarge, SingularKernel,
-                     TailTooLarge)
+from .errors import (IllConditionedWarning, NumericalFailure,
+                     ProblemTooLarge, SingularKernel, TailTooLarge)
 from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice, _log_min_points, _sci
 from .sampling import SampleSet
@@ -235,7 +234,8 @@ def _refined_solve(kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(kern: PolyharmonicKernel, pts: np.ndarray) -> np.ndarray:
-    """(K + K^T) / 2 for K[j, nu] = kern(d(x_j, x_nu)), zero on the diagonal.
+    """(K + K^T) / 2 for K[j, nu] = kern(d(x_j, x_nu)); d(x, x) is exactly
+    0, so the diagonal is kern(0).
 
     Filled in row blocks of about geometry.PAIR_BLOCK entries into the one
     N x N result, then symmetrised in place block by block, so no other
@@ -244,10 +244,7 @@ def _kernel_matrix(kern: PolyharmonicKernel, pts: np.ndarray) -> np.ndarray:
     n = pts.size
     kmat = np.empty((n, n))
     for blk in row_blocks(n, n):
-        d = distance(pts[blk, None], pts[None, :])
-        rows = np.arange(blk.stop - blk.start)
-        d[rows, rows + blk.start] = 0.0
-        kmat[blk] = kern(d)
+        kmat[blk] = kern(distance(pts[blk, None], pts[None, :]))
     # the rows of each block and the matching columns, from the block's
     # diagonal on; later blocks read neither
     for blk in row_blocks(n, n):
@@ -413,9 +410,8 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     the Lagrangian certificate _CERT_TOL = 1e-8; the result records where.
     """
     m = s.multiplier
-    if m is not None and m.band_min_abs(grid) <= 1e-12:
-        raise MultiplierVanishes(
-            f"multiplier {m.label!r} vanishes on the band")
+    if m is not None:
+        m.band_values(grid)
     space = SpaceParams(grid.plancherel_scale)
     k_list, functions, conditions = [], [], []
     aborted_at = None

@@ -108,7 +108,7 @@ def test_oversampling_margin_matters(sig):
 def test_sinc_rejects_bad_gamma(sig):
     for gamma in (0.0, 1.0, 1.2, -0.3):
         with pytest.raises(ValueError):
-            sinc_reconstruct(sig, gamma, [0.0])
+            sinc_reconstruct(sig, gamma, [0.0], n_trunc=150)
 
 
 def test_gram_single_point():

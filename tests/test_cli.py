@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersample import spectral
+from hypersample import cli, spectral
 from hypersample.cli import (
     SCENARIOS,
     ExperimentConfig,
+    _scenario_lattice,
     _scenario_theorem73,
     config_to_ini,
     load_config,
@@ -27,6 +28,8 @@ from hypersample.cli import (
     verify_all,
 )
 from hypersample.errors import ConfigError, ProblemTooLarge
+from hypersample.geometry import distance
+from hypersample.lattice import Lattice
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -337,6 +340,73 @@ def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
     for row in rows:
         assert row["n_points"] == "1" and row["fresh_cover_max"] == "0.0"
         assert row["passed"] == "true"
+
+
+def _lattice_rows_and_inputs(monkeypatch, space, cfg, lattice=None):
+    """The lattice runner's rows, with the lattice and the fresh probes of
+    each row; lattice, if given, stands in for build_lattice's."""
+    lattices, probes = [], []
+    build, draw = cli.build_lattice, cli.random_ball_points
+
+    def built(r, domain_radius, seed):
+        lattices.append(build(r, domain_radius, seed) if lattice is None
+                        else lattice)
+        return lattices[-1]
+
+    def drawn(*args):
+        probes.append(draw(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(cli, "build_lattice", built)
+    monkeypatch.setattr(cli, "random_ball_points", drawn)
+    rows = _scenario_lattice(cfg, space).rows
+    if len(probes) < len(rows):     # r >= domain_radius: no fresh probes
+        probes = [np.empty(0, dtype=complex)] * len(rows)
+    return zip(rows, lattices, probes)
+
+
+def _assert_distances_match_brute_force(row, lat, probes):
+    # the least geometry.distance over all pairs of distinct points (a
+    # self pair would read 0.0), and the largest over the probes of the
+    # least distance to a point
+    pts = lat.points
+    d = distance(pts[:, None], pts[None, :])
+    np.fill_diagonal(d, np.inf)
+    sep = d.min()
+    fresh = distance(probes[:, None], pts[None, :]).min(axis=1) \
+        .max(initial=0.0)
+    _, n, got_sep, _, got_fresh, *_ = row
+    assert n == pts.size
+    for got, want in ((got_sep, sep), (got_fresh, fresh)):
+        assert got == want or abs(got - want) <= 2 * np.spacing(want)
+
+
+def test_lattice_runner_distances_match_brute_force(monkeypatch, space):
+    cfg = ExperimentConfig(scenario="lattice", r_values=(0.4, 0.2),
+                           domain_radius=1.5, seeds=(0,))
+    for row, lat, probes in _lattice_rows_and_inputs(monkeypatch, space,
+                                                     cfg):
+        assert probes.size == 10_000
+        _assert_distances_match_brute_force(row, lat, probes)
+
+
+@pytest.mark.parametrize("points, domain_radius", [
+    ([0.2, 0.1 + 0.1j], 1.5),   # a pair within r
+    ([0.2, -0.5j], 1.5),        # pairs farther than r, read from all pairs
+    ([0.2, 0.3 - 0.6j], 1.5),
+    ([0.0], 0.01),              # one point, and r past the domain: no probes
+])
+def test_lattice_runner_distances_of_one_and_two_points(monkeypatch, space,
+                                                        points,
+                                                        domain_radius):
+    lat = Lattice(np.array(points), 0.4, 2, domain_radius, 0)
+    cfg = ExperimentConfig(scenario="lattice", r_values=(0.4,),
+                           domain_radius=domain_radius, seeds=(0,))
+    (row, _, probes), = _lattice_rows_and_inputs(monkeypatch, space, cfg,
+                                                 lat)
+    _assert_distances_match_brute_force(row, lat, probes)
+    if len(points) == 1:
+        assert (row[2], row[4]) == (np.inf, 0.0)
 
 
 def test_inadmissible_tau_is_informative_not_fatal(tmp_path, outroot):
