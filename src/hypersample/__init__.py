@@ -8,7 +8,6 @@ from .errors import (
     CertificationFailed,
     ConfigError,
     HypersampleError,
-    IllConditionedWarning,
     MultiplierVanishes,
     NotAFrame,
     ProblemTooLarge,

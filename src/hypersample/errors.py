@@ -44,7 +44,3 @@ class ConfigError(HypersampleError):
 class NumericalFailure(HypersampleError, ArithmeticError):
     """A numerical method missed its own accuracy check (a quadrature residue,
     a stalled iteration, an unconverged series)."""
-
-
-class IllConditionedWarning(UserWarning):
-    """A solve proceeded by pseudo-inverse because the system is ill conditioned."""

@@ -35,19 +35,19 @@ band-limited functions are analytic, so samples on a bounded domain pin
 down only an effectively finite-dimensional slice of the band space.
 Reconstruction therefore always runs through a thresholded pseudo-inverse,
 and the certified frame bounds (A, B) refer to the retained span.  The raw
-smallest eigenvalue of the Gram is reported alongside as a diagnostic.
+smallest eigenvalue of the Gram is returned alongside as a diagnostic; the
+one certificate, a retained span that is not empty, raises NotAFrame when
+it fails.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bandlimited import BandlimitedFunction
-from .errors import IllConditionedWarning, NotAFrame
+from .errors import NotAFrame
 from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 _PINV_CUT = 1e-12
-_COND_WARN = 1e10
 # columns per Householder panel of the factor's QR (LAPACK's usual block)
 _PANEL = 32
 
@@ -96,16 +95,10 @@ class FrameSystem:
     weights: np.ndarray       # (n_band,): conj(m) / scale, per lam
     frame_bounds: tuple[float, float]  # (A, B) on the retained span
     raw_min: float
-    threshold: float
 
     @property
     def rank(self) -> int:
         return self.left.shape[1]
-
-    @property
-    def condition(self) -> float:
-        a = self.raw_min
-        return self.frame_bounds[1] / a if a > 0 else math.inf
 
 
 def point_samples(f: BandlimitedFunction, lat: Lattice) -> SampleSet:
@@ -268,6 +261,9 @@ def build_frame(lat: Lattice, m: Multiplier | None = None, *,
     as rich as double precision allows; raising it (1e-8 is a good choice)
     trades span for noise amplification bounded by 1/sqrt(cut * B), which
     makes the reconstruction operator an honest numerical projection.
+    The rank, the bounds (A, B) on the retained span and the raw smallest
+    eigenvalue are returned as diagnostics; NotAFrame is raised when no
+    eigenvalue clears the cut.
     """
     if grid.n_band == 0:
         raise ValueError("grid has no band panel")
@@ -282,16 +278,10 @@ def build_frame(lat: Lattice, m: Multiplier | None = None, *,
     u, sv, wh = np.linalg.svd(np.triu(factor[:p]), full_matrices=False)
     ev = sv ** 2
     b_top = float(ev[0])
-    thr = cut * b_top
-    rank = int(np.count_nonzero(ev > thr))
+    rank = int(np.count_nonzero(ev > cut * b_top))
     if rank == 0:
         raise NotAFrame("no singular value above the pseudo-inverse threshold")
     a_low = float(ev[rank - 1])
-    if a_low <= 1e-10 * b_top and rank < len(lat):
-        # eigenvalues trickle through the cut: the span certificate is
-        # ambiguous at the threshold, so no positive bound can be claimed
-        warnings.warn("retained spectrum touches the pseudo-inverse cut",
-                      IllConditionedWarning)
     left = np.zeros((len(lat), rank), dtype=complex)
     left[:p] = u[:, :rank]
     _apply_q(factor, panels, left)
@@ -302,7 +292,7 @@ def build_frame(lat: Lattice, m: Multiplier | None = None, *,
     # conj(m) / scale leaves band coefficients
     return FrameSystem(lat, grid, m, left, dirs,
                        wh[:rank].conj().T / sv[:rank], np.conj(mv) / scale,
-                       (a_low, b_top), raw_min, thr)
+                       (a_low, b_top), raw_min)
 
 
 def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
@@ -328,11 +318,6 @@ def reconstruct(frame: FrameSystem, s: SampleSet) -> BandlimitedFunction:
     is exact; general data is fit in the least-squares sense.
     """
     _check_compatible(frame, s)
-    if frame.condition > _COND_WARN:
-        warnings.warn(
-            f"Gram condition {frame.condition:.2e}; continuing with the "
-            f"pseudo-inverse at threshold {frame.threshold:.2e}",
-            IllConditionedWarning)
     grid = frame.grid
     cols = frame.dual @ (frame.left.conj().T @ s.values)
     at = np.cumsum([v.shape[1] for v in frame.directions])[:-1]

@@ -550,13 +550,21 @@ class Multiplier:
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
 
-    def values_on(self, grid: SpectralGrid) -> np.ndarray:
-        vals = np.asarray(self.fn(grid.lambda_nodes))
-        if vals.shape != grid.lambda_nodes.shape:
-            raise ValueError("multiplier must evaluate elementwise on the lambda nodes")
+    def __call__(self, lam: np.ndarray) -> np.ndarray:
+        """m at the nodes lam: raises ValueError unless it is finite there,
+        one value per node."""
+        vals = np.asarray(self.fn(lam))
+        if vals.shape != np.shape(lam):
+            raise ValueError(f"multiplier {self.label} must evaluate "
+                             f"elementwise on the lambda nodes")
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"multiplier {self.label} is unbounded on the grid")
+            bad = np.asarray(lam)[~np.isfinite(vals)][0]
+            raise ValueError(f"multiplier {self.label} is not finite at "
+                             f"lam = {bad:.6g}")
         return vals
+
+    def values_on(self, grid: SpectralGrid) -> np.ndarray:
+        return self(grid.lambda_nodes)
 
     def band_values(self, grid: SpectralGrid) -> np.ndarray:
         """m on the band nodes of grid, which it must not vanish on: raises

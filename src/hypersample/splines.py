@@ -20,22 +20,23 @@ row blocks of about geometry.PAIR_BLOCK = 2^16 point pairs, so memory
 follows the result rather than the number of pairs.  The kernel matrix is
 certified positive definite by its Cholesky factorization and solved by
 numpy.linalg.solve with iterative refinement.  The Lagrangian defect is
-certified against _CERT_TOL = 1e-8; deconvolving schedules stop at
-condition _COND_LIMIT = 1e12 or at a failed certificate.
+certified against _CERT_TOL = 1e-8: a system that misses it raises
+SingularKernel, as a failed Cholesky does, and its condition and defect
+are otherwise returned as diagnostics.  Deconvolving schedules stop at
+condition _COND_LIMIT = 1e12 or at the first SingularKernel.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from .bandlimited import BandlimitedFunction
-from .errors import (IllConditionedWarning, NumericalFailure,
-                     ProblemTooLarge, SingularKernel, TailTooLarge)
+from .errors import (NumericalFailure, ProblemTooLarge, SingularKernel,
+                     TailTooLarge)
 from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice, _log_min_points, _sci
 from .sampling import SampleSet
@@ -120,12 +121,7 @@ def _kernel_lambda_grid(lam_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _multiplier_sq(m: Multiplier | None, lam: np.ndarray) -> np.ndarray:
-    if m is None:
-        return np.ones_like(lam)
-    vals = np.asarray(m.fn(lam))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"multiplier {m.label} is unbounded on the kernel grid")
-    return np.abs(vals) ** 2
+    return np.ones_like(lam) if m is None else np.abs(m(lam)) ** 2
 
 
 def _order_weight(lam: np.ndarray, k: int) -> np.ndarray:
@@ -178,7 +174,7 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     m_sup = 1.0
     if multiplier is not None:
         probe = np.array([10.0, 20.0, 40.0, 80.0])
-        m_sup = max(float(np.max(np.abs(multiplier.fn(probe)))), 1.0)
+        m_sup = max(float(np.max(np.abs(multiplier(probe)))), 1.0)
 
     needed = (m_sup ** 2 * scale
               / ((4 * k - 2) * _TAIL_TOL * k0_ref)) ** (1.0 / (4 * k - 2))
@@ -282,7 +278,9 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     points (or an order too high for double precision) surface as
     SingularKernel.  Iterative refinement, the same solve the interpolants
     use, pushes the interpolation residual to roundoff even for stiff
-    systems.  The kernel matrix is assembled in row blocks of about
+    systems; the Lagrangian defect max|K K^-1 - I| of that solve must
+    clear _CERT_TOL, or SingularKernel names the defect, the condition and
+    the certificate.  The kernel matrix is assembled in row blocks of about
     geometry.PAIR_BLOCK entries straight into its one N x N array
     (_kernel_matrix); ProblemTooLarge is raised when the assembly runs out
     of memory, in practice at that one array.
@@ -316,10 +314,10 @@ def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
     eye = np.eye(n)
     # the Lagrangian coefficients, column nu for x_nu, certify the solve
     defect = float(np.max(np.abs(kmat @ _refined_solve(kmat, eye) - eye)))
-    if defect > _CERT_TOL:
-        warnings.warn(
-            f"Lagrangian defect {defect:.2e} exceeds {_CERT_TOL:.0e} at "
-            f"condition {condition:.2e}", IllConditionedWarning)
+    if not defect <= _CERT_TOL:
+        raise SingularKernel(
+            f"order-{k} Lagrangian defect {defect:.2e} misses the "
+            f"certificate {_CERT_TOL:.0e} at condition {condition:.2e}")
     return SplineSystem(lat, k, kern, kmat, m, condition, defect)
 
 
@@ -384,7 +382,7 @@ def spline_band_projection(interp: SplineInterpolant,
     fac = _order_weight(lam, sys.k)
     m = sys.deconv_multiplier
     if m is not None:
-        fac = fac * np.conj(np.asarray(m.fn(lam), dtype=complex))
+        fac = fac * np.conj(m(lam).astype(complex))
     # e^((-i lam + rho) a) = e^(rho a) sum_k conj(S[k, lam]) T_k(a / a_max)
     pts = sys.lattice.points
     a_max, series = _plane_wave_basis(pts, lam, np.ones(lam.size))
@@ -406,8 +404,9 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     with kernel density |m|^2 (lam^2+rho^2)^(-2k) (build_splines, at the
     density constant grid.plancherel_scale), divided by m on grid's band.
     Escalation stops at the first order whose kernel matrix exceeds
-    condition _COND_LIMIT = 1e12, loses positive definiteness, or misses
-    the Lagrangian certificate _CERT_TOL = 1e-8; the result records where.
+    condition _COND_LIMIT = 1e12 or whose build_splines raises
+    SingularKernel (no positive definiteness, or a Lagrangian defect above
+    _CERT_TOL = 1e-8); the result records where.
     """
     m = s.multiplier
     if m is not None:
@@ -421,7 +420,7 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
         except SingularKernel:
             aborted_at = k
             break
-        if sys.condition > _COND_LIMIT or sys.lagrangian_defect > _CERT_TOL:
+        if sys.condition > _COND_LIMIT:
             aborted_at = k
             break
         interp = spline_interpolate(sys, s)

@@ -29,9 +29,6 @@ from helpers import laplacian_multiplier, stability_probe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::hypersample.errors.IllConditionedWarning")
-
 
 def _report(num: int, name: str, detail: str) -> None:
     print(f"criterion {num:02d} [{name}] PASS: {detail}")

@@ -325,6 +325,20 @@ def test_spline_scenario_fails_when_no_order_solves(outroot, capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["singular"] * 2
 
 
+def test_spline_scenario_refuses_a_missed_lagrangian_certificate(outroot,
+                                                                 capsys):
+    # at k = 2 the r = 0.4 lattice on radius 1.4 (N = 123) solves with a
+    # Lagrangian defect near 7.5e-8, above the 1e-8 certificate: the order
+    # ends singular instead of reporting an ok row
+    assert main(["run", str(ROOT / "configs" / "spline_reconstruct.ini"),
+                 "--override", "r=0.4", "--override", "domain_radius=1.4",
+                 "--override", "k_schedule=2"]) == 1
+    assert capsys.readouterr().err.startswith("spline.no_order_solved: ")
+    lines = (outroot / "spline_reconstruct" / "results.csv").read_text() \
+        .splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["singular"]
+
+
 def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
                                                           outroot):
     # at r >= R the lattice is {o}, which covers the ball, and the ball
@@ -594,6 +608,15 @@ def test_verify_runs_every_scenario_at_its_verify_size(capsys):
 def test_verify_mutation_hook_trips_parseval(capsys):
     assert verify_all(perturb_scale=0.01, only=["plancherel"]) == 1
     assert "FAIL  plancherel.parseval_rel: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["-1", "-2", "nan", "inf"])
+def test_verify_refuses_a_bad_perturb_scale(capsys, value):
+    # the perturbed density constant must stay finite and positive
+    assert main(["verify", f"--perturb-scale={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: perturb_scale must be finite")
+    assert "Traceback" not in err
 
 
 def test_verify_catches_a_small_density_error(capsys):

@@ -17,9 +17,6 @@ from hypersample.sphavg import (AverageSpec, average_multiplier,
                                 theorem73_experiment)
 from hypersample.transforms import build_polar_grid
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::hypersample.errors.IllConditionedWarning")
-
 OMEGA = 2.0
 
 

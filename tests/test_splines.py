@@ -19,9 +19,8 @@ from numpy.polynomial.chebyshev import chebval
 from hypersample import spectral, splines
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.cli import main
-from hypersample.errors import (IllConditionedWarning, MultiplierVanishes,
-                                NumericalFailure, ProblemTooLarge,
-                                SingularKernel, TailTooLarge)
+from hypersample.errors import (MultiplierVanishes, NumericalFailure,
+                                ProblemTooLarge, SingularKernel, TailTooLarge)
 from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
                                   random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
@@ -165,6 +164,17 @@ def test_kernel_tail_guard(space):
     # k = 1 tail decays like lam^-2: the tail tolerance is out of reach
     with pytest.raises(TailTooLarge):
         polyharmonic_kernel(space, 1, t_max=3.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_kernel_refuses_a_multiplier_not_finite_at_the_probe(space, value):
+    # finite up to lam = 15, so only the sup probe at lam = 20, 40, 80 sees
+    # it; a NaN there must not become the tail bound, nor an inf a
+    # TailTooLarge
+    m = Multiplier(fn=lambda lam: np.where(lam > 15.0, value, 1.0),
+                   label="spiky")
+    with pytest.raises(ValueError, match="multiplier spiky is not finite"):
+        polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m)
 
 
 @pytest.mark.parametrize("k", [257, 300])
@@ -501,11 +511,10 @@ def test_deconvolve_condition_limit(lat, samples, grid, monkeypatch):
 
 
 def test_deconvolve_certificate_limit(lat, samples, grid, monkeypatch):
-    # a Lagrangian defect above the certificate stops the schedule, as the
-    # condition limit does, instead of passing with a warning
+    # a Lagrangian defect above the certificate is a SingularKernel, which
+    # stops the schedule as the condition limit does
     monkeypatch.setattr(splines, "_CERT_TOL", 1e-30)
-    with pytest.warns(IllConditionedWarning, match="Lagrangian defect"):
-        res = spline_reconstruct_deconvolve(lat, [2], samples, grid=grid)
+    res = spline_reconstruct_deconvolve(lat, [2], samples, grid=grid)
     assert res["aborted_at"] == 2
     assert res["functions"] == []
 
@@ -533,9 +542,12 @@ def test_error_decreases_with_lattice_density(space, grid, pgrid, f):
     assert errs[2] < 1e-3
 
 
-def test_ill_conditioned_build_warns(space):
+def test_uncertified_build_raises(space):
+    # k = 2 on the r = 0.4 lattice (N = 123): defect about 7.5e-8 at
+    # condition 1.3e10, above the 1e-8 certificate
     lat_fine = build_lattice(0.4, 1.4, seed=0)
-    with pytest.warns(IllConditionedWarning):
+    with pytest.raises(SingularKernel, match="Lagrangian defect .* misses "
+                                             "the certificate 1e-08"):
         build_splines(lat_fine, 2, space=space)
 
 
