@@ -30,8 +30,12 @@ the sides' first processes differ) and, for each array,
 `<name>_max_rel_diff` = max|head - base| / max|base| of the first
 processes.
 
-The workers call `build_frame(lat, grid=...)`, `synthesize(grid, ...)` and
-`build_splines(lat, k, space=...)`, so `--base` must be d79367b or later.
+The workers call `synthesize(grid, ...)` and `build_splines(lat, k,
+space=...)`, so `--base` must be d79367b or later.  The `frame` worker reads
+`build_frame`'s signature: from the sample set (`build_frame(samples,
+grid=...)`, whose frame holds the interpolant) or, on a base before that,
+from the lattice (`build_frame(lat, grid=...)` and then
+`reconstruct(frame, samples)`).
 """
 
 from __future__ import annotations
@@ -307,17 +311,19 @@ def _lattice(repeats, case):
 
 
 def _frame(repeats, r):
-    """`build_frame` and `reconstruct` of the frame test function (seed 0)
-    from the lattice of radius r on the 1.4 domain: the whole call, the
-    time inside `sampling._band_factor` (`band_factor_s`: the Chebyshev
-    planes, their DFT over the boundary angles, the per-mode QRs and SVDs
-    and the factor C) and the rest (`spectrum_s`: the frame spectrum and
-    left vectors from C), with N, rank, frame bounds, the relative error
-    on the polar grid, the peak RSS before and after, the tracemalloc peak
-    of one more `build_frame` (`frame_<r>_traced_mb`, the frame included)
-    and a digest of the frame's left vectors, bounds and `raw_min` and of
-    the reconstruction's coefficients (`reconstruct` is also compared as
-    an array)."""
+    """The frame and the interpolant of the frame test function (seed 0)
+    from the lattice of radius r on the 1.4 domain: the whole of it
+    (`build_frame_s`), the time inside `sampling._band_factor`
+    (`band_factor_s`: the Chebyshev planes, their DFT over the boundary
+    angles, the per-mode QRs and SVDs and the factor C) and the rest
+    (`spectrum_s`: the frame spectrum and the interpolant from C), with N,
+    rank, frame bounds, the relative error on the polar grid, the peak RSS
+    before and after, the tracemalloc peak of one more frame and
+    interpolant (`frame_<r>_traced_mb`, both included) and a digest of the
+    rank, bounds and `raw_min` and of the interpolant's coefficients
+    (`reconstruct` is also compared as an array)."""
+    import inspect
+
     import numpy as np
 
     from hypersample import sampling
@@ -329,6 +335,14 @@ def _frame(repeats, r):
     lat = build_lattice(r, DOMAIN, seed=0)
     samples = sampling.point_samples(f, lat)
     ref = f.on_grid(pgrid)
+
+    def frame_and_function():
+        if "lat" in inspect.signature(sampling.build_frame).parameters:
+            frame = sampling.build_frame(lat, grid=grid)
+            return frame, sampling.reconstruct(frame, samples)
+        frame = sampling.build_frame(samples, grid=grid)
+        return frame, frame.function
+
     rss_before = _rss_mb()
 
     factor, inside = sampling._band_factor, [0.0]
@@ -341,19 +355,15 @@ def _frame(repeats, r):
             inside[0] += time.perf_counter() - start
 
     sampling._band_factor = band_factor
-    out = {k: [] for k in ("band_factor_s", "spectrum_s", "build_frame_s",
-                           "reconstruct_s")}
+    out = {k: [] for k in ("band_factor_s", "spectrum_s", "build_frame_s")}
     for _ in range(repeats):
         inside[0] = 0.0
         start = time.perf_counter()
-        frame = sampling.build_frame(lat, grid=grid)
-        mid = time.perf_counter()
-        rec = sampling.reconstruct(frame, samples)
+        frame, rec = frame_and_function()
         end = time.perf_counter()
         out["band_factor_s"].append(inside[0])
-        out["spectrum_s"].append(mid - start - inside[0])
-        out["build_frame_s"].append(mid - start)
-        out["reconstruct_s"].append(end - mid)
+        out["spectrum_s"].append(end - start - inside[0])
+        out["build_frame_s"].append(end - start)
     lower, upper = frame.frame_bounds
     coeffs = rec.coeffs.values
     out.update(
@@ -361,10 +371,9 @@ def _frame(repeats, r):
         frame_upper=upper,
         rel_error=float(pgrid.norm(rec.on_grid(pgrid) - ref) / pgrid.norm(ref)),
         **_memory(rss_before),
-        frame_sha256=_digest(frame.left,
-                             np.array([lower, upper, frame.raw_min]), coeffs))
-    out[f"frame_{r}_traced_mb"] = _traced_mb(
-        lambda: sampling.build_frame(lat, grid=grid))
+        frame_sha256=_digest(
+            np.array([frame.rank, lower, upper, frame.raw_min]), coeffs))
+    out[f"frame_{r}_traced_mb"] = _traced_mb(frame_and_function)
     return out, {"reconstruct": coeffs}
 
 

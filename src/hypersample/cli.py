@@ -34,7 +34,7 @@ from .geometry import SpaceParams, distance, multiplicity_bound, \
     random_ball_points
 from .lattice import _min_separation, _probe_cover, build_lattice, \
     certify_cover, certify_multiplicity
-from .sampling import _PINV_CUT, build_frame, point_samples, reconstruct
+from .sampling import _PINV_CUT, build_frame, point_samples
 from .spectral import apply_multiplier, build_grid, default_lam_max, \
     sobolev_multiplier
 from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
@@ -334,9 +334,9 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     for r in r_list:
         with rep.timed(f"r_{r:g}"):
             lat = build_lattice(r, cfg.domain_radius, seed=cfg.seeds[0])
-            frame = build_frame(lat, grid=grid, cut=cfg.cut)
-            rec = reconstruct(frame, point_samples(f, lat))
-            err = _rel_err(pgrid, rec.on_grid(pgrid), f_ref)
+            frame = build_frame(point_samples(f, lat), grid=grid,
+                                cut=cfg.cut)
+            err = _rel_err(pgrid, frame.function.on_grid(pgrid), f_ref)
         errors.append(err)
         # every row needs a positive lower bound; the finest must also
         # meet the error tolerance

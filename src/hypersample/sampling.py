@@ -1,5 +1,5 @@
-"""Frame vectors at lattice points, their factored frame operator, and
-reconstruction.
+"""Frame vectors at lattice points, the spectrum of their frame operator,
+and reconstruction.
 
 A lattice point x_j induces the band-restricted frame vector
 e_j(lam, b) = e^((i lam + rho) A(x_j, b)), optionally filtered by a
@@ -18,17 +18,18 @@ over the n_b boundary angles splits G into angular-mode blocks of N x deg,
 of which only n_b / 2 + 1 are distinct up to conjugation; each block
 F_m = G_m S is compressed by QR and an SVD to its right singular
 directions above roundoff.  The concatenated N x K factor C has
-C C^H = F F^H.  A Householder QR of C, C = Q R, and an SVD of the K x K
-triangle R give the frame spectrum; only the retained left singular
-vectors Q U_R[:, :rank] are formed, and the reconstruction map stays
-factored (the per-mode directions, a K x rank dual and the weights).
+C C^H = F F^H.  The samples s ride along as one more column: a Householder
+QR of [C | s] gives C = Q R and Q^H s without forming Q (Golub and Van
+Loan, Matrix Computations, section 5.3), and one truncated least-squares
+solve on the triangle R gives both the frame spectrum (R's singular
+values) and the factor's coefficients of the interpolant, which each
+mode's directions take to band coefficients.  No singular vector is kept.
 
-Memory follows N K (the factor) and N rank (the left vectors).  The mode
-rows G_m exist for one block of points at a time: each mode's QR triangle
-is accumulated over the blocks as in TSQR (Demmel, Grigori, Hoemmen and
-Langou, SISC 34 (2012)), and the factor's rows are written block by block
-from the mode rows built again.  The factor's QR runs in place, one panel
-of columns at a time.
+Memory follows N K (the factor).  The mode rows G_m exist for one block of
+points at a time: each mode's QR triangle is accumulated over the blocks
+as in TSQR (Demmel, Grigori, Hoemmen and Langou, SISC 34 (2012)), and the
+factor's rows are written block by block from the mode rows built again.
+The factor's QR runs in place, one panel of columns at a time.
 
 The spectrum of any interesting lattice decays smoothly to machine zero:
 band-limited functions are analytic, so samples on a bounded domain pin
@@ -42,12 +43,13 @@ it fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bandlimited import BandlimitedFunction
-from .errors import NotAFrame
+from .errors import NotAFrame, NumericalFailure
 from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
@@ -82,23 +84,38 @@ class SampleSet:
         if self.values.shape != (len(self.lattice),):
             raise ValueError("one sample value per lattice point required")
 
+    def __len__(self) -> int:
+        return self.values.size
+
 
 @dataclass(eq=False)
 class FrameSystem:
-    lattice: Lattice
-    grid: SpectralGrid
-    multiplier: Multiplier | None
-    left: np.ndarray          # (N, rank): retained left singular vectors
-    directions: list[np.ndarray]  # per angular mode, V_m: (n_band, k_m)
-    dual: np.ndarray          # (K, rank): W sigma^-1, left vectors to the
-                              # factor's columns
-    weights: np.ndarray       # (n_band,): conj(m) / scale, per lam
-    frame_bounds: tuple[float, float]  # (A, B) on the retained span
-    raw_min: float
+    """The minimal-norm band-limited interpolant of one sample set and the
+    spectrum of its frame."""
+
+    function: BandlimitedFunction
+    spectrum: np.ndarray   # the Gram's min(N, K) leading eigenvalues
+                           # sigma^2, descending; the rest are zero
+    cut: float
+    n_points: int
 
     @property
     def rank(self) -> int:
-        return self.left.shape[1]
+        """The dimension of the retained span, sigma^2 > cut B."""
+        return int(np.count_nonzero(self.spectrum
+                                    > self.cut * self.spectrum[0]))
+
+    @property
+    def frame_bounds(self) -> tuple[float, float]:
+        """(A, B) on the retained span."""
+        return float(self.spectrum[self.rank - 1]), float(self.spectrum[0])
+
+    @property
+    def raw_min(self) -> float:
+        """The Gram's smallest eigenvalue."""
+        if self.spectrum.size < self.n_points:
+            return 0.0
+        return float(self.spectrum[-1])
 
 
 def point_samples(f: BandlimitedFunction, lat: Lattice) -> SampleSet:
@@ -125,8 +142,8 @@ def _mode_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
     np.fft.rfft(planes, axis=2, norm="ortho", out=out.transpose(2, 1, 0))
 
 
-def _band_factor(points: np.ndarray, grid: SpectralGrid,
-                 scale: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _band_factor(points: np.ndarray, grid: SpectralGrid, scale: np.ndarray,
+                 values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Compressed factor of the band rows F = R diag(scale) per angular mode.
 
     With the plane waves as Chebyshev series in the horocycle distance
@@ -142,9 +159,9 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     R_m S gives the mode's right singular directions V_m; those above
     max(N, n_band) eps times the largest singular value of all modes (the
     roundoff floor) are kept.
-    Returns C = [G_m (S V_m)]_m, of shape (N, K) with C C^H = F F^H, its
-    rows written block by block from the mode rows built a second time,
-    and the V_m.
+    Returns [C | values], C = [G_m (S V_m)]_m of shape (N, K) with
+    C C^H = F F^H, its rows written block by block from the mode rows
+    built a second time, and the V_m.
     """
     lam = grid.lambda_nodes[grid.band_slice]
     n, n_b, angles = points.size, grid.n_b, grid.boundary_angles
@@ -179,7 +196,7 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
     # the modes -m follow the modes 0 ... n_b / 2 in C, so their columns
     # are conjugated in one pass per block
     first_neg = sum(widths[:n_b // 2 + 1])
-    factor = np.empty((n, sum(widths)), dtype=complex)
+    factor = np.empty((n, sum(widths) + 1), dtype=complex)
     for blk in blocks:
         g = stack[:, :blk.stop - blk.start]
         _mode_rows(points[blk], angles, a_max, deg, planes[:, :g.shape[1]], g)
@@ -187,7 +204,8 @@ def _band_factor(points: np.ndarray, grid: SpectralGrid,
         for s, t in zip(src, maps):
             np.matmul(g[s], t, out=factor[blk, at:at + t.shape[1]])
             at += t.shape[1]
-        np.conj(factor[blk, first_neg:], out=factor[blk, first_neg:])
+        np.conj(factor[blk, first_neg:-1], out=factor[blk, first_neg:-1])
+        factor[blk, -1] = values[blk]
     return factor, dirs
 
 
@@ -206,21 +224,21 @@ def _reflectors(panel: np.ndarray) -> np.ndarray:
     return panel
 
 
-def _factor_qr(c: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def _factor_qr(c: np.ndarray) -> None:
     """Householder QR of c in place, one panel of _PANEL columns at a time.
 
     c keeps R in its upper triangle and the reflectors of each panel below
-    it (LAPACK's layout); returns each panel's first column lo and its T,
-    the compact WY form (Schreiber and Van Loan 1989) of the panel's
-    reflectors: H_lo ... H_hi-1 = I - V T V^H, Q the product over panels.
-    The trailing columns are updated in blocks of rows.
+    it (LAPACK's layout).  The trailing columns are updated with the compact
+    WY form (Schreiber and Van Loan 1989) of the panel's reflectors,
+    H_lo ... H_hi-1 = I - V T V^H, in blocks of rows.
     """
     n, k = c.shape
-    panels = []
     for lo in range(0, min(n, k), _PANEL):
         hi = min(lo + _PANEL, n, k)
         h, tau = np.linalg.qr(c[lo:, lo:hi], mode="raw")
         c[lo:, lo:hi] = h.T
+        if hi == k:
+            break
         v = _reflectors(h.T)
         vh = v.conj().T
         # T^-1 = diag(1 / tau) + the strict upper triangle of V^H V
@@ -228,33 +246,30 @@ def _factor_qr(c: np.ndarray) -> list[tuple[int, np.ndarray]]:
         t = np.linalg.solve(
             np.eye(tau.size) + tau[:, None] * np.triu(vh @ v, 1),
             np.diag(tau))
-        if hi < k:
-            _subtract_product(c[lo:, hi:], v, t.conj().T @ (vh @ c[lo:, hi:]))
-        panels.append((lo, t))
-    return panels
+        _subtract_product(c[lo:, hi:], v, t.conj().T @ (vh @ c[lo:, hi:]))
 
 
-def _apply_q(c: np.ndarray, panels: list, x: np.ndarray) -> None:
-    """x <- Q x in place, Q from _factor_qr(c)."""
-    for lo, t in reversed(panels):
-        v = _reflectors(c[lo:, lo:lo + t.shape[0]].copy())
-        _subtract_product(x[lo:], v, t @ (v.conj().T @ x[lo:]))
-
-
-def build_frame(lat: Lattice, m: Multiplier | None = None, *,
-                grid: SpectralGrid, cut: float = _PINV_CUT) -> FrameSystem:
-    """Singular spectrum and dual map of the (multiplier-filtered) frame.
+def build_frame(s: SampleSet, *, grid: SpectralGrid,
+                cut: float = _PINV_CUT) -> FrameSystem:
+    """Minimal-norm band-limited interpolant of the samples, and the
+    singular spectrum of their (multiplier-filtered) frame.
 
     The frame operator is F = R diag(sqrt(lambda_measure |m|^2 / n_b)) on
     the band rows R[j, (lam, b)] = e_j(lam, b) of grid's band panel
-    [0, omega]; its Gram F F^H is the integral over [0, omega] x boundary
-    of |m|^2 e_j conj(e_k) density dlam db.  The per-mode factor C
+    [0, omega], m the samples' multiplier (one for point samples); its
+    Gram F F^H is the integral over [0, omega] x boundary of
+    |m|^2 e_j conj(e_k) density dlam db.  The per-mode factor C
     (_band_factor, built from real Chebyshev rows in the horocycle
-    distance) has the singular values sigma of F: a Householder QR of C
-    in place (_factor_qr), then an SVD of its small triangle,
-    R = U_R Sigma W^H.  The eigenvalues of the Gram are sigma^2, B is the
-    largest, and the retained span is sigma^2 > cut B.  Only the retained
-    left singular vectors Q U_R[:, :rank] are formed.
+    distance) has the singular values sigma of F.  A Householder QR of
+    [C | s] in place (_factor_qr) leaves the triangle R of C and Q^H s;
+    one least-squares solve on R, with singular values below sqrt(cut)
+    times the largest dropped, gives sigma and the minimal-norm
+    coefficients on C's columns.  The eigenvalues of the Gram are sigma^2,
+    B is the largest, and the retained span is sigma^2 > cut B.  Each
+    mode's directions V_m take the coefficients to (mode, lam), and
+    conj(m) / scale to band coefficients.  For samples taken noiselessly
+    from the retained span the interpolation is exact; general data is fit
+    in the least-squares sense.
 
     cut fixes the relative eigenvalue threshold below which directions are
     treated as numerically unreachable.  The default keeps the sample span
@@ -267,63 +282,34 @@ def build_frame(lat: Lattice, m: Multiplier | None = None, *,
     """
     if grid.n_band == 0:
         raise ValueError("grid has no band panel")
-    if len(lat) == 0:
+    if len(s) == 0:
         raise ValueError("empty lattice")
     sl = grid.band_slice
+    m = s.multiplier
     mv = np.ones(grid.n_band) if m is None else m.band_values(grid)
     scale = np.sqrt(grid.lambda_measure[sl] * np.abs(mv) ** 2 / grid.n_b)
-    factor, dirs = _band_factor(lat.points, grid, scale)
-    panels = _factor_qr(factor)
-    p = min(factor.shape)
-    u, sv, wh = np.linalg.svd(np.triu(factor[:p]), full_matrices=False)
-    ev = sv ** 2
-    b_top = float(ev[0])
-    rank = int(np.count_nonzero(ev > cut * b_top))
+    factor, dirs = _band_factor(s.lattice.points, grid, scale, s.values)
+    _factor_qr(factor)
+    k = factor.shape[1] - 1
+    p = min(len(s), k)
+    cols, _, rank, sv = np.linalg.lstsq(np.triu(factor[:p, :k]),
+                                        factor[:p, k], rcond=math.sqrt(cut))
     if rank == 0:
         raise NotAFrame("no singular value above the pseudo-inverse threshold")
-    a_low = float(ev[rank - 1])
-    left = np.zeros((len(lat), rank), dtype=complex)
-    left[:p] = u[:, :rank]
-    _apply_q(factor, panels, left)
-    # the Gram has len(lat) - sv.size further eigenvalues at zero
-    raw_min = float(ev[-1]) if sv.size == len(lat) else 0.0
-    # W sigma^-1 takes the retained directions to the factor's columns,
-    # each mode's V_m takes its columns to (mode, lam); multiplying by
-    # conj(m) / scale leaves band coefficients
-    return FrameSystem(lat, grid, m, left, dirs,
-                       wh[:rank].conj().T / sv[:rank], np.conj(mv) / scale,
-                       (a_low, b_top), raw_min)
-
-
-def _check_compatible(frame: FrameSystem, s: SampleSet) -> None:
-    if s.lattice.points.shape != frame.lattice.points.shape or \
-            not np.array_equal(s.lattice.points, frame.lattice.points):
-        raise ValueError("sample set and frame use different lattices")
-    f_lab = frame.multiplier.label if frame.multiplier else ""
-    if s.multiplier is None and frame.multiplier is not None:
-        raise ValueError("point samples fed to a deconvolution frame")
-    if s.multiplier is not None and s.multiplier.label != f_lab:
-        raise ValueError(f"sample multiplier {s.multiplier.label!r} does not "
-                         f"match frame {f_lab!r}")
-
-
-def reconstruct(frame: FrameSystem, s: SampleSet) -> BandlimitedFunction:
-    """Minimal-norm band-limited interpolant of the samples.
-
-    The truncated pseudo-inverse of F: the samples' components on the
-    retained left singular vectors, taken by the dual to the factor's
-    columns, by each mode's directions to its band coefficients and scaled
-    by the weights, then one DFT from the modes back to the boundary angles.
-    For samples taken noiselessly from the retained span the interpolation
-    is exact; general data is fit in the least-squares sense.
-    """
-    _check_compatible(frame, s)
-    grid = frame.grid
-    cols = frame.dual @ (frame.left.conj().T @ s.values)
-    at = np.cumsum([v.shape[1] for v in frame.directions])[:-1]
-    modes = np.stack([v @ c for v, c in zip(frame.directions,
-                                            np.split(cols, at))])
-    modes *= frame.weights
+    at = np.cumsum([v.shape[1] for v in dirs])[:-1]
+    modes = np.stack([v @ c for v, c in zip(dirs, np.split(cols, at))])
+    modes *= np.conj(mv) / scale
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    values[grid.band_slice] = np.fft.fft(modes, axis=0, norm="ortho").T
-    return BandlimitedFunction(SpectralCoeffs(grid, values))
+    values[sl] = np.fft.fft(modes, axis=0, norm="ortho").T
+    frame = FrameSystem(BandlimitedFunction(SpectralCoeffs(grid, values)),
+                        sv ** 2, cut, len(s))
+    if frame.rank != rank:
+        raise NumericalFailure(f"the solve kept {rank} singular values, the "
+                               f"cut {cut:g} keeps {frame.rank}")
+    return frame
+
+
+def reconstruct(s: SampleSet, *, grid: SpectralGrid,
+                cut: float = _PINV_CUT) -> BandlimitedFunction:
+    """Minimal-norm band-limited interpolant of the samples (build_frame)."""
+    return build_frame(s, grid=grid, cut=cut).function

@@ -18,7 +18,7 @@ import numpy as np
 from .bandlimited import BandlimitedFunction, synthesize
 from .geometry import RHO, circle_points
 from .lattice import build_lattice
-from .sampling import _PINV_CUT, build_frame, convolution_samples, reconstruct
+from .sampling import _PINV_CUT, build_frame, convolution_samples
 from .spectral import Multiplier, SpectralGrid, spherical_function
 from .splines import check_kernel_size, spline_reconstruct_deconvolve
 from .transforms import PolarGrid
@@ -128,9 +128,8 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
     for spec in specs:
         m = average_multiplier(spec)
         s = convolution_samples(f, lat, m)
-        frame = build_frame(lat, m, grid=grid, cut=cut)
-        rec = reconstruct(frame, s)
-        frame_error = pgrid.norm(rec.on_grid(pgrid) - fv) / den
+        frame = build_frame(s, grid=grid, cut=cut)
+        frame_error = pgrid.norm(frame.function.on_grid(pgrid) - fv) / den
         spl = spline_reconstruct_deconvolve(lat, k_schedule, s, grid=grid)
         spline_errors = [
             pgrid.norm(g.on_grid(pgrid) - fv) / den for g in spl["functions"]

@@ -406,7 +406,8 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     Escalation stops at the first order whose kernel matrix exceeds
     condition _COND_LIMIT = 1e12 or whose build_splines raises
     SingularKernel (no positive definiteness, or a Lagrangian defect above
-    _CERT_TOL = 1e-8); the result records where.
+    _CERT_TOL = 1e-8) or TailTooLarge (a kernel whose spectral tail needs a
+    cutoff past _LAM_CAP); the result records where.
     """
     m = s.multiplier
     if m is not None:
@@ -417,7 +418,7 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     for k in k_schedule:
         try:
             sys = build_splines(lat, k, m, space=space)
-        except SingularKernel:
+        except (SingularKernel, TailTooLarge):
             aborted_at = k
             break
         if sys.condition > _COND_LIMIT:

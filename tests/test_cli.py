@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import subprocess
 import sys
@@ -438,6 +439,36 @@ def test_inadmissible_tau_is_informative_not_fatal(tmp_path, outroot):
     manifest = (outroot / "theorem73" / "manifest.txt").read_text()
     assert "info.admissible_all = false" in manifest
     assert "failures = 0" in manifest
+
+
+@pytest.mark.parametrize("overrides, taus, code", [
+    # averages of -Delta f: the tau = 0 row's order-2 kernel has a tail
+    # past the cutoff cap; the run's exit 1 is the frame-error invariant of
+    # that admissible row, which the frame route misses at n = 1 (2.6e-2)
+    (["n=1", "r=0.4"], ["0.0", "0.1", "0.3"], 1),
+    # inadmissible tau, so no frame-error invariant applies
+    (["n=2", "r=0.4", "tau_values=0.6"], ["0.6"], 0),
+], ids=["n1_admissible", "n2_inadmissible"])
+def test_theorem73_spline_tail_too_large_ends_the_schedule(outroot, capsys,
+                                                          overrides, taus,
+                                                          code):
+    # TailTooLarge from the spline half stops its schedule at k = 2, as
+    # SingularKernel does, and every frame row is still written
+    args = [a for kv in overrides for a in ("--override", kv)]
+    assert main(["run", str(ROOT / "configs" / "theorem73.ini"),
+                 *args]) == code
+    err = capsys.readouterr().err
+    assert "TailTooLarge" not in err
+    assert ("theorem73.frame_error: tau 0.0" in err) == bool(code)
+    lines = (outroot / "theorem73" / "results.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert [row["tau"] for row in rows] == taus
+    assert rows[0]["spline_aborted_at"] == "2"
+    for row in rows:
+        assert int(row["rank"]) > 0
+        assert 0.0 < float(row["frame_lower"]) <= float(row["frame_upper"])
+        assert math.isfinite(float(row["frame_error"]))
 
 
 @pytest.mark.parametrize("override", [{"n_theta": "64"}, {"lam_max": "12"}])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
-from hypersample.errors import MultiplierVanishes
+from hypersample.errors import MultiplierVanishes, NumericalFailure
 from hypersample.geometry import RHO, busemann, distance, mobius_translate
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
@@ -41,15 +41,15 @@ def lattices():
 
 
 @pytest.fixture(scope="module")
-def frames(lattices, grid):
-    return {r: build_frame(lattices[r], grid=grid)
+def frames(lattices, grid, f):
+    return {r: build_frame(point_samples(f, lattices[r]), grid=grid)
             for r in (0.4, 0.2, 0.1)}
 
 
 @pytest.fixture(scope="module")
-def frame8(lattices, grid):
+def frame8(lattices, grid, f):
     # raised cut: trades span for a projection that is stable to 1e-10
-    return build_frame(lattices[0.2], grid=grid, cut=1e-8)
+    return build_frame(point_samples(f, lattices[0.2]), grid=grid, cut=1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +137,22 @@ def _weights(grid, m=None):
     return grid.lambda_measure[sl] / grid.n_b * np.abs(mv) ** 2
 
 
+def _factor(lat, grid, m=None):
+    # the per-mode factor C that build_frame decomposes, less the samples
+    # column it appends
+    c, _ = _band_factor(lat.points, grid, np.sqrt(_weights(grid, m)),
+                        np.zeros(len(lat)))
+    return c[:, :-1]
+
+
 def _factor_gram(lat, grid, m=None):
-    # C C^H of the per-mode factor that build_frame decomposes
-    c, _ = _band_factor(lat.points, grid, np.sqrt(_weights(grid, m)))
+    c = _factor(lat, grid, m)
     return c @ c.conj().T
+
+
+def _zeros(lat, m=None):
+    # samples that leave only the frame's spectrum to look at
+    return SampleSet(lat, np.zeros(len(lat)), m)
 
 
 def _kernel_rows(points, lam, angles):
@@ -228,7 +240,7 @@ def test_results_carry_their_grids_omega(space):
     grid = build_grid(space, lam_max=6.0, n_lambda=48, n_b=32, omega=1.5)
     lat = build_lattice(0.8, 1.0, seed=0)
     f = synthesize(grid, seed=0)
-    rec = reconstruct(build_frame(lat, grid=grid), point_samples(f, lat))
+    rec = reconstruct(point_samples(f, lat), grid=grid)
     interp = SplineInterpolant(build_splines(lat, 2, space=space),
                                np.ones(len(lat)))
     proj = spline_band_projection(interp, grid)
@@ -237,20 +249,24 @@ def test_results_carry_their_grids_omega(space):
 
 def test_single_point_frame(grid):
     lat = Lattice(np.array([0j]), 0.2, 1, 0.2, 0)
-    frame = build_frame(lat, grid=grid)
-    assert frame.left.shape == (1, 1)
+    frame = build_frame(SampleSet(lat, [1.0]), grid=grid)
+    assert frame.spectrum.shape == (1,)
+    assert frame.rank == 1
     a, b = frame.frame_bounds
     assert a == b > 0
-    # phi_lam(0) = 1, so the one Gram entry is the band mass
+    # phi_lam(0) = 1, so the one Gram entry is the band mass, the squared
+    # norm of the one plane-wave row
     band_mass = grid.lambda_measure[grid.band_slice].sum()
     assert b == pytest.approx(band_mass, rel=1e-12)
+    psi = _plane_wave_rows(lat, grid)
+    assert b == pytest.approx(np.vdot(psi, psi).real, rel=1e-12)
     assert frame.raw_min == b
 
 
 def test_frame_of_roundoff_scale_lattice(grid):
     # two points 3e-16 apart: every Gram entry is the band mass, rank one
     lat = Lattice(np.array([0.1 + 0j, 0.1 + 3e-16]), 0.2, 1, 0.2, 0)
-    frame = build_frame(lat, grid=grid)
+    frame = build_frame(_zeros(lat), grid=grid)
     band_mass = grid.lambda_measure[grid.band_slice].sum()
     assert np.allclose(_factor_gram(lat, grid), band_mass, rtol=1e-12,
                        atol=0.0)
@@ -258,25 +274,31 @@ def test_frame_of_roundoff_scale_lattice(grid):
     assert frame.frame_bounds[1] == pytest.approx(2 * band_mass, rel=1e-12)
 
 
-def test_gram_hermitian_psd(frames):
-    # the Gram is C C^H: its eigenvalues are squared singular values, so
-    # the raw minimum is nonnegative and below the retained span's bounds
-    for frame in frames.values():
-        left = frame.left
-        assert np.max(np.abs(left.conj().T @ left - np.eye(frame.rank))) \
-            <= 1e-12
+def test_gram_hermitian_psd(frames, lattices, grid):
+    # the Gram is psi psi^H: its eigenvalues are squared singular values, so
+    # they are nonnegative, the spectrum holds the leading ones and the raw
+    # minimum is below the retained span's bounds
+    for r, frame in frames.items():
+        psi = _plane_wave_rows(lattices[r], grid)
+        # psi psi^H and psi^H psi share their nonzero eigenvalues
+        small = psi @ psi.conj().T if psi.shape[0] <= psi.shape[1] \
+            else psi.conj().T @ psi
+        ev = np.linalg.eigvalsh(small)[::-1]
         a, b = frame.frame_bounds
+        assert ev[-1] >= -1e-12 * b
+        assert np.max(np.abs(frame.spectrum - ev[:frame.spectrum.size])) \
+            <= 1e-12 * b
         assert 0.0 <= frame.raw_min <= 1e-12 * b < a <= b
 
 
-def test_gram_matches_zonal_kernel(frames, grid):
+def test_gram_matches_zonal_kernel(lattices, grid):
     # the factor's Gram depends on d(x_j, x_k) only, through the Legendre
     # average sum_i w_i P_{-1/2 + i lam_i}(cosh d)
-    frame = frames[0.4]
-    gram = _factor_gram(frame.lattice, grid)
+    lat = lattices[0.4]
+    gram = _factor_gram(lat, grid)
     lam = grid.lambda_nodes[grid.band_slice]
     w = grid.lambda_measure[grid.band_slice]
-    pts = frame.lattice.points[:6]
+    pts = lat.points[:6]
     top = abs(gram[0, 0])
     for j in range(6):
         for k in range(j + 1):
@@ -295,7 +317,7 @@ def test_zonal_gram_matches_plane_wave_gram(grid, lattices, r, tau):
     # its Gram is the plane-wave Gram psi psi^H
     lat = lattices[r]
     m = None if tau is None else average_multiplier(AverageSpec(tau=tau))
-    frame = build_frame(lat, m, grid=grid)
+    frame = build_frame(_zeros(lat, m), grid=grid)
     psi = _plane_wave_rows(lat, grid, m)
     ref = psi @ psi.conj().T
     ev = np.linalg.eigvalsh(ref)
@@ -306,38 +328,40 @@ def test_zonal_gram_matches_plane_wave_gram(grid, lattices, r, tau):
 
 
 @pytest.mark.parametrize("r", [0.4, 0.2, 0.1])
-def test_retained_vectors_match_dense_svd(frames, lattices, grid, r):
-    # the factor's QR, the SVD of its triangle and Q applied to the rank
-    # columns only, against one dense SVD of the assembled factor: N < K,
-    # N about 1.7 K and N >> K
-    frame = frames[r]
-    c, _ = _band_factor(lattices[r].points, grid, np.sqrt(_weights(grid)))
-    u, sv, _ = np.linalg.svd(c, full_matrices=False)
+def test_retained_vectors_match_dense_svd(frames, lattices, grid, f, r):
+    # the QR of the factor with the samples appended and one truncated
+    # solve on its triangle, against one dense SVD of the assembled factor:
+    # N < K, N about 1.7 K and N >> K
+    frame, lat = frames[r], lattices[r]
+    u, sv, _ = np.linalg.svd(_factor(lat, grid), full_matrices=False)
     rank = frame.rank
     assert rank == np.count_nonzero(sv ** 2 > 1e-12 * frame.frame_bounds[1])
-    # the dual is W sigma^-1 with orthonormal W: its column norms are 1/sigma
-    sig = 1.0 / np.linalg.norm(frame.dual, axis=0)
+    sig = np.sqrt(frame.spectrum[:rank])
     assert np.max(np.abs(sig - sv[:rank])) <= 1e-12 * sv[0]
     # each SVD errs by eps sigma_max, so small sigma agree less closely
     assert np.max(np.abs(sig / sv[:rank] - 1.0)) <= 1e-10
     assert frame.frame_bounds == pytest.approx(
         (sv[rank - 1] ** 2, sv[0] ** 2), rel=1e-10)
+    # the interpolant resampled on the plane-wave rows is the samples'
+    # projection on the retained left singular vectors
+    s = point_samples(f, lat).values
+    y = frame.function.coeffs.values[grid.band_slice] \
+        * np.sqrt(_weights(grid))[:, None]
     ref = u[:, :rank]
-    for rows in np.array_split(np.arange(len(frame.lattice)), 8):
-        proj = frame.left[rows] @ frame.left.conj().T
-        assert np.max(np.abs(proj - ref[rows] @ ref.conj().T)) <= 1e-10
+    proj = _plane_wave_rows(lat, grid) @ y.ravel()
+    assert np.max(np.abs(proj - ref @ (ref.conj().T @ s))) \
+        <= 1e-10 * np.max(np.abs(s))
 
 
-def _moved_spectrum_gap(frame, grid, moved_points):
-    """Rank of the frame of frame's lattice with its points moved to
-    moved_points, and the largest |difference| over the squared singular
-    values above 1e-10 B, relative to the upper frame bound B."""
-    lat = frame.lattice
-    moved = build_frame(Lattice(moved_points, lat.r, lat.n_mult,
-                                lat.domain_radius, lat.seed), grid=grid)
+def _moved_spectrum_gap(frame, lat, grid, moved_points):
+    """Rank of the frame of lat with its points moved to moved_points, and
+    the largest |difference| from frame's over the squared singular values
+    above 1e-10 B, relative to the upper frame bound B."""
+    moved = build_frame(_zeros(Lattice(moved_points, lat.r, lat.n_mult,
+                                       lat.domain_radius, lat.seed)),
+                        grid=grid)
     b_top = frame.frame_bounds[1]
-    ev, ev_moved = (1.0 / np.linalg.norm(f.dual, axis=0) ** 2
-                    for f in (frame, moved))
+    ev, ev_moved = frame.spectrum, moved.spectrum
     n_top = int(np.count_nonzero(ev > 1e-10 * b_top))
     return moved.rank, float(np.max(np.abs(ev_moved[:n_top] - ev[:n_top]))
                              / b_top)
@@ -346,14 +370,15 @@ def _moved_spectrum_gap(frame, grid, moved_points):
 @pytest.mark.parametrize("r", [0.4, 0.2])
 @settings(max_examples=8, deadline=None)
 @given(angle=st.floats(0.0, 2.0 * math.pi))
-def test_frame_spectrum_is_rotation_invariant(frames, grid, r, angle):
+def test_frame_spectrum_is_rotation_invariant(frames, lattices, grid, r,
+                                              angle):
     # a rotation is an isometry of the disk, so the rotated lattice has the
     # same frame spectrum; at radius 1.4 and omega = 2 the 64 boundary
     # angles resolve the boundary sum, and the spectra agree to roundoff
     # whether or not the rotation maps the angles onto each other
-    frame = frames[r]
-    rank, gap = _moved_spectrum_gap(
-        frame, grid, frame.lattice.points * np.exp(1j * angle))
+    frame, lat = frames[r], lattices[r]
+    rank, gap = _moved_spectrum_gap(frame, lat, grid,
+                                    lat.points * np.exp(1j * angle))
     assert rank == frame.rank
     assert gap <= 1e-12
 
@@ -362,62 +387,68 @@ def test_frame_spectrum_is_rotation_invariant(frames, grid, r, angle):
 def frame256(space, lattices):
     grid256 = build_grid(space, lam_max=8.0, n_lambda=96, n_b=256,
                          omega=OMEGA)
-    return build_frame(lattices[0.4], grid=grid256), grid256
+    return build_frame(_zeros(lattices[0.4]), grid=grid256), grid256
 
 
 @settings(max_examples=8, deadline=None)
 @given(shift=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
-def test_frame_spectrum_is_mobius_invariant(frame256, shift, angle):
+def test_frame_spectrum_is_mobius_invariant(frame256, lattices, shift,
+                                            angle):
     # a Mobius translation is an isometry of the disk, so the moved lattice
     # has the same frame spectrum; the farthest point moves out to radius
     # 2.4, where 256 boundary angles still resolve the boundary sum
     frame, grid256 = frame256
+    lat = lattices[0.4]
     a = math.tanh(shift / 2.0) * cmath.exp(1j * angle)
-    rank, gap = _moved_spectrum_gap(frame, grid256,
-                                    mobius_translate(a, frame.lattice.points))
+    rank, gap = _moved_spectrum_gap(frame, lat, grid256,
+                                    mobius_translate(a, lat.points))
     assert rank == frame.rank
     assert gap <= 1e-12
 
 
-def test_mobius_moved_spectrum_drifts_at_64_angles(frames, grid):
+def test_mobius_moved_spectrum_drifts_at_64_angles(frames, lattices, grid):
     # the frame's 64 boundary angles under-resolve the boundary sum once a
     # lattice point moves out to radius 2: the spectra drift apart by about
     # 1e-9 B.  A boundary quadrature whose angle count follows the domain
     # radius and band edge (ROADMAP open item 1) brings this under 1e-12 B
-    frame = frames[0.4]
-    _, gap = _moved_spectrum_gap(
-        frame, grid, mobius_translate(math.tanh(0.3), frame.lattice.points))
+    lat = lattices[0.4]
+    _, gap = _moved_spectrum_gap(frames[0.4], lat, grid,
+                                 mobius_translate(math.tanh(0.3), lat.points))
     assert gap > 1e-12
 
 
-def test_build_frame_memory(grid, lattices):
-    # no transient follows N beyond the factor (N x K) and the left vectors
-    # (N x rank): the mode rows and the factor's QR go one block at a time.
-    # The frame keeps the synthesis factored, not as n_b x n_band x rank
-    lat = lattices[0.1]
+def test_build_frame_memory(grid, lattices, f):
+    # no transient follows N beyond the factor with the samples appended
+    # (N x (K + 1)): the mode rows and the factor's QR go one block at a
+    # time.  The frame holds no array that grows with N: the interpolant's
+    # coefficients and the min(N, K) eigenvalues
+    s = point_samples(f, lattices[0.1])
     tracemalloc.start()
     try:
-        frame = build_frame(lat, grid=grid)
+        frame = build_frame(s, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 0
-    for value in vars(frame).values():
-        for a in value if isinstance(value, list) else [value]:
-            held += a.nbytes if isinstance(a, np.ndarray) else 0
-    assert peak <= 20 * 2 ** 20
-    assert held <= 4 * 2 ** 20
+    held = frame.spectrum.nbytes + frame.function.coeffs.values.nbytes
+    assert peak <= 14 * 2 ** 20
+    assert held <= 2 ** 19
 
 
-def test_frame_inequality_on_retained_span(frame8, grid):
+def _retained_left(psi, rank):
+    # the leading rank left singular vectors of the plane-wave rows
+    return np.linalg.svd(psi, full_matrices=False)[0][:, :rank]
+
+
+def test_frame_inequality_on_retained_span(frame8, lattices, grid):
     # A |beta|^2 <= |psi^H beta|^2 <= B |beta|^2 on the retained left
     # singular vectors, measured on the plane-wave rows themselves
     rng = np.random.default_rng(2)
-    n = len(frame8.lattice)
-    basis = frame8.left
+    lat = lattices[0.2]
+    n = len(lat)
+    psi = _plane_wave_rows(lat, grid)
+    basis = _retained_left(psi, frame8.rank)
     beta = basis @ (basis.conj().T @ (rng.standard_normal(n)
                                       + 1j * rng.standard_normal(n)))
-    psi = _plane_wave_rows(frame8.lattice, grid)
     quad = float(np.linalg.norm(psi.conj().T @ beta) ** 2)
     nsq = float(np.real(beta.conj() @ beta))
     a, b = frame8.frame_bounds
@@ -435,10 +466,25 @@ def test_frame_bounds_tighten_as_lattice_refines(frames):
 def test_build_frame_input_validation(space, grid, lattices):
     no_band = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64)
     with pytest.raises(ValueError, match="band panel"):
-        build_frame(lattices[0.4], grid=no_band)
+        build_frame(_zeros(lattices[0.4]), grid=no_band)
     with pytest.raises(ValueError, match="empty"):
-        build_frame(Lattice(np.array([], dtype=complex), 0.2, 1, 1.0, 0),
-                    grid=grid)
+        build_frame(_zeros(Lattice(np.array([], dtype=complex), 0.2, 1, 1.0,
+                                   0)), grid=grid)
+
+
+def test_solve_rank_must_match_the_cut(grid, lattices, monkeypatch):
+    # the solve's count of sigma > sqrt(cut) sigma_max and the spectrum's
+    # count of sigma^2 > cut B must agree, or the rank reported is not the
+    # rank the interpolant was solved at
+    lstsq = np.linalg.lstsq
+
+    def one_short(a, b, rcond):
+        x, residuals, rank, sv = lstsq(a, b, rcond=rcond)
+        return x, residuals, rank - 1, sv
+
+    monkeypatch.setattr(np.linalg, "lstsq", one_short)
+    with pytest.raises(NumericalFailure, match="kept"):
+        build_frame(_zeros(lattices[0.4]), grid=grid)
 
 
 def test_vanishing_multiplier_rejected(grid, lattices):
@@ -446,49 +492,45 @@ def test_vanishing_multiplier_rejected(grid, lattices):
     dead = Multiplier(fn=lambda lam: np.where(lam < 1.0, 0.0, 1.0),
                       label="gate")
     with pytest.raises(MultiplierVanishes):
-        build_frame(lattices[0.4], dead, grid=grid)
+        build_frame(_zeros(lattices[0.4], dead), grid=grid)
 
 
-def test_reconstruct_zero_samples(frames, lattices):
-    lat = lattices[0.2]
-    rec = reconstruct(frames[0.2], SampleSet(lat, np.zeros(len(lat))))
+def test_reconstruct_zero_samples(grid, lattices):
+    rec = reconstruct(_zeros(lattices[0.2]), grid=grid)
     assert rec.coeffs.norm() == 0.0
 
 
-def test_closed_loop_point_reconstruction(frames, f, lattices, pgrid):
-    rec = reconstruct(frames[0.2], point_samples(f, lattices[0.2]))
+def test_closed_loop_point_reconstruction(frames, f, pgrid):
+    rec = frames[0.2].function
     fv = f.evaluate(pgrid.points)
     err = pgrid.norm(rec.evaluate(pgrid.points) - fv) / pgrid.norm(fv)
     assert err < 5e-6
 
 
-def test_reconstruction_error_decreases_with_r(frames, f, lattices, pgrid):
+def test_reconstruction_error_decreases_with_r(frames, f, pgrid):
     fv = f.evaluate(pgrid.points)
     den = pgrid.norm(fv)
     errs = []
     for r in (0.4, 0.2, 0.1):
-        rec = reconstruct(frames[r], point_samples(f, lattices[r]))
+        rec = frames[r].function
         errs.append(pgrid.norm(rec.evaluate(pgrid.points) - fv) / den)
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_deconvolution_equals_point_route_for_identity(f, grid, lattices):
     lat = lattices[0.2]
-    frame_pt = build_frame(lat, grid=grid)
-    frame_id = build_frame(lat, identity_multiplier(), grid=grid)
-    rec_pt = reconstruct(frame_pt, point_samples(f, lat))
-    rec_id = reconstruct(frame_id, convolution_samples(f, lat,
-                                                       identity_multiplier()))
+    rec_pt = reconstruct(point_samples(f, lat), grid=grid)
+    rec_id = reconstruct(convolution_samples(f, lat, identity_multiplier()),
+                         grid=grid)
     assert _rel_coeff_err(rec_id, rec_pt, grid) <= 1e-12
 
 
 def test_reconstruction_is_a_projection(frame8, f, lattices):
     # idempotence needs the raised cut; at 1e-12 the re-solve amplifies
     # quadrature rounding in the resampled values to the 1e-7 scale
-    lat = lattices[0.2]
-    f0 = reconstruct(frame8, point_samples(f, lat))
-    f1 = reconstruct(frame8, point_samples(f0, lat))
-    assert _rel_coeff_err(f1, f0, frame8.grid) <= 1e-10
+    f0 = frame8.function
+    f1 = reconstruct(point_samples(f0, lattices[0.2]), grid=f0.grid, cut=1e-8)
+    assert _rel_coeff_err(f1, f0, f0.grid) <= 1e-10
 
 
 def test_deconvolution_closed_loop(f, grid, lattices):
@@ -496,64 +538,82 @@ def test_deconvolution_closed_loop(f, grid, lattices):
     # synthesized f itself is limited by the reweighted retained span
     lat = lattices[0.2]
     m = laplacian_multiplier()
-    frame = build_frame(lat, m, grid=grid)
-    f0 = reconstruct(frame, convolution_samples(f, lat, m))
-    f1 = reconstruct(frame, convolution_samples(f0, lat, m))
+    f0 = reconstruct(convolution_samples(f, lat, m), grid=grid)
+    f1 = reconstruct(convolution_samples(f0, lat, m), grid=grid)
     assert _rel_coeff_err(f1, f0, grid) < 1e-5
 
 
-def test_reconstruct_matches_dense_lstsq(frames, f, grid, lattices):
+def _dense_lstsq(s, grid, m=None):
     # the minimal-norm solution of psi y = samples with singular values cut
-    # at sqrt(cut) of the largest, then divided by the weights
-    lat = lattices[0.4]
-    s = point_samples(f, lat)
-    psi = _plane_wave_rows(lat, grid)
+    # at sqrt(cut) of the largest, taken to band coefficients by
+    # conj(m) / sqrt(weights), the weights carrying |m|^2
+    psi = _plane_wave_rows(s.lattice, grid, m)
     y = np.linalg.lstsq(psi, s.values, rcond=math.sqrt(1e-12))[0]
+    mv = np.ones(grid.n_band) if m is None \
+        else m.values_on(grid)[grid.band_slice]
+    to_coeffs = np.conj(mv) / np.sqrt(_weights(grid, m))
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[grid.band_slice] = (y.reshape(grid.n_band, grid.n_b)
-                               / np.sqrt(_weights(grid))[:, None])
-    ref = BandlimitedFunction(SpectralCoeffs(grid, values))
-    assert _rel_coeff_err(reconstruct(frames[0.4], s), ref, grid) <= 1e-6
+                               * to_coeffs[:, None])
+    return BandlimitedFunction(SpectralCoeffs(grid, values))
 
 
-def test_sample_frame_compatibility(f, grid, lattices, frames):
+@pytest.mark.parametrize("shape", ["n_below_k", "n_above_k", "one_point"])
+def test_reconstruct_matches_dense_lstsq(f, grid, lattices, shape):
+    # the QR of [C | s] leaves R trapezoidal (N < K), square over a tall Q
+    # (N > K) or a single row (N = 1)
+    lat = {"n_below_k": lattices[0.4], "n_above_k": lattices[0.1],
+           "one_point": Lattice(np.array([0.3 + 0.1j]), 0.2, 1, 0.5, 0)}[shape]
+    n, k = len(lat), _factor(lat, grid).shape[1]
+    assert {"n_below_k": 1 < n < k, "n_above_k": n > k,
+            "one_point": n == 1}[shape]
+    s = point_samples(f, lat)
+    assert _rel_coeff_err(reconstruct(s, grid=grid), _dense_lstsq(s, grid),
+                          grid) <= 1e-6
+
+
+def test_convolution_samples_filter_their_frame(f, grid, lattices):
+    # the samples' multiplier weights the frame: the Laplacian's |m|^2
+    # reshapes the spectrum, and its sign comes back in the coefficients
+    lat = lattices[0.4]
     m = laplacian_multiplier()
-    frame_m = build_frame(lattices[0.2], m, grid=grid)
-    with pytest.raises(ValueError, match="point samples"):
-        reconstruct(frame_m, point_samples(f, lattices[0.2]))
-    conv = convolution_samples(f, lattices[0.2], identity_multiplier())
-    with pytest.raises(ValueError, match="does not match"):
-        reconstruct(frame_m, conv)
-    with pytest.raises(ValueError, match="different lattices"):
-        reconstruct(frames[0.4], point_samples(f, lattices[0.2]))
+    s = convolution_samples(f, lat, m)
+    frame = build_frame(s, grid=grid)
+    psi = _plane_wave_rows(lat, grid, m)
+    sv = np.linalg.svd(psi, compute_uv=False)
+    assert np.max(np.abs(frame.spectrum - sv ** 2)) \
+        <= 1e-12 * frame.frame_bounds[1]
+    assert _rel_coeff_err(frame.function, _dense_lstsq(s, grid, m),
+                          grid) <= 1e-6
 
 
-def test_stability_zero_noise(frame8, f, lattices):
-    probe = stability_probe(frame8, point_samples(f, lattices[0.2]),
-                            noise_level=0.0, seed=1)
+def test_stability_zero_noise(grid, f, lattices):
+    probe = stability_probe(point_samples(f, lattices[0.2]), noise_level=0.0,
+                            seed=1, grid=grid, cut=1e-8)
     assert np.all(probe["errors"] == 0.0)
     assert np.all(probe["ratios"] == 0.0)
 
 
-def test_stability_linear_and_bounded(frame8, f, lattices):
-    probe = stability_probe(frame8, point_samples(f, lattices[0.2]),
-                            noise_level=1e-4, seed=5)
+def test_stability_linear_and_bounded(grid, f, lattices):
+    probe = stability_probe(point_samples(f, lattices[0.2]),
+                            noise_level=1e-4, seed=5, grid=grid, cut=1e-8)
     ratios = probe["ratios"]
     assert ratios.max() / ratios.min() <= 1.05
     assert ratios.max() <= probe["c_stab"] * (1 + 1e-9)
 
 
-def test_adversarial_noise_realizes_stability_constant(frame8, f, lattices):
-    # noise along the weakest retained left singular vector must amplify
-    # by 1/sqrt(A)
+def test_adversarial_noise_realizes_stability_constant(frame8, f, grid,
+                                                       lattices):
+    # noise along the weakest retained left singular vector of the
+    # plane-wave rows must amplify by 1/sqrt(A)
     lat = lattices[0.2]
     s = point_samples(f, lat)
-    worst = frame8.left[:, -1]
+    worst = _retained_left(_plane_wave_rows(lat, grid), frame8.rank)[:, -1]
     eps = 1e-6
     noisy = SampleSet(lat, s.values + eps * worst)
-    diff = SpectralCoeffs(frame8.grid,
-                          reconstruct(frame8, noisy).coeffs.values
-                          - reconstruct(frame8, s).coeffs.values)
+    diff = SpectralCoeffs(grid,
+                          reconstruct(noisy, grid=grid, cut=1e-8).coeffs.values
+                          - frame8.function.coeffs.values)
     amp = diff.norm() / eps
-    c_stab = stability_probe(frame8, s, 1e-6, seed=0)["c_stab"]
+    c_stab = 1.0 / math.sqrt(frame8.frame_bounds[0])
     assert c_stab / 2 <= amp <= 2 * c_stab

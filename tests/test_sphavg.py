@@ -9,8 +9,8 @@ import pytest
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.geometry import RHO
 from hypersample.lattice import build_lattice
-from hypersample.sampling import (build_frame, convolution_samples,
-                                  point_samples, reconstruct)
+from hypersample.sampling import (convolution_samples, point_samples,
+                                  reconstruct)
 from hypersample.spectral import SpectralCoeffs, apply_multiplier, build_grid
 from hypersample.sphavg import (AverageSpec, average_multiplier,
                                 near_identity_check, spherical_average_direct,
@@ -159,8 +159,7 @@ def test_experiment_point_sampling_reduction(grid, pgrid):
                                  k_schedule=())
     f = synthesize(grid, seed=0)
     lat = build_lattice(0.4, 1.4, seed=0)
-    frame = build_frame(lat, grid=grid)
-    rec = reconstruct(frame, point_samples(f, lat))
+    rec = reconstruct(point_samples(f, lat), grid=grid)
     fv = f.evaluate(pgrid.points)
     err = pgrid.norm(rec.evaluate(pgrid.points) - fv) / pgrid.norm(fv)
     assert rep["frame_error"] == pytest.approx(err, abs=1e-10)
@@ -188,9 +187,8 @@ def test_experiment_derivative_sampling_pipeline(grid):
     f = synthesize(grid, seed=0)
     lat = build_lattice(0.2, 1.4, seed=0)
     m = average_multiplier(spec)
-    frame = build_frame(lat, m, grid=grid)
-    f0 = reconstruct(frame, convolution_samples(f, lat, m))
-    rec = reconstruct(frame, convolution_samples(f0, lat, m))
+    f0 = reconstruct(convolution_samples(f, lat, m), grid=grid)
+    rec = reconstruct(convolution_samples(f0, lat, m), grid=grid)
     pgrid = build_polar_grid(1.4, 160, 96)
     v0 = f0.evaluate(pgrid.points)
     err = pgrid.norm(rec.evaluate(pgrid.points) - v0) / pgrid.norm(v0)
