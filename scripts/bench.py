@@ -314,9 +314,12 @@ def _frame(repeats, r):
     """The frame and the interpolant of the frame test function (seed 0)
     from the lattice of radius r on the 1.4 domain: the whole of it
     (`build_frame_s`), the time inside `sampling._band_factor`
-    (`band_factor_s`: the Chebyshev planes, their DFT over the boundary
-    angles, the per-mode QRs and SVDs and the factor C) and the rest
-    (`spectrum_s`: the frame spectrum and the interpolant from C), with N,
+    (`band_factor_s`: the plane-wave series, the frame directions, the
+    lattice's Chebyshev planes and their DFT over the boundary angles, and
+    the factor C), the time inside `sampling._ball_directions` when the
+    module has it (`directions_s`, part of `band_factor_s`: the ball's mode
+    rows, their QRs and the per-mode SVDs) and the rest (`spectrum_s`: the
+    frame spectrum and the interpolant from C), with N,
     rank, frame bounds, the relative error on the polar grid, the peak RSS
     before and after, the tracemalloc peak of one more frame and
     interpolant (`frame_<r>_traced_mb`, both included) and a digest of the
@@ -345,24 +348,31 @@ def _frame(repeats, r):
 
     rss_before = _rss_mb()
 
-    factor, inside = sampling._band_factor, [0.0]
+    inside = {}
 
-    def band_factor(*args):
-        start = time.perf_counter()
-        try:
-            return factor(*args)
-        finally:
-            inside[0] += time.perf_counter() - start
+    def timed(call, key):
+        def wrapper(*args):
+            start = time.perf_counter()
+            try:
+                return call(*args)
+            finally:
+                inside[key] += time.perf_counter() - start
+        return wrapper
 
-    sampling._band_factor = band_factor
-    out = {k: [] for k in ("band_factor_s", "spectrum_s", "build_frame_s")}
+    keys = {name: key for name, key in (("_band_factor", "band_factor_s"),
+                                        ("_ball_directions", "directions_s"))
+            if hasattr(sampling, name)}
+    for name, key in keys.items():
+        setattr(sampling, name, timed(getattr(sampling, name), key))
+    out = {k: [] for k in (*keys.values(), "spectrum_s", "build_frame_s")}
     for _ in range(repeats):
-        inside[0] = 0.0
+        inside.update(dict.fromkeys(keys.values(), 0.0))
         start = time.perf_counter()
         frame, rec = frame_and_function()
         end = time.perf_counter()
-        out["band_factor_s"].append(inside[0])
-        out["spectrum_s"].append(end - start - inside[0])
+        for key in keys.values():
+            out[key].append(inside[key])
+        out["spectrum_s"].append(end - start - inside["band_factor_s"])
         out["build_frame_s"].append(end - start)
     lower, upper = frame.frame_bounds
     coeffs = rec.coeffs.values

@@ -16,20 +16,20 @@ real planes G[j, (b, k)] = e^(rho A) T_k(A / a_max) (spectral) and a short
 series matrix S (deg x n_band, deg about 20 at omega = 2).  A unitary DFT
 over the n_b boundary angles splits G into angular-mode blocks of N x deg,
 of which only n_b / 2 + 1 are distinct up to conjugation; each block
-F_m = G_m S is compressed by QR and an SVD to its right singular
-directions above roundoff.  The concatenated N x K factor C has
-C C^H = F F^H.  The samples s ride along as one more column: a Householder
-QR of [C | s] gives C = Q R and Q^H s without forming Q (Golub and Van
-Loan, Matrix Computations, section 5.3), and one truncated least-squares
-solve on the triangle R gives both the frame spectrum (R's singular
-values) and the factor's coefficients of the interpolant, which each
-mode's directions take to band coefficients.  No singular vector is kept.
-
-Memory follows N K (the factor).  The mode rows G_m exist for one block of
-points at a time: each mode's QR triangle is accumulated over the blocks
-as in TSQR (Demmel, Grigori, Hoemmen and Langou, SISC 34 (2012)), and the
-factor's rows are written block by block from the mode rows built again.
-The factor's QR runs in place, one panel of columns at a time.
+F_m = G_m S keeps its right singular directions above roundoff over the
+ball B(o, a_max) that holds the points, not over the points themselves
+(_ball_directions).  The paper's upper frame bound is a Plancherel-Polya
+inequality: on a separated set, the sample sums of a band-limited function
+are bounded by its L^2 norm on the domain, so a direction at the ball's
+roundoff floor is at the samples' floor too.  The concatenated N x K
+factor C has C C^H = F F^H; each block of points has its mode rows built
+once, and C's rows are written from them.  The samples s ride along as one
+more column: a Householder QR of [C | s] in place gives C = Q R and Q^H s
+without forming Q (Golub and Van Loan, Matrix Computations, section 5.3),
+and one truncated least-squares solve on the triangle R gives both the
+frame spectrum (R's singular values) and the factor's coefficients of the
+interpolant, which each mode's directions take to band coefficients.  No
+singular vector is kept, and memory follows N K (the factor).
 
 The spectrum of any interesting lattice decays smoothly to machine zero:
 band-limited functions are analytic, so samples on a bounded domain pin
@@ -47,13 +47,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .bandlimited import BandlimitedFunction
 from .errors import NotAFrame, NumericalFailure
 from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       _horocycle_planes, _plane_wave_basis, apply_multiplier)
+                       _horocycle_planes, _radius_bound, apply_multiplier,
+                       plane_wave_series)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -68,6 +70,10 @@ __all__ = [
 _PINV_CUT = 1e-12
 # columns per Householder panel of the factor's QR (LAPACK's usual block)
 _PANEL = 32
+# the ball rule that chooses the frame directions: Gauss-Legendre radii,
+# and angles per boundary-angle step
+_BALL_RADII = 32
+_BALL_OFFSETS = 2
 
 
 @dataclass(eq=False)
@@ -132,79 +138,82 @@ def convolution_samples(f: BandlimitedFunction, lat: Lattice,
 
 
 def _mode_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
-               deg: int, planes: np.ndarray, out: np.ndarray) -> None:
-    """out[m, j, k] = G_m[j, k], m = 0 ... n_b / 2: the unitary DFT over the
+               deg: int) -> np.ndarray:
+    """G[m, j, k] = G_m[j, k], m = 0 ... n_b / 2: the unitary DFT over the
     boundary angles of the planes e^{rho A} T_k(A / a_max) at the points
-    (_horocycle_planes), one real FFT for all of them.  planes, of shape
-    (deg, points.size, angles.size), is a work buffer."""
+    (_horocycle_planes), one real FFT for all of them."""
+    planes = np.empty((deg, points.size, angles.size))
     for blk, k, plane in _horocycle_planes(points, angles, a_max, deg):
         planes[k, blk] = plane
+    out = np.empty((angles.size // 2 + 1, points.size, deg), dtype=complex)
     np.fft.rfft(planes, axis=2, norm="ortho", out=out.transpose(2, 1, 0))
+    return out
 
 
-def _band_factor(points: np.ndarray, grid: SpectralGrid, scale: np.ndarray,
-                 values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Compressed factor of the band rows F = R diag(scale) per angular mode.
+def _ball_directions(grid: SpectralGrid, series: np.ndarray, a_max: float,
+                     n: int) -> list[np.ndarray]:
+    """Right singular directions V_m of G_m S over the ball B(o, a_max),
+    m = 0 ... n_b / 2, kept above max(n, n_band) eps times the largest
+    singular value of all modes (the roundoff floor).
 
-    With the plane waves as Chebyshev series in the horocycle distance
-    (_plane_wave_basis, scale_i e^{i lam_i a} = sum_k S[k, i] T_k), F is
-    G S on the real rows G[j, (b, k)] = e^{rho A} T_k(A / a_max)
-    (the planes of _horocycle_planes).  The unitary DFT over the boundary
-    angles turns F into n_b blocks F_m = G_m S (mode, point, lam),
-    F F^H = sum_m F_m F_m^H; G is real, so G_{-m} = conj(G_m) and only the
-    modes 0 ... n_b / 2 are built.  Each G_m (N x deg) has a QR
-    G_m = Q_m R_m, so F_m = Q_m R_m S, mode -m taking conj(R_m); R_m is
-    accumulated over blocks of points, R_m <- R of [R_m; G_m rows of the
-    block], so the mode rows are only ever held for one block.  An SVD of
-    R_m S gives the mode's right singular directions V_m; those above
-    max(N, n_band) eps times the largest singular value of all modes (the
-    roundoff floor) are kept.
-    Returns [C | values], C = [G_m (S V_m)]_m of shape (N, K) with
-    C C^H = F F^H, its rows written block by block from the mode rows
-    built a second time, and the V_m.
+    The ball Gram int_B G_m^H G_m is a product rule: Gauss-Legendre in the
+    hyperbolic radius with the area weight sinh t, times _BALL_OFFSETS angles
+    in one boundary-angle step, which stand for the whole circle: a rotation
+    by 2 pi / n_b shifts the boundary angles cyclically, a phase on G_m.  The
+    rule is closed under z -> conj(z) and G_m(conj z) = conj(G_m(z)), so the
+    Gram is real: R_m comes from a real QR of [Re G_m; Im G_m], and mode -m,
+    whose block conj(G_m) S has the same Gram, shares mode m's directions.
     """
-    lam = grid.lambda_nodes[grid.band_slice]
+    t, w = leggauss(_BALL_RADII)
+    t = 0.5 * a_max * (t + 1.0)
+    offsets = np.exp(2j * np.pi * np.arange(_BALL_OFFSETS)
+                     / (_BALL_OFFSETS * grid.n_b))
+    rows = _mode_rows(np.outer(np.tanh(t / 2.0), offsets).ravel(),
+                      grid.boundary_angles, a_max, series.shape[0])
+    rows *= np.repeat(np.sqrt(w * np.sinh(t)), _BALL_OFFSETS)[:, None]
+    tri = np.linalg.qr(np.hstack([rows.real, rows.imag]), mode="r")
+    _, sv, vh = np.linalg.svd(tri @ series, full_matrices=False)
+    keep = sv > max(n, series.shape[1]) * np.finfo(float).eps * sv.max()
+    return [v[k].conj().T for v, k in zip(vh, keep)]
+
+
+def _band_factor(lattice: Lattice, grid: SpectralGrid, scale: np.ndarray,
+                 values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """[C | values] and the directions V_m of the n_b modes: the compressed
+    factor C = [G_m (S V_m)]_m, shape (N, K), of the band rows
+    F = R diag(scale), with C C^H = F F^H.
+
+    S is the plane waves' Chebyshev series on |a| <= a_max =
+    max(lattice.domain_radius, max d(o, x_j)) (plane_wave_series,
+    scale_i e^{i lam_i a} = sum_k S[k, i] T_k), G_m the unitary DFT over the
+    boundary angles of the real planes e^{rho A} T_k(A / a_max) (_mode_rows),
+    and F F^H = sum_m G_m S (G_m S)^H; G_{-m} = conj(G_m), so only the modes
+    0 ... n_b / 2 are built.  The V_m are chosen over the ball B(o, a_max),
+    which holds every point (_ball_directions): by the paper's upper frame
+    bound, a direction at the ball's roundoff floor is at the samples' floor
+    too.  Each block of points has its mode rows built once.
+    """
+    points = lattice.points
     n, n_b, angles = points.size, grid.n_b, grid.boundary_angles
-    a_max, series = _plane_wave_basis(points, lam, scale)
+    a_max = max(lattice.domain_radius, _radius_bound(points))
+    series = plane_wave_series(grid.lambda_nodes[grid.band_slice],
+                               np.diag(scale), a_max)
+    half = _ball_directions(grid, series, a_max, n)
+    maps = [series @ v for v in half]
+    src = [min(m, n_b - m) for m in range(n_b)]
+    dirs = [half[s] for s in src]
+    factor = np.empty((n, sum(v.shape[1] for v in dirs) + 1), dtype=complex)
     deg = series.shape[0]
     # a block's mode rows hold about geometry.PAIR_BLOCK entries
-    blocks = row_blocks(n, (n_b // 2 + 1) * deg)
-    rows = max(blk.stop - blk.start for blk in blocks)
-    planes = np.empty((deg, rows, n_b))
-    # stack[m] holds [R_m; G_m rows of one block], then G_m rows alone
-    stack = np.empty((n_b // 2 + 1, deg + rows, deg), dtype=complex)
-    top = 0
-    for blk in blocks:
-        end = top + blk.stop - blk.start
-        _mode_rows(points[blk], angles, a_max, deg, planes[:, :end - top],
-                   stack[:, top:end])
-        tri = np.linalg.qr(stack[:, :end], mode="r")
-        top = tri.shape[1]
-        stack[:, :top] = tri
-    modes = np.arange(n_b)
-    src = np.minimum(modes, n_b - modes)
-    neg = 2 * modes > n_b
-    tri = tri[src]
-    tri[neg] = tri[neg].conj()
-    _, sv, vh = np.linalg.svd(tri @ series, full_matrices=False)
-    keep = sv > max(n, lam.size) * np.finfo(float).eps * sv.max()
-    dirs = [v[k].conj().T for v, k in zip(vh, keep)]
-    # mode -m's columns conj(G_m) S V are the conjugates of G_m conj(S V)
-    maps = [np.conj(series @ v) if ng else series @ v
-            for v, ng in zip(dirs, neg)]
-    widths = [t.shape[1] for t in maps]
-    # the modes -m follow the modes 0 ... n_b / 2 in C, so their columns
-    # are conjugated in one pass per block
-    first_neg = sum(widths[:n_b // 2 + 1])
-    factor = np.empty((n, sum(widths) + 1), dtype=complex)
-    for blk in blocks:
-        g = stack[:, :blk.stop - blk.start]
-        _mode_rows(points[blk], angles, a_max, deg, planes[:, :g.shape[1]], g)
+    for blk in row_blocks(n, (n_b // 2 + 1) * deg):
+        g = _mode_rows(points[blk], angles, a_max, deg)
         at = 0
-        for s, t in zip(src, maps):
-            np.matmul(g[s], t, out=factor[blk, at:at + t.shape[1]])
-            at += t.shape[1]
-        np.conj(factor[blk, first_neg:-1], out=factor[blk, first_neg:-1])
+        for m, s in enumerate(src):
+            width = maps[s].shape[1]
+            # mode -m's rows are conj(G_m)
+            np.matmul(g[s].conj() if 2 * m > n_b else g[s], maps[s],
+                      out=factor[blk, at:at + width])
+            at += width
         factor[blk, -1] = values[blk]
     return factor, dirs
 
@@ -288,7 +297,7 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     m = s.multiplier
     mv = np.ones(grid.n_band) if m is None else m.band_values(grid)
     scale = np.sqrt(grid.lambda_measure[sl] * np.abs(mv) ** 2 / grid.n_b)
-    factor, dirs = _band_factor(s.lattice.points, grid, scale, s.values)
+    factor, dirs = _band_factor(s.lattice, grid, scale, s.values)
     _factor_qr(factor)
     k = factor.shape[1] - 1
     p = min(len(s), k)

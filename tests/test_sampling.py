@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersample import sampling
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.errors import MultiplierVanishes, NumericalFailure
-from hypersample.geometry import RHO, busemann, distance, mobius_translate
+from hypersample.geometry import (RHO, busemann, distance, euclidean_radius,
+                                  mobius_translate, random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, point_samples,
@@ -140,7 +142,7 @@ def _weights(grid, m=None):
 def _factor(lat, grid, m=None):
     # the per-mode factor C that build_frame decomposes, less the samples
     # column it appends
-    c, _ = _band_factor(lat.points, grid, np.sqrt(_weights(grid, m)),
+    c, _ = _band_factor(lat, grid, np.sqrt(_weights(grid, m)),
                         np.zeros(len(lat)))
     return c[:, :-1]
 
@@ -148,6 +150,15 @@ def _factor(lat, grid, m=None):
 def _factor_gram(lat, grid, m=None):
     c = _factor(lat, grid, m)
     return c @ c.conj().T
+
+
+def _gram_gap(lat, grid, m=None):
+    # max |C C^H - psi psi^H| relative to the upper frame bound B, the
+    # largest eigenvalue of psi psi^H
+    psi = _plane_wave_rows(lat, grid, m)
+    ref = psi @ psi.conj().T
+    return np.max(np.abs(_factor_gram(lat, grid, m) - ref)) \
+        / np.linalg.eigvalsh(ref)[-1]
 
 
 def _zeros(lat, m=None):
@@ -419,8 +430,10 @@ def test_mobius_moved_spectrum_drifts_at_64_angles(frames, lattices, grid):
 
 def test_build_frame_memory(grid, lattices, f):
     # no transient follows N beyond the factor with the samples appended
-    # (N x (K + 1)): the mode rows and the factor's QR go one block at a
-    # time.  The frame holds no array that grows with N: the interpolant's
+    # (N x (K + 1), 7.7 MiB at r = 0.1): the mode rows and the factor's QR
+    # go one block at a time, and the directions come from 64 ball points,
+    # so no stack of per-lattice triangles exists (11.0 MiB measured).  The
+    # frame holds no array that grows with N: the interpolant's
     # coefficients and the min(N, K) eigenvalues
     s = point_samples(f, lattices[0.1])
     tracemalloc.start()
@@ -430,8 +443,88 @@ def test_build_frame_memory(grid, lattices, f):
     finally:
         tracemalloc.stop()
     held = frame.spectrum.nbytes + frame.function.coeffs.values.nbytes
-    assert peak <= 14 * 2 ** 20
+    assert peak <= 12 * 2 ** 20
     assert held <= 2 ** 19
+
+
+def _ball_point_set(kind, seed, shift, angle, lattice):
+    # a point set in B(o, DOMAIN), or the r = 0.4 lattice moved past it
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return random_ball_points(DOMAIN, 200, rng)
+    if kind == "ring":
+        return euclidean_radius(1.39) * np.exp(
+            1j * (angle + 2.0 * np.pi * np.arange(150) / 150))
+    if kind == "cluster":
+        return mobius_translate(random_ball_points(DOMAIN - 0.01, 1, rng)[0],
+                                random_ball_points(1e-2, 40, rng))
+    if kind == "single":
+        return random_ball_points(DOMAIN, 1, rng)
+    return mobius_translate(math.tanh(shift / 2.0) * cmath.exp(1j * angle),
+                            lattice.points)
+
+
+@pytest.mark.parametrize("tau", [None, 0.1])
+@pytest.mark.parametrize("kind",
+                         ["uniform", "ring", "cluster", "single", "mobius"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_ball_directions_serve_any_point_set(grid, lattices, kind, tau, seed,
+                                             shift, angle):
+    # the directions come from the ball, not the points: whatever the
+    # points in it, spread, on its rim, clustered, alone or moved past it,
+    # the factor's Gram is the plane-wave Gram
+    m = None if tau is None else average_multiplier(AverageSpec(tau=tau))
+    points = _ball_point_set(kind, seed, shift, angle, lattices[0.4])
+    assert _gram_gap(Lattice(points, 0.4, 1, DOMAIN, 0), grid, m) <= 1e-13
+
+
+def test_directions_belong_to_the_ball(grid, lattices):
+    # two point sets of one size on one ball share every direction
+    rng = np.random.default_rng(4)
+    scale = np.sqrt(_weights(grid))
+    n = len(lattices[0.4])
+    dirs = [_band_factor(Lattice(p, 0.4, 1, DOMAIN, 0), grid, scale,
+                         np.zeros(n))[1]
+            for p in (lattices[0.4].points, random_ball_points(DOMAIN, n, rng))]
+    assert len(dirs[0]) == grid.n_b
+    assert all(np.array_equal(a, b) for a, b in zip(*dirs))
+
+
+def test_ball_reaches_points_past_the_domain(grid):
+    # the ball grows to the farthest point: here d(o, x) = 0.65 on a
+    # lattice of domain radius 0.5
+    lat = Lattice(np.array([0.3 + 0.1j]), 0.2, 1, 0.5, 0)
+    assert distance(0j, lat.points[0]) > lat.domain_radius
+    assert _gram_gap(lat, grid) <= 1e-13
+
+
+def test_frame_builds_each_mode_row_once(grid, lattices, monkeypatch):
+    # the lattice's mode rows are built once per frame, beside the ball's;
+    # one batch of n_b / 2 + 1 SVDs chooses the directions
+    lat = lattices[0.2]
+    seen, batches = [], []
+    mode_rows, svd = sampling._mode_rows, np.linalg.svd
+
+    def counted_rows(points, *args):
+        seen.append(points)
+        return mode_rows(points, *args)
+
+    def counted_svd(a, *args, **kwargs):
+        batches.append(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "_mode_rows", counted_rows)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    build_frame(_zeros(lat), grid=grid)
+    seen = np.concatenate(seen)
+    on_lattice = np.isin(seen, lat.points)
+    assert np.array_equal(np.sort_complex(seen[on_lattice]),
+                          np.sort_complex(lat.points))
+    assert np.count_nonzero(~on_lattice) \
+        == sampling._BALL_RADII * sampling._BALL_OFFSETS
+    assert batches == [(grid.n_b // 2 + 1,)]
 
 
 def _retained_left(psi, rank):
