@@ -30,12 +30,9 @@ the sides' first processes differ) and, for each array,
 `<name>_max_rel_diff` = max|head - base| / max|base| of the first
 processes.
 
-The workers call `synthesize(grid, ...)` and `build_splines(lat, k,
-space=...)`, so `--base` must be d79367b or later.  The `frame` worker reads
-`build_frame`'s signature: from the sample set (`build_frame(samples,
-grid=...)`, whose frame holds the interpolant) or, on a base before that,
-from the lattice (`build_frame(lat, grid=...)` and then
-`reconstruct(frame, samples)`).
+The workers call `build_frame(samples, grid=...)`, whose frame holds the
+interpolant, and time `sampling._ball_directions`, so `--base` must be
+72811e0 or later.
 """
 
 from __future__ import annotations
@@ -316,17 +313,15 @@ def _frame(repeats, r):
     (`build_frame_s`), the time inside `sampling._band_factor`
     (`band_factor_s`: the plane-wave series, the frame directions, the
     lattice's Chebyshev planes and their DFT over the boundary angles, and
-    the factor C), the time inside `sampling._ball_directions` when the
-    module has it (`directions_s`, part of `band_factor_s`: the ball's mode
-    rows, their QRs and the per-mode SVDs) and the rest (`spectrum_s`: the
-    frame spectrum and the interpolant from C), with N,
-    rank, frame bounds, the relative error on the polar grid, the peak RSS
-    before and after, the tracemalloc peak of one more frame and
-    interpolant (`frame_<r>_traced_mb`, both included) and a digest of the
-    rank, bounds and `raw_min` and of the interpolant's coefficients
-    (`reconstruct` is also compared as an array)."""
-    import inspect
-
+    the factor C), the time inside `sampling._ball_directions`
+    (`directions_s`, part of `band_factor_s`: the ball's mode rows, their
+    QRs and the per-mode SVDs) and the rest (`spectrum_s`: the frame
+    spectrum and the interpolant from C), with N, rank, frame bounds, the
+    relative error on the polar grid, the peak RSS before and after, the
+    tracemalloc peak of one more interpolant through `sampling.reconstruct`
+    (`frame_<r>_traced_mb`, its frame included) and a digest of the rank
+    and bounds and of the interpolant's coefficients (`reconstruct` is also
+    compared as an array)."""
     import numpy as np
 
     from hypersample import sampling
@@ -338,13 +333,6 @@ def _frame(repeats, r):
     lat = build_lattice(r, DOMAIN, seed=0)
     samples = sampling.point_samples(f, lat)
     ref = f.on_grid(pgrid)
-
-    def frame_and_function():
-        if "lat" in inspect.signature(sampling.build_frame).parameters:
-            frame = sampling.build_frame(lat, grid=grid)
-            return frame, sampling.reconstruct(frame, samples)
-        frame = sampling.build_frame(samples, grid=grid)
-        return frame, frame.function
 
     rss_before = _rss_mb()
 
@@ -359,22 +347,22 @@ def _frame(repeats, r):
                 inside[key] += time.perf_counter() - start
         return wrapper
 
-    keys = {name: key for name, key in (("_band_factor", "band_factor_s"),
-                                        ("_ball_directions", "directions_s"))
-            if hasattr(sampling, name)}
+    keys = {"_band_factor": "band_factor_s",
+            "_ball_directions": "directions_s"}
     for name, key in keys.items():
         setattr(sampling, name, timed(getattr(sampling, name), key))
     out = {k: [] for k in (*keys.values(), "spectrum_s", "build_frame_s")}
     for _ in range(repeats):
         inside.update(dict.fromkeys(keys.values(), 0.0))
         start = time.perf_counter()
-        frame, rec = frame_and_function()
+        frame = sampling.build_frame(samples, grid=grid)
         end = time.perf_counter()
         for key in keys.values():
             out[key].append(inside[key])
         out["spectrum_s"].append(end - start - inside["band_factor_s"])
         out["build_frame_s"].append(end - start)
     lower, upper = frame.frame_bounds
+    rec = frame.function
     coeffs = rec.coeffs.values
     out.update(
         n_points=len(lat), rank=frame.rank, frame_lower=lower,
@@ -382,8 +370,9 @@ def _frame(repeats, r):
         rel_error=float(pgrid.norm(rec.on_grid(pgrid) - ref) / pgrid.norm(ref)),
         **_memory(rss_before),
         frame_sha256=_digest(
-            np.array([frame.rank, lower, upper, frame.raw_min]), coeffs))
-    out[f"frame_{r}_traced_mb"] = _traced_mb(frame_and_function)
+            np.array([frame.rank, lower, upper]), coeffs))
+    out[f"frame_{r}_traced_mb"] = _traced_mb(
+        lambda: sampling.reconstruct(samples, grid=grid))
     return out, {"reconstruct": coeffs}
 
 
@@ -571,7 +560,7 @@ def main() -> int:
             f"{name}: {stage.worker.__doc__}" for name, stage in STAGES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against "
-                                   "(d79367b or later)")
+                                   "(72811e0 or later)")
     ap.add_argument("--stage", action="append", choices=STAGES,
                     help="stage to run; repeat for several (default: all)")
     ap.add_argument("--out", type=Path, help="also write the report here")

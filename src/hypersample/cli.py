@@ -237,10 +237,15 @@ def _rel_err(pgrid, got: np.ndarray, want: np.ndarray) -> float:
     return pgrid.norm(got - want) / pgrid.norm(want)
 
 
+def _spectral_grid(cfg: ExperimentConfig, space: SpaceParams):
+    """The config's spectral grid."""
+    lam_max = cfg.lam_max or default_lam_max(cfg.omega)
+    return build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega)
+
+
 def _grids(cfg: ExperimentConfig, space: SpaceParams):
     """The config's spectral grid and its polar grid over the domain."""
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega)
-    return (build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega),
+    return (_spectral_grid(cfg, space),
             build_polar_grid(cfg.domain_radius, cfg.n_r, cfg.n_theta))
 
 
@@ -276,7 +281,7 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                   "sigma", ["ratio"])
     slack = 1e-10
     rep.tolerances = {"bernstein_slack": slack}
-    grid, _ = _grids(cfg, space)
+    grid = _spectral_grid(cfg, space)
     for seed in cfg.seeds:
         with rep.timed(f"seed_{seed}"):
             f = synthesize(grid, seed)
@@ -398,7 +403,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                    "passed"], "case", ["abs_diff"])
     tol = 1e-6
     rep.tolerances = {"two_path_abs": tol}
-    grid, _ = _grids(cfg, space)
+    grid = _spectral_grid(cfg, space)
     f = synthesize(grid, cfg.seeds[0])
     rng = np.random.default_rng(42)
     with rep.timed("two_path_cases"):
@@ -521,23 +526,38 @@ class _Scenario:
 SCENARIOS = {
     # plancherel keeps the calibration's grids
     "plancherel": _Scenario(_scenario_plancherel, unused=(
-        "lam_max", "n_r", "n_theta", "domain_radius")),
-    "bernstein": _Scenario(_scenario_bernstein, verify={"seeds": (0, 1)}),
+        "omega", "r", "r_values", "tau", "tau_values", "n", "k_schedule",
+        "gamma", "domain_radius", "lam_max", "n_r", "n_theta", "cut")),
+    "bernstein": _Scenario(_scenario_bernstein, unused=(
+        "r", "r_values", "tau", "tau_values", "n", "k_schedule", "gamma",
+        "domain_radius", "n_r", "n_theta", "cut"),
+        verify={"seeds": (0, 1)}),
     "lattice": _Scenario(_scenario_lattice, {
         "r_values": (0.1, 0.2, 0.4), "domain_radius": 1.5}, "r_values",
+        unused=("omega", "r", "tau", "tau_values", "n", "k_schedule",
+                "gamma", "lam_max", "n_lambda", "n_b", "n_r", "n_theta",
+                "cut"),
         verify={"r_values": (0.4,), "domain_radius": 1.2}),
     # at r 0.4 alone the finest row misses the frame error tolerance
     "frame_reconstruct": _Scenario(_scenario_frame, {
         "r_values": (0.4, 0.2, 0.1)}, "r_values",
+        unused=("r", "tau", "tau_values", "n", "k_schedule", "gamma"),
         verify={"r_values": (0.4, 0.3), "domain_radius": 1.2}),
     "spline_reconstruct": _Scenario(_scenario_spline, {
         "omega": 1.0, "r": 0.8, "domain_radius": 2.0}, "k_schedule",
+        unused=("r_values", "tau", "tau_values", "n", "gamma", "cut"),
         verify={"k_schedule": (2,), "domain_radius": 1.6}),
-    "spherical_avg": _Scenario(_scenario_sphavg),
+    "spherical_avg": _Scenario(_scenario_sphavg, unused=(
+        "r", "r_values", "tau_values", "n", "k_schedule", "gamma",
+        "domain_radius", "n_r", "n_theta", "cut")),
     "theorem73": _Scenario(_scenario_theorem73, {
         "r": 0.1, "tau_values": (0.0, 0.1, 0.3), "k_schedule": (2,)},
-        "tau_values", verify={"r": 0.4, "tau_values": (0.1,)}),
-    "baseline1d": _Scenario(_scenario_baseline1d),
+        "tau_values", unused=("r_values", "tau", "gamma"),
+        verify={"r": 0.4, "tau_values": (0.1,)}),
+    "baseline1d": _Scenario(_scenario_baseline1d, unused=(
+        "r", "r_values", "tau", "tau_values", "n", "k_schedule",
+        "domain_radius", "lam_max", "n_lambda", "n_b", "n_r", "n_theta",
+        "cut")),
 }
 
 
@@ -617,10 +637,11 @@ def run(cfg: ExperimentConfig) -> int:
     try:
         default = ExperimentConfig(scenario=cfg.scenario, **spec.defaults)
         for name in spec.unused:
-            if getattr(cfg, name) != getattr(default, name):
+            value = getattr(default, name)
+            if getattr(cfg, name) != value:
                 raise ConfigError(
                     f"scenario {cfg.scenario} does not use {name}; leave it "
-                    f"at its default {_fmt(getattr(default, name))}")
+                    f"at its default {_fmt(value) or '(empty)'}")
         staging.mkdir(parents=True)
         failures = _run_into(cfg, spec, staging)
     except BaseException:

@@ -4,15 +4,15 @@ A lattice at scale r is a maximal r/2-separated subset of the working ball
 B(o, domain_radius).  Maximality makes the r/2-balls around the points a
 cover of the domain, and the separation makes the r/4-balls disjoint, which
 caps how many r-balls can overlap at any location.  The separation holds
-by construction (the greedy and the probe patches keep only points r/2-far
-from those before them) and is measured by _min_separation; the cover and
-the multiplicity are certified numerically on seeded probe sets at
-construction time.
+by construction (one greedy keeps only points r/2-far from those before
+it) and is measured by _min_separation; the cover and the multiplicity are
+certified numerically on seeded probe sets at construction time.
 
 Greedy insertion over a shuffled dense candidate net produces the packing.
 The candidate order is randomized by seed (maximal packings are not unique)
 but the origin is always offered first so that the degenerate tiny-domain
-lattice is exactly {o}.
+lattice is exactly {o}.  The same greedy, run on the cover probes the
+packing left uncovered, patches the slivers the net misses.
 
 Every neighbour search goes through a grid of square cells on the Euclidean
 coordinates.  The hyperbolic ball of radius t about w is the Euclidean disk
@@ -30,8 +30,8 @@ are those of the dense all-pairs passes.
 Memory: the candidate pairs come in blocks of about geometry.PAIR_BLOCK / 8
 (_pair_blocks), and the cover and multiplicity certificates reduce each
 block's quotients (a running minimum, a running count) before the next,
-so no certificate holds all its pairs at once.  Only the patch update
-keeps its pairs, those of the few probes the packing left uncovered.
+so no certificate holds all its pairs at once, and neither does the cover
+probes' update after the patches (_lower_quotient_sq).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "build_lattice",
     "certify_cover",
     "certify_multiplicity",
-    "near_pairs",
 ]
 
 _N_PROBES = 10_000
@@ -170,27 +169,16 @@ def _cell_keys(z: np.ndarray, side: float) -> tuple[np.ndarray, int]:
     return row * width + col, width
 
 
-def near_pairs(x: np.ndarray, y: np.ndarray,
-               t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of a superset of the pairs with d(x[i], y[j]) <= t.
+def _pair_blocks(x: np.ndarray, y: np.ndarray, t: float):
+    """Yield index arrays (i, j) of a superset of the pairs with
+    d(x[i], y[j]) <= t, one block at a time.
 
     The extra pairs are at most sinh(t)/2 apart in the Euclidean sense; the
-    caller decides each pair with an exact test.  The pairs are those of
-    _pair_blocks, joined.
-    """
-    blocks = list(_pair_blocks(x, y, t))
-    if not blocks:
-        return np.empty(0, np.intp), np.empty(0, np.intp)
-    return tuple(np.concatenate(part) for part in zip(*blocks))
-
-
-def _pair_blocks(x: np.ndarray, y: np.ndarray, t: float):
-    """Yield (i, j), the pairs of near_pairs one block at a time.
-
-    The candidate pairs are read in blocks of whole cell runs, about
-    _BLOCK_PAIRS pairs each (a longer run is a block of its own),
-    so the temporaries follow the block, not all candidates at once, and a
-    caller that reduces each block as it comes never holds all pairs.
+    caller decides each pair with an exact test.  The candidate pairs are
+    read in blocks of whole cell runs, about _BLOCK_PAIRS pairs each (a
+    longer run is a block of its own), so the temporaries follow the block,
+    not all candidates at once, and a caller that reduces each block as it
+    comes never holds all pairs.
     """
     if x.size == 0 or y.size == 0:
         return
@@ -233,6 +221,8 @@ def _greedy_packing(candidates: np.ndarray, r: float) -> np.ndarray:
     itself and earlier kept points; marking them dead changes nothing, as
     the loop has passed them.
     """
+    if candidates.size == 0:
+        return candidates
     thresh = _sep_param(r, 0.5) ** 2
     keys, width = _cell_keys(candidates, _tree_radius(r / 2.0))
     order = np.argsort(keys)
@@ -269,11 +259,18 @@ def _min_quotient_sq(probes: np.ndarray, points: np.ndarray,
     same either way round, and a minimum does not depend on their order.
     """
     q = np.full(probes.size, np.inf)
-    for i, j in _pair_blocks(points, probes, t):
-        np.minimum.at(q, j, _quotient_sq(probes[j], points[i]))
+    _lower_quotient_sq(q, probes, points, t)
     for k in np.flatnonzero(q > _sep_param(t, 1.0) ** 2):
         q[k] = _quotient_sq(probes[k], points).min()
     return q
+
+
+def _lower_quotient_sq(q: np.ndarray, probes: np.ndarray, points: np.ndarray,
+                       t: float) -> None:
+    """Lower each probe's q in place to its quotient over every point in its
+    pairs within t (and some farther ones: _pair_blocks' superset)."""
+    for i, j in _pair_blocks(points, probes, t):
+        np.minimum.at(q, j, _quotient_sq(probes[j], points[i]))
 
 
 def _cover_radius(min_q: np.ndarray) -> float:
@@ -328,9 +325,10 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     """Greedy maximal r/2-separated set on B(o, domain_radius), certified.
 
     Any certification probe left uncovered after the greedy pass is itself a
-    valid lattice point (it is more than r/2 from every accepted point) and
-    is inserted; the same pass yields the certify_cover value, so the cover
-    check can only fail on a logic error.
+    valid lattice point (it is more than r/2 from every accepted point), so
+    the same greedy, run on the uncovered probes in probe order, patches
+    them; the same pass yields the certify_cover value, so the cover check
+    can only fail on a logic error.
     """
     if r <= 0 or domain_radius <= 0:
         raise ValueError("r and domain_radius must be positive")
@@ -346,24 +344,14 @@ def build_lattice(r: float, domain_radius: float, seed: int) -> Lattice:
     points = _greedy_packing(candidates, r)
 
     # seeded probes shave off the slivers the finite candidate net leaves
-    # just beyond r/2; every uncovered probe is itself a legal lattice point,
-    # so inserting it in probe order preserves the packing exactly, and the
-    # probes' min quotients after the last insertion certify the cover
-    thresh = _sep_param(r, 0.5) ** 2
+    # just beyond r/2; every uncovered probe is more than r/2 from every
+    # packed point, so packing them in probe order extends the packing, and
+    # the probes' min quotients, lowered by the patch, certify the cover
     probes = _cover_probes(seed, domain_radius, r)
     q = _min_quotient_sq(probes, points, r / 2.0)
-    uncovered = np.flatnonzero(q > thresh)
-    # an insertion covers only probes within r/2 of it, so it updates
-    # those: its own run of the pairs, grouped by uncovered probe
-    owner, nbr = near_pairs(probes[uncovered], probes, r / 2.0)
-    order = np.argsort(owner, kind="stable")
-    nbr = nbr[order]
-    runs = np.searchsorted(owner[order], np.arange(uncovered.size + 1))
-    for k, i in enumerate(uncovered):
-        if q[i] > thresh:
-            points = np.append(points, probes[i])
-            hit = nbr[runs[k]:runs[k + 1]]
-            q[hit] = np.minimum(q[hit], _quotient_sq(probes[hit], probes[i]))
+    patch = _greedy_packing(probes[q > _sep_param(r, 0.5) ** 2], r)
+    points = np.concatenate([points, patch])
+    _lower_quotient_sq(q, probes, patch, r / 2.0)
     if _cover_radius(q) > r / 2.0:
         raise CertificationFailed("cover gap survived patch insertion")
 

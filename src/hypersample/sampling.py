@@ -35,10 +35,9 @@ The spectrum of any interesting lattice decays smoothly to machine zero:
 band-limited functions are analytic, so samples on a bounded domain pin
 down only an effectively finite-dimensional slice of the band space.
 Reconstruction therefore always runs through a thresholded pseudo-inverse,
-and the certified frame bounds (A, B) refer to the retained span.  The raw
-smallest eigenvalue of the Gram is returned alongside as a diagnostic; the
-one certificate, a retained span that is not empty, raises NotAFrame when
-it fails.
+and the certified frame bounds (A, B) refer to the retained span.  The one
+certificate, a retained span that is not empty, raises NotAFrame when it
+fails.
 """
 
 from __future__ import annotations
@@ -47,15 +46,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .bandlimited import BandlimitedFunction
 from .errors import NotAFrame, NumericalFailure
 from .geometry import row_blocks
 from .lattice import Lattice
 from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
-                       _horocycle_planes, _radius_bound, apply_multiplier,
-                       plane_wave_series)
+                       _gauss_legendre, _horocycle_planes, _radius_bound,
+                       apply_multiplier, plane_wave_series)
 from .transforms import inverse_transform
 
 __all__ = [
@@ -103,7 +101,6 @@ class FrameSystem:
     spectrum: np.ndarray   # the Gram's min(N, K) leading eigenvalues
                            # sigma^2, descending; the rest are zero
     cut: float
-    n_points: int
 
     @property
     def rank(self) -> int:
@@ -115,13 +112,6 @@ class FrameSystem:
     def frame_bounds(self) -> tuple[float, float]:
         """(A, B) on the retained span."""
         return float(self.spectrum[self.rank - 1]), float(self.spectrum[0])
-
-    @property
-    def raw_min(self) -> float:
-        """The Gram's smallest eigenvalue."""
-        if self.spectrum.size < self.n_points:
-            return 0.0
-        return float(self.spectrum[-1])
 
 
 def point_samples(f: BandlimitedFunction, lat: Lattice) -> SampleSet:
@@ -164,7 +154,7 @@ def _ball_directions(grid: SpectralGrid, series: np.ndarray, a_max: float,
     Gram is real: R_m comes from a real QR of [Re G_m; Im G_m], and mode -m,
     whose block conj(G_m) S has the same Gram, shares mode m's directions.
     """
-    t, w = leggauss(_BALL_RADII)
+    t, w = _gauss_legendre(_BALL_RADII)
     t = 0.5 * a_max * (t + 1.0)
     offsets = np.exp(2j * np.pi * np.arange(_BALL_OFFSETS)
                      / (_BALL_OFFSETS * grid.n_b))
@@ -285,9 +275,8 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     as rich as double precision allows; raising it (1e-8 is a good choice)
     trades span for noise amplification bounded by 1/sqrt(cut * B), which
     makes the reconstruction operator an honest numerical projection.
-    The rank, the bounds (A, B) on the retained span and the raw smallest
-    eigenvalue are returned as diagnostics; NotAFrame is raised when no
-    eigenvalue clears the cut.
+    The rank and the bounds (A, B) on the retained span are returned as
+    diagnostics; NotAFrame is raised when no eigenvalue clears the cut.
     """
     if grid.n_band == 0:
         raise ValueError("grid has no band panel")
@@ -311,7 +300,7 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[sl] = np.fft.fft(modes, axis=0, norm="ortho").T
     frame = FrameSystem(BandlimitedFunction(SpectralCoeffs(grid, values)),
-                        sv ** 2, cut, len(s))
+                        sv ** 2, cut)
     if frame.rank != rank:
         raise NumericalFailure(f"the solve kept {rank} singular values, the "
                                f"cut {cut:g} keeps {frame.rank}")

@@ -525,6 +525,54 @@ def test_plancherel_rejects_fields_it_does_not_use(tmp_path, outroot, capsys,
     assert not outroot.exists()
 
 
+class _RecordingConfig:
+    """Reads through to a config and records the names of the fields read."""
+
+    def __init__(self, cfg):
+        self.__dict__.update(cfg=cfg, read=set())
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_unused_lists_exactly_the_fields_the_runner_does_not_read(space,
+                                                                  scenario):
+    spec = SCENARIOS[scenario]
+    cfg = _RecordingConfig(ExperimentConfig(scenario=scenario, **{
+        "seeds": (0,), **spec.defaults, **spec.verify}))
+    spec.runner(cfg, space)
+    unread = {f.name for f in dataclasses.fields(ExperimentConfig)} \
+        - cfg.read - {"scenario", "output"}
+    assert unread == set(spec.unused)
+
+
+# a valid value other than every scenario's default, for each field that
+# some scenario does not read
+_UNREAD_VALUES = {"omega": "3", "r": "0.5", "r_values": "5", "tau": "0.3",
+                  "tau_values": "0.5", "n": "1", "k_schedule": "3",
+                  "gamma": "0.5", "domain_radius": "2.5", "lam_max": "30",
+                  "n_lambda": "64", "n_b": "32", "n_r": "64",
+                  "n_theta": "64", "cut": "0.999"}
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_override_of_an_unread_field_exits_two(tmp_path, outroot, capsys,
+                                               scenario):
+    # a manifest must not echo a value its run never used
+    path = _write(tmp_path, f"[experiment]\nscenario = {scenario}\n"
+                            "seeds = 0\n")
+    for name in SCENARIOS[scenario].unused:
+        override = f"{name}={_UNREAD_VALUES[name]}"
+        assert main(["run", str(path), "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: scenario {scenario} does not "
+                              f"use {name}; leave it at its default")
+        assert "Traceback" not in err
+        assert not outroot.exists()
+
+
 @pytest.mark.parametrize("config", [None, "spline_reconstruct", "theorem73"])
 def test_no_scipy_module_is_loaded(tmp_path, config):
     # the runtime needs numpy only: neither the import of the CLI nor a

@@ -1,5 +1,6 @@
 """Lattice construction, certification, and the sampling inequality probe."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -157,7 +158,7 @@ def test_near_pairs_matches_brute_force(t, data):
     side = lattice_mod._tree_radius(t)
     x = data.draw(_disk_points(side))
     y = data.draw(_disk_points(side))
-    i, j = lattice_mod.near_pairs(x, y, t)
+    i, j = _joined_pair_blocks(x, y, t)
     found = set(zip(i.tolist(), j.tolist()))
     assert len(found) == i.size
     gap = np.abs(x[:, None] - y[None, :])
@@ -167,8 +168,16 @@ def test_near_pairs_matches_brute_force(t, data):
     assert need <= found <= allowed
 
 
+def _joined_pair_blocks(x, y, t):
+    """The pairs of every block of _pair_blocks, concatenated."""
+    blocks = list(lattice_mod._pair_blocks(x, y, t))
+    if not blocks:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 def _near_pairs_single_pass(x, y, t):
-    """near_pairs with every candidate pair formed at once, the form the
+    """_pair_blocks with every candidate pair formed at once, the form the
     blocked search splits into runs of about PAIR_BLOCK pairs."""
     if x.size == 0 or y.size == 0:
         return np.empty(0, np.intp), np.empty(0, np.intp)
@@ -203,7 +212,7 @@ def test_blocked_near_pairs_match_single_pass(case):
         t = 1.0
     else:
         x, y, t = random_ball_points(1.0, 50, rng), np.empty(0, complex), 0.5
-    i, j = lattice_mod.near_pairs(x, y, t)
+    i, j = _joined_pair_blocks(x, y, t)
     ref_i, ref_j = _near_pairs_single_pass(x, y, t)
     assert i.size > PAIR_BLOCK or case == "empty"
     assert set(zip(i.tolist(), j.tolist())) \
@@ -232,8 +241,10 @@ def _dense_lattice(r, domain, seed):
     points = np.array(kept, dtype=complex)
     probes = lattice_mod._cover_probes(seed, domain, r)
     q = per_probe(probes, points, lambda m: m.min(axis=1))
+    # an uncovered probe is patched unless an earlier patch lies within
+    # r/2, as in the packing: one at exactly r/2 does not block it
     for i in np.flatnonzero(q > thresh):
-        if q[i] > thresh:
+        if q[i] >= thresh:
             points = np.append(points, probes[i])
             q = np.minimum(q, lattice_mod._quotient_sq(probes, probes[i]))
     mult_thresh = lattice_mod._sep_param(r, 1.0) ** 2
@@ -250,6 +261,32 @@ def test_indexed_build_matches_dense_passes(r, domain, seed):
     assert lat.points.tobytes() == points.tobytes()
     assert lat.n_mult == n_mult
     assert certify_cover(lat) == cover
+
+
+@pytest.mark.parametrize("r, domain, seed, points_sha256, n_mult", [
+    # 56 uncovered probes, 3 patches
+    (0.4, 1.4, 0,
+     "5f814af65b97ef6678514f71e41cf11fba16b6abd09c8471c46dabe98ed84fdc", 12),
+    # 37 uncovered probes, 9 patches
+    (0.3, 1.2, 1,
+     "a9fa2dac1beceddd7ba7841abe52aaeec0f6fee2ea8c6e2d8cb5c55a14401f8e", 13),
+    # 34 uncovered probes, 16 patches
+    (0.2, 1.4, 2,
+     "79285a6cd4df693d329b948a618d831d9e97bbfaf286dcd5b652ebb74b91b925", 13),
+])
+def test_patched_lattices_keep_their_points(r, domain, seed, points_sha256,
+                                            n_mult):
+    # digests of lattices whose packing leaves probes uncovered, taken when
+    # the patches were inserted one probe at a time; the greedy that packs
+    # them now must give the same points in the same order
+    lat = build_lattice(r, domain, seed)
+    assert hashlib.sha256(lat.points.tobytes()).hexdigest() == points_sha256
+    assert lat.n_mult == n_mult
+
+
+def test_greedy_packing_of_no_candidates_is_empty():
+    packing = lattice_mod._greedy_packing(np.empty(0, dtype=complex), 0.4)
+    assert packing.shape == (0,) and packing.dtype == complex
 
 
 def test_certify_cover_of_a_lattice_with_holes_is_exact():
@@ -286,7 +323,7 @@ def test_fine_lattice_builds_in_near_linear_time():
 def test_certificates_hold_one_block_of_pairs_at_a_time():
     # the spline scenario's lattice: 20,000 cover probes meet 71,000 pairs
     # and 10,000 multiplicity probes 171,000, which one pass over all pairs
-    # held at once (17 MB).  Taken in near_pairs' blocks, the transients
+    # held at once (17 MB).  Taken in _pair_blocks' blocks, the transients
     # are the lattice points' run indices and one block of PAIR_BLOCK / 8
     # candidates.
     tracemalloc.start()
