@@ -31,8 +31,10 @@ the sides' first processes differ) and, for each array,
 processes.
 
 The workers call `build_frame(samples, grid=...)`, whose frame holds the
-interpolant, and time `sampling._ball_directions`, so `--base` must be
-72811e0 or later.
+interpolant, time `sampling._ball_directions` and read the calibration's
+grids from `transforms._CAL_LAM_MAX` and `_CAL_POLAR_GRID`, so `--base`
+must be a revision that defines those constants (a descendant of
+6faf8cb).
 """
 
 from __future__ import annotations
@@ -164,11 +166,11 @@ def _setup(repeats, case):
 
 
 def _modes(repeats, case):
-    """Radial mode tables, |m| <= 31, on the calibration grids (r_max 8,
-    128 radii and angles, lam_max 24 with 96 nodes) and the frame and spline
-    grids: the whole table, with the length of its plane-wave basis S and
-    the tracemalloc peak of one more call (`table_<grid>_traced_mb`, the
-    table included), and its near part
+    """Radial mode tables, |m| <= 31, on the calibration grids
+    (`transforms._CAL_POLAR_GRID`, lam <= `_CAL_LAM_MAX` at 96 nodes) and
+    the frame and spline grids: the whole table, with the length of its
+    plane-wave basis S and the tracemalloc peak of one more call
+    (`table_<grid>_traced_mb`, the table included), and its near part
     alone (the radii up to the switch radius) with its entries at the
     grid nodes nearest the near oracle points; then the far part of the
     calibration table and its values at the far oracle points.  The parts
@@ -190,8 +192,8 @@ def _modes(repeats, case):
 
     near, far = stacked(tr._radial_modes), stacked(tr._expansion_orders)
     space = SpaceParams().with_scale(1.0)
-    grids = {"calibration": (build_grid(space, 24.0, 96, 64),
-                             tr.build_polar_grid(8.0, 128, 128)),
+    grids = {"calibration": (build_grid(space, tr._CAL_LAM_MAX, 96, 64),
+                             tr.build_polar_grid(*tr._CAL_POLAR_GRID)),
              **{name: _grids(space, name) for name in GRIDS}}
     basis, lengths = tr._plane_wave_basis, []
 

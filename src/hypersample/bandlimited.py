@@ -26,6 +26,11 @@ __all__ = [
     "bernstein_check",
 ]
 
+_N_MODES = 3
+_WIDTH_RANGE = (0.12, 0.3)
+_CENTER_RANGE = (0.3, 0.7)
+_BERNSTEIN_SLACK = 1e-10
+
 
 @dataclass(eq=False)
 class BandlimitedFunction:
@@ -70,38 +75,32 @@ def _bump_mask(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize(grid: SpectralGrid, seed: int = 0, n_modes: int = 3, *,
-               width_range: tuple[float, float] = (0.12, 0.3),
-               center_range: tuple[float, float] = (0.3, 0.7)
-               ) -> BandlimitedFunction:
+def synthesize(grid: SpectralGrid, seed: int = 0) -> BandlimitedFunction:
     """Deterministic pseudo-random element of the band limited class of grid,
     whose band panel [0, omega] is the band.
 
-    Each boundary mode |m| <= n_modes gets a Gaussian profile in lam (center
-    and width drawn from the given ranges, as fractions of omega) multiplied
-    by a smooth bump vanishing to all orders at 0 and omega, with a random
-    complex amplitude.  Normalized to unit Plancherel norm.
+    Each boundary mode |m| <= _N_MODES gets a Gaussian profile in lam (center
+    and width drawn from _CENTER_RANGE and _WIDTH_RANGE, fractions of omega)
+    multiplied by a smooth bump vanishing to all orders at 0 and omega, with
+    a random complex amplitude.  Normalized to unit Plancherel norm.
     """
     if grid.n_band == 0:
         raise ValueError("grid has no band panel")
-    if not 0 <= n_modes <= grid.n_b // 2:
-        raise ValueError("n_modes must lie in [0, n_b/2]")
+    if (grid.n_b - 1) // 2 < _N_MODES:
+        raise ValueError(f"n_b must be at least {2 * _N_MODES + 2}")
     omega = grid.omega
     rng = np.random.default_rng(seed)
     lam_band = grid.lambda_nodes[:grid.n_band]
     mask = _bump_mask(lam_band / omega)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    for m in range(-n_modes, n_modes + 1):
-        center = omega * rng.uniform(*center_range)
-        width = omega * rng.uniform(*width_range)
+    for m in range(-_N_MODES, _N_MODES + 1):
+        center = omega * rng.uniform(*_CENTER_RANGE)
+        width = omega * rng.uniform(*_WIDTH_RANGE)
         amp = complex(rng.standard_normal(), rng.standard_normal())
         profile = amp * np.exp(-((lam_band - center) ** 2) / (2.0 * width**2)) * mask
         values[:grid.n_band, m % grid.n_b] += profile
     coeffs = SpectralCoeffs(grid, np.fft.ifft(values, axis=1) * grid.n_b)
-    nrm = coeffs.norm()
-    if nrm == 0.0:
-        raise ValueError("degenerate draw produced the zero function")
-    coeffs.values /= nrm
+    coeffs.values /= coeffs.norm()
     return BandlimitedFunction(coeffs)
 
 
@@ -119,5 +118,5 @@ def bernstein_check(f: BandlimitedFunction, sigma: float) -> dict:
         "lhs": lhs,
         "rhs": rhs,
         "ratio": lhs / rhs if rhs else math.inf,
-        "pass": lhs <= rhs * (1.0 + 1e-10),
+        "pass": lhs <= rhs * (1.0 + _BERNSTEIN_SLACK),
     }

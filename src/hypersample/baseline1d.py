@@ -161,8 +161,8 @@ def exp_frame_gram(x_points, omega: float) -> dict:
 def gram_reconstruct(frame: dict, values, t_eval):
     """Minimal-norm band-limited interpolant of point values, by Gram solve.
 
-    Mirrors the curved-space route: solve G beta = s on the retained
-    eigenspace, expand through the band kernel at the sample points.
+    Solves G beta = s on the retained eigenspace and expands through the
+    band kernel at the sample points.
     """
     x, omega, gram = frame["x"], frame["omega"], frame["gram"]
     s = np.asarray(values, dtype=complex)

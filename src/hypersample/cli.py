@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandlimited import BandlimitedFunction, bernstein_check, synthesize
+from .bandlimited import _BERNSTEIN_SLACK, _N_MODES, BandlimitedFunction, \
+    bernstein_check, synthesize
 from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
     synthesize_1d
 from .errors import ConfigError, HypersampleError, SingularKernel
@@ -41,8 +42,8 @@ from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
     spherical_average_direct, theorem73_experiment
 from .splines import _CERT_TOL, build_splines, check_kernel_size, \
     spline_interpolate
-from .transforms import build_polar_grid, calibrate_plancherel, \
-    forward_transform
+from .transforms import _CAL_LAM_MAX, _CAL_POLAR_GRID, _CAL_TAIL_TOL, \
+    build_polar_grid, calibrate_plancherel, forward_transform
 
 __all__ = [
     "ExperimentConfig",
@@ -106,9 +107,10 @@ class ExperimentConfig:
             raise ConfigError("grid sizes must be at least 4")
         if self.n_b % 2 or self.n_theta % 2:
             raise ConfigError("angle counts n_b and n_theta must be even")
-        if self.n_b < 6:
-            raise ConfigError("n_b must be at least 6: the synthesized test "
-                              "functions use the boundary modes |m| <= 3")
+        for name in ("n_b", "n_theta"):
+            if getattr(self, name) < 2 * _N_MODES + 2:
+                raise ConfigError(f"{name} must be at least {2 * _N_MODES + 2}"
+                                  f": the test functions use |m| <= {_N_MODES}")
         if self.lam_max != 0 and not self.lam_max > self.omega:
             raise ConfigError("lam_max must be 0 (automatic) or exceed omega")
         if not 0 < self.cut < 1:
@@ -253,9 +255,9 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["seed", "spatial_norm_sq", "spectral_norm_sq",
                    "rel_error", "passed"], "seed", ["rel_error"])
     tol = 1e-6
-    rep.tolerances = {"parseval_rel": tol, "forward_tail": 1e-8}
-    grid = build_grid(space, 24.0, cfg.n_lambda, cfg.n_b)
-    pgrid = build_polar_grid(8.0, 128, 128)
+    rep.tolerances = {"parseval_rel": tol, "forward_tail": _CAL_TAIL_TOL}
+    grid = build_grid(space, _CAL_LAM_MAX, cfg.n_lambda, cfg.n_b)
+    pgrid = build_polar_grid(*_CAL_POLAR_GRID)
     bumps = np.empty((len(cfg.seeds), pgrid.n_r, pgrid.n_theta))
     with rep.timed("transform"):
         for f, seed in zip(bumps, cfg.seeds):
@@ -265,7 +267,7 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
             width = 0.7 + 0.5 * rng.random()
             f[...] = np.exp(-distance(center, pgrid.points) ** 2
                             / (2.0 * width**2))
-        coeffs = forward_transform(pgrid, grid, bumps, tail_tol=1e-8)
+        coeffs = forward_transform(pgrid, grid, bumps, tail_tol=_CAL_TAIL_TOL)
     for seed, f, c in zip(cfg.seeds, bumps, coeffs):
         spatial = pgrid.norm_sq(f)
         spectral = c.norm_sq()
@@ -279,15 +281,14 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
 def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep = _Report(["seed", "sigma", "lhs", "rhs", "ratio", "passed"],
                   "sigma", ["ratio"])
-    slack = 1e-10
-    rep.tolerances = {"bernstein_slack": slack}
+    rep.tolerances = {"bernstein_slack": _BERNSTEIN_SLACK}
     grid = _spectral_grid(cfg, space)
     for seed in cfg.seeds:
         with rep.timed(f"seed_{seed}"):
             f = synthesize(grid, seed)
             for sigma in (0.5, 1.0, 2.0, 4.0):
                 chk = bernstein_check(f, sigma)
-                ok = chk["ratio"] <= 1.0 + slack
+                ok = chk["pass"]
                 rep.add(seed, sigma, chk["lhs"], chk["rhs"], chk["ratio"], ok)
                 rep.check(ok, "bernstein.ratio_bound",
                           f"seed {seed} sigma {sigma}: "

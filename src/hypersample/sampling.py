@@ -307,7 +307,6 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     return frame
 
 
-def reconstruct(s: SampleSet, *, grid: SpectralGrid,
-                cut: float = _PINV_CUT) -> BandlimitedFunction:
+def reconstruct(s: SampleSet, *, grid: SpectralGrid) -> BandlimitedFunction:
     """Minimal-norm band-limited interpolant of the samples (build_frame)."""
-    return build_frame(s, grid=grid, cut=cut).function
+    return build_frame(s, grid=grid).function

@@ -485,11 +485,11 @@ def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_grid(space, lam_max: float, n_lambda: int, n_b: int,
-               omega: float | None = None, n_band: int | None = None) -> SpectralGrid:
+               omega: float | None = None) -> SpectralGrid:
     """Construct a SpectralGrid with the density constant of space.
 
     With omega set, the lambda nodes consist of a Gauss-Legendre panel of
-    n_band nodes on [0, omega] followed by one of n_lambda - n_band nodes on
+    n_lambda // 2 nodes on [0, omega] followed by one of the other nodes on
     [omega, lam_max]; without it, a single panel on [0, lam_max].
     """
     if lam_max <= 0 or n_lambda < 2 or n_b < 4 or n_b % 2:
@@ -501,9 +501,7 @@ def build_grid(space, lam_max: float, n_lambda: int, n_b: int,
         nb = 0
         omega_val = 0.0
     else:
-        nb = n_band if n_band is not None else n_lambda // 2
-        if not 2 <= nb <= n_lambda - 2:
-            raise ValueError("n_band out of range")
+        nb = n_lambda // 2
         x1, w1 = _gl_panel(0.0, omega, nb)
         x2, w2 = _gl_panel(omega, lam_max, n_lambda - nb)
         nodes, weights = np.concatenate([x1, x2]), np.concatenate([w1, w2])

@@ -18,7 +18,7 @@ import numpy as np
 from .bandlimited import BandlimitedFunction, synthesize
 from .geometry import RHO, circle_points
 from .lattice import build_lattice
-from .sampling import _PINV_CUT, build_frame, convolution_samples
+from .sampling import build_frame, convolution_samples
 from .spectral import Multiplier, SpectralGrid, spherical_function
 from .splines import check_kernel_size, spline_reconstruct_deconvolve
 from .transforms import PolarGrid
@@ -97,10 +97,9 @@ def near_identity_check(grid: SpectralGrid, spec: AverageSpec) -> dict:
     return {"lam": lam, "lhs": lhs, "rhs": rhs, "passed": passed}
 
 
-def theorem73_experiment(r: float, specs: Sequence[AverageSpec],
-                         seed: int = 0, *, grid: SpectralGrid,
-                         pgrid: PolarGrid, k_schedule=(2, 4, 8),
-                         cut: float = _PINV_CUT) -> list[dict]:
+def theorem73_experiment(r: float, specs: Sequence[AverageSpec], *,
+                         seed: int, grid: SpectralGrid, pgrid: PolarGrid,
+                         k_schedule: Sequence[int], cut: float) -> list[dict]:
     """Closed loop: synthesize, average on a lattice, reconstruct both ways.
 
     The band limit is grid.omega, the density constant is

@@ -342,6 +342,10 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Plancherel calibration
 
+_CAL_LAM_MAX = 24.0
+_CAL_POLAR_GRID = (8.0, 128, 128)
+_CAL_TAIL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -374,8 +378,8 @@ def calibrate_plancherel() -> CalibrationResult:
     G (2.6 MB) are built; G, its build transients and the samples set the
     peak.  Nothing outlives the call but the result.
     """
-    grid = build_grid(SpaceParams(), 24.0, 96, 64)
-    pgrid = build_polar_grid(8.0, 128, 128)
+    grid = build_grid(SpaceParams(), _CAL_LAM_MAX, 96, 64)
+    pgrid = build_polar_grid(*_CAL_POLAR_GRID)
     rng = np.random.default_rng(0)
     bumps = np.empty((4, pgrid.n_r, pgrid.n_theta))
     for f in bumps:
@@ -383,8 +387,8 @@ def calibrate_plancherel() -> CalibrationResult:
         width = 0.7 + 0.5 * rng.random()
         f[...] = np.exp(-distance(center, pgrid.points)**2 / (2.0 * width**2))
     nums = np.array([pgrid.norm_sq(f) for f in bumps])
-    dens = np.array([c.norm_sq() for c in
-                     forward_transform(pgrid, grid, bumps, tail_tol=1e-8)])
+    coeffs = forward_transform(pgrid, grid, bumps, tail_tol=_CAL_TAIL_TOL)
+    dens = np.array([c.norm_sq() for c in coeffs])
     ratios = nums / dens
     ratios.flags.writeable = False
     spread = float(ratios.max() / ratios.min() - 1.0)

@@ -1,11 +1,14 @@
-"""Multipliers and the noise-stability probe shared by several test modules."""
+"""Multipliers, a band-limited draw and the noise-stability probe shared by
+several test modules."""
 
 import math
 
 import numpy as np
 
+from hypersample.bandlimited import _N_MODES, BandlimitedFunction, \
+    _bump_mask
 from hypersample.geometry import RHO
-from hypersample.sampling import SampleSet, build_frame, reconstruct
+from hypersample.sampling import SampleSet, build_frame
 from hypersample.spectral import Multiplier, SpectralCoeffs, SpectralGrid
 
 
@@ -16,6 +19,28 @@ def identity_multiplier() -> Multiplier:
 def laplacian_multiplier() -> Multiplier:
     """Symbol of the Laplacian: hat(Delta f) = -(lam^2 + rho^2) hat(f)."""
     return Multiplier(fn=lambda lam: -(lam**2 + RHO**2), label="laplacian")
+
+
+def gaussian_draw(grid: SpectralGrid, seed: int, *,
+                  center_range: tuple[float, float],
+                  width_range: tuple[float, float]) -> BandlimitedFunction:
+    """A unit-norm band-limited function drawn as bandlimited.synthesize
+    draws one, but with the centers and widths of the Gaussian profiles,
+    as fractions of omega, from the given ranges."""
+    omega = grid.omega
+    rng = np.random.default_rng(seed)
+    lam = grid.lambda_nodes[:grid.n_band]
+    mask = _bump_mask(lam / omega)
+    values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
+    for m in range(-_N_MODES, _N_MODES + 1):
+        center = omega * rng.uniform(*center_range)
+        width = omega * rng.uniform(*width_range)
+        amp = complex(rng.standard_normal(), rng.standard_normal())
+        values[:grid.n_band, m % grid.n_b] += \
+            amp * np.exp(-((lam - center) ** 2) / (2.0 * width**2)) * mask
+    coeffs = SpectralCoeffs(grid, np.fft.ifft(values, axis=1) * grid.n_b)
+    coeffs.values /= coeffs.norm()
+    return BandlimitedFunction(coeffs)
 
 
 def stability_probe(s: SampleSet, noise_level: float, seed: int, *,
@@ -40,8 +65,8 @@ def stability_probe(s: SampleSet, noise_level: float, seed: int, *,
     errors = []
     for eps in levels:
         noisy = SampleSet(s.lattice, s.values + eps * direction, s.multiplier)
-        diff = reconstruct(noisy, grid=grid, cut=cut).coeffs.values \
-            - base.coeffs.values
+        rec = build_frame(noisy, grid=grid, cut=cut).function
+        diff = rec.coeffs.values - base.coeffs.values
         errors.append(SpectralCoeffs(grid, diff).norm())
     errors = np.asarray(errors)
     ratios = np.divide(errors, levels, out=np.zeros_like(errors),

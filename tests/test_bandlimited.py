@@ -13,6 +13,8 @@ from hypersample.spectral import (SpectralCoeffs, SpectralGrid,
                                   default_lam_max, sobolev_multiplier)
 from hypersample.transforms import PolarGrid, build_polar_grid
 
+from helpers import gaussian_draw
+
 
 OMEGA = 2.0
 
@@ -37,10 +39,10 @@ def converse_bernstein_probe(coeffs: SpectralCoeffs, omega: float,
 
 def density_probe(grid: SpectralGrid, center, radius: float,
                   target_samples: np.ndarray, pgrid: PolarGrid, *,
-                  n_list=(10, 20, 40), seed: int = 0,
-                  n_modes: int = 3) -> dict:
+                  n_list=(10, 20, 40), seed: int = 0) -> dict:
     """Least-squares distance from target to spans of band limited functions
-    synthesized on grid, restricted to the ball B(center, radius).
+    drawn on grid with profiles over most of the band (gaussian_draw),
+    restricted to the ball B(center, radius).
 
     The error sequence over nested n is nonincreasing by construction.  The
     probe is empirical evidence of density, not a proof.
@@ -56,8 +58,8 @@ def density_probe(grid: SpectralGrid, center, radius: float,
     b = (np.asarray(target_samples)[mask] * sw).ravel()
     cols = np.empty((b.size, n_max), dtype=complex)
     for i in range(n_max):
-        g = synthesize(grid, seed=seed + i, n_modes=n_modes,
-                       width_range=(0.05, 0.4), center_range=(0.1, 0.9))
+        g = gaussian_draw(grid, seed + i, width_range=(0.05, 0.4),
+                          center_range=(0.1, 0.9))
         cols[:, i] = (g.on_grid(pgrid)[mask] * sw).ravel()
     errors, conds = [], []
     b_norm = float(np.linalg.norm(b))
@@ -87,23 +89,24 @@ def probe_grid(space):
 
 
 def test_synthesize_unit_norm_and_support(grid):
-    f = synthesize(grid, seed=3, n_modes=3)
+    f = synthesize(grid, seed=3)
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
     # support condition is exact, not approximate
     assert np.all(f.coeffs.values[f.grid.n_band:] == 0)
 
 
 def test_synthesize_deterministic(grid):
-    a = synthesize(grid, seed=7, n_modes=2)
-    b = synthesize(grid, seed=7, n_modes=2)
+    a = synthesize(grid, seed=7)
+    b = synthesize(grid, seed=7)
     assert np.array_equal(a.coeffs.values, b.coeffs.values)
-    c = synthesize(grid, seed=8, n_modes=2)
+    c = synthesize(grid, seed=8)
     assert not np.array_equal(a.coeffs.values, c.coeffs.values)
 
 
 def test_synthesize_validation(space):
-    with pytest.raises(ValueError):
-        synthesize(_grid(space, n_b=16), seed=0, n_modes=40)
+    # six boundary angles cannot resolve the modes |m| <= 3
+    with pytest.raises(ValueError, match="n_b must be at least 8"):
+        synthesize(_grid(space, n_b=6), seed=0)
     grid = build_grid(space, 8.0, 64, 16)  # no band panel
     with pytest.raises(ValueError):
         synthesize(grid, seed=0)
@@ -123,7 +126,7 @@ def test_bandlimited_rejects_tail_mass(space):
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bernstein_holds(grid, sigma, seed):
-    f = synthesize(grid, seed=seed, n_modes=3)
+    f = synthesize(grid, seed=seed)
     rep = bernstein_check(f, sigma)
     assert rep["pass"]
     assert rep["lhs"] <= rep["rhs"] * (1 + 1e-10)
@@ -131,7 +134,7 @@ def test_bernstein_holds(grid, sigma, seed):
 
 
 def test_bernstein_sigma_zero_is_equality(grid):
-    f = synthesize(grid, seed=5, n_modes=1)
+    f = synthesize(grid, seed=5)
     rep = bernstein_check(f, 0.0)
     assert rep["lhs"] == pytest.approx(rep["rhs"], rel=1e-12)
 
@@ -139,7 +142,7 @@ def test_bernstein_sigma_zero_is_equality(grid):
 def test_bernstein_sharp_for_edge_concentration(space):
     # profile concentrated near the top of the band: the inequality is
     # nearly attained, so the constant cannot be improved
-    grid = build_grid(space, 8.0, 192, 8, omega=OMEGA, n_band=160)
+    grid = build_grid(space, 8.0, 320, 8, omega=OMEGA)
     lam = grid.lambda_nodes[:grid.n_band]
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[:grid.n_band, 0] = np.exp(-((lam - 0.995 * OMEGA) ** 2)
@@ -152,7 +155,7 @@ def test_bernstein_sharp_for_edge_concentration(space):
 
 
 def test_converse_probe_band_limited_stays_bounded(grid):
-    f = synthesize(grid, seed=2, n_modes=2)
+    f = synthesize(grid, seed=2)
     rep = converse_bernstein_probe(f.coeffs, OMEGA)
     assert rep["applicable"]
     assert all(r <= 1 + 1e-10 for r in rep["ratios"])
@@ -182,8 +185,8 @@ def test_converse_probe_zero_function(space):
 
 def test_density_probe_recovers_band_limited_target(probe_grid):
     pgrid = build_polar_grid(2.0, 48, 64)
-    f = synthesize(probe_grid, seed=101, n_modes=3,
-                   width_range=(0.05, 0.4), center_range=(0.1, 0.9))
+    f = gaussian_draw(probe_grid, 101, width_range=(0.05, 0.4),
+                      center_range=(0.1, 0.9))
     target = f.on_grid(pgrid)
     rep = density_probe(probe_grid, 0.2 + 0.1j, 1.2, target, pgrid,
                         n_list=(8, 32, 64))
@@ -215,9 +218,16 @@ def test_density_probe_reports_ill_conditioned_basis(probe_grid):
 
 
 def test_evaluate_matches_grid_route(grid):
-    f = synthesize(grid, seed=4, n_modes=2)
+    f = synthesize(grid, seed=4)
     pgrid = build_polar_grid(1.5, 24, 32)
     on_grid = f.on_grid(pgrid)
     pts = pgrid.points[::5, ::7]
     direct = f.evaluate(pts)
     assert np.allclose(direct, on_grid[::5, ::7], atol=1e-8 * np.abs(on_grid).max())
+    # eight polar angles are the fewest that keep the modes |m| <= 3, which
+    # the config's n_theta minimum asks for; at six on_grid drops |m| = 3
+    # and misses by 9% of max|f|
+    pgrid8 = build_polar_grid(1.4, 24, 8)
+    direct = f.evaluate(pgrid8.points)
+    assert np.max(np.abs(f.on_grid(pgrid8) - direct)) \
+        <= 1e-12 * np.max(np.abs(direct))

@@ -65,7 +65,8 @@ def _configs(draw):
     listed = SCENARIOS[scenario].listed
     omega = draw(_positive)
     counts = st.integers(4, 4096)
-    evens = st.integers(2, 2048).map(lambda k: 2 * k)
+    # both angle counts resolve the synthesized modes |m| <= 3
+    evens = st.integers(4, 2048).map(lambda k: 2 * k)
     return ExperimentConfig(
         scenario=scenario,
         omega=omega,
@@ -88,7 +89,7 @@ def _configs(draw):
         lam_max=draw(st.one_of(st.just(0.0),
                                st.floats(omega, 1e7, exclude_min=True))),
         n_lambda=draw(counts),
-        n_b=draw(st.integers(3, 2048).map(lambda k: 2 * k)),
+        n_b=draw(evens),
         n_r=draw(counts),
         n_theta=draw(evens),
         cut=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
@@ -573,6 +574,21 @@ def test_override_of_an_unread_field_exits_two(tmp_path, outroot, capsys,
         assert not outroot.exists()
 
 
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.ini"))
+                         + sorted(ROOT.glob("scenario_bench/workloads/*.ini")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_config_files_pass_run_validation(outroot, monkeypatch, path):
+    # the configs and the benchmark's workload files must load and pass
+    # run()'s check of unread fields; a stub runner stands in for the
+    # scenario, so that a validation change cannot fail a benchmark run
+    # unseen
+    cfg = load_config(path)
+    spec = SCENARIOS[cfg.scenario]
+    monkeypatch.setitem(SCENARIOS, cfg.scenario, dataclasses.replace(
+        spec, runner=lambda *_: cli._Report(["seed"], "seed", [])))
+    assert run(cfg) == 0
+
+
 @pytest.mark.parametrize("config", [None, "spline_reconstruct", "theorem73"])
 def test_no_scipy_module_is_loaded(tmp_path, config):
     # the runtime needs numpy only: neither the import of the CLI nor a
@@ -655,12 +671,27 @@ def test_non_finite_float_exits_two(tmp_path, outroot, capsys, name, value):
                                       "theorem73"])
 def test_too_few_boundary_angles_exits_two(tmp_path, outroot, capsys,
                                            scenario):
-    # each of these draws boundary modes |m| <= 3, which needs n_b >= 6
+    # each of these draws boundary modes |m| <= 3, which the boundary
+    # circle resolves from n_b = 8 on: at 6, m = 3 and -3 share a column
     path = _write(tmp_path, f"[experiment]\nscenario = {scenario}\n"
                             "seeds = 0\n")
-    assert main(["run", str(path), "--override", "n_b=4"]) == 2
+    assert main(["run", str(path), "--override", "n_b=6"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: n_b must be at least 6")
+    assert err.startswith("config error: n_b must be at least 8")
+    assert "Traceback" not in err
+    assert not (outroot / scenario).exists()
+
+
+@pytest.mark.parametrize("scenario", ["frame_reconstruct",
+                                      "spline_reconstruct", "theorem73"])
+def test_too_few_polar_angles_exits_two(tmp_path, outroot, capsys, scenario):
+    # these evaluate the modes |m| <= 3 on the polar grid, whose circles
+    # drop |m| = 3 below n_theta = 8
+    path = _write(tmp_path, f"[experiment]\nscenario = {scenario}\n"
+                            "seeds = 0\n")
+    assert main(["run", str(path), "--override", "n_theta=6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_theta must be at least 8")
     assert "Traceback" not in err
     assert not (outroot / scenario).exists()
 

@@ -450,7 +450,7 @@ def test_probe_zero_function(space):
 
 def test_probe_scales_linearly(space):
     lat = build_lattice(0.3, 1.0, seed=0)
-    f = synthesize(_band_grid(space), seed=0, n_modes=2)
+    f = synthesize(_band_grid(space), seed=0)
     r1 = sampling_inequality_probe(lat, f, 2)
     f3 = BandlimitedFunction(SpectralCoeffs(f.grid, 3.0 * f.coeffs.values))
     r3 = sampling_inequality_probe(lat, f3, 2)
@@ -461,7 +461,7 @@ def test_probe_scales_linearly(space):
 
 def test_probe_rejects_low_order(space):
     lat = build_lattice(0.3, 1.0, seed=0)
-    f = synthesize(_band_grid(space), seed=0, n_modes=1)
+    f = synthesize(_band_grid(space), seed=0)
     with pytest.raises(ValueError):
         sampling_inequality_probe(lat, f, 1.0)
 
@@ -473,7 +473,7 @@ def test_empirical_constant_stable_across_seeds(space):
     grid = _band_grid(space)
 
     def ratio(seed):
-        f = synthesize(grid, seed=seed, n_modes=3)
+        f = synthesize(grid, seed=seed)
         rep = sampling_inequality_probe(lat, f, 2)
         return rep["norm"] / (lat.r * rep["sample_norm"])
 

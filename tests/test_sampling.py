@@ -621,7 +621,8 @@ def test_reconstruction_is_a_projection(frame8, f, lattices):
     # idempotence needs the raised cut; at 1e-12 the re-solve amplifies
     # quadrature rounding in the resampled values to the 1e-7 scale
     f0 = frame8.function
-    f1 = reconstruct(point_samples(f0, lattices[0.2]), grid=f0.grid, cut=1e-8)
+    f1 = build_frame(point_samples(f0, lattices[0.2]), grid=f0.grid,
+                     cut=1e-8).function
     assert _rel_coeff_err(f1, f0, f0.grid) <= 1e-10
 
 
@@ -703,8 +704,8 @@ def test_adversarial_noise_realizes_stability_constant(frame8, f, grid,
     worst = _retained_left(_plane_wave_rows(lat, grid), frame8.rank)[:, -1]
     eps = 1e-6
     noisy = SampleSet(lat, s.values + eps * worst)
-    diff = SpectralCoeffs(grid,
-                          reconstruct(noisy, grid=grid, cut=1e-8).coeffs.values
+    rec = build_frame(noisy, grid=grid, cut=1e-8).function
+    diff = SpectralCoeffs(grid, rec.coeffs.values
                           - frame8.function.coeffs.values)
     amp = diff.norm() / eps
     c_stab = 1.0 / math.sqrt(frame8.frame_bounds[0])

@@ -297,17 +297,18 @@ def test_busemann_angle_count_grows_with_radius():
 @pytest.fixture
 def grid():
     return sp.build_grid(SpaceParams(), lam_max=24.0, n_lambda=48, n_b=32,
-                         omega=6.0, n_band=20)
+                         omega=6.0)
 
 
 def test_build_grid_band_panel(grid):
-    assert grid.n_band == 20
-    assert np.all(grid.lambda_nodes[:20] < 6.0)
-    assert np.all(grid.lambda_nodes[20:] > 6.0)
+    # the band panel takes half the nodes
+    assert grid.n_band == 24
+    assert np.all(grid.lambda_nodes[:24] < 6.0)
+    assert np.all(grid.lambda_nodes[24:] > 6.0)
     assert np.all(np.diff(grid.lambda_nodes) > 0)
     # weights integrate constants over [0, lam_max] exactly
     assert math.fsum(grid.lambda_weights) == pytest.approx(24.0, rel=1e-14)
-    assert math.fsum(grid.lambda_weights[:20]) == pytest.approx(6.0, rel=1e-14)
+    assert math.fsum(grid.lambda_weights[:24]) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_build_grid_quadrature_accuracy(grid):
@@ -331,7 +332,7 @@ def test_build_grid_validation():
 
 
 def test_grid_band_slice_and_angles(grid):
-    assert grid.band_slice == slice(0, 20)
+    assert grid.band_slice == slice(0, 24)
     plain = sp.build_grid(SpaceParams(), lam_max=8.0, n_lambda=12, n_b=8)
     assert plain.band_slice == slice(0, 12)
     th = grid.boundary_angles
@@ -345,7 +346,7 @@ def test_coeffs_norm_constant_field(grid):
     ref = quad(lambda l: float(sp.plancherel_density(l)), 0.0, 6.0)[0]
     ref += quad(lambda l: float(sp.plancherel_density(l)), 6.0, 24.0)[0]
     # density has poles at lam = +/- i/2, so panel quadrature is geometric
-    # but not exact; 20 nodes on [0, 6] reach ~1e-11 relative
+    # but not exact; 24 nodes on [0, 6] reach ~1e-11 relative
     assert c.norm_sq() == pytest.approx(ref, rel=5e-9)
 
 

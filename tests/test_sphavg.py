@@ -9,13 +9,15 @@ import pytest
 from hypersample.bandlimited import BandlimitedFunction, synthesize
 from hypersample.geometry import RHO
 from hypersample.lattice import build_lattice
-from hypersample.sampling import (convolution_samples, point_samples,
-                                  reconstruct)
+from hypersample.sampling import (_PINV_CUT, convolution_samples,
+                                  point_samples, reconstruct)
 from hypersample.spectral import SpectralCoeffs, apply_multiplier, build_grid
 from hypersample.sphavg import (AverageSpec, average_multiplier,
                                 near_identity_check, spherical_average_direct,
                                 theorem73_experiment)
 from hypersample.transforms import build_polar_grid
+
+from helpers import gaussian_draw
 
 OMEGA = 2.0
 
@@ -131,10 +133,10 @@ def test_contraction_rejects_composed_powers(f):
 
 
 def test_low_frequency_spectrum_contracts_less(grid):
-    f_low = synthesize(grid, seed=5, center_range=(0.05, 0.15),
-                       width_range=(0.02, 0.05))
-    f_broad = synthesize(grid, seed=5, center_range=(0.7, 0.9),
-                         width_range=(0.02, 0.05))
+    f_low = gaussian_draw(grid, 5, center_range=(0.05, 0.15),
+                          width_range=(0.02, 0.05))
+    f_broad = gaussian_draw(grid, 5, center_range=(0.7, 0.9),
+                            width_range=(0.02, 0.05))
     spec = AverageSpec(tau=0.5)
     assert contraction_check(f_low, spec)["ratio"] \
         > contraction_check(f_broad, spec)["ratio"]
@@ -156,7 +158,7 @@ def test_experiment_point_sampling_reduction(grid, pgrid):
     # tau = 0, n = 0 must reproduce the plain point-sampling pipeline
     [rep] = theorem73_experiment(0.4, [AverageSpec(tau=0.0)], seed=0,
                                  grid=grid, pgrid=pgrid,
-                                 k_schedule=())
+                                 k_schedule=(), cut=_PINV_CUT)
     f = synthesize(grid, seed=0)
     lat = build_lattice(0.4, 1.4, seed=0)
     rec = reconstruct(point_samples(f, lat), grid=grid)
@@ -170,7 +172,8 @@ def test_experiment_overlapping_spheres(grid, pgrid):
     # spheres of radius 0.3 around centers 0.2 apart overlap heavily, yet
     # the averaged samples still determine the function on the band
     [rep] = theorem73_experiment(0.2, [AverageSpec(tau=0.3)], seed=0,
-                                 grid=grid, pgrid=pgrid)
+                                 grid=grid, pgrid=pgrid,
+                                 k_schedule=(2, 4, 8), cut=_PINV_CUT)
     assert rep["admissible"]
     assert rep["tau"] > rep["r"]
     assert rep["frame_error"] < 1e-4
@@ -198,7 +201,7 @@ def test_experiment_derivative_sampling_pipeline(grid):
 def test_experiment_inadmissible_is_informative(grid, pgrid):
     [rep] = theorem73_experiment(0.4, [AverageSpec(tau=0.5)], seed=0,
                                  grid=grid, pgrid=pgrid,
-                                 k_schedule=())
+                                 k_schedule=(), cut=_PINV_CUT)
     assert not rep["admissible"]
     assert np.isfinite(rep["frame_error"])
 
@@ -206,9 +209,9 @@ def test_experiment_inadmissible_is_informative(grid, pgrid):
 def test_experiment_deterministic(grid, pgrid):
     [a] = theorem73_experiment(0.4, [AverageSpec(tau=0.1)], seed=3,
                                grid=grid, pgrid=pgrid,
-                               k_schedule=())
+                               k_schedule=(), cut=_PINV_CUT)
     [b] = theorem73_experiment(0.4, [AverageSpec(tau=0.1)], seed=3,
                                grid=grid, pgrid=pgrid,
-                               k_schedule=())
+                               k_schedule=(), cut=_PINV_CUT)
     assert a["frame_error"] == b["frame_error"]
     assert a["frame_bounds"] == b["frame_bounds"]
