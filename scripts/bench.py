@@ -32,9 +32,10 @@ processes.
 
 The workers call `build_frame(samples, grid=...)`, whose frame holds the
 interpolant, time `sampling._ball_directions` and read the calibration's
-grids from `transforms._CAL_LAM_MAX` and `_CAL_POLAR_GRID`, so `--base`
-must be a revision that defines those constants (a descendant of
-6faf8cb).
+grids from `transforms._CAL_LAM_MAX`, `_CAL_N_LAMBDA`, `_CAL_N_B` and
+`_CAL_POLAR_GRID`, so `--base` must be a revision that defines those
+constants: the change that added `_CAL_N_LAMBDA` and `_CAL_N_B`, or a
+later one.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def _setup(repeats, case):
 
 def _modes(repeats, case):
     """Radial mode tables, |m| <= 31, on the calibration grids
-    (`transforms._CAL_POLAR_GRID`, lam <= `_CAL_LAM_MAX` at 96 nodes) and
+    (`transforms._CAL_POLAR_GRID`, lam <= `_CAL_LAM_MAX` at `_CAL_N_LAMBDA`
+    nodes and `_CAL_N_B` boundary angles) and
     the frame and spline grids: the whole table, with the length of its
     plane-wave basis S and the tracemalloc peak of one more call
     (`table_<grid>_traced_mb`, the table included), and its near part
@@ -192,7 +194,8 @@ def _modes(repeats, case):
 
     near, far = stacked(tr._radial_modes), stacked(tr._expansion_orders)
     space = SpaceParams().with_scale(1.0)
-    grids = {"calibration": (build_grid(space, tr._CAL_LAM_MAX, 96, 64),
+    grids = {"calibration": (build_grid(space, tr._CAL_LAM_MAX,
+                                        tr._CAL_N_LAMBDA, tr._CAL_N_B),
                              tr.build_polar_grid(*tr._CAL_POLAR_GRID)),
              **{name: _grids(space, name) for name in GRIDS}}
     basis, lengths = tr._plane_wave_basis, []
@@ -561,8 +564,9 @@ def main() -> int:
         description=__doc__, epilog="\n".join(
             f"{name}: {stage.worker.__doc__}" for name, stage in STAGES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--base", help="git revision to compare against "
-                                   "(72811e0 or later)")
+    ap.add_argument("--base", help="git revision to compare against; it "
+                                   "must define transforms._CAL_N_LAMBDA "
+                                   "and _CAL_N_B")
     ap.add_argument("--stage", action="append", choices=STAGES,
                     help="stage to run; repeat for several (default: all)")
     ap.add_argument("--out", type=Path, help="also write the report here")

@@ -24,6 +24,7 @@ from .geometry import (
     euclidean_radius,
 )
 from .spectral import (
+    IDENTITY,
     Multiplier,
     SpectralCoeffs,
     SpectralGrid,

@@ -31,8 +31,7 @@ from .bandlimited import _BERNSTEIN_SLACK, _N_MODES, BandlimitedFunction, \
 from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
     synthesize_1d
 from .errors import ConfigError, HypersampleError, SingularKernel
-from .geometry import SpaceParams, distance, multiplicity_bound, \
-    random_ball_points
+from .geometry import SpaceParams, multiplicity_bound, random_ball_points
 from .lattice import _min_separation, _probe_cover, build_lattice, \
     certify_cover, certify_multiplicity
 from .sampling import _PINV_CUT, build_frame, point_samples
@@ -42,8 +41,8 @@ from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
     spherical_average_direct, theorem73_experiment
 from .splines import _CERT_TOL, build_splines, check_kernel_size, \
     spline_interpolate
-from .transforms import _CAL_LAM_MAX, _CAL_POLAR_GRID, _CAL_TAIL_TOL, \
-    build_polar_grid, calibrate_plancherel, forward_transform
+from .transforms import _CAL_LAM_MAX, _CAL_TAIL_TOL, _bump_norms_sq, \
+    build_polar_grid, calibrate_plancherel
 
 __all__ = [
     "ExperimentConfig",
@@ -257,20 +256,15 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     tol = 1e-6
     rep.tolerances = {"parseval_rel": tol, "forward_tail": _CAL_TAIL_TOL}
     grid = build_grid(space, _CAL_LAM_MAX, cfg.n_lambda, cfg.n_b)
-    pgrid = build_polar_grid(*_CAL_POLAR_GRID)
-    bumps = np.empty((len(cfg.seeds), pgrid.n_r, pgrid.n_theta))
+    draws = []
+    for seed in cfg.seeds:
+        rng = np.random.default_rng(seed)
+        center = 0.5 * math.sqrt(rng.random()) \
+            * np.exp(2j * np.pi * rng.random())
+        draws.append((center, 0.7 + 0.5 * rng.random()))
     with rep.timed("transform"):
-        for f, seed in zip(bumps, cfg.seeds):
-            rng = np.random.default_rng(seed)
-            center = 0.5 * math.sqrt(rng.random()) \
-                * np.exp(2j * np.pi * rng.random())
-            width = 0.7 + 0.5 * rng.random()
-            f[...] = np.exp(-distance(center, pgrid.points) ** 2
-                            / (2.0 * width**2))
-        coeffs = forward_transform(pgrid, grid, bumps, tail_tol=_CAL_TAIL_TOL)
-    for seed, f, c in zip(cfg.seeds, bumps, coeffs):
-        spatial = pgrid.norm_sq(f)
-        spectral = c.norm_sq()
+        norms = _bump_norms_sq(grid, draws)
+    for seed, spatial, spectral in zip(cfg.seeds, *norms):
         rel = abs(spatial - spectral) / spatial
         rep.add(seed, spatial, spectral, rel, rel < tol)
         rep.check(rel < tol, "plancherel.parseval_rel",
@@ -413,10 +407,9 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                 * np.exp(2j * np.pi * rng.random())
             tau = 0.05 + 0.35 * rng.random()
             n = int(rng.integers(0, 2))
-            spec = AverageSpec(tau=tau, n=0, m_circle=96)
-            g = f if n == 0 else BandlimitedFunction(
+            g = BandlimitedFunction(
                 apply_multiplier(f.coeffs, sobolev_multiplier(float(n))))
-            direct = spherical_average_direct(g, y, spec)
+            direct = spherical_average_direct(g, y, AverageSpec(tau=tau))
             mult = average_multiplier(AverageSpec(tau=tau, n=n))
             sym = BandlimitedFunction(
                 apply_multiplier(f.coeffs, mult)).evaluate(

@@ -2,9 +2,10 @@
 and reconstruction.
 
 A lattice point x_j induces the band-restricted frame vector
-e_j(lam, b) = e^((i lam + rho) A(x_j, b)), optionally filtered by a
-convolution multiplier.  On the band quadrature these are the rows of one
-matrix F = R diag(sqrt(measure |m|^2 / n_b)), R[j, (lam, b)] = e_j(lam, b).
+e_j(lam, b) = e^((i lam + rho) A(x_j, b)), filtered by the samples'
+multiplier m (spectral.IDENTITY for point samples, the Dirac mass's).  On
+the band quadrature these are the rows of one matrix
+F = R diag(sqrt(measure |m|^2 / n_b)), R[j, (lam, b)] = e_j(lam, b).
 Its Gram F F^H is the zonal kernel K(d(x_j, x_k)) of the distance, and
 everything follows from F's singular values: their squares certify
 stability on the sampled span, and the truncated pseudo-inverse of F gives
@@ -51,7 +52,7 @@ from .bandlimited import BandlimitedFunction
 from .errors import NotAFrame, NumericalFailure
 from .geometry import row_blocks
 from .lattice import Lattice
-from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid,
+from .spectral import (IDENTITY, Multiplier, SpectralCoeffs, SpectralGrid,
                        _gauss_legendre, _horocycle_planes, _radius_bound,
                        apply_multiplier, plane_wave_series)
 from .transforms import inverse_transform
@@ -76,12 +77,12 @@ _BALL_OFFSETS = 2
 
 @dataclass(eq=False)
 class SampleSet:
-    """Samples at the lattice points: point samples, or convolution samples
-    exactly when they carry the multiplier of their filter."""
+    """Convolution samples at the lattice points, with the multiplier of
+    their filter; point samples carry spectral.IDENTITY."""
 
     lattice: Lattice
     values: np.ndarray
-    multiplier: Multiplier | None = None
+    multiplier: Multiplier = IDENTITY
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -115,8 +116,8 @@ class FrameSystem:
 
 
 def point_samples(f: BandlimitedFunction, lat: Lattice) -> SampleSet:
-    """values[j] = f(x_j)."""
-    return SampleSet(lat, f.evaluate(lat.points))
+    """values[j] = f(x_j): convolution samples with the Dirac mass."""
+    return convolution_samples(f, lat, IDENTITY)
 
 
 def convolution_samples(f: BandlimitedFunction, lat: Lattice,
@@ -283,8 +284,7 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     if len(s) == 0:
         raise ValueError("empty lattice")
     sl = grid.band_slice
-    m = s.multiplier
-    mv = np.ones(grid.n_band) if m is None else m.band_values(grid)
+    mv = s.multiplier.band_values(grid)
     scale = np.sqrt(grid.lambda_measure[sl] * np.abs(mv) ** 2 / grid.n_b)
     factor, dirs = _band_factor(s.lattice, grid, scale, s.values)
     _factor_qr(factor)

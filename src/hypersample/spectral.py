@@ -63,6 +63,7 @@ __all__ = [
     "default_lam_max",
     "SpectralCoeffs",
     "Multiplier",
+    "IDENTITY",
     "sobolev_multiplier",
     "apply_multiplier",
 ]
@@ -572,6 +573,10 @@ class Multiplier:
             raise MultiplierVanishes(
                 f"multiplier {self.label!r} vanishes on the band")
         return vals
+
+
+# the multiplier of the Dirac mass: convolution with it is point evaluation
+IDENTITY = Multiplier(fn=np.ones_like, label="identity")
 
 
 def sobolev_multiplier(sigma: float) -> Multiplier:

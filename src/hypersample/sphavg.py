@@ -32,21 +32,22 @@ __all__ = [
 ]
 
 
+# trapezoid nodes of spherical_average_direct's circle quadrature
+_CIRCLE_NODES = 96
+
+
 @dataclass(frozen=True)
 class AverageSpec:
-    """Sphere radius tau, Laplacian power n, circle-quadrature node count."""
+    """Sphere radius tau and Laplacian power n."""
 
     tau: float
     n: int = 0
-    m_circle: int = 64
 
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError("sphere radius tau must be nonnegative")
         if self.n < 0 or self.n != int(self.n):
             raise ValueError("Laplacian power n must be a nonnegative integer")
-        if self.m_circle < 16:
-            raise ValueError("need at least 16 circle quadrature nodes")
 
     def admissible(self, omega: float) -> bool:
         """Radius below (omega^2 + rho^2)^(-(n+1)/2), where the multiplier
@@ -55,29 +56,26 @@ class AverageSpec:
 
 
 def average_multiplier(spec: AverageSpec) -> Multiplier:
-    """Symbol (lam^2 + rho^2)^n phi_lam(tau) of the averaged n-th power."""
+    """Symbol (lam^2 + rho^2)^n phi_lam(tau) of the averaged n-th power,
+    phi_lam(0) = 1: at tau = 0, n = 0 it has spectral.IDENTITY's values."""
     tau, n = spec.tau, int(spec.n)
-    if tau == 0.0 and n == 0:
-        return Multiplier(fn=lambda lam: np.ones_like(lam),
-                          label="sph_avg(tau=0,n=0)")
 
     def fn(lam):
         lam = np.asarray(lam, dtype=float)
         out = np.ones_like(lam) if tau == 0.0 else spherical_function(lam, tau)
-        if n:
-            out = out * (lam**2 + RHO**2) ** n
-        return out
+        return out * (lam**2 + RHO**2) ** n
 
     return Multiplier(fn=fn, label=f"sph_avg(tau={tau:g},n={n})")
 
 
 def spherical_average_direct(f: BandlimitedFunction, y, spec: AverageSpec):
-    """Mean of f over the circle of radius tau about y, by trigonometric
-    quadrature in arc length; tau = 0 short-circuits to f(y)."""
+    """Mean of f over the circle of radius tau about y, by the trapezoid
+    rule at _CIRCLE_NODES points equispaced in arc length; tau = 0
+    short-circuits to f(y)."""
     y = complex(np.asarray(y, dtype=complex))
     if spec.tau == 0.0:
         return complex(f.evaluate(np.array([y]))[0])
-    pts = circle_points(y, spec.tau, spec.m_circle)
+    pts = circle_points(y, spec.tau, _CIRCLE_NODES)
     return complex(np.mean(f.evaluate(pts)))
 
 
@@ -134,15 +132,13 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec], *,
             pgrid.norm(g.on_grid(pgrid) - fv) / den for g in spl["functions"]
         ]
         results.append({
-            "omega": omega, "r": r, "tau": spec.tau, "n": spec.n,
-            "seed": seed, "admissible": spec.admissible(omega),
+            "admissible": spec.admissible(omega),
             "n_points": len(lat),
             "frame_error": float(frame_error),
             "frame_bounds": frame.frame_bounds,
             "frame_rank": frame.rank,
             "spline_k_list": spl["k_list"],
             "spline_errors": spline_errors,
-            "spline_conditions": spl["conditions"],
             "spline_aborted_at": spl["aborted_at"],
         })
     return results

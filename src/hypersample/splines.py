@@ -1,11 +1,11 @@
 """Polyharmonic spline interpolation and spline deconvolution.
 
-The order-k spline kernel is the zonal function with spectral density
-(lam^2 + rho^2)^(-2k), rho = geometry.RHO (times |m|^2 when a deconvolution
-multiplier is in play).  Interpolants are finite combinations
-sum_j beta_j K_2k(d(., x_j)); solving the kernel matrix against Lagrangian
-data delta_(nu mu) realizes the minimal - ||Delta^k u|| interpolant on the
-lattice.
+The order-k spline kernel of samples filtered by the multiplier m (one,
+spectral.IDENTITY, for point samples) is the zonal function with spectral
+density |m|^2 (lam^2 + rho^2)^(-2k), rho = geometry.RHO.  Interpolants are
+finite combinations sum_j beta_j K_2k(d(., x_j)); solving the kernel matrix
+against Lagrangian data delta_(nu mu) realizes the minimal - ||Delta^k u||
+interpolant on the lattice.
 
 The kernel is tabulated once per order, values and slopes, on a uniform
 radial grid out to the lattice's diameter and evaluated as the cubic
@@ -40,8 +40,8 @@ from .errors import (NumericalFailure, ProblemTooLarge, SingularKernel,
 from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice, _log_min_points, _sci
 from .sampling import SampleSet
-from .spectral import (Multiplier, SpectralCoeffs, SpectralGrid, _gl_panel,
-                       _horocycle_planes, _plane_wave_basis,
+from .spectral import (IDENTITY, Multiplier, SpectralCoeffs, SpectralGrid,
+                       _gl_panel, _horocycle_planes, _plane_wave_basis,
                        plancherel_density, zonal_series)
 
 __all__ = [
@@ -69,7 +69,7 @@ _TABLE_POINTS = 1201
 
 @dataclass(eq=False)
 class PolyharmonicKernel:
-    """Tabulated radial kernel K_2k(t) with its truncation certificate.
+    """Tabulated radial kernel K_2k(t), cut off in lam at lam_max.
 
     table_values and table_slopes are K and K' at the equispaced radii
     table_t; between two of them K is the cubic Hermite interpolant.
@@ -78,7 +78,6 @@ class PolyharmonicKernel:
     k: int
     t_max: float
     lam_max: float
-    tail_bound: float
     table_t: np.ndarray
     table_values: np.ndarray
     table_slopes: np.ndarray = field(repr=False)
@@ -120,10 +119,6 @@ def _kernel_lambda_grid(lam_max: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _multiplier_sq(m: Multiplier | None, lam: np.ndarray) -> np.ndarray:
-    return np.ones_like(lam) if m is None else np.abs(m(lam)) ** 2
-
-
 def _order_weight(lam: np.ndarray, k: int) -> np.ndarray:
     """(lam^2 + rho^2)^(-2k), or NumericalFailure where it overflows."""
     with np.errstate(over="ignore"):
@@ -135,7 +130,7 @@ def _order_weight(lam: np.ndarray, k: int) -> np.ndarray:
 
 
 def polyharmonic_kernel(space, k: int, *, t_max: float,
-                        multiplier: Multiplier | None = None
+                        multiplier: Multiplier = IDENTITY
                         ) -> PolyharmonicKernel:
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
 
@@ -165,16 +160,14 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     # reference value K(0) (phi = 1 there): cheap, no angular quadrature
     ref_nodes, ref_weights = _kernel_lambda_grid(10.0)
     ref_dens = plancherel_density(ref_nodes, scale)
-    msq_ref = _multiplier_sq(multiplier, ref_nodes)
+    msq_ref = np.abs(multiplier(ref_nodes)) ** 2
     k0_ref = float(np.sum(ref_weights * ref_dens * msq_ref
                           * _order_weight(ref_nodes, k)))
     if not k0_ref > 0:
         raise ValueError("kernel density integrates to zero")
 
-    m_sup = 1.0
-    if multiplier is not None:
-        probe = np.array([10.0, 20.0, 40.0, 80.0])
-        m_sup = max(float(np.max(np.abs(multiplier(probe)))), 1.0)
+    probe = np.array([10.0, 20.0, 40.0, 80.0])
+    m_sup = max(float(np.max(np.abs(multiplier(probe)))), 1.0)
 
     needed = (m_sup ** 2 * scale
               / ((4 * k - 2) * _TAIL_TOL * k0_ref)) ** (1.0 / (4 * k - 2))
@@ -184,19 +177,18 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
             f"order {k} needs lam_max ~ {needed:.3g} for a relative tail "
             f"below {_TAIL_TOL:.1e}, past the cap {_LAM_CAP:g}; raise the "
             f"order")
-    tail_bound = m_sup ** 2 * scale * lam_max ** (2 - 4 * k) / (4 * k - 2)
 
     nodes, weights = _kernel_lambda_grid(lam_max)
     dens = plancherel_density(nodes, scale)
-    msq = _multiplier_sq(multiplier, nodes)
+    msq = np.abs(multiplier(nodes)) ** 2
     coef = weights * dens * msq * _order_weight(nodes, k)
 
     t = np.linspace(0.0, t_max, _TABLE_POINTS)
     x = 2.0 * t / t_max - 1.0
     series = zonal_series(nodes, coef, t_max)
     slopes = chebval(x, chebder(series)) * (2.0 / t_max)
-    return PolyharmonicKernel(k, t_max, lam_max, tail_bound,
-                              t, chebval(x, series), slopes)
+    return PolyharmonicKernel(k, t_max, lam_max, t, chebval(x, series),
+                              slopes)
 
 
 @dataclass(eq=False)
@@ -205,7 +197,7 @@ class SplineSystem:
     k: int
     kernel: PolyharmonicKernel
     kernel_matrix: np.ndarray
-    deconv_multiplier: Multiplier | None
+    deconv_multiplier: Multiplier
     condition: float
     lagrangian_defect: float
 
@@ -266,7 +258,7 @@ def check_kernel_size(r: float, domain_radius: float) -> None:
             f"{_MAX_KERNEL_BYTES:,} limit")
 
 
-def build_splines(lat: Lattice, k: int, m: Multiplier | None = None, *,
+def build_splines(lat: Lattice, k: int, m: Multiplier = IDENTITY, *,
                   space) -> SplineSystem:
     """Kernel matrix K_2k(d(x_j, x_nu)), certified by the Lagrangian defect.
 
@@ -368,7 +360,7 @@ def spline_interpolate(sys: SplineSystem, s: SampleSet) -> SplineInterpolant:
 
 def spline_band_projection(interp: SplineInterpolant,
                            grid: SpectralGrid) -> BandlimitedFunction:
-    """Band-limited part of the interpolant, deconvolved when applicable.
+    """Band-limited part of the interpolant, deconvolved by its m.
 
     On the band panel the expansion has transform
     |m|^2 (lam^2+rho^2)^(-2k) sum_j beta_j e^((-i lam + rho) A(x_j, b));
@@ -379,10 +371,8 @@ def spline_band_projection(interp: SplineInterpolant,
     sys = interp.system
     sl = grid.band_slice
     lam = grid.lambda_nodes[sl]
-    fac = _order_weight(lam, sys.k)
-    m = sys.deconv_multiplier
-    if m is not None:
-        fac = fac * np.conj(m(lam).astype(complex))
+    mv = sys.deconv_multiplier(lam).astype(complex)
+    fac = _order_weight(lam, sys.k) * np.conj(mv)
     # e^((-i lam + rho) a) = e^(rho a) sum_k conj(S[k, lam]) T_k(a / a_max)
     pts = sys.lattice.points
     a_max, series = _plane_wave_basis(pts, lam, np.ones(lam.size))
@@ -409,15 +399,14 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     _CERT_TOL = 1e-8) or TailTooLarge (a kernel whose spectral tail needs a
     cutoff past _LAM_CAP); the result records where.
     """
-    m = s.multiplier
-    if m is not None:
-        m.band_values(grid)
+    # MultiplierVanishes unless m can be divided out on the band
+    s.multiplier.band_values(grid)
     space = SpaceParams(grid.plancherel_scale)
-    k_list, functions, conditions = [], [], []
+    k_list, functions = [], []
     aborted_at = None
     for k in k_schedule:
         try:
-            sys = build_splines(lat, k, m, space=space)
+            sys = build_splines(lat, k, s.multiplier, space=space)
         except (SingularKernel, TailTooLarge):
             aborted_at = k
             break
@@ -427,6 +416,4 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
         interp = spline_interpolate(sys, s)
         k_list.append(int(k))
         functions.append(spline_band_projection(interp, grid))
-        conditions.append(sys.condition)
-    return {"k_list": k_list, "functions": functions,
-            "conditions": conditions, "aborted_at": aborted_at}
+    return {"k_list": k_list, "functions": functions, "aborted_at": aborted_at}

@@ -342,9 +342,26 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Plancherel calibration
 
+# the calibration's spectral grid and polar grid, and its tail tolerance
 _CAL_LAM_MAX = 24.0
+_CAL_N_LAMBDA = 96
+_CAL_N_B = 64
 _CAL_POLAR_GRID = (8.0, 128, 128)
 _CAL_TAIL_TOL = 1e-8
+
+
+def _bump_norms_sq(grid: SpectralGrid, draws) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial and spectral squared norms of the Gaussian bumps
+    exp(-d(c, x)^2 / (2 w^2)), one per (c, w) in draws, on _CAL_POLAR_GRID,
+    from one forward_transform onto grid at _CAL_TAIL_TOL; Parseval
+    balance makes them equal."""
+    pgrid = build_polar_grid(*_CAL_POLAR_GRID)
+    bumps = np.empty((len(draws), pgrid.n_r, pgrid.n_theta))
+    for f, (center, width) in zip(bumps, draws):
+        f[...] = np.exp(-distance(center, pgrid.points)**2 / (2.0 * width**2))
+    spatial = np.array([pgrid.norm_sq(f) for f in bumps])
+    coeffs = forward_transform(pgrid, grid, bumps, tail_tol=_CAL_TAIL_TOL)
+    return spatial, np.array([c.norm_sq() for c in coeffs])
 
 
 @dataclass(frozen=True)
@@ -352,7 +369,6 @@ class CalibrationResult:
     """Outcome of measuring the global spectral density constant."""
 
     scale: float
-    ratios: np.ndarray
     spread: float
 
 
@@ -363,12 +379,12 @@ def calibrate_plancherel() -> CalibrationResult:
     Transforms four well-localized Gaussian bumps (in hyperbolic distance,
     centers in B(0, 0.5), widths in [0.7, 1.2), fixed seed) on B(0, 8)
     with the density constant set to 1, compares spatial and spectral
-    squared norms, and least-squares fits the single constant.  The
-    per-function ratios must agree to 1e-3 or the measurement is rejected
-    (CalibrationInconsistent).
+    squared norms (_bump_norms_sq), and least-squares fits the single
+    constant.  The per-function ratios must agree to 1e-3 or the
+    measurement is rejected (CalibrationInconsistent).
 
     The measurement has no inputs, so it runs once per process: later
-    calls return the same result, whose ratios are read-only
+    calls return the same result, a frozen pair of floats
     (calibrate_plancherel.cache_clear() forces a fresh measurement).
 
     Memory: the four bumps go through one forward_transform, which
@@ -378,23 +394,16 @@ def calibrate_plancherel() -> CalibrationResult:
     G (2.6 MB) are built; G, its build transients and the samples set the
     peak.  Nothing outlives the call but the result.
     """
-    grid = build_grid(SpaceParams(), _CAL_LAM_MAX, 96, 64)
-    pgrid = build_polar_grid(*_CAL_POLAR_GRID)
+    grid = build_grid(SpaceParams(), _CAL_LAM_MAX, _CAL_N_LAMBDA, _CAL_N_B)
     rng = np.random.default_rng(0)
-    bumps = np.empty((4, pgrid.n_r, pgrid.n_theta))
-    for f in bumps:
-        center = random_ball_points(0.5, 1, rng)[0]
-        width = 0.7 + 0.5 * rng.random()
-        f[...] = np.exp(-distance(center, pgrid.points)**2 / (2.0 * width**2))
-    nums = np.array([pgrid.norm_sq(f) for f in bumps])
-    coeffs = forward_transform(pgrid, grid, bumps, tail_tol=_CAL_TAIL_TOL)
-    dens = np.array([c.norm_sq() for c in coeffs])
+    draws = [(random_ball_points(0.5, 1, rng)[0], 0.7 + 0.5 * rng.random())
+             for _ in range(4)]
+    nums, dens = _bump_norms_sq(grid, draws)
     ratios = nums / dens
-    ratios.flags.writeable = False
     spread = float(ratios.max() / ratios.min() - 1.0)
     if spread > 1e-3:
         raise CalibrationInconsistent(
             f"per-function Parseval ratios disagree by {spread:.3e} "
             f"(tolerance 1e-3)")
     scale = float(np.dot(nums, dens) / np.dot(dens, dens))
-    return CalibrationResult(scale=scale, ratios=ratios, spread=spread)
+    return CalibrationResult(scale=scale, spread=spread)

@@ -1,5 +1,5 @@
-"""Multipliers, a band-limited draw and the noise-stability probe shared by
-several test modules."""
+"""The Laplacian's multiplier, a band-limited draw and the noise-stability
+probe shared by several test modules."""
 
 import math
 
@@ -10,10 +10,6 @@ from hypersample.bandlimited import _N_MODES, BandlimitedFunction, \
 from hypersample.geometry import RHO
 from hypersample.sampling import SampleSet, build_frame
 from hypersample.spectral import Multiplier, SpectralCoeffs, SpectralGrid
-
-
-def identity_multiplier() -> Multiplier:
-    return Multiplier(fn=lambda lam: np.ones_like(lam), label="identity")
 
 
 def laplacian_multiplier() -> Multiplier:

@@ -1,9 +1,11 @@
 """The library holds what runs.  Every top-level definition, and every
 method, property and dataclass field of its classes, is reached from code
 that runs: another library module, a script or the scenario bench, not only
-tests.  Every module's __all__ names what the module defines and lists all
-of its public functions and classes.  Every parameter or dataclass field
-with a default is set by some program: one that none sets is a constant."""
+tests.  A dataclass field is read only through an attribute, x.field: a
+local variable of the same name does not read it.  Every module's __all__
+names what the module defines and lists all of its public functions and
+classes.  Every parameter or dataclass field with a default is set by some
+program: one that none sets is a constant."""
 
 import ast
 from collections import defaultdict
@@ -14,15 +16,16 @@ PACKAGE = ROOT / "src" / "hypersample"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _scan():
+def _scan(attributes_only=False):
     """Parsed trees of the package, and the ids of the Name and Attribute
-    nodes of the package, scripts/ and scenario_bench/, by the name used."""
+    nodes (the Attribute nodes alone if attributes_only) of the package,
+    scripts/ and scenario_bench/, by the name used."""
     trees, refs = {}, defaultdict(set)
     for base in (PACKAGE, ROOT / "scripts", ROOT / "scenario_bench"):
         for path in sorted(base.rglob("*.py")):
             trees[path] = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(trees[path]):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not attributes_only:
                     refs[node.id].add(id(node))
                 elif isinstance(node, ast.Attribute):
                     refs[node.attr].add(id(node))
@@ -47,8 +50,10 @@ def test_every_library_definition_has_a_caller_outside_tests():
 
 def test_every_class_member_is_read_outside_tests():
     # methods and properties by their def, dataclass fields by their
-    # annotation; dunder methods are called by the language
+    # annotation and only through x.field; dunder methods are called by
+    # the language
     trees, refs = _scan()
+    _, attrs = _scan(attributes_only=True)
     unread = []
     for path in MODULES:
         for cls in trees[path].body:
@@ -57,12 +62,14 @@ def test_every_class_member_is_read_outside_tests():
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef):
                     name = node.name
+                    used = refs
                 elif isinstance(node, ast.AnnAssign) \
                         and isinstance(node.target, ast.Name):
                     name = node.target.id
+                    used = attrs
                 else:
                     continue
-                if not name.startswith("__") and _unread(name, node, refs):
+                if not name.startswith("__") and _unread(name, node, used):
                     unread.append(f"{cls.name}.{name}")
     assert unread == []
 

@@ -19,14 +19,15 @@ from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, point_samples,
                                   reconstruct)
-from hypersample.spectral import (SpectralCoeffs, _horocycle_planes,
-                                  _plane_wave_basis, build_grid)
+from hypersample.spectral import (IDENTITY, SpectralCoeffs,
+                                  _horocycle_planes, _plane_wave_basis,
+                                  build_grid)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (SplineInterpolant, build_splines,
                                  spline_band_projection)
 from hypersample.transforms import build_polar_grid
 
-from helpers import identity_multiplier, laplacian_multiplier, stability_probe
+from helpers import laplacian_multiplier, stability_probe
 
 OMEGA = 2.0
 DOMAIN = 1.4
@@ -72,7 +73,7 @@ def _rel_coeff_err(a, b, grid):
 def test_point_samples_zero_function(f, lattices):
     zero = BandlimitedFunction(SpectralCoeffs(f.grid, 0.0 * f.coeffs.values))
     s = point_samples(zero, lattices[0.4])
-    assert s.multiplier is None
+    assert s.multiplier is IDENTITY
     assert np.all(s.values == 0)
 
 
@@ -105,11 +106,11 @@ def test_point_samples_against_direct_quadrature(f, grid, lattices):
 
 
 def test_convolution_identity_matches_point(f, lattices):
+    # convolution with the Dirac mass is point evaluation, bit for bit
     lat = lattices[0.2]
-    conv = convolution_samples(f, lat, identity_multiplier())
-    pts = point_samples(f, lat)
+    conv = convolution_samples(f, lat, IDENTITY)
     assert conv.multiplier.label == "identity"
-    assert np.max(np.abs(conv.values - pts.values)) <= 1e-12
+    assert np.array_equal(conv.values, f.evaluate(lat.points))
 
 
 def test_convolution_laplacian_matches_finite_differences(f, lattices):
@@ -132,14 +133,14 @@ def test_sample_set_validation(f, lattices):
         SampleSet(lat, np.zeros(3))
 
 
-def _weights(grid, m=None):
+def _weights(grid, m=IDENTITY):
     # band quadrature weights measure |m|^2 / n_b of the frame operator
     sl = grid.band_slice
-    mv = np.ones(grid.n_band) if m is None else m.values_on(grid)[sl]
+    mv = m.values_on(grid)[sl]
     return grid.lambda_measure[sl] / grid.n_b * np.abs(mv) ** 2
 
 
-def _factor(lat, grid, m=None):
+def _factor(lat, grid, m=IDENTITY):
     # the per-mode factor C that build_frame decomposes, less the samples
     # column it appends
     c, _ = _band_factor(lat, grid, np.sqrt(_weights(grid, m)),
@@ -147,12 +148,12 @@ def _factor(lat, grid, m=None):
     return c[:, :-1]
 
 
-def _factor_gram(lat, grid, m=None):
+def _factor_gram(lat, grid, m=IDENTITY):
     c = _factor(lat, grid, m)
     return c @ c.conj().T
 
 
-def _gram_gap(lat, grid, m=None):
+def _gram_gap(lat, grid, m=IDENTITY):
     # max |C C^H - psi psi^H| relative to the upper frame bound B, the
     # largest eigenvalue of psi psi^H
     psi = _plane_wave_rows(lat, grid, m)
@@ -161,7 +162,7 @@ def _gram_gap(lat, grid, m=None):
         / np.linalg.eigvalsh(ref)[-1]
 
 
-def _zeros(lat, m=None):
+def _zeros(lat, m=IDENTITY):
     # samples that leave only the frame's spectrum to look at
     return SampleSet(lat, np.zeros(len(lat)), m)
 
@@ -173,7 +174,7 @@ def _kernel_rows(points, lam, angles):
     return np.exp((1j * lam + RHO) * a[:, :, None])
 
 
-def _plane_wave_rows(lat, grid, m=None):
+def _plane_wave_rows(lat, grid, m=IDENTITY):
     # the weighted discrete plane-wave rows psi: F itself, never formed by
     # build_frame, whose Gram is psi psi^H
     sl = grid.band_slice
@@ -188,7 +189,7 @@ def _multiplier(name):
         return laplacian_multiplier()
     if name == "average":
         return average_multiplier(AverageSpec(tau=0.2))
-    return None
+    return IDENTITY
 
 
 @pytest.mark.parametrize("name", [None, "laplacian", "average"])
@@ -326,7 +327,7 @@ def test_zonal_gram_matches_plane_wave_gram(grid, lattices, r, tau):
     # the compressed factor drops only directions at the roundoff floor, so
     # its Gram is the plane-wave Gram psi psi^H
     lat = lattices[r]
-    m = None if tau is None else average_multiplier(AverageSpec(tau=tau))
+    m = IDENTITY if tau is None else average_multiplier(AverageSpec(tau=tau))
     frame = build_frame(_zeros(lat, m), grid=grid)
     psi = _plane_wave_rows(lat, grid, m)
     ref = psi @ psi.conj().T
@@ -474,7 +475,7 @@ def test_ball_directions_serve_any_point_set(grid, lattices, kind, tau, seed,
     # the directions come from the ball, not the points: whatever the
     # points in it, spread, on its rim, clustered, alone or moved past it,
     # the factor's Gram is the plane-wave Gram
-    m = None if tau is None else average_multiplier(AverageSpec(tau=tau))
+    m = IDENTITY if tau is None else average_multiplier(AverageSpec(tau=tau))
     points = _ball_point_set(kind, seed, shift, angle, lattices[0.4])
     assert _gram_gap(Lattice(points, 0.4, 1, DOMAIN, 0), grid, m) <= 1e-13
 
@@ -612,9 +613,8 @@ def test_reconstruction_error_decreases_with_r(frames, f, pgrid):
 def test_deconvolution_equals_point_route_for_identity(f, grid, lattices):
     lat = lattices[0.2]
     rec_pt = reconstruct(point_samples(f, lat), grid=grid)
-    rec_id = reconstruct(convolution_samples(f, lat, identity_multiplier()),
-                         grid=grid)
-    assert _rel_coeff_err(rec_id, rec_pt, grid) <= 1e-12
+    rec_id = reconstruct(SampleSet(lat, f.evaluate(lat.points)), grid=grid)
+    assert np.array_equal(rec_id.coeffs.values, rec_pt.coeffs.values)
 
 
 def test_reconstruction_is_a_projection(frame8, f, lattices):
@@ -636,14 +636,13 @@ def test_deconvolution_closed_loop(f, grid, lattices):
     assert _rel_coeff_err(f1, f0, grid) < 1e-5
 
 
-def _dense_lstsq(s, grid, m=None):
+def _dense_lstsq(s, grid, m=IDENTITY):
     # the minimal-norm solution of psi y = samples with singular values cut
     # at sqrt(cut) of the largest, taken to band coefficients by
     # conj(m) / sqrt(weights), the weights carrying |m|^2
     psi = _plane_wave_rows(s.lattice, grid, m)
     y = np.linalg.lstsq(psi, s.values, rcond=math.sqrt(1e-12))[0]
-    mv = np.ones(grid.n_band) if m is None \
-        else m.values_on(grid)[grid.band_slice]
+    mv = m.values_on(grid)[grid.band_slice]
     to_coeffs = np.conj(mv) / np.sqrt(_weights(grid, m))
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     values[grid.band_slice] = (y.reshape(grid.n_band, grid.n_b)

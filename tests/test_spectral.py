@@ -16,7 +16,7 @@ from hypersample import spectral as sp
 from hypersample.errors import MultiplierVanishes, NumericalFailure
 from hypersample.geometry import PAIR_BLOCK, RHO, SpaceParams, busemann
 
-from helpers import identity_multiplier, laplacian_multiplier
+from helpers import laplacian_multiplier
 
 
 def test_density_gamma_quotient_is_lam_tanh():
@@ -369,8 +369,11 @@ def test_multipliers_and_apply(grid):
         forward = sp.apply_multiplier(c, m)
         back = forward.values[band] / m.band_values(grid)[:, None]
         assert np.max(np.abs(back - c.values[band])) < 1e-13
-    ident = sp.apply_multiplier(c, identity_multiplier())
+    ident = sp.apply_multiplier(c, sp.IDENTITY)
     assert np.array_equal(ident.values, c.values)
+    # the zeroth Sobolev power is the identity, bit for bit
+    assert np.array_equal(sp.sobolev_multiplier(0.0).values_on(grid),
+                          sp.IDENTITY.values_on(grid))
 
 
 def test_band_values_refuse_a_vanishing_multiplier(grid):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from hypersample.bandlimited import BandlimitedFunction, synthesize
-from hypersample.geometry import RHO
+from hypersample.geometry import RHO, circle_points
 from hypersample.lattice import build_lattice
 from hypersample.sampling import (_PINV_CUT, convolution_samples,
                                   point_samples, reconstruct)
-from hypersample.spectral import SpectralCoeffs, apply_multiplier, build_grid
+from hypersample.spectral import (IDENTITY, SpectralCoeffs, apply_multiplier,
+                                  build_grid)
 from hypersample.sphavg import (AverageSpec, average_multiplier,
                                 near_identity_check, spherical_average_direct,
                                 theorem73_experiment)
@@ -42,8 +43,6 @@ def test_spec_validation():
         AverageSpec(tau=-0.1)
     with pytest.raises(ValueError):
         AverageSpec(tau=0.1, n=-1)
-    with pytest.raises(ValueError):
-        AverageSpec(tau=0.1, m_circle=8)
 
 
 def test_admissibility_threshold():
@@ -58,6 +57,7 @@ def test_admissibility_threshold():
 def test_identity_bypass(grid):
     m = average_multiplier(AverageSpec(tau=0.0, n=0))
     assert np.all(m.values_on(grid) == 1.0)
+    assert np.array_equal(m.values_on(grid), IDENTITY.values_on(grid))
 
 
 def test_two_path_agreement(grid, f):
@@ -85,15 +85,16 @@ def test_two_path_agreement(grid, f):
 
 def test_zero_radius_returns_point_value(f):
     y = 0.3 - 0.2j
-    spec = AverageSpec(tau=0.0, m_circle=32)
+    spec = AverageSpec(tau=0.0)
     assert spherical_average_direct(f, y, spec) == complex(
         f.evaluate(np.array([y]))[0])
 
 
 def test_circle_quadrature_doubling(f):
+    # the oracle's trapezoid rule against one at twice its 96 nodes
     y = 0.25 + 0.4j
-    a = spherical_average_direct(f, y, AverageSpec(tau=0.3, m_circle=64))
-    b = spherical_average_direct(f, y, AverageSpec(tau=0.3, m_circle=128))
+    a = spherical_average_direct(f, y, AverageSpec(tau=0.3))
+    b = complex(np.mean(f.evaluate(circle_points(y, 0.3, 192))))
     assert abs(a - b) <= 1e-10 * max(abs(a), 1e-6)
 
 
@@ -171,11 +172,12 @@ def test_experiment_point_sampling_reduction(grid, pgrid):
 def test_experiment_overlapping_spheres(grid, pgrid):
     # spheres of radius 0.3 around centers 0.2 apart overlap heavily, yet
     # the averaged samples still determine the function on the band
-    [rep] = theorem73_experiment(0.2, [AverageSpec(tau=0.3)], seed=0,
+    r, tau = 0.2, 0.3
+    assert tau > r
+    [rep] = theorem73_experiment(r, [AverageSpec(tau=tau)], seed=0,
                                  grid=grid, pgrid=pgrid,
                                  k_schedule=(2, 4, 8), cut=_PINV_CUT)
     assert rep["admissible"]
-    assert rep["tau"] > rep["r"]
     assert rep["frame_error"] < 1e-4
     # the deconvolving-spline schedule hits its conditioning guard at this
     # lattice density and must say so rather than return garbage

@@ -1,6 +1,7 @@
 """Transform oracles: quadrature exactness, mode-table cross-checks, route
 agreement, adjointness, Parseval balance and calibration."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -303,13 +304,14 @@ def test_calibration_inconsistent_when_band_starved(monkeypatch):
 
 def test_calibration_is_measured_once_and_read_only(calibration):
     # the process measures once; repeat calls hand back the same result,
-    # and its ratios cannot be edited in place
+    # a frozen record of floats that cannot be edited in place
     again = tr.calibrate_plancherel()
     assert again is tr.calibrate_plancherel()
     assert again.scale == calibration.scale
-    assert not again.ratios.flags.writeable
-    with pytest.raises(ValueError):
-        again.ratios[0] = 0.0
+    assert all(type(getattr(again, f.name)) is float
+               for f in dataclasses.fields(again))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        again.scale = 0.0
 
 
 def test_tail_mass_guard(pgrid, grid):
