@@ -28,7 +28,9 @@ stages with digests: every digest identical in every process of both
 sides), `differing_fields` (the fields other than times and memory on which
 the sides' first processes differ) and, for each array,
 `<name>_max_rel_diff` = max|head - base| / max|base| of the first
-processes.
+processes, or `<name>_shapes` = [base shape, head shape] when the shapes
+differ (the frame and spline mode tables hold n_lambda // 2 lambda rows
+since the spectral grid became the band alone, n_lambda before).
 
 The workers call `build_frame(samples, grid=...)`, whose frame holds the
 interpolant, time `sampling._ball_directions` and read the calibration's
@@ -179,7 +181,7 @@ def _modes(repeats, case):
     are the orders of `_radial_modes` and of `_expansion_orders` stacked
     into (lam, m, r) tables.  Then, on the frame and spline grids,
     `f.on_grid(pgrid)` of the seed-0 test function, which builds what it
-    reads of the rows it uses (`on_grid_<grid>_s`;
+    reads (`on_grid_<grid>_s`;
     `on_grid_<grid>_traced_mb`, its tracemalloc peak), with its values
     compared as an array."""
     import numpy as np
@@ -554,8 +556,12 @@ def _against(runs: dict, arrays: dict) -> dict:
     if digests[0]:
         out["outputs_equal"] = all(d == digests[0] for d in digests)
     for name, ref in arrays["base"].items():
+        got = arrays["head"][name]
+        if got.shape != ref.shape:
+            out[f"{name}_shapes"] = [list(ref.shape), list(got.shape)]
+            continue
         out[f"{name}_max_rel_diff"] = float(
-            np.max(np.abs(arrays["head"][name] - ref)) / np.max(np.abs(ref)))
+            np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
     return out
 
 

@@ -30,7 +30,6 @@ from .spectral import (
     SpectralGrid,
     apply_multiplier,
     build_grid,
-    default_lam_max,
     sobolev_multiplier,
     spherical_function,
 )

@@ -2,10 +2,10 @@
 
 A function is omega band limited when its spectral coefficients vanish for
 lam > omega.  Here that support condition is exact by construction: the
-coefficient grid carries a dedicated quadrature panel on [0, omega] and all
-rows above the band are identically zero.  Test objects are synthesized in
-the spectral domain as smooth bump profiles per boundary mode, so there is
-no spectral leakage to quantify.
+coefficient grid's one quadrature panel is the band [0, omega], so there is
+no row above it.  Test objects are synthesized in the spectral domain as
+smooth bump profiles per boundary mode, so there is no spectral leakage to
+quantify.
 """
 
 from __future__ import annotations
@@ -34,18 +34,10 @@ _BERNSTEIN_SLACK = 1e-10
 
 @dataclass(eq=False)
 class BandlimitedFunction:
-    """Spectral coefficients supported on the band panel [0, omega] of their
-    grid; omega is grid.omega."""
+    """Spectral coefficients on the band [0, omega] of their grid; omega is
+    grid.omega."""
 
     coeffs: SpectralCoeffs
-
-    def __post_init__(self):
-        grid = self.coeffs.grid
-        if grid.n_band == 0:
-            raise ValueError("coefficient grid has no band panel")
-        tail = self.coeffs.values[grid.n_band:]
-        if tail.size and np.any(tail != 0):
-            raise ValueError("coefficients above the band limit must be exactly zero")
 
     @property
     def grid(self) -> SpectralGrid:
@@ -77,28 +69,26 @@ def _bump_mask(t: np.ndarray) -> np.ndarray:
 
 def synthesize(grid: SpectralGrid, seed: int = 0) -> BandlimitedFunction:
     """Deterministic pseudo-random element of the band limited class of grid,
-    whose band panel [0, omega] is the band.
+    whose panel [0, omega] is the band.
 
     Each boundary mode |m| <= _N_MODES gets a Gaussian profile in lam (center
     and width drawn from _CENTER_RANGE and _WIDTH_RANGE, fractions of omega)
     multiplied by a smooth bump vanishing to all orders at 0 and omega, with
     a random complex amplitude.  Normalized to unit Plancherel norm.
     """
-    if grid.n_band == 0:
-        raise ValueError("grid has no band panel")
     if (grid.n_b - 1) // 2 < _N_MODES:
         raise ValueError(f"n_b must be at least {2 * _N_MODES + 2}")
     omega = grid.omega
     rng = np.random.default_rng(seed)
-    lam_band = grid.lambda_nodes[:grid.n_band]
-    mask = _bump_mask(lam_band / omega)
+    lam = grid.lambda_nodes
+    mask = _bump_mask(lam / omega)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     for m in range(-_N_MODES, _N_MODES + 1):
         center = omega * rng.uniform(*_CENTER_RANGE)
         width = omega * rng.uniform(*_WIDTH_RANGE)
         amp = complex(rng.standard_normal(), rng.standard_normal())
-        profile = amp * np.exp(-((lam_band - center) ** 2) / (2.0 * width**2)) * mask
-        values[:grid.n_band, m % grid.n_b] += profile
+        profile = amp * np.exp(-((lam - center) ** 2) / (2.0 * width**2)) * mask
+        values[:, m % grid.n_b] += profile
     coeffs = SpectralCoeffs(grid, np.fft.ifft(values, axis=1) * grid.n_b)
     coeffs.values /= coeffs.norm()
     return BandlimitedFunction(coeffs)

@@ -35,8 +35,7 @@ from .geometry import SpaceParams, multiplicity_bound, random_ball_points
 from .lattice import _min_separation, _probe_cover, build_lattice, \
     certify_cover, certify_multiplicity
 from .sampling import _PINV_CUT, build_frame, point_samples
-from .spectral import apply_multiplier, build_grid, default_lam_max, \
-    sobolev_multiplier
+from .spectral import apply_multiplier, build_grid, sobolev_multiplier
 from .sphavg import AverageSpec, average_multiplier, near_identity_check, \
     spherical_average_direct, theorem73_experiment
 from .splines import _CERT_TOL, build_splines, check_kernel_size, \
@@ -71,7 +70,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     gamma: float = 0.8
     domain_radius: float = 1.4
-    lam_max: float = 0.0
+    lam_max: float = 0.0  # read by no scenario: config files still set it
     n_lambda: int = 96
     n_b: int = 64
     n_r: int = 160
@@ -110,8 +109,6 @@ class ExperimentConfig:
             if getattr(self, name) < 2 * _N_MODES + 2:
                 raise ConfigError(f"{name} must be at least {2 * _N_MODES + 2}"
                                   f": the test functions use |m| <= {_N_MODES}")
-        if self.lam_max != 0 and not self.lam_max > self.omega:
-            raise ConfigError("lam_max must be 0 (automatic) or exceed omega")
         if not 0 < self.cut < 1:
             raise ConfigError("cut must lie in (0, 1)")
         if any(k < 1 for k in self.k_schedule):
@@ -239,9 +236,8 @@ def _rel_err(pgrid, got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _spectral_grid(cfg: ExperimentConfig, space: SpaceParams):
-    """The config's spectral grid."""
-    lam_max = cfg.lam_max or default_lam_max(cfg.omega)
-    return build_grid(space, lam_max, cfg.n_lambda, cfg.n_b, cfg.omega)
+    """The config's spectral grid: n_lambda // 2 nodes on the band."""
+    return build_grid(space, cfg.omega, cfg.n_lambda // 2, cfg.n_b)
 
 
 def _grids(cfg: ExperimentConfig, space: SpaceParams):
@@ -524,7 +520,7 @@ SCENARIOS = {
         "gamma", "domain_radius", "lam_max", "n_r", "n_theta", "cut")),
     "bernstein": _Scenario(_scenario_bernstein, unused=(
         "r", "r_values", "tau", "tau_values", "n", "k_schedule", "gamma",
-        "domain_radius", "n_r", "n_theta", "cut"),
+        "domain_radius", "lam_max", "n_r", "n_theta", "cut"),
         verify={"seeds": (0, 1)}),
     "lattice": _Scenario(_scenario_lattice, {
         "r_values": (0.1, 0.2, 0.4), "domain_radius": 1.5}, "r_values",
@@ -535,18 +531,20 @@ SCENARIOS = {
     # at r 0.4 alone the finest row misses the frame error tolerance
     "frame_reconstruct": _Scenario(_scenario_frame, {
         "r_values": (0.4, 0.2, 0.1)}, "r_values",
-        unused=("r", "tau", "tau_values", "n", "k_schedule", "gamma"),
+        unused=("r", "tau", "tau_values", "n", "k_schedule", "gamma",
+                "lam_max"),
         verify={"r_values": (0.4, 0.3), "domain_radius": 1.2}),
     "spline_reconstruct": _Scenario(_scenario_spline, {
         "omega": 1.0, "r": 0.8, "domain_radius": 2.0}, "k_schedule",
-        unused=("r_values", "tau", "tau_values", "n", "gamma", "cut"),
+        unused=("r_values", "tau", "tau_values", "n", "gamma", "lam_max",
+                "cut"),
         verify={"k_schedule": (2,), "domain_radius": 1.6}),
     "spherical_avg": _Scenario(_scenario_sphavg, unused=(
         "r", "r_values", "tau_values", "n", "k_schedule", "gamma",
-        "domain_radius", "n_r", "n_theta", "cut")),
+        "domain_radius", "lam_max", "n_r", "n_theta", "cut")),
     "theorem73": _Scenario(_scenario_theorem73, {
         "r": 0.1, "tau_values": (0.0, 0.1, 0.3), "k_schedule": (2,)},
-        "tau_values", unused=("r_values", "tau", "gamma"),
+        "tau_values", unused=("r_values", "tau", "gamma", "lam_max"),
         verify={"r": 0.4, "tau_values": (0.1,)}),
     "baseline1d": _Scenario(_scenario_baseline1d, unused=(
         "r", "r_values", "tau", "tau_values", "n", "k_schedule",

@@ -14,7 +14,7 @@ the minimal-norm band-limited interpolant (the dual-frame reconstruction).
 F is never formed whole, nor is its N x N Gram.  Each plane wave is a
 Chebyshev series in the horocycle distance a = A(x, b), so F = G S with the
 real planes G[j, (b, k)] = e^(rho A) T_k(A / a_max) (spectral) and a short
-series matrix S (deg x n_band, deg about 20 at omega = 2).  A unitary DFT
+series matrix S (deg x n_lambda, deg about 20 at omega = 2).  A unitary DFT
 over the n_b boundary angles splits G into angular-mode blocks of N x deg,
 of which only n_b / 2 + 1 are distinct up to conjugation; each block
 F_m = G_m S keeps its right singular directions above roundoff over the
@@ -144,7 +144,7 @@ def _mode_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
 def _ball_directions(grid: SpectralGrid, series: np.ndarray, a_max: float,
                      n: int) -> list[np.ndarray]:
     """Right singular directions V_m of G_m S over the ball B(o, a_max),
-    m = 0 ... n_b / 2, kept above max(n, n_band) eps times the largest
+    m = 0 ... n_b / 2, kept above max(n, n_lambda) eps times the largest
     singular value of all modes (the roundoff floor).
 
     The ball Gram int_B G_m^H G_m is a product rule: Gauss-Legendre in the
@@ -187,8 +187,7 @@ def _band_factor(lattice: Lattice, grid: SpectralGrid, scale: np.ndarray,
     points = lattice.points
     n, n_b, angles = points.size, grid.n_b, grid.boundary_angles
     a_max = max(lattice.domain_radius, _radius_bound(points))
-    series = plane_wave_series(grid.lambda_nodes[grid.band_slice],
-                               np.diag(scale), a_max)
+    series = plane_wave_series(grid.lambda_nodes, np.diag(scale), a_max)
     half = _ball_directions(grid, series, a_max, n)
     maps = [series @ v for v in half]
     src = [min(m, n_b - m) for m in range(n_b)]
@@ -255,7 +254,7 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     singular spectrum of their (multiplier-filtered) frame.
 
     The frame operator is F = R diag(sqrt(lambda_measure |m|^2 / n_b)) on
-    the band rows R[j, (lam, b)] = e_j(lam, b) of grid's band panel
+    the rows R[j, (lam, b)] = e_j(lam, b) at grid's nodes on the band
     [0, omega], m the samples' multiplier (one for point samples); its
     Gram F F^H is the integral over [0, omega] x boundary of
     |m|^2 e_j conj(e_k) density dlam db.  The per-mode factor C
@@ -279,13 +278,10 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     The rank and the bounds (A, B) on the retained span are returned as
     diagnostics; NotAFrame is raised when no eigenvalue clears the cut.
     """
-    if grid.n_band == 0:
-        raise ValueError("grid has no band panel")
     if len(s) == 0:
         raise ValueError("empty lattice")
-    sl = grid.band_slice
     mv = s.multiplier.band_values(grid)
-    scale = np.sqrt(grid.lambda_measure[sl] * np.abs(mv) ** 2 / grid.n_b)
+    scale = np.sqrt(grid.lambda_measure * np.abs(mv) ** 2 / grid.n_b)
     factor, dirs = _band_factor(s.lattice, grid, scale, s.values)
     _factor_qr(factor)
     k = factor.shape[1] - 1
@@ -297,8 +293,7 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     at = np.cumsum([v.shape[1] for v in dirs])[:-1]
     modes = np.stack([v @ c for v, c in zip(dirs, np.split(cols, at))])
     modes *= np.conj(mv) / scale
-    values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    values[sl] = np.fft.fft(modes, axis=0, norm="ortho").T
+    values = np.fft.fft(modes, axis=0, norm="ortho").T
     frame = FrameSystem(BandlimitedFunction(SpectralCoeffs(grid, values)),
                         sv ** 2, cut)
     if frame.rank != rank:

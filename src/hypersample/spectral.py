@@ -14,13 +14,12 @@ the rank-one Gamma-quotient form of the inverse Harish-Chandra c factor.
 The global constant plancherel_scale is measured by calibration, not taken
 on faith (transforms.calibrate_plancherel).
 
-A SpectralGrid fixes the quadrature discretization: Gauss-Legendre nodes in
-lam on [0, lam_max] (optionally split into a band panel [0, omega] and a
-tail panel (omega, lam_max] so band limited objects have exact support) and
-a uniform trapezoid grid of n_b angles on the boundary with normalized
-measure db = d(theta)/(2 pi).  SpectralCoeffs hold complex values on that
-grid; all norms are Plancherel-weighted and accumulated with compensated
-summation.
+A SpectralGrid fixes the quadrature discretization: one Gauss-Legendre
+panel in lam on the band [0, omega], the only spectrum a band limited
+function has, and a uniform trapezoid grid of n_b angles on the boundary
+with normalized measure db = d(theta)/(2 pi).  SpectralCoeffs hold complex
+values on that grid; all norms are Plancherel-weighted and accumulated with
+compensated summation.
 
 Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
 single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
@@ -60,7 +59,6 @@ __all__ = [
     "zonal_series",
     "SpectralGrid",
     "build_grid",
-    "default_lam_max",
     "SpectralCoeffs",
     "Multiplier",
     "IDENTITY",
@@ -428,18 +426,12 @@ def spherical_function(lam, r) -> np.ndarray:
     return table[li.ravel(), ri.ravel()].reshape(lam_b.shape)
 
 
-def default_lam_max(omega: float) -> float:
-    """Default spectral cutoff for experiments at band limit omega."""
-    return max(4.0 * omega, 20.0 * RHO)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
-    """Quadrature grid on [0, lam_max] x boundary circle.
+    """Quadrature grid on the band [0, omega] x boundary circle.
 
-    lambda_nodes are strictly increasing Gauss-Legendre nodes; when omega > 0
-    the first n_band of them form a dedicated panel on [0, omega] so that the
-    band edge is a panel boundary.  density already includes plancherel_scale.
+    lambda_nodes are the strictly increasing Gauss-Legendre nodes of one
+    panel on [0, omega].  density already includes plancherel_scale.
     """
 
     lambda_nodes: np.ndarray
@@ -447,13 +439,17 @@ class SpectralGrid:
     density: np.ndarray
     n_b: int
     omega: float
-    lam_max: float
-    n_band: int
     plancherel_scale: float
 
     @property
     def n_lambda(self) -> int:
         return self.lambda_nodes.size
+
+    @property
+    def n_band(self) -> int:
+        # the whole grid is the band; kept for the benchmark's tracer
+        # (scenario_bench/spans.py) until ROADMAP item 13
+        return self.n_lambda
 
     @property
     def boundary_angles(self) -> np.ndarray:
@@ -463,10 +459,6 @@ class SpectralGrid:
     def lambda_measure(self) -> np.ndarray:
         """Quadrature weight times spectral density, per lambda node."""
         return self.lambda_weights * self.density
-
-    @property
-    def band_slice(self) -> slice:
-        return slice(0, self.n_band if self.n_band else self.n_lambda)
 
 
 @functools.lru_cache(maxsize=16)
@@ -485,37 +477,18 @@ def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def build_grid(space, lam_max: float, n_lambda: int, n_b: int,
-               omega: float | None = None) -> SpectralGrid:
-    """Construct a SpectralGrid with the density constant of space.
-
-    With omega set, the lambda nodes consist of a Gauss-Legendre panel of
-    n_lambda // 2 nodes on [0, omega] followed by one of the other nodes on
-    [omega, lam_max]; without it, a single panel on [0, lam_max].
-    """
-    if lam_max <= 0 or n_lambda < 2 or n_b < 4 or n_b % 2:
+def build_grid(space, omega: float, n_lambda: int, n_b: int) -> SpectralGrid:
+    """Construct a SpectralGrid with the density constant of space: an
+    n_lambda-point Gauss-Legendre panel on [0, omega]."""
+    if omega <= 0 or n_lambda < 2 or n_b < 4 or n_b % 2:
         raise ValueError("bad grid parameters")
-    if omega is not None and not 0 < omega < lam_max:
-        raise ValueError("need 0 < omega < lam_max")
-    if omega is None:
-        nodes, weights = _gl_panel(0.0, lam_max, n_lambda)
-        nb = 0
-        omega_val = 0.0
-    else:
-        nb = n_lambda // 2
-        x1, w1 = _gl_panel(0.0, omega, nb)
-        x2, w2 = _gl_panel(omega, lam_max, n_lambda - nb)
-        nodes, weights = np.concatenate([x1, x2]), np.concatenate([w1, w2])
-        omega_val = float(omega)
-    dens = plancherel_density(nodes, space.plancherel_scale)
+    nodes, weights = _gl_panel(0.0, omega, n_lambda)
     return SpectralGrid(
         lambda_nodes=nodes,
         lambda_weights=weights,
-        density=dens,
+        density=plancherel_density(nodes, space.plancherel_scale),
         n_b=int(n_b),
-        omega=omega_val,
-        lam_max=float(lam_max),
-        n_band=int(nb),
+        omega=float(omega),
         plancherel_scale=float(space.plancherel_scale),
     )
 
@@ -566,9 +539,9 @@ class Multiplier:
         return self(grid.lambda_nodes)
 
     def band_values(self, grid: SpectralGrid) -> np.ndarray:
-        """m on the band nodes of grid, which it must not vanish on: raises
+        """m on the nodes of grid, which it must not vanish on: raises
         MultiplierVanishes where |m| <= 1e-12."""
-        vals = self.values_on(grid)[grid.band_slice]
+        vals = self.values_on(grid)
         if np.min(np.abs(vals)) <= 1e-12:
             raise MultiplierVanishes(
                 f"multiplier {self.label!r} vanishes on the band")

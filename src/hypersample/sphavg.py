@@ -86,9 +86,9 @@ def near_identity_check(grid: SpectralGrid, spec: AverageSpec) -> dict:
     scaling by (lam^2 + rho^2)^n gives the bound checked here against the
     multiplier (lam^2 + rho^2)^n phi_lam(tau).
     """
-    lam = grid.lambda_nodes[grid.band_slice]
+    lam = grid.lambda_nodes
     base = lam**2 + RHO**2
-    mv = average_multiplier(spec).values_on(grid)[grid.band_slice]
+    mv = average_multiplier(spec).values_on(grid)
     lhs = np.abs(mv - base ** spec.n)
     rhs = np.minimum(2.0 * base**spec.n, spec.tau**2 * base ** (spec.n + 1))
     passed = bool(np.all(lhs <= rhs * (1.0 + 1e-12)))

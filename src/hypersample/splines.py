@@ -362,15 +362,12 @@ def spline_band_projection(interp: SplineInterpolant,
                            grid: SpectralGrid) -> BandlimitedFunction:
     """Band-limited part of the interpolant, deconvolved by its m.
 
-    On the band panel the expansion has transform
+    On the band the expansion has transform
     |m|^2 (lam^2+rho^2)^(-2k) sum_j beta_j e^((-i lam + rho) A(x_j, b));
     dividing by m leaves the conj(m)-filtered coefficients returned here.
     """
-    if grid.n_band == 0:
-        raise ValueError("grid has no band panel")
     sys = interp.system
-    sl = grid.band_slice
-    lam = grid.lambda_nodes[sl]
+    lam = grid.lambda_nodes
     mv = sys.deconv_multiplier(lam).astype(complex)
     fac = _order_weight(lam, sys.k) * np.conj(mv)
     # e^((-i lam + rho) a) = e^(rho a) sum_k conj(S[k, lam]) T_k(a / a_max)
@@ -381,9 +378,7 @@ def spline_band_projection(interp: SplineInterpolant,
                                            len(series)):
         sums[k] += interp.beta[blk] @ plane
     coef = series.conj().T @ sums
-    values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    values[sl] = fac[:, None] * coef
-    return BandlimitedFunction(SpectralCoeffs(grid, values))
+    return BandlimitedFunction(SpectralCoeffs(grid, fac[:, None] * coef))
 
 
 def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,

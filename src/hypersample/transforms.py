@@ -50,9 +50,7 @@ radii up to the switch radius: it contracts the weighted coefficients
 with S first, h = S (w_lam c_m), and sums
 f_m(r) = sum_k G[k, r, |m|] h[k, m] over the real coefficients, and it
 takes the expansion's orders of the radii beyond one at a time, as the
-forward transform does.  It builds (S, G) only for the band panel
-[0, omega] when the coefficients vanish above it, as a
-BandlimitedFunction's always do, and keeps nothing between calls.
+forward transform does.  It keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -278,9 +276,7 @@ def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
 def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
     """Evaluate the inverse transform on a full polar grid (mode route).
 
-    The lambda sum runs over the rows the coefficients use: the band panel
-    when every row above it is zero (always so for a BandlimitedFunction),
-    else all rows.  At the radii up to _SWITCH_RADIUS it runs through the
+    At the radii up to _SWITCH_RADIUS the lambda sum runs through the
     real mode coefficients G of _circle_modes: h = S (w_lam c_m), a
     deg x n_b matrix, then f_m(r) = sum_k G[k, r, |m|] h[k, m], so no
     lambda table of those radii exists; the radii beyond take the
@@ -289,13 +285,9 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
     to roundoff (within 1e-14 of max|f|)."""
     grid = coeffs.grid
     mk = _default_m_max(grid, pgrid)
-    n = grid.n_band
-    if not n or np.any(coeffs.values[n:]):
-        n = grid.n_lambda
-    series, modes, far = _near_and_far(grid.lambda_nodes[:n], pgrid.r_nodes,
-                                       mk)
-    c_modes = np.fft.fft(coeffs.values[:n], axis=1) / grid.n_b
-    wc = grid.lambda_measure[:n, None] * c_modes
+    series, modes, far = _near_and_far(grid.lambda_nodes, pgrid.r_nodes, mk)
+    c_modes = np.fft.fft(coeffs.values, axis=1) / grid.n_b
+    wc = grid.lambda_measure[:, None] * c_modes
     h = series @ wc
     n_near = modes.shape[1]
     packed = np.zeros((pgrid.n_r, pgrid.n_theta), dtype=complex)
@@ -319,8 +311,9 @@ def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
     contracted with the matching coefficients of the n_b series.  The
     series is cut at its roundoff plateau, so its length, and the cost per
     point, follows the decay of the weighted coefficients in lam: 18 terms
-    instead of 77 for the omega = 2 test function at the r = 0.1 lattice
-    points (lam_max = 8, domain 1.4), one zero term for zero coefficients.
+    instead of the 68 it starts from for the omega = 2 test function at the
+    r = 0.1 lattice points (domain 1.4), one zero term for zero
+    coefficients.
     """
     grid = coeffs.grid
     pts = np.asarray(points, dtype=complex)

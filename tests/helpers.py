@@ -25,14 +25,14 @@ def gaussian_draw(grid: SpectralGrid, seed: int, *,
     as fractions of omega, from the given ranges."""
     omega = grid.omega
     rng = np.random.default_rng(seed)
-    lam = grid.lambda_nodes[:grid.n_band]
+    lam = grid.lambda_nodes
     mask = _bump_mask(lam / omega)
     values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     for m in range(-_N_MODES, _N_MODES + 1):
         center = omega * rng.uniform(*center_range)
         width = omega * rng.uniform(*width_range)
         amp = complex(rng.standard_normal(), rng.standard_normal())
-        values[:grid.n_band, m % grid.n_b] += \
+        values[:, m % grid.n_b] += \
             amp * np.exp(-((lam - center) ** 2) / (2.0 * width**2)) * mask
     coeffs = SpectralCoeffs(grid, np.fft.ifft(values, axis=1) * grid.n_b)
     coeffs.values /= coeffs.norm()

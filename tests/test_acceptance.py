@@ -35,7 +35,7 @@ def _report(num: int, name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid2(space):
-    return build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
+    return build_grid(space, 2.0, 48, 64)
 
 
 @pytest.fixture(scope="module")

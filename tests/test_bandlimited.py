@@ -10,7 +10,7 @@ from hypersample.bandlimited import (BandlimitedFunction, bernstein_check,
 from hypersample.geometry import RHO, distance
 from hypersample.spectral import (SpectralCoeffs, SpectralGrid,
                                   apply_multiplier, build_grid,
-                                  default_lam_max, sobolev_multiplier)
+                                  sobolev_multiplier)
 from hypersample.transforms import PolarGrid, build_polar_grid
 
 from helpers import gaussian_draw
@@ -73,9 +73,8 @@ def density_probe(grid: SpectralGrid, center, radius: float,
     return {"n": list(n_list), "errors": errors, "condition": conds}
 
 
-def _grid(space, omega=OMEGA, n_lambda=96, n_b=64):
-    return build_grid(space, default_lam_max(omega), n_lambda, n_b,
-                      omega=omega)
+def _grid(space, omega=OMEGA, n_lambda=48, n_b=64):
+    return build_grid(space, omega, n_lambda, n_b)
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +84,14 @@ def grid(space):
 
 @pytest.fixture(scope="module")
 def probe_grid(space):
-    return _grid(space, n_lambda=32, n_b=16)
+    return _grid(space, n_lambda=16, n_b=16)
 
 
 def test_synthesize_unit_norm_and_support(grid):
     f = synthesize(grid, seed=3)
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
-    # support condition is exact, not approximate
-    assert np.all(f.coeffs.values[f.grid.n_band:] == 0)
+    # support condition is exact, not approximate: no node lies above omega
+    assert grid.lambda_nodes[-1] < OMEGA
 
 
 def test_synthesize_deterministic(grid):
@@ -107,20 +106,6 @@ def test_synthesize_validation(space):
     # six boundary angles cannot resolve the modes |m| <= 3
     with pytest.raises(ValueError, match="n_b must be at least 8"):
         synthesize(_grid(space, n_b=6), seed=0)
-    grid = build_grid(space, 8.0, 64, 16)  # no band panel
-    with pytest.raises(ValueError):
-        synthesize(grid, seed=0)
-
-
-def test_bandlimited_rejects_tail_mass(space):
-    grid = build_grid(space, 8.0, 64, 16, omega=OMEGA)
-    vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    vals[-1, 0] = 1.0
-    with pytest.raises(ValueError):
-        BandlimitedFunction(SpectralCoeffs(grid, vals))
-    with pytest.raises(ValueError, match="band panel"):
-        BandlimitedFunction(
-            SpectralCoeffs(build_grid(space, 8.0, 64, 16), vals))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
@@ -142,11 +127,11 @@ def test_bernstein_sigma_zero_is_equality(grid):
 def test_bernstein_sharp_for_edge_concentration(space):
     # profile concentrated near the top of the band: the inequality is
     # nearly attained, so the constant cannot be improved
-    grid = build_grid(space, 8.0, 320, 8, omega=OMEGA)
-    lam = grid.lambda_nodes[:grid.n_band]
+    grid = build_grid(space, OMEGA, 160, 8)
+    lam = grid.lambda_nodes
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    vals[:grid.n_band, 0] = np.exp(-((lam - 0.995 * OMEGA) ** 2)
-                                   / (2.0 * (0.01 * OMEGA) ** 2))
+    vals[:, 0] = np.exp(-((lam - 0.995 * OMEGA) ** 2)
+                        / (2.0 * (0.01 * OMEGA) ** 2))
     f = BandlimitedFunction(SpectralCoeffs(grid, vals))
     for sigma in (1.0, 2.0):
         rep = bernstein_check(f, sigma)

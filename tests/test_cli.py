@@ -21,6 +21,7 @@ from hypersample.cli import (
     SCENARIOS,
     ExperimentConfig,
     _scenario_lattice,
+    _spectral_grid,
     _scenario_theorem73,
     config_to_ini,
     load_config,
@@ -86,8 +87,8 @@ def _configs(draw):
                                   max_size=4))),
         gamma=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         domain_radius=draw(_positive),
-        lam_max=draw(st.one_of(st.just(0.0),
-                               st.floats(omega, 1e7, exclude_min=True))),
+        # no scenario reads lam_max, so any finite value loads
+        lam_max=draw(st.floats(-1e7, 1e7)),
         n_lambda=draw(counts),
         n_b=draw(evens),
         n_r=draw(counts),
@@ -472,7 +473,7 @@ def test_theorem73_spline_tail_too_large_ends_the_schedule(outroot, capsys,
         assert math.isfinite(float(row["frame_error"]))
 
 
-@pytest.mark.parametrize("override", [{"n_theta": "64"}, {"lam_max": "12"}])
+@pytest.mark.parametrize("override", [{"n_theta": "64"}, {"n_lambda": "64"}])
 def test_theorem73_builds_its_grids_from_the_config(tmp_path, space,
                                                     override):
     # the error is measured on the config's polar grid and the function
@@ -510,6 +511,20 @@ def test_theorem73_honours_cut(tmp_path, outroot):
     (err12, rank12), (err20, rank20) = run_at("1e-12"), run_at("1e-20")
     assert rank20 > rank12
     assert err20 != err12
+
+
+@pytest.mark.parametrize("scenario", [
+    name for name, spec in SCENARIOS.items()
+    if not {"omega", "n_lambda"} & set(spec.unused)])
+def test_band_scenarios_grid_is_the_band(space, scenario):
+    # every node of a band scenario's spectral grid lies inside (0, omega),
+    # n_lambda // 2 of them: no row of any coefficient field sits above it
+    cfg = load_config(ROOT / "configs" / f"{scenario}.ini")
+    grid = _spectral_grid(cfg, space)
+    assert grid.omega == cfg.omega
+    assert grid.n_lambda == cfg.n_lambda // 2
+    assert 0.0 < grid.lambda_nodes[0]
+    assert grid.lambda_nodes[-1] < cfg.omega
 
 
 @pytest.mark.parametrize("override", ["lam_max=30", "n_r=64", "n_theta=64",
@@ -615,7 +630,7 @@ def test_bad_config_exits_two(tmp_path, outroot, capsys):
 
 @pytest.mark.parametrize("override", [
     "n_b=33", "n_theta=95",          # odd angle counts
-    "lam_max=1.0",                   # spectral cutoff below the band
+    "lam_max=1.0",                   # a field no scenario reads
     "cut=-1", "cut=0", "cut=1",      # eigenvalue cut outside (0, 1)
     "k_schedule=2, 0",               # spline order below 1
     "seeds=-1",                      # seeds feed numpy's generator

@@ -183,7 +183,7 @@ def test_circle_points_zero_radius():
 
 
 def _coercion_cases():
-    grid = build_grid(geo.SpaceParams(), 8.0, 24, 16, omega=2.0)
+    grid = build_grid(geo.SpaceParams(), 2.0, 12, 16)
     f = synthesize(grid, seed=3)
     return {
         "distance": lambda z: geo.distance(z, 0.4 - 0.1j),

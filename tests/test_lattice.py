@@ -18,8 +18,7 @@ from hypersample.geometry import (PAIR_BLOCK, ball_volume, distance,
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
                                  certify_multiplicity)
 from hypersample.spectral import (SpectralCoeffs, apply_multiplier,
-                                  build_grid, default_lam_max,
-                                  sobolev_multiplier)
+                                  build_grid, sobolev_multiplier)
 
 
 def _pairwise_min(points):
@@ -435,14 +434,14 @@ def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
 
 def _band_grid(space):
     """The omega = 2 grid of the sampling-inequality probes."""
-    return build_grid(space, default_lam_max(2.0), 96, 64, omega=2.0)
+    return build_grid(space, 2.0, 48, 64)
 
 
 def test_probe_zero_function(space):
     lat = build_lattice(0.3, 1.0, seed=0)
-    grid = build_grid(space, 8.0, 32, 8, omega=2.0)
+    grid = build_grid(space, 2.0, 16, 8)
     zero = BandlimitedFunction(
-        SpectralCoeffs(grid, np.zeros((32, 8), complex)))
+        SpectralCoeffs(grid, np.zeros((16, 8), complex)))
     rep = sampling_inequality_probe(lat, zero, 2)
     assert rep == {"norm": 0.0, "sample_norm": 0.0, "sobolev_term": 0.0,
                    "ratio": 0.0, "upper_ratio": 0.0}

@@ -35,7 +35,7 @@ DOMAIN = 1.4
 
 @pytest.fixture(scope="module")
 def grid(space):
-    return build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=OMEGA)
+    return build_grid(space, OMEGA, 48, 64)
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +135,8 @@ def test_sample_set_validation(f, lattices):
 
 def _weights(grid, m=IDENTITY):
     # band quadrature weights measure |m|^2 / n_b of the frame operator
-    sl = grid.band_slice
-    mv = m.values_on(grid)[sl]
-    return grid.lambda_measure[sl] / grid.n_b * np.abs(mv) ** 2
+    mv = m.values_on(grid)
+    return grid.lambda_measure / grid.n_b * np.abs(mv) ** 2
 
 
 def _factor(lat, grid, m=IDENTITY):
@@ -177,9 +176,7 @@ def _kernel_rows(points, lam, angles):
 def _plane_wave_rows(lat, grid, m=IDENTITY):
     # the weighted discrete plane-wave rows psi: F itself, never formed by
     # build_frame, whose Gram is psi psi^H
-    sl = grid.band_slice
-    rows = _kernel_rows(lat.points, grid.lambda_nodes[sl],
-                        grid.boundary_angles)
+    rows = _kernel_rows(lat.points, grid.lambda_nodes, grid.boundary_angles)
     rows = rows.transpose(1, 2, 0).reshape(len(lat), -1)
     return rows * np.sqrt(np.repeat(_weights(grid, m), grid.n_b))
 
@@ -198,16 +195,14 @@ def test_mode_rows_match_plane_wave_dft(grid, lattices, r, name):
     # G_m S, with mode -m built as conj(G_m), is the unitary DFT over the
     # boundary angles of the weighted plane-wave rows
     lat = lattices[r]
-    sl = grid.band_slice
     scale = np.sqrt(_weights(grid, _multiplier(name)))
-    a_max, series = _plane_wave_basis(lat.points, grid.lambda_nodes[sl],
-                                      scale)
+    a_max, series = _plane_wave_basis(lat.points, grid.lambda_nodes, scale)
     half = np.empty((len(lat), len(series), grid.n_b // 2 + 1),
                     dtype=complex)
     for blk, k, plane in _horocycle_planes(lat.points, grid.boundary_angles,
                                            a_max, len(series)):
         half[blk, k] = np.fft.rfft(plane, axis=1, norm="ortho")
-    ref = np.fft.fft(_kernel_rows(lat.points, grid.lambda_nodes[sl],
+    ref = np.fft.fft(_kernel_rows(lat.points, grid.lambda_nodes,
                                   grid.boundary_angles),
                      axis=0, norm="ortho") * scale
     top = np.max(np.abs(ref))
@@ -220,12 +215,11 @@ def test_mode_rows_match_plane_wave_dft(grid, lattices, r, name):
 @pytest.mark.parametrize("name", [None, "laplacian", "average"])
 def test_trimmed_series_degree_below_band(grid, lattices, name):
     # the factor's blocks are N x deg: the cut series must be narrower than
-    # the n_band columns of the plane-wave blocks it replaces
+    # the n_lambda columns of the plane-wave blocks it replaces
     scale = np.sqrt(_weights(grid, _multiplier(name)))
     for lat in lattices.values():
-        _, series = _plane_wave_basis(
-            lat.points, grid.lambda_nodes[grid.band_slice], scale)
-        assert series.shape[0] < grid.n_band
+        _, series = _plane_wave_basis(lat.points, grid.lambda_nodes, scale)
+        assert series.shape[0] < grid.n_lambda
 
 
 def test_spline_band_projection_matches_plane_wave_rows(space, grid):
@@ -238,18 +232,17 @@ def test_spline_band_projection_matches_plane_wave_rows(space, grid):
     n = len(system.lattice)
     beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got = spline_band_projection(SplineInterpolant(system, beta), grid)
-    sl = grid.band_slice
-    lam = grid.lambda_nodes[sl]
+    lam = grid.lambda_nodes
     rows = _kernel_rows(system.lattice.points, lam, grid.boundary_angles)
     want = np.einsum("j,lji->il", beta, rows.conj()) \
         * ((lam ** 2 + RHO ** 2) ** (-2 * system.k))[:, None]
-    assert np.max(np.abs(got.coeffs.values[sl] - want)) \
+    assert np.max(np.abs(got.coeffs.values - want)) \
         <= 1e-14 * np.max(np.abs(want))
 
 
 def test_results_carry_their_grids_omega(space):
     # omega lives on the grid only: every band-limited result reads it there
-    grid = build_grid(space, lam_max=6.0, n_lambda=48, n_b=32, omega=1.5)
+    grid = build_grid(space, 1.5, 24, 32)
     lat = build_lattice(0.8, 1.0, seed=0)
     f = synthesize(grid, seed=0)
     rec = reconstruct(point_samples(f, lat), grid=grid)
@@ -268,7 +261,7 @@ def test_single_point_frame(grid):
     assert a == b > 0
     # phi_lam(0) = 1, so the one Gram entry is the band mass, the squared
     # norm of the one plane-wave row
-    band_mass = grid.lambda_measure[grid.band_slice].sum()
+    band_mass = grid.lambda_measure.sum()
     assert b == pytest.approx(band_mass, rel=1e-12)
     psi = _plane_wave_rows(lat, grid)
     assert b == pytest.approx(np.vdot(psi, psi).real, rel=1e-12)
@@ -278,7 +271,7 @@ def test_frame_of_roundoff_scale_lattice(grid):
     # two points 3e-16 apart: every Gram entry is the band mass, rank one
     lat = Lattice(np.array([0.1 + 0j, 0.1 + 3e-16]), 0.2, 1, 0.2, 0)
     frame = build_frame(_zeros(lat), grid=grid)
-    band_mass = grid.lambda_measure[grid.band_slice].sum()
+    band_mass = grid.lambda_measure.sum()
     assert np.allclose(_factor_gram(lat, grid), band_mass, rtol=1e-12,
                        atol=0.0)
     assert frame.rank == 1
@@ -307,8 +300,8 @@ def test_gram_matches_zonal_kernel(lattices, grid):
     # average sum_i w_i P_{-1/2 + i lam_i}(cosh d)
     lat = lattices[0.4]
     gram = _factor_gram(lat, grid)
-    lam = grid.lambda_nodes[grid.band_slice]
-    w = grid.lambda_measure[grid.band_slice]
+    lam = grid.lambda_nodes
+    w = grid.lambda_measure
     pts = lat.points[:6]
     top = abs(gram[0, 0])
     for j in range(6):
@@ -356,8 +349,7 @@ def test_retained_vectors_match_dense_svd(frames, lattices, grid, f, r):
     # the interpolant resampled on the plane-wave rows is the samples'
     # projection on the retained left singular vectors
     s = point_samples(f, lat).values
-    y = frame.function.coeffs.values[grid.band_slice] \
-        * np.sqrt(_weights(grid))[:, None]
+    y = frame.function.coeffs.values * np.sqrt(_weights(grid))[:, None]
     ref = u[:, :rank]
     proj = _plane_wave_rows(lat, grid) @ y.ravel()
     assert np.max(np.abs(proj - ref @ (ref.conj().T @ s))) \
@@ -396,8 +388,7 @@ def test_frame_spectrum_is_rotation_invariant(frames, lattices, grid, r,
 
 @pytest.fixture(scope="module")
 def frame256(space, lattices):
-    grid256 = build_grid(space, lam_max=8.0, n_lambda=96, n_b=256,
-                         omega=OMEGA)
+    grid256 = build_grid(space, OMEGA, 48, 256)
     return build_frame(_zeros(lattices[0.4]), grid=grid256), grid256
 
 
@@ -556,10 +547,7 @@ def test_frame_bounds_tighten_as_lattice_refines(frames):
     assert b_vals[0] < b_vals[1] < b_vals[2]
 
 
-def test_build_frame_input_validation(space, grid, lattices):
-    no_band = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64)
-    with pytest.raises(ValueError, match="band panel"):
-        build_frame(_zeros(lattices[0.4]), grid=no_band)
+def test_build_frame_input_validation(grid):
     with pytest.raises(ValueError, match="empty"):
         build_frame(_zeros(Lattice(np.array([], dtype=complex), 0.2, 1, 1.0,
                                    0)), grid=grid)
@@ -642,11 +630,8 @@ def _dense_lstsq(s, grid, m=IDENTITY):
     # conj(m) / sqrt(weights), the weights carrying |m|^2
     psi = _plane_wave_rows(s.lattice, grid, m)
     y = np.linalg.lstsq(psi, s.values, rcond=math.sqrt(1e-12))[0]
-    mv = m.values_on(grid)[grid.band_slice]
-    to_coeffs = np.conj(mv) / np.sqrt(_weights(grid, m))
-    values = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
-    values[grid.band_slice] = (y.reshape(grid.n_band, grid.n_b)
-                               * to_coeffs[:, None])
+    to_coeffs = np.conj(m.values_on(grid)) / np.sqrt(_weights(grid, m))
+    values = y.reshape(grid.n_lambda, grid.n_b) * to_coeffs[:, None]
     return BandlimitedFunction(SpectralCoeffs(grid, values))
 
 

@@ -296,25 +296,35 @@ def test_busemann_angle_count_grows_with_radius():
 
 @pytest.fixture
 def grid():
-    return sp.build_grid(SpaceParams(), lam_max=24.0, n_lambda=48, n_b=32,
-                         omega=6.0)
+    return sp.build_grid(SpaceParams(), 6.0, 24, 32)
 
 
 def test_build_grid_band_panel(grid):
-    # the band panel takes half the nodes
-    assert grid.n_band == 24
-    assert np.all(grid.lambda_nodes[:24] < 6.0)
-    assert np.all(grid.lambda_nodes[24:] > 6.0)
+    # one panel, and it is the band
+    assert grid.n_band == grid.n_lambda == 24
+    assert grid.omega == 6.0
+    assert 0.0 < grid.lambda_nodes[0] and grid.lambda_nodes[-1] < 6.0
     assert np.all(np.diff(grid.lambda_nodes) > 0)
-    # weights integrate constants over [0, lam_max] exactly
-    assert math.fsum(grid.lambda_weights) == pytest.approx(24.0, rel=1e-14)
-    assert math.fsum(grid.lambda_weights[:24]) == pytest.approx(6.0, rel=1e-14)
+    # weights integrate constants over [0, omega] exactly
+    assert math.fsum(grid.lambda_weights) == pytest.approx(6.0, rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega=st.floats(0.05, 50.0), n_lambda=st.integers(2, 200))
+def test_build_grid_nodes_lie_inside_the_band(omega, n_lambda):
+    grid = sp.build_grid(SpaceParams(), omega, n_lambda, 8)
+    nodes = grid.lambda_nodes
+    assert nodes.size == n_lambda and grid.omega == omega
+    assert 0.0 < nodes[0] and nodes[-1] < omega
+    assert np.all(grid.density > 0)
+    assert math.fsum(grid.lambda_weights) == pytest.approx(omega, rel=1e-13)
 
 
 def test_build_grid_quadrature_accuracy(grid):
-    # Gauss-Legendre panels against adaptive quadrature of a smooth integrand
+    # the Gauss-Legendre panel against adaptive quadrature of a smooth
+    # integrand
     f = lambda lam: math.exp(-0.1 * lam) * math.cos(lam)
-    ref = quad(f, 0.0, 6.0)[0] + quad(f, 6.0, 24.0)[0]
+    ref = quad(f, 0.0, 6.0)[0]
     got = math.fsum(grid.lambda_weights * np.exp(-0.1 * grid.lambda_nodes) * np.cos(grid.lambda_nodes))
     assert got == pytest.approx(ref, abs=1e-12)
 
@@ -322,29 +332,28 @@ def test_build_grid_quadrature_accuracy(grid):
 def test_build_grid_validation():
     space = SpaceParams()
     with pytest.raises(ValueError):
-        sp.build_grid(space, lam_max=10.0, n_lambda=16, n_b=31)  # odd n_b
+        sp.build_grid(space, 10.0, 16, 31)  # odd n_b
     with pytest.raises(ValueError):
-        sp.build_grid(space, lam_max=10.0, n_lambda=16, n_b=32, omega=12.0)
+        sp.build_grid(space, 10.0, 16, 2)
     with pytest.raises(ValueError):
-        sp.build_grid(space, lam_max=10.0, n_lambda=16, n_b=32, omega=-1.0)
+        sp.build_grid(space, 10.0, 1, 32)
     with pytest.raises(ValueError):
-        sp.build_grid(space, lam_max=-1.0, n_lambda=16, n_b=32)
+        sp.build_grid(space, 0.0, 16, 32)
+    with pytest.raises(ValueError):
+        sp.build_grid(space, -1.0, 16, 32)
 
 
-def test_grid_band_slice_and_angles(grid):
-    assert grid.band_slice == slice(0, 24)
-    plain = sp.build_grid(SpaceParams(), lam_max=8.0, n_lambda=12, n_b=8)
-    assert plain.band_slice == slice(0, 12)
+def test_grid_n_band_and_angles(grid):
+    assert grid.n_band == grid.n_lambda
     th = grid.boundary_angles
     assert th.size == 32 and th[0] == 0.0
     assert np.allclose(np.diff(th), 2.0 * np.pi / 32)
 
 
 def test_coeffs_norm_constant_field(grid):
-    # unit coefficients: ||c||^2 = int_0^{lam_max} density(lam) dlam
+    # unit coefficients: ||c||^2 = int_0^omega density(lam) dlam
     c = sp.SpectralCoeffs(grid, np.ones((grid.n_lambda, grid.n_b), dtype=complex))
     ref = quad(lambda l: float(sp.plancherel_density(l)), 0.0, 6.0)[0]
-    ref += quad(lambda l: float(sp.plancherel_density(l)), 6.0, 24.0)[0]
     # density has poles at lam = +/- i/2, so panel quadrature is geometric
     # but not exact; 24 nodes on [0, 6] reach ~1e-11 relative
     assert c.norm_sq() == pytest.approx(ref, rel=5e-9)
@@ -364,11 +373,10 @@ def test_multipliers_and_apply(grid):
 
     rng = np.random.default_rng(9)
     c = sp.SpectralCoeffs(grid, rng.standard_normal((grid.n_lambda, grid.n_b)) + 0j)
-    band = grid.band_slice
     for m in (lap, sp.sobolev_multiplier(1.5)):
         forward = sp.apply_multiplier(c, m)
-        back = forward.values[band] / m.band_values(grid)[:, None]
-        assert np.max(np.abs(back - c.values[band])) < 1e-13
+        back = forward.values / m.band_values(grid)[:, None]
+        assert np.max(np.abs(back - c.values)) < 1e-13
     ident = sp.apply_multiplier(c, sp.IDENTITY)
     assert np.array_equal(ident.values, c.values)
     # the zeroth Sobolev power is the identity, bit for bit
@@ -385,10 +393,6 @@ def test_band_values_refuse_a_vanishing_multiplier(grid):
 def test_multiplier_band_values(grid):
     m = sp.sobolev_multiplier(1.0)
     vals = m.band_values(grid)
-    assert np.array_equal(vals, m.values_on(grid)[grid.band_slice])
+    assert np.array_equal(vals, m.values_on(grid))
     assert np.min(np.abs(vals)) == pytest.approx(grid.lambda_nodes[0] ** 2 + 0.25)
 
-
-def test_default_lam_max():
-    assert sp.default_lam_max(10.0) == 40.0
-    assert sp.default_lam_max(1.0) == 10.0

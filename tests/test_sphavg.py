@@ -25,7 +25,7 @@ OMEGA = 2.0
 
 @pytest.fixture(scope="module")
 def grid(space):
-    return build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=OMEGA)
+    return build_grid(space, OMEGA, 48, 64)
 
 
 @pytest.fixture(scope="module")

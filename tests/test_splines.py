@@ -2,9 +2,11 @@
 
 The variational checks work on a wide spectral grid covering the kernel's
 own cutoff, so seminorms of the (not band-limited) interpolants are
-quadrature-consistent with the kernel tabulation.  The order-escalation
-tests document where double precision stops: at unit-scale lattices the
-k = 4 kernel matrix already fails Cholesky, so schedules abort there.
+quadrature-consistent with the kernel tabulation.  Library grids hold only
+the band, so the module builds that grid itself: the band panel and a tail
+panel up to the cutoff.  The order-escalation tests document where double
+precision stops: at unit-scale lattices the k = 4 kernel matrix already
+fails Cholesky, so schedules abort there.
 """
 
 import math
@@ -25,8 +27,9 @@ from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
                                   random_ball_points)
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
-from hypersample.spectral import (IDENTITY, Multiplier, apply_multiplier,
-                                  build_grid, plancherel_density,
+from hypersample.spectral import (IDENTITY, Multiplier, SpectralGrid,
+                                  apply_multiplier, build_grid,
+                                  plancherel_density,
                                   sobolev_multiplier, spherical_function,
                                   zonal_series, zonal_sum)
 from hypersample.sphavg import AverageSpec, average_multiplier
@@ -59,15 +62,21 @@ def sys2(space, lat):
 
 @pytest.fixture(scope="module")
 def grid(space):
-    return build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=OMEGA)
+    return build_grid(space, OMEGA, 48, 64)
 
 
 @pytest.fixture(scope="module")
 def wide(space, sys2):
     # covers the kernel's own spectral support, so seminorms of spline
-    # interpolants can be formed by direct quadrature
-    return build_grid(space, lam_max=sys2.kernel.lam_max, n_lambda=288,
-                      n_b=384, omega=OMEGA)
+    # interpolants can be formed by direct quadrature: 144 Gauss-Legendre
+    # nodes on the band [0, omega] and 144 on (omega, lam_max]
+    panels = [spectral._gl_panel(0.0, OMEGA, 144),
+              spectral._gl_panel(OMEGA, sys2.kernel.lam_max, 144)]
+    nodes, weights = (np.concatenate(part) for part in zip(*panels))
+    return SpectralGrid(nodes, weights,
+                        plancherel_density(nodes, space.plancherel_scale),
+                        n_b=384, omega=OMEGA,
+                        plancherel_scale=space.plancherel_scale)
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,7 @@ def pgrid():
 
 @pytest.fixture
 def grid(space):
-    return build_grid(space, lam_max=12.0, n_lambda=48, n_b=32)
+    return build_grid(space, omega=12.0, n_lambda=48, n_b=32)
 
 
 def bump(pgrid, center=0.0, width=0.35):
@@ -81,7 +81,7 @@ def test_mode_table_zonal_row_matches_spherical_function(space):
     # on |a| <= 4); past it both take the Harish-Chandra expansion, so only
     # the near radii are compared, and the check independent of both is
     # the mpmath one below
-    grid = build_grid(space, lam_max=12.0, n_lambda=16, n_b=16)
+    grid = build_grid(space, omega=12.0, n_lambda=16, n_b=16)
     pg = tr.build_polar_grid(8.0, 24, 16)
     near = pg.r_nodes <= tr._SWITCH_RADIUS
     tab = tr.radial_mode_table(grid, pg, 4)[:, 0, near]
@@ -176,14 +176,19 @@ def _modes_by_direct_exp(lams, rs, m_max):
 def test_mode_table_near_slice_matches_direct_exponentials(
         space, lam_max, omega, r_max, n_r, n_theta, tol):
     # same trapezoid sum, different arithmetic: the difference is roundoff
-    # (the calibration grid's largest radii carry the most)
-    grid = build_grid(space, lam_max, 96, 64, omega)
+    # (the calibration grid's largest radii carry the most); on lam <= lam_max
+    # and on the scenario's band grid, omega, where there is one
+    grids = [build_grid(space, lam_max, 96, 64)]
+    if omega is not None:
+        grids.append(build_grid(space, omega, 48, 64))
     pg = tr.build_polar_grid(r_max, n_r, n_theta)
-    m_max = tr._default_m_max(grid, pg)
     near = pg.r_nodes <= tr._SWITCH_RADIUS
-    tab = tr.radial_mode_table(grid, pg, m_max)[:, :, near]
-    ref = _modes_by_direct_exp(grid.lambda_nodes, pg.r_nodes[near], m_max)
-    assert np.max(np.abs(tab - ref)) <= tol
+    for grid in grids:
+        m_max = tr._default_m_max(grid, pg)
+        tab = tr.radial_mode_table(grid, pg, m_max)[:, :, near]
+        ref = _modes_by_direct_exp(grid.lambda_nodes, pg.r_nodes[near],
+                                   m_max)
+        assert np.max(np.abs(tab - ref)) <= tol
 
 
 def test_mode_expansion_fails_loudly_near_the_origin():
@@ -228,7 +233,7 @@ def test_forward_routes_agree_zonal(pgrid, grid):
 
 def test_forward_routes_agree_offcenter(space, pgrid):
     # lam * sinh(center radius) small keeps the mode content inside m_max
-    grid8 = build_grid(space, lam_max=8.0, n_lambda=40, n_b=64)
+    grid8 = build_grid(space, omega=8.0, n_lambda=40, n_b=64)
     f = bump(pgrid, center=0.15 + 0.05j)
     c_mode = tr.forward_transform(pgrid, grid8, f, tail_tol=None)
     c_dir = forward_transform_direct(pgrid, grid8, f)
@@ -263,7 +268,7 @@ def test_adjointness(pgrid, grid):
 
 
 def test_roundtrip_gaussian(space):
-    grid = build_grid(space, lam_max=16.0, n_lambda=64, n_b=32)
+    grid = build_grid(space, omega=16.0, n_lambda=64, n_b=32)
     pg = tr.build_polar_grid(6.0, 96, 64)
     f = bump(pg, center=0.1, width=0.5)
     c = tr.forward_transform(pg, grid, f, tail_tol=1e-8)
@@ -272,7 +277,7 @@ def test_roundtrip_gaussian(space):
 
 
 def test_parseval_after_calibration(space):
-    grid = build_grid(space, lam_max=24.0, n_lambda=96, n_b=64)
+    grid = build_grid(space, omega=24.0, n_lambda=96, n_b=64)
     pg = tr.build_polar_grid(8.0, 128, 128)
     f = bump(pg, center=0.2 + 0.1j, width=0.8)
     c = tr.forward_transform(pg, grid, f, tail_tol=1e-8)
@@ -288,7 +293,7 @@ def test_calibration_constant(calibration):
 
 def test_calibration_inconsistent_when_band_starved(monkeypatch):
     # 24 nodes on [0, 2]: the reference bumps reach far past the band
-    def starved(space, lam_max, n_lambda, n_b):
+    def starved(space, omega, n_lambda, n_b):
         return build_grid(space, 2.0, 24, n_b)
 
     # the memo is cleared before and after, so this call calibrates cold
@@ -344,7 +349,7 @@ def test_inverse_transform_matches_grid_route(space, pgrid):
     # the point route sums the kernel over the discrete boundary circle, so
     # it needs n_b to exceed the kernel mode content lam_max * sinh(r) at
     # the evaluation radius; stay at r <= 1.5 with n_b = 128
-    grid = build_grid(space, lam_max=12.0, n_lambda=48, n_b=128)
+    grid = build_grid(space, omega=12.0, n_lambda=48, n_b=128)
     f = bump(pgrid, center=0.1, width=0.4)
     c = tr.forward_transform(pgrid, grid, f, tail_tol=None)
     back = tr.inverse_on_grid(c, pgrid)
@@ -357,7 +362,7 @@ def test_inverse_transform_matches_grid_route(space, pgrid):
 
 def test_inverse_transform_matches_plane_wave_double_sum(space):
     # oracle: one exponential per (point, lam, b), summed directly
-    grid = build_grid(space, lam_max=12.0, n_lambda=48, n_b=32)
+    grid = build_grid(space, omega=12.0, n_lambda=48, n_b=32)
     rng = np.random.default_rng(11)
     c = SpectralCoeffs(grid, rng.standard_normal((48, 32))
                        + 1j * rng.standard_normal((48, 32)))
@@ -377,16 +382,15 @@ def test_inverse_transform_matches_plane_wave_double_sum(space):
 
 def test_inverse_transform_of_band_limited_f_matches_plane_wave_sum(space):
     # the plane-wave series is cut at roundoff, so for coefficients that
-    # vanish past the band the point values still match the direct sum
-    grid = build_grid(space, lam_max=8.0, n_lambda=96, n_b=64, omega=2.0)
+    # vanish at the band edge the point values still match the direct sum
+    grid = build_grid(space, 2.0, 48, 64)
     f = synthesize(grid, seed=0)
     rng = np.random.default_rng(12)
     pts = 0.9 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
-    sl = grid.band_slice
     a = busemann(pts[:, None], grid.boundary_angles[None, :])
-    waves = np.exp((1j * grid.lambda_nodes[sl, None, None] + RHO)
+    waves = np.exp((1j * grid.lambda_nodes[:, None, None] + RHO)
                    * a[None, :, :])
-    weighted = grid.lambda_measure[sl, None] * f.coeffs.values[sl] / grid.n_b
+    weighted = grid.lambda_measure[:, None] * f.coeffs.values / grid.n_b
     ref = np.einsum("lpb,lb->p", waves, weighted)
     got = tr.inverse_transform(f.coeffs, pts)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -400,16 +404,16 @@ def test_inverse_transform_of_zero_coefficients_is_zero(grid):
 
 _ACROSS_THE_SWITCH = tr.build_polar_grid(6.0, 96, 64)
 # (spectral grid, polar grid) of the calibration (near and far radii), of
-# the spline_reconstruct scenario (near radii only) and across the switch
-# radius, density constant 1
+# the spline_reconstruct domain (near radii only) and across the switch
+# radius, over lam <= 24 and lam <= 10, density constant 1
 _TABLE_GRIDS = {
     "calibration": lambda space: (build_grid(space, 24.0, 96, 64),
                                   tr.build_polar_grid(8.0, 128, 128)),
-    "spline": lambda space: (build_grid(space, 10.0, 96, 64, 1.0),
+    "spline": lambda space: (build_grid(space, 10.0, 96, 64),
                              tr.build_polar_grid(2.0, 160, 96)),
-    # the frame_reconstruct spectral grid on a domain whose radii cross the
-    # switch radius (38 of 96 take the expansion)
-    "across": lambda space: (build_grid(space, 10.0, 96, 64, 2.0),
+    # a domain whose radii cross the switch radius (38 of 96 take the
+    # expansion)
+    "across": lambda space: (build_grid(space, 10.0, 96, 64),
                              _ACROSS_THE_SWITCH),
 }
 # a cold table may hold, beyond itself, the real plane coefficients G of
@@ -555,30 +559,6 @@ def _scenario_function(space, config):
     return synthesize(grid, seed=0), pgrid
 
 
-@pytest.mark.parametrize("config", ["frame_reconstruct",
-                                    "spline_reconstruct"])
-def test_band_route_matches_the_whole_table_route(space, config,
-                                                  monkeypatch):
-    f, pgrid = _scenario_function(space, config)
-    grid = f.grid
-    near_and_far, counts = tr._near_and_far, []
-
-    def recorded(lams, rs, m_max):
-        counts.append(lams.size)
-        return near_and_far(lams, rs, m_max)
-
-    monkeypatch.setattr(tr, "_near_and_far", recorded)
-    band = f.on_grid(pgrid)
-    # one tail entry of 1e-200 sends the sum over every row, through the
-    # mode coefficients of all the nodes, and moves no value by an ulp
-    values = f.coeffs.values.copy()
-    values[-1, 0] = 1e-200
-    whole = tr.inverse_on_grid(SpectralCoeffs(grid, values), pgrid)
-    assert counts == [grid.n_band, grid.n_lambda]
-    assert grid.n_band < grid.n_lambda
-    assert np.max(np.abs(band - whole)) <= 1e-14 * np.max(np.abs(whole))
-
-
 def _table_route(coeffs, pgrid):
     """inverse_on_grid through the whole mode table of the grid's nodes:
     f_m(r) = sum_lam conj(Phi[lam, |m|, r]) w_lam c_m(lam)."""
@@ -657,7 +637,7 @@ def test_cold_calibration_streams_its_mode_orders(calibration):
 
 def test_laplacian_symbol_end_to_end(space):
     # inverse(symbol * hat f) equals the radial FD Laplacian of inverse(hat f)
-    grid = build_grid(space, lam_max=16.0, n_lambda=64, n_b=32)
+    grid = build_grid(space, omega=16.0, n_lambda=64, n_b=32)
     pg = tr.build_polar_grid(6.0, 96, 64)
     f = bump(pg, width=0.6)
     c = tr.forward_transform(pg, grid, f, tail_tol=None)
