@@ -33,11 +33,12 @@ differ (the frame and spline mode tables hold n_lambda // 2 lambda rows
 since the spectral grid became the band alone, n_lambda before).
 
 The workers call `build_frame(samples, grid=...)`, whose frame holds the
-interpolant, time `sampling._ball_directions` and read the calibration's
+interpolant, time `sampling._ball_directions`, read the calibration's
 grids from `transforms._CAL_LAM_MAX`, `_CAL_N_LAMBDA`, `_CAL_N_B` and
-`_CAL_POLAR_GRID`, so `--base` must be a revision that defines those
-constants: the change that added `_CAL_N_LAMBDA` and `_CAL_N_B`, or a
-later one.
+`_CAL_POLAR_GRID`, and hand `inverse_transform` the band-limited function
+itself, reading its coefficients as `.values`.  So `--base` must be a
+revision where `transforms.BandlimitedFunction` holds its coefficients:
+the change that made it the one band-limited class, or a later one.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def _series(repeats, case):
     points = build_lattice(0.1, DOMAIN, seed=0).points
     lengths.clear()
     out["inverse_s"], arrays["inverse"] = _times(
-        lambda: inverse_transform(f.coeffs, points), repeats)
+        lambda: inverse_transform(f, points), repeats)
     out["inverse_series"] = lengths[:len(lengths) // repeats]
     out["inverse_n_points"] = int(points.size)
     lams = spectral.build_grid(SpaceParams(), 12.0, 16, 16).lambda_nodes
@@ -370,7 +371,7 @@ def _frame(repeats, r):
         out["build_frame_s"].append(end - start)
     lower, upper = frame.frame_bounds
     rec = frame.function
-    coeffs = rec.coeffs.values
+    coeffs = rec.values
     out.update(
         n_points=len(lat), rank=frame.rank, frame_lower=lower,
         frame_upper=upper,
@@ -571,8 +572,8 @@ def main() -> int:
             f"{name}: {stage.worker.__doc__}" for name, stage in STAGES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against; it "
-                                   "must define transforms._CAL_N_LAMBDA "
-                                   "and _CAL_N_B")
+                                   "must define transforms."
+                                   "BandlimitedFunction")
     ap.add_argument("--stage", action="append", choices=STAGES,
                     help="stage to run; repeat for several (default: all)")
     ap.add_argument("--out", type=Path, help="also write the report here")

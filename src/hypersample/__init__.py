@@ -26,16 +26,16 @@ from .geometry import (
 from .spectral import (
     IDENTITY,
     Multiplier,
-    SpectralCoeffs,
     SpectralGrid,
-    apply_multiplier,
     build_grid,
     sobolev_multiplier,
     spherical_function,
 )
 from .transforms import (
+    BandlimitedFunction,
     CalibrationResult,
     PolarGrid,
+    apply_multiplier,
     build_polar_grid,
     calibrate_plancherel,
     forward_transform,
@@ -43,11 +43,7 @@ from .transforms import (
     inverse_transform,
     tail_mass_fraction,
 )
-from .bandlimited import (
-    BandlimitedFunction,
-    bernstein_check,
-    synthesize,
-)
+from .bandlimited import bernstein_check, synthesize
 from .lattice import (
     Lattice,
     build_lattice,

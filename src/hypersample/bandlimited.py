@@ -1,27 +1,24 @@
 """Band limited functions: synthesis and Bernstein certificates.
 
 A function is omega band limited when its spectral coefficients vanish for
-lam > omega.  Here that support condition is exact by construction: the
-coefficient grid's one quadrature panel is the band [0, omega], so there is
-no row above it.  Test objects are synthesized in the spectral domain as
-smooth bump profiles per boundary mode, so there is no spectral leakage to
-quantify.
+lam > omega.  Here that support condition is exact by construction: a
+transforms.BandlimitedFunction holds coefficients only on its grid's one
+quadrature panel, the band [0, omega].  Test objects are synthesized in the
+spectral domain as smooth bump profiles per boundary mode, so there is no
+spectral leakage to quantify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import RHO
-from .spectral import (SpectralCoeffs, SpectralGrid, apply_multiplier,
-                       sobolev_multiplier)
-from .transforms import PolarGrid, inverse_on_grid, inverse_transform
+from .spectral import SpectralGrid, sobolev_multiplier
+from .transforms import BandlimitedFunction, apply_multiplier
 
 __all__ = [
-    "BandlimitedFunction",
     "synthesize",
     "bernstein_check",
 ]
@@ -30,32 +27,6 @@ _N_MODES = 3
 _WIDTH_RANGE = (0.12, 0.3)
 _CENTER_RANGE = (0.3, 0.7)
 _BERNSTEIN_SLACK = 1e-10
-
-
-@dataclass(eq=False)
-class BandlimitedFunction:
-    """Spectral coefficients on the band [0, omega] of their grid; omega is
-    grid.omega."""
-
-    coeffs: SpectralCoeffs
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.coeffs.grid
-
-    @property
-    def omega(self) -> float:
-        return self.grid.omega
-
-    def norm(self) -> float:
-        return self.coeffs.norm()
-
-    def evaluate(self, points) -> np.ndarray:
-        """Point values by the inversion quadrature."""
-        return inverse_transform(self.coeffs, points)
-
-    def on_grid(self, pgrid: PolarGrid) -> np.ndarray:
-        return inverse_on_grid(self.coeffs, pgrid)
 
 
 def _bump_mask(t: np.ndarray) -> np.ndarray:
@@ -89,9 +60,9 @@ def synthesize(grid: SpectralGrid, seed: int = 0) -> BandlimitedFunction:
         amp = complex(rng.standard_normal(), rng.standard_normal())
         profile = amp * np.exp(-((lam - center) ** 2) / (2.0 * width**2)) * mask
         values[:, m % grid.n_b] += profile
-    coeffs = SpectralCoeffs(grid, np.fft.ifft(values, axis=1) * grid.n_b)
-    coeffs.values /= coeffs.norm()
-    return BandlimitedFunction(coeffs)
+    f = BandlimitedFunction(grid, np.fft.ifft(values, axis=1) * grid.n_b)
+    f.values /= f.norm()
+    return f
 
 
 def bernstein_check(f: BandlimitedFunction, sigma: float) -> dict:
@@ -101,7 +72,7 @@ def bernstein_check(f: BandlimitedFunction, sigma: float) -> dict:
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    lhs = apply_multiplier(f.coeffs, sobolev_multiplier(sigma)).norm()
+    lhs = apply_multiplier(f, sobolev_multiplier(sigma)).norm()
     rhs = (f.omega**2 + RHO**2) ** sigma * f.norm()
     return {
         "sigma": sigma,

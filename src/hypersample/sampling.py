@@ -9,7 +9,8 @@ F = R diag(sqrt(measure |m|^2 / n_b)), R[j, (lam, b)] = e_j(lam, b).
 Its Gram F F^H is the zonal kernel K(d(x_j, x_k)) of the distance, and
 everything follows from F's singular values: their squares certify
 stability on the sampled span, and the truncated pseudo-inverse of F gives
-the minimal-norm band-limited interpolant (the dual-frame reconstruction).
+the minimal-norm band-limited interpolant (the dual-frame reconstruction),
+a transforms.BandlimitedFunction like the function sampled.
 
 F is never formed whole, nor is its N x N Gram.  Each plane wave is a
 Chebyshev series in the horocycle distance a = A(x, b), so F = G S with the
@@ -48,14 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import BandlimitedFunction
 from .errors import NotAFrame, NumericalFailure
 from .geometry import row_blocks
 from .lattice import Lattice
-from .spectral import (IDENTITY, Multiplier, SpectralCoeffs, SpectralGrid,
-                       _gauss_legendre, _horocycle_planes, _radius_bound,
-                       apply_multiplier, plane_wave_series)
-from .transforms import inverse_transform
+from .spectral import (IDENTITY, Multiplier, SpectralGrid, _gauss_legendre,
+                       _horocycle_planes, _radius_bound, plane_wave_series)
+from .transforms import BandlimitedFunction, apply_multiplier
 
 __all__ = [
     "SampleSet",
@@ -123,9 +122,7 @@ def point_samples(f: BandlimitedFunction, lat: Lattice) -> SampleSet:
 def convolution_samples(f: BandlimitedFunction, lat: Lattice,
                         m: Multiplier) -> SampleSet:
     """values[j] = (f * phi)(x_j) where phi has spectral multiplier m."""
-    g = apply_multiplier(f.coeffs, m)
-    vals = inverse_transform(g, lat.points)
-    return SampleSet(lat, vals, m)
+    return SampleSet(lat, apply_multiplier(f, m).evaluate(lat.points), m)
 
 
 def _mode_rows(points: np.ndarray, angles: np.ndarray, a_max: float,
@@ -294,8 +291,7 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     modes = np.stack([v @ c for v, c in zip(dirs, np.split(cols, at))])
     modes *= np.conj(mv) / scale
     values = np.fft.fft(modes, axis=0, norm="ortho").T
-    frame = FrameSystem(BandlimitedFunction(SpectralCoeffs(grid, values)),
-                        sv ** 2, cut)
+    frame = FrameSystem(BandlimitedFunction(grid, values), sv ** 2, cut)
     if frame.rank != rank:
         raise NumericalFailure(f"the solve kept {rank} singular values, the "
                                f"cut {cut:g} keeps {frame.rank}")

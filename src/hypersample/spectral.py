@@ -17,9 +17,9 @@ on faith (transforms.calibrate_plancherel).
 A SpectralGrid fixes the quadrature discretization: one Gauss-Legendre
 panel in lam on the band [0, omega], the only spectrum a band limited
 function has, and a uniform trapezoid grid of n_b angles on the boundary
-with normalized measure db = d(theta)/(2 pi).  SpectralCoeffs hold complex
-values on that grid; all norms are Plancherel-weighted and accumulated with
-compensated summation.
+with normalized measure db = d(theta)/(2 pi).  A band limited function's
+Fourier coefficients live on that grid (transforms.BandlimitedFunction);
+Multipliers act on them row by row (transforms.apply_multiplier).
 
 Sums over lam of plane waves, sum_lam c_lam e^{i lam a}, are functions of the
 single variable a = A(x, b) on |a| <= max d(0, x); plane_wave_series turns
@@ -59,17 +59,10 @@ __all__ = [
     "zonal_series",
     "SpectralGrid",
     "build_grid",
-    "SpectralCoeffs",
     "Multiplier",
     "IDENTITY",
     "sobolev_multiplier",
-    "apply_multiplier",
 ]
-
-
-def _fsum_real(arr: np.ndarray) -> float:
-    """Compensated sum of a real array."""
-    return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
 
 
 def plancherel_density(lam, scale: float = 1.0) -> np.ndarray:
@@ -493,28 +486,6 @@ def build_grid(space, omega: float, n_lambda: int, n_b: int) -> SpectralGrid:
     )
 
 
-@dataclass(eq=False)
-class SpectralCoeffs:
-    """Complex coefficient field on a SpectralGrid, shape (n_lambda, n_b)."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        expect = (self.grid.n_lambda, self.grid.n_b)
-        if self.values.shape != expect:
-            raise ValueError(f"coefficient shape {self.values.shape}, expected {expect}")
-        if not np.iscomplexobj(self.values):
-            self.values = self.values.astype(complex)
-
-    def norm_sq(self) -> float:
-        w = self.grid.lambda_measure[:, None] / self.grid.n_b
-        return _fsum_real(w * np.abs(self.values) ** 2)
-
-    def norm(self) -> float:
-        return math.sqrt(max(self.norm_sq(), 0.0))
-
-
 @dataclass(frozen=True)
 class Multiplier:
     """Spectral multiplier m(lam) acting diagonally on coefficients."""
@@ -535,13 +506,10 @@ class Multiplier:
                              f"lam = {bad:.6g}")
         return vals
 
-    def values_on(self, grid: SpectralGrid) -> np.ndarray:
-        return self(grid.lambda_nodes)
-
     def band_values(self, grid: SpectralGrid) -> np.ndarray:
         """m on the nodes of grid, which it must not vanish on: raises
         MultiplierVanishes where |m| <= 1e-12."""
-        vals = self.values_on(grid)
+        vals = self(grid.lambda_nodes)
         if np.min(np.abs(vals)) <= 1e-12:
             raise MultiplierVanishes(
                 f"multiplier {self.label!r} vanishes on the band")
@@ -556,9 +524,3 @@ def sobolev_multiplier(sigma: float) -> Multiplier:
     """Modulus symbol (lam^2 + rho^2)^sigma of the fractional power |Delta|^sigma."""
     return Multiplier(fn=lambda lam: (lam**2 + RHO**2) ** sigma, label=f"sobolev_{sigma}")
 
-
-def apply_multiplier(coeffs: SpectralCoeffs,
-                     mult: Multiplier) -> SpectralCoeffs:
-    """Multiply coefficients by m(lam), row by row."""
-    vals = mult.values_on(coeffs.grid).astype(complex)
-    return SpectralCoeffs(coeffs.grid, coeffs.values * vals[:, None])

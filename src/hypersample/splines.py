@@ -34,15 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
-from .bandlimited import BandlimitedFunction
 from .errors import (NumericalFailure, ProblemTooLarge, SingularKernel,
                      TailTooLarge)
 from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice, _log_min_points, _sci
 from .sampling import SampleSet
-from .spectral import (IDENTITY, Multiplier, SpectralCoeffs, SpectralGrid,
-                       _gl_panel, _horocycle_planes, _plane_wave_basis,
+from .spectral import (IDENTITY, Multiplier, SpectralGrid, _gl_panel,
+                       _horocycle_planes, _plane_wave_basis,
                        plancherel_density, zonal_series)
+from .transforms import BandlimitedFunction
 
 __all__ = [
     "PolyharmonicKernel",
@@ -378,7 +378,7 @@ def spline_band_projection(interp: SplineInterpolant,
                                            len(series)):
         sums[k] += interp.beta[blk] @ plane
     coef = series.conj().T @ sums
-    return BandlimitedFunction(SpectralCoeffs(grid, fac[:, None] * coef))
+    return BandlimitedFunction(grid, fac[:, None] * coef)
 
 
 def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,

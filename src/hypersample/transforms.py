@@ -1,4 +1,10 @@
-"""Forward and inverse Fourier transforms between polar grids and spectral grids.
+"""Forward and inverse Fourier transforms between polar grids and spectral
+grids, and the band-limited function they produce and evaluate.
+
+A BandlimitedFunction is its Fourier coefficients on a spectral grid, whose
+one panel is the band [0, omega]; forward_transform returns one,
+inverse_transform and inverse_on_grid evaluate one, and apply_multiplier
+filters one.
 
 The production route factors through boundary modes.  Writing a function in
 geodesic polar coordinates as f(r, theta) = sum_m f_m(r) e^{i m theta} and a
@@ -63,13 +69,14 @@ import numpy as np
 
 from .errors import CalibrationInconsistent, TailMassExceeded
 from .geometry import SpaceParams, distance, random_ball_points
-from .spectral import (_SWITCH_RADIUS, SpectralCoeffs, SpectralGrid,
-                       _circle_cosines, _expansion_orders, _fsum_real,
-                       _gauss_legendre, _horocycle_planes,
-                       _plane_wave_basis, _radius_bound, build_grid,
-                       plane_wave_series)
+from .spectral import (_SWITCH_RADIUS, Multiplier, SpectralGrid,
+                       _circle_cosines, _expansion_orders, _gauss_legendre,
+                       _horocycle_planes, _plane_wave_basis, _radius_bound,
+                       build_grid, plane_wave_series)
 
 __all__ = [
+    "BandlimitedFunction",
+    "apply_multiplier",
     "PolarGrid",
     "build_polar_grid",
     "radial_mode_table",
@@ -80,6 +87,53 @@ __all__ = [
     "CalibrationResult",
     "calibrate_plancherel",
 ]
+
+
+def _fsum_real(arr: np.ndarray) -> float:
+    """Compensated sum of a real array."""
+    return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
+
+
+@dataclass(eq=False)
+class BandlimitedFunction:
+    """A function band limited to the band [0, omega] of grid: its complex
+    Fourier coefficients there, shape (n_lambda, n_b).  Norms are
+    Plancherel-weighted and summed with compensation."""
+
+    grid: SpectralGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        expect = (self.grid.n_lambda, self.grid.n_b)
+        if self.values.shape != expect:
+            raise ValueError(f"coefficient shape {self.values.shape}, expected {expect}")
+        if not np.iscomplexobj(self.values):
+            self.values = self.values.astype(complex)
+
+    @property
+    def omega(self) -> float:
+        return self.grid.omega
+
+    def norm_sq(self) -> float:
+        w = self.grid.lambda_measure[:, None] / self.grid.n_b
+        return _fsum_real(w * np.abs(self.values) ** 2)
+
+    def norm(self) -> float:
+        return math.sqrt(max(self.norm_sq(), 0.0))
+
+    def evaluate(self, points) -> np.ndarray:
+        return inverse_transform(self, points)
+
+    def on_grid(self, pgrid: PolarGrid) -> np.ndarray:
+        return inverse_on_grid(self, pgrid)
+
+
+def apply_multiplier(f: BandlimitedFunction,
+                     mult: Multiplier) -> BandlimitedFunction:
+    """Multiply the coefficients by m(lam), row by row."""
+    vals = mult(f.grid.lambda_nodes).astype(complex)
+    return BandlimitedFunction(f.grid, f.values * vals[:, None])
+
 
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
@@ -232,12 +286,12 @@ def tail_mass_fraction(pgrid: PolarGrid, samples: np.ndarray) -> float:
 
 def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
                       tail_tol: float | None = 1e-6
-                      ) -> SpectralCoeffs | list[SpectralCoeffs]:
+                      ) -> BandlimitedFunction | list[BandlimitedFunction]:
     """Transform grid samples to spectral coefficients.
 
     samples has shape (..., n_r, n_theta): one sample array, whose
-    SpectralCoeffs is returned, or a stack of them, which gives a list of
-    SpectralCoeffs in C order of the leading axes.  The mode orders come
+    BandlimitedFunction is returned, or a stack of them, which gives a list
+    of them in C order of the leading axes.  The mode orders come
     from _radial_modes one at a time, and each is contracted with every
     sample (one matrix-vector product per sample and sign of m) before the
     next is formed, so no table is held or cached, and a stack pays for
@@ -269,11 +323,12 @@ def forward_transform(pgrid: PolarGrid, grid: SpectralGrid, samples: np.ndarray,
             for i, fm in enumerate(f_modes[:, :, col % pgrid.n_theta]):
                 packed[i, :, col % grid.n_b] = 2.0 * np.pi * (phi @ (wr * fm))
     values = np.fft.ifft(packed, axis=2) * grid.n_b
-    coeffs = [SpectralCoeffs(grid, v) for v in values]
+    coeffs = [BandlimitedFunction(grid, v) for v in values]
     return coeffs[0] if samples.ndim == 2 else coeffs
 
 
-def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
+def inverse_on_grid(coeffs: BandlimitedFunction,
+                    pgrid: PolarGrid) -> np.ndarray:
     """Evaluate the inverse transform on a full polar grid (mode route).
 
     At the radii up to _SWITCH_RADIUS the lambda sum runs through the
@@ -299,7 +354,7 @@ def inverse_on_grid(coeffs: SpectralCoeffs, pgrid: PolarGrid) -> np.ndarray:
     return np.fft.ifft(packed, axis=1) * pgrid.n_theta
 
 
-def inverse_transform(coeffs: SpectralCoeffs, points) -> np.ndarray:
+def inverse_transform(coeffs: BandlimitedFunction, points) -> np.ndarray:
     """Evaluate the inverse transform at arbitrary disk points (direct route).
 
     Sums the plane-wave kernels over the discrete boundary circle, so it

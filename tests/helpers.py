@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 
-from hypersample.bandlimited import _N_MODES, BandlimitedFunction, \
-    _bump_mask
+from hypersample.bandlimited import _N_MODES, _bump_mask
 from hypersample.geometry import RHO
 from hypersample.sampling import SampleSet, build_frame
-from hypersample.spectral import Multiplier, SpectralCoeffs, SpectralGrid
+from hypersample.spectral import Multiplier, SpectralGrid
+from hypersample.transforms import BandlimitedFunction
 
 
 def laplacian_multiplier() -> Multiplier:
@@ -34,9 +34,9 @@ def gaussian_draw(grid: SpectralGrid, seed: int, *,
         amp = complex(rng.standard_normal(), rng.standard_normal())
         values[:, m % grid.n_b] += \
             amp * np.exp(-((lam - center) ** 2) / (2.0 * width**2)) * mask
-    coeffs = SpectralCoeffs(grid, np.fft.ifft(values, axis=1) * grid.n_b)
-    coeffs.values /= coeffs.norm()
-    return BandlimitedFunction(coeffs)
+    f = BandlimitedFunction(grid, np.fft.ifft(values, axis=1) * grid.n_b)
+    f.values /= f.norm()
+    return f
 
 
 def stability_probe(s: SampleSet, noise_level: float, seed: int, *,
@@ -62,8 +62,8 @@ def stability_probe(s: SampleSet, noise_level: float, seed: int, *,
     for eps in levels:
         noisy = SampleSet(s.lattice, s.values + eps * direction, s.multiplier)
         rec = build_frame(noisy, grid=grid, cut=cut).function
-        diff = rec.coeffs.values - base.coeffs.values
-        errors.append(SpectralCoeffs(grid, diff).norm())
+        diff = BandlimitedFunction(grid, rec.values - base.values)
+        errors.append(diff.norm())
     errors = np.asarray(errors)
     ratios = np.divide(errors, levels, out=np.zeros_like(errors),
                        where=levels > 0)

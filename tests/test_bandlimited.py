@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hypersample.bandlimited import (BandlimitedFunction, bernstein_check,
-                                     synthesize)
+from hypersample.bandlimited import bernstein_check, synthesize
 from hypersample.geometry import RHO, distance
-from hypersample.spectral import (SpectralCoeffs, SpectralGrid,
-                                  apply_multiplier, build_grid,
-                                  sobolev_multiplier)
-from hypersample.transforms import PolarGrid, build_polar_grid
+from hypersample.spectral import SpectralGrid, build_grid, sobolev_multiplier
+from hypersample.transforms import (BandlimitedFunction, PolarGrid,
+                                    apply_multiplier, build_polar_grid)
 
 from helpers import gaussian_draw
 
@@ -19,20 +17,20 @@ from helpers import gaussian_draw
 OMEGA = 2.0
 
 
-def converse_bernstein_probe(coeffs: SpectralCoeffs, omega: float,
+def converse_bernstein_probe(f: BandlimitedFunction, omega: float,
                              sigma_list=(0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
     """Ratios ||Delta^sigma f|| / ((omega^2+rho^2)^sigma ||f||) along sigma_list.
 
     Bounded by 1 for genuine omega band limited input; grows without bound
     when the spectrum sticks out beyond omega (the negative certificate).
     """
-    base = coeffs.norm()
+    base = f.norm()
     if base == 0.0:
         return {"sigmas": list(sigma_list), "ratios": [math.nan] * len(sigma_list),
                 "applicable": False}
     ratios = []
     for s in sigma_list:
-        num = apply_multiplier(coeffs, sobolev_multiplier(s)).norm()
+        num = apply_multiplier(f, sobolev_multiplier(s)).norm()
         ratios.append(num / ((omega**2 + RHO**2) ** s * base))
     return {"sigmas": list(sigma_list), "ratios": ratios, "applicable": True}
 
@@ -97,9 +95,9 @@ def test_synthesize_unit_norm_and_support(grid):
 def test_synthesize_deterministic(grid):
     a = synthesize(grid, seed=7)
     b = synthesize(grid, seed=7)
-    assert np.array_equal(a.coeffs.values, b.coeffs.values)
+    assert np.array_equal(a.values, b.values)
     c = synthesize(grid, seed=8)
-    assert not np.array_equal(a.coeffs.values, c.coeffs.values)
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_synthesize_validation(space):
@@ -132,7 +130,7 @@ def test_bernstein_sharp_for_edge_concentration(space):
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[:, 0] = np.exp(-((lam - 0.995 * OMEGA) ** 2)
                         / (2.0 * (0.01 * OMEGA) ** 2))
-    f = BandlimitedFunction(SpectralCoeffs(grid, vals))
+    f = BandlimitedFunction(grid, vals)
     for sigma in (1.0, 2.0):
         rep = bernstein_check(f, sigma)
         assert rep["pass"]
@@ -141,7 +139,7 @@ def test_bernstein_sharp_for_edge_concentration(space):
 
 def test_converse_probe_band_limited_stays_bounded(grid):
     f = synthesize(grid, seed=2)
-    rep = converse_bernstein_probe(f.coeffs, OMEGA)
+    rep = converse_bernstein_probe(f, OMEGA)
     assert rep["applicable"]
     assert all(r <= 1 + 1e-10 for r in rep["ratios"])
 
@@ -153,7 +151,7 @@ def test_converse_probe_detects_out_of_band_mass(space):
     lam = grid.lambda_nodes
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[:, 0] = np.exp(-((lam - 4.0 * OMEGA) ** 2) / (2.0 * 0.05**2))
-    rep = converse_bernstein_probe(SpectralCoeffs(grid, vals), OMEGA,
+    rep = converse_bernstein_probe(BandlimitedFunction(grid, vals), OMEGA,
                                    sigma_list=(1.0, 8.0))
     assert rep["ratios"][1] > 1e3
     analytic = (((4 * OMEGA) ** 2 + RHO**2) / (OMEGA**2 + RHO**2)) ** 8
@@ -163,7 +161,8 @@ def test_converse_probe_detects_out_of_band_mass(space):
 def test_converse_probe_zero_function(space):
     grid = build_grid(space, 8.0, 32, 8)
     rep = converse_bernstein_probe(
-        SpectralCoeffs(grid, np.zeros((grid.n_lambda, grid.n_b), complex)), OMEGA)
+        BandlimitedFunction(grid, np.zeros((grid.n_lambda, grid.n_b), complex)),
+        OMEGA)
     assert not rep["applicable"]
     assert all(np.isnan(r) for r in rep["ratios"])
 

@@ -81,7 +81,7 @@ def _configs(draw):
             min_size=int(listed == "tau_values")))),
         n=draw(st.integers(0, 8)),
         k_schedule=tuple(draw(st.lists(
-            st.integers(1, 16), max_size=4, unique=True,
+            st.integers(2, 16), max_size=4, unique=True,
             min_size=int(listed == "k_schedule")))),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1,
                                   max_size=4))),
@@ -633,6 +633,7 @@ def test_bad_config_exits_two(tmp_path, outroot, capsys):
     "lam_max=1.0",                   # a field no scenario reads
     "cut=-1", "cut=0", "cut=1",      # eigenvalue cut outside (0, 1)
     "k_schedule=2, 0",               # spline order below 1
+    "k_schedule=1, 2",               # order 1: no kernel within the cutoff cap
     "seeds=-1",                      # seeds feed numpy's generator
     "gamma=1.5",                     # the 1-D baseline must oversample
 ])

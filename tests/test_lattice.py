@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersample import lattice as lattice_mod
-from hypersample.bandlimited import BandlimitedFunction, synthesize
+from hypersample.bandlimited import synthesize
 from hypersample.errors import CertificationFailed, ProblemTooLarge
 from hypersample.geometry import (PAIR_BLOCK, ball_volume, distance,
                                   multiplicity_bound, random_ball_points)
 from hypersample.lattice import (Lattice, build_lattice, certify_cover,
                                  certify_multiplicity)
-from hypersample.spectral import (SpectralCoeffs, apply_multiplier,
-                                  build_grid, sobolev_multiplier)
+from hypersample.spectral import build_grid, sobolev_multiplier
+from hypersample.transforms import BandlimitedFunction, apply_multiplier
 
 
 def _pairwise_min(points):
@@ -419,7 +419,7 @@ def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
     if norm == 0.0:
         return {"norm": 0.0, "sample_norm": sample_norm, "sobolev_term": 0.0,
                 "ratio": 0.0, "upper_ratio": 0.0}
-    sob = apply_multiplier(f.coeffs, sobolev_multiplier(k / 2.0)).norm()
+    sob = apply_multiplier(f, sobolev_multiplier(k / 2.0)).norm()
     d = 2
     rhs = lat.r ** (d / 2.0) * sample_norm + lat.r**k * sob
     hk_norm = math.hypot(norm, sob)
@@ -440,8 +440,7 @@ def _band_grid(space):
 def test_probe_zero_function(space):
     lat = build_lattice(0.3, 1.0, seed=0)
     grid = build_grid(space, 2.0, 16, 8)
-    zero = BandlimitedFunction(
-        SpectralCoeffs(grid, np.zeros((16, 8), complex)))
+    zero = BandlimitedFunction(grid, np.zeros((16, 8), complex))
     rep = sampling_inequality_probe(lat, zero, 2)
     assert rep == {"norm": 0.0, "sample_norm": 0.0, "sobolev_term": 0.0,
                    "ratio": 0.0, "upper_ratio": 0.0}
@@ -451,7 +450,7 @@ def test_probe_scales_linearly(space):
     lat = build_lattice(0.3, 1.0, seed=0)
     f = synthesize(_band_grid(space), seed=0)
     r1 = sampling_inequality_probe(lat, f, 2)
-    f3 = BandlimitedFunction(SpectralCoeffs(f.grid, 3.0 * f.coeffs.values))
+    f3 = BandlimitedFunction(f.grid, 3.0 * f.values)
     r3 = sampling_inequality_probe(lat, f3, 2)
     assert r3["sample_norm"] == pytest.approx(3 * r1["sample_norm"], rel=1e-12)
     assert r3["norm"] == pytest.approx(3 * r1["norm"], rel=1e-12)

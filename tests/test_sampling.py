@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypersample
 from hypersample import sampling
-from hypersample.bandlimited import BandlimitedFunction, synthesize
+from hypersample.bandlimited import synthesize
 from hypersample.errors import MultiplierVanishes, NumericalFailure
 from hypersample.geometry import (RHO, busemann, distance, euclidean_radius,
                                   mobius_translate, random_ball_points)
@@ -19,13 +20,13 @@ from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import (SampleSet, _band_factor, build_frame,
                                   convolution_samples, point_samples,
                                   reconstruct)
-from hypersample.spectral import (IDENTITY, SpectralCoeffs,
-                                  _horocycle_planes, _plane_wave_basis,
-                                  build_grid)
+from hypersample.spectral import (IDENTITY, _horocycle_planes,
+                                  _plane_wave_basis, build_grid)
 from hypersample.sphavg import AverageSpec, average_multiplier
 from hypersample.splines import (SplineInterpolant, build_splines,
                                  spline_band_projection)
-from hypersample.transforms import build_polar_grid
+from hypersample.transforms import (BandlimitedFunction, apply_multiplier,
+                                    build_polar_grid, forward_transform)
 
 from helpers import laplacian_multiplier, stability_probe
 
@@ -66,12 +67,12 @@ def pgrid():
 
 
 def _rel_coeff_err(a, b, grid):
-    diff = SpectralCoeffs(grid, a.coeffs.values - b.coeffs.values)
-    return diff.norm() / b.coeffs.norm()
+    diff = BandlimitedFunction(grid, a.values - b.values)
+    return diff.norm() / b.norm()
 
 
 def test_point_samples_zero_function(f, lattices):
-    zero = BandlimitedFunction(SpectralCoeffs(f.grid, 0.0 * f.coeffs.values))
+    zero = BandlimitedFunction(f.grid, 0.0 * f.values)
     s = point_samples(zero, lattices[0.4])
     assert s.multiplier is IDENTITY
     assert np.all(s.values == 0)
@@ -80,8 +81,7 @@ def test_point_samples_zero_function(f, lattices):
 def test_point_samples_linearity(f, grid, lattices):
     lat = lattices[0.4]
     g = synthesize(grid, seed=7)
-    combo = BandlimitedFunction(
-        SpectralCoeffs(grid, 2.5 * f.coeffs.values - 1j * g.coeffs.values))
+    combo = BandlimitedFunction(grid, 2.5 * f.values - 1j * g.values)
     lhs = point_samples(combo, lat).values
     rhs = 2.5 * point_samples(f, lat).values - 1j * point_samples(g, lat).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
@@ -100,7 +100,7 @@ def test_point_samples_against_direct_quadrature(f, grid, lattices):
             for l in range(grid.n_b):
                 b = cmath.exp(1j * grid.boundary_angles[l])
                 a_xb = math.log((1 - abs(z) ** 2) / abs(z - b) ** 2)
-                total += w * f.coeffs.values[i, l] * cmath.exp(
+                total += w * f.values[i, l] * cmath.exp(
                     (1j * grid.lambda_nodes[i] + RHO) * a_xb)
         assert abs(total - s.values[j]) <= 1e-10 * abs(s.values[j])
 
@@ -135,7 +135,7 @@ def test_sample_set_validation(f, lattices):
 
 def _weights(grid, m=IDENTITY):
     # band quadrature weights measure |m|^2 / n_b of the frame operator
-    mv = m.values_on(grid)
+    mv = m(grid.lambda_nodes)
     return grid.lambda_measure / grid.n_b * np.abs(mv) ** 2
 
 
@@ -236,7 +236,7 @@ def test_spline_band_projection_matches_plane_wave_rows(space, grid):
     rows = _kernel_rows(system.lattice.points, lam, grid.boundary_angles)
     want = np.einsum("j,lji->il", beta, rows.conj()) \
         * ((lam ** 2 + RHO ** 2) ** (-2 * system.k))[:, None]
-    assert np.max(np.abs(got.coeffs.values - want)) \
+    assert np.max(np.abs(got.values - want)) \
         <= 1e-14 * np.max(np.abs(want))
 
 
@@ -250,6 +250,27 @@ def test_results_carry_their_grids_omega(space):
                                np.ones(len(lat)))
     proj = spline_band_projection(interp, grid)
     assert f.omega == rec.omega == proj.omega == grid.omega == 1.5
+
+
+def test_every_producer_returns_the_one_band_limited_class(space):
+    # a band-limited function has one type wherever it is made, and the
+    # package exports no second coefficient type
+    grid = build_grid(space, 1.5, 24, 32)
+    lat = build_lattice(0.8, 1.0, seed=0)
+    f = synthesize(grid, seed=0)
+    pgrid = build_polar_grid(1.0, 16, 32)
+    samples = f.on_grid(pgrid)
+    interp = SplineInterpolant(build_splines(lat, 2, space=space),
+                               np.ones(len(lat)))
+    made = [f, forward_transform(pgrid, grid, samples, tail_tol=None),
+            *forward_transform(pgrid, grid, np.stack([samples, samples]),
+                               tail_tol=None),
+            apply_multiplier(f, laplacian_multiplier()),
+            build_frame(point_samples(f, lat), grid=grid).function,
+            spline_band_projection(interp, grid)]
+    assert all(type(g) is BandlimitedFunction for g in made)
+    assert hypersample.BandlimitedFunction is BandlimitedFunction
+    assert not hasattr(hypersample, "SpectralCoeffs")
 
 
 def test_single_point_frame(grid):
@@ -349,7 +370,7 @@ def test_retained_vectors_match_dense_svd(frames, lattices, grid, f, r):
     # the interpolant resampled on the plane-wave rows is the samples'
     # projection on the retained left singular vectors
     s = point_samples(f, lat).values
-    y = frame.function.coeffs.values * np.sqrt(_weights(grid))[:, None]
+    y = frame.function.values * np.sqrt(_weights(grid))[:, None]
     ref = u[:, :rank]
     proj = _plane_wave_rows(lat, grid) @ y.ravel()
     assert np.max(np.abs(proj - ref @ (ref.conj().T @ s))) \
@@ -433,7 +454,7 @@ def test_build_frame_memory(grid, lattices, f):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = frame.spectrum.nbytes + frame.function.coeffs.values.nbytes
+    held = frame.spectrum.nbytes + frame.function.values.nbytes
     assert peak <= 12 * 2 ** 20
     assert held <= 2 ** 19
 
@@ -578,7 +599,7 @@ def test_vanishing_multiplier_rejected(grid, lattices):
 
 def test_reconstruct_zero_samples(grid, lattices):
     rec = reconstruct(_zeros(lattices[0.2]), grid=grid)
-    assert rec.coeffs.norm() == 0.0
+    assert rec.norm() == 0.0
 
 
 def test_closed_loop_point_reconstruction(frames, f, pgrid):
@@ -602,7 +623,7 @@ def test_deconvolution_equals_point_route_for_identity(f, grid, lattices):
     lat = lattices[0.2]
     rec_pt = reconstruct(point_samples(f, lat), grid=grid)
     rec_id = reconstruct(SampleSet(lat, f.evaluate(lat.points)), grid=grid)
-    assert np.array_equal(rec_id.coeffs.values, rec_pt.coeffs.values)
+    assert np.array_equal(rec_id.values, rec_pt.values)
 
 
 def test_reconstruction_is_a_projection(frame8, f, lattices):
@@ -630,9 +651,9 @@ def _dense_lstsq(s, grid, m=IDENTITY):
     # conj(m) / sqrt(weights), the weights carrying |m|^2
     psi = _plane_wave_rows(s.lattice, grid, m)
     y = np.linalg.lstsq(psi, s.values, rcond=math.sqrt(1e-12))[0]
-    to_coeffs = np.conj(m.values_on(grid)) / np.sqrt(_weights(grid, m))
+    to_coeffs = np.conj(m(grid.lambda_nodes)) / np.sqrt(_weights(grid, m))
     values = y.reshape(grid.n_lambda, grid.n_b) * to_coeffs[:, None]
-    return BandlimitedFunction(SpectralCoeffs(grid, values))
+    return BandlimitedFunction(grid, values)
 
 
 @pytest.mark.parametrize("shape", ["n_below_k", "n_above_k", "one_point"])
@@ -689,8 +710,7 @@ def test_adversarial_noise_realizes_stability_constant(frame8, f, grid,
     eps = 1e-6
     noisy = SampleSet(lat, s.values + eps * worst)
     rec = build_frame(noisy, grid=grid, cut=1e-8).function
-    diff = SpectralCoeffs(grid, rec.coeffs.values
-                          - frame8.function.coeffs.values)
+    diff = BandlimitedFunction(grid, rec.values - frame8.function.values)
     amp = diff.norm() / eps
     c_stab = 1.0 / math.sqrt(frame8.frame_bounds[0])
     assert c_stab / 2 <= amp <= 2 * c_stab

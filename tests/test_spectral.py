@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from hypersample import spectral as sp
 from hypersample.errors import MultiplierVanishes, NumericalFailure
 from hypersample.geometry import PAIR_BLOCK, RHO, SpaceParams, busemann
+from hypersample.transforms import BandlimitedFunction, apply_multiplier
 
 from helpers import laplacian_multiplier
 
@@ -352,7 +353,8 @@ def test_grid_n_band_and_angles(grid):
 
 def test_coeffs_norm_constant_field(grid):
     # unit coefficients: ||c||^2 = int_0^omega density(lam) dlam
-    c = sp.SpectralCoeffs(grid, np.ones((grid.n_lambda, grid.n_b), dtype=complex))
+    c = BandlimitedFunction(grid, np.ones((grid.n_lambda, grid.n_b),
+                                          dtype=complex))
     ref = quad(lambda l: float(sp.plancherel_density(l)), 0.0, 6.0)[0]
     # density has poles at lam = +/- i/2, so panel quadrature is geometric
     # but not exact; 24 nodes on [0, 6] reach ~1e-11 relative
@@ -361,27 +363,28 @@ def test_coeffs_norm_constant_field(grid):
 
 def test_coeffs_shape_check(grid):
     with pytest.raises(ValueError):
-        sp.SpectralCoeffs(grid, np.zeros((3, 3)))
+        BandlimitedFunction(grid, np.zeros((3, 3)))
 
 
 def test_multipliers_and_apply(grid):
     lap = laplacian_multiplier()
-    vals = lap.values_on(grid)
+    vals = lap(grid.lambda_nodes)
     assert np.allclose(vals, -(grid.lambda_nodes**2 + 0.25))
     sob = sp.sobolev_multiplier(-2.0)
-    assert np.allclose(sob.values_on(grid), (grid.lambda_nodes**2 + 0.25) ** -2.0)
+    assert np.allclose(sob(grid.lambda_nodes), (grid.lambda_nodes**2 + 0.25) ** -2.0)
 
     rng = np.random.default_rng(9)
-    c = sp.SpectralCoeffs(grid, rng.standard_normal((grid.n_lambda, grid.n_b)) + 0j)
+    c = BandlimitedFunction(
+        grid, rng.standard_normal((grid.n_lambda, grid.n_b)) + 0j)
     for m in (lap, sp.sobolev_multiplier(1.5)):
-        forward = sp.apply_multiplier(c, m)
+        forward = apply_multiplier(c, m)
         back = forward.values / m.band_values(grid)[:, None]
         assert np.max(np.abs(back - c.values)) < 1e-13
-    ident = sp.apply_multiplier(c, sp.IDENTITY)
+    ident = apply_multiplier(c, sp.IDENTITY)
     assert np.array_equal(ident.values, c.values)
     # the zeroth Sobolev power is the identity, bit for bit
-    assert np.array_equal(sp.sobolev_multiplier(0.0).values_on(grid),
-                          sp.IDENTITY.values_on(grid))
+    assert np.array_equal(sp.sobolev_multiplier(0.0)(grid.lambda_nodes),
+                          sp.IDENTITY(grid.lambda_nodes))
 
 
 def test_band_values_refuse_a_vanishing_multiplier(grid):
@@ -393,6 +396,6 @@ def test_band_values_refuse_a_vanishing_multiplier(grid):
 def test_multiplier_band_values(grid):
     m = sp.sobolev_multiplier(1.0)
     vals = m.band_values(grid)
-    assert np.array_equal(vals, m.values_on(grid))
+    assert np.array_equal(vals, m(grid.lambda_nodes))
     assert np.min(np.abs(vals)) == pytest.approx(grid.lambda_nodes[0] ** 2 + 0.25)
 

@@ -19,7 +19,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from hypersample import spectral, splines
-from hypersample.bandlimited import BandlimitedFunction, synthesize
+from hypersample.bandlimited import synthesize
 from hypersample.cli import main
 from hypersample.errors import (MultiplierVanishes, NumericalFailure,
                                 ProblemTooLarge, SingularKernel, TailTooLarge)
@@ -28,8 +28,7 @@ from hypersample.geometry import (PAIR_BLOCK, RHO, busemann, distance,
 from hypersample.lattice import Lattice, build_lattice
 from hypersample.sampling import SampleSet, convolution_samples, point_samples
 from hypersample.spectral import (IDENTITY, Multiplier, SpectralGrid,
-                                  apply_multiplier, build_grid,
-                                  plancherel_density,
+                                  build_grid, plancherel_density,
                                   sobolev_multiplier, spherical_function,
                                   zonal_series, zonal_sum)
 from hypersample.sphavg import AverageSpec, average_multiplier
@@ -38,7 +37,8 @@ from hypersample.splines import (_kernel_lambda_grid, _kernel_matrix,
                                  polyharmonic_kernel, spline_band_projection,
                                  spline_interpolate,
                                  spline_reconstruct_deconvolve)
-from hypersample.transforms import build_polar_grid
+from hypersample.transforms import (BandlimitedFunction, apply_multiplier,
+                                    build_polar_grid)
 
 OMEGA = 1.0
 DOMAIN = 2.0
@@ -310,7 +310,7 @@ def test_pairing_recovers_point_value(wide, sys2):
     a = busemann(np.array([o]), wide.boundary_angles)
     khat = (lam[:, None] ** 2 + rho2) ** (-2 * sys2.k) \
         * np.exp((-1j * lam[:, None] + RHO) * a)
-    ghat_2k = g.coeffs.values * ((lam ** 2 + rho2) ** (2 * sys2.k))[:, None]
+    ghat_2k = g.values * ((lam ** 2 + rho2) ** (2 * sys2.k))[:, None]
     paired = np.sum(wide.lambda_measure[:, None] * np.conj(khat) * ghat_2k) \
         / wide.n_b
     ref = g.evaluate(np.array([o]))[0]
@@ -429,7 +429,7 @@ def test_minimization_and_orthogonality(sys2, interp, samples, wide, waves):
     for c in range(20):
         w = synthesize(wide, seed=500 + c)
         beta_w = sys2._solve(point_samples(w, sys2.lattice).values)
-        vhat = w.coeffs.values - _expansion_field(beta_w, waves, wide, sys2.k)
+        vhat = w.values - _expansion_field(beta_w, waves, wide, sys2.k)
         vnorm = _inner_2k(vhat, vhat, wide, sys2.k).real
         cross = _inner_2k(shat, vhat, wide, sys2.k)
         assert abs(cross) <= 1e-6 * math.sqrt(base * vnorm)
@@ -445,7 +445,7 @@ def iterated_bernstein_check(f: BandlimitedFunction, sigma: float,
     checks ||Delta^s f|| <= a^m ||Delta^(m sigma + s) f|| for each (m, s).
     """
     def power_norm(p: float) -> float:
-        return apply_multiplier(f.coeffs, sobolev_multiplier(p)).norm()
+        return apply_multiplier(f, sobolev_multiplier(p)).norm()
 
     n0 = power_norm(0.0)
     ns = power_norm(sigma)

@@ -17,11 +17,11 @@ from hypersample.errors import (CalibrationInconsistent, NumericalFailure,
                                TailMassExceeded)
 from hypersample.geometry import (RHO, SpaceParams, ball_volume, busemann,
                                   distance, mobius_translate)
-from hypersample.spectral import (SpectralCoeffs, SpectralGrid,
-                                  _circle_cosines, _gamma_ratio,
-                                  _plane_wave_basis, apply_multiplier,
+from hypersample.spectral import (SpectralGrid, _circle_cosines,
+                                  _gamma_ratio, _plane_wave_basis,
                                   build_grid, spherical_function)
-from hypersample.transforms import PolarGrid
+from hypersample.transforms import (BandlimitedFunction, PolarGrid,
+                                    apply_multiplier)
 
 from helpers import laplacian_multiplier
 
@@ -206,7 +206,7 @@ def test_mode_table_quadrature_ode_residual():
 
 
 def forward_transform_direct(pgrid: PolarGrid, grid: SpectralGrid,
-                             samples: np.ndarray) -> SpectralCoeffs:
+                             samples: np.ndarray) -> BandlimitedFunction:
     """Forward transform by explicit plane-wave kernels at every node.
 
     Independent of the mode tables; cost and accuracy both degrade with
@@ -220,7 +220,7 @@ def forward_transform_direct(pgrid: PolarGrid, grid: SpectralGrid,
         av = busemann(pts, theta_b)
         kern = np.exp((RHO - 1j * lam)[:, None] * av[None, :])
         values[:, j] = kern @ wf
-    return SpectralCoeffs(grid, values)
+    return BandlimitedFunction(grid, values)
 
 
 def test_forward_routes_agree_zonal(pgrid, grid):
@@ -256,8 +256,9 @@ def test_adjointness(pgrid, grid):
     rng = np.random.default_rng(4)
     f = rng.standard_normal((pgrid.n_r, pgrid.n_theta)) \
         + 1j * rng.standard_normal((pgrid.n_r, pgrid.n_theta))
-    g = SpectralCoeffs(grid, rng.standard_normal((grid.n_lambda, grid.n_b))
-                       + 1j * rng.standard_normal((grid.n_lambda, grid.n_b)))
+    g = BandlimitedFunction(
+        grid, rng.standard_normal((grid.n_lambda, grid.n_b))
+        + 1j * rng.standard_normal((grid.n_lambda, grid.n_b)))
     back = tr.inverse_on_grid(g, pgrid)
     lhs = np.sum(pgrid.weights2d * back * np.conj(f))
     fwd = tr.forward_transform(pgrid, grid, f, tail_tol=None).values
@@ -364,8 +365,8 @@ def test_inverse_transform_matches_plane_wave_double_sum(space):
     # oracle: one exponential per (point, lam, b), summed directly
     grid = build_grid(space, omega=12.0, n_lambda=48, n_b=32)
     rng = np.random.default_rng(11)
-    c = SpectralCoeffs(grid, rng.standard_normal((48, 32))
-                       + 1j * rng.standard_normal((48, 32)))
+    c = BandlimitedFunction(grid, rng.standard_normal((48, 32))
+                            + 1j * rng.standard_normal((48, 32)))
     radius = 0.95 * np.sqrt(rng.random(150))
     radius[0], radius[1] = 0.95, 0.0
     pts = (radius * np.exp(2j * np.pi * rng.random(150))).reshape(10, 15)
@@ -390,14 +391,14 @@ def test_inverse_transform_of_band_limited_f_matches_plane_wave_sum(space):
     a = busemann(pts[:, None], grid.boundary_angles[None, :])
     waves = np.exp((1j * grid.lambda_nodes[:, None, None] + RHO)
                    * a[None, :, :])
-    weighted = grid.lambda_measure[:, None] * f.coeffs.values / grid.n_b
+    weighted = grid.lambda_measure[:, None] * f.values / grid.n_b
     ref = np.einsum("lpb,lb->p", waves, weighted)
-    got = tr.inverse_transform(f.coeffs, pts)
+    got = tr.inverse_transform(f, pts)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_inverse_transform_of_zero_coefficients_is_zero(grid):
-    c = SpectralCoeffs(grid, np.zeros((grid.n_lambda, grid.n_b)))
+    c = BandlimitedFunction(grid, np.zeros((grid.n_lambda, grid.n_b)))
     pts = np.array([0.0, 0.3 - 0.4j, 0.9j])
     assert np.array_equal(tr.inverse_transform(c, pts), np.zeros(3))
 
@@ -580,7 +581,7 @@ def test_evaluation_across_the_switch_radius_matches_the_table_route(
     pgrid = tr.build_polar_grid(6.0, 96, 64)
     assert 0 < np.count_nonzero(pgrid.r_nodes > tr._SWITCH_RADIUS) < 96
     got = f.on_grid(pgrid)
-    ref = _table_route(f.coeffs, pgrid)
+    ref = _table_route(f, pgrid)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -609,7 +610,7 @@ def test_inverse_on_grid_commutes_with_rotation(space):
     assert pgrid.n_theta == 2 * f.grid.n_b
     v0 = f.on_grid(pgrid)
     for k in _ROTATIONS:
-        rolled = SpectralCoeffs(f.grid, np.roll(f.coeffs.values, k, axis=1))
+        rolled = BandlimitedFunction(f.grid, np.roll(f.values, k, axis=1))
         v = tr.inverse_on_grid(rolled, pgrid)
         assert np.max(np.abs(v - np.roll(v0, 2 * k, axis=1))) \
             <= 1e-14 * np.max(np.abs(v0))
