@@ -36,9 +36,12 @@ The workers call `build_frame(samples, grid=...)`, whose frame holds the
 interpolant, time `sampling._ball_directions`, read the calibration's
 grids from `transforms._CAL_LAM_MAX`, `_CAL_N_LAMBDA`, `_CAL_N_B` and
 `_CAL_POLAR_GRID`, and hand `inverse_transform` the band-limited function
-itself, reading its coefficients as `.values`.  So `--base` must be a
-revision where `transforms.BandlimitedFunction` holds its coefficients:
-the change that made it the one band-limited class, or a later one.
+itself, reading its coefficients as `.values`.  They build grids by
+`build_grid(omega, n_lambda, n_b)` and `cli._grids(cfg)`, and call
+`polyharmonic_kernel(k, ...)` and `build_splines(lat, k)`, all of which
+take the density constant from `spectral.PLANCHEREL_SCALE`.  So `--base`
+must be a revision that defines that constant: the change that made the
+constant 1/(2 pi) instead of a calibrated scale, or a later one.
 """
 
 from __future__ import annotations
@@ -126,20 +129,13 @@ def _times(call, repeats: int) -> tuple[list, object]:
     return times, value
 
 
-def _space():
-    from hypersample.geometry import SpaceParams
-    from hypersample.transforms import calibrate_plancherel
-
-    return SpaceParams().with_scale(calibrate_plancherel().scale)
-
-
-def _grids(space, name: str):
+def _grids(name: str):
     """The spectral and polar grid of the frame or spline scenario, built
     from its config by `cli._grids` as a run builds them."""
     from hypersample import cli
 
     cfg = cli.load_config(str(ROOT / "configs" / f"{GRIDS[name]}.ini"))
-    return cli._grids(cfg, space)
+    return cli._grids(cfg)
 
 
 def _setup(repeats, case):
@@ -189,18 +185,16 @@ def _modes(repeats, case):
 
     from hypersample import transforms as tr
     from hypersample.bandlimited import synthesize
-    from hypersample.geometry import SpaceParams
     from hypersample.spectral import build_grid
 
     def stacked(orders):
         return lambda *args: np.stack(list(orders(*args)), axis=1)
 
     near, far = stacked(tr._radial_modes), stacked(tr._expansion_orders)
-    space = SpaceParams().with_scale(1.0)
-    grids = {"calibration": (build_grid(space, tr._CAL_LAM_MAX,
-                                        tr._CAL_N_LAMBDA, tr._CAL_N_B),
+    grids = {"calibration": (build_grid(tr._CAL_LAM_MAX, tr._CAL_N_LAMBDA,
+                                        tr._CAL_N_B),
                              tr.build_polar_grid(*tr._CAL_POLAR_GRID)),
-             **{name: _grids(space, name) for name in GRIDS}}
+             **{name: _grids(name) for name in GRIDS}}
     basis, lengths = tr._plane_wave_basis, []
 
     def recorded(*args):
@@ -248,21 +242,19 @@ def _modes(repeats, case):
 
 
 def _series(repeats, case):
-    """Chebyshev series after a cold calibration: the polyharmonic kernel
-    table for k = 2, 4, 8 at t_max = 4 and for k = 2 at t_max = 6, and
-    `inverse_transform` of the frame test function (seed 0) at the points
-    of the r = 0.1 lattice (N = 1889), each with the lengths of the series
-    `_chebyshev_fit` returned on its first call (for the kernel, the
-    plane-wave series before the zonal series); then `spherical_function`
-    on 16 Gauss-Legendre lam <= 12 times 24 radii r <= 8 (`spherical_s`)."""
+    """Chebyshev series: the polyharmonic kernel table for k = 2, 4, 8 at
+    t_max = 4 and for k = 2 at t_max = 6, and `inverse_transform` of the
+    frame test function (seed 0) at the points of the r = 0.1 lattice
+    (N = 1889), each with the lengths of the series `_chebyshev_fit`
+    returned on its first call (for the kernel, the plane-wave series
+    before the zonal series); then `spherical_function` on 16
+    Gauss-Legendre lam <= 12 times 24 radii r <= 8 (`spherical_s`)."""
     from hypersample import spectral
     from hypersample.bandlimited import synthesize
-    from hypersample.geometry import SpaceParams
     from hypersample.lattice import build_lattice
     from hypersample.splines import polyharmonic_kernel
     from hypersample.transforms import build_polar_grid, inverse_transform
 
-    space = _space()
     fit, lengths = spectral._chebyshev_fit, []
 
     def recorded(*args):
@@ -275,17 +267,17 @@ def _series(repeats, case):
     for name, (k, t_max) in KERNELS.items():
         lengths.clear()
         out[f"{name}_s"], kern = _times(
-            lambda: polyharmonic_kernel(space, k, t_max=t_max), repeats)
+            lambda: polyharmonic_kernel(k, t_max=t_max), repeats)
         out[f"{name}_series"] = lengths[:len(lengths) // repeats]
         arrays[name] = kern.table_values
-    f = synthesize(_grids(space, "frame")[0], seed=0)
+    f = synthesize(_grids("frame")[0], seed=0)
     points = build_lattice(0.1, DOMAIN, seed=0).points
     lengths.clear()
     out["inverse_s"], arrays["inverse"] = _times(
         lambda: inverse_transform(f, points), repeats)
     out["inverse_series"] = lengths[:len(lengths) // repeats]
     out["inverse_n_points"] = int(points.size)
-    lams = spectral.build_grid(SpaceParams(), 12.0, 16, 16).lambda_nodes
+    lams = spectral.build_grid(12.0, 16, 16).lambda_nodes
     rs = build_polar_grid(8.0, 24, 16).r_nodes
     out["spherical_s"], arrays["spherical"] = _times(
         lambda: spectral.spherical_function(lams[:, None], rs[None, :]),
@@ -336,7 +328,7 @@ def _frame(repeats, r):
     from hypersample.bandlimited import synthesize
     from hypersample.lattice import build_lattice
 
-    grid, pgrid = _grids(_space(), "frame")
+    grid, pgrid = _grids("frame")
     f = synthesize(grid, seed=0)
     lat = build_lattice(r, DOMAIN, seed=0)
     samples = sampling.point_samples(f, lat)
@@ -395,11 +387,10 @@ def _evaluate(repeats, case):
     from hypersample.sampling import point_samples
     from hypersample.splines import build_splines, spline_interpolate
 
-    space = _space()
-    grid, pgrid = _grids(space, "spline")
+    grid, pgrid = _grids("spline")
     f = synthesize(grid, seed=0)
     lat = build_lattice(0.8, 2.0, seed=0)
-    system = build_splines(lat, 2, space=space)
+    system = build_splines(lat, 2)
     interp = spline_interpolate(system, point_samples(f, lat))
     points, ref = pgrid.points, f.on_grid(pgrid)
     rss_before = _rss_mb()
@@ -425,7 +416,6 @@ def _splines(repeats, case):
     from hypersample.errors import SingularKernel
     from hypersample.lattice import build_lattice
 
-    space = _space()
     lat = build_lattice(0.1, DOMAIN, seed=0)
     seen: dict = {"assembly_s": []}
     kernel, cholesky = splines.polyharmonic_kernel, np.linalg.cholesky
@@ -443,7 +433,7 @@ def _splines(repeats, case):
 
     def call():
         try:
-            splines.build_splines(lat, 2, space=space)
+            splines.build_splines(lat, 2)
             return "solved"
         except SingularKernel:
             return "SingularKernel"
@@ -461,11 +451,10 @@ def _splines(repeats, case):
 
 def _theorem73(repeats, case):
     """`cli.run` of `configs/theorem73.ini` into the working directory,
-    after a cold calibration that the timer leaves out, with the exit code,
-    the peak RSS before and after, and a digest of `results.csv`."""
+    which calibrates nothing, with the exit code, the peak RSS before and
+    after, and a digest of `results.csv`."""
     from hypersample import cli
 
-    _space()
     os.environ["HYPERSAMPLE_OUTPUT_ROOT"] = os.getcwd()
     cfg = cli.load_config(str(ROOT / "configs" / "theorem73.ini"))
     rss_before = _rss_mb()
@@ -572,8 +561,7 @@ def main() -> int:
             f"{name}: {stage.worker.__doc__}" for name, stage in STAGES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against; it "
-                                   "must define transforms."
-                                   "BandlimitedFunction")
+                                   "must define spectral.PLANCHEREL_SCALE")
     ap.add_argument("--stage", action="append", choices=STAGES,
                     help="stage to run; repeat for several (default: all)")
     ap.add_argument("--out", type=Path, help="also write the report here")

@@ -16,7 +16,6 @@ from .errors import (
     TailTooLarge,
 )
 from .geometry import (
-    SpaceParams,
     ball_volume,
     busemann,
     circle_points,

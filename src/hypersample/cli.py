@@ -1,8 +1,8 @@
 """Experiment runner: configs, scenarios, CSV reports, deterministic manifests.
 
 Eight scenarios exercise the library end to end.  Each run writes a
-manifest (config echo, library version, calibrated spectral density
-constant, tolerances in force), a results.csv with a fixed per-scenario
+manifest (config echo, library version, spectral density constant,
+tolerances in force), a results.csv with a fixed per-scenario
 schema, a plot_results.py renderer and a timings.txt sidecar.  Result
 files are byte-deterministic for identical configs at a fixed BLAS thread
 count; wall-clock timings live only in the sidecar so reruns can be
@@ -26,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import spectral
 from .bandlimited import _BERNSTEIN_SLACK, _N_MODES, bernstein_check, \
     synthesize
 from .baseline1d import exp_frame_gram, gram_reconstruct, sinc_reconstruct, \
     synthesize_1d
 from .errors import ConfigError, HypersampleError, SingularKernel
-from .geometry import SpaceParams, multiplicity_bound, random_ball_points
+from .geometry import multiplicity_bound, random_ball_points
 from .lattice import _min_separation, _probe_cover, build_lattice, \
     certify_cover, certify_multiplicity
 from .sampling import _PINV_CUT, build_frame, point_samples
@@ -237,23 +238,24 @@ def _rel_err(pgrid, got: np.ndarray, want: np.ndarray) -> float:
     return pgrid.norm(got - want) / pgrid.norm(want)
 
 
-def _spectral_grid(cfg: ExperimentConfig, space: SpaceParams):
+def _spectral_grid(cfg: ExperimentConfig):
     """The config's spectral grid: n_lambda // 2 nodes on the band."""
-    return build_grid(space, cfg.omega, cfg.n_lambda // 2, cfg.n_b)
+    return build_grid(cfg.omega, cfg.n_lambda // 2, cfg.n_b)
 
 
-def _grids(cfg: ExperimentConfig, space: SpaceParams):
+def _grids(cfg: ExperimentConfig):
     """The config's spectral grid and its polar grid over the domain."""
-    return (_spectral_grid(cfg, space),
+    return (_spectral_grid(cfg),
             build_polar_grid(cfg.domain_radius, cfg.n_r, cfg.n_theta))
 
 
-def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_plancherel(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["seed", "spatial_norm_sq", "spectral_norm_sq",
                    "rel_error", "passed"], "seed", ["rel_error"])
-    tol = 1e-6
-    rep.tolerances = {"parseval_rel": tol, "forward_tail": _CAL_TAIL_TOL}
-    grid = build_grid(space, _CAL_LAM_MAX, cfg.n_lambda, cfg.n_b)
+    tol, cal_tol = 1e-6, 1e-10
+    rep.tolerances = {"parseval_rel": tol, "forward_tail": _CAL_TAIL_TOL,
+                      "calibration_rel": cal_tol}
+    grid = build_grid(_CAL_LAM_MAX, cfg.n_lambda, cfg.n_b)
     draws = []
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
@@ -262,19 +264,23 @@ def _scenario_plancherel(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
         draws.append((center, 0.7 + 0.5 * rng.random()))
     with rep.timed("transform"):
         norms = _bump_norms_sq(grid, draws)
-    for seed, spatial, spectral in zip(cfg.seeds, *norms):
-        rel = abs(spatial - spectral) / spatial
-        rep.add(seed, spatial, spectral, rel, rel < tol)
+    for seed, spatial, spectral_sq in zip(cfg.seeds, *norms):
+        rel = abs(spatial - spectral_sq) / spatial
+        rep.add(seed, spatial, spectral_sq, rel, rel < tol)
         rep.check(rel < tol, "plancherel.parseval_rel",
                   f"seed {seed}: relative error {rel:.3e} >= {tol:.0e}")
+    scale = rep.info["calibration_scale"] = calibrate_plancherel().scale
+    off = abs(scale / spectral.PLANCHEREL_SCALE - 1.0)
+    rep.check(off <= cal_tol, "plancherel.calibration",
+              f"measured constant {scale!r} is off by {off:.3e}")
     return rep
 
 
-def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_bernstein(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["seed", "sigma", "lhs", "rhs", "ratio", "passed"],
                   "sigma", ["ratio"])
     rep.tolerances = {"bernstein_slack": _BERNSTEIN_SLACK}
-    grid = _spectral_grid(cfg, space)
+    grid = _spectral_grid(cfg)
     for seed in cfg.seeds:
         with rep.timed(f"seed_{seed}"):
             f = synthesize(grid, seed)
@@ -288,7 +294,7 @@ def _scenario_bernstein(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_lattice(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["r", "n_points", "min_separation", "cover_radius",
                    "fresh_cover_max", "multiplicity", "multiplicity_bound",
                    "passed"], "r", ["min_separation", "cover_radius"])
@@ -319,12 +325,12 @@ def _scenario_lattice(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_frame(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["r", "n_points", "rank", "frame_lower", "frame_upper",
                    "rel_error", "passed"], "r", ["rel_error"])
     tol = 1e-6
     rep.tolerances = {"frame_rel_error_at_finest": tol, "eigen_cut": cfg.cut}
-    grid, pgrid = _grids(cfg, space)
+    grid, pgrid = _grids(cfg)
     f = synthesize(grid, cfg.seeds[0])
     f_ref = f.on_grid(pgrid)
     r_list = tuple(sorted(cfg.r_values, reverse=True))
@@ -350,7 +356,7 @@ def _scenario_frame(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_spline(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["k", "status", "n_points", "condition",
                    "lagrangian_defect", "rel_error", "passed"],
                   "k", ["rel_error"])
@@ -358,7 +364,7 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     rep.tolerances = {"lagrangian_defect": _CERT_TOL,
                       "interp_rel_error": err_tol}
     check_kernel_size(cfg.r, cfg.domain_radius)
-    grid, pgrid = _grids(cfg, space)
+    grid, pgrid = _grids(cfg)
     f = synthesize(grid, cfg.seeds[0])
     f_ref = f.on_grid(pgrid)
     lat = build_lattice(cfg.r, cfg.domain_radius, seed=cfg.seeds[0])
@@ -368,7 +374,7 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     for k in cfg.k_schedule:
         with rep.timed(f"k_{k}"):
             try:
-                system = build_splines(lat, int(k), space=space)
+                system = build_splines(lat, int(k))
             except SingularKernel:
                 rep.add(k, "singular", len(lat), math.inf, math.nan,
                         math.nan, False)
@@ -390,13 +396,13 @@ def _scenario_spline(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_sphavg(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["case", "y_re", "y_im", "tau", "n", "direct_re",
                    "direct_im", "symbol_re", "symbol_im", "abs_diff",
                    "passed"], "case", ["abs_diff"])
     tol = 1e-6
     rep.tolerances = {"two_path_abs": tol}
-    grid = _spectral_grid(cfg, space)
+    grid = _spectral_grid(cfg)
     f = synthesize(grid, cfg.seeds[0])
     rng = np.random.default_rng(42)
     with rep.timed("two_path_cases"):
@@ -425,7 +431,7 @@ def _scenario_sphavg(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_theorem73(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["omega", "r", "tau", "n", "n_points", "admissible",
                    "frame_error", "frame_lower", "frame_upper", "rank",
                    "spline_ks", "spline_errors", "spline_aborted_at",
@@ -435,7 +441,7 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
                       "eigen_cut": cfg.cut}
     taus = cfg.tau_values
     with rep.timed("experiment"):
-        grid, pgrid = _grids(cfg, space)
+        grid, pgrid = _grids(cfg)
         results = theorem73_experiment(
             cfg.r, [AverageSpec(tau=float(tau), n=cfg.n) for tau in taus],
             seed=cfg.seeds[0], grid=grid, pgrid=pgrid,
@@ -465,7 +471,7 @@ def _scenario_theorem73(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
     return rep
 
 
-def _scenario_baseline1d(cfg: ExperimentConfig, space: SpaceParams) -> _Report:
+def _scenario_baseline1d(cfg: ExperimentConfig) -> _Report:
     rep = _Report(["gamma", "n_points", "frame_lower", "frame_upper",
                    "sinc_rel_error", "gram_rel_error", "route_diff",
                    "passed"], "gamma", ["sinc_rel_error", "gram_rel_error"])
@@ -506,7 +512,7 @@ class _Scenario:
     that `hypersample verify` runs it at, overrides layered on defaults
     (with seeds 0 unless they list seeds)."""
 
-    runner: typing.Callable[[ExperimentConfig, SpaceParams], _Report]
+    runner: typing.Callable[[ExperimentConfig], _Report]
     defaults: dict = field(default_factory=dict)
     listed: str | None = None
     unused: tuple[str, ...] = ()
@@ -597,11 +603,9 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _manifest_text(cfg: ExperimentConfig, rep: _Report, scale: float,
-                   spread: float, version: str) -> str:
+def _manifest_text(cfg: ExperimentConfig, rep: _Report, version: str) -> str:
     lines = [f"library_version = {version}",
-             f"plancherel_scale = {scale!r}",
-             f"calibration_spread = {spread!r}"]
+             f"plancherel_scale = {spectral.PLANCHEREL_SCALE!r}"]
     for f in fields(cfg):
         lines.append(f"config.{f.name} = {_fmt(getattr(cfg, f.name))}")
     for key in sorted(rep.tolerances):
@@ -654,14 +658,12 @@ def _run_into(cfg: ExperimentConfig, spec: _Scenario,
     from . import __version__
 
     t0 = time.perf_counter()
-    cal = calibrate_plancherel()
-    space = SpaceParams().with_scale(cal.scale)
-    rep = spec.runner(cfg, space)
+    rep = spec.runner(cfg)
     total = time.perf_counter() - t0
 
     _write_text(outdir / "results.csv", rep.csv_text())
     _write_text(outdir / "manifest.txt",
-                _manifest_text(cfg, rep, cal.scale, cal.spread, __version__))
+                _manifest_text(cfg, rep, __version__))
     _write_text(outdir / "config.ini", config_to_ini(cfg))
     _write_text(outdir / "plot_results.py",
                 _PLOT_TEMPLATE.format(x=rep.plot_x, y=rep.plot_y,
@@ -681,8 +683,8 @@ def verify_all(perturb_scale: float = 0.0,
     """Run every scenario's runner at its verify size; print a table.
 
     only keeps the scenarios whose names contain one of its substrings.
-    perturb_scale injects a relative error into the calibrated spectral
-    density constant; the plancherel runner's Parseval tolerance must
+    perturb_scale is a relative error in spectral.PLANCHEREL_SCALE, rebound
+    for the runs only; the plancherel runner's Parseval tolerance must
     catch it (the mutation hook that proves the suite is actually
     sensitive); it must be finite and above -1, so that the constant
     stays positive, or ConfigError is raised.  No files are written.
@@ -693,33 +695,32 @@ def verify_all(perturb_scale: float = 0.0,
     names = list(SCENARIOS)
     if only is not None:
         wanted = [w for w in only if w]
-        if not wanted:
-            print("warning: empty scenario list, vacuous pass",
-                  file=sys.stderr)
-            return 0
         names = [name for name in names if any(w in name for w in wanted)]
         if not names:
             print("warning: no scenario matched, vacuous pass",
                   file=sys.stderr)
             return 0
-    cal = calibrate_plancherel()
-    space = SpaceParams().with_scale(cal.scale * (1.0 + perturb_scale))
     width = max(len(name) for name in names)
     failures = 0
-    for name in names:
-        spec = SCENARIOS[name]
-        cfg = ExperimentConfig(scenario=name, **{
-            "seeds": (0,), **spec.defaults, **spec.verify})
-        t0 = time.perf_counter()
-        try:
-            rep = spec.runner(cfg, space)
-        except HypersampleError as exc:
-            status = f"FAIL  {type(exc).__name__}: {exc}"
-        else:
-            status = f"FAIL  {rep.failures[0]}" if rep.failures else "pass"
-        failures += status != "pass"
-        print(f"{name:<{width}}  {status}  "
-              f"[{time.perf_counter() - t0:.2f} s]")
+    scale = spectral.PLANCHEREL_SCALE
+    spectral.PLANCHEREL_SCALE = scale * (1.0 + perturb_scale)
+    try:
+        for name in names:
+            spec = SCENARIOS[name]
+            cfg = ExperimentConfig(scenario=name, **{
+                "seeds": (0,), **spec.defaults, **spec.verify})
+            t0 = time.perf_counter()
+            try:
+                rep = spec.runner(cfg)
+            except HypersampleError as exc:
+                status = f"FAIL  {type(exc).__name__}: {exc}"
+            else:
+                status = f"FAIL  {rep.failures[0]}" if rep.failures else "pass"
+            failures += status != "pass"
+            print(f"{name:<{width}}  {status}  "
+                  f"[{time.perf_counter() - t0:.2f} s]")
+    finally:
+        spectral.PLANCHEREL_SCALE = scale
     print(f"{failures} of {len(names)} scenarios failed" if failures
           else f"all {len(names)} scenarios passed")
     return 1 if failures else 0
@@ -760,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--only", default=None,
                           help="comma list of scenario name substrings")
 
-    sub.add_parser("calibrate", help="measure the spectral density constant")
+    sub.add_parser("calibrate", help="measure the density constant 1/(2 pi)")
 
     args = parser.parse_args(argv)
     try:
@@ -773,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
         cal = calibrate_plancherel()
         print(f"plancherel_scale = {cal.scale!r}")
         print(f"spread = {cal.spread!r}")
-        print(f"1/(2 pi)         = {1.0 / (2.0 * np.pi)!r}")
+        print(f"1/(2 pi)         = {spectral.PLANCHEREL_SCALE!r}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

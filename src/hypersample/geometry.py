@@ -77,22 +77,16 @@ def row_blocks(rows: int, width: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """The calibrated spectral density constant of the plane.
+    """The density constant for splines.build_splines' space keyword, kept
+    for scenario_bench/test_spans.py until ROADMAP item 13."""
 
-    plancherel_scale multiplies the raw spectral density lam*tanh(pi*lam)
-    and is determined once by calibration (see transforms.calibrate_plancherel);
-    the default 1.0 is a placeholder, not a calibrated value.
-    """
-
-    plancherel_scale: float = 1.0
+    plancherel_scale: float = 1.0 / (2.0 * math.pi)
 
     def __post_init__(self):
         if not self.plancherel_scale > 0:
             raise ValueError("plancherel_scale must be positive")
 
     def with_scale(self, scale: float) -> "SpaceParams":
-        if not scale > 0:
-            raise ValueError(f"plancherel_scale must be positive, got {scale}")
         return replace(self, plancherel_scale=scale)
 
 

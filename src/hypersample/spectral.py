@@ -7,12 +7,13 @@ rho = geometry.RHO = 1/2.
 Its inverse integrates against exp((+i lam + rho) A(x, b)) with the
 spectral density
 
-    density(lam) = plancherel_scale * |Gamma(1/2 + i lam)|^2 / |Gamma(i lam)|^2
-                 = plancherel_scale * lam * tanh(pi * lam),
+    density(lam) = PLANCHEREL_SCALE * |Gamma(1/2 + i lam)|^2 / |Gamma(i lam)|^2
+                 = lam * tanh(pi * lam) / (2 pi),
 
 the rank-one Gamma-quotient form of the inverse Harish-Chandra c factor.
-The global constant plancherel_scale is measured by calibration, not taken
-on faith (transforms.calibrate_plancherel).
+PLANCHEREL_SCALE = 1/(2 pi) is the Mehler-Fock inversion constant for
+lam >= 0, a boundary measure of mass 1 and the area sinh r dr dtheta;
+transforms.calibrate_plancherel checks it by Parseval balance.
 
 A SpectralGrid fixes the quadrature discretization: one Gauss-Legendre
 panel in lam on the band [0, omega], the only spectrum a band limited
@@ -52,6 +53,7 @@ from .errors import MultiplierVanishes, NumericalFailure
 from .geometry import RHO, busemann, row_blocks
 
 __all__ = [
+    "PLANCHEREL_SCALE",
     "plancherel_density",
     "spherical_function",
     "plane_wave_series",
@@ -63,6 +65,9 @@ __all__ = [
     "IDENTITY",
     "sobolev_multiplier",
 ]
+
+# read when used, so that `hypersample verify --perturb-scale` can rebind it
+PLANCHEREL_SCALE = 1.0 / (2.0 * math.pi)
 
 
 def plancherel_density(lam, scale: float = 1.0) -> np.ndarray:
@@ -424,7 +429,7 @@ class SpectralGrid:
     """Quadrature grid on the band [0, omega] x boundary circle.
 
     lambda_nodes are the strictly increasing Gauss-Legendre nodes of one
-    panel on [0, omega].  density already includes plancherel_scale.
+    panel on [0, omega].  density already includes PLANCHEREL_SCALE.
     """
 
     lambda_nodes: np.ndarray
@@ -432,7 +437,6 @@ class SpectralGrid:
     density: np.ndarray
     n_b: int
     omega: float
-    plancherel_scale: float
 
     @property
     def n_lambda(self) -> int:
@@ -470,19 +474,18 @@ def _gl_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def build_grid(space, omega: float, n_lambda: int, n_b: int) -> SpectralGrid:
-    """Construct a SpectralGrid with the density constant of space: an
-    n_lambda-point Gauss-Legendre panel on [0, omega]."""
+def build_grid(omega: float, n_lambda: int, n_b: int) -> SpectralGrid:
+    """Construct a SpectralGrid: an n_lambda-point Gauss-Legendre panel on
+    [0, omega] with the density at PLANCHEREL_SCALE, and n_b angles."""
     if omega <= 0 or n_lambda < 2 or n_b < 4 or n_b % 2:
         raise ValueError("bad grid parameters")
     nodes, weights = _gl_panel(0.0, omega, n_lambda)
     return SpectralGrid(
         lambda_nodes=nodes,
         lambda_weights=weights,
-        density=plancherel_density(nodes, space.plancherel_scale),
+        density=plancherel_density(nodes, PLANCHEREL_SCALE),
         n_b=int(n_b),
         omega=float(omega),
-        plancherel_scale=float(space.plancherel_scale),
     )
 
 

@@ -100,16 +100,15 @@ def theorem73_experiment(r: float, specs: Sequence[AverageSpec], *,
                          k_schedule: Sequence[int], cut: float) -> list[dict]:
     """Closed loop: synthesize, average on a lattice, reconstruct both ways.
 
-    The band limit is grid.omega, the density constant is
-    grid.plancherel_scale and the sampled domain is the ball of radius
-    pgrid.r_max, where errors are measured.  The function, its values on
-    the polar grid and the lattice are built once; each spec then gets its
-    own averaged samples and one result dict.  The frame route is the
+    The band limit is grid.omega and the sampled domain is the ball of
+    radius pgrid.r_max, where errors are measured.  The function, its values
+    on the polar grid and the lattice are built once; each spec then gets
+    its own averaged samples and one result dict.  The frame route is the
     truncated pseudo-inverse of the weighted frame, cut at the relative
     eigenvalue threshold cut (build_frame); the spline route runs the
-    deconvolving-spline schedule, which may abort at its conditioning
-    guard or its Lagrangian certificate (recorded, not hidden).  Errors
-    are relative L2 against the true function over the sampled domain.  An
+    deconvolving-spline schedule, which may abort at its conditioning guard
+    or its Lagrangian certificate (recorded, not hidden).  Errors are
+    relative L2 against the true function over the sampled domain.  An
     inadmissible tau is flagged in the report but the run proceeds.  A
     spline schedule whose kernel matrix is too large for any lattice at r
     (splines.check_kernel_size) fails before the lattice is built.

@@ -36,6 +36,7 @@ from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import (NumericalFailure, ProblemTooLarge, SingularKernel,
                      TailTooLarge)
+from . import spectral
 from .geometry import RHO, SpaceParams, distance, row_blocks
 from .lattice import Lattice, _log_min_points, _sci
 from .sampling import SampleSet
@@ -129,7 +130,7 @@ def _order_weight(lam: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def polyharmonic_kernel(space, k: int, *, t_max: float,
+def polyharmonic_kernel(k: int, *, t_max: float,
                         multiplier: Multiplier = IDENTITY
                         ) -> PolyharmonicKernel:
     """Tabulate K_2k(t) = int (lam^2+rho^2)^(-2k) |m|^2 phi_lam(t) density dlam.
@@ -155,7 +156,7 @@ def polyharmonic_kernel(space, k: int, *, t_max: float,
     if t_max <= 0:
         raise ValueError("bad kernel table parameters")
     k = int(k)
-    scale = space.plancherel_scale
+    scale = spectral.PLANCHEREL_SCALE
 
     # reference value K(0) (phi = 1 there): cheap, no angular quadrature
     ref_nodes, ref_weights = _kernel_lambda_grid(10.0)
@@ -259,7 +260,7 @@ def check_kernel_size(r: float, domain_radius: float) -> None:
 
 
 def build_splines(lat: Lattice, k: int, m: Multiplier = IDENTITY, *,
-                  space) -> SplineSystem:
+                  space: SpaceParams | None = None) -> SplineSystem:
     """Kernel matrix K_2k(d(x_j, x_nu)), certified by the Lagrangian defect.
 
     The kernel is tabulated out to the lattice's diameter,
@@ -275,11 +276,14 @@ def build_splines(lat: Lattice, k: int, m: Multiplier = IDENTITY, *,
     the certificate.  The kernel matrix is assembled in row blocks of about
     geometry.PAIR_BLOCK entries straight into its one N x N array
     (_kernel_matrix); ProblemTooLarge is raised when the assembly runs out
-    of memory, in practice at that one array.
+    of memory, in practice at that one array.  space, if given, must
+    carry spectral.PLANCHEREL_SCALE (see geometry.SpaceParams).
     """
     if len(lat) == 0:
         raise ValueError("empty lattice")
-    kern = polyharmonic_kernel(space, k, t_max=2.0 * lat.domain_radius + 1e-9,
+    if space and space.plancherel_scale != spectral.PLANCHEREL_SCALE:
+        raise ValueError("space must carry spectral.PLANCHEREL_SCALE")
+    kern = polyharmonic_kernel(k, t_max=2.0 * lat.domain_radius + 1e-9,
                                multiplier=m)
     n = len(lat)
     try:
@@ -386,22 +390,20 @@ def spline_reconstruct_deconvolve(lat: Lattice, k_schedule, s: SampleSet, *,
     """Band-limited approximations along an increasing order schedule.
 
     Each order k yields the spline interpolant of the convolution samples
-    with kernel density |m|^2 (lam^2+rho^2)^(-2k) (build_splines, at the
-    density constant grid.plancherel_scale), divided by m on grid's band.
-    Escalation stops at the first order whose kernel matrix exceeds
-    condition _COND_LIMIT = 1e12 or whose build_splines raises
-    SingularKernel (no positive definiteness, or a Lagrangian defect above
-    _CERT_TOL = 1e-8) or TailTooLarge (a kernel whose spectral tail needs a
-    cutoff past _LAM_CAP); the result records where.
+    with kernel density |m|^2 (lam^2+rho^2)^(-2k) (build_splines), divided
+    by m on grid's band.  Escalation stops at the first order whose kernel
+    matrix exceeds condition _COND_LIMIT = 1e12 or whose build_splines
+    raises SingularKernel (no positive definiteness, or a Lagrangian defect
+    above _CERT_TOL = 1e-8) or TailTooLarge (a kernel whose spectral tail
+    needs a cutoff past _LAM_CAP); the result records where.
     """
     # MultiplierVanishes unless m can be divided out on the band
     s.multiplier.band_values(grid)
-    space = SpaceParams(grid.plancherel_scale)
     k_list, functions = [], []
     aborted_at = None
     for k in k_schedule:
         try:
-            sys = build_splines(lat, k, s.multiplier, space=space)
+            sys = build_splines(lat, k, s.multiplier)
         except (SingularKernel, TailTooLarge):
             aborted_at = k
             break

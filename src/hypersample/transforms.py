@@ -63,16 +63,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CalibrationInconsistent, TailMassExceeded
-from .geometry import SpaceParams, distance, random_ball_points
+from .geometry import distance, random_ball_points
 from .spectral import (_SWITCH_RADIUS, Multiplier, SpectralGrid,
                        _circle_cosines, _expansion_orders, _gauss_legendre,
                        _horocycle_planes, _plane_wave_basis, _radius_bound,
-                       build_grid, plane_wave_series)
+                       build_grid, plancherel_density, plane_wave_series)
 
 __all__ = [
     "BandlimitedFunction",
@@ -414,7 +414,7 @@ def _bump_norms_sq(grid: SpectralGrid, draws) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of measuring the global spectral density constant."""
+    """Outcome of measuring the spectral density constant."""
 
     scale: float
     spread: float
@@ -422,7 +422,7 @@ class CalibrationResult:
 
 @functools.lru_cache(maxsize=1)
 def calibrate_plancherel() -> CalibrationResult:
-    """Measure plancherel_scale by Parseval balance on reference functions.
+    """Measure spectral.PLANCHEREL_SCALE = 1/(2 pi) by Parseval balance.
 
     Transforms four well-localized Gaussian bumps (in hyperbolic distance,
     centers in B(0, 0.5), widths in [0.7, 1.2), fixed seed) on B(0, 8)
@@ -442,7 +442,8 @@ def calibrate_plancherel() -> CalibrationResult:
     G (2.6 MB) are built; G, its build transients and the samples set the
     peak.  Nothing outlives the call but the result.
     """
-    grid = build_grid(SpaceParams(), _CAL_LAM_MAX, _CAL_N_LAMBDA, _CAL_N_B)
+    grid = build_grid(_CAL_LAM_MAX, _CAL_N_LAMBDA, _CAL_N_B)
+    grid = replace(grid, density=plancherel_density(grid.lambda_nodes))
     rng = np.random.default_rng(0)
     draws = [(random_ball_points(0.5, 1, rng)[0], 0.7 + 0.5 * rng.random())
              for _ in range(4)]

@@ -2,7 +2,6 @@ import warnings
 
 import pytest
 
-from hypersample.geometry import SpaceParams
 from hypersample.transforms import calibrate_plancherel
 
 # To report a failing example, hypothesis's pytest plugin imports libcst,
@@ -23,9 +22,3 @@ with warnings.catch_warnings():
 def calibration():
     """One calibration run shared by the whole session."""
     return calibrate_plancherel()
-
-
-@pytest.fixture(scope="session")
-def space(calibration):
-    """SpaceParams carrying the measured spectral density constant."""
-    return SpaceParams().with_scale(calibration.scale)

@@ -22,7 +22,7 @@ from hypersample.sampling import convolution_samples, reconstruct
 from hypersample.spectral import build_grid
 from hypersample.sphavg import AverageSpec, average_multiplier, \
     near_identity_check
-from hypersample.transforms import build_polar_grid
+from hypersample.transforms import build_polar_grid, calibrate_plancherel
 
 from helpers import laplacian_multiplier, stability_probe
 
@@ -34,8 +34,8 @@ def _report(num: int, name: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def grid2(space):
-    return build_grid(space, 2.0, 48, 64)
+def grid2():
+    return build_grid(2.0, 48, 64)
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +52,29 @@ def _rel(pgrid, got, want):
     return pgrid.norm(got - want) / pgrid.norm(want)
 
 
-def test_criterion_01_plancherel_consistency(space):
+def test_criterion_01_plancherel_consistency():
     cfg = load_config(CONFIGS / "plancherel.ini")
     assert cfg.seeds == (0, 1, 2, 3, 4)
-    rep = _scenario_plancherel(cfg, space)
+    rep = _scenario_plancherel(cfg)
     assert [row[0] for row in rep.rows] == list(cfg.seeds)
     for seed, spatial, spectral, rel, passed in rep.rows:
         assert rel == abs(spatial - spectral) / spatial
         assert rel < 1e-4
         assert passed
     assert rep.failures == []
+    # the scenario checks the constant against its measurement
+    scale = rep.info["calibration_scale"]
+    assert scale == calibrate_plancherel().scale
     worst = max(row[3] for row in rep.rows)
     _report(1, "plancherel", f"worst relative error {worst:.3e} "
-                             f"across 5 seeds (tolerance 1e-4)")
+                             f"across 5 seeds (tolerance 1e-4); measured "
+                             f"constant 2 pi x {2 * math.pi * scale!r}")
 
 
-def test_criterion_02_bernstein(space):
+def test_criterion_02_bernstein():
     cfg = load_config(CONFIGS / "bernstein.ini")
     assert (cfg.omega, cfg.seeds) == (2.0, tuple(range(10)))
-    rep = _scenario_bernstein(cfg, space)
+    rep = _scenario_bernstein(cfg)
     assert [row[:2] for row in rep.rows] == \
         [(seed, sigma) for seed in range(10) for sigma in (0.5, 1.0, 2.0, 4.0)]
     for seed, sigma, lhs, rhs, ratio, passed in rep.rows:
@@ -82,11 +86,11 @@ def test_criterion_02_bernstein(space):
                             f"10 seeds x 4 orders (bound 1 + 1e-10)")
 
 
-def test_criterion_03_lattice_certification(space):
+def test_criterion_03_lattice_certification():
     cfg = load_config(CONFIGS / "lattice.ini")
     assert (cfg.r_values, cfg.domain_radius, cfg.seeds) == \
         ((0.1, 0.2, 0.4), 1.5, (0,))
-    rep = _scenario_lattice(cfg, space)
+    rep = _scenario_lattice(cfg)
     assert [row[0] for row in rep.rows] == [0.1, 0.2, 0.4]
     details = []
     for r, n, sep, cover, fresh, mult, bound, passed in rep.rows:
@@ -101,11 +105,11 @@ def test_criterion_03_lattice_certification(space):
     _report(3, "lattice", "; ".join(details))
 
 
-def test_criterion_04_frame_reconstruction(space):
+def test_criterion_04_frame_reconstruction():
     cfg = load_config(CONFIGS / "frame_reconstruct.ini")
     assert (cfg.omega, cfg.r_values, cfg.domain_radius, cfg.seeds) == \
         (2.0, (0.4, 0.2, 0.1), 1.4, (0,))
-    rep = _scenario_frame(cfg, space)
+    rep = _scenario_frame(cfg)
     assert [row[0] for row in rep.rows] == [0.4, 0.2, 0.1]
     errors = rep.info["errors_by_r"]
     assert [row[5] for row in rep.rows] == list(errors)
@@ -150,10 +154,10 @@ def test_criterion_05_deconvolution_stability(grid2, pg14, f2):
             f"{spread:.2e} (tolerance 5e-2), c_stab {probe['c_stab']:.3e}")
 
 
-def test_criterion_06_two_path_spherical_average(space, grid2):
+def test_criterion_06_two_path_spherical_average(grid2):
     cfg = load_config(CONFIGS / "spherical_avg.ini")
     assert (cfg.omega, cfg.tau, cfg.seeds) == (2.0, 0.2, (0,))
-    rep = _scenario_sphavg(cfg, space)
+    rep = _scenario_sphavg(cfg)
     assert [row[0] for row in rep.rows] == list(range(10))
     for case, y_re, y_im, tau, n, d_re, d_im, s_re, s_im, diff, passed \
             in rep.rows:
@@ -171,12 +175,12 @@ def test_criterion_06_two_path_spherical_average(space, grid2):
             f"(tolerance 1e-6); node bound held in every case")
 
 
-def test_criterion_07_overlapping_spheres(space):
+def test_criterion_07_overlapping_spheres():
     # the frame route alone: an empty spline schedule
     cfg = load_config(CONFIGS / "theorem73.ini", {"k_schedule": ""})
     assert (cfg.omega, cfg.r, cfg.tau_values, cfg.domain_radius) == \
         (2.0, 0.1, (0.0, 0.1, 0.3), 1.4)
-    rep = _scenario_theorem73(cfg, space)
+    rep = _scenario_theorem73(cfg)
     errors = {}
     for row in rep.rows:
         tau, admissible, frame_error = row[2], row[5], row[6]
@@ -193,13 +197,13 @@ def test_criterion_07_overlapping_spheres(space):
             + f"; spread {flat:.1f}x < 10x at fixed r = 0.1 < tau")
 
 
-def test_criterion_08_spline_interpolation(space):
+def test_criterion_08_spline_interpolation():
     # the variational characterization (orthogonality, minimal seminorm,
     # energy identity) is tested in test_splines.py on the same system
     cfg = load_config(CONFIGS / "spline_reconstruct.ini")
     assert (cfg.omega, cfg.r, cfg.domain_radius, cfg.k_schedule,
             cfg.seeds) == (1.0, 0.8, 2.0, (2, 4, 8), (0,))
-    rep = _scenario_spline(cfg, space)
+    rep = _scenario_spline(cfg)
     rows = {row[0]: row for row in rep.rows}
     assert list(rows) == [2, 4, 8]
     _, status, n, condition, defect, err, passed = rows[2]
@@ -218,10 +222,10 @@ def test_criterion_08_spline_interpolation(space):
             f"1e-3); k=4 and k=8 singular in double precision")
 
 
-def test_criterion_09_baseline_1d(space):
+def test_criterion_09_baseline_1d():
     cfg = load_config(CONFIGS / "baseline1d.ini")
     assert (cfg.omega, cfg.gamma, cfg.seeds) == (2.0, 0.8, (0,))
-    rep = _scenario_baseline1d(cfg, space)
+    rep = _scenario_baseline1d(cfg)
     [(gamma, n, lower, upper, rel, gram_rel, route_diff, passed)] = rep.rows
     assert (gamma, n) == (0.8, 64)
     assert rel < 1e-6

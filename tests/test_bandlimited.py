@@ -71,18 +71,18 @@ def density_probe(grid: SpectralGrid, center, radius: float,
     return {"n": list(n_list), "errors": errors, "condition": conds}
 
 
-def _grid(space, omega=OMEGA, n_lambda=48, n_b=64):
-    return build_grid(space, omega, n_lambda, n_b)
+def _grid(omega=OMEGA, n_lambda=48, n_b=64):
+    return build_grid(omega, n_lambda, n_b)
 
 
 @pytest.fixture(scope="module")
-def grid(space):
-    return _grid(space)
+def grid():
+    return _grid()
 
 
 @pytest.fixture(scope="module")
-def probe_grid(space):
-    return _grid(space, n_lambda=16, n_b=16)
+def probe_grid():
+    return _grid(n_lambda=16, n_b=16)
 
 
 def test_synthesize_unit_norm_and_support(grid):
@@ -100,10 +100,10 @@ def test_synthesize_deterministic(grid):
     assert not np.array_equal(a.values, c.values)
 
 
-def test_synthesize_validation(space):
+def test_synthesize_validation():
     # six boundary angles cannot resolve the modes |m| <= 3
     with pytest.raises(ValueError, match="n_b must be at least 8"):
-        synthesize(_grid(space, n_b=6), seed=0)
+        synthesize(_grid(n_b=6), seed=0)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
@@ -122,10 +122,10 @@ def test_bernstein_sigma_zero_is_equality(grid):
     assert rep["lhs"] == pytest.approx(rep["rhs"], rel=1e-12)
 
 
-def test_bernstein_sharp_for_edge_concentration(space):
+def test_bernstein_sharp_for_edge_concentration():
     # profile concentrated near the top of the band: the inequality is
     # nearly attained, so the constant cannot be improved
-    grid = build_grid(space, OMEGA, 160, 8)
+    grid = build_grid(OMEGA, 160, 8)
     lam = grid.lambda_nodes
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[:, 0] = np.exp(-((lam - 0.995 * OMEGA) ** 2)
@@ -144,10 +144,10 @@ def test_converse_probe_band_limited_stays_bounded(grid):
     assert all(r <= 1 + 1e-10 for r in rep["ratios"])
 
 
-def test_converse_probe_detects_out_of_band_mass(space):
+def test_converse_probe_detects_out_of_band_mass():
     # narrow profile at 4*omega: the sigma = 8 ratio must blow past 10^3,
     # close to the analytic value ((16 w^2 + rho^2)/(w^2 + rho^2))^8
-    grid = build_grid(space, 16.0, 256, 8)
+    grid = build_grid(16.0, 256, 8)
     lam = grid.lambda_nodes
     vals = np.zeros((grid.n_lambda, grid.n_b), dtype=complex)
     vals[:, 0] = np.exp(-((lam - 4.0 * OMEGA) ** 2) / (2.0 * 0.05**2))
@@ -158,8 +158,8 @@ def test_converse_probe_detects_out_of_band_mass(space):
     assert rep["ratios"][1] == pytest.approx(analytic, rel=0.05)
 
 
-def test_converse_probe_zero_function(space):
-    grid = build_grid(space, 8.0, 32, 8)
+def test_converse_probe_zero_function():
+    grid = build_grid(8.0, 32, 8)
     rep = converse_bernstein_probe(
         BandlimitedFunction(grid, np.zeros((grid.n_lambda, grid.n_b), complex)),
         OMEGA)
@@ -178,7 +178,7 @@ def test_density_probe_recovers_band_limited_target(probe_grid):
     assert rep["errors"] == sorted(rep["errors"], reverse=True)
 
 
-def test_density_probe_smooth_target_error_decreases(space, probe_grid):
+def test_density_probe_smooth_target_error_decreases(probe_grid):
     pgrid = build_polar_grid(2.0, 48, 64)
     d = distance(0.0, pgrid.points)
     target = np.exp(-(d**2) / (2 * 0.3**2))
@@ -188,7 +188,7 @@ def test_density_probe_smooth_target_error_decreases(space, probe_grid):
     assert all(e[i + 1] <= e[i] * (1 + 1e-12) for i in range(len(e) - 1))
     assert e[-1] < 0.05 < e[0]
     # a wider band approximates the same target strictly better
-    rep4 = density_probe(_grid(space, 2 * OMEGA, n_lambda=32, n_b=16),
+    rep4 = density_probe(_grid(2 * OMEGA, n_lambda=32, n_b=16),
                          0.0, 1.2, target, pgrid, n_list=(8, 16, 32, 64))
     assert rep4["errors"][-1] < e[-1]
 

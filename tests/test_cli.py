@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersample import cli, spectral
+from hypersample import cli, spectral, transforms
 from hypersample.cli import (
     SCENARIOS,
     ExperimentConfig,
@@ -359,7 +359,7 @@ def test_lattice_scenario_passes_when_r_reaches_the_domain(tmp_path,
         assert row["passed"] == "true"
 
 
-def _lattice_rows_and_inputs(monkeypatch, space, cfg, lattice=None):
+def _lattice_rows_and_inputs(monkeypatch, cfg, lattice=None):
     """The lattice runner's rows, with the lattice and the fresh probes of
     each row; lattice, if given, stands in for build_lattice's."""
     lattices, probes = [], []
@@ -376,7 +376,7 @@ def _lattice_rows_and_inputs(monkeypatch, space, cfg, lattice=None):
 
     monkeypatch.setattr(cli, "build_lattice", built)
     monkeypatch.setattr(cli, "random_ball_points", drawn)
-    rows = _scenario_lattice(cfg, space).rows
+    rows = _scenario_lattice(cfg).rows
     if len(probes) < len(rows):     # r >= domain_radius: no fresh probes
         probes = [np.empty(0, dtype=complex)] * len(rows)
     return zip(rows, lattices, probes)
@@ -398,11 +398,10 @@ def _assert_distances_match_brute_force(row, lat, probes):
         assert got == want or abs(got - want) <= 2 * np.spacing(want)
 
 
-def test_lattice_runner_distances_match_brute_force(monkeypatch, space):
+def test_lattice_runner_distances_match_brute_force(monkeypatch):
     cfg = ExperimentConfig(scenario="lattice", r_values=(0.4, 0.2),
                            domain_radius=1.5, seeds=(0,))
-    for row, lat, probes in _lattice_rows_and_inputs(monkeypatch, space,
-                                                     cfg):
+    for row, lat, probes in _lattice_rows_and_inputs(monkeypatch, cfg):
         assert probes.size == 10_000
         _assert_distances_match_brute_force(row, lat, probes)
 
@@ -413,14 +412,12 @@ def test_lattice_runner_distances_match_brute_force(monkeypatch, space):
     ([0.2, 0.3 - 0.6j], 1.5),
     ([0.0], 0.01),              # one point, and r past the domain: no probes
 ])
-def test_lattice_runner_distances_of_one_and_two_points(monkeypatch, space,
-                                                        points,
+def test_lattice_runner_distances_of_one_and_two_points(monkeypatch, points,
                                                         domain_radius):
     lat = Lattice(np.array(points), 0.4, 2, domain_radius, 0)
     cfg = ExperimentConfig(scenario="lattice", r_values=(0.4,),
                            domain_radius=domain_radius, seeds=(0,))
-    (row, _, probes), = _lattice_rows_and_inputs(monkeypatch, space, cfg,
-                                                 lat)
+    (row, _, probes), = _lattice_rows_and_inputs(monkeypatch, cfg, lat)
     _assert_distances_match_brute_force(row, lat, probes)
     if len(points) == 1:
         assert (row[2], row[4]) == (np.inf, 0.0)
@@ -474,15 +471,14 @@ def test_theorem73_spline_tail_too_large_ends_the_schedule(outroot, capsys,
 
 
 @pytest.mark.parametrize("override", [{"n_theta": "64"}, {"n_lambda": "64"}])
-def test_theorem73_builds_its_grids_from_the_config(tmp_path, space,
-                                                    override):
+def test_theorem73_builds_its_grids_from_the_config(tmp_path, override):
     # the error is measured on the config's polar grid and the function
     # lives on its spectral grid, so either override moves frame_error
     path = _write(tmp_path, "[experiment]\nscenario = theorem73\n"
                             "r = 0.4\ntau_values = 0.1\nk_schedule =\n")
 
     def frame_error(overrides):
-        rep = _scenario_theorem73(load_config(path, overrides), space)
+        rep = _scenario_theorem73(load_config(path, overrides))
         [row] = rep.rows
         return row[rep.columns.index("frame_error")]
 
@@ -516,11 +512,11 @@ def test_theorem73_honours_cut(tmp_path, outroot):
 @pytest.mark.parametrize("scenario", [
     name for name, spec in SCENARIOS.items()
     if not {"omega", "n_lambda"} & set(spec.unused)])
-def test_band_scenarios_grid_is_the_band(space, scenario):
+def test_band_scenarios_grid_is_the_band(scenario):
     # every node of a band scenario's spectral grid lies inside (0, omega),
     # n_lambda // 2 of them: no row of any coefficient field sits above it
     cfg = load_config(ROOT / "configs" / f"{scenario}.ini")
-    grid = _spectral_grid(cfg, space)
+    grid = _spectral_grid(cfg)
     assert grid.omega == cfg.omega
     assert grid.n_lambda == cfg.n_lambda // 2
     assert 0.0 < grid.lambda_nodes[0]
@@ -553,12 +549,11 @@ class _RecordingConfig:
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
-def test_unused_lists_exactly_the_fields_the_runner_does_not_read(space,
-                                                                  scenario):
+def test_unused_lists_exactly_the_fields_the_runner_does_not_read(scenario):
     spec = SCENARIOS[scenario]
     cfg = _RecordingConfig(ExperimentConfig(scenario=scenario, **{
         "seeds": (0,), **spec.defaults, **spec.verify}))
-    spec.runner(cfg, space)
+    spec.runner(cfg)
     unread = {f.name for f in dataclasses.fields(ExperimentConfig)} \
         - cfg.read - {"scenario", "output"}
     assert unread == set(spec.unused)
@@ -734,6 +729,7 @@ def test_verify_runs_every_scenario_at_its_verify_size(capsys):
 def test_verify_mutation_hook_trips_parseval(capsys):
     assert verify_all(perturb_scale=0.01, only=["plancherel"]) == 1
     assert "FAIL  plancherel.parseval_rel: " in capsys.readouterr().out
+    assert spectral.PLANCHEREL_SCALE == 1.0 / (2.0 * math.pi)
 
 
 @pytest.mark.parametrize("value", ["-1", "-2", "nan", "inf"])
@@ -750,10 +746,28 @@ def test_verify_catches_a_small_density_error(capsys):
     # 1e-5, above the runner's tolerance
     assert verify_all(perturb_scale=1e-5, only=["plancherel"]) == 1
     assert "FAIL  plancherel.parseval_rel: " in capsys.readouterr().out
+    assert spectral.PLANCHEREL_SCALE == 1.0 / (2.0 * math.pi)
+
+
+def test_verify_restores_the_constant_when_a_runner_raises(monkeypatch):
+    # the perturbed constant is in force for the runners only
+    seen = []
+
+    def broken(cfg):
+        seen.append(spectral.PLANCHEREL_SCALE)
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(SCENARIOS, "baseline1d", dataclasses.replace(
+        SCENARIOS["baseline1d"], runner=broken))
+    scale = spectral.PLANCHEREL_SCALE
+    with pytest.raises(RuntimeError, match="runner bug"):
+        verify_all(perturb_scale=0.01, only=["baseline1d"])
+    assert seen == [scale * 1.01]
+    assert spectral.PLANCHEREL_SCALE == scale
 
 
 def test_verify_reports_a_package_error_as_a_failure(monkeypatch, capsys):
-    def refuse(cfg, space):
+    def refuse(cfg):
         raise ProblemTooLarge("too many points")
 
     spec = SCENARIOS["baseline1d"]
@@ -772,6 +786,35 @@ def test_python_m_hypersample_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("baseline1d  pass")
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_only_the_plancherel_run_measures_parseval(outroot, monkeypatch,
+                                                   scenario):
+    # a run takes the constant from spectral.PLANCHEREL_SCALE; only the
+    # plancherel scenario transforms bumps and checks the calibration
+    calls = set()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.add(name)
+            return f(*args)
+        return wrapper
+
+    for module in (cli, transforms):
+        for name in ("calibrate_plancherel", "_bump_norms_sq"):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+    spec = SCENARIOS[scenario]
+    assert run(ExperimentConfig(scenario=scenario, **{
+        "seeds": (0,), **spec.defaults, **spec.verify})) == 0
+    assert calls == ({"calibrate_plancherel", "_bump_norms_sq"}
+                     if scenario == "plancherel" else set())
+    manifest = (outroot / scenario / "manifest.txt").read_text()
+    assert "plancherel_scale = 0.15915494309189535\n" in manifest
+    assert "calibration_spread" not in manifest
+    assert ("info.calibration_scale = 0.15915494309189754" in manifest) \
+        == (scenario == "plancherel")
 
 
 def test_calibrate_subcommand(capsys):

@@ -151,7 +151,7 @@ def _disk_points(draw, side):
 @settings(max_examples=300, deadline=None)
 @given(t=st.one_of(st.floats(1e-4, 4.0), st.sampled_from([0.2, 1.0, 2.5])),
        data=st.data())
-def test_near_pairs_matches_brute_force(t, data):
+def test_pair_blocks_match_brute_force(t, data):
     # every pair within t, and every pair within sinh(t)/2 in the Euclidean
     # sense, is found exactly once; no pair beyond the cell side is returned
     side = lattice_mod._tree_radius(t)
@@ -175,7 +175,7 @@ def _joined_pair_blocks(x, y, t):
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _near_pairs_single_pass(x, y, t):
+def _pair_blocks_single_pass(x, y, t):
     """_pair_blocks with every candidate pair formed at once, the form the
     blocked search splits into runs of about PAIR_BLOCK pairs."""
     if x.size == 0 or y.size == 0:
@@ -196,7 +196,7 @@ def _near_pairs_single_pass(x, y, t):
 
 
 @pytest.mark.parametrize("case", ["probes", "long_runs", "empty"])
-def test_blocked_near_pairs_match_single_pass(case):
+def test_pair_blocks_match_single_pass(case):
     rng = np.random.default_rng(11)
     if case == "probes":
         # ~7e5 candidates from 2e4 probes on the r = 0.1 lattice: a dozen
@@ -212,7 +212,7 @@ def test_blocked_near_pairs_match_single_pass(case):
     else:
         x, y, t = random_ball_points(1.0, 50, rng), np.empty(0, complex), 0.5
     i, j = _joined_pair_blocks(x, y, t)
-    ref_i, ref_j = _near_pairs_single_pass(x, y, t)
+    ref_i, ref_j = _pair_blocks_single_pass(x, y, t)
     assert i.size > PAIR_BLOCK or case == "empty"
     assert set(zip(i.tolist(), j.tolist())) \
         == set(zip(ref_i.tolist(), ref_j.tolist()))
@@ -432,23 +432,23 @@ def sampling_inequality_probe(lat: Lattice, f, k: float) -> dict:
     }
 
 
-def _band_grid(space):
+def _band_grid():
     """The omega = 2 grid of the sampling-inequality probes."""
-    return build_grid(space, 2.0, 48, 64)
+    return build_grid(2.0, 48, 64)
 
 
-def test_probe_zero_function(space):
+def test_probe_zero_function():
     lat = build_lattice(0.3, 1.0, seed=0)
-    grid = build_grid(space, 2.0, 16, 8)
+    grid = build_grid(2.0, 16, 8)
     zero = BandlimitedFunction(grid, np.zeros((16, 8), complex))
     rep = sampling_inequality_probe(lat, zero, 2)
     assert rep == {"norm": 0.0, "sample_norm": 0.0, "sobolev_term": 0.0,
                    "ratio": 0.0, "upper_ratio": 0.0}
 
 
-def test_probe_scales_linearly(space):
+def test_probe_scales_linearly():
     lat = build_lattice(0.3, 1.0, seed=0)
-    f = synthesize(_band_grid(space), seed=0)
+    f = synthesize(_band_grid(), seed=0)
     r1 = sampling_inequality_probe(lat, f, 2)
     f3 = BandlimitedFunction(f.grid, 3.0 * f.values)
     r3 = sampling_inequality_probe(lat, f3, 2)
@@ -457,18 +457,18 @@ def test_probe_scales_linearly(space):
     assert r3["ratio"] == pytest.approx(r1["ratio"], rel=1e-12)
 
 
-def test_probe_rejects_low_order(space):
+def test_probe_rejects_low_order():
     lat = build_lattice(0.3, 1.0, seed=0)
-    f = synthesize(_band_grid(space), seed=0)
+    f = synthesize(_band_grid(), seed=0)
     with pytest.raises(ValueError):
         sampling_inequality_probe(lat, f, 1.0)
 
 
-def test_empirical_constant_stable_across_seeds(space):
+def test_empirical_constant_stable_across_seeds():
     """The norm-vs-samples constant calibrated on ten draws bounds ten
     fresh draws, in the dense-lattice regime r = 0.1, omega = 2."""
     lat = build_lattice(0.1, 1.5, seed=0)
-    grid = _band_grid(space)
+    grid = _band_grid()
 
     def ratio(seed):
         f = synthesize(grid, seed=seed)

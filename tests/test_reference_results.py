@@ -32,7 +32,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = Path(__file__).resolve().parent / "reference"
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.ini"))
-THREAD_FREE = ("baseline1d", "lattice")
+THREAD_FREE = ("baseline1d", "bernstein", "lattice", "spherical_avg",
+               "spline_reconstruct")
 
 _RUN = """
 import sys

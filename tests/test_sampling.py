@@ -35,8 +35,8 @@ DOMAIN = 1.4
 
 
 @pytest.fixture(scope="module")
-def grid(space):
-    return build_grid(space, OMEGA, 48, 64)
+def grid():
+    return build_grid(OMEGA, 48, 64)
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +222,11 @@ def test_trimmed_series_degree_below_band(grid, lattices, name):
         assert series.shape[0] < grid.n_lambda
 
 
-def test_spline_band_projection_matches_plane_wave_rows(space, grid):
+def test_spline_band_projection_matches_plane_wave_rows(grid):
     # the band transform of sum_j beta_j K(d(., x_j)) from the complex
     # plane waves themselves: (lam^2 + rho^2)^(-2k) sum_j beta_j conj(e_j),
     # on a lattice whose order-2 system meets the Lagrangian certificate
-    system = build_splines(build_lattice(0.6, DOMAIN, seed=0), 2,
-                           space=space)
+    system = build_splines(build_lattice(0.6, DOMAIN, seed=0), 2)
     rng = np.random.default_rng(3)
     n = len(system.lattice)
     beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -240,27 +239,27 @@ def test_spline_band_projection_matches_plane_wave_rows(space, grid):
         <= 1e-14 * np.max(np.abs(want))
 
 
-def test_results_carry_their_grids_omega(space):
+def test_results_carry_their_grids_omega():
     # omega lives on the grid only: every band-limited result reads it there
-    grid = build_grid(space, 1.5, 24, 32)
+    grid = build_grid(1.5, 24, 32)
     lat = build_lattice(0.8, 1.0, seed=0)
     f = synthesize(grid, seed=0)
     rec = reconstruct(point_samples(f, lat), grid=grid)
-    interp = SplineInterpolant(build_splines(lat, 2, space=space),
+    interp = SplineInterpolant(build_splines(lat, 2),
                                np.ones(len(lat)))
     proj = spline_band_projection(interp, grid)
     assert f.omega == rec.omega == proj.omega == grid.omega == 1.5
 
 
-def test_every_producer_returns_the_one_band_limited_class(space):
+def test_every_producer_returns_the_one_band_limited_class():
     # a band-limited function has one type wherever it is made, and the
     # package exports no second coefficient type
-    grid = build_grid(space, 1.5, 24, 32)
+    grid = build_grid(1.5, 24, 32)
     lat = build_lattice(0.8, 1.0, seed=0)
     f = synthesize(grid, seed=0)
     pgrid = build_polar_grid(1.0, 16, 32)
     samples = f.on_grid(pgrid)
-    interp = SplineInterpolant(build_splines(lat, 2, space=space),
+    interp = SplineInterpolant(build_splines(lat, 2),
                                np.ones(len(lat)))
     made = [f, forward_transform(pgrid, grid, samples, tail_tol=None),
             *forward_transform(pgrid, grid, np.stack([samples, samples]),
@@ -408,8 +407,8 @@ def test_frame_spectrum_is_rotation_invariant(frames, lattices, grid, r,
 
 
 @pytest.fixture(scope="module")
-def frame256(space, lattices):
-    grid256 = build_grid(space, OMEGA, 48, 256)
+def frame256(lattices):
+    grid256 = build_grid(OMEGA, 48, 256)
     return build_frame(_zeros(lattices[0.4]), grid=grid256), grid256
 
 

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from hypersample import spectral as sp
 from hypersample.errors import MultiplierVanishes, NumericalFailure
-from hypersample.geometry import PAIR_BLOCK, RHO, SpaceParams, busemann
+from hypersample.geometry import PAIR_BLOCK, RHO, busemann
 from hypersample.transforms import BandlimitedFunction, apply_multiplier
 
 from helpers import laplacian_multiplier
@@ -259,13 +259,13 @@ def test_gauss_legendre_rules_are_memoised_read_only_and_bounded():
     assert info.maxsize == 16 and info.currsize <= 16
 
 
-def test_zonal_series_reproduces_spline_kernel_table(space):
+def test_zonal_series_reproduces_spline_kernel_table():
     # the spline kernel's table is this series on its linspace, bit for bit
     from hypersample import splines
     t_max, k = 2.8, 2
-    kern = splines.polyharmonic_kernel(space, k, t_max=t_max)
+    kern = splines.polyharmonic_kernel(k, t_max=t_max)
     nodes, weights = splines._kernel_lambda_grid(kern.lam_max)
-    coef = weights * sp.plancherel_density(nodes, space.plancherel_scale) \
+    coef = weights * sp.plancherel_density(nodes, sp.PLANCHEREL_SCALE) \
         * (nodes ** 2 + RHO * RHO) ** (-2 * k)
     series = sp.zonal_series(nodes, coef, t_max)
     got = chebval(2.0 * kern.table_t / t_max - 1.0, series)
@@ -297,7 +297,7 @@ def test_busemann_angle_count_grows_with_radius():
 
 @pytest.fixture
 def grid():
-    return sp.build_grid(SpaceParams(), 6.0, 24, 32)
+    return sp.build_grid(6.0, 24, 32)
 
 
 def test_build_grid_band_panel(grid):
@@ -313,7 +313,7 @@ def test_build_grid_band_panel(grid):
 @settings(max_examples=40, deadline=None)
 @given(omega=st.floats(0.05, 50.0), n_lambda=st.integers(2, 200))
 def test_build_grid_nodes_lie_inside_the_band(omega, n_lambda):
-    grid = sp.build_grid(SpaceParams(), omega, n_lambda, 8)
+    grid = sp.build_grid(omega, n_lambda, 8)
     nodes = grid.lambda_nodes
     assert nodes.size == n_lambda and grid.omega == omega
     assert 0.0 < nodes[0] and nodes[-1] < omega
@@ -331,17 +331,16 @@ def test_build_grid_quadrature_accuracy(grid):
 
 
 def test_build_grid_validation():
-    space = SpaceParams()
     with pytest.raises(ValueError):
-        sp.build_grid(space, 10.0, 16, 31)  # odd n_b
+        sp.build_grid(10.0, 16, 31)  # odd n_b
     with pytest.raises(ValueError):
-        sp.build_grid(space, 10.0, 16, 2)
+        sp.build_grid(10.0, 16, 2)
     with pytest.raises(ValueError):
-        sp.build_grid(space, 10.0, 1, 32)
+        sp.build_grid(10.0, 1, 32)
     with pytest.raises(ValueError):
-        sp.build_grid(space, 0.0, 16, 32)
+        sp.build_grid(0.0, 16, 32)
     with pytest.raises(ValueError):
-        sp.build_grid(space, -1.0, 16, 32)
+        sp.build_grid(-1.0, 16, 32)
 
 
 def test_grid_n_band_and_angles(grid):
@@ -355,7 +354,8 @@ def test_coeffs_norm_constant_field(grid):
     # unit coefficients: ||c||^2 = int_0^omega density(lam) dlam
     c = BandlimitedFunction(grid, np.ones((grid.n_lambda, grid.n_b),
                                           dtype=complex))
-    ref = quad(lambda l: float(sp.plancherel_density(l)), 0.0, 6.0)[0]
+    ref = quad(lambda l: float(sp.plancherel_density(l, sp.PLANCHEREL_SCALE)),
+               0.0, 6.0)[0]
     # density has poles at lam = +/- i/2, so panel quadrature is geometric
     # but not exact; 24 nodes on [0, 6] reach ~1e-11 relative
     assert c.norm_sq() == pytest.approx(ref, rel=5e-9)

@@ -24,8 +24,8 @@ OMEGA = 2.0
 
 
 @pytest.fixture(scope="module")
-def grid(space):
-    return build_grid(space, OMEGA, 48, 64)
+def grid():
+    return build_grid(OMEGA, 48, 64)
 
 
 @pytest.fixture(scope="module")

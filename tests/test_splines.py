@@ -46,8 +46,8 @@ R = 0.8
 
 
 @pytest.fixture(scope="module")
-def kern2(space):
-    return polyharmonic_kernel(space, 2, t_max=3.0)
+def kern2():
+    return polyharmonic_kernel(2, t_max=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -56,17 +56,17 @@ def lat():
 
 
 @pytest.fixture(scope="module")
-def sys2(space, lat):
-    return build_splines(lat, 2, space=space)
+def sys2(lat):
+    return build_splines(lat, 2)
 
 
 @pytest.fixture(scope="module")
-def grid(space):
-    return build_grid(space, OMEGA, 48, 64)
+def grid():
+    return build_grid(OMEGA, 48, 64)
 
 
 @pytest.fixture(scope="module")
-def wide(space, sys2):
+def wide(sys2):
     # covers the kernel's own spectral support, so seminorms of spline
     # interpolants can be formed by direct quadrature: 144 Gauss-Legendre
     # nodes on the band [0, omega] and 144 on (omega, lam_max]
@@ -74,9 +74,8 @@ def wide(space, sys2):
               spectral._gl_panel(OMEGA, sys2.kernel.lam_max, 144)]
     nodes, weights = (np.concatenate(part) for part in zip(*panels))
     return SpectralGrid(nodes, weights,
-                        plancherel_density(nodes, space.plancherel_scale),
-                        n_b=384, omega=OMEGA,
-                        plancherel_scale=space.plancherel_scale)
+                        plancherel_density(nodes, spectral.PLANCHEREL_SCALE),
+                        n_b=384, omega=OMEGA)
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +124,9 @@ def _inner_2k(fa, fb, wide, k):
 
 # ---------------------------------------------------------------- kernel
 
-def test_kernel_matches_direct_quadrature(space, kern2):
+def test_kernel_matches_direct_quadrature(kern2):
     # independent oracle: conical Legendre function under mpmath quadrature
-    scale = space.plancherel_scale
+    scale = spectral.PLANCHEREL_SCALE
     with mpmath.workdps(30):
         for t in (0.7, 1.9):
             ch = mpmath.cosh(t)
@@ -141,9 +140,9 @@ def test_kernel_matches_direct_quadrature(space, kern2):
             assert abs(kern2(t) - float(ref)) <= 1e-8 * abs(float(ref))
 
 
-def test_kernel_value_at_zero(space, kern2):
+def test_kernel_value_at_zero(kern2):
     # phi = 1 at t = 0, so K(0) is a plain density integral
-    scale = space.plancherel_scale
+    scale = spectral.PLANCHEREL_SCALE
     with mpmath.workdps(30):
         ref = mpmath.quad(
             lambda lam: (lam ** 2 + RHO ** 2) ** (-4)
@@ -168,33 +167,33 @@ def test_kernel_call_contract(kern2):
         kern2(-0.01)
 
 
-def test_kernel_tail_guard(space):
+def test_kernel_tail_guard():
     # k = 1 tail decays like lam^-2: the tail tolerance is out of reach
     with pytest.raises(TailTooLarge):
-        polyharmonic_kernel(space, 1, t_max=3.0)
+        polyharmonic_kernel(1, t_max=3.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_kernel_refuses_a_multiplier_not_finite_at_the_probe(space, value):
+def test_kernel_refuses_a_multiplier_not_finite_at_the_probe(value):
     # finite up to lam = 15, so only the sup probe at lam = 20, 40, 80 sees
     # it; a NaN there must not become the tail bound, nor an inf a
     # TailTooLarge
     m = Multiplier(fn=lambda lam: np.where(lam > 15.0, value, 1.0),
                    label="spiky")
     with pytest.raises(ValueError, match="multiplier spiky is not finite"):
-        polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m)
+        polyharmonic_kernel(2, t_max=3.0, multiplier=m)
 
 
 @pytest.mark.parametrize("k", [257, 300])
-def test_overflowing_order_is_a_named_failure(space, k, tmp_path,
-                                              monkeypatch, capsys):
+def test_overflowing_order_is_a_named_failure(k, tmp_path, monkeypatch,
+                                              capsys):
     # from k = 257 on, (lam^2 + 1/4)^(-2k) passes the float range at small
     # lam: the kernel refuses the order before fitting any series, without
     # numpy overflow warnings, and the CLI exits 1 naming the order
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure, match=f"order-{k} kernel"):
-            polyharmonic_kernel(space, k, t_max=3.0)
+            polyharmonic_kernel(k, t_max=3.0)
     monkeypatch.setenv("HYPERSAMPLE_OUTPUT_ROOT", str(tmp_path))
     cfg = tmp_path / "spline.ini"
     cfg.write_text("[experiment]\nscenario = spline_reconstruct\n"
@@ -205,18 +204,18 @@ def test_overflowing_order_is_a_named_failure(space, k, tmp_path,
     assert "Traceback" not in err
 
 
-def _kernel_coef(space, kern, m=IDENTITY):
+def _kernel_coef(kern, m=IDENTITY):
     """The kernel's spectral nodes and zonal-sum coefficients."""
     lam, w = _kernel_lambda_grid(kern.lam_max)
     msq = np.abs(m.fn(lam)) ** 2
-    return lam, w * plancherel_density(lam, space.plancherel_scale) * msq \
+    return lam, w * plancherel_density(lam, spectral.PLANCHEREL_SCALE) * msq \
         * (lam ** 2 + RHO ** 2) ** (-2 * kern.k)
 
 
-def _busemann_average(space, kern, m, n_b, t):
+def _busemann_average(kern, m, n_b, t):
     """K(t) by the plain Busemann average: one exponential per (t,
     boundary angle, lam)."""
-    lam, coef = _kernel_coef(space, kern, m)
+    lam, coef = _kernel_coef(kern, m)
     angles = 2.0 * np.pi * np.arange(n_b) / n_b
     a = busemann(np.tanh(t / 2)[:, None], angles[None, :])
     waves = np.exp((1j * lam[:, None, None] + RHO) * a[None, :, :])
@@ -225,23 +224,23 @@ def _busemann_average(space, kern, m, n_b, t):
 
 @pytest.mark.parametrize("avg, n_b", [(False, 384), (True, 384),
                                       (False, 383)])
-def test_kernel_table_matches_busemann_average(space, avg, n_b):
+def test_kernel_table_matches_busemann_average(avg, n_b):
     # n_b is the brute-force reference's own angle count, odd included
     m = average_multiplier(AverageSpec(tau=0.1)) if avg else IDENTITY
-    kern = polyharmonic_kernel(space, 2, t_max=3.0, multiplier=m)
+    kern = polyharmonic_kernel(2, t_max=3.0, multiplier=m)
     sub = slice(None, None, 50)
-    ref = _busemann_average(space, kern, m, n_b, kern.table_t[sub])
+    ref = _busemann_average(kern, m, n_b, kern.table_t[sub])
     assert np.max(np.abs(kern.table_values[sub] - ref)) \
         <= 1e-13 * kern(0.0)
 
 
-def test_higher_order_kernel_is_flatter(space, kern2):
-    kern4 = polyharmonic_kernel(space, 4, t_max=3.0)
+def test_higher_order_kernel_is_flatter(kern2):
+    kern4 = polyharmonic_kernel(4, t_max=3.0)
     assert kern4(1.0) / kern4(0.0) > kern2(1.0) / kern2(0.0)
 
 
-def test_kernel_angular_quadrature_converged(space, kern2, monkeypatch):
-    lam, coef = _kernel_coef(space, kern2)
+def test_kernel_angular_quadrature_converged(kern2, monkeypatch):
+    lam, coef = _kernel_coef(kern2)
     count = spectral._busemann_angle_count
     monkeypatch.setattr(spectral, "_busemann_angle_count",
                         lambda lam_max, a_max: 2 * count(lam_max, a_max))
@@ -250,7 +249,7 @@ def test_kernel_angular_quadrature_converged(space, kern2, monkeypatch):
     assert rel <= 1e-10
 
 
-def test_kernel_table_resolves_domain_diameter(space, lat, monkeypatch):
+def test_kernel_table_resolves_domain_diameter(lat, monkeypatch):
     # at t_max = 4 (the diameter of the R = 0.8, radius 2 lattice) the
     # circle integrand is analytic only on a strip of width ~2 e^{-4}; the
     # table must still match a dense Busemann average (4096 angles; its
@@ -259,8 +258,8 @@ def test_kernel_table_resolves_domain_diameter(space, lat, monkeypatch):
     # backward error
     t_max = 2.0 * lat.domain_radius + 1e-9
     for k in (2, 4, 8):
-        kern = polyharmonic_kernel(space, k, t_max=t_max)
-        lam, coef = _kernel_coef(space, kern)
+        kern = polyharmonic_kernel(k, t_max=t_max)
+        lam, coef = _kernel_coef(kern)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_busemann_angle_count",
                           lambda lam_max, a_max: 4096)
@@ -273,11 +272,11 @@ def test_kernel_table_resolves_domain_diameter(space, lat, monkeypatch):
     assert ev[0] >= -len(lat) * np.finfo(float).eps * ev[-1]
 
 
-def test_kernel_builds_past_the_switch_radius(space, kern2):
+def test_kernel_builds_past_the_switch_radius(kern2):
     # past t = 4 the zonal sum takes phi from the Harish-Chandra expansion;
     # a Busemann average there would need ~e^t boundary angles.  Where the
     # tables overlap, this one is kern2's
-    kern = polyharmonic_kernel(space, 2, t_max=8.5)
+    kern = polyharmonic_kernel(2, t_max=8.5)
     assert np.all(np.isfinite(kern.table_values))
     near = kern.table_t <= kern2.t_max
     assert np.max(np.abs(kern.table_values[near] - kern2(kern.table_t[near]))) \
@@ -285,14 +284,14 @@ def test_kernel_builds_past_the_switch_radius(space, kern2):
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
-def test_hermite_kernel_matches_series_between_nodes(space, k):
+def test_hermite_kernel_matches_series_between_nodes(k):
     # the cubic Hermite interpolant of the table against the Chebyshev
     # series it samples, at the midpoint of every table interval (where
     # the interpolation error peaks) and at random radii; the series' own
     # Clenshaw rounding is ~2e-14 K(0) here
     t_max = 2.0 * DOMAIN + 1e-9
-    kern = polyharmonic_kernel(space, k, t_max=t_max)
-    series = zonal_series(*_kernel_coef(space, kern), t_max)
+    kern = polyharmonic_kernel(k, t_max=t_max)
+    series = zonal_series(*_kernel_coef(kern), t_max)
     t = np.concatenate([0.5 * (kern.table_t[1:] + kern.table_t[:-1]),
                         np.random.default_rng(k).uniform(0.0, t_max, 500)])
     ref = chebval(2.0 * t / t_max - 1.0, series)
@@ -337,14 +336,14 @@ def test_lagrangian_certificate(sys2, lat):
     assert np.max(np.abs(vals - target)) <= 1e-8
 
 
-def test_duplicate_points_rejected(space):
+def test_duplicate_points_rejected():
     pts = np.array([0.1 + 0.0j, 0.1 + 0.0j, -0.2 + 0.1j])
     bad = Lattice(points=pts, r=0.5, n_mult=10, domain_radius=1.0, seed=0)
     with pytest.raises(SingularKernel):
-        build_splines(bad, 2, space=space)
+        build_splines(bad, 2)
 
 
-def test_unallocatable_kernel_matrix_is_a_named_error(space, lat, tmp_path,
+def test_unallocatable_kernel_matrix_is_a_named_error(lat, tmp_path,
                                                      monkeypatch, capsys):
     # an N x N distance matrix past the memory limit (N ~ 4.5e5 at r = 0.01
     # asks for terabytes) ends as ProblemTooLarge, and the CLI exits 1
@@ -353,7 +352,7 @@ def test_unallocatable_kernel_matrix_is_a_named_error(space, lat, tmp_path,
 
     monkeypatch.setattr(splines, "distance", no_memory)
     with pytest.raises(ProblemTooLarge, match="cannot be allocated"):
-        build_splines(lat, 2, space=space)
+        build_splines(lat, 2)
     monkeypatch.setenv("HYPERSAMPLE_OUTPUT_ROOT", str(tmp_path))
     cfg = tmp_path / "spline.ini"
     cfg.write_text("[experiment]\nscenario = spline_reconstruct\nseeds = 0\n")
@@ -363,12 +362,12 @@ def test_unallocatable_kernel_matrix_is_a_named_error(space, lat, tmp_path,
     assert "Traceback" not in err
 
 
-def test_high_order_hits_precision_wall(space, lat):
+def test_high_order_hits_precision_wall(lat):
     # the k = 4 spectral density decays like lam^-16; its kernel matrix is
     # numerically rank-deficient at unit-scale spacing, which must surface
     # as the guard, never as a silently garbage factorization
     try:
-        sys4 = build_splines(lat, 4, space=space)
+        sys4 = build_splines(lat, 4)
     except SingularKernel:
         return
     assert sys4.condition > 1e12
@@ -537,26 +536,26 @@ def test_deconvolve_vanishing_multiplier_rejected(lat, f, grid):
 
 # ------------------------------------------------------------ convergence
 
-def test_error_decreases_with_lattice_density(space, grid, pgrid, f):
+def test_error_decreases_with_lattice_density(grid, pgrid, f):
     fv = f.evaluate(pgrid.points)
     den = pgrid.norm(fv)
     errs = []
     for r in (1.2, 0.8, 0.6):
         lat_r = build_lattice(r, DOMAIN, seed=0)
-        sys_r = build_splines(lat_r, 2, space=space)
+        sys_r = build_splines(lat_r, 2)
         interp_r = spline_interpolate(sys_r, point_samples(f, lat_r))
         errs.append(pgrid.norm(interp_r.evaluate(pgrid.points) - fv) / den)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
 
 
-def test_uncertified_build_raises(space):
+def test_uncertified_build_raises():
     # k = 2 on the r = 0.4 lattice (N = 123): defect about 7.5e-8 at
     # condition 1.3e10, above the 1e-8 certificate
     lat_fine = build_lattice(0.4, 1.4, seed=0)
     with pytest.raises(SingularKernel, match="Lagrangian defect .* misses "
                                              "the certificate 1e-08"):
-        build_splines(lat_fine, 2, space=space)
+        build_splines(lat_fine, 2)
 
 
 # ---------------------------------------------------- blocked pair passes

@@ -15,8 +15,8 @@ from hypersample.bandlimited import synthesize
 from hypersample.cli import _grids, load_config
 from hypersample.errors import (CalibrationInconsistent, NumericalFailure,
                                TailMassExceeded)
-from hypersample.geometry import (RHO, SpaceParams, ball_volume, busemann,
-                                  distance, mobius_translate)
+from hypersample.geometry import (RHO, ball_volume, busemann, distance,
+                                  mobius_translate)
 from hypersample.spectral import (SpectralGrid, _circle_cosines,
                                   _gamma_ratio, _plane_wave_basis,
                                   build_grid, spherical_function)
@@ -34,8 +34,8 @@ def pgrid():
 
 
 @pytest.fixture
-def grid(space):
-    return build_grid(space, omega=12.0, n_lambda=48, n_b=32)
+def grid():
+    return build_grid(omega=12.0, n_lambda=48, n_b=32)
 
 
 def bump(pgrid, center=0.0, width=0.35):
@@ -73,7 +73,7 @@ def test_norm_constant_equals_area(pgrid):
     assert pgrid.norm_sq(f) == pytest.approx(float(ball_volume(2.5)), rel=1e-13)
 
 
-def test_mode_table_zonal_row_matches_spherical_function(space):
+def test_mode_table_zonal_row_matches_spherical_function():
     # up to the switch radius both are circle quadratures of the plane-wave
     # series (spectral._circle_cosines over the same planes), which still
     # differ in node rule (_phase_node_count against _busemann_angle_count)
@@ -81,7 +81,7 @@ def test_mode_table_zonal_row_matches_spherical_function(space):
     # on |a| <= 4); past it both take the Harish-Chandra expansion, so only
     # the near radii are compared, and the check independent of both is
     # the mpmath one below
-    grid = build_grid(space, omega=12.0, n_lambda=16, n_b=16)
+    grid = build_grid(omega=12.0, n_lambda=16, n_b=16)
     pg = tr.build_polar_grid(8.0, 24, 16)
     near = pg.r_nodes <= tr._SWITCH_RADIUS
     tab = tr.radial_mode_table(grid, pg, 4)[:, 0, near]
@@ -174,13 +174,13 @@ def _modes_by_direct_exp(lams, rs, m_max):
     (10.0, 1.0, 2.0, 160, 96, 1e-14),     # spline_reconstruct grids
 ])
 def test_mode_table_near_slice_matches_direct_exponentials(
-        space, lam_max, omega, r_max, n_r, n_theta, tol):
+        lam_max, omega, r_max, n_r, n_theta, tol):
     # same trapezoid sum, different arithmetic: the difference is roundoff
     # (the calibration grid's largest radii carry the most); on lam <= lam_max
     # and on the scenario's band grid, omega, where there is one
-    grids = [build_grid(space, lam_max, 96, 64)]
+    grids = [build_grid(lam_max, 96, 64)]
     if omega is not None:
-        grids.append(build_grid(space, omega, 48, 64))
+        grids.append(build_grid(omega, 48, 64))
     pg = tr.build_polar_grid(r_max, n_r, n_theta)
     near = pg.r_nodes <= tr._SWITCH_RADIUS
     for grid in grids:
@@ -231,9 +231,9 @@ def test_forward_routes_agree_zonal(pgrid, grid):
     assert rel < 1e-7
 
 
-def test_forward_routes_agree_offcenter(space, pgrid):
+def test_forward_routes_agree_offcenter(pgrid):
     # lam * sinh(center radius) small keeps the mode content inside m_max
-    grid8 = build_grid(space, omega=8.0, n_lambda=40, n_b=64)
+    grid8 = build_grid(omega=8.0, n_lambda=40, n_b=64)
     f = bump(pgrid, center=0.15 + 0.05j)
     c_mode = tr.forward_transform(pgrid, grid8, f, tail_tol=None)
     c_dir = forward_transform_direct(pgrid, grid8, f)
@@ -268,8 +268,8 @@ def test_adjointness(pgrid, grid):
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
-def test_roundtrip_gaussian(space):
-    grid = build_grid(space, omega=16.0, n_lambda=64, n_b=32)
+def test_roundtrip_gaussian():
+    grid = build_grid(omega=16.0, n_lambda=64, n_b=32)
     pg = tr.build_polar_grid(6.0, 96, 64)
     f = bump(pg, center=0.1, width=0.5)
     c = tr.forward_transform(pg, grid, f, tail_tol=1e-8)
@@ -277,8 +277,8 @@ def test_roundtrip_gaussian(space):
     assert np.max(np.abs(back - f)) / np.max(np.abs(f)) < 1e-7
 
 
-def test_parseval_after_calibration(space):
-    grid = build_grid(space, omega=24.0, n_lambda=96, n_b=64)
+def test_parseval_after_calibration():
+    grid = build_grid(omega=24.0, n_lambda=96, n_b=64)
     pg = tr.build_polar_grid(8.0, 128, 128)
     f = bump(pg, center=0.2 + 0.1j, width=0.8)
     c = tr.forward_transform(pg, grid, f, tail_tol=1e-8)
@@ -292,10 +292,16 @@ def test_calibration_constant(calibration):
     assert abs(2.0 * np.pi * calibration.scale - 1.0) <= 2e-14
 
 
+def test_calibration_checks_the_constant(calibration):
+    # the bound the benchmark's gate applies to a manifest's
+    # plancherel_scale, which is now the constant a run used, 1/(2 pi)
+    assert abs(2.0 * np.pi * calibration.scale - 1.0) <= 1e-10
+
+
 def test_calibration_inconsistent_when_band_starved(monkeypatch):
     # 24 nodes on [0, 2]: the reference bumps reach far past the band
-    def starved(space, omega, n_lambda, n_b):
-        return build_grid(space, 2.0, 24, n_b)
+    def starved(omega, n_lambda, n_b):
+        return build_grid(2.0, 24, n_b)
 
     # the memo is cleared before and after, so this call calibrates cold
     # and no later call sees the starved result
@@ -346,11 +352,11 @@ def test_stacked_forward_checks_every_sample(pgrid, grid):
             tr.forward_transform(pgrid, grid, np.zeros(shape))
 
 
-def test_inverse_transform_matches_grid_route(space, pgrid):
+def test_inverse_transform_matches_grid_route(pgrid):
     # the point route sums the kernel over the discrete boundary circle, so
     # it needs n_b to exceed the kernel mode content lam_max * sinh(r) at
     # the evaluation radius; stay at r <= 1.5 with n_b = 128
-    grid = build_grid(space, omega=12.0, n_lambda=48, n_b=128)
+    grid = build_grid(omega=12.0, n_lambda=48, n_b=128)
     f = bump(pgrid, center=0.1, width=0.4)
     c = tr.forward_transform(pgrid, grid, f, tail_tol=None)
     back = tr.inverse_on_grid(c, pgrid)
@@ -361,9 +367,9 @@ def test_inverse_transform_matches_grid_route(space, pgrid):
     assert np.max(np.abs(v_pt - v_gr)) < 1e-8 * np.max(np.abs(back))
 
 
-def test_inverse_transform_matches_plane_wave_double_sum(space):
+def test_inverse_transform_matches_plane_wave_double_sum():
     # oracle: one exponential per (point, lam, b), summed directly
-    grid = build_grid(space, omega=12.0, n_lambda=48, n_b=32)
+    grid = build_grid(omega=12.0, n_lambda=48, n_b=32)
     rng = np.random.default_rng(11)
     c = BandlimitedFunction(grid, rng.standard_normal((48, 32))
                             + 1j * rng.standard_normal((48, 32)))
@@ -381,10 +387,10 @@ def test_inverse_transform_matches_plane_wave_double_sum(space):
     assert tr.inverse_transform(c, np.zeros(0)).shape == (0,)
 
 
-def test_inverse_transform_of_band_limited_f_matches_plane_wave_sum(space):
+def test_inverse_transform_of_band_limited_f_matches_plane_wave_sum():
     # the plane-wave series is cut at roundoff, so for coefficients that
     # vanish at the band edge the point values still match the direct sum
-    grid = build_grid(space, 2.0, 48, 64)
+    grid = build_grid(2.0, 48, 64)
     f = synthesize(grid, seed=0)
     rng = np.random.default_rng(12)
     pts = 0.9 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
@@ -406,16 +412,15 @@ def test_inverse_transform_of_zero_coefficients_is_zero(grid):
 _ACROSS_THE_SWITCH = tr.build_polar_grid(6.0, 96, 64)
 # (spectral grid, polar grid) of the calibration (near and far radii), of
 # the spline_reconstruct domain (near radii only) and across the switch
-# radius, over lam <= 24 and lam <= 10, density constant 1
+# radius, over lam <= 24 and lam <= 10
 _TABLE_GRIDS = {
-    "calibration": lambda space: (build_grid(space, 24.0, 96, 64),
-                                  tr.build_polar_grid(8.0, 128, 128)),
-    "spline": lambda space: (build_grid(space, 10.0, 96, 64),
-                             tr.build_polar_grid(2.0, 160, 96)),
+    "calibration": lambda: (build_grid(24.0, 96, 64),
+                            tr.build_polar_grid(8.0, 128, 128)),
+    "spline": lambda: (build_grid(10.0, 96, 64),
+                       tr.build_polar_grid(2.0, 160, 96)),
     # a domain whose radii cross the switch radius (38 of 96 take the
     # expansion)
-    "across": lambda space: (build_grid(space, 10.0, 96, 64),
-                             _ACROSS_THE_SWITCH),
+    "across": lambda: (build_grid(10.0, 96, 64), _ACROSS_THE_SWITCH),
 }
 # a cold table may hold, beyond itself, the real plane coefficients G of
 # its near radii (2.5 MB on the spline grid) and a few block-sized
@@ -480,7 +485,7 @@ def _whole_array_expansion(lams, far, m_max):
 
 @pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
 def test_mode_table_in_blocks_matches_whole_array_bits(case):
-    grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
+    grid, pgrid = _TABLE_GRIDS[case]()
     table = tr.radial_mode_table(grid, pgrid, 31)
     assert table.tobytes() == _whole_array_table(grid, pgrid, 31).tobytes()
 
@@ -490,7 +495,7 @@ def test_expansion_by_order_matches_whole_array_bits(case):
     # every order sums the whole array's term count; the spline grid has
     # no radius past the switch, so its nodes take those of the grid
     # across the switch
-    grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
+    grid, pgrid = _TABLE_GRIDS[case]()
     rs = pgrid.r_nodes[pgrid.r_nodes > tr._SWITCH_RADIUS]
     if not rs.size:
         rs = _ACROSS_THE_SWITCH.r_nodes[
@@ -517,7 +522,7 @@ def _table_forward(pgrid, grid, samples):
 def test_stacked_forward_matches_the_table_bits():
     # the plancherel scenario's bumps (seeds 0-4) on its (the
     # calibration's) grids, in one stacked call and as a 2-D stack
-    grid, pgrid = _TABLE_GRIDS["calibration"](SpaceParams())
+    grid, pgrid = _TABLE_GRIDS["calibration"]()
     bumps = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -548,15 +553,14 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("case", sorted(_TABLE_GRIDS))
 def test_cold_mode_table_costs_its_own_size_plus_blocks(case):
-    grid, pgrid = _TABLE_GRIDS[case](SpaceParams())
+    grid, pgrid = _TABLE_GRIDS[case]()
     table, peak = _traced_peak(lambda: tr.radial_mode_table(grid, pgrid, 31))
     assert peak <= table.nbytes + _TABLE_SLACK
 
 
-def _scenario_function(space, config):
+def _scenario_function(config):
     """The seed-0 test function of a scenario config and its polar grid."""
-    grid, pgrid = _grids(load_config(ROOT / "configs" / f"{config}.ini"),
-                         space)
+    grid, pgrid = _grids(load_config(ROOT / "configs" / f"{config}.ini"))
     return synthesize(grid, seed=0), pgrid
 
 
@@ -574,10 +578,9 @@ def _table_route(coeffs, pgrid):
     return np.fft.ifft(packed, axis=1) * pgrid.n_theta
 
 
-def test_evaluation_across_the_switch_radius_matches_the_table_route(
-        space):
+def test_evaluation_across_the_switch_radius_matches_the_table_route():
     # 38 of the 96 radii lie beyond _SWITCH_RADIUS and take the expansion
-    f, _ = _scenario_function(space, "frame_reconstruct")
+    f, _ = _scenario_function("frame_reconstruct")
     pgrid = tr.build_polar_grid(6.0, 96, 64)
     assert 0 < np.count_nonzero(pgrid.r_nodes > tr._SWITCH_RADIUS) < 96
     got = f.on_grid(pgrid)
@@ -591,7 +594,7 @@ _ROTATIONS = (1, 2, 5)
 def test_forward_transform_commutes_with_rotation():
     # rolling the samples by 2k of 128 polar angles rotates the function
     # by k of the 64 boundary angles, and so rolls its coefficients by k
-    grid, pgrid = _TABLE_GRIDS["calibration"](SpaceParams())
+    grid, pgrid = _TABLE_GRIDS["calibration"]()
     f = bump(pgrid, center=0.3 + 0.2j, width=0.8)
     stack = np.stack([f] + [np.roll(f, 2 * k, axis=1) for k in _ROTATIONS])
     c0, *rotated = tr.forward_transform(pgrid, grid, stack, tail_tol=1e-8)
@@ -601,11 +604,11 @@ def test_forward_transform_commutes_with_rotation():
             <= 1e-14 * np.max(np.abs(c0.values))
 
 
-def test_inverse_on_grid_commutes_with_rotation(space):
+def test_inverse_on_grid_commutes_with_rotation():
     # the frame_reconstruct test function on its polar grid at 128 angles:
     # rolling the coefficients by k of 64 boundary angles rolls the values
     # by 2k polar angles
-    f, frame_pgrid = _scenario_function(space, "frame_reconstruct")
+    f, frame_pgrid = _scenario_function("frame_reconstruct")
     pgrid = tr.build_polar_grid(frame_pgrid.r_max, frame_pgrid.n_r, 128)
     assert pgrid.n_theta == 2 * f.grid.n_b
     v0 = f.on_grid(pgrid)
@@ -616,10 +619,10 @@ def test_inverse_on_grid_commutes_with_rotation(space):
             <= 1e-14 * np.max(np.abs(v0))
 
 
-def test_cold_band_evaluation_tabulates_only_the_band(space):
+def test_cold_band_evaluation_tabulates_only_the_band():
     # the real mode coefficients G of the band (20 x 160 x 32, 0.8 MB) and
     # their transients: no lambda table, whose band rows alone are 3.9 MB
-    f, pgrid = _scenario_function(space, "frame_reconstruct")
+    f, pgrid = _scenario_function("frame_reconstruct")
     _, peak = _traced_peak(lambda: f.on_grid(pgrid))
     assert peak <= 3e6
 
@@ -636,9 +639,9 @@ def test_cold_calibration_streams_its_mode_orders(calibration):
     assert peak <= 7.5e6
 
 
-def test_laplacian_symbol_end_to_end(space):
+def test_laplacian_symbol_end_to_end():
     # inverse(symbol * hat f) equals the radial FD Laplacian of inverse(hat f)
-    grid = build_grid(space, omega=16.0, n_lambda=64, n_b=32)
+    grid = build_grid(omega=16.0, n_lambda=64, n_b=32)
     pg = tr.build_polar_grid(6.0, 96, 64)
     f = bump(pg, width=0.6)
     c = tr.forward_transform(pg, grid, f, tail_tol=None)
