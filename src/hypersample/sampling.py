@@ -26,7 +26,7 @@ are bounded by its L^2 norm on the domain, so a direction at the ball's
 roundoff floor is at the samples' floor too.  The concatenated N x K
 factor C has C C^H = F F^H; each block of points has its mode rows built
 once, and C's rows are written from them.  The samples s ride along as one
-more column: a Householder QR of [C | s] in place gives C = Q R and Q^H s
+more column: LAPACK's QR (zgeqrf) of [C | s] in place gives C = Q R and Q^H s
 without forming Q (Golub and Van Loan, Matrix Computations, section 5.3),
 and one truncated least-squares solve on the triangle R gives both the
 frame spectrum (R's singular values) and the factor's coefficients of the
@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import NotAFrame, NumericalFailure
 from .geometry import row_blocks
@@ -66,8 +67,6 @@ __all__ = [
 ]
 
 _PINV_CUT = 1e-12
-# columns per Householder panel of the factor's QR (LAPACK's usual block)
-_PANEL = 32
 # the ball rule that chooses the frame directions: Gauss-Legendre radii,
 # and angles per boundary-angle step
 _BALL_RADII = 32
@@ -189,7 +188,8 @@ def _band_factor(lattice: Lattice, grid: SpectralGrid, scale: np.ndarray,
     maps = [series @ v for v in half]
     src = [min(m, n_b - m) for m in range(n_b)]
     dirs = [half[s] for s in src]
-    factor = np.empty((n, sum(v.shape[1] for v in dirs) + 1), dtype=complex)
+    # column-major, as _factor_qr's LAPACK call needs
+    factor = np.empty((sum(v.shape[1] for v in dirs) + 1, n), dtype=complex).T
     deg = series.shape[0]
     # a block's mode rows hold about geometry.PAIR_BLOCK entries
     for blk in row_blocks(n, (n_b // 2 + 1) * deg):
@@ -205,44 +205,19 @@ def _band_factor(lattice: Lattice, grid: SpectralGrid, scale: np.ndarray,
     return factor, dirs
 
 
-def _subtract_product(a: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
-    """a -= v @ m, one block of rows at a time."""
-    for rows in row_blocks(a.shape[0], a.shape[1]):
-        a[rows] -= v[rows] @ m
-
-
-def _reflectors(panel: np.ndarray) -> np.ndarray:
-    """V from a panel of _factor_qr's output, in place: R's entries above
-    the diagonal cleared, a unit diagonal."""
-    top = panel[:panel.shape[1]]
-    top[np.triu_indices_from(top)] = 0.0
-    np.fill_diagonal(top, 1.0)
-    return panel
-
-
 def _factor_qr(c: np.ndarray) -> None:
-    """Householder QR of c in place, one panel of _PANEL columns at a time.
-
-    c keeps R in its upper triangle and the reflectors of each panel below
-    it (LAPACK's layout).  The trailing columns are updated with the compact
-    WY form (Schreiber and Van Loan 1989) of the panel's reflectors,
-    H_lo ... H_hi-1 = I - V T V^H, in blocks of rows.
-    """
+    """Householder QR of c in place by LAPACK's zgeqrf, after a workspace
+    query: R in the upper triangle, the reflectors below it.  c must be the
+    transpose of a C-contiguous array (_band_factor's factor), the only
+    buffer lapack_lite takes, which it reads column-major."""
     n, k = c.shape
-    for lo in range(0, min(n, k), _PANEL):
-        hi = min(lo + _PANEL, n, k)
-        h, tau = np.linalg.qr(c[lo:, lo:hi], mode="raw")
-        c[lo:, lo:hi] = h.T
-        if hi == k:
-            break
-        v = _reflectors(h.T)
-        vh = v.conj().T
-        # T^-1 = diag(1 / tau) + the strict upper triangle of V^H V
-        # (Puglisi 1992), here scaled by diag(tau) to stay finite at tau = 0
-        t = np.linalg.solve(
-            np.eye(tau.size) + tau[:, None] * np.triu(vh @ v, 1),
-            np.diag(tau))
-        _subtract_product(c[lo:, hi:], v, t.conj().T @ (vh @ c[lo:, hi:]))
+    tau = np.empty(min(n, k), dtype=complex)
+    size = np.empty(1, dtype=complex)
+    lapack_lite.zgeqrf(n, k, c.T, n, tau, size, -1, 0)
+    work = np.empty(int(size[0].real), dtype=complex)
+    info = lapack_lite.zgeqrf(n, k, c.T, n, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise NumericalFailure(f"zgeqrf stopped with info = {info}")
 
 
 def build_frame(s: SampleSet, *, grid: SpectralGrid,
@@ -256,8 +231,8 @@ def build_frame(s: SampleSet, *, grid: SpectralGrid,
     Gram F F^H is the integral over [0, omega] x boundary of
     |m|^2 e_j conj(e_k) density dlam db.  The per-mode factor C
     (_band_factor, built from real Chebyshev rows in the horocycle
-    distance) has the singular values sigma of F.  A Householder QR of
-    [C | s] in place (_factor_qr) leaves the triangle R of C and Q^H s;
+    distance) has the singular values sigma of F.  LAPACK's Householder
+    QR of [C | s] in place (_factor_qr) leaves the triangle R of C and Q^H s;
     one least-squares solve on R, with singular values below sqrt(cut)
     times the largest dropped, gives sigma and the minimal-norm
     coefficients on C's columns.  The eigenvalues of the Gram are sigma^2,

@@ -441,11 +441,11 @@ def test_mobius_moved_spectrum_drifts_at_64_angles(frames, lattices, grid):
 
 def test_build_frame_memory(grid, lattices, f):
     # no transient follows N beyond the factor with the samples appended
-    # (N x (K + 1), 7.7 MiB at r = 0.1): the mode rows and the factor's QR
-    # go one block at a time, and the directions come from 64 ball points,
-    # so no stack of per-lattice triangles exists (11.0 MiB measured).  The
-    # frame holds no array that grows with N: the interpolant's
-    # coefficients and the min(N, K) eigenvalues
+    # (N x (K + 1), 7.7 MiB at r = 0.1): the mode rows go one block at a
+    # time, the factor's QR runs in place, and the directions come from 64
+    # ball points, so no stack of per-lattice triangles exists (10.9 MiB
+    # measured).  The frame holds no array that grows with N: the
+    # interpolant's coefficients and the min(N, K) eigenvalues
     s = point_samples(f, lattices[0.1])
     tracemalloc.start()
     try:
@@ -655,12 +655,30 @@ def _dense_lstsq(s, grid, m=IDENTITY):
     return BandlimitedFunction(grid, values)
 
 
-@pytest.mark.parametrize("shape", ["n_below_k", "n_above_k", "one_point"])
-def test_reconstruct_matches_dense_lstsq(f, grid, lattices, shape):
+def _shape_lattice(shape, lattices):
     # the QR of [C | s] leaves R trapezoidal (N < K), square over a tall Q
     # (N > K) or a single row (N = 1)
-    lat = {"n_below_k": lattices[0.4], "n_above_k": lattices[0.1],
-           "one_point": Lattice(np.array([0.3 + 0.1j]), 0.2, 1, 0.5, 0)}[shape]
+    if shape == "one_point":
+        return Lattice(np.array([0.3 + 0.1j]), 0.2, 1, 0.5, 0)
+    return lattices[{"n_below_k": 0.4, "n_above_k": 0.1}[shape]]
+
+
+@pytest.mark.parametrize("shape", ["n_below_k", "n_above_k", "one_point"])
+def test_factor_qr_leaves_numpys_triangle(f, grid, lattices, shape):
+    # the in-place LAPACK call reads [C | s] with the shape, layout and
+    # leading dimension that numpy's own QR gives it, so R is numpy's R
+    lat = _shape_lattice(shape, lattices)
+    c, _ = _band_factor(lat, grid, np.sqrt(_weights(grid)),
+                        point_samples(f, lat).values)
+    ref = np.linalg.qr(c, mode="r")
+    sampling._factor_qr(c)
+    assert np.max(np.abs(np.triu(c[:ref.shape[0]]) - ref)) \
+        <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", ["n_below_k", "n_above_k", "one_point"])
+def test_reconstruct_matches_dense_lstsq(f, grid, lattices, shape):
+    lat = _shape_lattice(shape, lattices)
     n, k = len(lat), _factor(lat, grid).shape[1]
     assert {"n_below_k": 1 < n < k, "n_above_k": n > k,
             "one_point": n == 1}[shape]
